@@ -49,11 +49,7 @@ def vec_scale(c: Fraction, v: Vector) -> Vector:
 
 
 def vec_dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
-
-
-def is_zero_vector(v: Vector) -> bool:
-    return all(a == 0 for a in v)
+    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
 
 
 def matrix(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
@@ -63,10 +59,6 @@ def matrix(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple(zero_vector(cols) for _ in range(rows))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -86,6 +78,24 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(vec_dot(row, v) for row in m)
 
 
+def sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
+    """Column-sparse form of a rectangular matrix: for each column, {row: entry}
+    over its nonzero entries, rows in increasing order.
+
+    >>> sparse_columns(matrix([[0, 2], [3, 0]]))
+    [{1: Fraction(3, 1)}, {0: Fraction(2, 1)}]
+    """
+    n_cols = len(m[0]) if m else 0
+    cols: list[dict[int, Fraction]] = [{} for _ in range(n_cols)]
+    for r, row in enumerate(m):
+        if len(row) != n_cols:
+            raise ValueError(f"ragged matrix: row {r} has {len(row)} entries, row 0 has {n_cols}")
+        for c, x in enumerate(row):
+            if x:
+                cols[c][r] = x
+    return cols
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product, skipping zero entries (block/permutation matrices are common)."""
     cols_b = len(b[0]) if b else 0
@@ -100,10 +110,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if b_kj != 0:
                     out_i[j] += a_ik * b_kj
     return tuple(tuple(row) for row in out)
-
-
-def is_invertible(m: Matrix) -> bool:
-    return len(m) > 0 and len(m) == len(m[0]) and matrix_rank(m) == len(m)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -123,11 +129,14 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
+        rows[r] = [inv * x if x else ZERO for x in rows[r]]
+        pivot_terms = [(j, y) for j, y in enumerate(rows[r]) if y]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row_i = rows[i]
+                for j, y in pivot_terms:
+                    row_i[j] -= f * y
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -437,13 +446,17 @@ class Subspace:
 
     def contains(self, v: Vector) -> bool:
         """Exact membership by reduction against the canonical basis."""
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(v)} in a space of dimension {self.ambient_dim}")
         residual = list(v)
         for row in self.rows:
-            pivot = next(i for i, x in enumerate(row) if x != 0)
-            if residual[pivot] != 0:
-                f = residual[pivot]
-                residual = [x - f * y for x, y in zip(residual, row)]
-        return all(x == 0 for x in residual)
+            pivot = next(i for i, x in enumerate(row) if x)
+            f = residual[pivot]
+            if f:
+                for j, y in enumerate(row):
+                    if y:
+                        residual[j] -= f * y
+        return not any(residual)
 
     def contains_subspace(self, other: Subspace) -> bool:
         return all(self.contains(row) for row in other.rows)
@@ -483,7 +496,18 @@ def annihilator(space: Subspace) -> Subspace:
 
 def map_subspace(m: Matrix, space: Subspace) -> Subspace:
     """Image of a subspace under the linear map with matrix m (columns index the source)."""
-    return Subspace.span(len(m), [mat_vec(m, row) for row in space.rows])
+    if any(len(row) != space.ambient_dim for row in m):
+        raise ValueError(f"map must have {space.ambient_dim} columns, one per source coordinate")
+    cols = sparse_columns(m) if m else [{}] * space.ambient_dim
+    images = []
+    for row in space.rows:
+        image = [ZERO] * len(m)
+        for c, x in enumerate(row):
+            if x:
+                for r, entry in cols[c].items():
+                    image[r] += entry * x
+        images.append(image)
+    return Subspace.span(len(m), images)
 
 
 # ---------------------------------------------------------------------------

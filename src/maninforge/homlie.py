@@ -17,11 +17,13 @@ from .core import (
     matrix_rank,
     nullspace,
     rational,
+    sparse_columns,
     transpose,
+    vec_sub,
     vector,
     zero_vector,
 )
-from .reporting import CheckReport, failure
+from .reporting import CheckReport, Failure, failure
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -146,13 +148,11 @@ def _sparse_bracket(h: HomLieAlgebra, xs: dict[int, Fraction], ys: dict[int, Fra
     return out
 
 
-def _phi_sparse(h: HomLieAlgebra, xs: dict[int, Fraction]) -> dict[int, Fraction]:
+def _apply_columns(cols: list[dict[int, Fraction]], xs: dict[int, Fraction]) -> dict[int, Fraction]:
+    """The map with sparse columns `cols` applied to the sparse vector xs."""
     out: dict[int, Fraction] = {}
     for i, xi in xs.items():
-        for a in range(h.dim):
-            c = h.phi[a][i]
-            if c == 0:
-                continue
+        for a, c in cols[i].items():
             total = out.get(a, ZERO) + c * xi
             if total == 0:
                 out.pop(a, None)
@@ -168,10 +168,15 @@ def _dense(h: HomLieAlgebra, xs: dict[int, Fraction]) -> Vector:
     return tuple(out)
 
 
+def _residual(h: HomLieAlgebra, lhs: dict[int, Fraction], rhs: dict[int, Fraction]) -> Vector:
+    """Dense lhs - rhs, for the failure report of an identity that did not hold."""
+    return vec_sub(_dense(h, lhs), _dense(h, rhs))
+
+
 def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     """Twisted Jacobi: [phi(x),[y,z]] + [phi(y),[z,x]] + [phi(z),[x,y]] = 0 on all basis triples."""
     failures = []
-    phi_cols = [_phi_sparse(h, {i: Fraction(1)}) for i in range(h.dim)]
+    phi_cols = sparse_columns(h.phi)
     for i in range(h.dim):
         for j in range(h.dim):
             for k in range(h.dim):
@@ -198,20 +203,13 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
 def check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
     """phi is multiplicative: phi[x, y] = [phi(x), phi(y)] on all basis pairs."""
     failures = []
-    phi_cols = [_phi_sparse(h, {i: Fraction(1)}) for i in range(h.dim)]
+    phi_cols = sparse_columns(h.phi)
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
-            lhs = _phi_sparse(h, h.bracket_basis(i, j))
+            lhs = _apply_columns(phi_cols, h.bracket_basis(i, j))
             rhs = _sparse_bracket(h, phi_cols[i], phi_cols[j])
             if lhs != rhs:
-                diff = dict(lhs)
-                for a, v in rhs.items():
-                    s = diff.get(a, ZERO) - v
-                    if s == 0:
-                        diff.pop(a, None)
-                    else:
-                        diff[a] = s
-                failures.append(failure("twist_morphism", (i, j), _dense(h, diff)))
+                failures.append(failure("twist_morphism", (i, j), _residual(h, lhs, rhs)))
     return CheckReport("twist_morphism", failures)
 
 
@@ -220,24 +218,38 @@ def check_involutive(h: HomLieAlgebra) -> bool:
     return mat_mul(h.phi, h.phi) == identity_matrix(h.dim)
 
 
-def check_homomorphism(f: Matrix, h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:
-    """f intertwines twists and brackets: f . phi1 = phi2 . f and f[x,y] = [f(x), f(y)]."""
+def _intertwining_failures(
+    f_cols: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra
+) -> list[Failure]:
+    """Where the map with sparse columns f_cols (h1.dim of them, entries indexed
+    by h2's basis) fails f . phi1 = phi2 . f on a basis vector of h1, and
+    f[b_i, b_j] = [f(b_i), f(b_j)] on a basis pair."""
     failures = []
-    lhs_twist = mat_mul(f, h1.phi)
-    rhs_twist = mat_mul(h2.phi, f)
+    phi1_cols = sparse_columns(h1.phi)
+    phi2_cols = sparse_columns(h2.phi)
     for i in range(h1.dim):
-        col_l = tuple(row[i] for row in lhs_twist)
-        col_r = tuple(row[i] for row in rhs_twist)
-        if col_l != col_r:
-            failures.append(failure("twist_intertwine", (i,), tuple(a - b for a, b in zip(col_l, col_r))))
-    f_cols = [tuple(row[i] for row in f) for i in range(h1.dim)]
+        lhs = _apply_columns(f_cols, phi1_cols[i])
+        rhs = _apply_columns(phi2_cols, f_cols[i])
+        if lhs != rhs:
+            failures.append(failure("twist_intertwine", (i,), _residual(h2, lhs, rhs)))
     for i in range(h1.dim):
         for j in range(i + 1, h1.dim):
-            lhs = mat_vec(f, _dense(h1, h1.bracket_basis(i, j)))
-            rhs = h2.bracket(f_cols[i], f_cols[j])
+            lhs = _apply_columns(f_cols, h1.bracket_basis(i, j))
+            rhs = _sparse_bracket(h2, f_cols[i], f_cols[j])
             if lhs != rhs:
-                failures.append(failure("bracket_preserved", (i, j), tuple(a - b for a, b in zip(lhs, rhs))))
-    return CheckReport("homomorphism", failures)
+                failures.append(failure("bracket_preserved", (i, j), _residual(h2, lhs, rhs)))
+    return failures
+
+
+def check_homomorphism(f: Matrix, h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:
+    """f intertwines twists and brackets: f . phi1 = phi2 . f and f[x,y] = [f(x), f(y)]."""
+    if len(f) != h2.dim or any(len(row) != h1.dim for row in f):
+        lengths = sorted({len(row) for row in f})
+        raise ValueError(
+            f"map must be {h2.dim}x{h1.dim} (target dim x source dim), got {len(f)} rows of lengths {lengths}"
+        )
+    f_cols = sparse_columns(f) if f else [{}] * h1.dim
+    return CheckReport("homomorphism", _intertwining_failures(f_cols, h1, h2))
 
 
 @dataclass(frozen=True)
@@ -338,7 +350,7 @@ def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
     for i in range(h.dim):
         col = {a: (Fraction(1) if a == i else ZERO) - phi2[a][i] for a in range(h.dim)}
         defect_cols.append({a: v for a, v in col.items() if v != 0})
-    phi_cols = [_phi_sparse(h, {i: Fraction(1)}) for i in range(h.dim)]
+    phi_cols = sparse_columns(h.phi)
     for i in range(h.dim):
         if not defect_cols[i]:
             continue
@@ -354,14 +366,7 @@ def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
                 lhs = _sparse_bracket(h, defect_cols[i], _sparse_bracket(h, phi_cols[j], {k: Fraction(1)}))
                 rhs = _sparse_bracket(h, defect_cols[j], _sparse_bracket(h, phi_cols[i], {k: Fraction(1)}))
                 if lhs != rhs:
-                    diff = dict(lhs)
-                    for a, v in rhs.items():
-                        s = diff.get(a, ZERO) - v
-                        if s == 0:
-                            diff.pop(a, None)
-                        else:
-                            diff[a] = s
-                    failures.append(failure("defect_nested", (i, j, k), _dense(h, diff)))
+                    failures.append(failure("defect_nested", (i, j, k), _residual(h, lhs, rhs)))
     return CheckReport("admissible_algebra", failures)
 
 

@@ -20,6 +20,7 @@ from .core import (
     mat_mul,
     mat_vec,
     matrix,
+    sparse_columns,
     subspace_equal,
     subspace_sum,
     transpose,
@@ -37,6 +38,7 @@ from .homlie import (
     check_quadratic,
     check_twist_morphism,
     direct_sum,
+    _intertwining_failures,
 )
 from .reporting import CheckReport, combine, failure
 
@@ -183,27 +185,9 @@ def r_from_splitting(t: ManinTriple) -> SparseTensor:
 def check_manin_isomorphism(f: Matrix, t1: ManinTriple, t2: ManinTriple) -> CheckReport:
     """f is a triple isomorphism: preserves bracket, form, twist, and maps each half onto its mate."""
     h1, h2 = t1.algebra, t2.algebra
-    failures = []
-    if h1.dim != h2.dim or len(f) != h1.dim:
+    if h1.dim != h2.dim or len(f) != h1.dim or any(len(row) != h1.dim for row in f):
         return CheckReport("manin_isomorphism", [failure("shape", (h1.dim, h2.dim, len(f)))])
-    f_cols = [tuple(row[i] for row in f) for i in range(h1.dim)]
-    lhs_twist = mat_mul(f, h1.phi)
-    rhs_twist = mat_mul(h2.phi, f)
-    if lhs_twist != rhs_twist:
-        for i in range(h1.dim):
-            col_l = tuple(row[i] for row in lhs_twist)
-            col_r = tuple(row[i] for row in rhs_twist)
-            if col_l != col_r:
-                failures.append(failure("twist_intertwine", (i,), vec_sub(col_l, col_r)))
-    for i in range(h1.dim):
-        for j in range(i + 1, h1.dim):
-            coeffs = h1.bracket_basis(i, j)
-            lhs = zero_vector(h1.dim)
-            for k, c in coeffs.items():
-                lhs = vec_add(lhs, vec_scale(c, f_cols[k]))
-            rhs = h2.bracket(f_cols[i], f_cols[j])
-            if lhs != rhs:
-                failures.append(failure("bracket_preserved", (i, j), vec_sub(lhs, rhs)))
+    failures = _intertwining_failures(sparse_columns(f), h1, h2)
     pulled_back = mat_mul(transpose(f), mat_mul(t2.form, f))
     if pulled_back != t1.form:
         for i in range(h1.dim):
@@ -329,10 +313,6 @@ class RootData:
     cartan: tuple[int, ...]
     negatives: tuple[int, ...]
     positives: tuple[int, ...]
-
-
-def _matrix_units(k: int) -> list[list[list[Fraction]]]:
-    return [[[ONE if (r, c) == (i, j) else ZERO for c in range(k)] for r in range(k)] for i in range(k) for j in range(k)]
 
 
 def _mat_commutator(a, b, k):

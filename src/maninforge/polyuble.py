@@ -14,9 +14,7 @@ from .core import (
     Subspace,
     Vector,
     ZERO,
-    mat_vec,
-    unit_vector,
-    vec_add,
+    vector,
 )
 from .homlie import BracketTable, HomLieAlgebra
 from .manin import ManinTriple, check_manin_isomorphism
@@ -26,8 +24,12 @@ from .reporting import CheckReport
 def _edge_rows(n: int, d: int, s: int) -> list[Vector]:
     """Diagonal rows joining ambient slots s and s+1 (1-based slots, block size d)."""
     lo = (s - 1) * d
-    hi = s * d
-    return [vec_add(unit_vector(n * d, lo + i), unit_vector(n * d, hi + i)) for i in range(d)]
+    rows = []
+    for i in range(d):
+        v = [ZERO] * (n * d)
+        v[lo + i] = v[lo + d + i] = ONE
+        rows.append(tuple(v))
+    return rows
 
 
 def _embed_rows(n: int, d: int, s: int, rows) -> list[Vector]:
@@ -124,10 +126,14 @@ def snake_matrix(t: ManinTriple, m: int, n: int) -> Matrix:
 
 
 def snake_iso_apply(t: ManinTriple, m: int, n: int, x: Vector) -> Vector:
-    """Apply the snake identification to an ambient coordinate vector."""
-    if len(x) != t.algebra.dim * m * n:
+    """Apply the snake identification to an ambient coordinate vector: the block
+    of slot i moves, unchanged, to slot snake_permutation(m, n)(i)."""
+    d = t.algebra.dim
+    if len(x) != d * m * n:
         raise ValueError("vector length does not match the mn-fold ambient space")
-    return mat_vec(snake_matrix(t, m, n), x)
+    x = vector(x)
+    blocks = snake_permutation(m, n).permute([x[s * d : (s + 1) * d] for s in range(m * n)])
+    return tuple(v for block in blocks for v in block)
 
 
 def verify_snake_iso(t: ManinTriple, m: int, n: int) -> CheckReport:

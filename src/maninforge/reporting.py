@@ -8,10 +8,6 @@ from typing import Iterable, Sequence
 from .core import SparseTensor, Vector
 
 
-def render_scalar(x: Fraction) -> str:
-    return str(x)
-
-
 def render_vector(v: Vector) -> str:
     """Exact text form of a coordinate vector, e.g. ``(1, -1/2, 0)``."""
     return "(" + ", ".join(str(x) for x in v) + ")"

@@ -18,6 +18,7 @@ from .core import (
     is_symmetric,
     mat_vec,
     matrix_rank,
+    sparse_columns,
     tensor_skew_sym_split,
     transpose,
     vec_dot,
@@ -29,20 +30,13 @@ from .homlie import HomLieAlgebra
 from .reporting import CheckReport, failure
 
 
-def _phi_columns(h: HomLieAlgebra) -> list[dict[int, Fraction]]:
-    cols: list[dict[int, Fraction]] = []
-    for i in range(h.dim):
-        cols.append({a: h.phi[a][i] for a in range(h.dim) if h.phi[a][i] != 0})
-    return cols
-
-
 def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     """The twisted Yang-Baxter residual of a degree-2 tensor r = sum_i x_i (x) y_i:
     sum_ij [x_i,x_j] (x) phi(y_i) (x) phi(y_j) + phi(x_i) (x) [y_i,x_j] (x) phi(y_j)
     + phi(x_i) (x) phi(x_j) (x) [y_i,y_j]."""
     if r.degree != 2 or r.dim != h.dim:
         raise ValueError("r must be a degree-2 tensor over the algebra")
-    phi_cols = _phi_columns(h)
+    phi_cols = sparse_columns(h.phi)
     out = SparseTensor.zero(3, h.dim)
     entries = list(r.entries.items())
     for (a, b), v in entries:
@@ -106,7 +100,7 @@ def check_hom_ad_invariant(h: HomLieAlgebra, s: SparseTensor) -> CheckReport:
     sum_i [x, x_i] (x) phi(y_i) + phi(x_i) (x) [x, y_i] = 0."""
     if s.degree != 2:
         raise ValueError("invariance is defined for degree-2 tensors")
-    phi_cols = _phi_columns(h)
+    phi_cols = sparse_columns(h.phi)
     failures = []
     for k in range(h.dim):
         residual = SparseTensor.zero(2, h.dim)

@@ -5,8 +5,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from maninforge.core import Matrix, SparseTensor, Subspace, Vector, determinant, matrix
+from maninforge.core import (
+    ONE,
+    ZERO,
+    Matrix,
+    SparseTensor,
+    Subspace,
+    Vector,
+    determinant,
+    mat_mul,
+    matrix,
+    transpose,
+)
 from maninforge.homlie import HomLieAlgebra
+from maninforge.reporting import CheckReport, failure
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
 
@@ -113,3 +125,115 @@ def dense_hcyb(h: HomLieAlgebra, r: SparseTensor) -> dict[tuple[int, int, int], 
 
 def tensor_entries(t: SparseTensor) -> dict[tuple[int, ...], Fraction]:
     return dict(t.items())
+
+
+# ---------------------------------------------------------------------------
+# Dense reference linear algebra: the plain Fraction loops the column-sparse
+# paths replaced, kept verbatim so the fast paths can be compared against them.
+
+
+def dense_vec_dot(u: Vector, v: Vector) -> Fraction:
+    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+
+
+def dense_mat_vec(m: Matrix, v: Vector) -> Vector:
+    return tuple(dense_vec_dot(row, v) for row in m)
+
+
+def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    rows = [list(row) for row in m]
+    n_cols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def dense_span(ambient_dim: int, vectors) -> Subspace:
+    mat = matrix(list(vectors))
+    return Subspace(ambient_dim, dense_rref(mat)[0] if mat else ())
+
+
+def dense_contains(space: Subspace, v: Vector) -> bool:
+    residual = list(v)
+    for row in space.rows:
+        pivot = next(i for i, x in enumerate(row) if x != 0)
+        if residual[pivot] != 0:
+            f = residual[pivot]
+            residual = [x - f * y for x, y in zip(residual, row)]
+    return all(x == 0 for x in residual)
+
+
+def dense_map_subspace(m: Matrix, space: Subspace) -> Subspace:
+    return dense_span(len(m), [dense_mat_vec(m, row) for row in space.rows])
+
+
+def dense_check_homomorphism(f: Matrix, h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:
+    failures = []
+    lhs_twist = mat_mul(f, h1.phi)
+    rhs_twist = mat_mul(h2.phi, f)
+    for i in range(h1.dim):
+        col_l = tuple(row[i] for row in lhs_twist)
+        col_r = tuple(row[i] for row in rhs_twist)
+        if col_l != col_r:
+            failures.append(failure("twist_intertwine", (i,), tuple(a - b for a, b in zip(col_l, col_r))))
+    f_cols = [tuple(row[i] for row in f) for i in range(h1.dim)]
+    for i in range(h1.dim):
+        for j in range(i + 1, h1.dim):
+            dense_bracket = [ZERO] * h1.dim
+            for k, c in h1.bracket_basis(i, j).items():
+                dense_bracket[k] = c
+            lhs = dense_mat_vec(f, tuple(dense_bracket))
+            rhs = h2.bracket(f_cols[i], f_cols[j])
+            if lhs != rhs:
+                failures.append(failure("bracket_preserved", (i, j), tuple(a - b for a, b in zip(lhs, rhs))))
+    return CheckReport("homomorphism", failures)
+
+
+def dense_check_manin_isomorphism(f: Matrix, t1, t2) -> CheckReport:
+    h1, h2 = t1.algebra, t2.algebra
+    failures = []
+    if h1.dim != h2.dim or len(f) != h1.dim:
+        return CheckReport("manin_isomorphism", [failure("shape", (h1.dim, h2.dim, len(f)))])
+    f_cols = [tuple(row[i] for row in f) for i in range(h1.dim)]
+    lhs_twist = mat_mul(f, h1.phi)
+    rhs_twist = mat_mul(h2.phi, f)
+    if lhs_twist != rhs_twist:
+        for i in range(h1.dim):
+            col_l = tuple(row[i] for row in lhs_twist)
+            col_r = tuple(row[i] for row in rhs_twist)
+            if col_l != col_r:
+                failures.append(failure("twist_intertwine", (i,), tuple(a - b for a, b in zip(col_l, col_r))))
+    for i in range(h1.dim):
+        for j in range(i + 1, h1.dim):
+            lhs = (ZERO,) * h1.dim
+            for k, c in h1.bracket_basis(i, j).items():
+                lhs = tuple(a + c * b for a, b in zip(lhs, f_cols[k]))
+            rhs = h2.bracket(f_cols[i], f_cols[j])
+            if lhs != rhs:
+                failures.append(failure("bracket_preserved", (i, j), tuple(a - b for a, b in zip(lhs, rhs))))
+    pulled_back = mat_mul(transpose(f), mat_mul(t2.form, f))
+    if pulled_back != t1.form:
+        for i in range(h1.dim):
+            for j in range(h1.dim):
+                if pulled_back[i][j] != t1.form[i][j]:
+                    failures.append(failure("form_preserved", (i, j), pulled_back[i][j] - t1.form[i][j]))
+    if dense_map_subspace(f, t1.part1).rows != t2.part1.rows:
+        failures.append(failure("part1_image"))
+    if dense_map_subspace(f, t1.part2).rows != t2.part2.rows:
+        failures.append(failure("part2_image"))
+    return CheckReport("manin_isomorphism", failures)

@@ -7,7 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import rand_int_vector, rand_invertible, rand_subspace, rand_tensor
+from helpers import (
+    dense_contains,
+    dense_map_subspace,
+    dense_mat_vec,
+    dense_rref,
+    dense_span,
+    rand_int_vector,
+    rand_invertible,
+    rand_subspace,
+    rand_tensor,
+)
 from maninforge.core import (
     Permutation,
     SparseTensor,
@@ -29,6 +39,7 @@ from maninforge.core import (
     rational,
     rref,
     solve,
+    sparse_columns,
     subspace_contains,
     subspace_equal,
     subspace_sum,
@@ -301,6 +312,103 @@ def test_map_subspace_under_invertible_map_keeps_dim():
         m = rand_invertible(rng, 4)
         q = rand_subspace(rng, 4, rng.randint(0, 4))
         assert map_subspace(m, q).dim == q.dim
+
+
+def test_contains_rejects_vectors_of_the_wrong_length():
+    q = Subspace.span(3, [[1, 0, 0]])
+    with pytest.raises(ValueError, match="length 4"):
+        q.contains((1, 0, 0, 5))
+    with pytest.raises(ValueError, match="length 2"):
+        q.contains((1, 0))
+
+
+def test_map_subspace_rejects_a_column_count_off_the_ambient_dimension():
+    q = Subspace.span(3, [[1, 0, 0]])
+    with pytest.raises(ValueError, match="3 columns"):
+        map_subspace(identity_matrix(2), q)
+    with pytest.raises(ValueError, match="3 columns"):
+        map_subspace(matrix([[1, 0, 0], [0, 1]]), q)
+    with pytest.raises(ValueError, match="3 columns"):
+        map_subspace(identity_matrix(4), Subspace.zero(3))
+    assert map_subspace((), q) == Subspace.zero(0)
+
+
+def test_sparse_columns_keeps_nonzero_entries_by_column():
+    m = matrix([[0, 2, 0], [3, 0, 0]])
+    assert sparse_columns(m) == [{1: 3}, {0: 2}, {}]
+    assert sparse_columns(()) == []
+    with pytest.raises(ValueError, match="ragged"):
+        sparse_columns(matrix([[1, 0], [1]]))
+
+
+# ---------------------------------------------------------------------------
+# Column-sparse paths against the dense reference
+
+_entries = st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 1, 2, 3)))
+_nonzero_entries = st.builds(
+    Fraction, st.integers(1, 5) | st.integers(-5, -1), st.sampled_from((1, 1, 2, 3))
+)
+
+
+@st.composite
+def reference_matrices(draw, n_rows=None, n_cols=None):
+    """Dense, sparse (with whole zero rows and columns) or block-permutation matrices."""
+    rows = draw(st.integers(1, 6)) if n_rows is None else n_rows
+    cols = draw(st.integers(1, 6)) if n_cols is None else n_cols
+    kind = draw(st.sampled_from(("dense", "sparse", "block_permutation")))
+    if kind == "block_permutation" and rows == cols:
+        block = draw(st.sampled_from([b for b in (1, 2, 3) if rows % b == 0]))
+        images = draw(st.permutations(list(range(rows // block))))
+        return Permutation(tuple(images)).matrix(block=block)
+    if kind == "dense":
+        return tuple(tuple(draw(_nonzero_entries) for _ in range(cols)) for _ in range(rows))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    return tuple(
+        tuple(
+            Fraction(0) if r in zero_rows or c in zero_cols else draw(st.just(Fraction(0)) | _entries)
+            for c in range(cols)
+        )
+        for r in range(rows)
+    )
+
+
+@given(reference_matrices())
+def test_rref_matches_the_dense_reference(m):
+    assert repr(rref(m)) == repr(dense_rref(m))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(reference_matrices(n_cols=n), reference_matrices(1, n))))
+def test_mat_vec_matches_the_dense_reference(pair):
+    m, (v,) = pair
+    assert mat_vec(m, v) == dense_mat_vec(m, v)
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(reference_matrices(n_cols=n), reference_matrices(1, n))),
+    st.lists(_entries, max_size=6),
+)
+def test_contains_matches_the_dense_reference(pair, coeffs):
+    m, (v,) = pair
+    space = Subspace.span(len(v), m)
+    assert space.rows == dense_span(len(v), m).rows
+    combination = tuple(
+        sum((c * row[i] for c, row in zip(coeffs, space.rows)), Fraction(0)) for i in range(len(v))
+    )
+    for w in (v, combination):
+        assert space.contains(w) == dense_contains(space, w)
+    assert space.contains(combination)
+
+
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.tuples(reference_matrices(*shape), reference_matrices(n_cols=shape[1]))
+    )
+)
+def test_map_subspace_matches_the_dense_reference(pair):
+    m, spanning = pair
+    space = Subspace.span(len(m[0]), spanning)
+    assert map_subspace(m, space) == dense_map_subspace(m, space)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Twisted Lie algebras: axiom certifiers, morphisms, representations, forms."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from helpers import dense_check_homomorphism, rand_fraction
 from maninforge.core import identity_matrix, matrix
 from maninforge.homlie import (
     HomLieAlgebra,
@@ -100,6 +103,35 @@ def test_homomorphism_requires_twist_compatibility():
     report = check_homomorphism(identity_matrix(3), twisted, plain)
     assert not report.passed
     assert any(f.check == "twist_intertwine" for f in report.failures)
+
+
+@pytest.mark.parametrize("f", [[[1, 0, 0], [0, 1, 0]], [[1, 0]] * 6, [[1, 0, 0]] * 5 + [[1, 0]], []])
+def test_homomorphism_rejects_a_map_of_the_wrong_shape(f):
+    """Maps from sl2 into sl2 + sl2 must be 6x3."""
+    h1, h2 = sl2_lie(), direct_sum(sl2_lie(), sl2_twisted())
+    with pytest.raises(ValueError, match="map must be 6x3"):
+        check_homomorphism(matrix(f), h1, h2)
+
+
+def test_zero_map_into_the_zero_algebra_is_a_homomorphism():
+    assert check_homomorphism((), sl2_twisted(), HomLieAlgebra.create(0, {})).passed
+
+
+@given(st.integers(0, 2**30), st.sampled_from((0, 1, 3)))
+def test_homomorphism_reports_match_the_dense_reference(seed, zeros_in_four):
+    """Random maps sl2 -> sl2 + twisted sl2, from fully dense to mostly zero,
+    plus the two block embeddings, fail exactly as the dense reference says."""
+    rng = random.Random(seed)
+    h1, h2 = sl2_lie(), direct_sum(sl2_lie(), sl2_twisted())
+    maps = [
+        matrix([[rand_fraction(rng) if rng.randrange(4) >= zeros_in_four else 0 for _ in range(3)] for _ in range(6)]),
+        matrix([[int(r == c) for c in range(3)] for r in range(6)]),
+        matrix([[int(r == c + 3) for c in range(3)] for r in range(6)]),
+    ]
+    reports = [check_homomorphism(f, h1, h2) for f in maps]
+    for f, report in zip(maps, reports):
+        assert report.failures == dense_check_homomorphism(f, h1, h2).failures
+    assert reports[1].passed and not reports[2].passed
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Split quadratic algebras: certifier, dual bases, canonical r, doubles."""
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from maninforge.core import identity_matrix, matrix, subspace_equal, Subspace, unit_vector
+from helpers import dense_check_manin_isomorphism, rand_invertible
+from maninforge.core import Permutation, identity_matrix, matrix, subspace_equal, Subspace, unit_vector
 from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_quadratic
 from maninforge.manin import (
     ManinTriple,
@@ -22,6 +26,7 @@ from maninforge.manin import (
     triple_double,
     triple_g_plus_h,
 )
+from maninforge.polyuble import nuble, uble_of_uble
 from maninforge.rmatrix import sl2_lie
 
 # Dual structure constants of the standard skew tensor's cobracket.
@@ -175,6 +180,35 @@ def test_shape_mismatch_is_a_single_failure():
     hyp, gph = worked_triples()[:2]
     report = check_manin_isomorphism(identity_matrix(2), hyp, gph)
     assert [f.check for f in report.failures] == ["shape"]
+
+
+@pytest.mark.parametrize("f", [[[1], [0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [[1, 0]]])
+def test_non_square_or_ragged_map_is_a_single_shape_failure(f):
+    hyp = hyperbolic_triple()
+    report = check_manin_isomorphism(matrix(f), hyp, hyp)
+    assert [(x.check, x.index) for x in report.failures] == [("shape", (2, 2, len(f)))]
+
+
+def test_isomorphism_reports_match_the_dense_reference_on_slot_permutations():
+    """Every slot regrouping of the four-fold power of the sl2 double, the snake
+    and 23 wrong ones, fails exactly as the dense reference says."""
+    d2 = triple_double(special_linear_data(2))
+    flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
+    passed = 0
+    for images in itertools.permutations(range(4)):
+        f = Permutation(images).matrix(block=d2.dim)
+        report = check_manin_isomorphism(f, flat, nested)
+        assert report.failures == dense_check_manin_isomorphism(f, flat, nested).failures, images
+        passed += report.passed
+    assert passed == 1
+
+
+@given(st.integers(0, 2**30), st.sampled_from((0, 1, 2)))
+def test_isomorphism_reports_match_the_dense_reference_on_random_maps(seed, which):
+    t = worked_triples()[which]
+    f = rand_invertible(random.Random(seed), t.dim)
+    report = check_manin_isomorphism(f, t, t)
+    assert report.failures == dense_check_manin_isomorphism(f, t, t).failures
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@ between the two ways of iterating, and the chain diagrams."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from helpers import rand_vector
 from maninforge.core import (
     Permutation,
     mat_mul,
+    mat_vec,
     matrix,
     subspace_equal,
     transpose,
@@ -18,6 +21,7 @@ from maninforge.manin import (
     check_manin_triple,
     hyperbolic_triple,
     special_linear_data,
+    triple_double,
     triple_g_plus_h,
 )
 from maninforge.polyuble import (
@@ -139,6 +143,14 @@ def test_snake_apply_moves_slot_contents():
         assert out[2 * dst : 2 * dst + 2] == x[2 * s : 2 * s + 2]
     with pytest.raises(ValueError):
         snake_iso_apply(t, 2, 2, x[:6])
+
+
+def test_snake_apply_matches_the_snake_matrix_at_dimension_64():
+    t = triple_double(special_linear_data(3))
+    x = rand_vector(random.Random(31), 64)
+    assert snake_iso_apply(t, 2, 2, x) == mat_vec(snake_matrix(t, 2, 2), x)
+    with pytest.raises(ValueError):
+        snake_iso_apply(t, 2, 2, x + x[:1])
 
 
 def test_snake_is_an_isomorphism_hyperbolic_all_small_shapes():
