@@ -64,7 +64,6 @@ from .rmatrix import (
     sharp_s,
 )
 from .stabilizer import (
-    LinearAction,
     check_bracket_sharp_condition,
     check_coisotropy,
     check_phi_stable,

@@ -8,7 +8,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from . import fileio
@@ -27,13 +26,12 @@ from .manin import (
     check_manin_triple,
     hyperbolic_triple,
     lambda_st,
-    manin_triple_checks,
     special_linear_data,
     triple_double,
     triple_g_plus_h,
 )
 from .polyuble import chain_graph_dot, nuble, render_graph, snake_permutation, verify_snake_iso
-from .reporting import CheckReport, combine, failure
+from .reporting import CheckReport, failure
 from .rmatrix import check_quasi_triangular, cyb, sl2_r, sl2_twisted
 from .stabilizer import (
     check_bracket_sharp_condition,
@@ -54,13 +52,18 @@ class _Inputs:
     def __init__(self) -> None:
         self._cache: dict[str, list[list]] = {}
 
+    def read(self, path: str) -> str:
+        try:
+            if path == "-":
+                return sys.stdin.read()
+            with open(path, encoding="utf-8") as handle:
+                return handle.read()
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc.strerror}") from None
+
     def _documents(self, path: str) -> list[list]:
         if path not in self._cache:
-            try:
-                text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-            except OSError as exc:
-                raise CliError(f"cannot read {path}: {exc.strerror}") from None
-            docs = fileio.split_documents(text)
+            docs = fileio.split_documents(self.read(path))
             self._cache[path] = [[kind, body, False] for kind, body in docs]
         return self._cache[path]
 
@@ -77,12 +80,6 @@ class _Inputs:
                     return fileio.parse_tensor(doc[1])
                 return fileio.parse_subspace(doc[1])
         raise CliError(f"no {kind} document found in {path}")
-
-    def raw(self, path: str) -> str:
-        try:
-            return sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _status(ok: bool) -> str:
@@ -131,14 +128,7 @@ def _report_exit(args, command: str, report: CheckReport, started: float, result
 
 def _cmd_verify(args, inputs: _Inputs, started: float) -> int:
     triple = inputs.take(args.file, "triple")
-    checks = manin_triple_checks(triple)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda check: check(), checks))
-    else:
-        reports = [check() for check in checks]
-    report = combine("manin_triple", reports)
-    return _report_exit(args, "verify manin", report, started)
+    return _report_exit(args, "verify manin", check_manin_triple(triple), started)
 
 
 def _cmd_polyuble(args, inputs: _Inputs, started: float) -> int:
@@ -320,7 +310,7 @@ def _cmd_psi(args, inputs: _Inputs, started: float) -> int:
         raise CliError("--rank must be at least 2")
     if args.n < 1:
         raise CliError("--n must be at least 1")
-    blocks = fileio.parse_matrix_blocks(inputs.raw(args.input))
+    blocks = fileio.parse_matrix_blocks(inputs.read(args.input))
     if len(blocks) != 2 * args.n:
         raise CliError(f"expected {2 * args.n} matrix blocks, found {len(blocks)}")
     elements = []
@@ -372,7 +362,6 @@ def _cmd_examples(args, inputs: _Inputs, started: float) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-    common.add_argument("--jobs", type=int, default=1, help="run independent sub-checks in N threads")
 
     parser = argparse.ArgumentParser(
         prog="maninforge",

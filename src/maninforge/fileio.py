@@ -37,6 +37,13 @@ def _parse_int(token: str, lineno: int) -> int:
         raise ParseError(lineno, f"malformed integer {token!r}") from None
 
 
+def _parse_dim(token: str, lineno: int) -> int:
+    dim = _parse_int(token, lineno)
+    if dim < 0:
+        raise ParseError(lineno, f"dim must be non-negative, got {dim}")
+    return dim
+
+
 def _parse_header_fields(line: str, lineno: int, kind: str) -> dict[str, str]:
     tokens = line.split()
     if not tokens or tokens[0] != kind:
@@ -82,7 +89,7 @@ def parse_tensor(text: str) -> SparseTensor:
     if "degree" not in fields or "dim" not in fields:
         raise ParseError(lineno, "tensor header needs degree= and dim=")
     degree = _parse_int(fields["degree"], lineno)
-    dim = _parse_int(fields["dim"], lineno)
+    dim = _parse_dim(fields["dim"], lineno)
     entries: dict[tuple[int, ...], Fraction] = {}
     for lineno, line in lines[1:]:
         tokens = line.split()
@@ -118,7 +125,7 @@ def parse_subspace(text: str) -> Subspace:
     fields = _parse_header_fields(header, lineno, "subspace")
     if "dim" not in fields:
         raise ParseError(lineno, "subspace header needs dim=")
-    dim = _parse_int(fields["dim"], lineno)
+    dim = _parse_dim(fields["dim"], lineno)
     rows = []
     for lineno, line in lines[1:]:
         row = tuple(_parse_rational(tok, lineno) for tok in line.split())
@@ -167,7 +174,7 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
     fields = _parse_header_fields(header, lineno, "algebra")
     if "dim" not in fields:
         raise ParseError(lineno, "algebra header needs dim=")
-    dim = _parse_int(fields["dim"], lineno)
+    dim = _parse_dim(fields["dim"], lineno)
     name = fields.get("name")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     phi_rows: list[Vector] = []

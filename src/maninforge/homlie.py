@@ -20,7 +20,6 @@ from .core import (
     sparse_columns,
     transpose,
     vec_sub,
-    vector,
     zero_vector,
 )
 from .reporting import CheckReport, Failure, failure
@@ -42,6 +41,14 @@ def _normalize_brackets(
         if cleaned:
             table[(i, j)] = cleaned
     return table
+
+
+def _square(m: Matrix, n: int, what: str) -> Matrix:
+    """m itself, after checking that it is n x n (ragged rows included)."""
+    if len(m) != n or any(len(row) != n for row in m):
+        lengths = sorted({len(row) for row in m})
+        raise ValueError(f"{what} must be {n}x{n}, got {len(m)} rows of lengths {lengths}")
+    return m
 
 
 @dataclass
@@ -88,9 +95,12 @@ class HomLieAlgebra:
         name: str | None = None,
     ) -> HomLieAlgebra:
         """Build without validity checks, for negative tests and for constructions
-        whose validity a separate certifier re-establishes."""
-        phi_matrix = identity_matrix(dim) if phi is None else matrix(phi)
-        form_matrix = None if form is None else matrix(form)
+        whose validity a separate certifier re-establishes.  Shapes are still
+        checked: dim >= 0, and phi and the form (when given) dim x dim."""
+        if dim < 0:
+            raise ValueError(f"dim must be non-negative, got {dim}")
+        phi_matrix = identity_matrix(dim) if phi is None else _square(matrix(phi), dim, "phi")
+        form_matrix = None if form is None else _square(matrix(form), dim, "form")
         return cls(dim, _normalize_brackets(dim, brackets), phi_matrix, form_matrix, name)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
@@ -268,8 +278,13 @@ class LinearRep:
         rho: Sequence[Sequence[Sequence[int | str | Fraction]]],
         alpha: Sequence[Sequence[int | str | Fraction]] | None = None,
     ) -> LinearRep:
-        alpha_matrix = identity_matrix(target_dim) if alpha is None else matrix(alpha)
-        return cls(target_dim, tuple(matrix(m) for m in rho), alpha_matrix)
+        """Build with shape checks: every rho matrix and alpha are target_dim x target_dim."""
+        rho_matrices = tuple(_square(matrix(m), target_dim, f"rho[{i}]") for i, m in enumerate(rho))
+        if alpha is None:
+            alpha_matrix = identity_matrix(target_dim)
+        else:
+            alpha_matrix = _square(matrix(alpha), target_dim, "alpha")
+        return cls(target_dim, rho_matrices, alpha_matrix)
 
     def rho_of(self, x: Vector) -> Matrix:
         """rho extended linearly to an arbitrary algebra element."""
@@ -293,9 +308,17 @@ def adjoint_representation(h: HomLieAlgebra) -> LinearRep:
     return LinearRep(h.dim, tuple(mats), h.phi)
 
 
+def _require_rho_count(h: HomLieAlgebra, rep: LinearRep) -> None:
+    if len(rep.rho) != h.dim:
+        raise ValueError(
+            f"representation needs {h.dim} rho matrices, one per basis element, got {len(rep.rho)}"
+        )
+
+
 def check_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
     """Representation axioms: rho(phi x) alpha = alpha rho(x), and
     rho([x,y]) alpha = rho(phi x) rho(y) - rho(phi y) rho(x)."""
+    _require_rho_count(h, rep)
     failures = []
     rho_phi = [rep.rho_of(h.phi_apply(h.basis_vector(i))) for i in range(h.dim)]
     for i in range(h.dim):
@@ -317,6 +340,7 @@ def check_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
 def check_admissible_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
     """Dual-representation conditions: alpha rho(phi x) = rho(x) alpha, and
     alpha rho([x,y]) = rho(x) rho(phi y) - rho(y) rho(phi x). Needs invertible alpha."""
+    _require_rho_count(h, rep)
     if matrix_rank(rep.alpha) < rep.target_dim:
         return CheckReport(
             "admissible_representation",

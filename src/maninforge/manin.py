@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     Matrix,
@@ -20,6 +20,7 @@ from .core import (
     mat_mul,
     mat_vec,
     matrix,
+    rref,
     sparse_columns,
     subspace_equal,
     subspace_sum,
@@ -115,24 +116,21 @@ def _splitting_report(t: ManinTriple) -> CheckReport:
     return CheckReport("splitting", shape_failures)
 
 
-def manin_triple_checks(t: ManinTriple) -> tuple[Callable[[], CheckReport], ...]:
-    """The independent sub-checks of the triple certifier, as thunks so callers
-    can run them in parallel."""
-    h = t.algebra
-    return (
-        lambda: check_hom_jacobi(h),
-        lambda: check_twist_morphism(h),
-        lambda: check_quadratic(h),
-        lambda: _part_report(t, t.part1, "part1"),
-        lambda: _part_report(t, t.part2, "part2"),
-        lambda: _splitting_report(t),
-    )
-
-
 def check_manin_triple(t: ManinTriple) -> CheckReport:
     """Certify the whole structure: valid quadratic ambient algebra, halves of equal
     dimension in direct sum, each isotropic, closed under the bracket, twist-stable."""
-    return combine("manin_triple", [check() for check in manin_triple_checks(t)])
+    h = t.algebra
+    return combine(
+        "manin_triple",
+        [
+            check_hom_jacobi(h),
+            check_twist_morphism(h),
+            check_quadratic(h),
+            _part_report(t, t.part1, "part1"),
+            _part_report(t, t.part2, "part2"),
+            _splitting_report(t),
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -246,9 +244,8 @@ def double_from_bialgebra(
     if not check_hom_jacobi(g).passed:
         raise ValueError("base bracket is not a Lie bracket")
     # Rejects non-Lie dual tables up front (Jacobi on g* alone, not compatibility).
-    HomLieAlgebra.create(g.dim, cobracket_dual)
+    dual = HomLieAlgebra.create(g.dim, cobracket_dual).brackets
     d = g.dim
-    dual = _normalize_table(d, cobracket_dual)
     brackets: BracketTable = {k: dict(v) for k, v in g.brackets.items()}
     for (a, b), coeffs in dual.items():
         brackets[(d + a, d + b)] = {d + k: v for k, v in coeffs.items()}
@@ -278,17 +275,6 @@ def double_from_bialgebra(
     return ManinTriple(ambient, part1, part2, name="bialgebra-double")
 
 
-def _normalize_table(
-    dim: int, table: Mapping[tuple[int, int], Mapping[int, int | str | Fraction]]
-) -> BracketTable:
-    out: BracketTable = {}
-    for (i, j), coeffs in table.items():
-        cleaned = {k: Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0}
-        if cleaned:
-            out[(i, j)] = cleaned
-    return out
-
-
 def _dual_coeff(dual: BracketTable, a: int, b: int, k: int) -> Fraction:
     """Coefficient of f_k in [f_a, f_b]* for arbitrary index order."""
     if a == b:
@@ -313,12 +299,6 @@ class RootData:
     cartan: tuple[int, ...]
     negatives: tuple[int, ...]
     positives: tuple[int, ...]
-
-
-def _mat_commutator(a, b, k):
-    prod1 = [[sum((a[i][l] * b[l][j] for l in range(k)), ZERO) for j in range(k)] for i in range(k)]
-    prod2 = [[sum((b[i][l] * a[l][j] for l in range(k)), ZERO) for j in range(k)] for i in range(k)]
-    return [[prod1[i][j] - prod2[i][j] for j in range(k)] for i in range(k)]
 
 
 def special_linear_data(k: int) -> RootData:
@@ -348,12 +328,11 @@ def special_linear_data(k: int) -> RootData:
     dim = len(basis_mats)
     flat = matrix([[m[r][c] for m in basis_mats] for r in range(k) for c in range(k)])
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    from .core import rref
-
     for a in range(dim):
         for b in range(a + 1, dim):
-            comm = _mat_commutator(basis_mats[a], basis_mats[b], k)
-            target = tuple(comm[r][c] for r in range(k) for c in range(k))
+            forward = mat_mul(basis_mats[a], basis_mats[b])
+            backward = mat_mul(basis_mats[b], basis_mats[a])
+            target = tuple(forward[r][c] - backward[r][c] for r in range(k) for c in range(k))
             augmented = tuple(row + (t,) for row, t in zip(flat, target))
             reduced, pivots = rref(augmented)
             coords = [ZERO] * dim

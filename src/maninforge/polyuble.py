@@ -5,7 +5,6 @@ graphs that encode both splittings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     Matrix,

@@ -9,13 +9,13 @@ from fractions import Fraction
 
 from .core import (
     Matrix,
-    ONE,
     SparseTensor,
     Vector,
     ZERO,
     identity_matrix,
     is_antisymmetric,
     is_symmetric,
+    mat_mul,
     mat_vec,
     matrix_rank,
     sparse_columns,
@@ -23,7 +23,6 @@ from .core import (
     transpose,
     vec_dot,
     wedge,
-    wedge3_basis,
     wedge_t2_v1,
 )
 from .homlie import HomLieAlgebra
@@ -262,8 +261,8 @@ def hcyb_pairing_check(
     phi_t = transpose(h.phi)
     r_mat = r.to_matrix()
     # r+ = (transpose r)(transpose phi); r- = -(r)(transpose phi)
-    r_plus = _mat_product(transpose(r_mat), phi_t)
-    r_minus = tuple(tuple(-v for v in row) for row in _mat_product(r_mat, phi_t))
+    r_plus = mat_mul(transpose(r_mat), phi_t)
+    r_minus = tuple(tuple(-v for v in row) for row in mat_mul(r_mat, phi_t))
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
@@ -279,12 +278,6 @@ def hcyb_pairing_check(
         if lhs != rhs:
             failures.append(failure("pairing", (trial,), lhs - rhs))
     return CheckReport("hcyb_pairing", failures)
-
-
-def _mat_product(a: Matrix, b: Matrix) -> Matrix:
-    from .core import mat_mul
-
-    return mat_mul(a, b)
 
 
 def additivity_check(h: HomLieAlgebra, lam: SparseTensor, s: SparseTensor) -> CheckReport:

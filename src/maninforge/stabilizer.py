@@ -4,121 +4,49 @@ with respect to the pairing, stability of the symmetric part's sharp image, and
 closure of sharp-image brackets."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     Matrix,
     SparseTensor,
     Subspace,
     Vector,
-    ZERO,
     annihilator,
     identity_matrix,
-    mat_mul,
     mat_vec,
     nullspace,
     orthogonal_complement,
 )
-from .homlie import HomLieAlgebra
+from .homlie import HomLieAlgebra, LinearRep
 from .manin import ManinTriple
-from .rmatrix import s_sharp_matrix, sharp_s
+from .rmatrix import s_sharp_matrix
 from .reporting import CheckReport, failure
 
 
-@dataclass(frozen=True)
-class LinearAction:
-    """A linear action of an algebra on a vector space, given by one matrix
-    per basis element of the algebra."""
-
-    algebra: HomLieAlgebra
-    space_dim: int
-    act: tuple[Matrix, ...]
-
-    @classmethod
-    def of(cls, algebra: HomLieAlgebra, matrices) -> LinearAction:
-        mats = tuple(tuple(tuple(ZERO + v for v in row) for row in m) for m in matrices)
-        if len(mats) != algebra.dim:
-            raise ValueError("one action matrix per basis element is required")
-        space_dim = len(mats[0]) if mats else 0
-        for m in mats:
-            if len(m) != space_dim or any(len(row) != space_dim for row in m):
-                raise ValueError("action matrices must be square and equal-sized")
-        return cls(algebra, space_dim, mats)
-
-    def apply_basis(self, i: int, point: Vector) -> Vector:
-        return mat_vec(self.act[i], point)
-
-    def apply(self, x: Vector, point: Vector) -> Vector:
-        out = [ZERO] * self.space_dim
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            moved = self.apply_basis(i, point)
-            for r in range(self.space_dim):
-                out[r] += c * moved[r]
-        return tuple(out)
-
-
-def adjoint_action(h: HomLieAlgebra) -> LinearAction:
-    """Action of an algebra on itself by its own bracket."""
-    mats = []
-    for i in range(h.dim):
-        cols = [h.bracket(h.basis_vector(i), h.basis_vector(j)) for j in range(h.dim)]
-        mats.append(tuple(tuple(cols[j][r] for j in range(h.dim)) for r in range(h.dim)))
-    return LinearAction(h, h.dim, tuple(mats))
-
-
-def check_action(action: LinearAction) -> CheckReport:
-    """Action axiom act([x,y]) = act(x)act(y) - act(y)act(x); defined for an
-    identity twist, otherwise inapplicable."""
-    h = action.algebra
-    if h.phi != identity_matrix(h.dim):
-        return CheckReport(
-            "linear_action",
-            applicable=False,
-            reason="actions are checked only for an identity twist",
-        )
-    failures = []
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            lhs = [[ZERO] * action.space_dim for _ in range(action.space_dim)]
-            for k, c in h.bracket_basis(i, j).items():
-                mk = action.act[k]
-                for r in range(action.space_dim):
-                    for s in range(action.space_dim):
-                        if mk[r][s] != 0:
-                            lhs[r][s] += c * mk[r][s]
-            forward = mat_mul(action.act[i], action.act[j])
-            backward = mat_mul(action.act[j], action.act[i])
-            if any(
-                lhs[r][s] != forward[r][s] - backward[r][s]
-                for r in range(action.space_dim)
-                for s in range(action.space_dim)
-            ):
-                failures.append(failure("commutator_axiom", (i, j)))
-    return CheckReport("linear_action", failures)
-
-
-def stabilizer_at(action: LinearAction, point: Vector) -> Subspace:
+def stabilizer_at(rep: LinearRep, point: Vector) -> Subspace:
     """Subalgebra of algebra elements whose action kills the point."""
-    if len(point) != action.space_dim:
+    if len(point) != rep.target_dim:
         raise ValueError("point dimension mismatch")
-    columns = [action.apply_basis(i, point) for i in range(action.algebra.dim)]
-    rows = tuple(
-        tuple(columns[i][r] for i in range(action.algebra.dim))
-        for r in range(action.space_dim)
-    )
-    return Subspace.span(action.algebra.dim, nullspace(rows))
+    columns = [mat_vec(m, point) for m in rep.rho]
+    rows = tuple(tuple(col[r] for col in columns) for r in range(rep.target_dim))
+    # A point of a zero-dimensional space is fixed by everything; nullspace
+    # cannot tell the width of a matrix with no rows.
+    kernel = nullspace(rows) if rows else identity_matrix(len(rep.rho))
+    return Subspace.span(len(rep.rho), kernel)
 
 
-def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
-    """Closure of a subspace under the bracket."""
-    rows = q.rows
+def _brackets_in(h: HomLieAlgebra, rows: Sequence[Vector], q: Subspace) -> bool:
+    """Every bracket of two of the rows lies in q."""
     return all(
         q.contains(h.bracket(rows[a], rows[b]))
         for a in range(len(rows))
         for b in range(a + 1, len(rows))
     )
+
+
+def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
+    """Closure of a subspace under the bracket."""
+    return _brackets_in(h, q.rows, q)
 
 
 def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
@@ -138,13 +66,7 @@ def check_coisotropy(t: ManinTriple, q: Subspace) -> bool:
 def check_coisotropy_form(h: HomLieAlgebra, q: Subspace, form: Matrix) -> bool:
     """Coisotropy with respect to a chosen pairing: with c the pairing-complement
     of q, require [c, c] inside q."""
-    comp = orthogonal_complement(q, form)
-    rows = comp.rows
-    return all(
-        q.contains(h.bracket(rows[a], rows[b]))
-        for a in range(len(rows))
-        for b in range(a + 1, len(rows))
-    )
+    return _brackets_in(h, orthogonal_complement(q, form).rows, q)
 
 
 def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
@@ -152,8 +74,8 @@ def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> b
     into q."""
     if q.ambient_dim != h.dim:
         raise ValueError("subspace dimension mismatch")
-    ann = annihilator(q)
-    return all(q.contains(sharp_s(h, s, xi)) for xi in ann.rows)
+    mat = s_sharp_matrix(h, s)
+    return all(q.contains(mat_vec(mat, xi)) for xi in annihilator(q).rows)
 
 
 def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
@@ -161,14 +83,8 @@ def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace
     land in q."""
     if q.ambient_dim != h.dim:
         raise ValueError("subspace dimension mismatch")
-    ann = annihilator(q)
     mat = s_sharp_matrix(h, s)
-    images = [mat_vec(mat, xi) for xi in ann.rows]
-    return all(
-        q.contains(h.bracket(images[a], images[b]))
-        for a in range(len(images))
-        for b in range(a + 1, len(images))
-    )
+    return _brackets_in(h, [mat_vec(mat, xi) for xi in annihilator(q).rows], q)
 
 
 def stabilizer_report(

@@ -111,15 +111,6 @@ def test_verify_names_the_failing_axiom(capsys, monkeypatch):
     assert "part1.isotropic" in out
 
 
-def test_verify_jobs_matches_sequential(capsys, monkeypatch):
-    text = fileio.format_triple(triple_double(special_linear_data(2)))
-    code_seq, out_seq, _ = invoke(capsys, ["verify", "manin", "-"], monkeypatch, text)
-    code_par, out_par, _ = invoke(
-        capsys, ["verify", "manin", "-", "--jobs", "4"], monkeypatch, text
-    )
-    assert (code_seq, out_seq) == (code_par, out_par) == (0, out_seq)
-
-
 def test_verify_json_schema(capsys, monkeypatch):
     code, out, _ = invoke(
         capsys, ["verify", "manin", "-", "--json"], monkeypatch, hyperbolic_text()
@@ -157,6 +148,9 @@ def test_parse_error_reports_line_number(capsys, monkeypatch):
     code, _, err = invoke(capsys, ["verify", "manin", "-"], monkeypatch, bad)
     assert code == 2
     assert "error: line 2:" in err
+    code, _, err = invoke(capsys, ["verify", "manin", "-"], monkeypatch, "algebra dim=-1\n")
+    assert code == 2
+    assert "error: line 1: dim must be non-negative" in err
 
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -171,6 +165,11 @@ def test_unknown_subcommand_and_flag(capsys, monkeypatch):
         capsys, ["verify", "manin", "-", "--frob"], monkeypatch, hyperbolic_text()
     )
     assert code == 2
+    code, out, err = invoke(
+        capsys, ["verify", "manin", "-", "--jobs", "4"], monkeypatch, hyperbolic_text()
+    )
+    assert (code, out) == (2, "")
+    assert "usage:" in err
 
 
 def test_color_gate_follows_tty_and_environment(capsys, monkeypatch):

@@ -100,6 +100,7 @@ def expect_parse_error(fn, text, lineno, fragment):
 def test_tensor_errors_carry_line_numbers():
     expect_parse_error(fileio.parse_tensor, "", 1, "empty")
     expect_parse_error(fileio.parse_tensor, "tensor degree=2\n", 1, "dim=")
+    expect_parse_error(fileio.parse_tensor, "tensor degree=2 dim=-1\n", 1, "dim must be non-negative")
     expect_parse_error(
         fileio.parse_tensor, "tensor degree=2 dim=2\n0 1\n", 2, "expected 2 indices"
     )
@@ -116,6 +117,7 @@ def test_tensor_errors_carry_line_numbers():
 
 def test_subspace_errors_carry_line_numbers():
     expect_parse_error(fileio.parse_subspace, "subspace\n", 1, "dim=")
+    expect_parse_error(fileio.parse_subspace, "subspace dim=-2\n", 1, "dim must be non-negative")
     expect_parse_error(fileio.parse_subspace, "subspace dim=3\n1 0\n", 2, "3 entries")
 
 
@@ -137,6 +139,7 @@ def test_algebra_errors_carry_line_numbers():
         "duplicate bracket",
     )
     expect_parse_error(fileio.parse_algebra, "algebra dim=2\nphi 1 0\n", 1, "phi rows")
+    expect_parse_error(fileio.parse_algebra, "algebra dim=-1\n", 1, "dim must be non-negative")
 
 
 def test_triple_requires_both_parts():

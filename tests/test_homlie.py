@@ -51,6 +51,28 @@ def test_unchecked_defers_to_certifier():
     assert all(f.check == "hom_jacobi" for f in report.failures)
 
 
+def test_negative_dimension_rejected():
+    with pytest.raises(ValueError, match="dim must be non-negative"):
+        HomLieAlgebra.create(-1, {})
+
+
+@pytest.mark.parametrize("phi", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1], [0, 0, 1]]])
+def test_twist_of_the_wrong_shape_rejected(phi):
+    """A 2x2 or ragged phi for dim 3 used to load, then raise IndexError in
+    check_twist_morphism."""
+    with pytest.raises(ValueError, match="phi must be 3x3"):
+        HomLieAlgebra.create(3, {}, phi=phi)
+
+
+def test_form_of_the_wrong_shape_rejected():
+    """A 1x1 form for dim 2 used to load, then raise IndexError in
+    check_manin_triple."""
+    with pytest.raises(ValueError, match="form must be 2x2"):
+        HomLieAlgebra.create(2, {}, form=[[1]])
+    with pytest.raises(ValueError, match="form must be 2x2"):
+        HomLieAlgebra.unchecked(2, {}, form=[[1, 0], [0]])
+
+
 def test_twist_morphism_failure_located():
     """diag(1,1,-1) negates only one root vector, so it cannot respect the
     bracket of the two root vectors."""
@@ -170,6 +192,17 @@ def test_singular_alpha_is_inapplicable_not_failing():
     assert not report.applicable
     assert report.verdict == "inapplicable"
     assert not report.failures
+
+
+def test_representation_shapes_checked():
+    h = sl2_lie()
+    rep = adjoint_representation(h)
+    short = LinearRep(rep.target_dim, rep.rho[:2], rep.alpha)
+    for check in (check_representation, check_admissible_representation):
+        with pytest.raises(ValueError, match="needs 3 rho matrices"):
+            check(h, short)
+    with pytest.raises(ValueError, match="alpha must be 3x3"):
+        LinearRep.of(3, rep.rho, alpha=[[1]])
 
 
 def test_involutive_algebras_are_admissible():

@@ -1,0 +1,45 @@
+"""Every name a maninforge module imports is used in that module."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import maninforge
+
+PACKAGE_DIR = Path(maninforge.__file__).parent
+
+# Imported but unused on purpose, as (module, name).  `manin.mat_vec`: the
+# benchmark's tracer test asserts that `manin.mat_vec is core.mat_vec` after it
+# rebinds every imported function, so the name must stay importable from manin.
+ALLOWED = {("manin", "mat_vec")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's imports that no expression refers to."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_scanner_finds_an_unused_import():
+    source = "from fractions import Fraction\nimport os.path\nfrom typing import Sequence\nx: Sequence = os.sep\n"
+    assert unused_imports(source) == ["Fraction"]
+
+
+def test_src_modules_use_every_imported_name():
+    # The package's __init__ imports names only to re-export them.
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = [
+        (path.stem, name)
+        for path in modules
+        for name in unused_imports(path.read_text(encoding="utf-8"))
+        if (path.stem, name) not in ALLOWED
+    ]
+    assert unused == []

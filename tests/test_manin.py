@@ -20,7 +20,6 @@ from maninforge.manin import (
     dual_basis,
     hyperbolic_triple,
     lambda_st,
-    manin_triple_checks,
     r_from_splitting,
     special_linear_data,
     triple_double,
@@ -85,22 +84,6 @@ def test_certifier_requires_direct_sum_split():
     report = check_manin_triple(overlapping)
     assert not report.passed
     assert any("splitting" in f.check for f in report.failures)
-
-
-def test_check_thunks_match_combined_report():
-    t = worked_triples()[1]
-    thunks = manin_triple_checks(t)
-    assert len(thunks) == 6
-    names = [thunk().name for thunk in thunks]
-    assert names == [
-        "hom_jacobi",
-        "twist_morphism",
-        "quadratic",
-        "part1",
-        "part2",
-        "splitting",
-    ]
-    assert all(thunk().passed for thunk in thunks)
 
 
 def test_triple_requires_form():

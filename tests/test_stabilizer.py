@@ -23,6 +23,7 @@ from maninforge.core import (
     vec_dot,
     SparseTensor,
 )
+from maninforge.homlie import LinearRep, adjoint_representation, check_representation
 from maninforge.manin import (
     hyperbolic_triple,
     special_linear_data,
@@ -31,9 +32,6 @@ from maninforge.manin import (
 )
 from maninforge.rmatrix import s_sharp_matrix, sl2_lie, sl2_r, sl2_twisted
 from maninforge.stabilizer import (
-    LinearAction,
-    adjoint_action,
-    check_action,
     check_bracket_sharp_condition,
     check_coisotropy,
     check_coisotropy_form,
@@ -52,44 +50,38 @@ def worked_s():
 
 
 # ---------------------------------------------------------------------------
-# Actions
+# Representations as actions
 
 
 def test_action_construction_validation():
     h = sl2_lie()
-    with pytest.raises(ValueError):
-        LinearAction.of(h, DEFINING_MATRICES[:2])
-    with pytest.raises(ValueError):
-        LinearAction.of(h, ([[1, 0]], [[0, 0]], [[0, 1]]))
+    with pytest.raises(ValueError, match="3 rho matrices"):
+        check_representation(h, LinearRep.of(2, DEFINING_MATRICES[:2]))
+    with pytest.raises(ValueError, match="rho\\[0\\] must be 2x2"):
+        LinearRep.of(2, ([[1, 0]], [[0, 0]], [[0, 1]]))
 
 
-def test_adjoint_action_matches_bracket():
+def test_adjoint_representation_matches_bracket():
     h = sl2_lie()
-    act = adjoint_action(h)
+    rep = adjoint_representation(h)
     x = (Fraction(1), Fraction(-2), Fraction(3))
     y = (Fraction(0), Fraction(1), Fraction(1))
-    assert act.apply(x, y) == h.bracket(x, y)
-    assert check_action(act).passed
+    assert mat_vec(rep.rho_of(x), y) == h.bracket(x, y)
+    assert check_representation(h, rep).passed
 
 
 def test_defining_action_satisfies_commutator_axiom():
-    act = LinearAction.of(sl2_lie(), DEFINING_MATRICES)
-    assert check_action(act).passed
-
-
-def test_action_check_inapplicable_for_twisted_algebra():
-    report = check_action(adjoint_action(sl2_twisted()))
-    assert not report.applicable
-    assert "identity twist" in report.reason
+    rep = LinearRep.of(2, DEFINING_MATRICES)
+    assert check_representation(sl2_lie(), rep).passed
 
 
 def test_broken_action_located():
     """Swapping the two root-vector matrices flips commutator signs."""
     h = sl2_lie()
-    bad = LinearAction.of(h, (DEFINING_MATRICES[0], DEFINING_MATRICES[2], DEFINING_MATRICES[1]))
-    report = check_action(bad)
+    bad = LinearRep.of(2, (DEFINING_MATRICES[0], DEFINING_MATRICES[2], DEFINING_MATRICES[1]))
+    report = check_representation(h, bad)
     assert not report.passed
-    assert all(f.check == "commutator_axiom" for f in report.failures)
+    assert all(f.check == "bracket_action" for f in report.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -97,45 +89,46 @@ def test_broken_action_located():
 
 
 def test_adjoint_stabilizer_of_diagonal_element_is_its_own_line():
-    act = adjoint_action(sl2_lie())
-    stab = stabilizer_at(act, unit_vector(3, 0))
+    rep = adjoint_representation(sl2_lie())
+    stab = stabilizer_at(rep, unit_vector(3, 0))
     assert subspace_equal(stab, Subspace.span(3, [[1, 0, 0]]))
 
 
 def test_stabilizer_of_zero_is_everything():
-    act = adjoint_action(sl2_lie())
-    assert stabilizer_at(act, (Fraction(0),) * 3).dim == 3
+    rep = adjoint_representation(sl2_lie())
+    assert stabilizer_at(rep, (Fraction(0),) * 3).dim == 3
+    assert stabilizer_at(LinearRep.of(0, [[], [], []]), ()).dim == 3
 
 
 def test_defining_stabilizer_of_first_basis_point():
     """The matrices killing (1,0) by left action are spanned by the strictly
     upper-triangular one."""
-    act = LinearAction.of(sl2_lie(), DEFINING_MATRICES)
-    stab = stabilizer_at(act, (Fraction(1), Fraction(0)))
+    rep = LinearRep.of(2, DEFINING_MATRICES)
+    stab = stabilizer_at(rep, (Fraction(1), Fraction(0)))
     assert subspace_equal(stab, Subspace.span(3, [[0, 0, 1]]))
 
 
 def test_stabilizer_point_dimension_checked():
-    act = LinearAction.of(sl2_lie(), DEFINING_MATRICES)
+    rep = LinearRep.of(2, DEFINING_MATRICES)
     with pytest.raises(ValueError):
-        stabilizer_at(act, (Fraction(1),))
+        stabilizer_at(rep, (Fraction(1),))
 
 
 def test_stabilizers_are_subalgebras_random_points():
     rng = random.Random(83)
     for h in (sl2_lie(), triple_g_plus_h(special_linear_data(2)).algebra):
-        act = adjoint_action(h)
+        rep = adjoint_representation(h)
         for _ in range(20):
             p = tuple(Fraction(rng.randint(-5, 5)) for _ in range(h.dim))
-            assert is_subalgebra(h, stabilizer_at(act, p))
+            assert is_subalgebra(h, stabilizer_at(rep, p))
 
 
 def test_stabilizer_equivariance_under_nilpotent_flow():
     """exp(ad) of a nilpotent element is an exact polynomial automorphism g;
     the stabilizer of the moved point is the moved stabilizer."""
     h = sl2_lie()
-    act = adjoint_action(h)
-    ad_top = act.act[2]
+    rep = adjoint_representation(h)
+    ad_top = rep.rho[2]
     g = identity_matrix(3)
     term = identity_matrix(3)
     fact = 1
@@ -146,8 +139,8 @@ def test_stabilizer_equivariance_under_nilpotent_flow():
     rng = random.Random(89)
     for _ in range(20):
         p = tuple(Fraction(rng.randint(-5, 5)) for _ in range(3))
-        left = stabilizer_at(act, mat_vec(g, p))
-        right = map_subspace(g, stabilizer_at(act, p))
+        left = stabilizer_at(rep, mat_vec(g, p))
+        right = map_subspace(g, stabilizer_at(rep, p))
         assert subspace_equal(left, right)
 
 
