@@ -78,6 +78,28 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(vec_dot(row, v) for row in m)
 
 
+def _width(m: Matrix) -> int:
+    """The column count of m, after checking that every row has it."""
+    n_cols = len(m[0]) if m else 0
+    for r, row in enumerate(m):
+        if len(row) != n_cols:
+            raise ValueError(f"ragged matrix: row {r} has {len(row)} entries, row 0 has {n_cols}")
+    return n_cols
+
+
+def _square(m: Matrix, n: int, what: str) -> Matrix:
+    """m itself, after checking that it is n x n (ragged rows included)."""
+    if len(m) != n or any(len(row) != n for row in m):
+        lengths = sorted({len(row) for row in m})
+        raise ValueError(f"{what} must be {n}x{n}, got {len(m)} rows of lengths {lengths}")
+    return m
+
+
+def _sparse(v: Vector) -> dict[int, Fraction]:
+    """{index: entry} over the nonzero entries of a dense vector."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
 def sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
     """Column-sparse form of a rectangular matrix: for each column, {row: entry}
     over its nonzero entries, rows in increasing order.
@@ -85,11 +107,8 @@ def sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
     >>> sparse_columns(matrix([[0, 2], [3, 0]]))
     [{1: Fraction(3, 1)}, {0: Fraction(2, 1)}]
     """
-    n_cols = len(m[0]) if m else 0
-    cols: list[dict[int, Fraction]] = [{} for _ in range(n_cols)]
+    cols: list[dict[int, Fraction]] = [{} for _ in range(_width(m))]
     for r, row in enumerate(m):
-        if len(row) != n_cols:
-            raise ValueError(f"ragged matrix: row {r} has {len(row)} entries, row 0 has {n_cols}")
         for c, x in enumerate(row):
             if x:
                 cols[c][r] = x
@@ -98,7 +117,10 @@ def sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product, skipping zero entries (block/permutation matrices are common)."""
-    cols_b = len(b[0]) if b else 0
+    cols_b = _width(b)
+    if any(len(row) != len(b) for row in a):
+        lengths = sorted({len(row) for row in a})
+        raise ValueError(f"left factor must have {len(b)} columns, got rows of lengths {lengths}")
     out = [[ZERO] * cols_b for _ in a]
     for i, row in enumerate(a):
         out_i = out[i]
@@ -119,8 +141,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     >>> r, p
     (((Fraction(1, 1), Fraction(2, 1)),), (0,))
     """
+    n_cols = _width(m)
     rows = [list(row) for row in m]
-    n_cols = len(m[0]) if m else 0
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
@@ -167,7 +189,9 @@ def nullspace(m: Matrix) -> list[Vector]:
 
 def solve(a: Matrix, b: Vector) -> Vector:
     """The unique solution of a @ x = b for invertible square a."""
-    n = len(a)
+    n = len(_square(a, len(a), "matrix"))
+    if len(b) != n:
+        raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
     augmented = tuple(row + (b_i,) for row, b_i in zip(a, b, strict=True))
     reduced, pivots = rref(augmented)
     if pivots != tuple(range(n)):
@@ -177,7 +201,7 @@ def solve(a: Matrix, b: Vector) -> Vector:
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square invertible matrix."""
-    n = len(m)
+    n = len(_square(m, len(m), "matrix"))
     augmented = tuple(row + unit_vector(n, i) for i, row in enumerate(m))
     reduced, pivots = rref(augmented)
     if pivots != tuple(range(n)):
@@ -187,7 +211,7 @@ def inverse(m: Matrix) -> Matrix:
 
 def determinant(m: Matrix) -> Fraction:
     """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
+    n = len(_square(m, len(m), "matrix"))
     rows = [list(row) for row in m]
     det = ONE
     for c in range(n):
@@ -288,6 +312,8 @@ class SparseTensor:
         """Apply one linear map per slot: e_i in slot s maps to sum_a maps[s][a][i] e_a."""
         if len(maps) != self.degree:
             raise ValueError("need one matrix per tensor slot")
+        for s, m in enumerate(maps):
+            _square(m, self.dim, f"map for slot {s}")
         out = SparseTensor.zero(self.degree, self.dim)
         for idx, v in self.entries.items():
             terms: list[tuple[tuple[int, ...], Fraction]] = [((), v)]
@@ -308,6 +334,9 @@ class SparseTensor:
         """Full pairing with one coordinate covector per slot."""
         if len(covectors) != self.degree:
             raise ValueError("need one covector per tensor slot")
+        for s, covector in enumerate(covectors):
+            if len(covector) != self.dim:
+                raise ValueError(f"covector for slot {s} must have length {self.dim}, got {len(covector)}")
         total = ZERO
         for idx, v in self.entries.items():
             term = v
@@ -352,22 +381,22 @@ def tensor_skew_sym_split(t: SparseTensor) -> tuple[SparseTensor, SparseTensor]:
     return (t - swapped).scale(half), (t + swapped).scale(half)
 
 
-def dyad(x: Vector, y: Vector) -> SparseTensor:
-    """The rank-one tensor x (x) y."""
-    dim = len(x)
-    out = SparseTensor.zero(2, dim)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj != 0:
-                out.add_into((i, j), xi * yj)
-    return out
+def wedge_into(t: SparseTensor, x: Mapping[int, Fraction], y: Mapping[int, Fraction], coeff: Fraction) -> None:
+    """Accumulate coeff * (x ^ y) = coeff * (x (x) y - y (x) x) into a degree-2 tensor,
+    for sparse vectors given as {index: entry}."""
+    for i, xi in x.items():
+        for j, yj in y.items():
+            if i != j:
+                v = coeff * xi * yj
+                t.add_into((i, j), v)
+                t.add_into((j, i), -v)
 
 
 def wedge(x: Vector, y: Vector) -> SparseTensor:
     """The wedge x ^ y = x (x) y - y (x) x (no 1/2 normalization)."""
-    return dyad(x, y) - dyad(y, x)
+    out = SparseTensor.zero(2, len(x))
+    wedge_into(out, _sparse(x), _sparse(y), ONE)
+    return out
 
 
 def wedge3_basis(t: SparseTensor, a: int, b: int, c: int, coeff: Fraction) -> None:
@@ -381,17 +410,21 @@ def wedge3_basis(t: SparseTensor, a: int, b: int, c: int, coeff: Fraction) -> No
         t.add_into(idx, coeff if sign > 0 else -coeff)
 
 
+def wedge_t2_v1_into(t: SparseTensor, t2: SparseTensor, v: Mapping[int, Fraction], coeff: Fraction) -> None:
+    """Accumulate coeff * (t2 ^ v) into a degree-3 tensor, for an antisymmetric
+    degree-2 t2 and a sparse vector v given as {index: entry}."""
+    for (a, b), x in t2.entries.items():
+        if a < b:  # each unordered pair once; the (b, a) entry is its negative
+            for c, vc in v.items():
+                wedge3_basis(t, a, b, c, coeff * x * vc)
+
+
 def wedge_t2_v1(t2: SparseTensor, v: Vector) -> SparseTensor:
     """Wedge of an antisymmetric degree-2 tensor with a vector (degree-3 result)."""
     if t2.degree != 2:
         raise ValueError("first factor must have degree 2")
     out = SparseTensor.zero(3, t2.dim)
-    for (a, b), coeff in t2.entries.items():
-        if a >= b:
-            continue  # each unordered pair once; the (b, a) entry is its negative
-        for c, vc in enumerate(v):
-            if vc != 0:
-                wedge3_basis(out, a, b, c, coeff * vc)
+    wedge_t2_v1_into(out, t2, _sparse(v), ONE)
     return out
 
 

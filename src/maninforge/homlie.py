@@ -10,6 +10,7 @@ from .core import (
     Matrix,
     Vector,
     ZERO,
+    _square,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -41,14 +42,6 @@ def _normalize_brackets(
         if cleaned:
             table[(i, j)] = cleaned
     return table
-
-
-def _square(m: Matrix, n: int, what: str) -> Matrix:
-    """m itself, after checking that it is n x n (ragged rows included)."""
-    if len(m) != n or any(len(row) != n for row in m):
-        lengths = sorted({len(row) for row in m})
-        raise ValueError(f"{what} must be {n}x{n}, got {len(m)} rows of lengths {lengths}")
-    return m
 
 
 @dataclass
@@ -123,12 +116,6 @@ class HomLieAlgebra:
                 for k, c in self.bracket_basis(i, j).items():
                     out[k] += xi * yj * c
         return tuple(out)
-
-    def phi_apply(self, x: Vector) -> Vector:
-        return mat_vec(self.phi, x)
-
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1) if j == i else ZERO for j in range(self.dim))
 
     def pair(self, x: Vector, y: Vector) -> Fraction:
         """Evaluate the bilinear form; requires a form to be present."""
@@ -320,7 +307,7 @@ def check_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
     rho([x,y]) alpha = rho(phi x) rho(y) - rho(phi y) rho(x)."""
     _require_rho_count(h, rep)
     failures = []
-    rho_phi = [rep.rho_of(h.phi_apply(h.basis_vector(i))) for i in range(h.dim)]
+    rho_phi = [rep.rho_of(column) for column in transpose(h.phi)]
     for i in range(h.dim):
         lhs = mat_mul(rho_phi[i], rep.alpha)
         rhs = mat_mul(rep.alpha, rep.rho[i])
@@ -348,7 +335,7 @@ def check_admissible_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckRe
             reason="alpha is singular; the dual-side conditions are undefined",
         )
     failures = []
-    rho_phi = [rep.rho_of(h.phi_apply(h.basis_vector(i))) for i in range(h.dim)]
+    rho_phi = [rep.rho_of(column) for column in transpose(h.phi)]
     for i in range(h.dim):
         lhs = mat_mul(rep.alpha, rho_phi[i])
         rhs = mat_mul(rep.rho[i], rep.alpha)
@@ -443,5 +430,11 @@ def direct_sum(h1: HomLieAlgebra, h2: HomLieAlgebra) -> HomLieAlgebra:
         form = tuple(
             tuple(row) + zero_vector(h2.dim) for row in h1.form
         ) + tuple(zero_vector(h1.dim) + tuple(row) for row in h2.form)
-    out = HomLieAlgebra(dim, brackets, phi, form)
-    return out
+    return HomLieAlgebra(dim, brackets, phi, form)
+
+
+def negate_form(h: HomLieAlgebra) -> HomLieAlgebra:
+    """The same bracket and twist with the bilinear form negated."""
+    if h.form is None:
+        raise ValueError("algebra carries no bilinear form")
+    return HomLieAlgebra(h.dim, h.brackets, h.phi, tuple(tuple(-v for v in row) for row in h.form))

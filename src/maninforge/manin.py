@@ -29,7 +29,7 @@ from .core import (
     vec_add,
     vec_scale,
     vec_sub,
-    wedge,
+    wedge_into,
     zero_vector,
 )
 from .homlie import (
@@ -39,6 +39,7 @@ from .homlie import (
     check_quadratic,
     check_twist_morphism,
     direct_sum,
+    negate_form,
     _intertwining_failures,
 )
 from .reporting import CheckReport, combine, failure
@@ -95,7 +96,7 @@ def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
             if not part.contains(w):
                 failures.append(failure("subalgebra", (a, b), w))
     for a, row in enumerate(rows):
-        image = h.phi_apply(row)
+        image = mat_vec(h.phi, row)
         if not part.contains(image):
             failures.append(failure("twist_stable", (a,), image))
     return CheckReport(label, failures)
@@ -212,21 +213,13 @@ def coboundary_cobracket(g: HomLieAlgebra, lam: SparseTensor) -> BracketTable:
     for k in range(g.dim):
         delta = SparseTensor.zero(2, g.dim)
         for (a, b), v in lam.entries.items():
-            if a >= b:
-                continue
-            bka = g.bracket(g.basis_vector(k), g.basis_vector(a))
-            bkb = g.bracket(g.basis_vector(k), g.basis_vector(b))
-            delta = delta + wedge(bka, g.basis_vector(b)).scale(v)
-            delta = delta + wedge(g.basis_vector(a), bkb).scale(v)
+            if a < b:
+                wedge_into(delta, g.bracket_basis(k, a), {b: ONE}, v)
+                wedge_into(delta, {a: ONE}, g.bracket_basis(k, b), v)
         for (a, b), v in delta.entries.items():
             if a < b:
-                entry = table.setdefault((a, b), {})
-                total = entry.get(k, ZERO) + v
-                if total == 0:
-                    entry.pop(k, None)
-                else:
-                    entry[k] = total
-    return {key: coeffs for key, coeffs in table.items() if coeffs}
+                table.setdefault((a, b), {})[k] = v
+    return table
 
 
 def double_from_bialgebra(
@@ -402,10 +395,7 @@ def triple_double(data: RootData) -> ManinTriple:
     """Ambient g + g with form <x1,x2> - <y1,y2>; half 1 the diagonal, half 2
     spanned by (E_a, 0), (0, E_-a), and (h, -h)."""
     g = data.algebra
-    negated = HomLieAlgebra(
-        g.dim, g.brackets, g.phi, tuple(tuple(-v for v in row) for row in g.form)
-    )
-    ambient = direct_sum(g, negated)
+    ambient = direct_sum(g, negate_form(g))
     d = g.dim
     part1_rows = [
         vec_add(unit_vector(2 * d, i), unit_vector(2 * d, d + i)) for i in range(d)

@@ -4,6 +4,7 @@ mn-fold power with the n-fold power of the m-fold one, and the colored chain
 graphs that encode both splittings."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import (
@@ -15,7 +16,7 @@ from .core import (
     ZERO,
     vector,
 )
-from .homlie import BracketTable, HomLieAlgebra
+from .homlie import HomLieAlgebra, direct_sum, negate_form
 from .manin import ManinTriple, check_manin_isomorphism
 from .reporting import CheckReport
 
@@ -51,25 +52,9 @@ def nuble(t: ManinTriple, n: int) -> ManinTriple:
     h = t.algebra
     d = h.dim
     big = n * d
-    brackets: BracketTable = {}
-    for copy in range(n):
-        off = copy * d
-        for (i, j), coeffs in h.brackets.items():
-            brackets[(off + i, off + j)] = {off + k: v for k, v in coeffs.items()}
-    phi = tuple(
-        tuple(h.phi[r % d][c - (r // d) * d] if (c // d) == (r // d) else ZERO for c in range(big))
-        for r in range(big)
-    )
-    form = tuple(
-        tuple(
-            (h.form[r % d][c - (r // d) * d] if (r // d) % 2 == 0 else -h.form[r % d][c - (r // d) * d])
-            if (c // d) == (r // d)
-            else ZERO
-            for c in range(big)
-        )
-        for r in range(big)
-    )
-    ambient = HomLieAlgebra(big, brackets, phi, form)
+    negated = negate_form(h)
+    copies = [negated if j % 2 else h for j in range(n)]
+    ambient = functools.reduce(direct_sum, copies, HomLieAlgebra(0, {}, (), ()))
     part1_rows: list[Vector] = []
     part2_rows: list[Vector] = []
     if n % 2 == 1:

@@ -11,6 +11,7 @@ from .core import (
     Matrix,
     SparseTensor,
     Vector,
+    ONE,
     ZERO,
     identity_matrix,
     is_antisymmetric,
@@ -22,10 +23,10 @@ from .core import (
     tensor_skew_sym_split,
     transpose,
     vec_dot,
-    wedge,
-    wedge_t2_v1,
+    wedge_into,
+    wedge_t2_v1_into,
 )
-from .homlie import HomLieAlgebra
+from .homlie import HomLieAlgebra, _sparse_bracket
 from .reporting import CheckReport, failure
 
 
@@ -130,60 +131,14 @@ def _is_antisymmetric3(t: SparseTensor) -> bool:
     return True
 
 
-def _as_vector(t: SparseTensor) -> Vector:
-    v = [ZERO] * t.dim
-    for (i,), x in t.entries.items():
-        v[i] = x
-    return tuple(v)
-
-
-def _as_tensor1(v: Vector) -> SparseTensor:
-    return SparseTensor(1, len(v), {(i,): x for i, x in enumerate(v) if x != 0})
-
-
-def _schouten_1_2(h: HomLieAlgebra, x: Vector, b: SparseTensor) -> SparseTensor:
-    """[[x, e_a ^ e_b]] = [x, e_a] ^ phi(e_b) + phi(e_a) ^ [x, e_b], extended."""
-    out = SparseTensor.zero(2, h.dim)
-    for (a, c), v in b.entries.items():
-        if a >= c:
-            continue
-        ea, ec = h.basis_vector(a), h.basis_vector(c)
-        out = out + wedge(h.bracket(x, ea), h.phi_apply(ec)).scale(v)
-        out = out + wedge(h.phi_apply(ea), h.bracket(x, ec)).scale(v)
-    return out
-
-
-def _schouten_2_2(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTensor:
-    """[[A, e_a ^ e_b]] = [[A, e_a]] ^ phi(e_b) - phi(e_a) ^ [[A, e_b]]."""
-    out = SparseTensor.zero(3, h.dim)
-    for (p, q), v in b.entries.items():
-        if p >= q:
-            continue
-        bracket_p = _schouten_1_2(h, h.basis_vector(p), a).scale(Fraction(-1))  # [[A, e_p]]
-        bracket_q = _schouten_1_2(h, h.basis_vector(q), a).scale(Fraction(-1))
-        out = out + wedge_t2_v1(bracket_p, h.phi_apply(h.basis_vector(q))).scale(v)
-        out = out - wedge_t2_v1(bracket_q, h.phi_apply(h.basis_vector(p))).scale(v)
-    return out
-
-
-def _schouten_1_3(h: HomLieAlgebra, x: Vector, b: SparseTensor) -> SparseTensor:
-    """[[x, (e_a ^ e_b) ^ e_c]] = [[x, e_a ^ e_b]] ^ phi(e_c)
-    + phi(e_a) ^ phi(e_b) ^ [x, e_c], extended over sorted triples."""
-    out = SparseTensor.zero(3, h.dim)
-    phi2 = lambda a, b: wedge(h.phi_apply(h.basis_vector(a)), h.phi_apply(h.basis_vector(b)))
-    for (a, b2, c), v in b.entries.items():
-        if not (a < b2 < c):
-            continue
-        pair = SparseTensor.from_entries(2, h.dim, {(a, b2): 1, (b2, a): -1})
-        inner = _schouten_1_2(h, x, pair)
-        out = out + wedge_t2_v1(inner, h.phi_apply(h.basis_vector(c))).scale(v)
-        out = out + wedge_t2_v1(phi2(a, b2), h.bracket(x, h.basis_vector(c))).scale(v)
-    return out
-
-
 def hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTensor:
     """Graded bracket of antisymmetric multivectors for degree pairs
-    (1,1), (1,2), (2,1), (2,2), (1,3), (3,1); larger pairs are rejected."""
+    (1,1), (1,2), (2,1), (2,2), (1,3), (3,1); larger pairs are rejected.
+
+    Terms accumulate into one tensor, phi read from its sparse columns:
+    [[x, e_p ^ e_q]] = [x, e_p] ^ phi(e_q) + phi(e_p) ^ [x, e_q],
+    [[A, e_p ^ e_q]] = [[A, e_p]] ^ phi(e_q) - [[A, e_q]] ^ phi(e_p), and
+    [[x, e_p ^ e_q ^ e_r]] = [[x, e_p ^ e_q]] ^ phi(e_r) + phi(e_p) ^ phi(e_q) ^ [x, e_r]."""
     if a.dim != h.dim or b.dim != h.dim:
         raise ValueError("multivector dimension mismatch")
     if a.degree >= 2 and not (is_antisymmetric(a) if a.degree == 2 else _is_antisymmetric3(a)):
@@ -191,19 +146,50 @@ def hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTe
     if b.degree >= 2 and not (is_antisymmetric(b) if b.degree == 2 else _is_antisymmetric3(b)):
         raise ValueError("second argument is not antisymmetric")
     pair = (a.degree, b.degree)
+    if pair not in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+        raise ValueError(f"degree pair {pair} is not supported")
+    vector = lambda t: {i: x for (i,), x in t.entries.items()}
     if pair == (1, 1):
-        return _as_tensor1(h.bracket(_as_vector(a), _as_vector(b)))
+        return SparseTensor(1, h.dim, {(k,): v for k, v in _sparse_bracket(h, vector(a), vector(b)).items()})
+    phi = sparse_columns(h.phi)
+    ad = lambda x, i: _sparse_bracket(h, x, {i: ONE})  # [x, e_i]
+
+    def add_1_2(out: SparseTensor, x: dict[int, Fraction], terms, coeff: Fraction) -> None:
+        """out += coeff * [[x, sum of v e_p ^ e_q]] over the (p, q), v terms with p < q."""
+        for (p, q), v in terms:
+            if p < q:
+                wedge_into(out, ad(x, p), phi[q], coeff * v)
+                wedge_into(out, phi[p], ad(x, q), coeff * v)
+
+    def add_1_3(out: SparseTensor, x: dict[int, Fraction], t3: SparseTensor, coeff: Fraction) -> None:
+        """out += coeff * [[x, t3]], over the sorted index triples of t3."""
+        for (p, q, r), v in t3.entries.items():
+            if p < q < r:
+                inner, phi_pq = SparseTensor.zero(2, h.dim), SparseTensor.zero(2, h.dim)
+                add_1_2(inner, x, [((p, q), ONE)], ONE)
+                wedge_into(phi_pq, phi[p], phi[q], ONE)
+                wedge_t2_v1_into(out, inner, phi[r], coeff * v)
+                wedge_t2_v1_into(out, phi_pq, ad(x, r), coeff * v)
+
+    out = SparseTensor.zero(a.degree + b.degree - 1, h.dim)
     if pair == (1, 2):
-        return _schouten_1_2(h, _as_vector(a), b)
-    if pair == (2, 1):
-        return _schouten_1_2(h, _as_vector(b), a).scale(Fraction(-1))
-    if pair == (2, 2):
-        return _schouten_2_2(h, a, b)
-    if pair == (1, 3):
-        return _schouten_1_3(h, _as_vector(a), b)
-    if pair == (3, 1):
-        return _schouten_1_3(h, _as_vector(b), a).scale(Fraction(-1))
-    raise ValueError(f"degree pair {pair} is not supported")
+        add_1_2(out, vector(a), b.entries.items(), ONE)
+    elif pair == (2, 1):
+        add_1_2(out, vector(b), a.entries.items(), -ONE)
+    elif pair == (1, 3):
+        add_1_3(out, vector(a), b, ONE)
+    elif pair == (3, 1):
+        add_1_3(out, vector(b), a, -ONE)
+    else:
+        bracket_a = {}  # p -> [[A, e_p]] = -[[e_p, A]], once per index of B
+        for p in {i for idx in b.entries for i in idx}:
+            bracket_a[p] = SparseTensor.zero(2, h.dim)
+            add_1_2(bracket_a[p], {p: ONE}, a.entries.items(), -ONE)
+        for (p, q), v in b.entries.items():
+            if p < q:
+                wedge_t2_v1_into(out, bracket_a[p], phi[q], v)
+                wedge_t2_v1_into(out, bracket_a[q], phi[p], -v)
+    return out
 
 
 # ---------------------------------------------------------------------------

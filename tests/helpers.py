@@ -14,10 +14,14 @@ from maninforge.core import (
     Vector,
     determinant,
     mat_mul,
+    mat_vec,
     matrix,
     transpose,
+    unit_vector,
+    wedge3_basis,
 )
 from maninforge.homlie import HomLieAlgebra
+from maninforge.manin import ManinTriple
 from maninforge.reporting import CheckReport, failure
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
@@ -237,3 +241,193 @@ def dense_check_manin_isomorphism(f: Matrix, t1, t2) -> CheckReport:
     if dense_map_subspace(f, t1.part2).rows != t2.part2.rows:
         failures.append(failure("part2_image"))
     return CheckReport("manin_isomorphism", failures)
+
+
+# ---------------------------------------------------------------------------
+# Dense references for the graded bracket, the coboundary cobracket and the
+# n-fold power: the implementations that went through dense basis vectors,
+# dense twist products and whole-tensor additions, kept as oracles for the
+# sparse accumulating paths.  Input validation is left to the code under test.
+
+
+def dense_dyad(x: Vector, y: Vector) -> SparseTensor:
+    dim = len(x)
+    out = SparseTensor.zero(2, dim)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj != 0:
+                out.add_into((i, j), xi * yj)
+    return out
+
+
+def dense_wedge(x: Vector, y: Vector) -> SparseTensor:
+    return dense_dyad(x, y) - dense_dyad(y, x)
+
+
+def dense_wedge_t2_v1(t2: SparseTensor, v: Vector) -> SparseTensor:
+    out = SparseTensor.zero(3, t2.dim)
+    for (a, b), coeff in t2.entries.items():
+        if a >= b:
+            continue
+        for c, vc in enumerate(v):
+            if vc != 0:
+                wedge3_basis(out, a, b, c, coeff * vc)
+    return out
+
+
+def _dense_as_vector(t: SparseTensor) -> Vector:
+    v = [ZERO] * t.dim
+    for (i,), x in t.entries.items():
+        v[i] = x
+    return tuple(v)
+
+
+def _dense_phi(h: HomLieAlgebra, i: int) -> Vector:
+    return mat_vec(h.phi, unit_vector(h.dim, i))
+
+
+def _dense_schouten_1_2(h: HomLieAlgebra, x: Vector, b: SparseTensor) -> SparseTensor:
+    out = SparseTensor.zero(2, h.dim)
+    for (a, c), v in b.entries.items():
+        if a >= c:
+            continue
+        ea, ec = unit_vector(h.dim, a), unit_vector(h.dim, c)
+        out = out + dense_wedge(h.bracket(x, ea), _dense_phi(h, c)).scale(v)
+        out = out + dense_wedge(_dense_phi(h, a), h.bracket(x, ec)).scale(v)
+    return out
+
+
+def _dense_schouten_2_2(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTensor:
+    out = SparseTensor.zero(3, h.dim)
+    for (p, q), v in b.entries.items():
+        if p >= q:
+            continue
+        bracket_p = _dense_schouten_1_2(h, unit_vector(h.dim, p), a).scale(Fraction(-1))
+        bracket_q = _dense_schouten_1_2(h, unit_vector(h.dim, q), a).scale(Fraction(-1))
+        out = out + dense_wedge_t2_v1(bracket_p, _dense_phi(h, q)).scale(v)
+        out = out - dense_wedge_t2_v1(bracket_q, _dense_phi(h, p)).scale(v)
+    return out
+
+
+def _dense_schouten_1_3(h: HomLieAlgebra, x: Vector, b: SparseTensor) -> SparseTensor:
+    out = SparseTensor.zero(3, h.dim)
+    for (a, b2, c), v in b.entries.items():
+        if not (a < b2 < c):
+            continue
+        pair = SparseTensor.from_entries(2, h.dim, {(a, b2): 1, (b2, a): -1})
+        inner = _dense_schouten_1_2(h, x, pair)
+        out = out + dense_wedge_t2_v1(inner, _dense_phi(h, c)).scale(v)
+        phi2 = dense_wedge(_dense_phi(h, a), _dense_phi(h, b2))
+        out = out + dense_wedge_t2_v1(phi2, h.bracket(x, unit_vector(h.dim, c))).scale(v)
+    return out
+
+
+def dense_hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTensor:
+    pair = (a.degree, b.degree)
+    if pair == (1, 1):
+        v = h.bracket(_dense_as_vector(a), _dense_as_vector(b))
+        return SparseTensor(1, len(v), {(i,): x for i, x in enumerate(v) if x != 0})
+    if pair == (1, 2):
+        return _dense_schouten_1_2(h, _dense_as_vector(a), b)
+    if pair == (2, 1):
+        return _dense_schouten_1_2(h, _dense_as_vector(b), a).scale(Fraction(-1))
+    if pair == (2, 2):
+        return _dense_schouten_2_2(h, a, b)
+    if pair == (1, 3):
+        return _dense_schouten_1_3(h, _dense_as_vector(a), b)
+    if pair == (3, 1):
+        return _dense_schouten_1_3(h, _dense_as_vector(b), a).scale(Fraction(-1))
+    raise ValueError(f"degree pair {pair} is not supported")
+
+
+def dense_coboundary_cobracket(g: HomLieAlgebra, lam: SparseTensor) -> dict:
+    table: dict = {}
+    for k in range(g.dim):
+        delta = SparseTensor.zero(2, g.dim)
+        ek = unit_vector(g.dim, k)
+        for (a, b), v in lam.entries.items():
+            if a >= b:
+                continue
+            ea, eb = unit_vector(g.dim, a), unit_vector(g.dim, b)
+            delta = delta + dense_wedge(g.bracket(ek, ea), eb).scale(v)
+            delta = delta + dense_wedge(ea, g.bracket(ek, eb)).scale(v)
+        for (a, b), v in delta.entries.items():
+            if a < b:
+                entry = table.setdefault((a, b), {})
+                total = entry.get(k, ZERO) + v
+                if total == 0:
+                    entry.pop(k, None)
+                else:
+                    entry[k] = total
+    return {key: coeffs for key, coeffs in table.items() if coeffs}
+
+
+def _dense_edge_rows(n: int, d: int, s: int) -> list[Vector]:
+    lo = (s - 1) * d
+    rows = []
+    for i in range(d):
+        v = [ZERO] * (n * d)
+        v[lo + i] = v[lo + d + i] = ONE
+        rows.append(tuple(v))
+    return rows
+
+
+def _dense_embed_rows(n: int, d: int, s: int, rows) -> list[Vector]:
+    offset = (s - 1) * d
+    out = []
+    for row in rows:
+        v = [ZERO] * (n * d)
+        for i, x in enumerate(row):
+            v[offset + i] = x
+        out.append(tuple(v))
+    return out
+
+
+def dense_nuble(t: ManinTriple, n: int) -> ManinTriple:
+    h = t.algebra
+    d = h.dim
+    big = n * d
+    brackets: dict = {}
+    for copy in range(n):
+        off = copy * d
+        for (i, j), coeffs in h.brackets.items():
+            brackets[(off + i, off + j)] = {off + k: v for k, v in coeffs.items()}
+    phi = tuple(
+        tuple(h.phi[r % d][c - (r // d) * d] if (c // d) == (r // d) else ZERO for c in range(big))
+        for r in range(big)
+    )
+    form = tuple(
+        tuple(
+            (h.form[r % d][c - (r // d) * d] if (r // d) % 2 == 0 else -h.form[r % d][c - (r // d) * d])
+            if (c // d) == (r // d)
+            else ZERO
+            for c in range(big)
+        )
+        for r in range(big)
+    )
+    ambient = HomLieAlgebra(big, brackets, phi, form)
+    part1_rows: list[Vector] = []
+    part2_rows: list[Vector] = []
+    if n % 2 == 1:
+        for s in range(1, n - 1, 2):
+            part1_rows += _dense_edge_rows(n, d, s)
+        part1_rows += _dense_embed_rows(n, d, n, t.part1.rows)
+        part2_rows += _dense_embed_rows(n, d, 1, t.part2.rows)
+        for s in range(2, n, 2):
+            part2_rows += _dense_edge_rows(n, d, s)
+    else:
+        for s in range(1, n, 2):
+            part1_rows += _dense_edge_rows(n, d, s)
+        part2_rows += _dense_embed_rows(n, d, 1, t.part2.rows)
+        for s in range(2, n - 1, 2):
+            part2_rows += _dense_edge_rows(n, d, s)
+        part2_rows += _dense_embed_rows(n, d, n, t.part1.rows)
+    base = t.name or "triple"
+    return ManinTriple(
+        ambient,
+        Subspace.span(big, part1_rows),
+        Subspace.span(big, part2_rows),
+        name=f"{base}^{n}",
+    )

@@ -24,7 +24,6 @@ from maninforge.core import (
     Subspace,
     annihilator,
     determinant,
-    dyad,
     identity_matrix,
     inverse,
     is_antisymmetric,
@@ -122,6 +121,8 @@ def test_determinant_values_and_multiplicativity():
         a = matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         b = matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         assert determinant(mat_mul(a, b)) == determinant(a) * determinant(b)
+    with pytest.raises(ValueError, match="must be 2x2"):
+        determinant(matrix([[1, 0, 5], [0, 1, 7]]))
 
 
 def test_singular_matrix_rejected_by_solve_and_inverse():
@@ -130,6 +131,13 @@ def test_singular_matrix_rejected_by_solve_and_inverse():
         solve(singular, (Fraction(1), Fraction(0)))
     with pytest.raises(ValueError):
         inverse(singular)
+    wide = matrix([[1, 0, 5], [0, 1, 7]])
+    with pytest.raises(ValueError, match="must be 2x2"):
+        solve(wide, (Fraction(1), Fraction(1)))
+    with pytest.raises(ValueError, match="must be 2x2"):
+        inverse(wide)
+    with pytest.raises(ValueError, match="length 2"):
+        solve(identity_matrix(2), (Fraction(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +156,11 @@ def test_tensor_index_validation():
         SparseTensor.from_entries(2, 2, {(0, 2): 1})
     with pytest.raises(ValueError):
         SparseTensor.from_entries(2, 2, {(0,): 1})
+    t = SparseTensor.from_entries(2, 2, {(0, 1): 1})
+    with pytest.raises(ValueError, match="map for slot 1 must be 2x2"):
+        t.apply_per_slot([identity_matrix(2), matrix([[1, 0], [0, 1], [1, 1]])])
+    with pytest.raises(ValueError, match="covector for slot 0 must have length 2"):
+        t.contract([(Fraction(1), Fraction(0), Fraction(5)), (Fraction(1), Fraction(1))])
 
 
 def test_tensor_arithmetic_and_swap():
@@ -222,7 +235,6 @@ def test_split_rejects_wrong_degree():
 
 def test_dyad_and_wedge():
     e0, e1 = unit_vector(3, 0), unit_vector(3, 1)
-    assert dict(dyad(e0, e1).items()) == {(0, 1): Fraction(1)}
     w = wedge(e0, e1)
     assert dict(w.items()) == {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
     assert wedge(e0, e0).is_zero
@@ -330,6 +342,8 @@ def test_map_subspace_rejects_a_column_count_off_the_ambient_dimension():
         map_subspace(matrix([[1, 0, 0], [0, 1]]), q)
     with pytest.raises(ValueError, match="3 columns"):
         map_subspace(identity_matrix(4), Subspace.zero(3))
+    with pytest.raises(ValueError, match="3 columns"):
+        mat_mul(identity_matrix(2), identity_matrix(3))
     assert map_subspace((), q) == Subspace.zero(0)
 
 
@@ -339,6 +353,8 @@ def test_sparse_columns_keeps_nonzero_entries_by_column():
     assert sparse_columns(()) == []
     with pytest.raises(ValueError, match="ragged"):
         sparse_columns(matrix([[1, 0], [1]]))
+    with pytest.raises(ValueError, match="ragged"):
+        rref(matrix([[1, 0], [0, 1, 5]]))
 
 
 # ---------------------------------------------------------------------------

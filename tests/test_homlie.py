@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import dense_check_homomorphism, rand_fraction
-from maninforge.core import identity_matrix, matrix
+from maninforge.core import identity_matrix, mat_vec, matrix
 from maninforge.homlie import (
     HomLieAlgebra,
     LinearRep,
@@ -94,7 +94,7 @@ def test_bracket_and_phi_linear_extension():
     y = (Fraction(0), Fraction(0), Fraction(3))
     # [e0 + 2 e1, 3 e2] = 3(2 e2) + 6(e0) = 6 e0 + 6 e2
     assert h.bracket(x, y) == (Fraction(6), Fraction(0), Fraction(6))
-    assert h.phi_apply(x) == (Fraction(1), Fraction(-2), Fraction(0))
+    assert mat_vec(h.phi, x) == (Fraction(1), Fraction(-2), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

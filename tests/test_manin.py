@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import dense_check_manin_isomorphism, rand_invertible
+from helpers import dense_check_manin_isomorphism, dense_coboundary_cobracket, rand_invertible, rand_tensor
 from maninforge.core import Permutation, identity_matrix, matrix, subspace_equal, Subspace, unit_vector
 from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_quadratic
 from maninforge.manin import (
@@ -201,6 +201,18 @@ def test_isomorphism_reports_match_the_dense_reference_on_random_maps(seed, whic
 def test_coboundary_cobracket_of_standard_skew_tensor():
     data = special_linear_data(2)
     assert coboundary_cobracket(sl2_lie(), lambda_st(data)) == STANDARD_DUAL_TABLE
+
+
+def test_coboundary_cobracket_matches_the_dense_reference():
+    rng = random.Random(71)
+    for k in (2, 3):
+        data = special_linear_data(k)
+        g = data.algebra
+        assert coboundary_cobracket(g, lambda_st(data)) == dense_coboundary_cobracket(g, lambda_st(data))
+        for _ in range(10):
+            t = rand_tensor(rng, 2, g.dim, fill=6)
+            lam = t - t.swap()
+            assert coboundary_cobracket(g, lam) == dense_coboundary_cobracket(g, lam)
 
 
 def test_zero_cobracket_double_certifies():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import rand_vector
+from helpers import dense_nuble, rand_vector
 from maninforge.core import (
     Permutation,
     mat_mul,
@@ -89,6 +89,20 @@ def test_powers_certify_small():
 def test_power_rejects_nonpositive():
     with pytest.raises(ValueError):
         nuble(hyperbolic_triple(), 0)
+
+
+def _power_data(t):
+    h = t.algebra
+    return (h.dim, h.brackets, h.phi, h.form, h.name, t.part1, t.part2, t.name)
+
+
+def test_power_matches_the_dense_reference():
+    data = special_linear_data(2)
+    for t in (hyperbolic_triple(), triple_g_plus_h(data), triple_double(data)):
+        for n in range(1, 6):
+            assert _power_data(nuble(t, n)) == _power_data(dense_nuble(t, n))
+    d2 = triple_double(data)
+    assert _power_data(nuble(nuble(d2, 3), 3)) == _power_data(dense_nuble(dense_nuble(d2, 3), 3))
 
 
 def test_nested_power_is_power_of_power():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_hcyb, rand_phi_fixed_skew, rand_vector
+from helpers import dense_hcyb, dense_hom_schouten, rand_fraction, rand_phi_fixed_skew, rand_vector
 from maninforge.core import (
     SparseTensor,
     inverse,
@@ -18,9 +18,10 @@ from maninforge.core import (
     unit_vector,
     vec_dot,
     wedge,
+    wedge3_basis,
     wedge_t2_v1,
 )
-from maninforge.homlie import HomLieAlgebra
+from maninforge.homlie import HomLieAlgebra, direct_sum
 from maninforge.manin import (
     hyperbolic_triple,
     lambda_st,
@@ -266,6 +267,52 @@ def test_non_antisymmetric_inputs_rejected():
         hom_schouten(h, vec_tensor(unit_vector(3, 0)), sym)
 
 
+def _rand_multivector(rng: random.Random, degree: int, dim: int, fill: int = 4) -> SparseTensor:
+    """A random antisymmetric multivector: `fill` basis wedges of distinct indices."""
+    t = SparseTensor.zero(degree, dim)
+    for _ in range(fill):
+        idx, c = rng.sample(range(dim), degree), rand_fraction(rng)
+        if degree == 1:
+            t.add_into(tuple(idx), c)
+        elif degree == 2:
+            t.add_into(tuple(idx), c)
+            t.add_into(tuple(reversed(idx)), -c)
+        else:
+            wedge3_basis(t, *idx, c)
+    return t
+
+
+def _sl2_twisted_power(copies: int) -> HomLieAlgebra:
+    h = sl2_twisted()
+    for _ in range(copies - 1):
+        h = direct_sum(h, sl2_twisted())
+    return h
+
+
+ORACLE_ALGEBRAS = {
+    "sl2_twisted": sl2_twisted,
+    "sl2_lie": sl2_lie,
+    "sl2_twisted^4": lambda: _sl2_twisted_power(4),
+    "sl2_twisted+sl2_lie": lambda: direct_sum(sl2_twisted(), sl2_lie()),
+    "D2": lambda: triple_double(special_linear_data(2)).algebra,
+    "D3": lambda: triple_double(special_linear_data(3)).algebra,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_graded_bracket_matches_the_dense_reference(name):
+    """Every supported degree pair on seeded random multivectors, and the
+    bracket of a twist-fixed skew tensor with itself."""
+    h = ORACLE_ALGEBRAS[name]()
+    rng = random.Random(67)
+    for pair in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+        for _ in range(10):
+            a, b = (_rand_multivector(rng, degree, h.dim) for degree in pair)
+            assert hom_schouten(h, a, b) == dense_hom_schouten(h, a, b), pair
+    lam = rand_phi_fixed_skew(rng, h)
+    assert hom_schouten(h, lam, lam) == dense_hom_schouten(h, lam, lam)
+
+
 def test_residual_is_half_the_squared_bracket_exact():
     h = sl2_lie()
     lam = lambda_st(special_linear_data(2))
@@ -291,7 +338,7 @@ def test_graded_jacobi_two_vectors_one_bivector():
     for _ in range(50):
         x, y = rand_vector(rng, 3), rand_vector(rng, 3)
         b = rand_phi_fixed_skew(rng, h)
-        phx, phy = vec_tensor(h.phi_apply(x)), vec_tensor(h.phi_apply(y))
+        phx, phy = vec_tensor(mat_vec(h.phi, x)), vec_tensor(mat_vec(h.phi, y))
         phb = b.apply_per_slot((h.phi, h.phi))
         total = (
             hom_schouten(h, phx, hom_schouten(h, vec_tensor(y), b))
@@ -309,7 +356,7 @@ def test_graded_jacobi_one_vector_two_bivectors():
     for _ in range(50):
         x = rand_vector(rng, 3)
         b, c = rand_phi_fixed_skew(rng, h), rand_phi_fixed_skew(rng, h)
-        tx, phx = vec_tensor(x), vec_tensor(h.phi_apply(x))
+        tx, phx = vec_tensor(x), vec_tensor(mat_vec(h.phi, x))
         total = (
             hom_schouten(h, phx, hom_schouten(h, b, c))
             + hom_schouten(h, b, hom_schouten(h, c, tx))
