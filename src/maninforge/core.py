@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -74,8 +75,14 @@ def mat_scale(c: Fraction, m: Matrix) -> Matrix:
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    """Matrix times column vector."""
-    return tuple(vec_dot(row, v) for row in m)
+    """Matrix times column vector, summing over the nonzero entries of v only."""
+    terms = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for row in m:
+        if len(row) != len(v):
+            raise ValueError(f"matrix row of length {len(row)} times a vector of length {len(v)}")
+        out.append(sum((row[j] * x for j, x in terms if row[j]), ZERO))
+    return tuple(out)
 
 
 def _width(m: Matrix) -> int:
@@ -477,19 +484,33 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def echelon(self) -> tuple[tuple[int, dict[int, Fraction]], ...]:
+        """Each canonical row as (pivot column, {column: nonzero entry}), built
+        once and shared: callers must not mutate the dicts."""
+        return tuple((next(iter(sparse)), sparse) for sparse in map(_sparse, self.rows))
+
     def contains(self, v: Vector) -> bool:
-        """Exact membership by reduction against the canonical basis."""
+        """Exact membership of a dense vector."""
         if len(v) != self.ambient_dim:
             raise ValueError(f"vector of length {len(v)} in a space of dimension {self.ambient_dim}")
-        residual = list(v)
-        for row in self.rows:
-            pivot = next(i for i, x in enumerate(row) if x)
-            f = residual[pivot]
+        return self.contains_sparse(_sparse(v))
+
+    def contains_sparse(self, xs: Mapping[int, Fraction]) -> bool:
+        """Exact membership of the vector whose nonzero entries are xs.  The basis
+        is in reduced row echelon form, so v lies in the span exactly when it
+        equals the sum over the rows of v[pivot] * row."""
+        combo: dict[int, Fraction] = {}
+        for pivot, row in self.echelon:
+            f = xs.get(pivot)
             if f:
-                for j, y in enumerate(row):
-                    if y:
-                        residual[j] -= f * y
-        return not any(residual)
+                for j, y in row.items():
+                    total = combo.get(j, ZERO) + f * y
+                    if total:
+                        combo[j] = total
+                    else:
+                        del combo[j]
+        return combo == xs
 
     def contains_subspace(self, other: Subspace) -> bool:
         return all(self.contains(row) for row in other.rows)

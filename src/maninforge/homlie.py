@@ -104,8 +104,15 @@ class HomLieAlgebra:
             return self.brackets.get((i, j), {})
         return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
 
+    def _require_dim(self, x: Vector, y: Vector, what: str) -> None:
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError(
+                f"{what} takes two vectors of length dim={self.dim}, got lengths {len(x)} and {len(y)}"
+            )
+
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""
+        self._require_dim(x, y, "bracket")
         out = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if xi == 0:
@@ -121,6 +128,7 @@ class HomLieAlgebra:
         """Evaluate the bilinear form; requires a form to be present."""
         if self.form is None:
             raise ValueError("algebra carries no bilinear form")
+        self._require_dim(x, y, "pair")
         total = ZERO
         for i, xi in enumerate(x):
             if xi == 0:
@@ -158,6 +166,15 @@ def _apply_columns(cols: list[dict[int, Fraction]], xs: dict[int, Fraction]) -> 
     return out
 
 
+def _accumulate(out: dict, key, value: Fraction) -> None:
+    """Add value at key, dropping the entry if it cancels to zero."""
+    total = out.get(key, ZERO) + value
+    if total == 0:
+        out.pop(key, None)
+    else:
+        out[key] = total
+
+
 def _dense(h: HomLieAlgebra, xs: dict[int, Fraction]) -> Vector:
     out = [ZERO] * h.dim
     for i, v in xs.items():
@@ -171,29 +188,35 @@ def _residual(h: HomLieAlgebra, lhs: dict[int, Fraction], rhs: dict[int, Fractio
 
 
 def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
-    """Twisted Jacobi: [phi(x),[y,z]] + [phi(y),[z,x]] + [phi(z),[x,y]] = 0 on all basis triples."""
+    """Twisted Jacobi on all basis triples:
+    J(i, j, k) = [phi(b_i),[b_j,b_k]] + [phi(b_j),[b_k,b_i]] + [phi(b_k),[b_i,b_j]] = 0.
+
+    J is alternating: it is cyclic, and swapping two indices negates it exactly
+    (the bracket is antisymmetric), so it vanishes on a repeated index.  It is
+    also zero unless one of the triple's pairs is a bracket key.  So J is
+    computed once per triple i < j < k holding a key, and each of the six
+    orderings of a failing triple is reported with its signed residual."""
     failures = []
     phi_cols = sparse_columns(h.phi)
-    for i in range(h.dim):
-        for j in range(h.dim):
-            for k in range(h.dim):
-                inner_jk = h.bracket_basis(j, k)
-                inner_ki = h.bracket_basis(k, i)
-                inner_ij = h.bracket_basis(i, j)
-                if not (inner_jk or inner_ki or inner_ij):
-                    continue
-                total: dict[int, Fraction] = {}
-                for outer, inner in ((phi_cols[i], inner_jk), (phi_cols[j], inner_ki), (phi_cols[k], inner_ij)):
-                    if not inner:
-                        continue
-                    for a, v in _sparse_bracket(h, outer, inner).items():
-                        s = total.get(a, ZERO) + v
-                        if s == 0:
-                            total.pop(a, None)
-                        else:
-                            total[a] = s
-                if total:
-                    failures.append(failure("hom_jacobi", (i, j, k), _dense(h, total)))
+    triples = {tuple(sorted((a, b, c))) for a, b in h.brackets for c in range(h.dim) if c != a and c != b}
+    for i, j, k in triples:
+        total: dict[int, Fraction] = {}
+        for outer, inner in (
+            (phi_cols[i], h.bracket_basis(j, k)),
+            (phi_cols[j], h.bracket_basis(k, i)),
+            (phi_cols[k], h.bracket_basis(i, j)),
+        ):
+            if not inner:
+                continue
+            for a, v in _sparse_bracket(h, outer, inner).items():
+                _accumulate(total, a, v)
+        if total:
+            even = _dense(h, total)
+            odd = tuple(-v for v in even)
+            for index in ((i, j, k), (j, k, i), (k, i, j)):
+                failures.append(failure("hom_jacobi", index, even))
+            for index in ((j, i, k), (i, k, j), (k, j, i)):
+                failures.append(failure("hom_jacobi", index, odd))
     return CheckReport("hom_jacobi", failures)
 
 
@@ -401,36 +424,43 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
         for j in range(h.dim):
             if lhs_twist[i][j] != rhs_twist[i][j]:
                 failures.append(failure("twist_self_adjoint", (i, j), lhs_twist[i][j] - rhs_twist[i][j]))
-    for i in range(h.dim):
-        for j in range(h.dim):
-            c_ij = h.bracket_basis(i, j)
-            for k in range(h.dim):
-                c_jk = h.bracket_basis(j, k)
-                if not (c_ij or c_jk):
-                    continue
-                lhs = sum((v * g[a][k] for a, v in c_ij.items()), ZERO)
-                rhs = sum((g[i][a] * v for a, v in c_jk.items()), ZERO)
-                if lhs != rhs:
-                    failures.append(failure("invariant", (i, j, k), lhs - rhs))
+    # Residual <[b_i,b_j],b_k> - <b_i,[b_j,b_k]>, accumulated from each bracket
+    # key (a, b) in both orders, in the left slot through row c of the form and
+    # in the right slot through column c (the form need not be symmetric).
+    g_rows = sparse_columns(transpose(g))
+    g_cols = sparse_columns(g)
+    residual: dict[tuple[int, int, int], Fraction] = {}
+    for (a, b), coeffs in h.brackets.items():
+        for c, v in coeffs.items():
+            for k, g_ck in g_rows[c].items():
+                _accumulate(residual, (a, b, k), v * g_ck)
+                _accumulate(residual, (b, a, k), -v * g_ck)
+            for i, g_ic in g_cols[c].items():
+                _accumulate(residual, (i, a, b), -g_ic * v)
+                _accumulate(residual, (i, b, a), g_ic * v)
+    for index, value in residual.items():
+        failures.append(failure("invariant", index, value))
     return CheckReport("quadratic", failures)
 
 
-def direct_sum(h1: HomLieAlgebra, h2: HomLieAlgebra) -> HomLieAlgebra:
+def direct_sum(*algebras: HomLieAlgebra) -> HomLieAlgebra:
     """Componentwise bracket and twist on the concatenated coordinate space;
-    forms (when both present) combine block-diagonally."""
-    dim = h1.dim + h2.dim
-    brackets: BracketTable = {k: dict(v) for k, v in h1.brackets.items()}
-    for (i, j), coeffs in h2.brackets.items():
-        brackets[(i + h1.dim, j + h1.dim)] = {k + h1.dim: v for k, v in coeffs.items()}
-    phi = tuple(
-        tuple(row) + zero_vector(h2.dim) for row in h1.phi
-    ) + tuple(zero_vector(h1.dim) + tuple(row) for row in h2.phi)
-    form = None
-    if h1.form is not None and h2.form is not None:
-        form = tuple(
-            tuple(row) + zero_vector(h2.dim) for row in h1.form
-        ) + tuple(zero_vector(h1.dim) + tuple(row) for row in h2.form)
-    return HomLieAlgebra(dim, brackets, phi, form)
+    forms (when all are present) combine block-diagonally.  Each dense row of
+    the twist and the form is built once, however many summands there are."""
+    dim = sum(h.dim for h in algebras)
+    brackets: BracketTable = {}
+    phi: list[Vector] = []
+    form: list[Vector] | None = [] if all(h.form is not None for h in algebras) else None
+    offset = 0
+    for h in algebras:
+        for (i, j), coeffs in h.brackets.items():
+            brackets[(i + offset, j + offset)] = {k + offset: v for k, v in coeffs.items()}
+        left, right = zero_vector(offset), zero_vector(dim - offset - h.dim)
+        phi += [left + tuple(row) + right for row in h.phi]
+        if form is not None:
+            form += [left + tuple(row) + right for row in h.form]
+        offset += h.dim
+    return HomLieAlgebra(dim, brackets, tuple(phi), None if form is None else tuple(form))
 
 
 def negate_form(h: HomLieAlgebra) -> HomLieAlgebra:

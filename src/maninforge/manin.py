@@ -40,6 +40,8 @@ from .homlie import (
     check_twist_morphism,
     direct_sum,
     negate_form,
+    _accumulate,
+    _dense,
     _intertwining_failures,
 )
 from .reporting import CheckReport, combine, failure
@@ -81,21 +83,39 @@ class ManinTriple:
 
 
 def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
-    """Isotropy, bracket closure, and twist stability of one half."""
+    """Isotropy, bracket closure, and twist stability of one half.
+
+    The pairings and brackets of the half's basis rows are accumulated from
+    the nonzero form entries and the bracket keys, through the rows holding
+    each index; two rows that no entry reaches pair and bracket to zero."""
     failures = []
     h = t.algebra
-    rows = part.rows
-    for a in range(len(rows)):
-        for b in range(a, len(rows)):
-            value = h.pair(rows[a], rows[b])
-            if value != 0:
-                failures.append(failure("isotropic", (a, b), value))
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            w = h.bracket(rows[a], rows[b])
-            if not part.contains(w):
-                failures.append(failure("subalgebra", (a, b), w))
-    for a, row in enumerate(rows):
+    holders: dict[int, list[tuple[int, Fraction]]] = {}  # index -> [(row, entry)]
+    for a, (_, row) in enumerate(part.echelon):
+        for i, x in row.items():
+            holders.setdefault(i, []).append((a, x))
+    pairings: dict[tuple[int, int], Fraction] = {}  # <row a, row b> for a <= b
+    for i, form_row in enumerate(sparse_columns(transpose(t.form))):
+        for j, g in form_row.items():
+            for a, x in holders.get(i, ()):
+                for b, y in holders.get(j, ()):
+                    if a <= b:
+                        _accumulate(pairings, (a, b), x * g * y)
+    for index, value in pairings.items():
+        failures.append(failure("isotropic", index, value))
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}  # [row a, row b] for a < b
+    for (i, j), coeffs in h.brackets.items():
+        for a, x in holders.get(i, ()):
+            for b, y in holders.get(j, ()):
+                if a != b:
+                    index, scale = ((a, b), x * y) if a < b else ((b, a), -x * y)
+                    w = brackets.setdefault(index, {})
+                    for k, c in coeffs.items():
+                        _accumulate(w, k, scale * c)
+    for index, w in brackets.items():
+        if not part.contains_sparse(w):
+            failures.append(failure("subalgebra", index, _dense(h, w)))
+    for a, row in enumerate(part.rows):
         image = mat_vec(h.phi, row)
         if not part.contains(image):
             failures.append(failure("twist_stable", (a,), image))

@@ -4,7 +4,6 @@ mn-fold power with the n-fold power of the m-fold one, and the colored chain
 graphs that encode both splittings."""
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .core import (
@@ -16,7 +15,7 @@ from .core import (
     ZERO,
     vector,
 )
-from .homlie import HomLieAlgebra, direct_sum, negate_form
+from .homlie import direct_sum, negate_form
 from .manin import ManinTriple, check_manin_isomorphism
 from .reporting import CheckReport
 
@@ -54,7 +53,7 @@ def nuble(t: ManinTriple, n: int) -> ManinTriple:
     big = n * d
     negated = negate_form(h)
     copies = [negated if j % 2 else h for j in range(n)]
-    ambient = functools.reduce(direct_sum, copies, HomLieAlgebra(0, {}, (), ()))
+    ambient = direct_sum(*copies)
     part1_rows: list[Vector] = []
     part2_rows: list[Vector] = []
     if n % 2 == 1:

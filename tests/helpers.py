@@ -16,11 +16,13 @@ from maninforge.core import (
     mat_mul,
     mat_vec,
     matrix,
+    nullspace,
+    sparse_columns,
     transpose,
     unit_vector,
     wedge3_basis,
 )
-from maninforge.homlie import HomLieAlgebra
+from maninforge.homlie import HomLieAlgebra, _dense, _sparse_bracket
 from maninforge.manin import ManinTriple
 from maninforge.reporting import CheckReport, failure
 
@@ -431,3 +433,88 @@ def dense_nuble(t: ManinTriple, n: int) -> ManinTriple:
         Subspace.span(big, part2_rows),
         name=f"{base}^{n}",
     )
+
+
+# ---------------------------------------------------------------------------
+# Dense references for the Manin-triple certifier's three scanning parts: the
+# loops over every basis triple (Jacobi, invariance) and over every pair of
+# dense half rows (isotropy, closure, twist stability), kept as oracles for the
+# sparsity-driven checkers.  Membership goes through `dense_contains` and the
+# twist through `dense_mat_vec`, so neither rests on the code under test.
+
+
+def dense_check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
+    failures = []
+    phi_cols = sparse_columns(h.phi)
+    for i in range(h.dim):
+        for j in range(h.dim):
+            for k in range(h.dim):
+                inner_jk = h.bracket_basis(j, k)
+                inner_ki = h.bracket_basis(k, i)
+                inner_ij = h.bracket_basis(i, j)
+                if not (inner_jk or inner_ki or inner_ij):
+                    continue
+                total: dict[int, Fraction] = {}
+                for outer, inner in ((phi_cols[i], inner_jk), (phi_cols[j], inner_ki), (phi_cols[k], inner_ij)):
+                    if not inner:
+                        continue
+                    for a, v in _sparse_bracket(h, outer, inner).items():
+                        s = total.get(a, ZERO) + v
+                        if s == 0:
+                            total.pop(a, None)
+                        else:
+                            total[a] = s
+                if total:
+                    failures.append(failure("hom_jacobi", (i, j, k), _dense(h, total)))
+    return CheckReport("hom_jacobi", failures)
+
+
+def dense_check_quadratic(h: HomLieAlgebra) -> CheckReport:
+    failures = []
+    g = h.form
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            if g[i][j] != g[j][i]:
+                failures.append(failure("symmetric", (i, j), g[i][j] - g[j][i]))
+    kernel = nullspace(g)
+    for v in kernel:
+        failures.append(failure("nondegenerate", None, v))
+    lhs_twist = mat_mul(transpose(h.phi), g)
+    rhs_twist = mat_mul(g, h.phi)
+    for i in range(h.dim):
+        for j in range(h.dim):
+            if lhs_twist[i][j] != rhs_twist[i][j]:
+                failures.append(failure("twist_self_adjoint", (i, j), lhs_twist[i][j] - rhs_twist[i][j]))
+    for i in range(h.dim):
+        for j in range(h.dim):
+            c_ij = h.bracket_basis(i, j)
+            for k in range(h.dim):
+                c_jk = h.bracket_basis(j, k)
+                if not (c_ij or c_jk):
+                    continue
+                lhs = sum((v * g[a][k] for a, v in c_ij.items()), ZERO)
+                rhs = sum((g[i][a] * v for a, v in c_jk.items()), ZERO)
+                if lhs != rhs:
+                    failures.append(failure("invariant", (i, j, k), lhs - rhs))
+    return CheckReport("quadratic", failures)
+
+
+def dense_part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
+    failures = []
+    h = t.algebra
+    rows = part.rows
+    for a in range(len(rows)):
+        for b in range(a, len(rows)):
+            value = h.pair(rows[a], rows[b])
+            if value != 0:
+                failures.append(failure("isotropic", (a, b), value))
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            w = h.bracket(rows[a], rows[b])
+            if not dense_contains(part, w):
+                failures.append(failure("subalgebra", (a, b), w))
+    for a, row in enumerate(rows):
+        image = dense_mat_vec(h.phi, row)
+        if not dense_contains(part, image):
+            failures.append(failure("twist_stable", (a,), image))
+    return CheckReport(label, failures)

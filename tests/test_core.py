@@ -45,6 +45,7 @@ from maninforge.core import (
     tensor_skew_sym_split,
     transpose,
     unit_vector,
+    vector,
     wedge,
     wedge3_basis,
     wedge_t2_v1,
@@ -400,6 +401,13 @@ def test_mat_vec_matches_the_dense_reference(pair):
     assert mat_vec(m, v) == dense_mat_vec(m, v)
 
 
+def test_mat_vec_rejects_a_vector_of_the_wrong_length():
+    m = matrix([[1, 0, 2], [0, 1, 0]])
+    for v in (vector([1, 2]), vector([1, 2, 3, 4])):
+        with pytest.raises(ValueError, match="length"):
+            mat_vec(m, v)
+
+
 @given(
     st.integers(1, 6).flatmap(lambda n: st.tuples(reference_matrices(n_cols=n), reference_matrices(1, n))),
     st.lists(_entries, max_size=6),
@@ -413,7 +421,11 @@ def test_contains_matches_the_dense_reference(pair, coeffs):
     )
     for w in (v, combination):
         assert space.contains(w) == dense_contains(space, w)
+        assert space.contains_sparse({i: x for i, x in enumerate(w) if x}) == dense_contains(space, w)
     assert space.contains(combination)
+    for (pivot, sparse), row in zip(space.echelon, space.rows):
+        assert row[pivot] == 1 and not any(row[:pivot])
+        assert sparse == {i: x for i, x in enumerate(row) if x}
 
 
 @given(

@@ -23,7 +23,7 @@ from maninforge.homlie import (
     check_twist_morphism,
     direct_sum,
 )
-from maninforge.manin import special_linear_data
+from maninforge.manin import special_linear_data, triple_double
 from maninforge.rmatrix import sl2_lie, sl2_twisted
 
 SL2_BRACKETS = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}}
@@ -95,6 +95,38 @@ def test_bracket_and_phi_linear_extension():
     # [e0 + 2 e1, 3 e2] = 3(2 e2) + 6(e0) = 6 e0 + 6 e2
     assert h.bracket(x, y) == (Fraction(6), Fraction(0), Fraction(6))
     assert mat_vec(h.phi, x) == (Fraction(1), Fraction(-2), Fraction(0))
+
+
+def _vec(*entries):
+    return tuple(Fraction(x) for x in entries)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (_vec(1, 0, 0, 1), _vec(0, 1, 0, 1)),  # the 4th entries were ignored
+        (_vec(1), _vec(0, 1, 0)),  # the short vector was padded with zeros
+        (_vec(0, 1, 0), _vec(1)),
+    ],
+)
+def test_bracket_rejects_vectors_of_the_wrong_length(x, y):
+    with pytest.raises(ValueError, match=r"dim=3"):
+        sl2_twisted().bracket(x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (_vec(1), _vec(0, 0, 0, 1, 0, 0)),  # returned 2
+        (_vec(1, 0, 0, 0, 0, 0, 1), _vec(0, 0, 0, 1, 0, 0)),  # raised a bare IndexError
+        (_vec(0, 0, 0, 1, 0, 0), _vec(1)),
+    ],
+)
+def test_pair_rejects_vectors_of_the_wrong_length(x, y):
+    double = triple_double(special_linear_data(2)).algebra
+    assert double.pair(_vec(1, 0, 0, 0, 0, 0), _vec(0, 0, 0, 1, 0, 0)) == 0
+    with pytest.raises(ValueError, match=r"dim=6"):
+        double.pair(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +322,18 @@ def test_direct_sum_without_forms_has_no_form():
     total = direct_sum(sl2_twisted(), sl2_twisted())
     assert total.form is None
     assert check_twist_morphism(total).passed
+
+
+def test_direct_sum_of_many_equals_the_nested_binary_sums():
+    a, b, c = sl2_twisted(), special_linear_data(2).algebra, special_linear_data(3).algebra
+    flat = direct_sum(a, b, c)
+    nested = direct_sum(direct_sum(a, b), c)
+    assert flat == direct_sum(a, direct_sum(b, c)) == nested
+    assert list(flat.brackets) == list(nested.brackets)
+    assert flat.form is None  # sl2_twisted carries none
+    with_forms = direct_sum(b, c, b)
+    assert with_forms == direct_sum(direct_sum(b, c), b)
+    assert with_forms.dim == 14 and with_forms.form is not None
+    assert check_quadratic(with_forms).passed
+    assert direct_sum(a) == HomLieAlgebra(3, a.brackets, a.phi, None)
+    assert direct_sum() == HomLieAlgebra(0, {}, (), ())
