@@ -5,7 +5,6 @@ basis brackets that keeps the checkers off the d^3 scans."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
