@@ -46,7 +46,6 @@ from .polyuble import (
     chain_graph_dot,
     nuble,
     render_graph,
-    snake_iso_apply,
     snake_permutation,
     uble_of_uble,
     verify_snake_iso,

@@ -66,14 +66,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(x, y) for x, y in zip(a, b, strict=True))
-
-
-def mat_scale(c: Fraction, m: Matrix) -> Matrix:
-    return tuple(vec_scale(c, row) for row in m)
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     """Matrix times column vector, summing over the nonzero entries of v only."""
     terms = [(j, x) for j, x in enumerate(v) if x]
@@ -120,6 +112,32 @@ def sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
             if x:
                 cols[c][r] = x
     return cols
+
+
+def _columns_shape_error(cols: Sequence, n_rows: int, n_cols: int) -> str | None:
+    """Why cols are not the sparse columns of an n_rows x n_cols matrix, or None."""
+    if len(cols) != n_cols:
+        return f"got {len(cols)} columns"
+    for c, col in enumerate(cols):
+        if not isinstance(col, Mapping):
+            return f"column {c} is a {type(col).__name__}, not a mapping"
+        for r in col:
+            if r not in range(n_rows):
+                return f"column {c} has row index {r!r} outside range({n_rows})"
+    return None
+
+
+def _apply_columns(cols: list[dict[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """The map with sparse columns `cols` applied to the sparse vector xs."""
+    out: dict[int, Fraction] = {}
+    for i, xi in xs.items():
+        for a, c in cols[i].items():
+            total = out.get(a, ZERO) + c * xi
+            if total == 0:
+                out.pop(a, None)
+            else:
+                out[a] = total
+    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -192,18 +210,6 @@ def nullspace(m: Matrix) -> list[Vector]:
             v[piv] = -row[free]
         basis.append(tuple(v))
     return basis
-
-
-def solve(a: Matrix, b: Vector) -> Vector:
-    """The unique solution of a @ x = b for invertible square a."""
-    n = len(_square(a, len(a), "matrix"))
-    if len(b) != n:
-        raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
-    augmented = tuple(row + (b_i,) for row, b_i in zip(a, b, strict=True))
-    reduced, pivots = rref(augmented)
-    if pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n] for row in reduced)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -426,15 +432,6 @@ def wedge_t2_v1_into(t: SparseTensor, t2: SparseTensor, v: Mapping[int, Fraction
                 wedge3_basis(t, a, b, c, coeff * x * vc)
 
 
-def wedge_t2_v1(t2: SparseTensor, v: Vector) -> SparseTensor:
-    """Wedge of an antisymmetric degree-2 tensor with a vector (degree-3 result)."""
-    if t2.degree != 2:
-        raise ValueError("first factor must have degree 2")
-    out = SparseTensor.zero(3, t2.dim)
-    wedge_t2_v1_into(out, t2, _sparse(v), ONE)
-    return out
-
-
 def is_antisymmetric(t: SparseTensor) -> bool:
     """True when a degree-2 tensor satisfies t(i,j) = -t(j,i) with zero diagonal."""
     if t.degree != 2:
@@ -512,9 +509,6 @@ class Subspace:
                         del combo[j]
         return combo == xs
 
-    def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(row) for row in other.rows)
-
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union of two subspaces of the same ambient space."""
@@ -530,7 +524,7 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """True when b is contained in a."""
-    return a.ambient_dim == b.ambient_dim and a.contains_subspace(b)
+    return a.ambient_dim == b.ambient_dim and all(a.contains_sparse(row) for _, row in b.echelon)
 
 
 def orthogonal_complement(space: Subspace, gram: Matrix) -> Subspace:
@@ -552,16 +546,18 @@ def map_subspace(m: Matrix, space: Subspace) -> Subspace:
     """Image of a subspace under the linear map with matrix m (columns index the source)."""
     if any(len(row) != space.ambient_dim for row in m):
         raise ValueError(f"map must have {space.ambient_dim} columns, one per source coordinate")
-    cols = sparse_columns(m) if m else [{}] * space.ambient_dim
+    return _column_image(sparse_columns(m) if m else [{}] * space.ambient_dim, len(m), space)
+
+
+def _column_image(cols: list[dict[int, Fraction]], dim: int, space: Subspace) -> Subspace:
+    """Image of a subspace under the map into dimension dim with sparse columns cols."""
     images = []
-    for row in space.rows:
-        image = [ZERO] * len(m)
-        for c, x in enumerate(row):
-            if x:
-                for r, entry in cols[c].items():
-                    image[r] += entry * x
+    for _, row in space.echelon:
+        image = [ZERO] * dim
+        for r, x in _apply_columns(cols, row).items():
+            image[r] = x
         images.append(image)
-    return Subspace.span(len(m), images)
+    return Subspace.span(dim, images)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +577,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for x in self.images:
+            if type(x) is not int:
+                raise ValueError(f"permutation entry {x!r} is not an int")
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError("not a permutation of 0..n-1")
 
@@ -615,18 +614,7 @@ class Permutation:
         )
         return -1 if inversions % 2 else 1
 
-    def permute(self, seq: Sequence) -> tuple:
-        """Move the entry in slot i to slot images[i]."""
-        out = [None] * len(self.images)
-        for i, x in enumerate(seq):
-            out[self.images[i]] = x
-        return tuple(out)
-
-    def matrix(self, block: int = 1) -> Matrix:
-        """Permutation matrix (columns index the source), blown up to block size."""
-        n = len(self.images) * block
-        rows = [[ZERO] * n for _ in range(n)]
-        for i, j in enumerate(self.images):
-            for b in range(block):
-                rows[j * block + b][i * block + b] = ONE
-        return tuple(tuple(row) for row in rows)
+    def columns(self, block: int = 1) -> list[dict[int, Fraction]]:
+        """Sparse columns of the permutation matrix blown up to block size: source
+        coordinate i*block + b goes to images[i]*block + b."""
+        return [{j * block + b: ONE} for j in self.images for b in range(block)]

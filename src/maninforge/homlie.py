@@ -10,6 +10,8 @@ from .core import (
     Matrix,
     Vector,
     ZERO,
+    _apply_columns,
+    _columns_shape_error,
     _square,
     identity_matrix,
     mat_mul,
@@ -153,19 +155,6 @@ def _sparse_bracket(h: HomLieAlgebra, xs: dict[int, Fraction], ys: dict[int, Fra
     return out
 
 
-def _apply_columns(cols: list[dict[int, Fraction]], xs: dict[int, Fraction]) -> dict[int, Fraction]:
-    """The map with sparse columns `cols` applied to the sparse vector xs."""
-    out: dict[int, Fraction] = {}
-    for i, xi in xs.items():
-        for a, c in cols[i].items():
-            total = out.get(a, ZERO) + c * xi
-            if total == 0:
-                out.pop(a, None)
-            else:
-                out[a] = total
-    return out
-
-
 def _accumulate(out: dict, key, value: Fraction) -> None:
     """Add value at key, dropping the entry if it cancels to zero."""
     total = out.get(key, ZERO) + value
@@ -261,15 +250,13 @@ def _intertwining_failures(
     return failures
 
 
-def check_homomorphism(f: Matrix, h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:
-    """f intertwines twists and brackets: f . phi1 = phi2 . f and f[x,y] = [f(x), f(y)]."""
-    if len(f) != h2.dim or any(len(row) != h1.dim for row in f):
-        lengths = sorted({len(row) for row in f})
-        raise ValueError(
-            f"map must be {h2.dim}x{h1.dim} (target dim x source dim), got {len(f)} rows of lengths {lengths}"
-        )
-    f_cols = sparse_columns(f) if f else [{}] * h1.dim
-    return CheckReport("homomorphism", _intertwining_failures(f_cols, h1, h2))
+def check_homomorphism(f: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:
+    """The map with sparse columns f (one {row: entry} per basis vector of h1)
+    intertwines twists and brackets: f . phi1 = phi2 . f and f[x,y] = [f(x), f(y)]."""
+    problem = _columns_shape_error(f, h2.dim, h1.dim)
+    if problem:
+        raise ValueError(f"map must be {h2.dim}x{h1.dim} (target dim x source dim) as sparse columns: {problem}")
+    return CheckReport("homomorphism", _intertwining_failures(f, h1, h2))
 
 
 @dataclass(frozen=True)

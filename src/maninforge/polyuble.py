@@ -7,13 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    Matrix,
     ONE,
     Permutation,
     Subspace,
     Vector,
     ZERO,
-    vector,
 )
 from .homlie import direct_sum, negate_form
 from .manin import ManinTriple, check_manin_isomorphism
@@ -92,6 +90,9 @@ def snake_permutation(m: int, n: int) -> Permutation:
     >>> snake_permutation(2, 2).images  # slots 1..4 -> (1,1),(2,1),(2,2),(1,2)
     (0, 2, 3, 1)
     """
+    for name, size in (("m", m), ("n", n)):
+        if type(size) is not int:
+            raise ValueError(f"{name} must be an int, got {size!r}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
     images = [0] * (m * n)
@@ -103,28 +104,12 @@ def snake_permutation(m: int, n: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def snake_matrix(t: ManinTriple, m: int, n: int) -> Matrix:
-    """The slot permutation blown up to the ambient coordinates of the mn-fold power."""
-    return snake_permutation(m, n).matrix(block=t.algebra.dim)
-
-
-def snake_iso_apply(t: ManinTriple, m: int, n: int, x: Vector) -> Vector:
-    """Apply the snake identification to an ambient coordinate vector: the block
-    of slot i moves, unchanged, to slot snake_permutation(m, n)(i)."""
-    d = t.algebra.dim
-    if len(x) != d * m * n:
-        raise ValueError("vector length does not match the mn-fold ambient space")
-    x = vector(x)
-    blocks = snake_permutation(m, n).permute([x[s * d : (s + 1) * d] for s in range(m * n)])
-    return tuple(v for block in blocks for v in block)
-
-
 def verify_snake_iso(t: ManinTriple, m: int, n: int) -> CheckReport:
     """Certify that the snake map is an isomorphism of split quadratic algebras
     from the mn-fold power onto the n-fold power of the m-fold power."""
     flat = nuble(t, m * n)
     nested = uble_of_uble(t, m, n)
-    return check_manin_isomorphism(snake_matrix(t, m, n), flat, nested)
+    return check_manin_isomorphism(snake_permutation(m, n).columns(t.algebra.dim), flat, nested)
 
 
 # ---------------------------------------------------------------------------

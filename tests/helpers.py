@@ -9,6 +9,7 @@ from maninforge.core import (
     ONE,
     ZERO,
     Matrix,
+    Permutation,
     SparseTensor,
     Subspace,
     Vector,
@@ -186,6 +187,17 @@ def dense_contains(space: Subspace, v: Vector) -> bool:
 
 def dense_map_subspace(m: Matrix, space: Subspace) -> Subspace:
     return dense_span(len(m), [dense_mat_vec(m, row) for row in space.rows])
+
+
+def dense_block_permutation(p: Permutation, block: int) -> Matrix:
+    """Dense permutation matrix of p (columns index the source), blown up to
+    block size: the block of slot i moves to slot p(i)."""
+    n = p.n * block
+    rows = [[ZERO] * n for _ in range(n)]
+    for i, j in enumerate(p.images):
+        for b in range(block):
+            rows[j * block + b][i * block + b] = ONE
+    return tuple(tuple(row) for row in rows)
 
 
 def dense_check_homomorphism(f: Matrix, h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    dense_block_permutation,
     dense_contains,
     dense_map_subspace,
     dense_mat_vec,
@@ -20,6 +21,7 @@ from helpers import (
 )
 from maninforge.core import (
     Permutation,
+    _apply_columns,
     SparseTensor,
     Subspace,
     annihilator,
@@ -37,7 +39,6 @@ from maninforge.core import (
     orthogonal_complement,
     rational,
     rref,
-    solve,
     sparse_columns,
     subspace_contains,
     subspace_equal,
@@ -48,9 +49,10 @@ from maninforge.core import (
     vector,
     wedge,
     wedge3_basis,
-    wedge_t2_v1,
+    wedge_t2_v1_into,
     zero_vector,
 )
+from maninforge.polyuble import snake_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +102,16 @@ def test_rank_plus_nullity_is_column_count():
             assert mat_vec(m, v) == zero_vector(rows)
 
 
-def test_solve_and_inverse_agree():
+def test_inverse_is_a_two_sided_inverse():
     rng = random.Random(11)
     for _ in range(25):
         n = rng.randint(1, 5)
         a = rand_invertible(rng, n)
         b = rand_int_vector(rng, n)
-        x = solve(a, b)
-        assert mat_vec(a, x) == b
         inv = inverse(a)
         assert mat_mul(a, inv) == identity_matrix(n)
-        assert mat_vec(inv, b) == x
+        assert mat_mul(inv, a) == identity_matrix(n)
+        assert mat_vec(a, mat_vec(inv, b)) == b
 
 
 def test_determinant_values_and_multiplicativity():
@@ -126,19 +127,11 @@ def test_determinant_values_and_multiplicativity():
         determinant(matrix([[1, 0, 5], [0, 1, 7]]))
 
 
-def test_singular_matrix_rejected_by_solve_and_inverse():
-    singular = matrix([[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
-        solve(singular, (Fraction(1), Fraction(0)))
-    with pytest.raises(ValueError):
-        inverse(singular)
-    wide = matrix([[1, 0, 5], [0, 1, 7]])
+def test_singular_or_non_square_matrix_rejected_by_inverse():
+    with pytest.raises(ValueError, match="singular"):
+        inverse(matrix([[1, 2], [2, 4]]))
     with pytest.raises(ValueError, match="must be 2x2"):
-        solve(wide, (Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError, match="must be 2x2"):
-        inverse(wide)
-    with pytest.raises(ValueError, match="length 2"):
-        solve(identity_matrix(2), (Fraction(1),))
+        inverse(matrix([[1, 0, 5], [0, 1, 7]]))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +249,13 @@ def test_wedge_t2_v1_matches_basis_expansion():
     e0, e1, e2 = (unit_vector(3, i) for i in range(3))
     expect = SparseTensor.zero(3, 3)
     wedge3_basis(expect, 0, 1, 2, Fraction(1))
-    assert wedge_t2_v1(wedge(e0, e1), e2) == expect
-    assert wedge_t2_v1(wedge(e0, e1), e0).is_zero
+    out = SparseTensor.zero(3, 3)
+    wedge_t2_v1_into(out, wedge(e0, e1), {2: Fraction(1)}, Fraction(1))
+    assert out == expect
+    wedge_t2_v1_into(out, wedge(e0, e1), {0: Fraction(5)}, Fraction(3))
+    assert out == expect
+    wedge_t2_v1_into(out, wedge(e0, e1), {2: Fraction(1)}, Fraction(-1, 2))
+    assert out == expect.scale(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +276,9 @@ def test_membership_and_containment():
     assert subspace_contains(Subspace.full(3), q)
     assert not subspace_contains(q, Subspace.full(3))
     assert subspace_contains(q, Subspace.zero(3))
+    assert subspace_contains(q, Subspace.span(3, [[-3, 0, -3]]))
+    assert not subspace_contains(Subspace.span(3, [[1, 0, 1], [0, 1, 0]]), Subspace.span(3, [[1, 1, 0]]))
+    assert not subspace_contains(Subspace.full(2), Subspace.zero(3))
 
 
 def test_subspace_sum_dims():
@@ -376,7 +377,7 @@ def reference_matrices(draw, n_rows=None, n_cols=None):
     if kind == "block_permutation" and rows == cols:
         block = draw(st.sampled_from([b for b in (1, 2, 3) if rows % b == 0]))
         images = draw(st.permutations(list(range(rows // block))))
-        return Permutation(tuple(images)).matrix(block=block)
+        return dense_block_permutation(Permutation(tuple(images)), block)
     if kind == "dense":
         return tuple(tuple(draw(_nonzero_entries) for _ in range(cols)) for _ in range(rows))
     zero_rows = draw(st.sets(st.integers(0, rows - 1)))
@@ -444,8 +445,15 @@ def test_map_subspace_matches_the_dense_reference(pair):
 
 
 def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+    for images in ((0, 0, 1), (1, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images)
+    for images, bad in (((1.0, 0.0), "1.0"), ((0, 2.0, 1), "2.0"), ((True, False), "True"), ((0, True), "True")):
+        with pytest.raises(ValueError, match=f"entry {bad} is not an int"):
+            Permutation(images)
+    for m, n, match in ((2.0, 2, "m must be an int, got 2.0"), (2, True, "n must be an int, got True"), (0, 2, "at least 1")):
+        with pytest.raises(ValueError, match=match):
+            snake_permutation(m, n)
 
 
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
@@ -459,21 +467,22 @@ def test_permutation_compose_inverse_sign(p_images, q_images):
 
 
 def test_permute_moves_slots_to_images():
+    """The block columns move the entries of slot i, unchanged, to slot images[i]."""
     p = Permutation((1, 2, 0))
-    assert p.permute(("a", "b", "c")) == ("c", "a", "b")
+    x = {0: Fraction(1), 1: Fraction(2), 2: Fraction(3), 5: Fraction(6)}
+    assert _apply_columns(p.columns(block=2), x) == {2: 1, 3: 2, 4: 3, 1: 6}
 
 
 def test_permutation_matrix_action_matches_call():
     p = Permutation((2, 0, 1))
-    m = p.matrix()
-    for i in range(3):
-        assert mat_vec(m, unit_vector(3, i)) == unit_vector(3, p(i))
+    assert p.columns() == [{p(i): 1} for i in range(3)]
 
 
 def test_permutation_block_matrix():
     p = Permutation((1, 0))
-    m = p.matrix(block=2)
-    assert m == matrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    cols = p.columns(block=2)
+    assert cols == sparse_columns(matrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]))
+    assert Permutation(()).columns(block=3) == []
 
 
 def test_transpose_of_permutation_matrix_is_inverse():
@@ -482,4 +491,7 @@ def test_transpose_of_permutation_matrix_is_inverse():
         images = list(range(5))
         rng.shuffle(images)
         p = Permutation(tuple(images))
-        assert transpose(p.matrix()) == p.inverse().matrix()
+        for block in (1, 2, 3):
+            dense = dense_block_permutation(p, block)
+            assert p.columns(block) == sparse_columns(dense)
+            assert p.inverse().columns(block) == sparse_columns(transpose(dense))

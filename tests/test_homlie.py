@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import dense_check_homomorphism, rand_fraction
-from maninforge.core import identity_matrix, mat_vec, matrix
+from maninforge.core import identity_matrix, mat_vec, matrix, sparse_columns
 from maninforge.homlie import (
     HomLieAlgebra,
     LinearRep,
@@ -135,40 +135,49 @@ def test_pair_rejects_vectors_of_the_wrong_length(x, y):
 
 def test_identity_and_twist_are_self_homomorphisms():
     h = sl2_twisted()
-    assert check_homomorphism(identity_matrix(3), h, h).passed
-    assert check_homomorphism(h.phi, h, h).passed
+    assert check_homomorphism(sparse_columns(identity_matrix(3)), h, h).passed
+    assert check_homomorphism(sparse_columns(h.phi), h, h).passed
 
 
 def test_scaling_map_between_abelian_algebras():
     a = HomLieAlgebra.create(2, {})
-    assert check_homomorphism(matrix([[2, 0], [0, 2]]), a, a).passed
+    assert check_homomorphism(sparse_columns(matrix([[2, 0], [0, 2]])), a, a).passed
 
 
 def test_basis_swap_is_not_a_homomorphism():
     h = sl2_lie()
     swap = matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    report = check_homomorphism(swap, h, h)
+    report = check_homomorphism(sparse_columns(swap), h, h)
     assert not report.passed
     assert any(f.check == "bracket_preserved" for f in report.failures)
 
 
 def test_homomorphism_requires_twist_compatibility():
     twisted, plain = sl2_twisted(), sl2_lie()
-    report = check_homomorphism(identity_matrix(3), twisted, plain)
+    report = check_homomorphism(sparse_columns(identity_matrix(3)), twisted, plain)
     assert not report.passed
     assert any(f.check == "twist_intertwine" for f in report.failures)
 
 
-@pytest.mark.parametrize("f", [[[1, 0, 0], [0, 1, 0]], [[1, 0]] * 6, [[1, 0, 0]] * 5 + [[1, 0]], []])
-def test_homomorphism_rejects_a_map_of_the_wrong_shape(f):
-    """Maps from sl2 into sl2 + sl2 must be 6x3."""
+@pytest.mark.parametrize(
+    "f, problem",
+    [
+        ([{0: 1}, {1: 1}], "got 2 columns"),
+        ([{0: 1}, {1: 1}, {2: 1}, {3: 1}], "got 4 columns"),
+        ([{0: 1}, {1: 1}, {6: 1}], "column 2 has row index 6 outside range"),
+        (matrix([[1, 0, 0, 0, 0, 0]] * 3), "column 0 is a tuple, not a mapping"),
+    ],
+    ids=["f0", "f1", "f2", "f3"],
+)
+def test_homomorphism_rejects_a_map_of_the_wrong_shape(f, problem):
+    """Maps from sl2 into sl2 + sl2 have 3 columns with row indices below 6."""
     h1, h2 = sl2_lie(), direct_sum(sl2_lie(), sl2_twisted())
-    with pytest.raises(ValueError, match="map must be 6x3"):
-        check_homomorphism(matrix(f), h1, h2)
+    with pytest.raises(ValueError, match=f"map must be 6x3 .*{problem}"):
+        check_homomorphism(f, h1, h2)
 
 
 def test_zero_map_into_the_zero_algebra_is_a_homomorphism():
-    assert check_homomorphism((), sl2_twisted(), HomLieAlgebra.create(0, {})).passed
+    assert check_homomorphism([{}, {}, {}], sl2_twisted(), HomLieAlgebra.create(0, {})).passed
 
 
 @given(st.integers(0, 2**30), st.sampled_from((0, 1, 3)))
@@ -182,7 +191,7 @@ def test_homomorphism_reports_match_the_dense_reference(seed, zeros_in_four):
         matrix([[int(r == c) for c in range(3)] for r in range(6)]),
         matrix([[int(r == c + 3) for c in range(3)] for r in range(6)]),
     ]
-    reports = [check_homomorphism(f, h1, h2) for f in maps]
+    reports = [check_homomorphism(sparse_columns(f), h1, h2) for f in maps]
     for f, report in zip(maps, reports):
         assert report.failures == dense_check_homomorphism(f, h1, h2).failures
     assert reports[1].passed and not reports[2].passed

@@ -8,8 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import dense_check_manin_isomorphism, dense_coboundary_cobracket, rand_invertible, rand_tensor
-from maninforge.core import Permutation, identity_matrix, matrix, subspace_equal, Subspace, unit_vector
+from helpers import (
+    dense_block_permutation,
+    dense_check_manin_isomorphism,
+    dense_coboundary_cobracket,
+    rand_invertible,
+    rand_tensor,
+)
+from maninforge.core import Permutation, identity_matrix, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
 from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_quadratic
 from maninforge.manin import (
     ManinTriple,
@@ -141,12 +147,12 @@ def test_canonical_r_double():
 
 def test_identity_is_a_triple_isomorphism():
     for t in worked_triples():
-        assert check_manin_isomorphism(identity_matrix(t.dim), t, t).passed
+        assert check_manin_isomorphism(sparse_columns(identity_matrix(t.dim)), t, t).passed
 
 
 def test_form_scaling_breaks_isomorphism():
     hyp = hyperbolic_triple()
-    report = check_manin_isomorphism(matrix([[2, 0], [0, 1]]), hyp, hyp)
+    report = check_manin_isomorphism(sparse_columns(matrix([[2, 0], [0, 1]])), hyp, hyp)
     assert not report.passed
     assert all(f.check == "form_preserved" for f in report.failures)
 
@@ -155,43 +161,79 @@ def test_half_swap_breaks_part_alignment():
     """Swapping the two coordinates preserves the form and the (zero) bracket
     but exchanges the halves."""
     hyp = hyperbolic_triple()
-    report = check_manin_isomorphism(matrix([[0, 1], [1, 0]]), hyp, hyp)
+    report = check_manin_isomorphism(sparse_columns(matrix([[0, 1], [1, 0]])), hyp, hyp)
     assert {f.check for f in report.failures} == {"part1_image", "part2_image"}
 
 
 def test_shape_mismatch_is_a_single_failure():
     hyp, gph = worked_triples()[:2]
-    report = check_manin_isomorphism(identity_matrix(2), hyp, gph)
+    report = check_manin_isomorphism(sparse_columns(identity_matrix(2)), hyp, gph)
     assert [f.check for f in report.failures] == ["shape"]
 
 
-@pytest.mark.parametrize("f", [[[1], [0]], [[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [[1, 0]]])
+@pytest.mark.parametrize(
+    "f",
+    [
+        [{0: 1}],  # one column too few
+        [{0: 1}, {1: 1}, {}],  # one column too many
+        [{0: 1}, {2: 1}],  # a row index outside range(2)
+        identity_matrix(2),  # dense rows, not mappings
+    ],
+)
 def test_non_square_or_ragged_map_is_a_single_shape_failure(f):
     hyp = hyperbolic_triple()
-    report = check_manin_isomorphism(matrix(f), hyp, hyp)
+    report = check_manin_isomorphism(f, hyp, hyp)
     assert [(x.check, x.index) for x in report.failures] == [("shape", (2, 2, len(f)))]
 
 
-def test_isomorphism_reports_match_the_dense_reference_on_slot_permutations():
-    """Every slot regrouping of the four-fold power of the sl2 double, the snake
-    and 23 wrong ones, fails exactly as the dense reference says."""
-    d2 = triple_double(special_linear_data(2))
-    flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
+def _check_slot_regroupings(base: ManinTriple) -> None:
+    """Every slot regrouping of the four-fold power of base, the snake and 23
+    wrong ones, fails exactly as the dense reference says."""
+    flat, nested = nuble(base, 4), uble_of_uble(base, 2, 2)
     passed = 0
     for images in itertools.permutations(range(4)):
-        f = Permutation(images).matrix(block=d2.dim)
-        report = check_manin_isomorphism(f, flat, nested)
-        assert report.failures == dense_check_manin_isomorphism(f, flat, nested).failures, images
+        p = Permutation(images)
+        report = check_manin_isomorphism(p.columns(base.dim), flat, nested)
+        dense = dense_check_manin_isomorphism(dense_block_permutation(p, base.dim), flat, nested)
+        assert report.failures == dense.failures, images
         passed += report.passed
     assert passed == 1
+
+
+def test_isomorphism_reports_match_the_dense_reference_on_slot_permutations():
+    _check_slot_regroupings(triple_double(special_linear_data(2)))
+
+
+def test_isomorphism_reports_match_the_dense_reference_on_sl3_slot_permutations():
+    """The same at dim 64."""
+    _check_slot_regroupings(triple_double(special_linear_data(3)))
 
 
 @given(st.integers(0, 2**30), st.sampled_from((0, 1, 2)))
 def test_isomorphism_reports_match_the_dense_reference_on_random_maps(seed, which):
     t = worked_triples()[which]
     f = rand_invertible(random.Random(seed), t.dim)
-    report = check_manin_isomorphism(f, t, t)
+    report = check_manin_isomorphism(sparse_columns(f), t, t)
     assert report.failures == dense_check_manin_isomorphism(f, t, t).failures
+
+
+@given(st.integers(0, 2**30), st.sampled_from((0, 1, 2)))
+def test_isomorphism_reports_match_the_dense_reference_with_an_unsymmetric_form(seed, which):
+    """One form entry of the target changed on one side of the diagonal only,
+    so the pulled-back residual is not symmetric either."""
+    rng = random.Random(seed)
+    t = worked_triples()[which]
+    i, j = rng.sample(range(t.dim), 2)
+    form = [list(row) for row in t.form]
+    form[i][j] += rng.choice((-2, -1, 1, 2))
+    h = t.algebra
+    skewed = ManinTriple(HomLieAlgebra.unchecked(h.dim, h.brackets, h.phi, form), t.part1, t.part2)
+    for f in (identity_matrix(t.dim), rand_invertible(rng, t.dim)):
+        for source, target in ((t, skewed), (skewed, t)):
+            report = check_manin_isomorphism(sparse_columns(f), source, target)
+            assert report.failures == dense_check_manin_isomorphism(f, source, target).failures
+    report = check_manin_isomorphism(sparse_columns(identity_matrix(t.dim)), t, skewed)
+    assert [(x.check, x.index) for x in report.failures] == [("form_preserved", (i, j))]
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import dense_nuble, rand_vector
+import maninforge.core
+import maninforge.manin
+from helpers import dense_block_permutation, dense_nuble, rand_vector
 from maninforge.core import (
     Permutation,
+    _apply_columns,
     mat_mul,
     mat_vec,
-    matrix,
+    sparse_columns,
     subspace_equal,
     transpose,
 )
@@ -28,8 +32,6 @@ from maninforge.polyuble import (
     chain_graph_dot,
     nuble,
     render_graph,
-    snake_iso_apply,
-    snake_matrix,
     snake_permutation,
     uble_of_uble,
     verify_snake_iso,
@@ -140,31 +142,22 @@ def test_snake_permutation_reverses_on_even_inner_copies():
     assert snake_permutation(2, 3).images == (0, 2, 4, 5, 3, 1)
 
 
-def test_snake_matrix_is_block_permutation():
-    t = hyperbolic_triple()
-    m = snake_matrix(t, 2, 2)
-    assert m == snake_permutation(2, 2).matrix(block=2)
-    assert transpose(m) == snake_permutation(2, 2).inverse().matrix(block=2)
-
-
 def test_snake_apply_moves_slot_contents():
-    t = hyperbolic_triple()
-    x = tuple(map(int, (1, 2, 3, 4, 5, 6, 7, 8)))
-    out = snake_iso_apply(t, 2, 2, x)
+    """The certified map moves the block of slot i, unchanged, to slot snake(i)."""
+    x = tuple(map(Fraction, (1, 2, 3, 4, 5, 6, 7, 8)))
+    out = _apply_columns(snake_permutation(2, 2).columns(2), dict(enumerate(x)))
     images = snake_permutation(2, 2).images
     for s in range(4):
         dst = images[s]
-        assert out[2 * dst : 2 * dst + 2] == x[2 * s : 2 * s + 2]
-    with pytest.raises(ValueError):
-        snake_iso_apply(t, 2, 2, x[:6])
+        assert (out[2 * dst], out[2 * dst + 1]) == x[2 * s : 2 * s + 2]
 
 
 def test_snake_apply_matches_the_snake_matrix_at_dimension_64():
     t = triple_double(special_linear_data(3))
     x = rand_vector(random.Random(31), 64)
-    assert snake_iso_apply(t, 2, 2, x) == mat_vec(snake_matrix(t, 2, 2), x)
-    with pytest.raises(ValueError):
-        snake_iso_apply(t, 2, 2, x + x[:1])
+    out = _apply_columns(snake_permutation(2, 2).columns(t.dim), {i: v for i, v in enumerate(x) if v})
+    dense = mat_vec(dense_block_permutation(snake_permutation(2, 2), t.dim), x)
+    assert out == {i: v for i, v in enumerate(dense) if v}
 
 
 def test_snake_is_an_isomorphism_hyperbolic_all_small_shapes():
@@ -187,7 +180,7 @@ def test_snake_is_the_unique_slot_regrouping_two_by_two():
     winners = []
     for images in itertools.permutations(range(4)):
         p = Permutation(images)
-        if check_manin_isomorphism(p.matrix(block=2), flat, nested).passed:
+        if check_manin_isomorphism(p.columns(2), flat, nested).passed:
             winners.append(images)
     assert winners == [snake_permutation(2, 2).images]
 
@@ -197,7 +190,7 @@ def test_snake_preserves_the_pairing():
     flat one (the form-functoriality half of the isomorphism, in isolation)."""
     for t in (hyperbolic_triple(), triple_g_plus_h(special_linear_data(2))):
         for m, n in ((2, 2), (3, 2), (2, 3)):
-            s = snake_matrix(t, m, n)
+            s = dense_block_permutation(snake_permutation(m, n), t.dim)
             flat = nuble(t, m * n)
             nested = uble_of_uble(t, m, n)
             assert mat_mul(transpose(s), mat_mul(nested.form, s)) == flat.form
@@ -209,8 +202,11 @@ def test_snake_tower_coherence_two_cubed():
     snaking each inner four-fold block."""
     t = hyperbolic_triple()
     inner = nuble(t, 2)
-    path_a = mat_mul(snake_matrix(inner, 2, 2), snake_matrix(t, 2, 4))
-    s_in = snake_matrix(t, 2, 2)
+    path_a = mat_mul(
+        dense_block_permutation(snake_permutation(2, 2), inner.dim),
+        dense_block_permutation(snake_permutation(2, 4), t.dim),
+    )
+    s_in = dense_block_permutation(snake_permutation(2, 2), t.dim)
     half = len(s_in)
     lifted = tuple(
         tuple(
@@ -219,10 +215,24 @@ def test_snake_tower_coherence_two_cubed():
         )
         for i in range(2 * half)
     )
-    path_b = mat_mul(lifted, snake_matrix(t, 4, 2))
+    path_b = mat_mul(lifted, dense_block_permutation(snake_permutation(4, 2), t.dim))
     assert path_a == path_b
     target = nuble(nuble(inner, 2), 2)
-    assert check_manin_isomorphism(path_a, nuble(t, 8), target).passed
+    assert check_manin_isomorphism(sparse_columns(path_a), nuble(t, 8), target).passed
+
+
+def test_snake_certificate_needs_no_dense_matrix_product(monkeypatch):
+    """Work-count guard: once the base triples are built, certifying the snake
+    forms no dense matrix product, so the form pullback stays sparse."""
+    d2, d3 = triple_double(special_linear_data(2)), triple_double(special_linear_data(3))
+
+    def refuse(*args):
+        raise AssertionError("dense mat_mul called")
+
+    monkeypatch.setattr(maninforge.manin, "mat_mul", refuse)
+    monkeypatch.setattr(maninforge.core, "mat_mul", refuse)
+    assert verify_snake_iso(d3, 2, 2).passed
+    assert verify_snake_iso(d2, 3, 3).passed
 
 
 # ---------------------------------------------------------------------------

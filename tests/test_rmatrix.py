@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_hcyb, dense_hom_schouten, rand_fraction, rand_phi_fixed_skew, rand_vector
+from helpers import dense_hcyb, dense_hom_schouten, dense_wedge_t2_v1, rand_fraction, rand_phi_fixed_skew, rand_vector
 from maninforge.core import (
     SparseTensor,
     inverse,
@@ -19,7 +19,6 @@ from maninforge.core import (
     vec_dot,
     wedge,
     wedge3_basis,
-    wedge_t2_v1,
 )
 from maninforge.homlie import HomLieAlgebra, direct_sum
 from maninforge.manin import (
@@ -237,14 +236,14 @@ def test_vector_bivector_bracket_matches_leibniz_expansion_untwisted():
 def test_vector_trivector_bracket_matches_leibniz_expansion_untwisted():
     h = sl2_lie()
     rng = random.Random(47)
-    top = wedge_t2_v1(wedge(unit_vector(3, 0), unit_vector(3, 1)), unit_vector(3, 2))
+    top = dense_wedge_t2_v1(wedge(unit_vector(3, 0), unit_vector(3, 1)), unit_vector(3, 2))
     basis = [unit_vector(3, i) for i in range(3)]
     for _ in range(10):
         x = rand_vector(rng, 3)
         expect = (
-            wedge_t2_v1(wedge(h.bracket(x, basis[0]), basis[1]), basis[2])
-            + wedge_t2_v1(wedge(basis[0], h.bracket(x, basis[1])), basis[2])
-            + wedge_t2_v1(wedge(basis[0], basis[1]), h.bracket(x, basis[2]))
+            dense_wedge_t2_v1(wedge(h.bracket(x, basis[0]), basis[1]), basis[2])
+            + dense_wedge_t2_v1(wedge(basis[0], h.bracket(x, basis[1])), basis[2])
+            + dense_wedge_t2_v1(wedge(basis[0], basis[1]), h.bracket(x, basis[2]))
         )
         assert hom_schouten(h, vec_tensor(x), top) == expect
 
@@ -252,7 +251,7 @@ def test_vector_trivector_bracket_matches_leibniz_expansion_untwisted():
 def test_unsupported_degree_pairs_rejected():
     h = sl2_twisted()
     b2 = wedge(unit_vector(3, 0), unit_vector(3, 1))
-    b3 = wedge_t2_v1(b2, unit_vector(3, 2))
+    b3 = dense_wedge_t2_v1(b2, unit_vector(3, 2))
     for a, b in ((b2, b3), (b3, b2), (b3, b3)):
         with pytest.raises(ValueError):
             hom_schouten(h, a, b)
