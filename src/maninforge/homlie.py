@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 
 from .core import (
     Matrix,
+    ONE,
     Vector,
     ZERO,
     _apply_columns,
@@ -164,6 +165,48 @@ def _accumulate(out: dict, key, value: Fraction) -> None:
         out[key] = total
 
 
+def _holders(vectors: Sequence[Mapping[int, Fraction]]) -> dict[int, list[tuple[int, Fraction]]]:
+    """index -> [(position, entry)] over a family of sparse vectors."""
+    holders: dict[int, list[tuple[int, Fraction]]] = {}
+    for a, v in enumerate(vectors):
+        for i, x in v.items():
+            holders.setdefault(i, []).append((a, x))
+    return holders
+
+
+def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
+    """{(a, b): [v_a, v_b]} for a < b over a family of sparse vectors, zero
+    brackets absent, accumulated from the bracket keys through the vectors
+    holding each index: two vectors that no key reaches cost nothing."""
+    holders = _holders(vectors)
+    out: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j), coeffs in h.brackets.items():
+        for a, x in holders.get(i, ()):
+            for b, y in holders.get(j, ()):
+                if a != b:
+                    index, scale = ((a, b), x * y) if a < b else ((b, a), -x * y)
+                    w = out.setdefault(index, {})
+                    for k, c in coeffs.items():
+                        _accumulate(w, k, scale * c)
+    return {index: w for index, w in out.items() if w}
+
+
+def _pairings(form: Matrix, left: Sequence[Mapping], right: Sequence[Mapping] | None = None) -> dict:
+    """The nonzero {(a, b): <left_a, right_b>} under the Gram matrix form, right
+    defaulting to left, accumulated from the form's nonzero entries."""
+    left_holders = _holders(left)
+    right_holders = left_holders if right is None else _holders(right)
+    out: dict[tuple[int, int], Fraction] = {}
+    for i, xs in left_holders.items():
+        for j, g in enumerate(form[i]):
+            if g and j in right_holders:
+                for a, x in xs:
+                    xg = x * g
+                    for b, y in right_holders[j]:
+                        _accumulate(out, (a, b), xg * y)
+    return out
+
+
 def _dense(h: HomLieAlgebra, xs: dict[int, Fraction]) -> Vector:
     out = [ZERO] * h.dim
     for i, v in xs.items():
@@ -209,17 +252,23 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     return CheckReport("hom_jacobi", failures)
 
 
+def _bracket_failures(f_cols: list[dict], h1: HomLieAlgebra, h2: HomLieAlgebra, check: str) -> list[Failure]:
+    """Where f[b_i, b_j] = [f(b_i), f(b_j)] fails on a basis pair i < j of h1, for
+    the map with sparse columns f_cols into h2.  Both sides vanish unless (i, j)
+    is a bracket key of h1 or `_pair_brackets` reaches it."""
+    images = _pair_brackets(h2, f_cols)
+    failures = []
+    for index in h1.brackets.keys() | images.keys():
+        lhs = _apply_columns(f_cols, h1.brackets.get(index, {}))
+        rhs = images.get(index, {})
+        if lhs != rhs:
+            failures.append(failure(check, index, _residual(h2, lhs, rhs)))
+    return failures
+
+
 def check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
     """phi is multiplicative: phi[x, y] = [phi(x), phi(y)] on all basis pairs."""
-    failures = []
-    phi_cols = sparse_columns(h.phi)
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            lhs = _apply_columns(phi_cols, h.bracket_basis(i, j))
-            rhs = _sparse_bracket(h, phi_cols[i], phi_cols[j])
-            if lhs != rhs:
-                failures.append(failure("twist_morphism", (i, j), _residual(h, lhs, rhs)))
-    return CheckReport("twist_morphism", failures)
+    return CheckReport("twist_morphism", _bracket_failures(sparse_columns(h.phi), h, h, "twist_morphism"))
 
 
 def check_involutive(h: HomLieAlgebra) -> bool:
@@ -241,13 +290,7 @@ def _intertwining_failures(
         rhs = _apply_columns(phi2_cols, f_cols[i])
         if lhs != rhs:
             failures.append(failure("twist_intertwine", (i,), _residual(h2, lhs, rhs)))
-    for i in range(h1.dim):
-        for j in range(i + 1, h1.dim):
-            lhs = _apply_columns(f_cols, h1.bracket_basis(i, j))
-            rhs = _sparse_bracket(h2, f_cols[i], f_cols[j])
-            if lhs != rhs:
-                failures.append(failure("bracket_preserved", (i, j), _residual(h2, lhs, rhs)))
-    return failures
+    return failures + _bracket_failures(f_cols, h1, h2, "bracket_preserved")
 
 
 def check_homomorphism(f: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:
@@ -405,12 +448,11 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     kernel = nullspace(g)
     for v in kernel:
         failures.append(failure("nondegenerate", None, v))
-    lhs_twist = mat_mul(transpose(h.phi), g)
-    rhs_twist = mat_mul(g, h.phi)
-    for i in range(h.dim):
-        for j in range(h.dim):
-            if lhs_twist[i][j] != rhs_twist[i][j]:
-                failures.append(failure("twist_self_adjoint", (i, j), lhs_twist[i][j] - rhs_twist[i][j]))
+    phi_cols, units = sparse_columns(h.phi), [{i: ONE} for i in range(h.dim)]
+    twist = _pairings(g, phi_cols, units)  # <phi b_i, b_j> - <b_i, phi b_j>
+    for index, value in _pairings(g, units, phi_cols).items():
+        _accumulate(twist, index, -value)
+    failures += [failure("twist_self_adjoint", index, value) for index, value in twist.items()]
     # Residual <[b_i,b_j],b_k> - <b_i,[b_j,b_k]>, accumulated from each bracket
     # key (a, b) in both orders, in the left slot through row c of the form and
     # in the right slot through column c (the form need not be symmetric).

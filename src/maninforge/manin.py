@@ -22,10 +22,8 @@ from .core import (
     mat_vec,
     matrix,
     rref,
-    sparse_columns,
     subspace_equal,
     subspace_sum,
-    transpose,
     unit_vector,
     vec_add,
     vec_scale,
@@ -44,6 +42,8 @@ from .homlie import (
     _accumulate,
     _dense,
     _intertwining_failures,
+    _pair_brackets,
+    _pairings,
 )
 from .reporting import CheckReport, combine, failure
 
@@ -72,6 +72,11 @@ class ManinTriple:
             name,
         )
 
+    def __post_init__(self) -> None:
+        for label, part in (("part1", self.part1), ("part2", self.part2)):
+            if part.ambient_dim != self.algebra.dim:
+                raise ValueError(f"{label} has ambient dimension {part.ambient_dim}, expected {self.algebra.dim}")
+
     @property
     def dim(self) -> int:
         return self.algebra.dim
@@ -84,36 +89,15 @@ class ManinTriple:
 
 
 def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
-    """Isotropy, bracket closure, and twist stability of one half.
-
-    The pairings and brackets of the half's basis rows are accumulated from
-    the nonzero form entries and the bracket keys, through the rows holding
-    each index; two rows that no entry reaches pair and bracket to zero."""
+    """Isotropy, bracket closure, and twist stability of one half; the pairings
+    and brackets of its basis rows come from `_pairings` and `_pair_brackets`."""
     failures = []
     h = t.algebra
-    holders: dict[int, list[tuple[int, Fraction]]] = {}  # index -> [(row, entry)]
-    for a, (_, row) in enumerate(part.echelon):
-        for i, x in row.items():
-            holders.setdefault(i, []).append((a, x))
-    pairings: dict[tuple[int, int], Fraction] = {}  # <row a, row b> for a <= b
-    for i, form_row in enumerate(sparse_columns(transpose(t.form))):
-        for j, g in form_row.items():
-            for a, x in holders.get(i, ()):
-                for b, y in holders.get(j, ()):
-                    if a <= b:
-                        _accumulate(pairings, (a, b), x * g * y)
-    for index, value in pairings.items():
-        failures.append(failure("isotropic", index, value))
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}  # [row a, row b] for a < b
-    for (i, j), coeffs in h.brackets.items():
-        for a, x in holders.get(i, ()):
-            for b, y in holders.get(j, ()):
-                if a != b:
-                    index, scale = ((a, b), x * y) if a < b else ((b, a), -x * y)
-                    w = brackets.setdefault(index, {})
-                    for k, c in coeffs.items():
-                        _accumulate(w, k, scale * c)
-    for index, w in brackets.items():
+    rows = [row for _, row in part.echelon]
+    for (a, b), value in _pairings(t.form, rows).items():
+        if a <= b:
+            failures.append(failure("isotropic", (a, b), value))
+    for index, w in _pair_brackets(h, rows).items():
         if not part.contains_sparse(w):
             failures.append(failure("subalgebra", index, _dense(h, w)))
     for a, row in enumerate(part.rows):
@@ -205,25 +189,13 @@ def r_from_splitting(t: ManinTriple) -> SparseTensor:
 def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: ManinTriple) -> CheckReport:
     """The map with sparse columns f (one {row: entry} per basis vector of t1) is
     a triple isomorphism: it preserves bracket, form and twist, and maps each
-    half onto its mate.
-
-    The form residual f^T g2 f - g1 is accumulated from the nonzero entries of
-    g2 through the columns holding each row of f."""
+    half onto its mate.  The form residual f^T g2 f - g1 is the pairing of f's
+    columns under g2, less g1."""
     h1, h2 = t1.algebra, t2.algebra
     if h1.dim != h2.dim or _columns_shape_error(f, h2.dim, h1.dim):
         return CheckReport("manin_isomorphism", [failure("shape", (h1.dim, h2.dim, len(f)))])
     failures = _intertwining_failures(f, h1, h2)
-    holders: dict[int, list[tuple[int, Fraction]]] = {}  # row of f -> [(column, entry)]
-    for i, col in enumerate(f):
-        for a, x in col.items():
-            holders.setdefault(a, []).append((i, x))
-    residual: dict[tuple[int, int], Fraction] = {}
-    for a, form_row in enumerate(t2.form):
-        for b, g in enumerate(form_row):
-            if g:
-                for i, x in holders.get(a, ()):
-                    for j, y in holders.get(b, ()):
-                        _accumulate(residual, (i, j), x * g * y)
+    residual = _pairings(t2.form, f)
     for i, form_row in enumerate(t1.form):
         for j, g in enumerate(form_row):
             if g:

@@ -4,20 +4,21 @@ with respect to the pairing, stability of the symmetric part's sharp image, and
 closure of sharp-image brackets."""
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     Matrix,
     SparseTensor,
     Subspace,
     Vector,
+    _sparse,
     annihilator,
     identity_matrix,
     mat_vec,
     nullspace,
     orthogonal_complement,
 )
-from .homlie import HomLieAlgebra, LinearRep
+from .homlie import HomLieAlgebra, LinearRep, _pair_brackets
 from .manin import ManinTriple
 from .rmatrix import s_sharp_matrix
 from .reporting import CheckReport, failure
@@ -35,45 +36,45 @@ def stabilizer_at(rep: LinearRep, point: Vector) -> Subspace:
     return Subspace.span(len(rep.rho), kernel)
 
 
-def _brackets_in(h: HomLieAlgebra, rows: Sequence[Vector], q: Subspace) -> bool:
-    """Every bracket of two of the rows lies in q."""
-    return all(
-        q.contains(h.bracket(rows[a], rows[b]))
-        for a in range(len(rows))
-        for b in range(a + 1, len(rows))
-    )
+def _require_ambient(q: Subspace, dim: int) -> None:
+    if q.ambient_dim != dim:
+        raise ValueError(f"subspace has ambient dimension {q.ambient_dim}, expected {dim}")
+
+
+def _brackets_in(h: HomLieAlgebra, rows: Sequence[Mapping], q: Subspace) -> bool:
+    """Every bracket of two of the sparse rows lies in q."""
+    return all(q.contains_sparse(w) for w in _pair_brackets(h, rows).values())
 
 
 def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
     """Closure of a subspace under the bracket."""
-    return _brackets_in(h, q.rows, q)
+    _require_ambient(q, h.dim)
+    return _brackets_in(h, [row for _, row in q.echelon], q)
 
 
 def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
     """Stability of a subspace under an endomorphism."""
+    _require_ambient(q, len(phi))
     return all(q.contains(mat_vec(phi, row)) for row in q.rows)
 
 
 def check_coisotropy(t: ManinTriple, q: Subspace) -> bool:
     """Coisotropy inside a triple's ambient pairing: the bracket of any two
     elements of the pairing-complement of q lands back in q."""
-    h = t.algebra
-    if q.ambient_dim != h.dim:
-        raise ValueError("subspace must live in the ambient algebra")
-    return check_coisotropy_form(h, q, t.form)
+    return check_coisotropy_form(t.algebra, q, t.form)
 
 
 def check_coisotropy_form(h: HomLieAlgebra, q: Subspace, form: Matrix) -> bool:
     """Coisotropy with respect to a chosen pairing: with c the pairing-complement
     of q, require [c, c] inside q."""
-    return _brackets_in(h, orthogonal_complement(q, form).rows, q)
+    _require_ambient(q, h.dim)
+    return _brackets_in(h, [row for _, row in orthogonal_complement(q, form).echelon], q)
 
 
 def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
     """Image condition: the symmetric part's sharp map sends the annihilator of q
     into q."""
-    if q.ambient_dim != h.dim:
-        raise ValueError("subspace dimension mismatch")
+    _require_ambient(q, h.dim)
     mat = s_sharp_matrix(h, s)
     return all(q.contains(mat_vec(mat, xi)) for xi in annihilator(q).rows)
 
@@ -81,10 +82,9 @@ def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> b
 def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
     """Bracket-image condition: brackets of sharp images of annihilator covectors
     land in q."""
-    if q.ambient_dim != h.dim:
-        raise ValueError("subspace dimension mismatch")
+    _require_ambient(q, h.dim)
     mat = s_sharp_matrix(h, s)
-    return _brackets_in(h, [mat_vec(mat, xi) for xi in annihilator(q).rows], q)
+    return _brackets_in(h, [_sparse(mat_vec(mat, xi)) for xi in annihilator(q).rows], q)
 
 
 def stabilizer_report(
@@ -93,6 +93,7 @@ def stabilizer_report(
     """Bundle of the subalgebra conditions for one subspace: twist stability,
     coisotropy when a pairing is available, and the two sharp-image conditions
     when a symmetric part is supplied."""
+    _require_ambient(q, h.dim)
     failures = []
     if not check_phi_stable(q, h.phi):
         failures.append(failure("twist_stable"))

@@ -8,6 +8,7 @@ from fractions import Fraction
 from maninforge.core import (
     ONE,
     ZERO,
+    _apply_columns,
     Matrix,
     Permutation,
     SparseTensor,
@@ -23,11 +24,15 @@ from maninforge.core import (
     unit_vector,
     wedge3_basis,
 )
-from maninforge.homlie import HomLieAlgebra, _dense, _sparse_bracket
+from maninforge.homlie import HomLieAlgebra, _dense, _residual, _sparse_bracket
 from maninforge.manin import ManinTriple
 from maninforge.reporting import CheckReport, failure
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
+
+# An invariant form of the twisted sl2 ([e0,e1] = -2e1, [e0,e2] = 2e2,
+# [e1,e2] = e0); the twist is self-adjoint for it.
+SL2_FORM = ((2, 0, 0), (0, 0, -1), (0, -1, 0))
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9) -> Fraction:
@@ -448,9 +453,10 @@ def dense_nuble(t: ManinTriple, n: int) -> ManinTriple:
 
 
 # ---------------------------------------------------------------------------
-# Dense references for the Manin-triple certifier's three scanning parts: the
-# loops over every basis triple (Jacobi, invariance) and over every pair of
-# dense half rows (isotropy, closure, twist stability), kept as oracles for the
+# Dense references for the certifier's scanning parts: the loops over every
+# basis triple (Jacobi, invariance), every basis pair (twist morphism) and
+# every pair of dense rows (isotropy, closure, twist stability, and the
+# bracket conditions of the stabilizer checks), kept as oracles for the
 # sparsity-driven checkers.  Membership goes through `dense_contains` and the
 # twist through `dense_mat_vec`, so neither rests on the code under test.
 
@@ -479,6 +485,18 @@ def dense_check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
                 if total:
                     failures.append(failure("hom_jacobi", (i, j, k), _dense(h, total)))
     return CheckReport("hom_jacobi", failures)
+
+
+def dense_check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
+    failures = []
+    phi_cols = sparse_columns(h.phi)
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            lhs = _apply_columns(phi_cols, h.bracket_basis(i, j))
+            rhs = _sparse_bracket(h, phi_cols[i], phi_cols[j])
+            if lhs != rhs:
+                failures.append(failure("twist_morphism", (i, j), _residual(h, lhs, rhs)))
+    return CheckReport("twist_morphism", failures)
 
 
 def dense_check_quadratic(h: HomLieAlgebra) -> CheckReport:
@@ -530,3 +548,12 @@ def dense_part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport
         if not dense_contains(part, image):
             failures.append(failure("twist_stable", (a,), image))
     return CheckReport(label, failures)
+
+
+def dense_brackets_in(h: HomLieAlgebra, rows, q: Subspace) -> bool:
+    """Every bracket of two of the dense rows lies in q, one pair at a time."""
+    return all(
+        dense_contains(q, h.bracket(rows[a], rows[b]))
+        for a in range(len(rows))
+        for b in range(a + 1, len(rows))
+    )

@@ -1,7 +1,8 @@
 """The sparsity-driven Manin-triple certifier against its frozen dense
-references: the twisted Jacobi check, the quadratic check and the half reports
-compared failure by failure (check, index, exact residual text), and a count of
-basis brackets that keeps the checkers off the d^3 scans."""
+references: the twisted Jacobi check, the twist-morphism check, the quadratic
+check and the half reports compared failure by failure (check, index, exact
+residual text), and counts of basis brackets and dense calls that keep the
+checkers off the d^2 and d^3 scans."""
 from __future__ import annotations
 
 import random
@@ -9,14 +10,17 @@ import random
 import pytest
 
 from helpers import (
+    SL2_FORM,
     dense_check_hom_jacobi,
     dense_check_quadratic,
+    dense_check_twist_morphism,
     dense_mat_vec,
     dense_part_report,
     rand_fraction,
     rand_subspace,
 )
-from maninforge.core import identity_matrix, inverse, map_subspace, mat_mul, matrix, transpose
+from maninforge import homlie, stabilizer
+from maninforge.core import SparseTensor, identity_matrix, inverse, map_subspace, mat_mul, matrix, transpose
 from maninforge.homlie import (
     HomLieAlgebra,
     check_hom_jacobi,
@@ -31,7 +35,7 @@ from maninforge.manin import (
     special_linear_data,
     triple_double,
 )
-from maninforge.polyuble import nuble
+from maninforge.polyuble import nuble, verify_snake_iso
 from maninforge.reporting import combine
 from maninforge.rmatrix import sl2_twisted
 
@@ -47,7 +51,7 @@ def dense_certificate(t: ManinTriple):
         "manin_triple",
         [
             dense_check_hom_jacobi(h),
-            check_twist_morphism(h),
+            dense_check_twist_morphism(h),
             dense_check_quadratic(h),
             dense_part_report(t, t.part1, "part1"),
             dense_part_report(t, t.part2, "part2"),
@@ -183,12 +187,23 @@ def test_twisted_shear_image_matches_the_dense_reference():
     assert {f.check for f in report.failures} >= {"twist_morphism", "quadratic.twist_self_adjoint"}
 
 
+@pytest.mark.parametrize("name", ["D2", "D3"])
+@pytest.mark.parametrize("seed", range(3))
+def test_random_twists_match_the_dense_reference(name, seed):
+    """A seeded sparse twist sends pairs of basis vectors whose bracket is zero
+    onto pairs whose bracket is not, so the twist check must look beyond the
+    bracket keys."""
+    rng = random.Random(seed)
+    h = BASES[name].algebra
+    phi = [[rand_fraction(rng) if rng.randrange(3) == 0 else 0 for _ in range(h.dim)] for _ in range(h.dim)]
+    twisted = HomLieAlgebra.unchecked(h.dim, h.brackets, phi, h.form)
+    report = check_twist_morphism(twisted)
+    assert report.to_json() == dense_check_twist_morphism(twisted).to_json()
+    assert not report.passed
+
+
 # ---------------------------------------------------------------------------
 # Sums of the twisted sl2 (phi = diag(1, -1, -1) on each copy)
-
-# An invariant form of the twisted sl2 ([e0,e1] = -2e1, [e0,e2] = 2e2,
-# [e1,e2] = e0); the twist is self-adjoint for it.
-SL2_FORM = ((2, 0, 0), (0, 0, -1), (0, -1, 0))
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
@@ -217,12 +232,10 @@ def test_twisted_sl2_sums_match_the_dense_reference(copies, seed):
 # Work count
 
 
-def test_checkers_make_fewer_basis_brackets_than_the_scans(monkeypatch):
-    """The d^3 loops called bracket_basis 854,016 times (Jacobi) and 266,240
-    times (quadratic) on this dim-64 power; the count is deterministic."""
-    h = nuble(BASES["D3"], 4).algebra
-    d = h.dim
-    assert d == 64
+@pytest.fixture
+def no_dense_calls(monkeypatch):
+    """Make homlie's mat_mul and the dense HomLieAlgebra.bracket raise, and
+    return a function that reads and resets the count of bracket_basis calls."""
     calls = 0
     original = HomLieAlgebra.bracket_basis
 
@@ -231,9 +244,55 @@ def test_checkers_make_fewer_basis_brackets_than_the_scans(monkeypatch):
         calls += 1
         return original(self, i, j)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense product or bracket called")
+
     monkeypatch.setattr(HomLieAlgebra, "bracket_basis", counting)
+    monkeypatch.setattr(HomLieAlgebra, "bracket", forbidden)
+    monkeypatch.setattr(homlie, "mat_mul", forbidden)
+
+    def taken() -> int:
+        nonlocal calls
+        count, calls = calls, 0
+        return count
+
+    return taken
+
+
+def test_checkers_make_fewer_basis_brackets_than_the_scans(no_dense_calls):
+    """The d^3 loops called bracket_basis 854,016 times (Jacobi) and 266,240
+    times (quadratic) on this dim-64 power; the count is deterministic."""
+    h = nuble(BASES["D3"], 4).algebra
+    d = h.dim
+    assert d == 64
     assert check_hom_jacobi(h).passed
-    jacobi_calls, calls = calls, 0
+    jacobi_calls = no_dense_calls()
     assert check_quadratic(h).passed
     assert 0 < jacobi_calls < d**3
-    assert calls < d**2
+    assert no_dense_calls() < d**2
+
+
+def test_certifier_and_stabilizer_conditions_make_no_dense_call(no_dense_calls):
+    """The twist check and the form checks build no dense product, and the half
+    reports and the stabilizer conditions no dense bracket; the stabilizer
+    conditions are those of the CLI, with S the inverse form."""
+    t = nuble(BASES["D3"], 3)
+    s = SparseTensor.from_matrix(inverse(t.form))
+    assert check_manin_triple(t).passed
+    q = t.part1
+    assert stabilizer.check_coisotropy(t, q)
+    assert stabilizer.check_phi_stable(q, t.algebra.phi)
+    assert stabilizer.check_s_sharp_condition(t.algebra, s, q)
+    assert stabilizer.check_bracket_sharp_condition(t.algebra, s, q)
+
+
+def test_map_checkers_make_fewer_basis_brackets_than_the_pairs(no_dense_calls):
+    """Looping over all d(d-1)/2 basis pairs cost two bracket_basis calls per
+    pair: 20,592 for the snake check at d = 144, 4,032 for the twist check at
+    d = 64."""
+    assert verify_snake_iso(BASES["D3"], 3, 3).passed
+    assert no_dense_calls() < 144 * 143 // 2
+    h = nuble(BASES["D3"], 4).algebra
+    no_dense_calls()
+    assert check_twist_morphism(h).passed
+    assert no_dense_calls() < 64 * 63 // 2

@@ -98,6 +98,15 @@ def test_triple_requires_form():
         ManinTriple.of(bare, [[1, 0]], [[0, 1]]).form
 
 
+@pytest.mark.parametrize("ambient", [14, 4])
+@pytest.mark.parametrize("which", ["part1", "part2"])
+def test_triple_rejects_a_half_of_another_ambient_dimension(ambient, which):
+    d2 = triple_double(special_linear_data(2))
+    halves = {"part1": d2.part1, "part2": d2.part2, which: Subspace.full(ambient)}
+    with pytest.raises(ValueError, match=f"{which} has ambient dimension {ambient}, expected 6"):
+        ManinTriple(d2.algebra, halves["part1"], halves["part2"])
+
+
 # ---------------------------------------------------------------------------
 # Dual bases and the canonical element
 

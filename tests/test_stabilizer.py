@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import SL2_FORM, dense_brackets_in, dense_mat_vec, rand_subspace, rand_tensor
 from maninforge.core import (
     Subspace,
     annihilator,
@@ -15,13 +16,20 @@ from maninforge.core import (
     map_subspace,
     mat_mul,
     mat_vec,
+    orthogonal_complement,
     subspace_equal,
     tensor_skew_sym_split,
     unit_vector,
     vec_dot,
     SparseTensor,
 )
-from maninforge.homlie import LinearRep, adjoint_representation, check_representation
+from maninforge.homlie import (
+    HomLieAlgebra,
+    LinearRep,
+    adjoint_representation,
+    check_representation,
+    direct_sum,
+)
 from maninforge.manin import (
     hyperbolic_triple,
     special_linear_data,
@@ -301,3 +309,74 @@ def test_report_names_each_failed_condition():
     assert [f.check for f in report2.failures] == ["twist_stable"]
     report3 = stabilizer_report(sl2_lie(), None, Subspace.span(3, [[0, 1, 0], [0, 0, 1]]))
     assert [f.check for f in report3.failures] == ["subalgebra"]
+
+
+# ---------------------------------------------------------------------------
+# Ambient dimension
+
+ENTRY_POINTS = {
+    "is_subalgebra": lambda t, s, q: is_subalgebra(t.algebra, q),
+    "check_phi_stable": lambda t, s, q: check_phi_stable(q, t.algebra.phi),
+    "check_coisotropy": lambda t, s, q: check_coisotropy(t, q),
+    "check_coisotropy_form": lambda t, s, q: check_coisotropy_form(t.algebra, q, t.form),
+    "check_s_sharp_condition": lambda t, s, q: check_s_sharp_condition(t.algebra, s, q),
+    "check_bracket_sharp_condition": lambda t, s, q: check_bracket_sharp_condition(t.algebra, s, q),
+    "stabilizer_report": lambda t, s, q: stabilizer_report(t.algebra, s, q, t.form),
+}
+
+
+@pytest.mark.parametrize("ambient", [4, 14])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_condition_rejects_a_subspace_of_another_dimension(entry, ambient):
+    """A line of a smaller or larger space is an error, not a vacuous pass."""
+    t = triple_double(special_linear_data(2))
+    s = SparseTensor.from_matrix(inverse(t.form))
+    q = Subspace.span(ambient, [unit_vector(ambient, 0)])
+    with pytest.raises(ValueError, match=f"ambient dimension {ambient}, expected 6"):
+        ENTRY_POINTS[entry](t, s, q)
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle for the bracket conditions
+
+def oracle_cases():
+    """(name, algebra, form, [subspace]): the halves of D2 and D3, and seeded
+    random subspaces of every dimension 1..d of D2, D3 and two twisted sl2s."""
+    rng = random.Random(107)
+    sl2 = sl2_twisted()
+    sl2_sum = direct_sum(*[HomLieAlgebra.unchecked(3, sl2.brackets, sl2.phi, SL2_FORM)] * 2)
+    cases = []
+    for name, t in (("D2", triple_double(special_linear_data(2))), ("D3", triple_double(special_linear_data(3)))):
+        spaces = [t.part1, t.part2] + [rand_subspace(rng, t.dim, k) for k in range(1, t.dim + 1)]
+        cases.append((name, t.algebra, t.form, spaces))
+    spaces = [rand_subspace(rng, sl2_sum.dim, k) for k in range(1, sl2_sum.dim + 1)]
+    cases.append(("sl2+sl2", sl2_sum, sl2_sum.form, spaces))
+    return cases
+
+
+def test_bracket_conditions_match_the_dense_reference():
+    """is_subalgebra, coisotropy and the sharp-bracket condition agree with
+    dense pairwise brackets, with S the inverse form and a random symmetric S."""
+    rng = random.Random(109)
+    seen = {"subalgebra": set(), "coisotropic": set(), "sharp_brackets": set()}
+    for name, h, form, spaces in oracle_cases():
+        raw = rand_tensor(rng, 2, h.dim, fill=4)
+        tensors = (SparseTensor.from_matrix(inverse(form)), (raw + raw.swap()).scale(Fraction(1, 2)))
+        for q in spaces:
+            outcomes = [
+                ("subalgebra", is_subalgebra(h, q), dense_brackets_in(h, q.rows, q)),
+                (
+                    "coisotropic",
+                    check_coisotropy_form(h, q, form),
+                    dense_brackets_in(h, orthogonal_complement(q, form).rows, q),
+                ),
+            ]
+            for s in tensors:
+                images = [dense_mat_vec(s_sharp_matrix(h, s), xi) for xi in annihilator(q).rows]
+                outcomes.append(
+                    ("sharp_brackets", check_bracket_sharp_condition(h, s, q), dense_brackets_in(h, images, q))
+                )
+            for check, fast, dense in outcomes:
+                assert fast == dense, (name, q.rows, check)
+                seen[check].add(fast)
+    assert all(values == {True, False} for values in seen.values()), seen
