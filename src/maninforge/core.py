@@ -45,14 +45,6 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
-def vec_dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
-
-
 def matrix(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
     """Build an exact matrix from any nested sequence of scalars."""
     return tuple(vector(row) for row in rows)
@@ -322,23 +314,16 @@ class SparseTensor:
         return SparseTensor(2, self.dim, {(j, i): v for (i, j), v in self.entries.items()})
 
     def apply_per_slot(self, maps: Sequence[Matrix]) -> SparseTensor:
-        """Apply one linear map per slot: e_i in slot s maps to sum_a maps[s][a][i] e_a."""
+        """Apply one linear map per slot: e_i in slot s maps to sum_a maps[s][a][i] e_a,
+        read from column i of the map's sparse columns."""
         if len(maps) != self.degree:
             raise ValueError("need one matrix per tensor slot")
-        for s, m in enumerate(maps):
-            _square(m, self.dim, f"map for slot {s}")
+        cols = [sparse_columns(_square(m, self.dim, f"map for slot {s}")) for s, m in enumerate(maps)]
         out = SparseTensor.zero(self.degree, self.dim)
         for idx, v in self.entries.items():
             terms: list[tuple[tuple[int, ...], Fraction]] = [((), v)]
             for s, i in enumerate(idx):
-                m = maps[s]
-                new_terms = []
-                for prefix, coeff in terms:
-                    for a in range(self.dim):
-                        m_ai = m[a][i]
-                        if m_ai != 0:
-                            new_terms.append((prefix + (a,), coeff * m_ai))
-                terms = new_terms
+                terms = [(prefix + (a,), coeff * x) for prefix, coeff in terms for a, x in cols[s][i].items()]
             for full_idx, coeff in terms:
                 out.add_into(full_idx, coeff)
         return out
@@ -359,15 +344,6 @@ class SparseTensor:
                     break
             total += term
         return total
-
-    def to_matrix(self) -> Matrix:
-        """Dense matrix of a degree-2 tensor (entry [i][j] = coefficient of e_i (x) e_j)."""
-        if self.degree != 2:
-            raise ValueError("to_matrix is defined for degree-2 tensors only")
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return tuple(tuple(row) for row in rows)
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> SparseTensor:
@@ -547,6 +523,15 @@ def map_subspace(m: Matrix, space: Subspace) -> Subspace:
     if any(len(row) != space.ambient_dim for row in m):
         raise ValueError(f"map must have {space.ambient_dim} columns, one per source coordinate")
     return _column_image(sparse_columns(m) if m else [{}] * space.ambient_dim, len(m), space)
+
+
+def _images_outside(
+    cols: list[dict[int, Fraction]], space: Subspace, target: Subspace
+) -> list[tuple[int, dict[int, Fraction]]]:
+    """(a, image) for each canonical row a of space whose image under the map
+    with sparse columns cols does not lie in target."""
+    images = ((a, _apply_columns(cols, row)) for a, (_, row) in enumerate(space.echelon))
+    return [(a, image) for a, image in images if not target.contains_sparse(image)]
 
 
 def _column_image(cols: list[dict[int, Fraction]], dim: int, space: Subspace) -> Subspace:

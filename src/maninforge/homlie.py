@@ -107,15 +107,12 @@ class HomLieAlgebra:
             return self.brackets.get((i, j), {})
         return {k: -v for k, v in self.brackets.get((j, i), {}).items()}
 
-    def _require_dim(self, x: Vector, y: Vector, what: str) -> None:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError(
-                f"{what} takes two vectors of length dim={self.dim}, got lengths {len(x)} and {len(y)}"
-            )
-
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""
-        self._require_dim(x, y, "bracket")
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError(
+                f"bracket takes two vectors of length dim={self.dim}, got lengths {len(x)} and {len(y)}"
+            )
         out = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if xi == 0:
@@ -126,21 +123,6 @@ class HomLieAlgebra:
                 for k, c in self.bracket_basis(i, j).items():
                     out[k] += xi * yj * c
         return tuple(out)
-
-    def pair(self, x: Vector, y: Vector) -> Fraction:
-        """Evaluate the bilinear form; requires a form to be present."""
-        if self.form is None:
-            raise ValueError("algebra carries no bilinear form")
-        self._require_dim(x, y, "pair")
-        total = ZERO
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.form[i]
-            for j, yj in enumerate(y):
-                if yj != 0 and row[j] != 0:
-                    total += xi * row[j] * yj
-        return total
 
 
 def _sparse_bracket(h: HomLieAlgebra, xs: dict[int, Fraction], ys: dict[int, Fraction]) -> dict[int, Fraction]:

@@ -14,22 +14,24 @@ from .core import (
     SparseTensor,
     Vector,
     ZERO,
+    _apply_columns,
     _column_image,
     _columns_shape_error,
+    _images_outside,
+    _sparse,
     identity_matrix,
     inverse,
     mat_mul,
     mat_vec,
     matrix,
     rref,
+    sparse_columns,
     subspace_equal,
     subspace_sum,
     unit_vector,
     vec_add,
-    vec_scale,
     vec_sub,
     wedge_into,
-    zero_vector,
 )
 from .homlie import (
     BracketTable,
@@ -90,7 +92,8 @@ class ManinTriple:
 
 def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
     """Isotropy, bracket closure, and twist stability of one half; the pairings
-    and brackets of its basis rows come from `_pairings` and `_pair_brackets`."""
+    and brackets of its basis rows come from `_pairings` and `_pair_brackets`,
+    and the rows the twist moves out of the half from `_images_outside`."""
     failures = []
     h = t.algebra
     rows = [row for _, row in part.echelon]
@@ -100,10 +103,8 @@ def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
     for index, w in _pair_brackets(h, rows).items():
         if not part.contains_sparse(w):
             failures.append(failure("subalgebra", index, _dense(h, w)))
-    for a, row in enumerate(part.rows):
-        image = mat_vec(h.phi, row)
-        if not part.contains(image):
-            failures.append(failure("twist_stable", (a,), image))
+    for a, image in _images_outside(sparse_columns(h.phi), part, part):
+        failures.append(failure("twist_stable", (a,), _dense(h, image)))
     return CheckReport(label, failures)
 
 
@@ -150,26 +151,21 @@ class DualBasisPair:
 
 
 def dual_basis(t: ManinTriple) -> DualBasisPair:
-    """Dual bases of the two halves under the ambient form."""
-    h = t.algebra
-    xi_rows = t.part2.rows
-    x_candidates = t.part1.rows
-    m = len(xi_rows)
-    if len(x_candidates) != m:
+    """Dual bases of the two halves under the ambient form: x_j is the
+    combination of part 1's rows given by column j of the inverse pairing
+    matrix.  Both pairing matrices come from `_pairings` over sparse rows."""
+    if t.part1.dim != t.part2.dim:
         raise ValueError("halves have different dimensions")
-    pairing = tuple(
-        tuple(h.pair(xi_rows[a], x_candidates[b]) for b in range(m)) for a in range(m)
-    )
-    coeffs = inverse(pairing)  # columns give the dual combinations
-    x_basis = []
-    for j in range(m):
-        v = zero_vector(h.dim)
-        for b in range(m):
-            if coeffs[b][j] != 0:
-                v = vec_add(v, vec_scale(coeffs[b][j], x_candidates[b]))
-        x_basis.append(v)
-    gram = tuple(tuple(h.pair(xi_rows[a], x_basis[b]) for b in range(m)) for a in range(m))
-    return DualBasisPair(tuple(x_basis), tuple(xi_rows), gram)
+    m = t.part2.dim
+    xi_rows = [row for _, row in t.part2.echelon]
+
+    def pairing_matrix(right: list[dict[int, Fraction]]) -> Matrix:
+        pairs = _pairings(t.form, xi_rows, right)
+        return tuple(tuple(pairs.get((a, b), ZERO) for b in range(m)) for a in range(m))
+
+    x_rows = [row for _, row in t.part1.echelon]
+    x_basis = [_apply_columns(x_rows, col) for col in sparse_columns(inverse(pairing_matrix(x_rows)))]
+    return DualBasisPair(tuple(_dense(t.algebra, x) for x in x_basis), t.part2.rows, pairing_matrix(x_basis))
 
 
 def r_from_splitting(t: ManinTriple) -> SparseTensor:
@@ -177,12 +173,9 @@ def r_from_splitting(t: ManinTriple) -> SparseTensor:
     pair = dual_basis(t)
     out = SparseTensor.zero(2, t.dim)
     for xi, x in zip(pair.xi_basis, pair.x_basis):
-        for a, xa in enumerate(xi):
-            if xa == 0:
-                continue
-            for b, xb in enumerate(x):
-                if xb != 0:
-                    out.add_into((a, b), xa * xb)
+        for a, xa in _sparse(xi).items():
+            for b, xb in _sparse(x).items():
+                out.add_into((a, b), xa * xb)
     return out
 
 

@@ -13,47 +13,58 @@ from .core import (
     Vector,
     ONE,
     ZERO,
+    _apply_columns,
+    _sparse,
     identity_matrix,
     is_antisymmetric,
     is_symmetric,
-    mat_mul,
-    mat_vec,
     matrix_rank,
     sparse_columns,
     tensor_skew_sym_split,
-    transpose,
-    vec_dot,
     wedge_into,
     wedge_t2_v1_into,
 )
-from .homlie import HomLieAlgebra, _sparse_bracket
+from .homlie import HomLieAlgebra, _accumulate, _dense, _sparse_bracket
 from .reporting import CheckReport, failure
+
+
+def _require_tensor(h: HomLieAlgebra, t: SparseTensor) -> None:
+    """Raise unless t is a degree-2 tensor over the algebra."""
+    if (t.degree, t.dim) != (2, h.dim):
+        raise ValueError(
+            f"expected a tensor of degree 2 and dimension {h.dim}, got degree {t.degree} and dimension {t.dim}"
+        )
 
 
 def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     """The twisted Yang-Baxter residual of a degree-2 tensor r = sum_i x_i (x) y_i:
     sum_ij [x_i,x_j] (x) phi(y_i) (x) phi(y_j) + phi(x_i) (x) [y_i,x_j] (x) phi(y_j)
-    + phi(x_i) (x) phi(x_j) (x) [y_i,y_j]."""
+    + phi(x_i) (x) phi(x_j) (x) [y_i,y_j].
+
+    Each term (s, t, pos) brackets slot s of one entry with slot t of another
+    into position pos, and phi acts on the two slots left over; so the entries
+    are read from r with phi applied to the slot that is not bracketed.  The
+    pairs of entries are enumerated from the bracket keys (p, q), in both
+    orders, through those entries indexed by slot: pairs that meet no key
+    cost nothing."""
     if r.degree != 2 or r.dim != h.dim:
         raise ValueError("r must be a degree-2 tensor over the algebra")
-    phi_cols = sparse_columns(h.phi)
+    ident = identity_matrix(h.dim)
+    by_slot: tuple[dict, dict] = ({}, {})  # slot -> index there -> [(other index, entry)]
+    for (a, b), v in r.apply_per_slot((ident, h.phi)).entries.items():
+        by_slot[0].setdefault(a, []).append((b, v))
+    for (a, b), v in r.apply_per_slot((h.phi, ident)).entries.items():
+        by_slot[1].setdefault(b, []).append((a, v))
     out = SparseTensor.zero(3, h.dim)
-    entries = list(r.entries.items())
-    for (a, b), v in entries:
-        for (c, d), w in entries:
-            coeff = v * w
-            for k1, c1 in h.bracket_basis(a, c).items():
-                for k2, c2 in phi_cols[b].items():
-                    for k3, c3 in phi_cols[d].items():
-                        out.add_into((k1, k2, k3), coeff * c1 * c2 * c3)
-            for k2, c2 in h.bracket_basis(b, c).items():
-                for k1, c1 in phi_cols[a].items():
-                    for k3, c3 in phi_cols[d].items():
-                        out.add_into((k1, k2, k3), coeff * c1 * c2 * c3)
-            for k3, c3 in h.bracket_basis(b, d).items():
-                for k1, c1 in phi_cols[a].items():
-                    for k2, c2 in phi_cols[c].items():
-                        out.add_into((k1, k2, k3), coeff * c1 * c2 * c3)
+    for (p, q), coeffs in h.brackets.items():
+        for i, j, cs in ((p, q, coeffs), (q, p, {k: -c for k, c in coeffs.items()})):
+            for s, t, pos in ((0, 0, 0), (1, 0, 1), (1, 1, 2)):
+                for u, v in by_slot[s].get(i, ()):
+                    for w, x in by_slot[t].get(j, ()):
+                        vx = v * x
+                        for k, c in cs.items():
+                            index = (k, u, w) if pos == 0 else (u, k, w) if pos == 1 else (u, w, k)
+                            out.add_into(index, c * vx)
     return out
 
 
@@ -63,43 +74,55 @@ def cyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     return hcyb(untwisted, r)
 
 
-def _sharp_matrix(h: HomLieAlgebra, t: SparseTensor) -> Matrix:
-    """Matrix of xi -> sum_ab t_ab <phi* xi, e_a> e_b, i.e. (transpose t)(transpose phi)."""
-    rows = [[ZERO] * h.dim for _ in range(h.dim)]
+def _sharp_columns(h: HomLieAlgebra, t: SparseTensor) -> list[dict[int, Fraction]]:
+    """Sparse columns of t#: xi -> sum_ab t_ab <phi* xi, e_a> e_b.  Column c is
+    sum_ab t_ab phi[c][a] e_b, read from column a of phi."""
+    phi_cols = sparse_columns(h.phi)
+    cols: list[dict[int, Fraction]] = [{} for _ in range(h.dim)]
     for (a, b), v in t.entries.items():
-        for c in range(h.dim):
-            p = h.phi[c][a]
-            if p != 0:
-                rows[b][c] += v * p
-    return tuple(tuple(row) for row in rows)
+        for c, p in phi_cols[a].items():
+            _accumulate(cols[c], b, v * p)
+    return cols
+
+
+def _s_sharp_columns(h: HomLieAlgebra, s: SparseTensor) -> list[dict[int, Fraction]]:
+    """Sparse columns of the symmetric part's sharp map, after checking s."""
+    _require_tensor(h, s)
+    if not is_symmetric(s):
+        raise ValueError("sharp of the symmetric part needs a symmetric tensor")
+    return _sharp_columns(h, s)
+
+
+def _apply_sharp(h: HomLieAlgebra, cols: list[dict[int, Fraction]], xi: Vector) -> Vector:
+    """The dense image of the covector xi under the sharp map with columns cols."""
+    if len(xi) != h.dim:
+        raise ValueError(f"covector of length {len(xi)}, expected {h.dim}")
+    return _dense(h, _apply_columns(cols, _sparse(xi)))
 
 
 def sharp_lambda(h: HomLieAlgebra, lam: SparseTensor, xi: Vector) -> Vector:
     """Contract a covector through the skew part's sharp map."""
+    _require_tensor(h, lam)
     if not is_antisymmetric(lam):
         raise ValueError("sharp of the skew part needs an antisymmetric tensor")
-    return mat_vec(_sharp_matrix(h, lam), xi)
+    return _apply_sharp(h, _sharp_columns(h, lam), xi)
 
 
 def sharp_s(h: HomLieAlgebra, s: SparseTensor, xi: Vector) -> Vector:
     """Contract a covector through the symmetric part's sharp map."""
-    if not is_symmetric(s):
-        raise ValueError("sharp of the symmetric part needs a symmetric tensor")
-    return mat_vec(_sharp_matrix(h, s), xi)
+    return _apply_sharp(h, _s_sharp_columns(h, s), xi)
 
 
 def s_sharp_matrix(h: HomLieAlgebra, s: SparseTensor) -> Matrix:
     """Dense matrix of the symmetric part's sharp map (covectors to vectors)."""
-    if not is_symmetric(s):
-        raise ValueError("sharp of the symmetric part needs a symmetric tensor")
-    return _sharp_matrix(h, s)
+    cols = _s_sharp_columns(h, s)
+    return tuple(tuple(col.get(b, ZERO) for col in cols) for b in range(h.dim))
 
 
 def check_hom_ad_invariant(h: HomLieAlgebra, s: SparseTensor) -> CheckReport:
     """Invariance of the symmetric part: for every basis x,
     sum_i [x, x_i] (x) phi(y_i) + phi(x_i) (x) [x, y_i] = 0."""
-    if s.degree != 2:
-        raise ValueError("invariance is defined for degree-2 tensors")
+    _require_tensor(h, s)
     phi_cols = sparse_columns(h.phi)
     failures = []
     for k in range(h.dim):
@@ -212,6 +235,7 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     """Classify r: quasi-triangular when the residual vanishes, the symmetric part
     is invariant, and phi(x)phi(y)-fixedness holds; skew-only when additionally the
     symmetric part is zero; fails otherwise."""
+    _require_tensor(h, r)
     lam, s = tensor_skew_sym_split(r)
     phi_fixed = r.apply_per_slot((h.phi, h.phi)) == r
     s_invariant = check_hom_ad_invariant(h, s).passed
@@ -232,9 +256,11 @@ def hcyb_pairing_check(
 ) -> CheckReport:
     """Randomized identity check: the residual paired with xi (x) eta (x) zeta equals
     <xi,[r-(eta),r-(zeta)]> + <eta,[r-(zeta),r+(xi)]> + <zeta,[r+(xi),r+(eta)]>.
-    Needs an involutive twist fixing r; otherwise inapplicable."""
+    Needs an involutive twist fixing r; otherwise inapplicable.  r+ is the sharp
+    map of r and r- that of -swap(r); brackets and pairings are sparse."""
     from .homlie import check_involutive
 
+    _require_tensor(h, r)
     if not check_involutive(h):
         return CheckReport(
             "hcyb_pairing", applicable=False, reason="twist is not involutive"
@@ -244,11 +270,7 @@ def hcyb_pairing_check(
             "hcyb_pairing", applicable=False, reason="r is not fixed by the twist"
         )
     residual = hcyb(h, r)
-    phi_t = transpose(h.phi)
-    r_mat = r.to_matrix()
-    # r+ = (transpose r)(transpose phi); r- = -(r)(transpose phi)
-    r_plus = mat_mul(transpose(r_mat), phi_t)
-    r_minus = tuple(tuple(-v for v in row) for row in mat_mul(r_mat, phi_t))
+    r_plus, r_minus = _sharp_columns(h, r), _sharp_columns(h, -r.swap())
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
@@ -256,11 +278,15 @@ def hcyb_pairing_check(
             tuple(Fraction(rng.randint(-9, 9)) for _ in range(h.dim)) for _ in range(3)
         )
         lhs = residual.contract((xi, eta, zeta))
-        rhs = (
-            vec_dot(xi, h.bracket(mat_vec(r_minus, eta), mat_vec(r_minus, zeta)))
-            + vec_dot(eta, h.bracket(mat_vec(r_minus, zeta), mat_vec(r_plus, xi)))
-            + vec_dot(zeta, h.bracket(mat_vec(r_plus, xi), mat_vec(r_plus, eta)))
-        )
+        plus_xi, plus_eta = (_apply_columns(r_plus, _sparse(v)) for v in (xi, eta))
+        minus_eta, minus_zeta = (_apply_columns(r_minus, _sparse(v)) for v in (eta, zeta))
+        rhs = ZERO
+        for covector, x, y in (
+            (xi, minus_eta, minus_zeta),
+            (eta, minus_zeta, plus_xi),
+            (zeta, plus_xi, plus_eta),
+        ):
+            rhs += sum((covector[k] * v for k, v in _sparse_bracket(h, x, y).items()), ZERO)
         if lhs != rhs:
             failures.append(failure("pairing", (trial,), lhs - rhs))
     return CheckReport("hcyb_pairing", failures)
@@ -269,6 +295,8 @@ def hcyb_pairing_check(
 def additivity_check(h: HomLieAlgebra, lam: SparseTensor, s: SparseTensor) -> CheckReport:
     """Residual splits over skew + symmetric parts when the symmetric part is
     invariant and the sum is twist-fixed; otherwise inapplicable."""
+    _require_tensor(h, lam)
+    _require_tensor(h, s)
     if not is_antisymmetric(lam):
         raise ValueError("first argument must be antisymmetric")
     if not is_symmetric(s):

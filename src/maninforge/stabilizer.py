@@ -11,16 +11,19 @@ from .core import (
     SparseTensor,
     Subspace,
     Vector,
-    _sparse,
+    _apply_columns,
+    _images_outside,
+    _square,
     annihilator,
     identity_matrix,
     mat_vec,
     nullspace,
     orthogonal_complement,
+    sparse_columns,
 )
 from .homlie import HomLieAlgebra, LinearRep, _pair_brackets
 from .manin import ManinTriple
-from .rmatrix import s_sharp_matrix
+from .rmatrix import _s_sharp_columns
 from .reporting import CheckReport, failure
 
 
@@ -55,7 +58,7 @@ def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
 def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
     """Stability of a subspace under an endomorphism."""
     _require_ambient(q, len(phi))
-    return all(q.contains(mat_vec(phi, row)) for row in q.rows)
+    return not _images_outside(sparse_columns(_square(phi, q.ambient_dim, "phi")), q, q)
 
 
 def check_coisotropy(t: ManinTriple, q: Subspace) -> bool:
@@ -75,16 +78,15 @@ def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> b
     """Image condition: the symmetric part's sharp map sends the annihilator of q
     into q."""
     _require_ambient(q, h.dim)
-    mat = s_sharp_matrix(h, s)
-    return all(q.contains(mat_vec(mat, xi)) for xi in annihilator(q).rows)
+    return not _images_outside(_s_sharp_columns(h, s), annihilator(q), q)
 
 
 def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
     """Bracket-image condition: brackets of sharp images of annihilator covectors
     land in q."""
     _require_ambient(q, h.dim)
-    mat = s_sharp_matrix(h, s)
-    return _brackets_in(h, [_sparse(mat_vec(mat, xi)) for xi in annihilator(q).rows], q)
+    cols = _s_sharp_columns(h, s)
+    return _brackets_in(h, [_apply_columns(cols, xi) for _, xi in annihilator(q).echelon], q)
 
 
 def stabilizer_report(

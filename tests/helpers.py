@@ -15,6 +15,7 @@ from maninforge.core import (
     Subspace,
     Vector,
     determinant,
+    inverse,
     mat_mul,
     mat_vec,
     matrix,
@@ -24,8 +25,8 @@ from maninforge.core import (
     unit_vector,
     wedge3_basis,
 )
-from maninforge.homlie import HomLieAlgebra, _dense, _residual, _sparse_bracket
-from maninforge.manin import ManinTriple
+from maninforge.homlie import HomLieAlgebra, _dense, _residual, _sparse_bracket, check_involutive
+from maninforge.manin import DualBasisPair, ManinTriple
 from maninforge.reporting import CheckReport, failure
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
@@ -78,6 +79,23 @@ def rand_phi_fixed_skew(rng: random.Random, h: HomLieAlgebra, fill: int = 6) -> 
     skew = (t - t.swap()).scale(Fraction(1, 2))
     twisted = skew.apply_per_slot([h.phi, h.phi])
     return (skew + twisted).scale(Fraction(1, 2))
+
+
+def conjugate_algebra(h: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
+    """h written in the basis formed by the columns of the invertible p: dense
+    brackets, twist p^-1 phi p and form p^T g p."""
+    pinv = inverse(p)
+    cols = transpose(p)
+    brackets = {}
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            w = dense_mat_vec(pinv, h.bracket(cols[i], cols[j]))
+            entry = {k: v for k, v in enumerate(w) if v}
+            if entry:
+                brackets[(i, j)] = entry
+    phi = mat_mul(pinv, mat_mul(h.phi, p))
+    form = None if h.form is None else mat_mul(transpose(p), mat_mul(h.form, p))
+    return HomLieAlgebra.unchecked(h.dim, brackets, phi, form)
 
 
 def dense_structure_constants(h: HomLieAlgebra) -> list[list[list[Fraction]]]:
@@ -150,6 +168,11 @@ def dense_vec_dot(u: Vector, v: Vector) -> Fraction:
 
 def dense_mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(dense_vec_dot(row, v) for row in m)
+
+
+def dense_pair(form: Matrix, x: Vector, y: Vector) -> Fraction:
+    """<x, y> under the Gram matrix form, one entry at a time."""
+    return sum((x[i] * form[i][j] * y[j] for i in range(len(x)) for j in range(len(y)) if x[i] and y[j]), ZERO)
 
 
 def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -535,7 +558,7 @@ def dense_part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport
     rows = part.rows
     for a in range(len(rows)):
         for b in range(a, len(rows)):
-            value = h.pair(rows[a], rows[b])
+            value = dense_pair(h.form, rows[a], rows[b])
             if value != 0:
                 failures.append(failure("isotropic", (a, b), value))
     for a in range(len(rows)):
@@ -557,3 +580,74 @@ def dense_brackets_in(h: HomLieAlgebra, rows, q: Subspace) -> bool:
         for a in range(len(rows))
         for b in range(a + 1, len(rows))
     )
+
+
+# ---------------------------------------------------------------------------
+# Dense references for the sharp maps, the pairing identity of the residual and
+# the dual bases of a splitting: the implementations that built dense matrices
+# and paired dense vectors, kept as oracles for the sparse column paths.
+
+
+def dense_sharp_matrix(h: HomLieAlgebra, t: SparseTensor) -> Matrix:
+    """Matrix of xi -> sum_ab t_ab <phi* xi, e_a> e_b, i.e. (transpose t)(transpose phi)."""
+    rows = [[ZERO] * h.dim for _ in range(h.dim)]
+    for (a, b), v in t.entries.items():
+        for c in range(h.dim):
+            p = h.phi[c][a]
+            if p != 0:
+                rows[b][c] += v * p
+    return tuple(tuple(row) for row in rows)
+
+
+def dense_hcyb_pairing_check(h: HomLieAlgebra, residual: SparseTensor, r: SparseTensor, trials: int, seed: int):
+    """The pairing identity of `hcyb_pairing_check` with dense r+ and r-, given
+    the residual of r (`dense_hcyb` is the residual's own oracle)."""
+    if not check_involutive(h):
+        return CheckReport("hcyb_pairing", applicable=False, reason="twist is not involutive")
+    if r.apply_per_slot((h.phi, h.phi)) != r:
+        return CheckReport("hcyb_pairing", applicable=False, reason="r is not fixed by the twist")
+    phi_t = transpose(h.phi)
+    r_mat = tuple(tuple(r.get((i, j)) for j in range(h.dim)) for i in range(h.dim))
+    # r+ = (transpose r)(transpose phi); r- = -(r)(transpose phi)
+    r_plus = mat_mul(transpose(r_mat), phi_t)
+    r_minus = tuple(tuple(-v for v in row) for row in mat_mul(r_mat, phi_t))
+    rng = random.Random(seed)
+    failures = []
+    for trial in range(trials):
+        xi, eta, zeta = (
+            tuple(Fraction(rng.randint(-9, 9)) for _ in range(h.dim)) for _ in range(3)
+        )
+        lhs = residual.contract((xi, eta, zeta))
+        rhs = (
+            dense_vec_dot(xi, h.bracket(dense_mat_vec(r_minus, eta), dense_mat_vec(r_minus, zeta)))
+            + dense_vec_dot(eta, h.bracket(dense_mat_vec(r_minus, zeta), dense_mat_vec(r_plus, xi)))
+            + dense_vec_dot(zeta, h.bracket(dense_mat_vec(r_plus, xi), dense_mat_vec(r_plus, eta)))
+        )
+        if lhs != rhs:
+            failures.append(failure("pairing", (trial,), lhs - rhs))
+    return CheckReport("hcyb_pairing", failures)
+
+
+def dense_dual_basis(t: ManinTriple) -> DualBasisPair:
+    """Dual bases of the two halves, every pairing a dense double loop."""
+    xi_rows, x_candidates = t.part2.rows, t.part1.rows
+    m = len(xi_rows)
+    pairing = tuple(tuple(dense_pair(t.form, xi_rows[a], x_candidates[b]) for b in range(m)) for a in range(m))
+    coeffs = inverse(pairing)
+    x_basis = [
+        tuple(sum((coeffs[b][j] * x_candidates[b][i] for b in range(m)), ZERO) for i in range(t.dim))
+        for j in range(m)
+    ]
+    gram = tuple(tuple(dense_pair(t.form, xi_rows[a], x_basis[b]) for b in range(m)) for a in range(m))
+    return DualBasisPair(tuple(x_basis), tuple(xi_rows), gram)
+
+
+def dense_r_from_splitting(t: ManinTriple) -> SparseTensor:
+    """sum_i xi_i (x) x_i over the dense dual bases."""
+    pair = dense_dual_basis(t)
+    out = SparseTensor.zero(2, t.dim)
+    for xi, x in zip(pair.xi_basis, pair.x_basis):
+        for a in range(t.dim):
+            for b in range(t.dim):
+                out.add_into((a, b), xi[a] * x[b])
+    return out

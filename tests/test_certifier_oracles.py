@@ -11,16 +11,16 @@ import pytest
 
 from helpers import (
     SL2_FORM,
+    conjugate_algebra,
     dense_check_hom_jacobi,
     dense_check_quadratic,
     dense_check_twist_morphism,
-    dense_mat_vec,
     dense_part_report,
     rand_fraction,
     rand_subspace,
 )
-from maninforge import homlie, stabilizer
-from maninforge.core import SparseTensor, identity_matrix, inverse, map_subspace, mat_mul, matrix, transpose
+from maninforge import homlie, manin, stabilizer
+from maninforge.core import SparseTensor, identity_matrix, inverse, map_subspace, mat_mul, matrix
 from maninforge.homlie import (
     HomLieAlgebra,
     check_hom_jacobi,
@@ -32,12 +32,13 @@ from maninforge.manin import (
     ManinTriple,
     _splitting_report,
     check_manin_triple,
+    r_from_splitting,
     special_linear_data,
     triple_double,
 )
 from maninforge.polyuble import nuble, verify_snake_iso
 from maninforge.reporting import combine
-from maninforge.rmatrix import sl2_twisted
+from maninforge.rmatrix import hcyb, sl2_twisted
 
 
 def base_triples() -> dict[str, ManinTriple]:
@@ -130,20 +131,8 @@ def test_perturbations_make_the_certificates_fail():
 
 def change_of_basis(t: ManinTriple, p) -> ManinTriple:
     """t written in the basis formed by the columns of the invertible p."""
-    h = t.algebra
     pinv = inverse(p)
-    cols = transpose(p)
-    brackets = {}
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            w = dense_mat_vec(pinv, h.bracket(cols[i], cols[j]))
-            entry = {k: v for k, v in enumerate(w) if v}
-            if entry:
-                brackets[(i, j)] = entry
-    phi = mat_mul(pinv, mat_mul(h.phi, p))
-    form = mat_mul(transpose(p), mat_mul(h.form, p))
-    algebra = HomLieAlgebra.unchecked(h.dim, brackets, phi, form)
-    return ManinTriple(algebra, map_subspace(pinv, t.part1), map_subspace(pinv, t.part2))
+    return ManinTriple(conjugate_algebra(t.algebra, p), map_subspace(pinv, t.part1), map_subspace(pinv, t.part2))
 
 
 def shear_image(t: ManinTriple, shears: int, seed: int) -> ManinTriple:
@@ -234,8 +223,9 @@ def test_twisted_sl2_sums_match_the_dense_reference(copies, seed):
 
 @pytest.fixture
 def no_dense_calls(monkeypatch):
-    """Make homlie's mat_mul and the dense HomLieAlgebra.bracket raise, and
-    return a function that reads and resets the count of bracket_basis calls."""
+    """Make homlie's mat_mul, the mat_vec of manin and stabilizer and the dense
+    HomLieAlgebra.bracket raise, and return a function that reads and resets
+    the count of bracket_basis calls."""
     calls = 0
     original = HomLieAlgebra.bracket_basis
 
@@ -250,6 +240,8 @@ def no_dense_calls(monkeypatch):
     monkeypatch.setattr(HomLieAlgebra, "bracket_basis", counting)
     monkeypatch.setattr(HomLieAlgebra, "bracket", forbidden)
     monkeypatch.setattr(homlie, "mat_mul", forbidden)
+    monkeypatch.setattr(manin, "mat_vec", forbidden)
+    monkeypatch.setattr(stabilizer, "mat_vec", forbidden)
 
     def taken() -> int:
         nonlocal calls
@@ -273,8 +265,9 @@ def test_checkers_make_fewer_basis_brackets_than_the_scans(no_dense_calls):
 
 
 def test_certifier_and_stabilizer_conditions_make_no_dense_call(no_dense_calls):
-    """The twist check and the form checks build no dense product, and the half
-    reports and the stabilizer conditions no dense bracket; the stabilizer
+    """The twist check and the form checks build no dense product, the half
+    reports and the stabilizer conditions no dense bracket, and the twist
+    stability and sharp-image checks apply no dense matrix; the stabilizer
     conditions are those of the CLI, with S the inverse form."""
     t = nuble(BASES["D3"], 3)
     s = SparseTensor.from_matrix(inverse(t.form))
@@ -296,3 +289,14 @@ def test_map_checkers_make_fewer_basis_brackets_than_the_pairs(no_dense_calls):
     no_dense_calls()
     assert check_twist_morphism(h).passed
     assert no_dense_calls() < 64 * 63 // 2
+
+
+def test_yang_baxter_residual_makes_fewer_basis_brackets_than_the_entry_pairs(no_dense_calls):
+    """Looping over all |r|^2 pairs of entries cost three bracket_basis calls
+    per pair: 37,632 for the canonical r of this dim-32 power."""
+    t = nuble(BASES["D3"], 2)
+    r = r_from_splitting(t)
+    assert len(r.entries) ** 2 == 12_544
+    no_dense_calls()
+    assert hcyb(t.algebra, r).is_zero
+    assert no_dense_calls() < len(r.entries) ** 2

@@ -187,8 +187,10 @@ def test_contract_with_covectors():
 
 
 def test_matrix_round_trip():
-    t = SparseTensor.from_entries(2, 3, {(0, 2): Fraction(1, 2), (1, 1): -2})
-    assert SparseTensor.from_matrix(t.to_matrix()) == t
+    m = matrix([[0, 0, Fraction(1, 2)], [0, -2, 0], [0, 0, 0]])
+    t = SparseTensor.from_matrix(m)
+    assert t == SparseTensor.from_entries(2, 3, {(0, 2): Fraction(1, 2), (1, 1): -2})
+    assert tuple(tuple(t.get((i, j)) for j in range(3)) for i in range(3)) == m
 
 
 def test_skew_sym_split_example():

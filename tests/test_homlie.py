@@ -23,7 +23,7 @@ from maninforge.homlie import (
     check_twist_morphism,
     direct_sum,
 )
-from maninforge.manin import special_linear_data, triple_double
+from maninforge.manin import special_linear_data
 from maninforge.rmatrix import sl2_lie, sl2_twisted
 
 SL2_BRACKETS = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}}
@@ -112,21 +112,6 @@ def _vec(*entries):
 def test_bracket_rejects_vectors_of_the_wrong_length(x, y):
     with pytest.raises(ValueError, match=r"dim=3"):
         sl2_twisted().bracket(x, y)
-
-
-@pytest.mark.parametrize(
-    "x, y",
-    [
-        (_vec(1), _vec(0, 0, 0, 1, 0, 0)),  # returned 2
-        (_vec(1, 0, 0, 0, 0, 0, 1), _vec(0, 0, 0, 1, 0, 0)),  # raised a bare IndexError
-        (_vec(0, 0, 0, 1, 0, 0), _vec(1)),
-    ],
-)
-def test_pair_rejects_vectors_of_the_wrong_length(x, y):
-    double = triple_double(special_linear_data(2)).algebra
-    assert double.pair(_vec(1, 0, 0, 0, 0, 0), _vec(0, 0, 0, 1, 0, 0)) == 0
-    with pytest.raises(ValueError, match=r"dim=6"):
-        double.pair(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from helpers import (
     dense_block_permutation,
     dense_check_manin_isomorphism,
     dense_coboundary_cobracket,
+    dense_dual_basis,
+    dense_r_from_splitting,
     rand_invertible,
     rand_tensor,
 )
@@ -148,6 +150,25 @@ def test_canonical_r_double():
         (4, 2): Fraction(1),
         (4, 5): Fraction(1),
     }
+
+
+DUAL_BASIS_TRIPLES = {
+    "hyperbolic": hyperbolic_triple,
+    "g+h sl2": lambda: triple_g_plus_h(special_linear_data(2)),
+    "g+h sl3": lambda: triple_g_plus_h(special_linear_data(3)),
+    "D2": lambda: triple_double(special_linear_data(2)),
+    "D3": lambda: triple_double(special_linear_data(3)),
+    "D3x2": lambda: nuble(triple_double(special_linear_data(3)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_BASIS_TRIPLES))
+def test_dual_basis_and_canonical_r_match_the_dense_reference(name):
+    t = DUAL_BASIS_TRIPLES[name]()
+    pair = dual_basis(t)
+    assert pair == dense_dual_basis(t)
+    assert pair.gram == identity_matrix(t.part1.dim)
+    assert r_from_splitting(t) == dense_r_from_splitting(t)
 
 
 # ---------------------------------------------------------------------------

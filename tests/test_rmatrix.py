@@ -7,20 +7,34 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import dense_hcyb, dense_hom_schouten, dense_wedge_t2_v1, rand_fraction, rand_phi_fixed_skew, rand_vector
+from helpers import (
+    conjugate_algebra,
+    dense_hcyb,
+    dense_hcyb_pairing_check,
+    dense_hom_schouten,
+    dense_mat_vec,
+    dense_sharp_matrix,
+    dense_vec_dot,
+    dense_wedge_t2_v1,
+    rand_fraction,
+    rand_phi_fixed_skew,
+    rand_tensor,
+    rand_vector,
+)
 from maninforge.core import (
     SparseTensor,
+    Subspace,
     inverse,
     is_symmetric,
     mat_vec,
+    matrix,
     matrix_rank,
     tensor_skew_sym_split,
     unit_vector,
-    vec_dot,
     wedge,
     wedge3_basis,
 )
-from maninforge.homlie import HomLieAlgebra, direct_sum
+from maninforge.homlie import HomLieAlgebra, check_involutive, direct_sum
 from maninforge.manin import (
     hyperbolic_triple,
     lambda_st,
@@ -44,10 +58,37 @@ from maninforge.rmatrix import (
     sl2_r,
     sl2_twisted,
 )
+from maninforge.stabilizer import check_bracket_sharp_condition, check_s_sharp_condition, stabilizer_report
 
 
 def vec_tensor(v):
     return SparseTensor(1, len(v), {(i,): x for i, x in enumerate(v) if x != 0})
+
+
+def sl2_shear() -> HomLieAlgebra:
+    """The twisted sl2 in the basis e0, e0 + e1, e2: its twist is involutive but
+    not diagonal."""
+    return conjugate_algebra(sl2_twisted(), matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def d2_random_twist() -> HomLieAlgebra:
+    """D2's bracket with a seeded sparse twist that is not involutive."""
+    rng = random.Random(89)
+    h = triple_double(special_linear_data(2)).algebra
+    phi = [[rand_fraction(rng) if rng.randrange(3) == 0 else 0 for _ in range(h.dim)] for _ in range(h.dim)]
+    return HomLieAlgebra.unchecked(h.dim, h.brackets, phi, h.form)
+
+
+# The inputs of the residual, sharp-map and pairing-check oracles.
+YB_ALGEBRAS = {
+    "sl2_twisted": sl2_twisted,
+    "sl2_lie": sl2_lie,
+    "g+h sl2": lambda: triple_g_plus_h(special_linear_data(2)).algebra,
+    "sl2_shear": sl2_shear,
+    "D2": lambda: triple_double(special_linear_data(2)).algebra,
+    "sl2_twisted+sl2_twisted": lambda: direct_sum(sl2_twisted(), sl2_twisted()),
+    "D2_random_twist": d2_random_twist,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +110,10 @@ def test_residual_matches_dense_oracle_on_worked_data():
 
 
 def test_residual_matches_dense_oracle_random():
+    shear = sl2_shear()
+    assert check_involutive(shear) and any(shear.phi[i][j] for i in range(3) for j in range(3) if i != j)
     rng = random.Random(31)
-    algebras = [sl2_twisted(), sl2_lie(), triple_g_plus_h(special_linear_data(2)).algebra]
-    for h in algebras:
+    for h in (make() for make in YB_ALGEBRAS.values()):
         for _ in range(10):
             t = SparseTensor.zero(2, h.dim)
             for _ in range(6):
@@ -119,6 +161,70 @@ def test_sharp_maps_validate_symmetry_class():
         sharp_s(h, lam, unit_vector(3, 0))
     with pytest.raises(ValueError):
         s_sharp_matrix(h, lam)
+
+
+@pytest.mark.parametrize("name", sorted(YB_ALGEBRAS))
+def test_sharp_maps_match_the_dense_reference(name):
+    h = YB_ALGEBRAS[name]()
+    rng = random.Random(79)
+    for _ in range(10):
+        lam, s = tensor_skew_sym_split(rand_tensor(rng, 2, h.dim, fill=8))
+        assert s_sharp_matrix(h, s) == dense_sharp_matrix(h, s)
+        for _ in range(3):
+            xi = rand_vector(rng, h.dim)
+            assert sharp_s(h, s, xi) == dense_mat_vec(dense_sharp_matrix(h, s), xi)
+            assert sharp_lambda(h, lam, xi) == dense_mat_vec(dense_sharp_matrix(h, lam), xi)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_sharp_maps_reject_a_covector_of_the_wrong_length(length):
+    h = sl2_twisted()
+    lam, s = tensor_skew_sym_split(sl2_r())
+    xi = unit_vector(length, 0)
+    with pytest.raises(ValueError, match=rf"covector of length {length}, expected 3"):
+        sharp_lambda(h, lam, xi)
+    with pytest.raises(ValueError, match=rf"covector of length {length}, expected 3"):
+        sharp_s(h, s, xi)
+
+
+# ---------------------------------------------------------------------------
+# Tensors of the wrong degree or dimension
+
+# Without a shape check these answer silently or fail deep inside: on the
+# three-dimensional twisted sl2, check_hom_ad_invariant passes a dim-5 tensor,
+# the bracket-sharp condition accepts a dim-2 S and sharp_s indexes past phi on
+# a dim-5 S.
+WRONG_SHAPES = {"dim 2": (2, 2), "dim 5": (2, 5), "degree 1": (1, 3), "degree 3": (3, 3)}
+SL2_LAM, SL2_S = tensor_skew_sym_split(sl2_r())
+SL2_LINE = Subspace.span(3, [[1, 0, 0]])
+SL2_COVECTOR = unit_vector(3, 0)
+ENTRY_POINTS = {
+    "check_hom_ad_invariant": lambda h, t, lam, s: check_hom_ad_invariant(h, s),
+    "sharp_lambda": lambda h, t, lam, s: sharp_lambda(h, lam, SL2_COVECTOR),
+    "sharp_s": lambda h, t, lam, s: sharp_s(h, s, SL2_COVECTOR),
+    "s_sharp_matrix": lambda h, t, lam, s: s_sharp_matrix(h, s),
+    "check_quasi_triangular": lambda h, t, lam, s: check_quasi_triangular(h, t),
+    "hcyb_pairing_check": lambda h, t, lam, s: hcyb_pairing_check(h, t),
+    "additivity_check-skew": lambda h, t, lam, s: additivity_check(h, lam, SL2_S),
+    "additivity_check-symmetric": lambda h, t, lam, s: additivity_check(h, SL2_LAM, s),
+    "check_s_sharp_condition": lambda h, t, lam, s: check_s_sharp_condition(h, s, SL2_LINE),
+    "check_bracket_sharp_condition": lambda h, t, lam, s: check_bracket_sharp_condition(h, s, SL2_LINE),
+    "stabilizer_report": lambda h, t, lam, s: stabilizer_report(h, s, SL2_LINE),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_a_tensor_of_the_wrong_shape(entry, shape):
+    """A nonzero tensor whose degree or dimension is not (2, 3), with its skew
+    and symmetric parts where it has degree 2, raises a ValueError naming both
+    shapes."""
+    degree, dim = WRONG_SHAPES[shape]
+    t = SparseTensor.from_entries(degree, dim, {(0,) * (degree - 1) + (dim - 1,): 1, (dim - 1,) * degree: 2})
+    lam, s = tensor_skew_sym_split(t) if degree == 2 else (t, t)
+    assert not (lam.is_zero or s.is_zero)
+    with pytest.raises(ValueError, match=rf"degree 2 and dimension 3, got degree {degree} and dimension {dim}"):
+        ENTRY_POINTS[entry](sl2_twisted(), t, lam, s)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +489,7 @@ def test_symmetric_part_residual_is_totally_antisymmetric_with_bracket_pairing()
     for _ in range(30):
         xi, eta, zeta = (rand_vector(rng, 3) for _ in range(3))
         lhs = hs.contract((xi, eta, zeta))
-        rhs = vec_dot(zeta, h.bracket(mat_vec(sharp, xi), mat_vec(sharp, eta)))
+        rhs = dense_vec_dot(zeta, h.bracket(mat_vec(sharp, xi), mat_vec(sharp, eta)))
         assert lhs == rhs
 
 
@@ -432,6 +538,22 @@ def test_pairing_check_inapplicable_for_unfixed_r():
     report = hcyb_pairing_check(h, SparseTensor.from_entries(2, 3, {(0, 1): 1}))
     assert not report.applicable
     assert "fixed" in report.reason
+
+
+@pytest.mark.parametrize("name", sorted(YB_ALGEBRAS))
+def test_pairing_check_matches_the_dense_reference(name):
+    """Seeded tensors and their twist-fixed averages: the report, applicable or
+    not, equals the one built from dense r+ and r-."""
+    h = YB_ALGEBRAS[name]()
+    rng = random.Random(83)
+    applicable = set()
+    for seed in range(4):
+        t = rand_tensor(rng, 2, h.dim, fill=6)
+        for r in (t, (t + t.apply_per_slot((h.phi, h.phi))).scale(Fraction(1, 2))):
+            report = hcyb_pairing_check(h, r, trials=10, seed=seed)
+            assert report.to_json() == dense_hcyb_pairing_check(h, hcyb(h, r), r, 10, seed).to_json()
+            applicable.add(report.applicable)
+    assert (True in applicable) == check_involutive(h)
 
 
 def test_pairing_check_is_deterministic_per_seed():

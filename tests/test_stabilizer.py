@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import SL2_FORM, dense_brackets_in, dense_mat_vec, rand_subspace, rand_tensor
+from helpers import (
+    SL2_FORM,
+    dense_brackets_in,
+    dense_contains,
+    dense_mat_vec,
+    dense_sharp_matrix,
+    dense_vec_dot,
+    rand_subspace,
+    rand_tensor,
+)
 from maninforge.core import (
     Subspace,
     annihilator,
@@ -20,7 +29,6 @@ from maninforge.core import (
     subspace_equal,
     tensor_skew_sym_split,
     unit_vector,
-    vec_dot,
     SparseTensor,
 )
 from maninforge.homlie import (
@@ -274,7 +282,7 @@ def test_image_condition_matches_scalar_formulation_50_random():
             ann = annihilator(q)
             mat = s_sharp_matrix(h, s)
             scalar = all(
-                vec_dot(eta, mat_vec(mat, xi)) == 0 for xi in ann.rows for eta in ann.rows
+                dense_vec_dot(eta, mat_vec(mat, xi)) == 0 for xi in ann.rows for eta in ann.rows
             )
             assert check_s_sharp_condition(h, s, q) == scalar
 
@@ -372,10 +380,31 @@ def test_bracket_conditions_match_the_dense_reference():
                 ),
             ]
             for s in tensors:
-                images = [dense_mat_vec(s_sharp_matrix(h, s), xi) for xi in annihilator(q).rows]
+                images = [dense_mat_vec(dense_sharp_matrix(h, s), xi) for xi in annihilator(q).rows]
                 outcomes.append(
                     ("sharp_brackets", check_bracket_sharp_condition(h, s, q), dense_brackets_in(h, images, q))
                 )
+            for check, fast, dense in outcomes:
+                assert fast == dense, (name, q.rows, check)
+                seen[check].add(fast)
+    assert all(values == {True, False} for values in seen.values()), seen
+
+
+def test_twist_and_image_conditions_match_the_dense_reference():
+    """Twist stability and the sharp-image condition agree with dense images
+    and dense membership, with S the inverse form and a random symmetric S."""
+    rng = random.Random(113)
+    seen = {"twist_stable": set(), "sharp_image": set()}
+    for name, h, form, spaces in oracle_cases():
+        raw = rand_tensor(rng, 2, h.dim, fill=4)
+        tensors = (SparseTensor.from_matrix(inverse(form)), (raw + raw.swap()).scale(Fraction(1, 2)))
+        for q in spaces:
+            dense_stable = all(dense_contains(q, dense_mat_vec(h.phi, row)) for row in q.rows)
+            outcomes = [("twist_stable", check_phi_stable(q, h.phi), dense_stable)]
+            for s in tensors:
+                sharp = dense_sharp_matrix(h, s)
+                dense_image = all(dense_contains(q, dense_mat_vec(sharp, xi)) for xi in annihilator(q).rows)
+                outcomes.append(("sharp_image", check_s_sharp_condition(h, s, q), dense_image))
             for check, fast, dense in outcomes:
                 assert fast == dense, (name, q.rows, check)
                 seen[check].add(fast)
