@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .core import (
     Matrix,
     ONE,
+    SparseTensor,
     Vector,
     ZERO,
     _apply_columns,
@@ -187,6 +188,49 @@ def _pairings(form: Matrix, left: Sequence[Mapping], right: Sequence[Mapping] | 
                     for b, y in right_holders[j]:
                         _accumulate(out, (a, b), xg * y)
     return out
+
+
+def _require_tensor(h: HomLieAlgebra, t: SparseTensor) -> None:
+    """Raise unless t is a degree-2 tensor over the algebra."""
+    if (t.degree, t.dim) != (2, h.dim):
+        raise ValueError(
+            f"expected a tensor of degree 2 and dimension {h.dim}, got degree {t.degree} and dimension {t.dim}"
+        )
+
+
+def _by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[dict, dict]:
+    """Slot 0 of (Id (x) phi)t and slot 1 of (phi (x) Id)t, each as index there
+    -> [(other index, entry)]: the entries of a degree-2 t with phi applied to
+    the slot that a bracket on the indexed slot leaves alone."""
+    ident = identity_matrix(h.dim)
+    by_slot: tuple[dict, dict] = ({}, {})
+    for (a, b), v in t.apply_per_slot((ident, h.phi)).entries.items():
+        by_slot[0].setdefault(a, []).append((b, v))
+    for (a, b), v in t.apply_per_slot((h.phi, ident)).entries.items():
+        by_slot[1].setdefault(b, []).append((a, v))
+    return by_slot
+
+
+def _ad_basis(
+    h: HomLieAlgebra, t: SparseTensor, ks: Container[int] | None = None
+) -> dict[int, dict[tuple[int, int], Fraction]]:
+    """{k: ad_k t} for the nonzero twisted adjoint actions of the basis vectors
+    e_k (k in ks when given) on a degree-2 tensor,
+    ad_x t = sum_ab t_ab ([x, e_a] (x) phi(e_b) + phi(e_a) (x) [x, e_b]).
+    Accumulated from the bracket keys (k, a), in both orders, through the
+    entries of t indexed by slot: an index that no key reaches costs nothing."""
+    slot0, slot1 = _by_slot(h, t)
+    out: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (p, q), coeffs in h.brackets.items():
+        for k, a, cs in ((p, q, coeffs), (q, p, {c: -x for c, x in coeffs.items()})):
+            if ks is None or k in ks:
+                w = out.setdefault(k, {})
+                for c, x in cs.items():
+                    for m, v in slot0.get(a, ()):
+                        _accumulate(w, (c, m), x * v)
+                    for m, v in slot1.get(a, ()):
+                        _accumulate(w, (m, c), x * v)
+    return {k: w for k, w in out.items() if w}
 
 
 def _dense(h: HomLieAlgebra, xs: dict[int, Fraction]) -> Vector:

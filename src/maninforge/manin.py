@@ -31,7 +31,6 @@ from .core import (
     unit_vector,
     vec_add,
     vec_sub,
-    wedge_into,
 )
 from .homlie import (
     BracketTable,
@@ -42,10 +41,12 @@ from .homlie import (
     direct_sum,
     negate_form,
     _accumulate,
+    _ad_basis,
     _dense,
     _intertwining_failures,
     _pair_brackets,
     _pairings,
+    _require_tensor,
 )
 from .reporting import CheckReport, combine, failure
 
@@ -208,17 +209,15 @@ def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: M
 
 def coboundary_cobracket(g: HomLieAlgebra, lam: SparseTensor) -> BracketTable:
     """Dual structure constants of the cobracket x -> ad_x(lam) of a skew tensor
-    (untwisted algebras): [f_a, f_b]* = sum_k (ad_{b_k} lam)_{ab} f_k for a < b."""
-    if lam.degree != 2:
-        raise ValueError("cobracket seed must have degree 2")
+    (untwisted algebras): [f_a, f_b]* = sum_k (ad_{b_k} lam)_{ab} f_k for a < b,
+    lam read from its entries above the diagonal."""
+    _require_tensor(g, lam)
+    if g.phi != identity_matrix(g.dim):
+        raise ValueError("the double construction needs an untwisted algebra")
+    upper = SparseTensor(2, g.dim, {(a, b): v for (a, b), v in lam.entries.items() if a < b})
     table: BracketTable = {}
-    for k in range(g.dim):
-        delta = SparseTensor.zero(2, g.dim)
-        for (a, b), v in lam.entries.items():
-            if a < b:
-                wedge_into(delta, g.bracket_basis(k, a), {b: ONE}, v)
-                wedge_into(delta, {a: ONE}, g.bracket_basis(k, b), v)
-        for (a, b), v in delta.entries.items():
+    for k, w in sorted(_ad_basis(g, upper - upper.swap()).items()):
+        for (a, b), v in w.items():
             if a < b:
                 table.setdefault((a, b), {})[k] = v
     return table
@@ -244,22 +243,18 @@ def double_from_bialgebra(
     brackets: BracketTable = {k: dict(v) for k, v in g.brackets.items()}
     for (a, b), coeffs in dual.items():
         brackets[(d + a, d + b)] = {d + k: v for k, v in coeffs.items()}
-    for i in range(d):
-        for j in range(d):
-            entry: dict[int, Fraction] = {}
-            # ad*_{b_i} f_j = sum_k c[k][i]_j f_k
-            for k in range(d):
-                c = g.bracket_basis(k, i).get(j, ZERO)
-                if c != 0:
-                    entry[d + k] = entry.get(d + k, ZERO) + c
-            # -ad*_{f_j} b_i = -sum_l dual[l][j]_i b_l
-            for l in range(d):
-                c = _dual_coeff(dual, l, j, i)
-                if c != 0:
-                    entry[l] = entry.get(l, ZERO) - c
-            entry = {k: v for k, v in entry.items() if v != 0}
-            if entry:
-                brackets[(i, d + j)] = entry
+    # [b_i, f_j] = ad*_{b_i} f_j - ad*_{f_j} b_i, read from each key of g's table
+    # (the f_k terms) and of the dual table (the b_l terms), in both orders.
+    cross: BracketTable = {}
+    for (p, q), coeffs in g.brackets.items():
+        for k, i, sign in ((p, q, ONE), (q, p, -ONE)):
+            for j, c in coeffs.items():
+                _accumulate(cross.setdefault((i, d + j), {}), d + k, sign * c)
+    for (p, q), coeffs in dual.items():
+        for l, j, sign in ((p, q, ONE), (q, p, -ONE)):
+            for i, c in coeffs.items():
+                _accumulate(cross.setdefault((i, d + j), {}), l, -sign * c)
+    brackets.update((index, cross[index]) for index in sorted(cross) if cross[index])
     form = tuple(
         tuple(ONE if abs(i - j) == d else ZERO for j in range(2 * d))
         for i in range(2 * d)
@@ -268,15 +263,6 @@ def double_from_bialgebra(
     part1 = Subspace.span(2 * d, [unit_vector(2 * d, i) for i in range(d)])
     part2 = Subspace.span(2 * d, [unit_vector(2 * d, d + i) for i in range(d)])
     return ManinTriple(ambient, part1, part2, name="bialgebra-double")
-
-
-def _dual_coeff(dual: BracketTable, a: int, b: int, k: int) -> Fraction:
-    """Coefficient of f_k in [f_a, f_b]* for arbitrary index order."""
-    if a == b:
-        return ZERO
-    if a < b:
-        return dual.get((a, b), {}).get(k, ZERO)
-    return -dual.get((b, a), {}).get(k, ZERO)
 
 
 # ---------------------------------------------------------------------------

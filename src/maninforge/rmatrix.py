@@ -21,19 +21,10 @@ from .core import (
     matrix_rank,
     sparse_columns,
     tensor_skew_sym_split,
-    wedge_into,
     wedge_t2_v1_into,
 )
-from .homlie import HomLieAlgebra, _accumulate, _dense, _sparse_bracket
+from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _by_slot, _dense, _require_tensor, _sparse_bracket
 from .reporting import CheckReport, failure
-
-
-def _require_tensor(h: HomLieAlgebra, t: SparseTensor) -> None:
-    """Raise unless t is a degree-2 tensor over the algebra."""
-    if (t.degree, t.dim) != (2, h.dim):
-        raise ValueError(
-            f"expected a tensor of degree 2 and dimension {h.dim}, got degree {t.degree} and dimension {t.dim}"
-        )
 
 
 def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
@@ -47,14 +38,8 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     pairs of entries are enumerated from the bracket keys (p, q), in both
     orders, through those entries indexed by slot: pairs that meet no key
     cost nothing."""
-    if r.degree != 2 or r.dim != h.dim:
-        raise ValueError("r must be a degree-2 tensor over the algebra")
-    ident = identity_matrix(h.dim)
-    by_slot: tuple[dict, dict] = ({}, {})  # slot -> index there -> [(other index, entry)]
-    for (a, b), v in r.apply_per_slot((ident, h.phi)).entries.items():
-        by_slot[0].setdefault(a, []).append((b, v))
-    for (a, b), v in r.apply_per_slot((h.phi, ident)).entries.items():
-        by_slot[1].setdefault(b, []).append((a, v))
+    _require_tensor(h, r)
+    by_slot = _by_slot(h, r)
     out = SparseTensor.zero(3, h.dim)
     for (p, q), coeffs in h.brackets.items():
         for i, j, cs in ((p, q, coeffs), (q, p, {k: -c for k, c in coeffs.items()})):
@@ -121,21 +106,12 @@ def s_sharp_matrix(h: HomLieAlgebra, s: SparseTensor) -> Matrix:
 
 def check_hom_ad_invariant(h: HomLieAlgebra, s: SparseTensor) -> CheckReport:
     """Invariance of the symmetric part: for every basis x,
-    sum_i [x, x_i] (x) phi(y_i) + phi(x_i) (x) [x, y_i] = 0."""
+    ad_x s = sum_i [x, x_i] (x) phi(y_i) + phi(x_i) (x) [x, y_i] = 0, each
+    nonzero ad_x s from `_ad_basis` reported at its basis index."""
     _require_tensor(h, s)
-    phi_cols = sparse_columns(h.phi)
-    failures = []
-    for k in range(h.dim):
-        residual = SparseTensor.zero(2, h.dim)
-        for (a, b), v in s.entries.items():
-            for k1, c1 in h.bracket_basis(k, a).items():
-                for k2, c2 in phi_cols[b].items():
-                    residual.add_into((k1, k2), v * c1 * c2)
-            for k2, c2 in h.bracket_basis(k, b).items():
-                for k1, c1 in phi_cols[a].items():
-                    residual.add_into((k1, k2), v * c1 * c2)
-        if not residual.is_zero:
-            failures.append(failure("hom_ad_invariant", (k,), residual))
+    failures = [
+        failure("hom_ad_invariant", (k,), SparseTensor(2, h.dim, w)) for k, w in sorted(_ad_basis(h, s).items())
+    ]
     return CheckReport("hom_ad_invariant", failures)
 
 
@@ -158,9 +134,10 @@ def hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTe
     """Graded bracket of antisymmetric multivectors for degree pairs
     (1,1), (1,2), (2,1), (2,2), (1,3), (3,1); larger pairs are rejected.
 
-    Terms accumulate into one tensor, phi read from its sparse columns:
-    [[x, e_p ^ e_q]] = [x, e_p] ^ phi(e_q) + phi(e_p) ^ [x, e_q],
-    [[A, e_p ^ e_q]] = [[A, e_p]] ^ phi(e_q) - [[A, e_q]] ^ phi(e_p), and
+    [[A, x]] = -[[x, A]] for a vector x; the rest is read from the twisted
+    adjoint actions ad_k of `_ad_basis`, phi from its sparse columns:
+    [[x, B]] = sum_k x_k ad_k B, which is [x, e_p] ^ phi(e_q) + phi(e_p) ^ [x, e_q] on e_p ^ e_q,
+    [[A, e_p ^ e_q]] = [[A, e_p]] ^ phi(e_q) - [[A, e_q]] ^ phi(e_p) with [[A, e_p]] = -ad_p A, and
     [[x, e_p ^ e_q ^ e_r]] = [[x, e_p ^ e_q]] ^ phi(e_r) + phi(e_p) ^ phi(e_q) ^ [x, e_r]."""
     if a.dim != h.dim or b.dim != h.dim:
         raise ValueError("multivector dimension mismatch")
@@ -171,47 +148,39 @@ def hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTe
     pair = (a.degree, b.degree)
     if pair not in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
         raise ValueError(f"degree pair {pair} is not supported")
+    if a.degree > b.degree == 1:
+        return -hom_schouten(h, b, a)
     vector = lambda t: {i: x for (i,), x in t.entries.items()}
     if pair == (1, 1):
         return SparseTensor(1, h.dim, {(k,): v for k, v in _sparse_bracket(h, vector(a), vector(b)).items()})
     phi = sparse_columns(h.phi)
-    ad = lambda x, i: _sparse_bracket(h, x, {i: ONE})  # [x, e_i]
 
-    def add_1_2(out: SparseTensor, x: dict[int, Fraction], terms, coeff: Fraction) -> None:
-        """out += coeff * [[x, sum of v e_p ^ e_q]] over the (p, q), v terms with p < q."""
-        for (p, q), v in terms:
-            if p < q:
-                wedge_into(out, ad(x, p), phi[q], coeff * v)
-                wedge_into(out, phi[p], ad(x, q), coeff * v)
+    def bracket_1_2(x: dict[int, Fraction], t2: SparseTensor) -> SparseTensor:
+        """[[x, t2]] = sum_k x_k ad_k t2, over the support of x."""
+        out2 = SparseTensor.zero(2, h.dim)
+        for k, w in _ad_basis(h, t2, x.keys()).items():
+            for index, v in w.items():
+                out2.add_into(index, x[k] * v)
+        return out2
 
-    def add_1_3(out: SparseTensor, x: dict[int, Fraction], t3: SparseTensor, coeff: Fraction) -> None:
-        """out += coeff * [[x, t3]], over the sorted index triples of t3."""
-        for (p, q, r), v in t3.entries.items():
-            if p < q < r:
-                inner, phi_pq = SparseTensor.zero(2, h.dim), SparseTensor.zero(2, h.dim)
-                add_1_2(inner, x, [((p, q), ONE)], ONE)
-                wedge_into(phi_pq, phi[p], phi[q], ONE)
-                wedge_t2_v1_into(out, inner, phi[r], coeff * v)
-                wedge_t2_v1_into(out, phi_pq, ad(x, r), coeff * v)
-
-    out = SparseTensor.zero(a.degree + b.degree - 1, h.dim)
     if pair == (1, 2):
-        add_1_2(out, vector(a), b.entries.items(), ONE)
-    elif pair == (2, 1):
-        add_1_2(out, vector(b), a.entries.items(), -ONE)
-    elif pair == (1, 3):
-        add_1_3(out, vector(a), b, ONE)
-    elif pair == (3, 1):
-        add_1_3(out, vector(b), a, -ONE)
-    else:
-        bracket_a = {}  # p -> [[A, e_p]] = -[[e_p, A]], once per index of B
-        for p in {i for idx in b.entries for i in idx}:
-            bracket_a[p] = SparseTensor.zero(2, h.dim)
-            add_1_2(bracket_a[p], {p: ONE}, a.entries.items(), -ONE)
-        for (p, q), v in b.entries.items():
-            if p < q:
-                wedge_t2_v1_into(out, bracket_a[p], phi[q], v)
-                wedge_t2_v1_into(out, bracket_a[q], phi[p], -v)
+        return bracket_1_2(vector(a), b)
+    out = SparseTensor.zero(3, h.dim)
+    if pair == (1, 3):
+        x = vector(a)
+        for (p, q, r), v in b.entries.items():
+            if p < q < r:
+                pq = SparseTensor(2, h.dim, {(p, q): ONE, (q, p): -ONE})
+                wedge_t2_v1_into(out, bracket_1_2(x, pq), phi[r], v)
+                wedge_t2_v1_into(out, pq.apply_per_slot((h.phi, h.phi)), _sparse_bracket(h, x, {r: ONE}), v)
+        return out
+    # [[A, e_p]] = -ad_p A, from one kernel call over the indices p of B
+    ad_a = {p: SparseTensor(2, h.dim, w) for p, w in _ad_basis(h, a, {i for idx in b.entries for i in idx}).items()}
+    zero = SparseTensor.zero(2, h.dim)
+    for (p, q), v in b.entries.items():
+        if p < q:
+            wedge_t2_v1_into(out, ad_a.get(p, zero), phi[q], -v)
+            wedge_t2_v1_into(out, ad_a.get(q, zero), phi[p], v)
     return out
 
 

@@ -286,10 +286,12 @@ def dense_check_manin_isomorphism(f: Matrix, t1, t2) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Dense references for the graded bracket, the coboundary cobracket and the
-# n-fold power: the implementations that went through dense basis vectors,
-# dense twist products and whole-tensor additions, kept as oracles for the
-# sparse accumulating paths.  Input validation is left to the code under test.
+# Dense references for the graded bracket, the coboundary cobracket, the
+# invariance of a symmetric tensor, the cross brackets of a bialgebra double
+# and the n-fold power: the implementations that went through dense basis
+# vectors, dense twist products, whole-tensor additions or a loop over every
+# basis index, kept as oracles for the sparse accumulating paths.  Input
+# validation is left to the code under test.
 
 
 def dense_dyad(x: Vector, y: Vector) -> SparseTensor:
@@ -404,6 +406,54 @@ def dense_coboundary_cobracket(g: HomLieAlgebra, lam: SparseTensor) -> dict:
                 else:
                     entry[k] = total
     return {key: coeffs for key, coeffs in table.items() if coeffs}
+
+
+def dense_check_hom_ad_invariant(h: HomLieAlgebra, s: SparseTensor) -> CheckReport:
+    """ad_{e_k} s for every basis index k, two basis brackets per entry of s."""
+    phi_cols = sparse_columns(h.phi)
+    failures = []
+    for k in range(h.dim):
+        residual = SparseTensor.zero(2, h.dim)
+        for (a, b), v in s.entries.items():
+            for k1, c1 in h.bracket_basis(k, a).items():
+                for k2, c2 in phi_cols[b].items():
+                    residual.add_into((k1, k2), v * c1 * c2)
+            for k2, c2 in h.bracket_basis(k, b).items():
+                for k1, c1 in phi_cols[a].items():
+                    residual.add_into((k1, k2), v * c1 * c2)
+        if not residual.is_zero:
+            failures.append(failure("hom_ad_invariant", (k,), residual))
+    return CheckReport("hom_ad_invariant", failures)
+
+
+def dense_double_cross_brackets(g: HomLieAlgebra, dual: dict) -> dict:
+    """The brackets [b_i, f_j] of the double of g with the dual table, over all
+    d^2 pairs (i, j), each coadjoint term looked up one index at a time."""
+    d = g.dim
+
+    def dual_coeff(a: int, b: int, k: int) -> Fraction:
+        if a == b:
+            return ZERO
+        if a < b:
+            return dual.get((a, b), {}).get(k, ZERO)
+        return -dual.get((b, a), {}).get(k, ZERO)
+
+    brackets = {}
+    for i in range(d):
+        for j in range(d):
+            entry: dict[int, Fraction] = {}
+            for k in range(d):
+                c = g.bracket_basis(k, i).get(j, ZERO)
+                if c != 0:
+                    entry[d + k] = entry.get(d + k, ZERO) + c
+            for l in range(d):
+                c = dual_coeff(l, j, i)
+                if c != 0:
+                    entry[l] = entry.get(l, ZERO) - c
+            entry = {k: v for k, v in entry.items() if v != 0}
+            if entry:
+                brackets[(i, d + j)] = entry
+    return brackets
 
 
 def _dense_edge_rows(n: int, d: int, s: int) -> list[Vector]:

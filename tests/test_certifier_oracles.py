@@ -20,7 +20,7 @@ from helpers import (
     rand_subspace,
 )
 from maninforge import homlie, manin, stabilizer
-from maninforge.core import SparseTensor, identity_matrix, inverse, map_subspace, mat_mul, matrix
+from maninforge.core import SparseTensor, identity_matrix, inverse, map_subspace, mat_mul, matrix, tensor_skew_sym_split
 from maninforge.homlie import (
     HomLieAlgebra,
     check_hom_jacobi,
@@ -32,13 +32,16 @@ from maninforge.manin import (
     ManinTriple,
     _splitting_report,
     check_manin_triple,
+    coboundary_cobracket,
+    double_from_bialgebra,
+    lambda_st,
     r_from_splitting,
     special_linear_data,
     triple_double,
 )
 from maninforge.polyuble import nuble, verify_snake_iso
 from maninforge.reporting import combine
-from maninforge.rmatrix import hcyb, sl2_twisted
+from maninforge.rmatrix import check_hom_ad_invariant, hcyb, hom_schouten, sl2_twisted
 
 
 def base_triples() -> dict[str, ManinTriple]:
@@ -300,3 +303,26 @@ def test_yang_baxter_residual_makes_fewer_basis_brackets_than_the_entry_pairs(no
     no_dense_calls()
     assert hcyb(t.algebra, r).is_zero
     assert no_dense_calls() < len(r.entries) ** 2
+
+
+def test_twisted_adjoint_action_makes_no_basis_bracket(no_dense_calls):
+    """The loops over every basis index called bracket_basis 2,560 times for
+    the invariance of the symmetric part of this dim-32 power's canonical r,
+    3,456 times for the graded bracket of its skew part with itself and 48
+    times for the cobracket of sl3's standard skew tensor; the d^3 loop of the
+    double's cross brackets 512 times beyond its two Jacobi checks."""
+    t = nuble(BASES["D3"], 2)
+    lam, s = tensor_skew_sym_split(r_from_splitting(t))
+    data = special_linear_data(3)
+    no_dense_calls()
+    assert check_hom_ad_invariant(t.algebra, s).passed
+    assert no_dense_calls() == 0
+    assert not hom_schouten(t.algebra, lam, lam).is_zero
+    assert no_dense_calls() == 0
+    table = coboundary_cobracket(data.algebra, lambda_st(data))
+    assert no_dense_calls() == 0
+    double_from_bialgebra(data.algebra, table)
+    double_calls = no_dense_calls()
+    check_hom_jacobi(data.algebra)
+    HomLieAlgebra.create(data.algebra.dim, table)
+    assert double_calls == no_dense_calls()

@@ -12,12 +12,13 @@ from helpers import (
     dense_block_permutation,
     dense_check_manin_isomorphism,
     dense_coboundary_cobracket,
+    dense_double_cross_brackets,
     dense_dual_basis,
     dense_r_from_splitting,
     rand_invertible,
     rand_tensor,
 )
-from maninforge.core import Permutation, identity_matrix, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
+from maninforge.core import Permutation, SparseTensor, identity_matrix, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
 from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_quadratic
 from maninforge.manin import (
     ManinTriple,
@@ -34,7 +35,7 @@ from maninforge.manin import (
     triple_g_plus_h,
 )
 from maninforge.polyuble import nuble, uble_of_uble
-from maninforge.rmatrix import sl2_lie
+from maninforge.rmatrix import sl2_lie, sl2_twisted
 
 # Dual structure constants of the standard skew tensor's cobracket.
 STANDARD_DUAL_TABLE = {(0, 1): {1: Fraction(-1, 2)}, (0, 2): {2: Fraction(-1, 2)}}
@@ -283,8 +284,27 @@ def test_coboundary_cobracket_matches_the_dense_reference():
         assert coboundary_cobracket(g, lambda_st(data)) == dense_coboundary_cobracket(g, lambda_st(data))
         for _ in range(10):
             t = rand_tensor(rng, 2, g.dim, fill=6)
-            lam = t - t.swap()
-            assert coboundary_cobracket(g, lam) == dense_coboundary_cobracket(g, lam)
+            for lam in (t - t.swap(), t):  # only the entries above the diagonal are read
+                assert coboundary_cobracket(g, lam) == dense_coboundary_cobracket(g, lam)
+
+
+# Without the checks, on sl2 the dim-5 tensor gives bracket keys past the
+# algebra and the dim-2 one is read as if embedded in dim 3; on the twisted
+# sl2 the twist is ignored.
+COBRACKET_REJECTS = {
+    "dim 2": (sl2_lie, SparseTensor.from_entries(2, 2, {(0, 1): 1, (1, 0): -1}), "got degree 2 and dimension 2"),
+    "dim 5": (sl2_lie, SparseTensor.from_entries(2, 5, {(1, 4): 1, (4, 1): -1}), "got degree 2 and dimension 5"),
+    "degree 1": (sl2_lie, SparseTensor.from_entries(1, 3, {(1,): 1}), "got degree 1 and dimension 3"),
+    "degree 3": (sl2_lie, SparseTensor.from_entries(3, 3, {(0, 1, 2): 1}), "got degree 3 and dimension 3"),
+    "twisted": (sl2_twisted, lambda_st(special_linear_data(2)), "the double construction needs an untwisted algebra"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COBRACKET_REJECTS))
+def test_coboundary_cobracket_rejects_a_wrong_shape_or_a_twist(case):
+    algebra, lam, message = COBRACKET_REJECTS[case]
+    with pytest.raises(ValueError, match=message):
+        coboundary_cobracket(algebra(), lam)
 
 
 def test_zero_cobracket_double_certifies():
@@ -313,8 +333,6 @@ def test_incompatible_cobracket_fails_ambient_jacobi():
 
 
 def test_double_rejects_twisted_base():
-    from maninforge.rmatrix import sl2_twisted
-
     with pytest.raises(ValueError):
         double_from_bialgebra(sl2_twisted(), {})
 
@@ -325,6 +343,24 @@ def test_double_rejects_non_lie_inputs():
         double_from_bialgebra(broken, {})
     with pytest.raises(ValueError):
         double_from_bialgebra(sl2_lie(), {(0, 1): {0: 1}, (0, 2): {1: 1}, (1, 2): {0: 1}})
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_double_brackets_match_the_dense_reference(k):
+    """The base and dual copies, and the cross brackets against the d^2 loop,
+    for the zero table, the coboundary table of the standard skew tensor and,
+    on sl2, a table that is not compatible."""
+    data = special_linear_data(k)
+    g = data.algebra
+    tables = [{}, coboundary_cobracket(g, lambda_st(data))]
+    if k == 2:
+        tables += [STANDARD_DUAL_TABLE, {(0, 1): {1: Fraction(-1, 2)}, (0, 2): {2: Fraction(1, 2)}}]
+    d = g.dim
+    for table in tables:
+        expected = dict(g.brackets)
+        expected.update({(d + a, d + b): {d + c: v for c, v in coeffs.items()} for (a, b), coeffs in table.items()})
+        expected.update(dense_double_cross_brackets(g, table))
+        assert double_from_bialgebra(g, table).algebra.brackets == expected
 
 
 def test_double_pairing_form_is_hyperbolic():

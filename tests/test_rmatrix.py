@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     conjugate_algebra,
+    dense_check_hom_ad_invariant,
     dense_hcyb,
     dense_hcyb_pairing_check,
     dense_hom_schouten,
@@ -43,6 +44,7 @@ from maninforge.manin import (
     triple_double,
     triple_g_plus_h,
 )
+from maninforge.polyuble import nuble
 from maninforge.rmatrix import (
     additivity_check,
     check_hom_ad_invariant,
@@ -401,6 +403,7 @@ ORACLE_ALGEBRAS = {
     "sl2_twisted+sl2_lie": lambda: direct_sum(sl2_twisted(), sl2_lie()),
     "D2": lambda: triple_double(special_linear_data(2)).algebra,
     "D3": lambda: triple_double(special_linear_data(3)).algebra,
+    "sl2_shear": sl2_shear,
 }
 
 
@@ -416,6 +419,28 @@ def test_graded_bracket_matches_the_dense_reference(name):
             assert hom_schouten(h, a, b) == dense_hom_schouten(h, a, b), pair
     lam = rand_phi_fixed_skew(rng, h)
     assert hom_schouten(h, lam, lam) == dense_hom_schouten(h, lam, lam)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_invariance_check_matches_the_dense_reference(name):
+    """The whole report, failure by failure, on seeded tensors and on their
+    symmetric parts."""
+    h = ORACLE_ALGEBRAS[name]()
+    rng = random.Random(73)
+    for _ in range(10):
+        t = rand_tensor(rng, 2, h.dim, fill=6)
+        for s in (t, t + t.swap()):
+            assert check_hom_ad_invariant(h, s).to_json() == dense_check_hom_ad_invariant(h, s).to_json()
+
+
+@pytest.mark.parametrize("name", ["D2", "D3", "D3x2"])
+def test_invariance_check_matches_the_dense_reference_on_canonical_r(name):
+    base = triple_double(special_linear_data(2 if name == "D2" else 3))
+    t = nuble(base, 2) if name == "D3x2" else base
+    _, s = tensor_skew_sym_split(r_from_splitting(t))
+    report = check_hom_ad_invariant(t.algebra, s)
+    assert report.to_json() == dense_check_hom_ad_invariant(t.algebra, s).to_json()
+    assert report.passed
 
 
 def test_residual_is_half_the_squared_bracket_exact():
