@@ -34,9 +34,9 @@ from .polyuble import chain_graph_dot, nuble, render_graph, snake_permutation, v
 from .reporting import CheckReport, failure
 from .rmatrix import check_quasi_triangular, cyb, sl2_r, sl2_twisted
 from .stabilizer import (
+    _twist_stable,
     check_bracket_sharp_condition,
     check_coisotropy,
-    check_phi_stable,
     check_s_sharp_condition,
 )
 
@@ -216,14 +216,14 @@ def _cmd_stabilizer(args, inputs: _Inputs, started: float) -> int:
     q = inputs.take(args.q, "subspace")
     if q.ambient_dim != triple.dim:
         raise CliError("--q must live in the triple's ambient space")
-    if triple.algebra.form is None:
+    if triple.algebra.form_rows is None:
         raise CliError("the triple's algebra carries no bilinear form")
     s = inputs.take(args.s, "tensor") if args.s is not None else None
     if s is not None and (s.degree != 2 or s.dim != triple.dim):
         raise CliError("--S must be a degree-2 tensor over the triple's algebra")
     outcomes: list[tuple[str, bool]] = [
         ("coisotropic", check_coisotropy(triple, q)),
-        ("twist_stable", check_phi_stable(q, triple.algebra.phi)),
+        ("twist_stable", _twist_stable(triple.algebra, q)),
     ]
     if s is not None:
         outcomes.append(("s_sharp_image", check_s_sharp_condition(triple.algebra, s, q)))

@@ -19,8 +19,13 @@ ONE = Fraction(1)
 
 
 def rational(x: int | str | Fraction) -> Fraction:
-    """Coerce an int, string like ``-3/4``, or Fraction to an exact Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an int, string like ``-3/4``, or Fraction to an exact Fraction; a
+    float is refused, since its binary value is rarely the rational meant."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"float {x!r} is not exact; write it as a string like '1/10' or as a Fraction")
+    return Fraction(x)
 
 
 def vector(entries: Iterable[int | str | Fraction]) -> Vector:
@@ -91,6 +96,14 @@ def _sparse(v: Vector) -> dict[int, Fraction]:
     return {i: x for i, x in enumerate(v) if x}
 
 
+def _dense_vector(xs: Mapping[int, Fraction], n: int) -> Vector:
+    """The dense vector of length n whose nonzero entries are xs."""
+    out = [ZERO] * n
+    for i, x in xs.items():
+        out[i] = x
+    return tuple(out)
+
+
 def sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
     """Column-sparse form of a rectangular matrix: for each column, {row: entry}
     over its nonzero entries, rows in increasing order.
@@ -104,6 +117,11 @@ def sparse_columns(m: Matrix) -> list[dict[int, Fraction]]:
             if x:
                 cols[c][r] = x
     return cols
+
+
+def _unit_columns(n: int) -> tuple[dict[int, Fraction], ...]:
+    """Sparse columns of the n x n identity."""
+    return tuple({i: ONE} for i in range(n))
 
 
 def _columns_shape_error(cols: Sequence, n_rows: int, n_cols: int) -> str | None:
@@ -255,6 +273,8 @@ class SparseTensor:
         if self.degree not in (1, 2, 3):
             raise ValueError(f"unsupported tensor degree {self.degree}")
         for idx, value in list(self.entries.items()):
+            if not all(type(i) is int for i in idx):
+                raise ValueError(f"index {idx!r} holds an entry that is not an int")
             if len(idx) != self.degree or not all(0 <= i < self.dim for i in idx):
                 raise ValueError(f"index {idx} out of range for degree {self.degree}, dim {self.dim}")
             if value == 0:
@@ -314,11 +334,16 @@ class SparseTensor:
         return SparseTensor(2, self.dim, {(j, i): v for (i, j), v in self.entries.items()})
 
     def apply_per_slot(self, maps: Sequence[Matrix]) -> SparseTensor:
-        """Apply one linear map per slot: e_i in slot s maps to sum_a maps[s][a][i] e_a,
-        read from column i of the map's sparse columns."""
+        """Apply one linear map per slot: e_i in slot s maps to sum_a maps[s][a][i] e_a."""
         if len(maps) != self.degree:
             raise ValueError("need one matrix per tensor slot")
-        cols = [sparse_columns(_square(m, self.dim, f"map for slot {s}")) for s, m in enumerate(maps)]
+        return self._apply_per_slot(
+            [sparse_columns(_square(m, self.dim, f"map for slot {s}")) for s, m in enumerate(maps)]
+        )
+
+    def _apply_per_slot(self, cols: Sequence[Sequence[Mapping[int, Fraction]]]) -> SparseTensor:
+        """Apply one map per slot given as sparse columns: e_i in slot s maps to
+        the vector cols[s][i]."""
         out = SparseTensor.zero(self.degree, self.dim)
         for idx, v in self.entries.items():
             terms: list[tuple[tuple[int, ...], Fraction]] = [((), v)]
@@ -505,10 +530,15 @@ def subspace_contains(a: Subspace, b: Subspace) -> bool:
 
 def orthogonal_complement(space: Subspace, gram: Matrix) -> Subspace:
     """{v : <w, v> = 0 for all w in space}, for the bilinear form with Gram matrix `gram`."""
-    if not space.rows:
-        return Subspace.full(space.ambient_dim)
-    conditions = mat_mul(space.rows, gram)
-    return Subspace.span(space.ambient_dim, nullspace(conditions))
+    return _orthogonal_complement(space, [_sparse(row) for row in _square(gram, space.ambient_dim, "gram")])
+
+
+def _orthogonal_complement(space: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> Subspace:
+    """The same for the form with sparse rows form_rows: the kernel of the
+    covectors w^T G, one per canonical row w of space."""
+    n = space.ambient_dim
+    conditions = [_dense_vector(_apply_columns(form_rows, row), n) for _, row in space.echelon]
+    return Subspace.span(n, nullspace(conditions)) if conditions else Subspace.full(n)
 
 
 def annihilator(space: Subspace) -> Subspace:
@@ -536,13 +566,7 @@ def _images_outside(
 
 def _column_image(cols: list[dict[int, Fraction]], dim: int, space: Subspace) -> Subspace:
     """Image of a subspace under the map into dimension dim with sparse columns cols."""
-    images = []
-    for _, row in space.echelon:
-        image = [ZERO] * dim
-        for r, x in _apply_columns(cols, row).items():
-            image[r] = x
-        images.append(image)
-    return Subspace.span(dim, images)
+    return Subspace.span(dim, [_dense_vector(_apply_columns(cols, row), dim) for _, row in space.echelon])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import Matrix, ONE, Permutation, ZERO, determinant, inverse, mat_mul
+from .core import Matrix, ONE, Permutation, ZERO, determinant, inverse, mat_mul, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,7 @@ class GroupElement:
 
     @classmethod
     def of(cls, rows) -> GroupElement:
-        m = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        m = matrix(rows)
         k = len(m)
         if any(len(row) != k for row in m):
             raise ValueError("group elements must be square matrices")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Container, Mapping, Sequence
 
 from .core import (
@@ -14,7 +15,10 @@ from .core import (
     ZERO,
     _apply_columns,
     _columns_shape_error,
+    _dense_vector,
+    _sparse,
     _square,
+    _unit_columns,
     identity_matrix,
     mat_mul,
     mat_vec,
@@ -25,7 +29,6 @@ from .core import (
     sparse_columns,
     transpose,
     vec_sub,
-    zero_vector,
 )
 from .reporting import CheckReport, Failure, failure
 
@@ -37,6 +40,8 @@ def _normalize_brackets(
 ) -> BracketTable:
     table: BracketTable = {}
     for (i, j), coeffs in brackets.items():
+        if not all(type(k) is int for k in (i, j, *coeffs)):
+            raise ValueError(f"bracket key {(i, j)!r}: key and value indices {list(coeffs)!r} must be ints")
         if not (0 <= i < j < dim):
             raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
         cleaned = {k: rational(v) for k, v in coeffs.items() if rational(v) != 0}
@@ -55,13 +60,51 @@ class HomLieAlgebra:
     Structure constants are stored sparsely for i < j only; [b_j, b_i] is derived
     by antisymmetry and [b_i, b_i] = 0. An optional symmetric bilinear form (Gram
     matrix) makes the algebra a candidate quadratic algebra.
+
+    The twist and the form are stored once, sparse: phi_columns[i] is phi(b_i)
+    as {row: entry} and form_rows[i] is {j: <b_i, b_j>} (None without a form),
+    nonzero entries only, indices increasing.  `create` and `unchecked` take
+    dense matrices; `phi` and `form` are dense views, built on first use.
+
+    >>> h = HomLieAlgebra.unchecked(2, {}, phi=[[1, 0], [0, -1]], form=[[0, 2], [2, 0]])
+    >>> h.phi_columns
+    ({0: Fraction(1, 1)}, {1: Fraction(-1, 1)})
+    >>> h.form_rows
+    ({1: Fraction(2, 1)}, {0: Fraction(2, 1)})
+    >>> h.untwisted, HomLieAlgebra.unchecked(2, {}).untwisted
+    (False, True)
+    >>> h.phi
+    ((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(-1, 1)))
     """
 
     dim: int
     brackets: BracketTable
-    phi: Matrix
-    form: Matrix | None = None
+    phi_columns: tuple[dict[int, Fraction], ...]
+    form_rows: tuple[dict[int, Fraction], ...] | None = None
     name: str | None = None
+
+    def __post_init__(self) -> None:
+        self.phi_columns = tuple(self.phi_columns)
+        self.form_rows = None if self.form_rows is None else tuple(self.form_rows)
+        for what, vectors in (("phi", self.phi_columns), ("form", self.form_rows)):
+            problem = vectors is not None and _columns_shape_error(vectors, self.dim, self.dim)
+            if problem:
+                raise ValueError(f"{what} must be {self.dim}x{self.dim} as sparse vectors: {problem}")
+
+    @cached_property
+    def untwisted(self) -> bool:
+        """True when the twist is the identity, read from its columns in O(dim)."""
+        return all(len(col) == 1 and col.get(i) == 1 for i, col in enumerate(self.phi_columns))
+
+    @cached_property
+    def phi(self) -> Matrix:
+        """Dense view of the twist, for I/O and for callers that want a matrix."""
+        return transpose(tuple(_dense(self, col) for col in self.phi_columns))
+
+    @cached_property
+    def form(self) -> Matrix | None:
+        """Dense view of the form (None without one), likewise."""
+        return None if self.form_rows is None else tuple(_dense(self, row) for row in self.form_rows)
 
     @classmethod
     def create(
@@ -96,9 +139,9 @@ class HomLieAlgebra:
         checked: dim >= 0, and phi and the form (when given) dim x dim."""
         if dim < 0:
             raise ValueError(f"dim must be non-negative, got {dim}")
-        phi_matrix = identity_matrix(dim) if phi is None else _square(matrix(phi), dim, "phi")
-        form_matrix = None if form is None else _square(matrix(form), dim, "form")
-        return cls(dim, _normalize_brackets(dim, brackets), phi_matrix, form_matrix, name)
+        phi_columns = _unit_columns(dim) if phi is None else sparse_columns(_square(matrix(phi), dim, "phi"))
+        form_rows = None if form is None else tuple(map(_sparse, _square(matrix(form), dim, "form")))
+        return cls(dim, _normalize_brackets(dim, brackets), phi_columns, form_rows, name)
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
         """Sparse coordinates of [b_i, b_j] for any index pair."""
@@ -174,15 +217,18 @@ def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) 
     return {index: w for index, w in out.items() if w}
 
 
-def _pairings(form: Matrix, left: Sequence[Mapping], right: Sequence[Mapping] | None = None) -> dict:
-    """The nonzero {(a, b): <left_a, right_b>} under the Gram matrix form, right
-    defaulting to left, accumulated from the form's nonzero entries."""
+def _pairings(
+    form_rows: Sequence[Mapping], left: Sequence[Mapping], right: Sequence[Mapping] | None = None
+) -> dict:
+    """The nonzero {(a, b): <left_a, right_b>} under the form with sparse rows
+    form_rows, right defaulting to left, accumulated from the form's nonzero
+    entries in the rows of the indices that left holds."""
     left_holders = _holders(left)
     right_holders = left_holders if right is None else _holders(right)
     out: dict[tuple[int, int], Fraction] = {}
     for i, xs in left_holders.items():
-        for j, g in enumerate(form[i]):
-            if g and j in right_holders:
+        for j, g in form_rows[i].items():
+            if j in right_holders:
                 for a, x in xs:
                     xg = x * g
                     for b, y in right_holders[j]:
@@ -198,15 +244,24 @@ def _require_tensor(h: HomLieAlgebra, t: SparseTensor) -> None:
         )
 
 
+def _phi_fixed(h: HomLieAlgebra, t: SparseTensor) -> bool:
+    """True when (phi (x) phi)t = t for a degree-2 t."""
+    return h.untwisted or t._apply_per_slot((h.phi_columns, h.phi_columns)) == t
+
+
 def _by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[dict, dict]:
     """Slot 0 of (Id (x) phi)t and slot 1 of (phi (x) Id)t, each as index there
     -> [(other index, entry)]: the entries of a degree-2 t with phi applied to
     the slot that a bracket on the indexed slot leaves alone."""
-    ident = identity_matrix(h.dim)
+    if h.untwisted:
+        left = right = t
+    else:
+        ident = _unit_columns(h.dim)
+        left, right = t._apply_per_slot((ident, h.phi_columns)), t._apply_per_slot((h.phi_columns, ident))
     by_slot: tuple[dict, dict] = ({}, {})
-    for (a, b), v in t.apply_per_slot((ident, h.phi)).entries.items():
+    for (a, b), v in left.entries.items():
         by_slot[0].setdefault(a, []).append((b, v))
-    for (a, b), v in t.apply_per_slot((h.phi, ident)).entries.items():
+    for (a, b), v in right.entries.items():
         by_slot[1].setdefault(b, []).append((a, v))
     return by_slot
 
@@ -233,11 +288,8 @@ def _ad_basis(
     return {k: w for k, w in out.items() if w}
 
 
-def _dense(h: HomLieAlgebra, xs: dict[int, Fraction]) -> Vector:
-    out = [ZERO] * h.dim
-    for i, v in xs.items():
-        out[i] = v
-    return tuple(out)
+def _dense(h: HomLieAlgebra, xs: Mapping[int, Fraction]) -> Vector:
+    return _dense_vector(xs, h.dim)
 
 
 def _residual(h: HomLieAlgebra, lhs: dict[int, Fraction], rhs: dict[int, Fraction]) -> Vector:
@@ -255,7 +307,7 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     computed once per triple i < j < k holding a key, and each of the six
     orderings of a failing triple is reported with its signed residual."""
     failures = []
-    phi_cols = sparse_columns(h.phi)
+    phi_cols = h.phi_columns
     triples = {tuple(sorted((a, b, c))) for a, b in h.brackets for c in range(h.dim) if c != a and c != b}
     for i, j, k in triples:
         total: dict[int, Fraction] = {}
@@ -294,12 +346,13 @@ def _bracket_failures(f_cols: list[dict], h1: HomLieAlgebra, h2: HomLieAlgebra, 
 
 def check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
     """phi is multiplicative: phi[x, y] = [phi(x), phi(y)] on all basis pairs."""
-    return CheckReport("twist_morphism", _bracket_failures(sparse_columns(h.phi), h, h, "twist_morphism"))
+    return CheckReport("twist_morphism", _bracket_failures(h.phi_columns, h, h, "twist_morphism"))
 
 
 def check_involutive(h: HomLieAlgebra) -> bool:
     """True when the twist squares to the identity."""
-    return mat_mul(h.phi, h.phi) == identity_matrix(h.dim)
+    cols = h.phi_columns
+    return h.untwisted or all(_apply_columns(cols, col) == {i: ONE} for i, col in enumerate(cols))
 
 
 def _intertwining_failures(
@@ -309,8 +362,7 @@ def _intertwining_failures(
     by h2's basis) fails f . phi1 = phi2 . f on a basis vector of h1, and
     f[b_i, b_j] = [f(b_i), f(b_j)] on a basis pair."""
     failures = []
-    phi1_cols = sparse_columns(h1.phi)
-    phi2_cols = sparse_columns(h2.phi)
+    phi1_cols, phi2_cols = h1.phi_columns, h2.phi_columns
     for i in range(h1.dim):
         lhs = _apply_columns(f_cols, phi1_cols[i])
         rhs = _apply_columns(phi2_cols, f_cols[i])
@@ -386,7 +438,7 @@ def check_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
     rho([x,y]) alpha = rho(phi x) rho(y) - rho(phi y) rho(x)."""
     _require_rho_count(h, rep)
     failures = []
-    rho_phi = [rep.rho_of(column) for column in transpose(h.phi)]
+    rho_phi = [rep.rho_of(_dense(h, column)) for column in h.phi_columns]
     for i in range(h.dim):
         lhs = mat_mul(rho_phi[i], rep.alpha)
         rhs = mat_mul(rep.alpha, rep.rho[i])
@@ -414,7 +466,7 @@ def check_admissible_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckRe
             reason="alpha is singular; the dual-side conditions are undefined",
         )
     failures = []
-    rho_phi = [rep.rho_of(column) for column in transpose(h.phi)]
+    rho_phi = [rep.rho_of(_dense(h, column)) for column in h.phi_columns]
     for i in range(h.dim):
         lhs = mat_mul(rep.alpha, rho_phi[i])
         rhs = mat_mul(rep.rho[i], rep.alpha)
@@ -435,12 +487,13 @@ def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
     """The coadjoint action is a representation: [(Id - phi^2)x, phi y] = 0 and
     [(Id - phi^2)x, [phi y, z]] = [(Id - phi^2)y, [phi x, z]] on basis elements."""
     failures = []
-    phi2 = mat_mul(h.phi, h.phi)
+    phi_cols = h.phi_columns
     defect_cols = []  # coordinates of (Id - phi^2) b_i
     for i in range(h.dim):
-        col = {a: (Fraction(1) if a == i else ZERO) - phi2[a][i] for a in range(h.dim)}
-        defect_cols.append({a: v for a, v in col.items() if v != 0})
-    phi_cols = sparse_columns(h.phi)
+        defect = {i: ONE}
+        for a, v in _apply_columns(phi_cols, phi_cols[i]).items():
+            _accumulate(defect, a, -v)
+        defect_cols.append(defect)
     for i in range(h.dim):
         if not defect_cols[i]:
             continue
@@ -463,27 +516,29 @@ def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
 def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     """The form is symmetric, nondegenerate (else the kernel basis is reported),
     invariant <[x,y],z> = <x,[y,z]>, and twist-self-adjoint <phi x, y> = <x, phi y>."""
-    if h.form is None:
+    if h.form_rows is None:
         raise ValueError("algebra carries no bilinear form to check")
     failures = []
-    g = h.form
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            if g[i][j] != g[j][i]:
-                failures.append(failure("symmetric", (i, j), g[i][j] - g[j][i]))
-    kernel = nullspace(g)
+    g_rows, g_cols = h.form_rows, [{} for _ in range(h.dim)]
+    for i, row in enumerate(g_rows):
+        for j, g in row.items():
+            g_cols[j][i] = g
+    asymmetric = {
+        (min(i, j), max(i, j)) for i, row in enumerate(g_rows) for j in row if row[j] != g_cols[i].get(j)
+    }
+    for i, j in sorted(asymmetric):
+        failures.append(failure("symmetric", (i, j), g_rows[i].get(j, ZERO) - g_rows[j].get(i, ZERO)))
+    kernel = nullspace(h.form)  # the one dense read of the form
     for v in kernel:
         failures.append(failure("nondegenerate", None, v))
-    phi_cols, units = sparse_columns(h.phi), [{i: ONE} for i in range(h.dim)]
-    twist = _pairings(g, phi_cols, units)  # <phi b_i, b_j> - <b_i, phi b_j>
-    for index, value in _pairings(g, units, phi_cols).items():
+    phi_cols, units = h.phi_columns, _unit_columns(h.dim)
+    twist = _pairings(g_rows, phi_cols, units)  # <phi b_i, b_j> - <b_i, phi b_j>
+    for index, value in _pairings(g_rows, units, phi_cols).items():
         _accumulate(twist, index, -value)
     failures += [failure("twist_self_adjoint", index, value) for index, value in twist.items()]
     # Residual <[b_i,b_j],b_k> - <b_i,[b_j,b_k]>, accumulated from each bracket
     # key (a, b) in both orders, in the left slot through row c of the form and
     # in the right slot through column c (the form need not be symmetric).
-    g_rows = sparse_columns(transpose(g))
-    g_cols = sparse_columns(g)
     residual: dict[tuple[int, int, int], Fraction] = {}
     for (a, b), coeffs in h.brackets.items():
         for c, v in coeffs.items():
@@ -500,26 +555,26 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
 
 def direct_sum(*algebras: HomLieAlgebra) -> HomLieAlgebra:
     """Componentwise bracket and twist on the concatenated coordinate space;
-    forms (when all are present) combine block-diagonally.  Each dense row of
-    the twist and the form is built once, however many summands there are."""
+    forms (when all are present) combine block-diagonally.  The twist's columns
+    and the form's rows are each summand's, shifted by its offset."""
     dim = sum(h.dim for h in algebras)
     brackets: BracketTable = {}
-    phi: list[Vector] = []
-    form: list[Vector] | None = [] if all(h.form is not None for h in algebras) else None
+    phi_columns: list[dict[int, Fraction]] = []
+    form_rows: list[dict[int, Fraction]] | None = [] if all(h.form_rows is not None for h in algebras) else None
     offset = 0
     for h in algebras:
         for (i, j), coeffs in h.brackets.items():
             brackets[(i + offset, j + offset)] = {k + offset: v for k, v in coeffs.items()}
-        left, right = zero_vector(offset), zero_vector(dim - offset - h.dim)
-        phi += [left + tuple(row) + right for row in h.phi]
-        if form is not None:
-            form += [left + tuple(row) + right for row in h.form]
+        phi_columns += ({k + offset: v for k, v in col.items()} for col in h.phi_columns)
+        if form_rows is not None:
+            form_rows += ({k + offset: v for k, v in row.items()} for row in h.form_rows)
         offset += h.dim
-    return HomLieAlgebra(dim, brackets, tuple(phi), None if form is None else tuple(form))
+    return HomLieAlgebra(dim, brackets, phi_columns, form_rows)
 
 
 def negate_form(h: HomLieAlgebra) -> HomLieAlgebra:
     """The same bracket and twist with the bilinear form negated."""
-    if h.form is None:
+    if h.form_rows is None:
         raise ValueError("algebra carries no bilinear form")
-    return HomLieAlgebra(h.dim, h.brackets, h.phi, tuple(tuple(-v for v in row) for row in h.form))
+    negated = [{j: -g for j, g in row.items()} for row in h.form_rows]
+    return HomLieAlgebra(h.dim, h.brackets, h.phi_columns, negated)

@@ -19,7 +19,7 @@ from .core import (
     _columns_shape_error,
     _images_outside,
     _sparse,
-    identity_matrix,
+    _unit_columns,
     inverse,
     mat_mul,
     mat_vec,
@@ -86,9 +86,15 @@ class ManinTriple:
 
     @property
     def form(self) -> Matrix:
-        if self.algebra.form is None:
-            raise ValueError("triple's algebra carries no bilinear form")
+        _form_rows(self)  # raises without a form
         return self.algebra.form
+
+
+def _form_rows(t: ManinTriple) -> tuple[dict[int, Fraction], ...]:
+    """The sparse rows of the triple's form, after checking that there is one."""
+    if t.algebra.form_rows is None:
+        raise ValueError("triple's algebra carries no bilinear form")
+    return t.algebra.form_rows
 
 
 def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
@@ -98,13 +104,13 @@ def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
     failures = []
     h = t.algebra
     rows = [row for _, row in part.echelon]
-    for (a, b), value in _pairings(t.form, rows).items():
+    for (a, b), value in _pairings(_form_rows(t), rows).items():
         if a <= b:
             failures.append(failure("isotropic", (a, b), value))
     for index, w in _pair_brackets(h, rows).items():
         if not part.contains_sparse(w):
             failures.append(failure("subalgebra", index, _dense(h, w)))
-    for a, image in _images_outside(sparse_columns(h.phi), part, part):
+    for a, image in _images_outside(h.phi_columns, part, part):
         failures.append(failure("twist_stable", (a,), _dense(h, image)))
     return CheckReport(label, failures)
 
@@ -161,7 +167,7 @@ def dual_basis(t: ManinTriple) -> DualBasisPair:
     xi_rows = [row for _, row in t.part2.echelon]
 
     def pairing_matrix(right: list[dict[int, Fraction]]) -> Matrix:
-        pairs = _pairings(t.form, xi_rows, right)
+        pairs = _pairings(_form_rows(t), xi_rows, right)
         return tuple(tuple(pairs.get((a, b), ZERO) for b in range(m)) for a in range(m))
 
     x_rows = [row for _, row in t.part1.echelon]
@@ -189,11 +195,10 @@ def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: M
     if h1.dim != h2.dim or _columns_shape_error(f, h2.dim, h1.dim):
         return CheckReport("manin_isomorphism", [failure("shape", (h1.dim, h2.dim, len(f)))])
     failures = _intertwining_failures(f, h1, h2)
-    residual = _pairings(t2.form, f)
-    for i, form_row in enumerate(t1.form):
-        for j, g in enumerate(form_row):
-            if g:
-                _accumulate(residual, (i, j), -g)
+    residual = _pairings(_form_rows(t2), f)
+    for i, form_row in enumerate(_form_rows(t1)):
+        for j, g in form_row.items():
+            _accumulate(residual, (i, j), -g)
     for index, value in residual.items():
         failures.append(failure("form_preserved", index, value))
     if not subspace_equal(_column_image(f, h2.dim, t1.part1), t2.part1):
@@ -212,7 +217,7 @@ def coboundary_cobracket(g: HomLieAlgebra, lam: SparseTensor) -> BracketTable:
     (untwisted algebras): [f_a, f_b]* = sum_k (ad_{b_k} lam)_{ab} f_k for a < b,
     lam read from its entries above the diagonal."""
     _require_tensor(g, lam)
-    if g.phi != identity_matrix(g.dim):
+    if not g.untwisted:
         raise ValueError("the double construction needs an untwisted algebra")
     upper = SparseTensor(2, g.dim, {(a, b): v for (a, b), v in lam.entries.items() if a < b})
     table: BracketTable = {}
@@ -233,7 +238,7 @@ def double_from_bialgebra(
     The ambient algebra is built without validation: its twisted Jacobi identity
     holds exactly when the cobracket is compatible, and the certifier decides that.
     """
-    if g.phi != identity_matrix(g.dim):
+    if not g.untwisted:
         raise ValueError("the double construction needs an untwisted algebra")
     if not check_hom_jacobi(g).passed:
         raise ValueError("base bracket is not a Lie bracket")
@@ -255,11 +260,8 @@ def double_from_bialgebra(
             for i, c in coeffs.items():
                 _accumulate(cross.setdefault((i, d + j), {}), l, -sign * c)
     brackets.update((index, cross[index]) for index in sorted(cross) if cross[index])
-    form = tuple(
-        tuple(ONE if abs(i - j) == d else ZERO for j in range(2 * d))
-        for i in range(2 * d)
-    )
-    ambient = HomLieAlgebra(2 * d, brackets, identity_matrix(2 * d), form)
+    form_rows = [{(i + d) % (2 * d): ONE} for i in range(2 * d)]  # <b_i, f_j> = delta_ij
+    ambient = HomLieAlgebra(2 * d, brackets, _unit_columns(2 * d), form_rows)
     part1 = Subspace.span(2 * d, [unit_vector(2 * d, i) for i in range(d)])
     part2 = Subspace.span(2 * d, [unit_vector(2 * d, d + i) for i in range(d)])
     return ManinTriple(ambient, part1, part2, name="bialgebra-double")
@@ -363,9 +365,7 @@ def triple_g_plus_h(data: RootData) -> ManinTriple:
     (E_a, 0) and (h, h), half 2 by (E_-a, 0) and (h, -h)."""
     g = data.algebra
     c = len(data.cartan)
-    cartan_form = tuple(
-        tuple(-g.form[a][b] for b in data.cartan) for a in data.cartan
-    )
+    cartan_form = [[-g.form_rows[a].get(b, ZERO) for b in data.cartan] for a in data.cartan]
     abelian = HomLieAlgebra.unchecked(c, {}, form=cartan_form)
     ambient = direct_sum(g, abelian)
     d = g.dim

@@ -4,6 +4,7 @@ with respect to the pairing, stability of the symmetric part's sharp image, and
 closure of sharp-image brackets."""
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import (
@@ -13,16 +14,18 @@ from .core import (
     Vector,
     _apply_columns,
     _images_outside,
+    _orthogonal_complement,
+    _sparse,
     _square,
     annihilator,
     identity_matrix,
     mat_vec,
+    matrix,
     nullspace,
-    orthogonal_complement,
     sparse_columns,
 )
 from .homlie import HomLieAlgebra, LinearRep, _pair_brackets
-from .manin import ManinTriple
+from .manin import ManinTriple, _form_rows
 from .rmatrix import _s_sharp_columns
 from .reporting import CheckReport, failure
 
@@ -61,17 +64,29 @@ def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
     return not _images_outside(sparse_columns(_square(phi, q.ambient_dim, "phi")), q, q)
 
 
+def _twist_stable(h: HomLieAlgebra, q: Subspace) -> bool:
+    """Stability of a subspace under the algebra's twist, read from its columns."""
+    _require_ambient(q, h.dim)
+    return not _images_outside(h.phi_columns, q, q)
+
+
+def _coisotropic(h: HomLieAlgebra, q: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> bool:
+    """[c, c] inside q, with c the complement of q under the form with sparse rows form_rows."""
+    _require_ambient(q, h.dim)
+    return _brackets_in(h, [row for _, row in _orthogonal_complement(q, form_rows).echelon], q)
+
+
 def check_coisotropy(t: ManinTriple, q: Subspace) -> bool:
     """Coisotropy inside a triple's ambient pairing: the bracket of any two
     elements of the pairing-complement of q lands back in q."""
-    return check_coisotropy_form(t.algebra, q, t.form)
+    return _coisotropic(t.algebra, q, _form_rows(t))
 
 
 def check_coisotropy_form(h: HomLieAlgebra, q: Subspace, form: Matrix) -> bool:
     """Coisotropy with respect to a chosen pairing: with c the pairing-complement
     of q, require [c, c] inside q."""
     _require_ambient(q, h.dim)
-    return _brackets_in(h, [row for _, row in orthogonal_complement(q, form).echelon], q)
+    return _coisotropic(h, q, [_sparse(row) for row in _square(matrix(form), h.dim, "form")])
 
 
 def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
@@ -97,7 +112,7 @@ def stabilizer_report(
     when a symmetric part is supplied."""
     _require_ambient(q, h.dim)
     failures = []
-    if not check_phi_stable(q, h.phi):
+    if not _twist_stable(h, q):
         failures.append(failure("twist_stable"))
     if not is_subalgebra(h, q):
         failures.append(failure("subalgebra"))

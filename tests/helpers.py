@@ -499,7 +499,7 @@ def dense_nuble(t: ManinTriple, n: int) -> ManinTriple:
         )
         for r in range(big)
     )
-    ambient = HomLieAlgebra(big, brackets, phi, form)
+    ambient = HomLieAlgebra.unchecked(big, brackets, phi, form)
     part1_rows: list[Vector] = []
     part2_rows: list[Vector] = []
     if n % 2 == 1:

@@ -52,6 +52,8 @@ from maninforge.core import (
     wedge_t2_v1_into,
     zero_vector,
 )
+from maninforge.flagleaf import GroupElement
+from maninforge.homlie import HomLieAlgebra
 from maninforge.polyuble import snake_permutation
 
 
@@ -64,6 +66,25 @@ def test_rational_accepts_ints_strings_fractions():
     assert rational("3/4") == Fraction(3, 4)
     assert rational("-7") == Fraction(-7)
     assert rational(Fraction(1, 2)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rational(0.1),
+        lambda: HomLieAlgebra.unchecked(2, {}, phi=[[1, 0], [0, 0.5]]),
+        lambda: HomLieAlgebra.unchecked(2, {}, form=[[0, 1.0], [1, 0]]),
+        lambda: HomLieAlgebra.unchecked(2, {(0, 1): {0: 0.25}}),
+        lambda: SparseTensor.from_entries(2, 3, {(0, 1): 0.5}),
+        lambda: Subspace.span(2, [[1, 0.5]]),
+        lambda: GroupElement.of([[1, 0.5], [0, 1]]),
+    ],
+)
+def test_floats_are_refused_with_a_hint(build):
+    """A float's binary value is rarely the rational meant: 0.1 used to become
+    3602879701896397/36028797018963968 without a word."""
+    with pytest.raises(ValueError, match="is not exact; write it as a string like '1/10' or as a Fraction"):
+        build()
 
 
 def test_rref_known_example():
@@ -150,6 +171,9 @@ def test_tensor_index_validation():
         SparseTensor.from_entries(2, 2, {(0, 2): 1})
     with pytest.raises(ValueError):
         SparseTensor.from_entries(2, 2, {(0,): 1})
+    for idx in ((0, 1.5), (0, 1.0), (True, 0), ("0", 1)):
+        with pytest.raises(ValueError, match=r"index \(.*\) holds an entry that is not an int"):
+            SparseTensor.from_entries(2, 3, {idx: 1})
     t = SparseTensor.from_entries(2, 2, {(0, 1): 1})
     with pytest.raises(ValueError, match="map for slot 1 must be 2x2"):
         t.apply_per_slot([identity_matrix(2), matrix([[1, 0], [0, 1], [1, 1]])])

@@ -73,6 +73,23 @@ def test_form_of_the_wrong_shape_rejected():
         HomLieAlgebra.unchecked(2, {}, form=[[1, 0], [0]])
 
 
+@pytest.mark.parametrize(
+    "brackets, match",
+    [
+        ({(0, 1.5): {2: 1}}, r"bracket key \(0, 1.5\): key and value indices \[2\] must be ints"),
+        ({(False, 1): {2: 1}}, r"bracket key \(False, 1\)"),
+        ({("0", 1): {2: 1}}, r"bracket key \('0', 1\)"),
+        ({(0, 1): {True: 1}}, r"bracket key \(0, 1\): key and value indices \[True\] must be ints"),
+        ({(0, 1): {2.0: 1}}, r"bracket key \(0, 1\): key and value indices \[2.0\] must be ints"),
+    ],
+)
+def test_bracket_indices_must_be_ints(brackets, match):
+    """A float key used to load and then raise TypeError in check_hom_jacobi; a
+    bool value index was written out as `True:1`, which the parser rejects."""
+    with pytest.raises(ValueError, match=match):
+        HomLieAlgebra.unchecked(3, brackets)
+
+
 def test_twist_morphism_failure_located():
     """diag(1,1,-1) negates only one root vector, so it cannot respect the
     bracket of the two root vectors."""
@@ -329,5 +346,5 @@ def test_direct_sum_of_many_equals_the_nested_binary_sums():
     assert with_forms == direct_sum(direct_sum(b, c), b)
     assert with_forms.dim == 14 and with_forms.form is not None
     assert check_quadratic(with_forms).passed
-    assert direct_sum(a) == HomLieAlgebra(3, a.brackets, a.phi, None)
-    assert direct_sum() == HomLieAlgebra(0, {}, (), ())
+    assert direct_sum(a) == HomLieAlgebra.unchecked(3, a.brackets, a.phi, None)
+    assert direct_sum() == HomLieAlgebra.unchecked(0, {}, (), ())

@@ -581,6 +581,13 @@ def test_pairing_check_matches_the_dense_reference(name):
     assert (True in applicable) == check_involutive(h)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_pairing_check_needs_at_least_one_trial(trials):
+    """No trial used to be a vacuous pass."""
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        hcyb_pairing_check(sl2_twisted(), sl2_r(), trials=trials)
+
+
 def test_pairing_check_is_deterministic_per_seed():
     a = hcyb_pairing_check(sl2_twisted(), sl2_r(), trials=10, seed=5)
     b = hcyb_pairing_check(sl2_twisted(), sl2_r(), trials=10, seed=5)

@@ -319,6 +319,24 @@ def test_report_names_each_failed_condition():
     assert [f.check for f in report3.failures] == ["subalgebra"]
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3)])
+def test_form_of_the_wrong_shape_gets_the_constructors_message(shape):
+    """A wrong-shape form used to get the generic message of a dense product."""
+    h = sl2_twisted()
+    form = [[1] * shape[1] for _ in range(shape[0])]
+    with pytest.raises(ValueError) as expected:
+        HomLieAlgebra.unchecked(3, {}, form=form)
+    assert str(expected.value).startswith("form must be 3x3, got")
+    q = Subspace.span(3, [[1, 0, 0]])
+    for check in (
+        lambda: stabilizer_report(h, None, q, form=form),
+        lambda: check_coisotropy_form(h, q, form),
+    ):
+        with pytest.raises(ValueError) as raised:
+            check()
+        assert str(raised.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------------------
 # Ambient dimension
 
