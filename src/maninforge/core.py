@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -26,6 +27,26 @@ def rational(x: int | str | Fraction) -> Fraction:
     if isinstance(x, float):
         raise ValueError(f"float {x!r} is not exact; write it as a string like '1/10' or as a Fraction")
     return Fraction(x)
+
+
+def _is_exact(x: object) -> bool:
+    """True for an int or a Fraction (not a bool), the scalars stored entries hold."""
+    return type(x) is int or type(x) is Fraction
+
+
+def _common_denominator(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
+    """(den, numerators) for a family of exact values: den is the lcm of their
+    denominators (1 for an empty family) and values[i] == numerators[i] / den.
+    Read from each value's numerator and denominator, with no Fraction built
+    per entry, so that kernels can accumulate in ints and divide once.
+
+    >>> _common_denominator([Fraction(1, 2), -3, Fraction(-2, 3)])
+    (6, [3, -18, -4])
+    >>> _common_denominator([])
+    (1, [])
+    """
+    den = lcm(*{x.denominator for x in values})
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def vector(entries: Iterable[int | str | Fraction]) -> Vector:
@@ -128,12 +149,15 @@ def _columns_shape_error(cols: Sequence, n_rows: int, n_cols: int) -> str | None
     """Why cols are not the sparse columns of an n_rows x n_cols matrix, or None."""
     if len(cols) != n_cols:
         return f"got {len(cols)} columns"
+    rows = range(n_rows)
     for c, col in enumerate(cols):
         if not isinstance(col, Mapping):
             return f"column {c} is a {type(col).__name__}, not a mapping"
-        for r in col:
-            if r not in range(n_rows):
+        for r, x in col.items():
+            if r not in rows:
                 return f"column {c} has row index {r!r} outside range({n_rows})"
+            if not _is_exact(x):
+                return f"column {c} has entry {x!r} at row {r}, not an int or a Fraction"
     return None
 
 
@@ -261,8 +285,9 @@ def determinant(m: Matrix) -> Fraction:
 class SparseTensor:
     """Sparse tensor of degree 1, 2, or 3 over a dim-dimensional space.
 
-    Entries map index tuples (0-based) to nonzero Fractions; zero values are
-    never stored, so equality of entry dicts is equality of tensors.
+    Entries map index tuples (0-based) to nonzero exact values, ints or
+    Fractions; zero values are never stored, so equality of entry dicts is
+    equality of tensors.
     """
 
     degree: int
@@ -277,6 +302,8 @@ class SparseTensor:
                 raise ValueError(f"index {idx!r} holds an entry that is not an int")
             if len(idx) != self.degree or not all(0 <= i < self.dim for i in idx):
                 raise ValueError(f"index {idx} out of range for degree {self.degree}, dim {self.dim}")
+            if not _is_exact(value):
+                raise ValueError(f"entry {value!r} at index {idx} is not an int or a Fraction")
             if value == 0:
                 del self.entries[idx]
 

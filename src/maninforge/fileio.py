@@ -23,11 +23,17 @@ def render_rational(x: Fraction) -> str:
     return str(x)
 
 
-def _parse_rational(token: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(lineno, f"malformed rational {token!r}") from None
+def _parse_rational(token: str, lineno: int, parsed: dict[str, Fraction]) -> Fraction:
+    """The rational a token spells, parsed once per document: `parsed` maps the
+    tokens read so far to their values, and only successful parses enter it,
+    so a malformed token fails with its own line number every time."""
+    value = parsed.get(token)
+    if value is None:
+        try:
+            value = parsed[token] = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"malformed rational {token!r}") from None
+    return value
 
 
 def _parse_int(token: str, lineno: int) -> int:
@@ -91,6 +97,7 @@ def parse_tensor(text: str) -> SparseTensor:
     degree = _parse_int(fields["degree"], lineno)
     dim = _parse_dim(fields["dim"], lineno)
     entries: dict[tuple[int, ...], Fraction] = {}
+    parsed: dict[str, Fraction] = {}
     for lineno, line in lines[1:]:
         tokens = line.split()
         if len(tokens) != degree + 1:
@@ -100,7 +107,7 @@ def parse_tensor(text: str) -> SparseTensor:
             raise ParseError(lineno, f"index out of range in {line!r}")
         if idx in entries:
             raise ParseError(lineno, f"duplicate entry for index {idx}")
-        entries[idx] = _parse_rational(tokens[degree], lineno)
+        entries[idx] = _parse_rational(tokens[degree], lineno, parsed)
     try:
         return SparseTensor(degree, dim, entries)
     except ValueError as exc:
@@ -127,8 +134,9 @@ def parse_subspace(text: str) -> Subspace:
         raise ParseError(lineno, "subspace header needs dim=")
     dim = _parse_dim(fields["dim"], lineno)
     rows = []
+    parsed: dict[str, Fraction] = {}
     for lineno, line in lines[1:]:
-        row = tuple(_parse_rational(tok, lineno) for tok in line.split())
+        row = tuple(_parse_rational(tok, lineno, parsed) for tok in line.split())
         if len(row) != dim:
             raise ParseError(lineno, f"expected {dim} entries per row")
         rows.append(row)
@@ -180,6 +188,7 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
     phi_rows: list[Vector] = []
     form_rows: list[Vector] = []
     part_rows: dict[str, list[Vector]] = {"part1": [], "part2": []}
+    parsed: dict[str, Fraction] = {}
     for lineno, line in lines[1:]:
         tokens = line.split()
         keyword = tokens[0]
@@ -202,10 +211,10 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
                     raise ParseError(lineno, f"bracket target {k} out of range")
                 if k in coeffs:
                     raise ParseError(lineno, f"duplicate bracket target {k}")
-                coeffs[k] = _parse_rational(value, lineno)
+                coeffs[k] = _parse_rational(value, lineno, parsed)
             brackets[(i, j)] = coeffs
         elif keyword in ("phi", "form") or (allow_parts and keyword in part_rows):
-            row = tuple(_parse_rational(tok, lineno) for tok in tokens[1:])
+            row = tuple(_parse_rational(tok, lineno, parsed) for tok in tokens[1:])
             if len(row) != dim:
                 raise ParseError(lineno, f"expected {dim} entries after {keyword!r}")
             if keyword == "phi":
@@ -268,6 +277,7 @@ def parse_matrix_blocks(text: str) -> list[Matrix]:
     blocks: list[Matrix] = []
     current: list[Vector] = []
     width: int | None = None
+    parsed: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -275,7 +285,7 @@ def parse_matrix_blocks(text: str) -> list[Matrix]:
                 blocks.append(tuple(current))
                 current, width = [], None
             continue
-        row = tuple(_parse_rational(tok, lineno) for tok in line.split())
+        row = tuple(_parse_rational(tok, lineno, parsed) for tok in line.split())
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -15,7 +15,9 @@ from .core import (
     ZERO,
     _apply_columns,
     _columns_shape_error,
+    _common_denominator,
     _dense_vector,
+    _is_exact,
     _sparse,
     _square,
     _unit_columns,
@@ -35,21 +37,32 @@ from .reporting import CheckReport, Failure, failure
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
 
+def _check_bracket_table(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, Fraction]]) -> None:
+    """Raise unless every key is (i, j) with ints 0 <= i < j < dim, every value
+    index an int in range(dim), and every value an int or a Fraction."""
+    for key, coeffs in brackets.items():
+        i, j = key
+        if not (type(i) is int and type(j) is int and all(type(k) is int for k in coeffs)):
+            raise ValueError(f"bracket key {key!r}: key and value indices {list(coeffs)!r} must be ints")
+        if not 0 <= i < j < dim:
+            raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+        for k, v in coeffs.items():
+            if not 0 <= k < dim:
+                raise ValueError(f"bracket value index {k} out of range")
+            if not _is_exact(v):
+                raise ValueError(f"bracket key {key}: value {v!r} at index {k} is not an int or a Fraction")
+
+
 def _normalize_brackets(
     dim: int, brackets: Mapping[tuple[int, int], Mapping[int, int | str | Fraction]]
 ) -> BracketTable:
+    """The table with values made Fractions and zero values dropped; the
+    constructor checks keys and indices."""
     table: BracketTable = {}
-    for (i, j), coeffs in brackets.items():
-        if not all(type(k) is int for k in (i, j, *coeffs)):
-            raise ValueError(f"bracket key {(i, j)!r}: key and value indices {list(coeffs)!r} must be ints")
-        if not (0 <= i < j < dim):
-            raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+    for key, coeffs in brackets.items():
         cleaned = {k: rational(v) for k, v in coeffs.items() if rational(v) != 0}
-        for k in cleaned:
-            if not 0 <= k < dim:
-                raise ValueError(f"bracket value index {k} out of range")
         if cleaned:
-            table[(i, j)] = cleaned
+            table[key] = cleaned
     return table
 
 
@@ -64,7 +77,8 @@ class HomLieAlgebra:
     The twist and the form are stored once, sparse: phi_columns[i] is phi(b_i)
     as {row: entry} and form_rows[i] is {j: <b_i, b_j>} (None without a form),
     nonzero entries only, indices increasing.  `create` and `unchecked` take
-    dense matrices; `phi` and `form` are dense views, built on first use.
+    dense matrices; `phi` and `form` are dense views, built on first use, and
+    so is `_bracket_numerators`, the integer view of the bracket table.
 
     >>> h = HomLieAlgebra.unchecked(2, {}, phi=[[1, 0], [0, -1]], form=[[0, 2], [2, 0]])
     >>> h.phi_columns
@@ -84,6 +98,7 @@ class HomLieAlgebra:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        _check_bracket_table(self.dim, self.brackets)
         self.phi_columns = tuple(self.phi_columns)
         self.form_rows = None if self.form_rows is None else tuple(self.form_rows)
         for what, vectors in (("phi", self.phi_columns), ("form", self.form_rows)):
@@ -95,6 +110,19 @@ class HomLieAlgebra:
     def untwisted(self) -> bool:
         """True when the twist is the identity, read from its columns in O(dim)."""
         return all(len(col) == 1 and col.get(i) == 1 for i, col in enumerate(self.phi_columns))
+
+    @cached_property
+    def _bracket_numerators(self) -> tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
+        """The bracket table over one common denominator, for the integer
+        kernels: (den, terms), a term (i, j, ((k, c), ...)) meaning
+        [b_i, b_j] = sum c/den b_k, for each key (i, j) in both orders."""
+        den, numerators = _common_denominator([c for coeffs in self.brackets.values() for c in coeffs.values()])
+        numerators = iter(numerators)
+        terms = []
+        for (i, j), coeffs in self.brackets.items():
+            cs = tuple((k, next(numerators)) for k in coeffs)
+            terms += ((i, j, cs), (j, i, tuple((k, -c) for k, c in cs)))
+        return den, tuple(terms)
 
     @cached_property
     def phi(self) -> Matrix:
@@ -182,9 +210,9 @@ def _sparse_bracket(h: HomLieAlgebra, xs: dict[int, Fraction], ys: dict[int, Fra
     return out
 
 
-def _accumulate(out: dict, key, value: Fraction) -> None:
+def _accumulate(out: dict, key, value: int | Fraction) -> None:
     """Add value at key, dropping the entry if it cancels to zero."""
-    total = out.get(key, ZERO) + value
+    total = out.get(key, 0) + value
     if total == 0:
         out.pop(key, None)
     else:
@@ -249,21 +277,23 @@ def _phi_fixed(h: HomLieAlgebra, t: SparseTensor) -> bool:
     return h.untwisted or t._apply_per_slot((h.phi_columns, h.phi_columns)) == t
 
 
-def _by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[dict, dict]:
+def _by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[tuple[dict, dict], int]:
     """Slot 0 of (Id (x) phi)t and slot 1 of (phi (x) Id)t, each as index there
-    -> [(other index, entry)]: the entries of a degree-2 t with phi applied to
-    the slot that a bracket on the indexed slot leaves alone."""
+    -> [(other index, numerator)], and the one denominator of both: the
+    entries of a degree-2 t with phi applied to the slot that a bracket on the
+    indexed slot leaves alone, over a common denominator."""
     if h.untwisted:
         left = right = t
     else:
         ident = _unit_columns(h.dim)
         left, right = t._apply_per_slot((ident, h.phi_columns)), t._apply_per_slot((h.phi_columns, ident))
+    den, numerators = _common_denominator([*left.entries.values(), *right.entries.values()])
     by_slot: tuple[dict, dict] = ({}, {})
-    for (a, b), v in left.entries.items():
+    for (a, b), v in zip(left.entries, numerators):
         by_slot[0].setdefault(a, []).append((b, v))
-    for (a, b), v in right.entries.items():
+    for (a, b), v in zip(right.entries, numerators[len(left.entries) :]):
         by_slot[1].setdefault(b, []).append((a, v))
-    return by_slot
+    return by_slot, den
 
 
 def _ad_basis(
@@ -273,19 +303,24 @@ def _ad_basis(
     e_k (k in ks when given) on a degree-2 tensor,
     ad_x t = sum_ab t_ab ([x, e_a] (x) phi(e_b) + phi(e_a) (x) [x, e_b]).
     Accumulated from the bracket keys (k, a), in both orders, through the
-    entries of t indexed by slot: an index that no key reaches costs nothing."""
-    slot0, slot1 = _by_slot(h, t)
-    out: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for (p, q), coeffs in h.brackets.items():
-        for k, a, cs in ((p, q, coeffs), (q, p, {c: -x for c, x in coeffs.items()})):
-            if ks is None or k in ks:
-                w = out.setdefault(k, {})
-                for c, x in cs.items():
-                    for m, v in slot0.get(a, ()):
-                        _accumulate(w, (c, m), x * v)
-                    for m, v in slot1.get(a, ()):
-                        _accumulate(w, (m, c), x * v)
-    return {k: w for k, w in out.items() if w}
+    entries of t indexed by slot: an index that no key reaches costs nothing.
+    The sums are of integer numerators over den_t * den_c, the denominators of
+    `_by_slot` and of the bracket table; a total that cancels is dropped as it
+    goes, and each nonzero one is divided once, so every value returned is a
+    nonzero Fraction."""
+    (slot0, slot1), den_t = _by_slot(h, t)
+    den_c, terms = h._bracket_numerators
+    sums: dict[int, dict[tuple[int, int], int]] = {}
+    for k, a, cs in terms:
+        if ks is None or k in ks:
+            w = sums.setdefault(k, {})
+            for c, x in cs:
+                for m, v in slot0.get(a, ()):
+                    _accumulate(w, (c, m), x * v)
+                for m, v in slot1.get(a, ()):
+                    _accumulate(w, (m, c), x * v)
+    den = den_t * den_c
+    return {k: {index: Fraction(n, den) for index, n in w.items()} for k, w in sums.items() if w}
 
 
 def _dense(h: HomLieAlgebra, xs: Mapping[int, Fraction]) -> Vector:

@@ -37,20 +37,29 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     are read from r with phi applied to the slot that is not bracketed.  The
     pairs of entries are enumerated from the bracket keys (p, q), in both
     orders, through those entries indexed by slot: pairs that meet no key
-    cost nothing."""
+    cost nothing.  The sums are of integer numerators over den_r^2 * den_c,
+    the denominators of `_by_slot` and of the bracket table; a total that
+    cancels is dropped as it goes, and each nonzero one is divided once, so
+    every value returned is a nonzero Fraction."""
     _require_tensor(h, r)
-    by_slot = _by_slot(h, r)
-    out = SparseTensor.zero(3, h.dim)
-    for (p, q), coeffs in h.brackets.items():
-        for i, j, cs in ((p, q, coeffs), (q, p, {k: -c for k, c in coeffs.items()})):
-            for s, t, pos in ((0, 0, 0), (1, 0, 1), (1, 1, 2)):
-                for u, v in by_slot[s].get(i, ()):
-                    for w, x in by_slot[t].get(j, ()):
-                        vx = v * x
-                        for k, c in cs.items():
-                            index = (k, u, w) if pos == 0 else (u, k, w) if pos == 1 else (u, w, k)
-                            out.add_into(index, c * vx)
-    return out
+    by_slot, den_r = _by_slot(h, r)
+    den_c, terms = h._bracket_numerators
+    sums: dict[tuple[int, int, int], int] = {}
+    for i, j, cs in terms:
+        for s, t, pos in ((0, 0, 0), (1, 0, 1), (1, 1, 2)):
+            for u, v in by_slot[s].get(i, ()):
+                for w, x in by_slot[t].get(j, ()):
+                    vx = v * x
+                    for k, c in cs:
+                        index = (k, u, w) if pos == 0 else (u, k, w) if pos == 1 else (u, w, k)
+                        # `_accumulate` inlined: a call per term costs 10-35% of hcyb on D3^8
+                        total = sums.get(index, 0) + c * vx
+                        if total:
+                            sums[index] = total
+                        else:
+                            del sums[index]
+    den = den_r * den_r * den_c
+    return SparseTensor(3, h.dim, {index: Fraction(n, den) for index, n in sums.items()})
 
 
 def cyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:

@@ -181,6 +181,14 @@ def test_tensor_index_validation():
         t.contract([(Fraction(1), Fraction(0), Fraction(5)), (Fraction(1), Fraction(1))])
 
 
+@pytest.mark.parametrize("value", [0.5, True, "1/2", None, 1j])
+def test_tensor_entries_must_be_exact(value):
+    """A float entry used to be stored, and hcyb on it returned {} silently."""
+    with pytest.raises(ValueError, match=r"at index \(0, 1\) is not an int or a Fraction"):
+        SparseTensor(2, 3, {(0, 1): value, (1, 0): 1})
+    assert SparseTensor(2, 3, {(0, 1): 2, (1, 0): Fraction(-1, 2)}).entries == {(0, 1): 2, (1, 0): Fraction(-1, 2)}
+
+
 def test_tensor_arithmetic_and_swap():
     t = SparseTensor.from_entries(2, 3, {(0, 1): Fraction(2), (1, 2): Fraction(-1, 3)})
     u = SparseTensor.from_entries(2, 3, {(0, 1): Fraction(-2)})

@@ -142,6 +142,25 @@ def test_algebra_errors_carry_line_numbers():
     expect_parse_error(fileio.parse_algebra, "algebra dim=-1\n", 1, "dim must be non-negative")
 
 
+def test_repeated_tokens_parse_to_equal_values_and_errors_keep_their_line():
+    """Each distinct token is parsed once per document; a malformed token that
+    repeats fails at its first line, and one that follows good copies of other
+    tokens fails at its own line with its own message."""
+    h = fileio.parse_algebra("algebra dim=2\nbracket 0 1 : 0:-1/2 1:3\nphi -1/2 3\nphi 3 -1/2\n")
+    assert h.brackets == {(0, 1): {0: Fraction(-1, 2), 1: Fraction(3)}}
+    assert h.phi == ((Fraction(-1, 2), Fraction(3)), (Fraction(3), Fraction(-1, 2)))
+    expect_parse_error(fileio.parse_algebra, "algebra dim=2\nphi 1 x\nphi x 1\n", 2, "malformed rational 'x'")
+    expect_parse_error(fileio.parse_algebra, "algebra dim=2\nphi 1 0\nphi 0 1/0\n", 3, "malformed rational '1/0'")
+    expect_parse_error(fileio.parse_algebra, "algebra dim=1\nbracket 0 0 : 0:1\nphi 1\n", 2, "0 <= i < j")
+    expect_parse_error(fileio.parse_subspace, "subspace dim=2\n1 0\n1 1.5.\n", 3, "malformed rational '1.5.'")
+    expect_parse_error(fileio.parse_tensor, "tensor degree=1 dim=2\n0 1/3\n1 1/3/\n", 3, "malformed rational")
+    expect_parse_error(fileio.parse_matrix_blocks, "1 2\n\n3 y\n", 3, "malformed rational 'y'")
+    assert fileio.parse_matrix_blocks("1 2\n2 1\n\n1 2\n") == [
+        ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))),
+        ((Fraction(1), Fraction(2)),),
+    ]
+
+
 def test_triple_requires_both_parts():
     text = "algebra dim=2\nphi 1 0\nphi 0 1\npart1 1 0\n"
     expect_parse_error(fileio.parse_triple, text, 1, "part1 and part2")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import dense_check_homomorphism, rand_fraction
-from maninforge.core import identity_matrix, mat_vec, matrix, sparse_columns
+from maninforge.core import _unit_columns, identity_matrix, mat_vec, matrix, sparse_columns
 from maninforge.homlie import (
     HomLieAlgebra,
     LinearRep,
@@ -88,6 +88,40 @@ def test_bracket_indices_must_be_ints(brackets, match):
     bool value index was written out as `True:1`, which the parser rejects."""
     with pytest.raises(ValueError, match=match):
         HomLieAlgebra.unchecked(3, brackets)
+
+
+@pytest.mark.parametrize(
+    "brackets, match",
+    [
+        ({(0, 1.5): {2: 1}}, r"bracket key \(0, 1.5\): key and value indices \[2\] must be ints"),
+        ({(0, 1): {True: 1}}, r"bracket key \(0, 1\): key and value indices \[True\] must be ints"),
+        ({(1, 0): {2: Fraction(1)}}, r"bracket key \(1, 0\) must satisfy 0 <= i < j < dim"),
+        ({(0, 5): {9: 1}}, r"bracket key \(0, 5\) must satisfy 0 <= i < j < dim"),
+        ({(0, 1): {9: 1}}, r"bracket value index 9 out of range"),
+        ({(0, 1): {2: 0.5}}, r"bracket key \(0, 1\): value 0.5 at index 2 is not an int or a Fraction"),
+        ({(0, 1): {2: True}}, r"bracket key \(0, 1\): value True at index 2 is not an int or a Fraction"),
+        ({(0, 1): {2: "1/2"}}, r"bracket key \(0, 1\): value '1/2' at index 2 is not an int or a Fraction"),
+    ],
+)
+def test_positional_constructor_checks_the_bracket_table(brackets, match):
+    """The positional constructor takes the stored table as it is, so it checks
+    it as `unchecked` does; a float constant used to load silently, and an
+    out-of-range key to end in an IndexError."""
+    with pytest.raises(ValueError, match=match):
+        HomLieAlgebra(3, brackets, _unit_columns(3))
+
+
+def test_positional_constructor_converts_nothing():
+    brackets = {(0, 1): {2: 1}, (1, 2): {0: Fraction(-1, 2)}}
+    h = HomLieAlgebra(3, brackets, _unit_columns(3))
+    assert h.brackets is brackets and type(h.brackets[(0, 1)][2]) is int
+
+
+def test_twist_entries_must_be_exact():
+    with pytest.raises(ValueError, match=r"phi must be 2x2 as sparse vectors: column 1 has entry 0.5 at row 0"):
+        HomLieAlgebra(2, {}, ({0: Fraction(1)}, {0: 0.5}))
+    with pytest.raises(ValueError, match=r"form must be 2x2 as sparse vectors: column 0 has entry True at row 1"):
+        HomLieAlgebra(2, {}, _unit_columns(2), ({1: True}, {0: 1}))
 
 
 def test_twist_morphism_failure_located():
