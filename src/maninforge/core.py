@@ -1,7 +1,10 @@
 """Exact rational linear and multilinear algebra: matrices, sparse tensors,
 row-reduced subspaces, and permutations.
 
-Every scalar is a `fractions.Fraction`; equality everywhere is exact.
+Every scalar is a `fractions.Fraction`; equality everywhere is exact.  Every
+row reduction runs one Gauss-Jordan kernel on sparse rows, `_gauss_jordan`:
+a `Subspace` stores the sparse rows it returns, and `rref`, `nullspace`,
+`matrix_rank` and `inverse` are dense wrappers over it.
 """
 from __future__ import annotations
 
@@ -161,16 +164,30 @@ def _columns_shape_error(cols: Sequence, n_rows: int, n_cols: int) -> str | None
     return None
 
 
-def _apply_columns(cols: list[dict[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
+def _add_scaled(out: dict[int, Fraction], xs: Mapping[int, Fraction], f: Fraction) -> None:
+    """out += f * xs for sparse vectors, dropping the entries that cancel."""
+    for a, x in xs.items():
+        total = out.get(a, ZERO) + f * x
+        if total:
+            out[a] = total
+        else:
+            out.pop(a, None)
+
+
+def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
     """The map with sparse columns `cols` applied to the sparse vector xs."""
     out: dict[int, Fraction] = {}
     for i, xi in xs.items():
-        for a, c in cols[i].items():
-            total = out.get(a, ZERO) + c * xi
-            if total == 0:
-                out.pop(a, None)
-            else:
-                out[a] = total
+        _add_scaled(out, cols[i], xi)
+    return out
+
+
+def _transpose_sparse(vectors: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
+    """The n sparse columns of the matrix with sparse rows `vectors`, or its rows given its columns."""
+    out: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for r, v in enumerate(vectors):
+        for c, x in v.items():
+            out[c][r] = x
     return out
 
 
@@ -193,6 +210,43 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(row) for row in out)
 
 
+def _gauss_jordan(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """The reduced row echelon form of the span of sparse rows ({column:
+    entry}, not mutated), the package's one Gauss-Jordan elimination:
+    its rows by increasing pivot, columns increasing, the pivot's entry 1.
+    Each row is reduced by the rows kept so far; if anything is left, its
+    least column is its pivot, and it is scaled and cleared from the kept
+    rows.  So every kept row starts at its pivot and is zero at the others'."""
+    kept: dict[int, dict[int, Fraction]] = {}  # pivot -> row
+    for row in rows:
+        v = {c: x for c, x in row.items() if x}
+        for p in [c for c in v if c in kept]:
+            _add_scaled(v, kept[p], -v[p])
+        if v:
+            pivot = min(v)
+            inv = ONE / v[pivot]
+            v = {c: x * inv for c, x in v.items()}
+            for other in kept.values():
+                f = other.get(pivot)
+                if f:
+                    _add_scaled(other, v, -f)
+            kept[pivot] = v
+    return [dict(sorted(kept[p].items())) for p in sorted(kept)]
+
+
+def _null_rows(reduced: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
+    """A basis of {v : row . v = 0 for every row}, for the reduced echelon rows
+    of a matrix with n columns: one vector per free column f, e_f minus the
+    entries of column f at the pivots, in increasing order of f."""
+    null = {f: {f: ONE} for f in range(n)}
+    for row in reduced:
+        pivot, *free = row
+        del null[pivot]
+        for f in free:
+            null[f][pivot] = -row[f]
+    return list(null.values())
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows are dropped.
 
@@ -201,59 +255,34 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     (((Fraction(1, 1), Fraction(2, 1)),), (0,))
     """
     n_cols = _width(m)
-    rows = [list(row) for row in m]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x if x else ZERO for x in rows[r]]
-        pivot_terms = [(j, y) for j, y in enumerate(rows[r]) if y]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                row_i = rows[i]
-                for j, y in pivot_terms:
-                    row_i[j] -= f * y
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+    reduced = _gauss_jordan(map(_sparse, m))
+    return tuple(_dense_vector(row, n_cols) for row in reduced), tuple(next(iter(row)) for row in reduced)
 
 
 def matrix_rank(m: Matrix) -> int:
-    return len(rref(m)[0])
+    _width(m)
+    return len(_gauss_jordan(map(_sparse, m)))
 
 
 def nullspace(m: Matrix) -> list[Vector]:
     """Basis of {v : m @ v = 0}, one vector per free column (deterministic order)."""
-    reduced, pivots = rref(m)
-    n_cols = len(m[0]) if m else 0
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * n_cols
-        v[free] = ONE
-        for row, piv in zip(reduced, pivots):
-            v[piv] = -row[free]
-        basis.append(tuple(v))
-    return basis
+    n_cols = _width(m)
+    return [_dense_vector(v, n_cols) for v in _null_rows(_gauss_jordan(map(_sparse, m)), n_cols)]
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square invertible matrix."""
     n = len(_square(m, len(m), "matrix"))
-    augmented = tuple(row + unit_vector(n, i) for i, row in enumerate(m))
-    reduced, pivots = rref(augmented)
-    if pivots != tuple(range(n)):
+    return tuple(_dense_vector(row, n) for row in _inverse_rows(list(map(_sparse, m)), n))
+
+
+def _inverse_rows(rows: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
+    """The sparse rows of the inverse of the n x n matrix with sparse rows
+    `rows`: the right half of the reduced echelon form of [rows | I]."""
+    reduced = _gauss_jordan({**row, n + i: ONE} for i, row in enumerate(rows))
+    if [next(iter(row)) for row in reduced] != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
+    return [{c - n: x for c, x in row.items() if c >= n} for row in reduced]
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -480,22 +509,57 @@ def is_symmetric(t: SparseTensor) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of a coordinate space, held as a canonical reduced-row-echelon basis.
+    """Subspace of a coordinate space, stored once as its canonical reduced
+    row echelon basis, sparse: echelon[r] is {column: nonzero entry}, columns
+    increasing, the first its pivot with entry 1; pivots increase, and are
+    zero in the other rows.  The constructor checks this, and everything else
+    builds the rows with the one kernel `_gauss_jordan`; so equal subspaces
+    have equal rows.  `rows` is a dense view, built on first use.  Callers
+    must not mutate the stored dicts.
 
-    Canonicity makes equality of subspaces equality of the `rows` tuples.
+    >>> Subspace.span(3, [[2, 0, 4], [0, 0, 0], [1, 0, 2], [0, 3, 0]]).echelon
+    ({0: Fraction(1, 1), 2: Fraction(2, 1)}, {1: Fraction(1, 1)})
     """
 
     ambient_dim: int
-    rows: Matrix
+    echelon: tuple[dict[int, Fraction], ...]
+
+    def __post_init__(self) -> None:
+        n, rows = self.ambient_dim, tuple(self.echelon)
+        if type(n) is not int or n < 0:
+            raise ValueError(f"ambient dimension must be a non-negative int, got {n!r}")
+        pivot_rows: dict[int, dict[int, Fraction]] = {}  # pivot column -> row, for `contains_sparse`
+        last, earlier = -1, set()  # the last pivot, and the columns of the rows so far
+        for r, row in enumerate(rows):
+            if not isinstance(row, Mapping) or not row:
+                raise ValueError(f"row {r} is {row!r}, not a nonempty mapping {{column: entry}}")
+            for c, x in row.items():
+                if type(c) is not int or not 0 <= c < n:
+                    raise ValueError(f"row {r} has column index {c!r} outside range({n})")
+                if not _is_exact(x) or x == 0:
+                    raise ValueError(f"row {r} has entry {x!r} at column {c}, not a nonzero int or Fraction")
+            pivot = next(iter(row))
+            if list(row) != sorted(row) or row[pivot] != 1:
+                raise ValueError(f"row {r} is {row!r}: its columns must increase, the first (the pivot) with entry 1")
+            if pivot <= last:
+                raise ValueError(f"row {r} has pivot column {pivot}, not after row {r - 1}'s {last}")
+            if pivot in earlier:
+                raise ValueError(f"pivot column {pivot} of row {r} is nonzero in an earlier row")
+            pivot_rows[pivot], last = row, pivot
+            earlier.update(row)
+        object.__setattr__(self, "echelon", rows)
+        object.__setattr__(self, "_pivot_rows", pivot_rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, tuple(tuple(row.items()) for row in self.echelon)))
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence[int | str | Fraction]]) -> Subspace:
-        mat = matrix(list(vectors))
-        for row in mat:
-            if len(row) != ambient_dim:
-                raise ValueError("spanning vector has wrong length")
-        reduced, _ = rref(mat) if mat else ((), ())
-        return cls(ambient_dim, reduced)
+        """The span of dense vectors of length ambient_dim, entries coerced with `rational`."""
+        vectors = list(vectors)
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("spanning vector has wrong length")
+        return _span(ambient_dim, (_sparse(vector(v)) for v in vectors))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
@@ -503,17 +567,16 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, identity_matrix(ambient_dim))
+        return cls(ambient_dim, _unit_columns(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.echelon)
 
     @cached_property
-    def echelon(self) -> tuple[tuple[int, dict[int, Fraction]], ...]:
-        """Each canonical row as (pivot column, {column: nonzero entry}), built
-        once and shared: callers must not mutate the dicts."""
-        return tuple((next(iter(sparse)), sparse) for sparse in map(_sparse, self.rows))
+    def rows(self) -> Matrix:
+        """Dense view of the canonical rows."""
+        return tuple(_dense_vector(row, self.ambient_dim) for row in self.echelon)
 
     def contains(self, v: Vector) -> bool:
         """Exact membership of a dense vector."""
@@ -526,33 +589,31 @@ class Subspace:
         is in reduced row echelon form, so v lies in the span exactly when it
         equals the sum over the rows of v[pivot] * row."""
         combo: dict[int, Fraction] = {}
-        for pivot, row in self.echelon:
-            f = xs.get(pivot)
-            if f:
-                for j, y in row.items():
-                    total = combo.get(j, ZERO) + f * y
-                    if total:
-                        combo[j] = total
-                    else:
-                        del combo[j]
+        for pivot in xs.keys() & self._pivot_rows:
+            _add_scaled(combo, self._pivot_rows[pivot], xs[pivot])
         return combo == xs
+
+
+def _span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> Subspace:
+    """The span of sparse rows with indices in range(ambient_dim)."""
+    return Subspace(ambient_dim, tuple(_gauss_jordan(rows)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union of two subspaces of the same ambient space."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return Subspace.span(a.ambient_dim, list(a.rows) + list(b.rows))
+    return _span(a.ambient_dim, a.echelon + b.echelon)
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    """Equality of subspaces; canonical bases make this a tuple comparison."""
-    return a.ambient_dim == b.ambient_dim and a.rows == b.rows
+    """Equality of subspaces; canonical bases make this a comparison of the stored rows."""
+    return a.ambient_dim == b.ambient_dim and a.echelon == b.echelon
 
 
 def subspace_contains(a: Subspace, b: Subspace) -> bool:
     """True when b is contained in a."""
-    return a.ambient_dim == b.ambient_dim and all(a.contains_sparse(row) for _, row in b.echelon)
+    return a.ambient_dim == b.ambient_dim and all(map(a.contains_sparse, b.echelon))
 
 
 def orthogonal_complement(space: Subspace, gram: Matrix) -> Subspace:
@@ -563,16 +624,17 @@ def orthogonal_complement(space: Subspace, gram: Matrix) -> Subspace:
 def _orthogonal_complement(space: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> Subspace:
     """The same for the form with sparse rows form_rows: the kernel of the
     covectors w^T G, one per canonical row w of space."""
-    n = space.ambient_dim
-    conditions = [_dense_vector(_apply_columns(form_rows, row), n) for _, row in space.echelon]
-    return Subspace.span(n, nullspace(conditions)) if conditions else Subspace.full(n)
+    return _null_space((_apply_columns(form_rows, row) for row in space.echelon), space.ambient_dim)
+
+
+def _null_space(rows: Iterable[Mapping[int, Fraction]], n: int) -> Subspace:
+    """{v : row . v = 0 for every sparse row}, in dimension n."""
+    return _span(n, _null_rows(_gauss_jordan(rows), n))
 
 
 def annihilator(space: Subspace) -> Subspace:
     """Covectors vanishing on the subspace: {xi : xi(w) = 0 for all w in space}."""
-    if not space.rows:
-        return Subspace.full(space.ambient_dim)
-    return Subspace.span(space.ambient_dim, nullspace(space.rows))
+    return _span(space.ambient_dim, _null_rows(space.echelon, space.ambient_dim))
 
 
 def map_subspace(m: Matrix, space: Subspace) -> Subspace:
@@ -587,13 +649,13 @@ def _images_outside(
 ) -> list[tuple[int, dict[int, Fraction]]]:
     """(a, image) for each canonical row a of space whose image under the map
     with sparse columns cols does not lie in target."""
-    images = ((a, _apply_columns(cols, row)) for a, (_, row) in enumerate(space.echelon))
+    images = ((a, _apply_columns(cols, row)) for a, row in enumerate(space.echelon))
     return [(a, image) for a, image in images if not target.contains_sparse(image)]
 
 
 def _column_image(cols: list[dict[int, Fraction]], dim: int, space: Subspace) -> Subspace:
     """Image of a subspace under the map into dimension dim with sparse columns cols."""
-    return Subspace.span(dim, [_dense_vector(_apply_columns(cols, row), dim) for _, row in space.echelon])
+    return _span(dim, (_apply_columns(cols, row) for row in space.echelon))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Matrix, Subspace, SparseTensor, Vector, matrix
-from .homlie import HomLieAlgebra
+from .core import Matrix, Subspace, SparseTensor, Vector, _sparse, _span, _transpose_sparse
+from .homlie import HomLieAlgebra, _normalize_brackets
 from .manin import ManinTriple
 
 
@@ -139,8 +139,8 @@ def parse_subspace(text: str) -> Subspace:
         row = tuple(_parse_rational(tok, lineno, parsed) for tok in line.split())
         if len(row) != dim:
             raise ParseError(lineno, f"expected {dim} entries per row")
-        rows.append(row)
-    return Subspace.span(dim, rows)
+        rows.append(_sparse(row))
+    return _span(dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +185,7 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
     dim = _parse_dim(fields["dim"], lineno)
     name = fields.get("name")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    phi_rows: list[Vector] = []
-    form_rows: list[Vector] = []
-    part_rows: dict[str, list[Vector]] = {"part1": [], "part2": []}
+    rows: dict[str, list[dict[int, Fraction]]] = {"phi": [], "form": [], "part1": [], "part2": []}
     parsed: dict[str, Fraction] = {}
     for lineno, line in lines[1:]:
         tokens = line.split()
@@ -213,30 +211,21 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
                     raise ParseError(lineno, f"duplicate bracket target {k}")
                 coeffs[k] = _parse_rational(value, lineno, parsed)
             brackets[(i, j)] = coeffs
-        elif keyword in ("phi", "form") or (allow_parts and keyword in part_rows):
+        elif keyword in ("phi", "form") or (allow_parts and keyword in rows):
             row = tuple(_parse_rational(tok, lineno, parsed) for tok in tokens[1:])
             if len(row) != dim:
                 raise ParseError(lineno, f"expected {dim} entries after {keyword!r}")
-            if keyword == "phi":
-                phi_rows.append(row)
-            elif keyword == "form":
-                form_rows.append(row)
-            else:
-                part_rows[keyword].append(row)
+            rows[keyword].append(_sparse(row))
         else:
             raise ParseError(lineno, f"unknown line keyword {keyword!r}")
+    phi_rows, form_rows = rows["phi"], rows["form"]
     if len(phi_rows) != dim:
         raise ParseError(lines[0][0], f"expected {dim} phi rows, found {len(phi_rows)}")
     if form_rows and len(form_rows) != dim:
         raise ParseError(lines[0][0], f"expected {dim} form rows, found {len(form_rows)}")
-    algebra = HomLieAlgebra.unchecked(
-        dim,
-        brackets,
-        phi=matrix(phi_rows),
-        form=matrix(form_rows) if form_rows else None,
-        name=name,
-    )
-    return algebra, part_rows
+    phi_columns = _transpose_sparse(phi_rows, dim)
+    algebra = HomLieAlgebra(dim, _normalize_brackets(dim, brackets), phi_columns, form_rows or None, name)
+    return algebra, rows
 
 
 def parse_algebra(text: str) -> HomLieAlgebra:
@@ -255,10 +244,7 @@ def parse_triple(text: str) -> ManinTriple:
     if not part_rows["part1"] or not part_rows["part2"]:
         raise ParseError(lines[0][0], "triple needs part1 and part2 rows")
     return ManinTriple(
-        algebra,
-        Subspace.span(algebra.dim, part_rows["part1"]),
-        Subspace.span(algebra.dim, part_rows["part2"]),
-        name=algebra.name,
+        algebra, _span(algebra.dim, part_rows["part1"]), _span(algebra.dim, part_rows["part2"]), name=algebra.name
     )
 
 

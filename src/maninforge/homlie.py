@@ -17,16 +17,18 @@ from .core import (
     _columns_shape_error,
     _common_denominator,
     _dense_vector,
+    _gauss_jordan,
     _is_exact,
+    _null_rows,
     _sparse,
     _square,
+    _transpose_sparse,
     _unit_columns,
     identity_matrix,
     mat_mul,
     mat_vec,
     matrix,
     matrix_rank,
-    nullspace,
     rational,
     sparse_columns,
     transpose,
@@ -554,18 +556,14 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     if h.form_rows is None:
         raise ValueError("algebra carries no bilinear form to check")
     failures = []
-    g_rows, g_cols = h.form_rows, [{} for _ in range(h.dim)]
-    for i, row in enumerate(g_rows):
-        for j, g in row.items():
-            g_cols[j][i] = g
+    g_rows, g_cols = h.form_rows, _transpose_sparse(h.form_rows, h.dim)
     asymmetric = {
         (min(i, j), max(i, j)) for i, row in enumerate(g_rows) for j in row if row[j] != g_cols[i].get(j)
     }
     for i, j in sorted(asymmetric):
         failures.append(failure("symmetric", (i, j), g_rows[i].get(j, ZERO) - g_rows[j].get(i, ZERO)))
-    kernel = nullspace(h.form)  # the one dense read of the form
-    for v in kernel:
-        failures.append(failure("nondegenerate", None, v))
+    for v in _null_rows(_gauss_jordan(g_rows), h.dim):
+        failures.append(failure("nondegenerate", None, _dense(h, v)))
     phi_cols, units = h.phi_columns, _unit_columns(h.dim)
     twist = _pairings(g_rows, phi_cols, units)  # <phi b_i, b_j> - <b_i, phi b_j>
     for index, value in _pairings(g_rows, units, phi_cols).items():

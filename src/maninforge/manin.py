@@ -18,19 +18,15 @@ from .core import (
     _column_image,
     _columns_shape_error,
     _images_outside,
-    _sparse,
+    _inverse_rows,
+    _span,
     _unit_columns,
-    inverse,
     mat_mul,
     mat_vec,
     matrix,
     rref,
-    sparse_columns,
     subspace_equal,
     subspace_sum,
-    unit_vector,
-    vec_add,
-    vec_sub,
 )
 from .homlie import (
     BracketTable,
@@ -103,11 +99,10 @@ def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
     and the rows the twist moves out of the half from `_images_outside`."""
     failures = []
     h = t.algebra
-    rows = [row for _, row in part.echelon]
-    for (a, b), value in _pairings(_form_rows(t), rows).items():
+    for (a, b), value in _pairings(_form_rows(t), part.echelon).items():
         if a <= b:
             failures.append(failure("isotropic", (a, b), value))
-    for index, w in _pair_brackets(h, rows).items():
+    for index, w in _pair_brackets(h, part.echelon).items():
         if not part.contains_sparse(w):
             failures.append(failure("subalgebra", index, _dense(h, w)))
     for a, image in _images_outside(h.phi_columns, part, part):
@@ -157,31 +152,35 @@ class DualBasisPair:
     gram: Matrix
 
 
-def dual_basis(t: ManinTriple) -> DualBasisPair:
-    """Dual bases of the two halves under the ambient form: x_j is the
-    combination of part 1's rows given by column j of the inverse pairing
-    matrix.  Both pairing matrices come from `_pairings` over sparse rows."""
+def _dual_rows(t: ManinTriple) -> tuple[tuple[dict[int, Fraction], ...], list[dict[int, Fraction]]]:
+    """(xi, x): part 2's canonical rows, and the sparse basis of part 1 dual to
+    them, x_j the combination of part 1's rows given by column j of the
+    inverse of the pairing matrix <xi_a, row_b>, all sparse."""
     if t.part1.dim != t.part2.dim:
         raise ValueError("halves have different dimensions")
-    m = t.part2.dim
-    xi_rows = [row for _, row in t.part2.echelon]
+    xi_rows, x_rows = t.part2.echelon, t.part1.echelon
+    columns: list[dict[int, Fraction]] = [{} for _ in x_rows]  # of the pairing matrix
+    for (a, b), value in _pairings(_form_rows(t), xi_rows, x_rows).items():
+        columns[b][a] = value
+    # The inverse's columns are the rows of the inverse of the transpose.
+    return xi_rows, [_apply_columns(x_rows, col) for col in _inverse_rows(columns, len(x_rows))]
 
-    def pairing_matrix(right: list[dict[int, Fraction]]) -> Matrix:
-        pairs = _pairings(_form_rows(t), xi_rows, right)
-        return tuple(tuple(pairs.get((a, b), ZERO) for b in range(m)) for a in range(m))
 
-    x_rows = [row for _, row in t.part1.echelon]
-    x_basis = [_apply_columns(x_rows, col) for col in sparse_columns(inverse(pairing_matrix(x_rows)))]
-    return DualBasisPair(tuple(_dense(t.algebra, x) for x in x_basis), t.part2.rows, pairing_matrix(x_basis))
+def dual_basis(t: ManinTriple) -> DualBasisPair:
+    """Dual bases of the two halves under the ambient form, dense, with the
+    pairing matrix of the result as certificate."""
+    xi_rows, x_basis = _dual_rows(t)
+    pairs = _pairings(_form_rows(t), xi_rows, x_basis)
+    gram = tuple(tuple(pairs.get((a, b), ZERO) for b in range(len(x_basis))) for a in range(len(xi_rows)))
+    return DualBasisPair(tuple(_dense(t.algebra, x) for x in x_basis), t.part2.rows, gram)
 
 
 def r_from_splitting(t: ManinTriple) -> SparseTensor:
     """The canonical element sum_i xi_i (x) x_i of the splitting."""
-    pair = dual_basis(t)
     out = SparseTensor.zero(2, t.dim)
-    for xi, x in zip(pair.xi_basis, pair.x_basis):
-        for a, xa in _sparse(xi).items():
-            for b, xb in _sparse(x).items():
+    for xi, x in zip(*_dual_rows(t)):
+        for a, xa in xi.items():
+            for b, xb in sorted(x.items()):
                 out.add_into((a, b), xa * xb)
     return out
 
@@ -262,8 +261,8 @@ def double_from_bialgebra(
     brackets.update((index, cross[index]) for index in sorted(cross) if cross[index])
     form_rows = [{(i + d) % (2 * d): ONE} for i in range(2 * d)]  # <b_i, f_j> = delta_ij
     ambient = HomLieAlgebra(2 * d, brackets, _unit_columns(2 * d), form_rows)
-    part1 = Subspace.span(2 * d, [unit_vector(2 * d, i) for i in range(d)])
-    part2 = Subspace.span(2 * d, [unit_vector(2 * d, d + i) for i in range(d)])
+    part1 = Subspace(2 * d, tuple({i: ONE} for i in range(d)))
+    part2 = Subspace(2 * d, tuple({d + i: ONE} for i in range(d)))
     return ManinTriple(ambient, part1, part2, name="bialgebra-double")
 
 
@@ -369,14 +368,9 @@ def triple_g_plus_h(data: RootData) -> ManinTriple:
     abelian = HomLieAlgebra.unchecked(c, {}, form=cartan_form)
     ambient = direct_sum(g, abelian)
     d = g.dim
-    part1_rows = [unit_vector(d + c, p) for p in data.positives]
-    part2_rows = [unit_vector(d + c, n) for n in data.negatives]
-    for slot, h_idx in enumerate(data.cartan):
-        base = unit_vector(d + c, h_idx)
-        mirror = unit_vector(d + c, d + slot)
-        part1_rows.append(vec_add(base, mirror))
-        part2_rows.append(vec_sub(base, mirror))
-    return ManinTriple.of(ambient, part1_rows, part2_rows, name="g-plus-h")
+    part1_rows = [{p: ONE} for p in data.positives] + [{h: ONE, d + k: ONE} for k, h in enumerate(data.cartan)]
+    part2_rows = [{n: ONE} for n in data.negatives] + [{h: ONE, d + k: -ONE} for k, h in enumerate(data.cartan)]
+    return ManinTriple(ambient, _span(d + c, part1_rows), _span(d + c, part2_rows), name="g-plus-h")
 
 
 def triple_double(data: RootData) -> ManinTriple:
@@ -385,12 +379,7 @@ def triple_double(data: RootData) -> ManinTriple:
     g = data.algebra
     ambient = direct_sum(g, negate_form(g))
     d = g.dim
-    part1_rows = [
-        vec_add(unit_vector(2 * d, i), unit_vector(2 * d, d + i)) for i in range(d)
-    ]
-    part2_rows = [unit_vector(2 * d, p) for p in data.positives]
-    part2_rows += [unit_vector(2 * d, d + n) for n in data.negatives]
-    part2_rows += [
-        vec_sub(unit_vector(2 * d, h), unit_vector(2 * d, d + h)) for h in data.cartan
-    ]
-    return ManinTriple.of(ambient, part1_rows, part2_rows, name="double")
+    part1_rows = [{i: ONE, d + i: ONE} for i in range(d)]
+    part2_rows = [{p: ONE} for p in data.positives] + [{d + n: ONE} for n in data.negatives]
+    part2_rows += [{h: ONE, d + h: -ONE} for h in data.cartan]
+    return ManinTriple(ambient, _span(2 * d, part1_rows), _span(2 * d, part2_rows), name="double")

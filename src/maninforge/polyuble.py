@@ -5,40 +5,24 @@ graphs that encode both splittings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .core import (
-    ONE,
-    Permutation,
-    Subspace,
-    Vector,
-    ZERO,
-)
+from .core import ONE, Permutation, Subspace, _span
 from .homlie import direct_sum, negate_form
 from .manin import ManinTriple, check_manin_isomorphism
 from .reporting import CheckReport
 
 
-def _edge_rows(n: int, d: int, s: int) -> list[Vector]:
-    """Diagonal rows joining ambient slots s and s+1 (1-based slots, block size d)."""
+def _edge_rows(d: int, s: int) -> list[dict[int, Fraction]]:
+    """Sparse diagonal rows joining ambient slots s and s+1 (1-based slots, block size d)."""
     lo = (s - 1) * d
-    rows = []
-    for i in range(d):
-        v = [ZERO] * (n * d)
-        v[lo + i] = v[lo + d + i] = ONE
-        rows.append(tuple(v))
-    return rows
+    return [{lo + i: ONE, lo + d + i: ONE} for i in range(d)]
 
 
-def _embed_rows(n: int, d: int, s: int, rows) -> list[Vector]:
-    """Rows of a subspace of the base, placed into ambient slot s (1-based)."""
+def _embed_rows(d: int, s: int, part: Subspace) -> list[dict[int, Fraction]]:
+    """The stored rows of a subspace of the base, placed into ambient slot s (1-based)."""
     offset = (s - 1) * d
-    out = []
-    for row in rows:
-        v = [ZERO] * (n * d)
-        for i, x in enumerate(row):
-            v[offset + i] = x
-        out.append(tuple(v))
-    return out
+    return [{offset + i: x for i, x in row.items()} for row in part.echelon]
 
 
 def nuble(t: ManinTriple, n: int) -> ManinTriple:
@@ -48,33 +32,17 @@ def nuble(t: ManinTriple, n: int) -> ManinTriple:
         raise ValueError("n must be at least 1")
     h = t.algebra
     d = h.dim
-    big = n * d
     negated = negate_form(h)
     copies = [negated if j % 2 else h for j in range(n)]
     ambient = direct_sum(*copies)
-    part1_rows: list[Vector] = []
-    part2_rows: list[Vector] = []
-    if n % 2 == 1:
-        for s in range(1, n - 1, 2):  # edges (1,2), (3,4), ..., (n-2, n-1)
-            part1_rows += _edge_rows(n, d, s)
-        part1_rows += _embed_rows(n, d, n, t.part1.rows)
-        part2_rows += _embed_rows(n, d, 1, t.part2.rows)
-        for s in range(2, n, 2):  # edges (2,3), (4,5), ..., (n-1, n)
-            part2_rows += _edge_rows(n, d, s)
-    else:
-        for s in range(1, n, 2):  # edges (1,2), ..., (n-1, n)
-            part1_rows += _edge_rows(n, d, s)
-        part2_rows += _embed_rows(n, d, 1, t.part2.rows)
-        for s in range(2, n - 1, 2):  # edges (2,3), ..., (n-2, n-1)
-            part2_rows += _edge_rows(n, d, s)
-        part2_rows += _embed_rows(n, d, n, t.part1.rows)
+    # Edge (s, s+1) joins slots s and s+1: odd s in the first chain, even s in
+    # the second.  The base's second half fills slot 1; its first half fills
+    # slot n, in the chain whose edges leave slot n free.
+    part1_rows = [row for s in range(1, n, 2) for row in _edge_rows(d, s)]
+    part2_rows = _embed_rows(d, 1, t.part2) + [row for s in range(2, n, 2) for row in _edge_rows(d, s)]
+    (part1_rows if n % 2 else part2_rows).extend(_embed_rows(d, n, t.part1))
     base = t.name or "triple"
-    return ManinTriple(
-        ambient,
-        Subspace.span(big, part1_rows),
-        Subspace.span(big, part2_rows),
-        name=f"{base}^{n}",
-    )
+    return ManinTriple(ambient, _span(n * d, part1_rows), _span(n * d, part2_rows), name=f"{base}^{n}")
 
 
 def uble_of_uble(t: ManinTriple, m: int, n: int) -> ManinTriple:

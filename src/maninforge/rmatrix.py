@@ -14,12 +14,11 @@ from .core import (
     ONE,
     ZERO,
     _apply_columns,
+    _gauss_jordan,
     _sparse,
     _unit_columns,
     is_antisymmetric,
     is_symmetric,
-    matrix_rank,
-    tensor_skew_sym_split,
     wedge_t2_v1_into,
 )
 from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _by_slot, _dense, _phi_fixed, _require_tensor
@@ -214,7 +213,8 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     is invariant, and phi(x)phi(y)-fixedness holds; skew-only when additionally the
     symmetric part is zero; fails otherwise."""
     _require_tensor(h, r)
-    lam, s = tensor_skew_sym_split(r)
+    half, indices = Fraction(1, 2), [*r.entries, *((b, a) for a, b in r.entries)]
+    s = SparseTensor(2, h.dim, {(a, b): (r.get((a, b)) + r.get((b, a))) * half for a, b in indices})  # (r + r^T)/2
     phi_fixed = _phi_fixed(h, r)
     s_invariant = check_hom_ad_invariant(h, s).passed
     residual = hcyb(h, r)
@@ -225,7 +225,7 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
         verdict = "skew-only"
     else:
         verdict = "quasi-triangular"
-    factorizable = (not s.is_zero) and matrix_rank(s_sharp_matrix(h, s)) == h.dim
+    factorizable = (not s.is_zero) and len(_gauss_jordan(_s_sharp_columns(h, s))) == h.dim
     return RMatrixReport(phi_fixed, s_invariant, residual, verdict, factorizable)
 
 

@@ -14,14 +14,13 @@ from .core import (
     Vector,
     _apply_columns,
     _images_outside,
+    _null_space,
     _orthogonal_complement,
     _sparse,
     _square,
     annihilator,
-    identity_matrix,
     mat_vec,
     matrix,
-    nullspace,
     sparse_columns,
 )
 from .homlie import HomLieAlgebra, LinearRep, _pair_brackets
@@ -35,11 +34,8 @@ def stabilizer_at(rep: LinearRep, point: Vector) -> Subspace:
     if len(point) != rep.target_dim:
         raise ValueError("point dimension mismatch")
     columns = [mat_vec(m, point) for m in rep.rho]
-    rows = tuple(tuple(col[r] for col in columns) for r in range(rep.target_dim))
-    # A point of a zero-dimensional space is fixed by everything; nullspace
-    # cannot tell the width of a matrix with no rows.
-    kernel = nullspace(rows) if rows else identity_matrix(len(rep.rho))
-    return Subspace.span(len(rep.rho), kernel)
+    rows = [{i: col[r] for i, col in enumerate(columns) if col[r]} for r in range(rep.target_dim)]
+    return _null_space(rows, len(rep.rho))
 
 
 def _require_ambient(q: Subspace, dim: int) -> None:
@@ -55,7 +51,7 @@ def _brackets_in(h: HomLieAlgebra, rows: Sequence[Mapping], q: Subspace) -> bool
 def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
     """Closure of a subspace under the bracket."""
     _require_ambient(q, h.dim)
-    return _brackets_in(h, [row for _, row in q.echelon], q)
+    return _brackets_in(h, q.echelon, q)
 
 
 def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
@@ -73,7 +69,7 @@ def _twist_stable(h: HomLieAlgebra, q: Subspace) -> bool:
 def _coisotropic(h: HomLieAlgebra, q: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> bool:
     """[c, c] inside q, with c the complement of q under the form with sparse rows form_rows."""
     _require_ambient(q, h.dim)
-    return _brackets_in(h, [row for _, row in _orthogonal_complement(q, form_rows).echelon], q)
+    return _brackets_in(h, _orthogonal_complement(q, form_rows).echelon, q)
 
 
 def check_coisotropy(t: ManinTriple, q: Subspace) -> bool:
@@ -101,7 +97,7 @@ def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace
     land in q."""
     _require_ambient(q, h.dim)
     cols = _s_sharp_columns(h, s)
-    return _brackets_in(h, [_apply_columns(cols, xi) for _, xi in annihilator(q).echelon], q)
+    return _brackets_in(h, [_apply_columns(cols, xi) for xi in annihilator(q).echelon], q)
 
 
 def stabilizer_report(

@@ -233,9 +233,25 @@ def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
 
 
+def dense_nullspace(m: Matrix) -> list[Vector]:
+    """One null vector per free column of dense_rref(m), in column order."""
+    reduced, pivots = dense_rref(m)
+    n_cols = len(m[0]) if m else 0
+    basis = []
+    for free in range(n_cols):
+        if free not in pivots:
+            v = [ZERO] * n_cols
+            v[free] = ONE
+            for row, piv in zip(reduced, pivots):
+                v[piv] = -row[free]
+            basis.append(tuple(v))
+    return basis
+
+
 def dense_span(ambient_dim: int, vectors) -> Subspace:
     mat = matrix(list(vectors))
-    return Subspace(ambient_dim, dense_rref(mat)[0] if mat else ())
+    reduced = dense_rref(mat)[0] if mat else ()
+    return Subspace(ambient_dim, tuple({j: x for j, x in enumerate(row) if x} for row in reduced))
 
 
 def dense_contains(space: Subspace, v: Vector) -> bool:

@@ -1,6 +1,7 @@
 """Exact linear algebra, sparse tensors, subspaces, and permutations."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from helpers import (
     dense_contains,
     dense_map_subspace,
     dense_mat_vec,
+    dense_nullspace,
     dense_rref,
     dense_span,
     rand_int_vector,
@@ -397,28 +399,42 @@ def test_sparse_columns_keeps_nonzero_entries_by_column():
 # Column-sparse paths against the dense reference
 
 _entries = st.builds(Fraction, st.integers(-5, 5), st.sampled_from((1, 1, 2, 3)))
-_nonzero_entries = st.builds(
-    Fraction, st.integers(1, 5) | st.integers(-5, -1), st.sampled_from((1, 1, 2, 3))
-)
+# Large pairwise-coprime denominators, so that a lost or misplaced division shows.
+_coprime_entries = st.builds(Fraction, st.integers(-50, 50), st.sampled_from((7, 11, 13, 17, 19, 23)))
 
 
 @st.composite
 def reference_matrices(draw, n_rows=None, n_cols=None):
-    """Dense, sparse (with whole zero rows and columns) or block-permutation matrices."""
+    """Dense, sparse (with whole zero rows and columns), block-permutation,
+    already reduced (padded with zero rows) or dependent matrices, the last
+    with duplicate rows and combinations of earlier rows; entries have small
+    denominators or large pairwise-coprime ones."""
     rows = draw(st.integers(1, 6)) if n_rows is None else n_rows
     cols = draw(st.integers(1, 6)) if n_cols is None else n_cols
-    kind = draw(st.sampled_from(("dense", "sparse", "block_permutation")))
+    kind = draw(st.sampled_from(("dense", "sparse", "block_permutation", "reduced", "dependent")))
+    entries = draw(st.sampled_from((_entries, _coprime_entries)))
     if kind == "block_permutation" and rows == cols:
         block = draw(st.sampled_from([b for b in (1, 2, 3) if rows % b == 0]))
         images = draw(st.permutations(list(range(rows // block))))
         return dense_block_permutation(Permutation(tuple(images)), block)
     if kind == "dense":
-        return tuple(tuple(draw(_nonzero_entries) for _ in range(cols)) for _ in range(rows))
+        return tuple(tuple(draw(entries.filter(bool)) for _ in range(cols)) for _ in range(rows))
+    if kind in ("reduced", "dependent"):
+        base = draw(reference_matrices(draw(st.integers(1, rows)), cols))
+        if kind == "reduced":
+            reduced = dense_rref(base)[0]
+            return reduced + ((Fraction(0),) * cols,) * (rows - len(reduced))
+        out = list(base)
+        while len(out) < rows:
+            x, y = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            a, b = draw(entries), draw(entries)
+            out.append(x if draw(st.booleans()) else tuple(a * u + b * v for u, v in zip(x, y)))
+        return tuple(draw(st.permutations(out)))
     zero_rows = draw(st.sets(st.integers(0, rows - 1)))
     zero_cols = draw(st.sets(st.integers(0, cols - 1)))
     return tuple(
         tuple(
-            Fraction(0) if r in zero_rows or c in zero_cols else draw(st.just(Fraction(0)) | _entries)
+            Fraction(0) if r in zero_rows or c in zero_cols else draw(st.just(Fraction(0)) | entries)
             for c in range(cols)
         )
         for r in range(rows)
@@ -427,7 +443,95 @@ def reference_matrices(draw, n_rows=None, n_cols=None):
 
 @given(reference_matrices())
 def test_rref_matches_the_dense_reference(m):
-    assert repr(rref(m)) == repr(dense_rref(m))
+    """rref, nullspace, matrix_rank and inverse, dense wrappers over the one
+    sparse kernel, against the dense elimination, to the type of every entry."""
+    reduced, pivots = dense_rref(m)
+    assert repr(rref(m)) == repr((reduced, pivots))
+    assert repr(nullspace(m)) == repr(dense_nullspace(m))
+    assert matrix_rank(m) == len(reduced)
+    n = len(m)
+    if n == len(m[0]):
+        augmented = tuple(row + unit_vector(n, i) for i, row in enumerate(m))
+        aug_reduced, aug_pivots = dense_rref(augmented)
+        if aug_pivots == tuple(range(n)):
+            assert repr(inverse(m)) == repr(tuple(row[n:] for row in aug_reduced))
+        else:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(reference_matrices(n_cols=n), reference_matrices(n_cols=n), reference_matrices(n, n))
+    )
+)
+def test_subspace_operations_match_the_dense_reference(triple):
+    """span, subspace_sum, annihilator and orthogonal_complement against
+    dense_span over dense_rref; equal subspaces hash alike."""
+    a_rows, b_rows, gram = triple
+    n = len(gram)
+    a, b = Subspace.span(n, a_rows), Subspace.span(n, b_rows)
+    reference = dense_span(n, a_rows)
+    assert a == reference and hash(a) == hash(reference)
+    assert subspace_sum(a, b) == dense_span(n, a_rows + b_rows)
+    null = dense_nullspace(reference.rows) if reference.dim else identity_matrix(n)
+    assert annihilator(a) == dense_span(n, null)
+    conditions = [dense_mat_vec(transpose(gram), w) for w in reference.rows]
+    complement = dense_nullspace(conditions) if conditions else identity_matrix(n)
+    assert orthogonal_complement(a, gram) == dense_span(n, complement)
+
+
+def test_subspaces_are_equal_and_hash_alike_by_value():
+    a = Subspace.span(3, [[2, 0, 4], [0, 3, 0]])
+    b = Subspace.span(3, [["1/2", 3, 1], [0, -1, 0]])
+    stored = Subspace(3, ({0: 1, 2: 2}, {1: 1}))
+    assert a == b == stored and hash(a) == hash(b) == hash(stored)
+    assert len({a, b, stored, Subspace.full(3)}) == 2 and {a: "q"}[stored] == "q"
+    assert a != Subspace.span(3, [[1, 0, 2]]) and Subspace.zero(2) != Subspace.zero(3)
+    assert Subspace.full(2) == Subspace.span(2, [[0, 1], [1, 0]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.ambient_dim = 4
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((Fraction(2), Fraction(0)),), "row 0 is .*, not a nonempty mapping"),  # dense rows passed positionally
+        (((0, 1), (1, 0)), "row 0 is .*, not a nonempty mapping"),
+        (((1, 0, 0),), "row 0 is .*, not a nonempty mapping"),
+        (({2: Fraction(1)},), r"row 0 has column index 2 outside range\(2\)"),
+        (({-1: Fraction(1)},), r"row 0 has column index -1 outside range\(2\)"),
+        (({"0": Fraction(1)},), r"row 0 has column index '0' outside range\(2\)"),
+        (({0: Fraction(1)}, {True: Fraction(1)}), r"row 1 has column index True outside range\(2\)"),
+        (({0: 1.0},), "row 0 has entry 1.0 at column 0, not a nonzero int or Fraction"),
+        (({0: "1"},), "row 0 has entry '1' at column 0, not a nonzero int or Fraction"),
+        (({0: Fraction(1), 1: Fraction(0)},), "row 0 has entry Fraction.0, 1. at column 1, not a nonzero"),
+        (({},), r"row 0 is \{\}, not a nonempty mapping"),
+        (({1: Fraction(1), 0: Fraction(1)},), "row 0 is .*: its columns must increase, the first .the pivot. with entry 1"),
+        (({0: Fraction(2)},), "row 0 is .*: its columns must increase, the first .the pivot. with entry 1"),
+        (({0: Fraction(1)}, {1: Fraction(-1)}), "row 1 is .*: its columns must increase, the first .the pivot. with entry 1"),
+        (({1: Fraction(1)}, {0: Fraction(1)}), "row 1 has pivot column 0, not after row 0's 1"),
+        (({0: Fraction(1)}, {0: Fraction(1)}), "row 1 has pivot column 0, not after row 0's 0"),
+        (
+            ({0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}),
+            "pivot column 1 of row 1 is nonzero in an earlier row",
+        ),
+        ([{0: 1}, {0: 1, 1: 1}], "row 1 has pivot column 0, not after row 0's 0"),
+    ],
+)
+def test_the_stored_rows_must_be_canonical(rows, message):
+    """The positional constructor takes the canonical sparse rows and nothing
+    else; before the check, non-canonical rows gave silent wrong answers
+    (membership, equality) and rows off the ambient dimension were kept."""
+    with pytest.raises(ValueError, match=message):
+        Subspace(2, rows)
+
+
+def test_the_ambient_dimension_must_be_a_non_negative_int():
+    for dim in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="ambient dimension must be a non-negative int"):
+            Subspace(dim, ())
+    assert Subspace(2, [{0: 1, 1: Fraction(-1, 2)}]).echelon == ({0: 1, 1: Fraction(-1, 2)},)
 
 
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(reference_matrices(n_cols=n), reference_matrices(1, n))))
@@ -458,7 +562,8 @@ def test_contains_matches_the_dense_reference(pair, coeffs):
         assert space.contains(w) == dense_contains(space, w)
         assert space.contains_sparse({i: x for i, x in enumerate(w) if x}) == dense_contains(space, w)
     assert space.contains(combination)
-    for (pivot, sparse), row in zip(space.echelon, space.rows):
+    for sparse, row in zip(space.echelon, space.rows):
+        pivot = next(iter(sparse))
         assert row[pivot] == 1 and not any(row[:pivot])
         assert sparse == {i: x for i, x in enumerate(row) if x}
 

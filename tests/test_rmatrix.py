@@ -294,6 +294,25 @@ def test_pure_skew_solution_is_skew_only():
     assert not report.factorizable
 
 
+def test_classifier_reads_the_symmetric_part_and_its_rank_like_the_dense_split():
+    """check_quasi_triangular forms s = (r + swap r)/2 from r's entries and
+    reads factorizability as the rank of the sparse columns of s#; both agree
+    with the split tensor and the rank of the dense sharp matrix, at full rank
+    and below it."""
+    rng = random.Random(41)
+    seen = set()
+    for h in (sl2_twisted(), hyperbolic_triple().algebra, triple_double(special_linear_data(2)).algebra):
+        for fill in (1, 2, 4, 12, 40):
+            r = rand_tensor(rng, 2, h.dim, fill)
+            _, s = tensor_skew_sym_split(r)
+            report = check_quasi_triangular(h, r)
+            assert report.s_invariant == check_hom_ad_invariant(h, s).passed
+            full_rank = (not s.is_zero) and matrix_rank(dense_sharp_matrix(h, s)) == h.dim
+            assert report.factorizable == full_rank
+            seen.add(full_rank)
+    assert seen == {True, False}
+
+
 def test_twist_unfixed_candidate_fails():
     report = check_quasi_triangular(
         sl2_twisted(), SparseTensor.from_entries(2, 3, {(0, 1): 1, (1, 0): 1})

@@ -21,6 +21,7 @@ from maninforge.core import (
 from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_twist_morphism, direct_sum, negate_form
 from maninforge.manin import (
     check_manin_isomorphism,
+    check_manin_triple,
     coboundary_cobracket,
     double_from_bialgebra,
     lambda_st,
@@ -85,6 +86,24 @@ def test_storage_matches_the_dense_matrices_of_the_file_round_trip(name):
     assert fileio.format_algebra(parsed) == text
 
 
+def test_parsing_hands_the_sparse_storage_to_the_constructors(monkeypatch):
+    """The parser builds the twist's columns, the form's rows and the halves'
+    rows from the tokens it reads; no dense matrix or spanning set is coerced
+    on the way."""
+    power = nuble(triple_double(special_linear_data(3)), 2)
+    text = fileio.format_triple(power)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense input coerced")
+
+    monkeypatch.setattr(HomLieAlgebra, "unchecked", classmethod(forbidden))
+    monkeypatch.setattr(Subspace, "span", classmethod(forbidden))
+    parsed = fileio.parse_triple(text)
+    assert (parsed.algebra, parsed.part1, parsed.part2) == (power.algebra, power.part1, power.part2)
+    assert fileio.parse_algebra(fileio.format_algebra(power.algebra)) == power.algebra
+    assert fileio.parse_subspace(fileio.format_subspace(power.part2)) == power.part2
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_storage_of_the_powers_matches_the_dense_power(n):
     d3 = triple_double(special_linear_data(3))
@@ -113,24 +132,26 @@ def test_dense_matrix_in_the_positional_constructor_is_rejected():
 
 @pytest.fixture
 def no_dense_views(monkeypatch):
-    """Make reading the dense views of phi and the form raise."""
+    """Make reading the dense views of phi, the form and a subspace's rows raise."""
 
     def forbidden(self):
-        raise AssertionError("dense view of phi or the form read")
+        raise AssertionError("dense view of phi, the form or a subspace read")
 
     monkeypatch.setattr(HomLieAlgebra, "phi", property(forbidden))
     monkeypatch.setattr(HomLieAlgebra, "form", property(forbidden))
+    monkeypatch.setattr(Subspace, "rows", property(forbidden))
 
 
 def test_certifiers_build_no_dense_view(no_dense_views):
-    """Every certifier and construction reads phi and the form from the stored
-    columns and rows, on twisted and untwisted algebras alike; so no algebra
-    it is given, or builds inside, gains a dense view."""
+    """Every certifier and construction reads phi, the form and the halves
+    from the stored columns and rows, on twisted and untwisted algebras alike;
+    so no algebra or subspace it is given, or builds inside, gains a dense view."""
     data = special_linear_data(3)
     d3 = triple_double(data)
     power = nuble(d3, 2)
     h = power.algebra
     twisted = sl2_twisted()
+    assert check_manin_triple(power).passed and check_manin_triple(d3).passed
     assert check_hom_jacobi(h).passed and check_twist_morphism(h).passed
     assert check_twist_morphism(twisted).passed
     assert check_manin_isomorphism(Permutation((1, 0)).columns(d3.dim), power, power).failures
@@ -151,6 +172,23 @@ def test_certifiers_build_no_dense_view(no_dense_views):
     assert stabilizer_report(h, s, power.part1, form=gram).passed
     assert check_coisotropy(power, power.part1) and check_coisotropy_form(h, power.part1, gram)
     assert stabilizer_report(twisted, SparseTensor.zero(2, 3), Subspace.zero(3)).passed
+    assert check_coisotropy(power, power.part2) and check_coisotropy(d3, d3.part1)
+    assert stabilizer_report(h, s, power.part2, form=gram).passed
     g_plus_h = triple_g_plus_h(data)
+    assert check_manin_triple(double).passed and check_manin_triple(g_plus_h).passed
     for algebra in (data.algebra, d3.algebra, h, twisted, double.algebra, g_plus_h.algebra):
         assert "phi" not in vars(algebra) and "form" not in vars(algebra)
+
+
+def test_the_power_of_dim_512_builds_sparse_chains(no_dense_views):
+    """nuble(D3, 32): each half holds 256 canonical rows, the edge rows with
+    their two entries and the base's halves, embedded, with theirs, so no
+    elimination filled them in."""
+    d3 = triple_double(special_linear_data(3))
+    power = nuble(d3, 32)
+    edge = [2] * 16
+    assert power.dim == 512
+    assert [len(row) for row in power.part1.echelon] == edge * 16
+    assert [len(row) for row in power.part2.echelon] == (
+        [len(row) for row in d3.part2.echelon] + edge * 15 + [len(row) for row in d3.part1.echelon]
+    )
