@@ -40,19 +40,24 @@ BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
 
 def _check_bracket_table(dim: int, brackets: Mapping[tuple[int, int], Mapping[int, Fraction]]) -> None:
-    """Raise unless every key is (i, j) with ints 0 <= i < j < dim, every value
-    index an int in range(dim), and every value an int or a Fraction."""
+    """Raise unless every key is (i, j) with ints 0 <= i < j < dim, every
+    coefficient map nonempty, every value index an int in range(dim), and every
+    value a nonzero int or Fraction."""
     for key, coeffs in brackets.items():
         i, j = key
         if not (type(i) is int and type(j) is int and all(type(k) is int for k in coeffs)):
             raise ValueError(f"bracket key {key!r}: key and value indices {list(coeffs)!r} must be ints")
         if not 0 <= i < j < dim:
             raise ValueError(f"bracket key ({i}, {j}) must satisfy 0 <= i < j < dim")
+        if not coeffs:
+            raise ValueError(f"bracket key {key}: the coefficient map is empty; a zero bracket has no key")
         for k, v in coeffs.items():
             if not 0 <= k < dim:
                 raise ValueError(f"bracket value index {k} out of range")
             if not _is_exact(v):
                 raise ValueError(f"bracket key {key}: value {v!r} at index {k} is not an int or a Fraction")
+            if v == 0:
+                raise ValueError(f"bracket key {key}: value at index {k} is zero; only nonzero values are stored")
 
 
 def _normalize_brackets(
@@ -107,6 +112,14 @@ class HomLieAlgebra:
             problem = vectors is not None and _columns_shape_error(vectors, self.dim, self.dim)
             if problem:
                 raise ValueError(f"{what} must be {self.dim}x{self.dim} as sparse vectors: {problem}")
+        for vector, position, vectors in (
+            ("phi column", "row", self.phi_columns),
+            ("form row", "column", self.form_rows or ()),
+        ):
+            for a, v in enumerate(vectors):
+                zero = next((b for b, x in v.items() if x == 0), None)
+                if zero is not None:
+                    raise ValueError(f"{vector} {a} has a zero entry at {position} {zero}; store nonzero entries only")
 
     @cached_property
     def untwisted(self) -> bool:
@@ -114,17 +127,17 @@ class HomLieAlgebra:
         return all(len(col) == 1 and col.get(i) == 1 for i, col in enumerate(self.phi_columns))
 
     @cached_property
-    def _bracket_numerators(self) -> tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
-        """The bracket table over one common denominator, for the integer
-        kernels: (den, terms), a term (i, j, ((k, c), ...)) meaning
-        [b_i, b_j] = sum c/den b_k, for each key (i, j) in both orders."""
-        den, numerators = _common_denominator([c for coeffs in self.brackets.values() for c in coeffs.values()])
-        numerators = iter(numerators)
-        terms = []
-        for (i, j), coeffs in self.brackets.items():
-            cs = tuple((k, next(numerators)) for k in coeffs)
-            terms += ((i, j, cs), (j, i, tuple((k, -c) for k, c in cs)))
-        return den, tuple(terms)
+    def _bracket_numerators(self) -> tuple[int, dict[tuple[int, int], tuple[tuple[int, int], ...]]]:
+        """The bracket table over one common denominator, the one integer view
+        that the integer kernels read: (den, table), table[i, j] = ((k, c), ...)
+        meaning [b_i, b_j] = sum c/den b_k, for each key (i, j) in both orders,
+        (i, j) before (j, i) and the keys in the order of `brackets`."""
+        den, numerators = _numerators(list(self.brackets.values()))
+        table = {}
+        for (i, j), cs in zip(self.brackets, numerators):
+            table[i, j] = tuple(cs.items())
+            table[j, i] = tuple((k, -c) for k, c in cs.items())
+        return den, table
 
     @cached_property
     def phi(self) -> Matrix:
@@ -221,30 +234,47 @@ def _accumulate(out: dict, key, value: int | Fraction) -> None:
         out[key] = total
 
 
-def _holders(vectors: Sequence[Mapping[int, Fraction]]) -> dict[int, list[tuple[int, Fraction]]]:
-    """index -> [(position, entry)] over a family of sparse vectors."""
-    holders: dict[int, list[tuple[int, Fraction]]] = {}
-    for a, v in enumerate(vectors):
+def _numerators(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, list[dict[int, int]]]:
+    """(den, numerators): a family of sparse vectors over one common
+    denominator, numerators[a] = {index: entry * den} in the order of v_a."""
+    den, flat = _common_denominator([x for v in vectors for x in v.values()])
+    flat = iter(flat)
+    return den, [{i: next(flat) for i in v} for v in vectors]
+
+
+def _holders(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+    """(den, index -> [(position, numerator)]) over a family of sparse vectors,
+    its entries over their one common denominator den."""
+    den, numerators = _numerators(vectors)
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for a, v in enumerate(numerators):
         for i, x in v.items():
             holders.setdefault(i, []).append((a, x))
-    return holders
+    return den, holders
 
 
 def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
     """{(a, b): [v_a, v_b]} for a < b over a family of sparse vectors, zero
     brackets absent, accumulated from the bracket keys through the vectors
-    holding each index: two vectors that no key reaches cost nothing."""
-    holders = _holders(vectors)
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), coeffs in h.brackets.items():
+    holding each index: two vectors that no key reaches cost nothing.  The
+    sums are of integer numerators over den_v^2 * den_c, the denominators of
+    the family and of the bracket table; a total that cancels is dropped as it
+    goes, and each nonzero one is divided once, so every value returned is a
+    nonzero Fraction."""
+    den_v, holders = _holders(vectors)
+    den_c, table = h._bracket_numerators
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for i, j in h.brackets:
+        cs = table[i, j]
         for a, x in holders.get(i, ()):
             for b, y in holders.get(j, ()):
                 if a != b:
                     index, scale = ((a, b), x * y) if a < b else ((b, a), -x * y)
                     w = out.setdefault(index, {})
-                    for k, c in coeffs.items():
+                    for k, c in cs:
                         _accumulate(w, k, scale * c)
-    return {index: w for index, w in out.items() if w}
+    den = den_v * den_v * den_c
+    return {index: {k: Fraction(n, den) for k, n in w.items()} for index, w in out.items() if w}
 
 
 def _pairings(
@@ -252,18 +282,24 @@ def _pairings(
 ) -> dict:
     """The nonzero {(a, b): <left_a, right_b>} under the form with sparse rows
     form_rows, right defaulting to left, accumulated from the form's nonzero
-    entries in the rows of the indices that left holds."""
-    left_holders = _holders(left)
-    right_holders = left_holders if right is None else _holders(right)
-    out: dict[tuple[int, int], Fraction] = {}
+    entries in the rows of the indices that left holds.  The sums are of
+    integer numerators over den_g * den_l * den_r, the denominators of the form
+    and of the two families; a total that cancels is dropped as it goes, and
+    each nonzero one is divided once, so every value returned is a nonzero
+    Fraction."""
+    den_l, left_holders = _holders(left)
+    den_r, right_holders = (den_l, left_holders) if right is None else _holders(right)
+    den_g, g_rows = _numerators(form_rows)
+    out: dict[tuple[int, int], int] = {}
     for i, xs in left_holders.items():
-        for j, g in form_rows[i].items():
+        for j, g in g_rows[i].items():
             if j in right_holders:
                 for a, x in xs:
                     xg = x * g
                     for b, y in right_holders[j]:
                         _accumulate(out, (a, b), xg * y)
-    return out
+    den = den_g * den_l * den_r
+    return {index: Fraction(n, den) for index, n in out.items()}
 
 
 def _require_tensor(h: HomLieAlgebra, t: SparseTensor) -> None:
@@ -311,9 +347,9 @@ def _ad_basis(
     goes, and each nonzero one is divided once, so every value returned is a
     nonzero Fraction."""
     (slot0, slot1), den_t = _by_slot(h, t)
-    den_c, terms = h._bracket_numerators
+    den_c, table = h._bracket_numerators
     sums: dict[int, dict[tuple[int, int], int]] = {}
-    for k, a, cs in terms:
+    for (k, a), cs in table.items():
         if ks is None or k in ks:
             w = sums.setdefault(k, {})
             for c, x in cs:
@@ -342,23 +378,39 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     (the bracket is antisymmetric), so it vanishes on a repeated index.  It is
     also zero unless one of the triple's pairs is a bracket key.  So J is
     computed once per triple i < j < k holding a key, and each of the six
-    orderings of a failing triple is reported with its signed residual."""
+    orderings of a failing triple is reported with its signed residual.
+
+    J is summed in integer numerators over den_phi * den_c^2, the denominators
+    of the twist's columns and of the bracket table, each term read from the
+    integer table twice: [phi(b_x), [b_y, b_z]] through the key (y, z) and then
+    the keys (a, m) for a in phi(b_x) and m in [b_y, b_z].  A Fraction is built
+    only for the residual of a failing triple."""
     failures = []
-    phi_cols = h.phi_columns
-    triples = {tuple(sorted((a, b, c))) for a, b in h.brackets for c in range(h.dim) if c != a and c != b}
+    den_c, table = h._bracket_numerators
+    den_p, phi = _numerators(h.phi_columns)
+    den = den_p * den_c * den_c
+    lookup = table.get
+    # Each key (a, b) has a < b, so a third index c sorts into it by two comparisons.
+    triples = {
+        (c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
+        for a, b in h.brackets
+        for c in range(h.dim)
+        if c != a and c != b
+    }
     for i, j, k in triples:
-        total: dict[int, Fraction] = {}
-        for outer, inner in (
-            (phi_cols[i], h.bracket_basis(j, k)),
-            (phi_cols[j], h.bracket_basis(k, i)),
-            (phi_cols[k], h.bracket_basis(i, j)),
-        ):
-            if not inner:
-                continue
-            for a, v in _sparse_bracket(h, outer, inner).items():
-                _accumulate(total, a, v)
-        if total:
-            even = _dense(h, total)
+        total: dict[int, int] = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = lookup((y, z))
+            if inner:
+                for a, p in phi[x].items():
+                    for m, c in inner:
+                        outer = lookup((a, m))
+                        if outer:
+                            pc = p * c
+                            for n, e in outer:
+                                total[n] = total.get(n, 0) + pc * e
+        if any(total.values()):
+            even = _dense(h, {a: Fraction(n, den) for a, n in total.items() if n})
             odd = tuple(-v for v in even)
             for index in ((i, j, k), (j, k, i), (k, i, j)):
                 failures.append(failure("hom_jacobi", index, even))
@@ -552,13 +604,21 @@ def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
 
 def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     """The form is symmetric, nondegenerate (else the kernel basis is reported),
-    invariant <[x,y],z> = <x,[y,z]>, and twist-self-adjoint <phi x, y> = <x, phi y>."""
+    invariant <[x,y],z> = <x,[y,z]>, and twist-self-adjoint <phi x, y> = <x, phi y>.
+
+    Symmetry is compared, and the invariance residual summed, in integer
+    numerators: the form's over den_g, and the residual over den_g * den_c with
+    den_c the bracket table's, each nonzero entry divided once.  The two twist
+    pairings come from `_pairings`; their difference and the elimination for
+    nondegeneracy run in Fractions."""
     if h.form_rows is None:
         raise ValueError("algebra carries no bilinear form to check")
     failures = []
-    g_rows, g_cols = h.form_rows, _transpose_sparse(h.form_rows, h.dim)
+    g_rows = h.form_rows
+    den_g, n_rows = _numerators(g_rows)
+    n_cols = _transpose_sparse(n_rows, h.dim)
     asymmetric = {
-        (min(i, j), max(i, j)) for i, row in enumerate(g_rows) for j in row if row[j] != g_cols[i].get(j)
+        (min(i, j), max(i, j)) for i, row in enumerate(n_rows) for j in row if row[j] != n_cols[i].get(j)
     }
     for i, j in sorted(asymmetric):
         failures.append(failure("symmetric", (i, j), g_rows[i].get(j, ZERO) - g_rows[j].get(i, ZERO)))
@@ -572,17 +632,16 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     # Residual <[b_i,b_j],b_k> - <b_i,[b_j,b_k]>, accumulated from each bracket
     # key (a, b) in both orders, in the left slot through row c of the form and
     # in the right slot through column c (the form need not be symmetric).
-    residual: dict[tuple[int, int, int], Fraction] = {}
-    for (a, b), coeffs in h.brackets.items():
-        for c, v in coeffs.items():
-            for k, g_ck in g_rows[c].items():
-                _accumulate(residual, (a, b, k), v * g_ck)
-                _accumulate(residual, (b, a, k), -v * g_ck)
-            for i, g_ic in g_cols[c].items():
-                _accumulate(residual, (i, a, b), -g_ic * v)
-                _accumulate(residual, (i, b, a), g_ic * v)
-    for index, value in residual.items():
-        failures.append(failure("invariant", index, value))
+    den_c, table = h._bracket_numerators
+    residual: dict[tuple[int, int, int], int] = {}
+    for (a, b), cs in table.items():
+        for c, v in cs:
+            for k, g in n_rows[c].items():
+                _accumulate(residual, (a, b, k), v * g)
+            for i, g in n_cols[c].items():
+                _accumulate(residual, (i, a, b), -g * v)
+    den = den_g * den_c
+    failures += [failure("invariant", index, Fraction(n, den)) for index, n in residual.items()]
     return CheckReport("quadratic", failures)
 
 

@@ -42,9 +42,9 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     every value returned is a nonzero Fraction."""
     _require_tensor(h, r)
     by_slot, den_r = _by_slot(h, r)
-    den_c, terms = h._bracket_numerators
+    den_c, table = h._bracket_numerators
     sums: dict[tuple[int, int, int], int] = {}
-    for i, j, cs in terms:
+    for (i, j), cs in table.items():
         for s, t, pos in ((0, 0, 0), (1, 0, 1), (1, 1, 2)):
             for u, v in by_slot[s].get(i, ()):
                 for w, x in by_slot[t].get(j, ()):

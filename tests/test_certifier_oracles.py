@@ -254,16 +254,34 @@ def no_dense_calls(monkeypatch):
     return taken
 
 
+class CountingTable(dict):
+    """An integer bracket table that counts its lookups by key."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
 def test_checkers_make_fewer_basis_brackets_than_the_scans(no_dense_calls):
     """The d^3 loops called bracket_basis 854,016 times (Jacobi) and 266,240
-    times (quadratic) on this dim-64 power; the count is deterministic."""
+    times (quadratic) on this dim-64 power.  Jacobi now reads the integer
+    bracket table instead, and calls bracket_basis no more: three lookups for
+    each of the 9,856 triples i < j < k that hold a key, and one for each term
+    of an inner bracket against the twist, 40,480 in all; the counts are
+    deterministic."""
     h = nuble(BASES["D3"], 4).algebra
     d = h.dim
     assert d == 64
+    den, table = h._bracket_numerators
+    counting = CountingTable(table)
+    h.__dict__["_bracket_numerators"] = (den, counting)
+    triples = {tuple(sorted((a, b, c))) for a, b in h.brackets for c in range(d) if c not in (a, b)}
     assert check_hom_jacobi(h).passed
-    jacobi_calls = no_dense_calls()
+    assert no_dense_calls() == 0
+    assert 3 * len(triples) == 29_568 < counting.lookups == 40_480 < d**3
     assert check_quadratic(h).passed
-    assert 0 < jacobi_calls < d**3
     assert no_dense_calls() < d**2
 
 

@@ -1,27 +1,83 @@
-"""The Yang-Baxter kernels in integer numerators over one common denominator:
-the scaling helper's contract, exactness under large pairwise-coprime
-denominators against the dense references, and the invariant that every value
-the kernels return is a nonzero Fraction."""
+"""The integer kernels, which sum numerators over one common denominator: the
+scaling helper's contract; the Yang-Baxter kernels and the Manin-triple
+certifier's kernels exact under large pairwise-coprime denominators against
+the dense references; the invariant that every value the kernels return is a
+nonzero Fraction; and counts of the Fraction arithmetic a passing certificate
+still does."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 
 from helpers import (
+    SL2_FORM,
     conjugate_algebra,
+    dense_brackets_in,
     dense_check_hom_ad_invariant,
+    dense_check_hom_jacobi,
+    dense_check_manin_isomorphism,
+    dense_check_quadratic,
+    dense_check_twist_morphism,
+    dense_contains,
+    dense_dual_basis,
     dense_hcyb,
     dense_hom_schouten,
+    dense_mat_vec,
+    dense_part_report,
+    dense_r_from_splitting,
+    dense_sharp_matrix,
     pairwise_hcyb,
 )
-from maninforge.core import SparseTensor, _common_denominator, matrix, tensor_skew_sym_split
-from maninforge.homlie import HomLieAlgebra, _ad_basis, check_involutive
-from maninforge.manin import r_from_splitting, special_linear_data, triple_double
+from maninforge.core import (
+    Matrix,
+    SparseTensor,
+    Subspace,
+    _common_denominator,
+    _gauss_jordan,
+    _unit_columns,
+    annihilator,
+    identity_matrix,
+    inverse,
+    map_subspace,
+    mat_mul,
+    matrix,
+    orthogonal_complement,
+    sparse_columns,
+    tensor_skew_sym_split,
+)
+from maninforge.homlie import (
+    HomLieAlgebra,
+    _ad_basis,
+    _pair_brackets,
+    _pairings,
+    check_hom_jacobi,
+    check_involutive,
+    check_quadratic,
+    check_twist_morphism,
+    direct_sum,
+)
+from maninforge.manin import (
+    ManinTriple,
+    _part_report,
+    check_manin_isomorphism,
+    dual_basis,
+    r_from_splitting,
+    special_linear_data,
+    triple_double,
+)
 from maninforge.polyuble import nuble
 from maninforge.rmatrix import check_hom_ad_invariant, check_quasi_triangular, cyb, hcyb, hom_schouten, sl2_twisted
+from maninforge.stabilizer import (
+    check_bracket_sharp_condition,
+    check_coisotropy_form,
+    check_phi_stable,
+    check_s_sharp_condition,
+    is_subalgebra,
+)
 
 # Pairwise coprime, so that a wrong lcm or a lost division changes a value.
 HOSTILE = (7, 11, 13, 17, 19, 23)
@@ -222,3 +278,251 @@ def test_entries_that_cancel_are_absent():
     assert hcyb(h, perturbed).entries and _ad_basis(h, tensor_skew_sym_split(perturbed)[1])
     for w in _ad_basis(h, perturbed).values():
         assert _all_nonzero_fractions(w.values())
+
+
+# ---------------------------------------------------------------------------
+# The Manin-triple certifier under hostile denominators
+
+
+def hostile_basis(dim: int, seed: int, shears: int) -> Matrix:
+    """A seeded product of shears I + s E_ab, each s of a denominator in
+    HOSTILE: a change of basis whose entries carry those denominators."""
+    rng = random.Random(seed)
+    p = identity_matrix(dim)
+    for _ in range(shears):
+        a, b = rng.sample(range(dim), 2)
+        rows = [list(row) for row in identity_matrix(dim)]
+        rows[a][b] = _hostile_fraction(rng)
+        p = mat_mul(p, matrix(rows))
+    return p
+
+
+def hostile_image(t: ManinTriple, p) -> ManinTriple:
+    """t written in the basis formed by the columns of p: p maps it onto t."""
+    pinv = inverse(p)
+    return ManinTriple(conjugate_algebra(t.algebra, p), map_subspace(pinv, t.part1), map_subspace(pinv, t.part2))
+
+
+def perturbed_algebra(h: HomLieAlgebra, what: str) -> HomLieAlgebra:
+    """h with one entry moved by a fraction of denominator 17, 19 or 23: the
+    first structure constant, a form entry above the diagonal only, or a twist
+    entry."""
+    brackets = {key: dict(coeffs) for key, coeffs in h.brackets.items()}
+    phi, form = [list(row) for row in h.phi], [list(row) for row in h.form]
+    if what == "constant":
+        key = next(iter(brackets))
+        k = next(iter(brackets[key]))
+        brackets[key][k] += Fraction(5, 17)
+    elif what == "form":
+        form[0][h.dim - 1] += Fraction(3, 19)
+    else:
+        phi[1][2] += Fraction(2, 23)
+    return HomLieAlgebra.unchecked(h.dim, brackets, phi, form)
+
+
+def twisted_sl2_pair() -> HomLieAlgebra:
+    """Two twisted sl2s with their invariant forms, in a hostile basis: a
+    quadratic twisted Lie algebra whose twist has entries of denominators 7-23."""
+    sl2 = sl2_twisted()
+    quadratic = HomLieAlgebra.unchecked(3, sl2.brackets, sl2.phi, SL2_FORM)
+    return conjugate_algebra(direct_sum(quadratic, quadratic), hostile_basis(6, 41, 8))
+
+
+D2 = triple_double(special_linear_data(2))
+D2_IMAGE = hostile_image(D2, hostile_basis(D2.dim, 7, 10))
+
+
+def hostile_triples() -> dict[str, ManinTriple]:
+    rng = random.Random(43)
+    image = D2_IMAGE
+    out = {"D2 image": image}
+    for what in ("constant", "form", "phi"):
+        moved = perturbed_algebra(image.algebra, what)
+        out[f"D2 image, {what} moved"] = ManinTriple(moved, image.part1, image.part2)
+    twisted = twisted_sl2_pair()
+    halves = [Subspace.span(6, [[_hostile_fraction(rng) for _ in range(6)] for _ in range(k)]) for k in (2, 3)]
+    out["twisted sl2 pair"] = ManinTriple(twisted, *halves)
+    return out
+
+
+HOSTILE_TRIPLES = hostile_triples()
+
+
+def test_hostile_triples_carry_large_denominators_and_a_fractional_twist():
+    h = D2_IMAGE.algebra
+    assert max(v.denominator for coeffs in h.brackets.values() for v in coeffs.values()) > 1000
+    assert max(v.denominator for row in h.form_rows for v in row.values()) > 1000
+    assert max(v.denominator for row in D2_IMAGE.part1.echelon for v in row.values()) > 100
+    twisted = HOSTILE_TRIPLES["twisted sl2 pair"].algebra
+    assert check_involutive(twisted) and not twisted.untwisted
+    assert max(v.denominator for col in twisted.phi_columns for v in col.values()) > 1000
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_TRIPLES))
+def test_certifier_kernels_match_the_dense_references_under_hostile_denominators(name):
+    t = HOSTILE_TRIPLES[name]
+    h = t.algebra
+    reports = {
+        "hom_jacobi": (check_hom_jacobi(h), dense_check_hom_jacobi(h)),
+        "twist_morphism": (check_twist_morphism(h), dense_check_twist_morphism(h)),
+        "quadratic": (check_quadratic(h), dense_check_quadratic(h)),
+        "part1": (_part_report(t, t.part1, "part1"), dense_part_report(t, t.part1, "part1")),
+        "part2": (_part_report(t, t.part2, "part2"), dense_part_report(t, t.part2, "part2")),
+    }
+    for check, (fast, dense) in reports.items():
+        assert fast.to_json() == dense.to_json(), check
+    failing = {f.check for fast, _ in reports.values() for f in fast.failures}
+    assert failing == {
+        "D2 image": set(),
+        "D2 image, constant moved": {"hom_jacobi", "invariant", "subalgebra"},
+        "D2 image, form moved": {"symmetric", "invariant", "isotropic"},
+        "D2 image, phi moved": {"hom_jacobi", "twist_morphism", "twist_self_adjoint", "twist_stable"},
+        "twisted sl2 pair": {"isotropic", "subalgebra", "twist_stable"},
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["unchecked 5 a", "unchecked 6"])
+def test_jacobi_and_twist_checks_match_the_dense_references_on_unchecked_hostile_algebras(name):
+    """Random hostile structure constants and twists: most triples fail, each
+    with its exact residual."""
+    h = HOSTILE_ALGEBRAS[name]()
+    jacobi = check_hom_jacobi(h)
+    assert jacobi.to_json() == dense_check_hom_jacobi(h).to_json()
+    assert len(jacobi.failures) > 20
+    assert check_twist_morphism(h).to_json() == dense_check_twist_morphism(h).to_json()
+
+
+def test_isomorphism_and_dual_basis_match_the_dense_references_under_hostile_denominators():
+    """The hostile change of basis maps the image of D2 onto D2; one entry of
+    it moved by 1/13 breaks the bracket, the form and the halves."""
+    p = hostile_basis(D2.dim, 7, 10)
+    rows = [list(row) for row in p]
+    rows[2][3] += Fraction(1, 13)
+    for f, passes in ((p, True), (matrix(rows), False)):
+        report = check_manin_isomorphism(sparse_columns(f), D2_IMAGE, D2)
+        assert report.to_json() == dense_check_manin_isomorphism(f, D2_IMAGE, D2).to_json()
+        assert report.passed == passes
+    assert {x.check for x in report.failures} >= {"bracket_preserved", "form_preserved"}
+    for t in (D2_IMAGE, HOSTILE_TRIPLES["D2 image, form moved"]):
+        pair = dual_basis(t)
+        assert pair == dense_dual_basis(t)
+        assert r_from_splitting(t) == dense_r_from_splitting(t)
+    assert pair.gram == identity_matrix(D2.dim // 2)
+
+
+@pytest.mark.parametrize("name", ["D2 image", "twisted sl2 pair"])
+def test_stabilizer_conditions_match_the_dense_references_under_hostile_denominators(name):
+    """The bracket, twist and image conditions on the halves of the triple and
+    on hostile random subspaces, with S the inverse form and a hostile
+    symmetric S; both verdicts occur for each condition that can fail."""
+    rng = random.Random(name)
+    t = HOSTILE_TRIPLES[name]
+    h, form = t.algebra, t.form
+    raw = hostile_tensor(rng, h.dim, 6)
+    tensors = (SparseTensor.from_matrix(inverse(form)), (raw + raw.swap()).scale(Fraction(1, 2)))
+    sparse_row = lambda: [_hostile_fraction(rng) if rng.randrange(2) else 0 for _ in range(h.dim)]
+    spaces = [t.part1, t.part2, Subspace.full(h.dim)]
+    spaces += [Subspace.span(h.dim, [sparse_row() for _ in range(k)]) for k in (1, 2, 3, 4, 5)]
+    seen: dict[str, set] = {}
+    for q in spaces:
+        complement = orthogonal_complement(q, form).rows
+        twisted = [dense_mat_vec(h.phi, v) for v in q.rows]
+        outcomes = [
+            ("subalgebra", is_subalgebra(h, q), dense_brackets_in(h, q.rows, q)),
+            ("coisotropic", check_coisotropy_form(h, q, form), dense_brackets_in(h, complement, q)),
+            ("twist_stable", check_phi_stable(q, h.phi), all(dense_contains(q, w) for w in twisted)),
+        ]
+        for s in tensors:
+            images = [dense_mat_vec(dense_sharp_matrix(h, s), xi) for xi in annihilator(q).rows]
+            dense_image = all(dense_contains(q, w) for w in images)
+            outcomes.append(("sharp_image", check_s_sharp_condition(h, s, q), dense_image))
+            outcomes.append(("sharp_brackets", check_bracket_sharp_condition(h, s, q), dense_brackets_in(h, images, q)))
+        for check, fast, dense in outcomes:
+            assert fast == dense, (q.rows, check)
+            seen.setdefault(check, set()).add(fast)
+    if h.untwisted:
+        assert seen.pop("twist_stable") == {True}
+    assert all(values == {True, False} for values in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# What the pairing and bracket kernels return
+
+
+def test_pairings_and_pair_brackets_return_nonzero_fractions_for_int_input():
+    sl2 = sl2_twisted()
+    vectors = [{0: 1, 1: 2}, {1: -1, 2: 3}, {2: 1}]
+    form_rows = ({0: 2}, {2: -1}, {1: -1})
+    brackets = _pair_brackets(sl2, vectors)
+    pairings = _pairings(form_rows, vectors)
+    assert set(brackets) == {(0, 1), (0, 2), (1, 2)}
+    assert pairings[0, 1] == pairings[1, 0] == -6 and len(pairings) == 8 and (2, 2) not in pairings
+    assert all(_all_nonzero_fractions(w.values()) for w in brackets.values())
+    assert _all_nonzero_fractions(pairings.values())
+    assert _all_nonzero_fractions(_pairings(form_rows, vectors, [{1: 1}, {0: 3}]).values())
+
+
+def test_pairings_and_pair_brackets_leave_out_what_cancels():
+    """[v, v] and <x, y> with x = e0 + e1, y = e0 - e1 under a hyperbolic form
+    cancel term by term, with hostile entries; a total that cancels inside a
+    nonzero bracket is absent too."""
+    v = {1: Fraction(1, 7), 2: Fraction(1, 11)}
+    sl2 = sl2_twisted()
+    assert _pair_brackets(sl2, [v, v]) == {}
+    w = {0: Fraction(2, 13), 1: Fraction(1, 7), 2: Fraction(1, 11)}
+    bracket = _pair_brackets(sl2, [v, w])
+    assert set(bracket[0, 1]) == {1, 2} and _all_nonzero_fractions(bracket[0, 1].values())
+    hyperbolic = ({1: Fraction(1, 19)}, {0: Fraction(1, 19)})
+    x, y = {0: Fraction(1, 7), 1: Fraction(1, 7)}, {0: Fraction(1, 23), 1: Fraction(-1, 23)}
+    assert _pairings(hyperbolic, [x, y]) == {(0, 0): Fraction(2, 7 * 7 * 19), (1, 1): Fraction(-2, 23 * 23 * 19)}
+
+
+# ---------------------------------------------------------------------------
+# Fraction arithmetic left in a passing certificate
+
+FRACTION_ARITHMETIC = {Fraction._mul.__code__, Fraction._add.__code__}
+
+
+def fraction_arithmetic(fn, *args) -> tuple:
+    """(fn(*args), the number of calls into Fraction._mul and Fraction._add it made)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in FRACTION_ARITHMETIC:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+D3 = triple_double(special_linear_data(3))
+
+
+@pytest.mark.parametrize(
+    "name, make, quadratic_calls",
+    [
+        ("D3x4", lambda: nuble(D3, 4), 200),
+        ("D3 sheared", lambda: hostile_image(D3, hostile_basis(D3.dim, 11, 4)), 104),
+    ],
+)
+def test_a_passing_certificate_does_no_fraction_arithmetic_in_jacobi(name, make, quadratic_calls):
+    """Jacobi and the pairing and bracket kernels sum ints only.  The quadratic
+    check does Fraction arithmetic only to eliminate the form (nondegeneracy)
+    and to subtract the two twist pairings, one addition per entry."""
+    t = make()
+    h = t.algebra
+    report, calls = fraction_arithmetic(check_hom_jacobi, h)
+    assert report.passed and calls == 0
+    for part in (t.part1, t.part2):
+        assert fraction_arithmetic(_pairings, h.form_rows, part.echelon)[1] == 0
+        assert fraction_arithmetic(_pair_brackets, h, part.echelon)[1] == 0
+    report, calls = fraction_arithmetic(check_quadratic, h)
+    assert report.passed and calls == quadratic_calls
+    _, elimination = fraction_arithmetic(_gauss_jordan, h.form_rows)
+    subtraction = len(_pairings(h.form_rows, _unit_columns(h.dim), h.phi_columns))
+    assert calls == elimination + subtraction

@@ -23,7 +23,7 @@ from maninforge.homlie import (
     check_twist_morphism,
     direct_sum,
 )
-from maninforge.manin import special_linear_data
+from maninforge.manin import check_manin_isomorphism, hyperbolic_triple, special_linear_data
 from maninforge.rmatrix import sl2_lie, sl2_twisted
 
 SL2_BRACKETS = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}}
@@ -101,6 +101,9 @@ def test_bracket_indices_must_be_ints(brackets, match):
         ({(0, 1): {2: 0.5}}, r"bracket key \(0, 1\): value 0.5 at index 2 is not an int or a Fraction"),
         ({(0, 1): {2: True}}, r"bracket key \(0, 1\): value True at index 2 is not an int or a Fraction"),
         ({(0, 1): {2: "1/2"}}, r"bracket key \(0, 1\): value '1/2' at index 2 is not an int or a Fraction"),
+        ({(0, 1): {2: Fraction(0)}}, r"bracket key \(0, 1\): value at index 2 is zero"),
+        ({(0, 1): {1: 3, 2: 0}}, r"bracket key \(0, 1\): value at index 2 is zero"),
+        ({(0, 2): {}}, r"bracket key \(0, 2\): the coefficient map is empty"),
     ],
 )
 def test_positional_constructor_checks_the_bracket_table(brackets, match):
@@ -122,6 +125,41 @@ def test_twist_entries_must_be_exact():
         HomLieAlgebra(2, {}, ({0: Fraction(1)}, {0: 0.5}))
     with pytest.raises(ValueError, match=r"form must be 2x2 as sparse vectors: column 0 has entry True at row 1"):
         HomLieAlgebra(2, {}, _unit_columns(2), ({1: True}, {0: 1}))
+
+
+@pytest.mark.parametrize(
+    "phi_columns, form_rows, match",
+    [
+        (({0: Fraction(1), 1: Fraction(0)}, {1: Fraction(1)}), None, r"phi column 0 has a zero entry at row 1"),
+        (({0: 1}, {0: 2, 1: 0}), None, r"phi column 1 has a zero entry at row 1"),
+        (_unit_columns(2), ({1: Fraction(2)}, {0: Fraction(2), 1: Fraction(0)}), r"form row 1 has a zero entry at column 1"),
+        (_unit_columns(2), ({0: 0}, {1: 1}), r"form row 0 has a zero entry at column 0"),
+    ],
+)
+def test_positional_constructor_rejects_explicit_zero_entries(phi_columns, form_rows, match):
+    """An explicit zero used to be stored: the identity twist with a zero entry
+    read as twisted, and an algebra compared unequal to the same algebra
+    without it."""
+    with pytest.raises(ValueError, match=match):
+        HomLieAlgebra(2, {}, phi_columns, form_rows)
+
+
+def test_equal_algebras_compare_equal_however_they_are_built():
+    """`unchecked` drops zeros, and the positional constructor refuses them, so
+    an algebra has one stored form."""
+    assert HomLieAlgebra.unchecked(3, {(0, 1): {2: 0}, (1, 2): {}}) == HomLieAlgebra.unchecked(3, {})
+    h = HomLieAlgebra(2, {}, ({0: Fraction(1)}, {1: Fraction(1)}))
+    assert h.untwisted and h == HomLieAlgebra.unchecked(2, {}, phi=[[1, 0], [0, 1]])
+
+
+def test_map_columns_may_still_hold_explicit_zeros():
+    """The map checkers take their columns as given: a stored zero in f is not
+    an error."""
+    h = sl2_twisted()
+    f = [{0: Fraction(1), 1: Fraction(0)}, {1: Fraction(1)}, {2: Fraction(1), 0: 0}]
+    assert check_homomorphism(f, h, h).passed
+    t = hyperbolic_triple()
+    assert check_manin_isomorphism([{0: Fraction(1), 1: 0}, {1: 1}], t, t).passed
 
 
 def test_twist_morphism_failure_located():
