@@ -188,7 +188,7 @@ def _cmd_hcybe(args, inputs: _Inputs, started: float) -> int:
     else:
         verdict = check_quasi_triangular(algebra, r)
         residual = verdict.hcyb_residual
-        ok = verdict.verdict == "quasi-triangular"
+        ok = verdict.verdict != "fails"
         lines = [
             f"phi_fixed: {str(verdict.phi_fixed).lower()}",
             f"s_invariant: {str(verdict.s_invariant).lower()}",

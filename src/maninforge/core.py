@@ -66,10 +66,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
@@ -394,7 +390,7 @@ class SparseTensor:
         if len(maps) != self.degree:
             raise ValueError("need one matrix per tensor slot")
         return self._apply_per_slot(
-            [sparse_columns(_square(m, self.dim, f"map for slot {s}")) for s, m in enumerate(maps)]
+            [sparse_columns(_square(matrix(m), self.dim, f"map for slot {s}")) for s, m in enumerate(maps)]
         )
 
     def _apply_per_slot(self, cols: Sequence[Sequence[Mapping[int, Fraction]]]) -> SparseTensor:

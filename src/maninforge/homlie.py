@@ -212,19 +212,6 @@ class HomLieAlgebra:
         return tuple(out)
 
 
-def _sparse_bracket(h: HomLieAlgebra, xs: dict[int, Fraction], ys: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for i, xi in xs.items():
-        for j, yj in ys.items():
-            for k, c in h.bracket_basis(i, j).items():
-                total = out.get(k, ZERO) + xi * yj * c
-                if total == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = total
-    return out
-
-
 def _accumulate(out: dict, key, value: int | Fraction) -> None:
     """Add value at key, dropping the entry if it cancels to zero."""
     total = out.get(key, 0) + value
@@ -574,29 +561,34 @@ def check_admissible_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckRe
 
 def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
     """The coadjoint action is a representation: [(Id - phi^2)x, phi y] = 0 and
-    [(Id - phi^2)x, [phi y, z]] = [(Id - phi^2)y, [phi x, z]] on basis elements."""
+    [(Id - phi^2)x, [phi y, z]] = [(Id - phi^2)y, [phi x, z]] on basis elements.
+    One `_pair_brackets` call over the defects (Id - phi^2)b_i, the columns
+    phi(b_j) and the basis vectors gives every bracket, the nested ones as
+    combinations of [defect_i, b_m] through the coordinates of [phi b_j, b_k]."""
     failures = []
-    phi_cols = h.phi_columns
+    d, phi_cols = h.dim, h.phi_columns
     defect_cols = []  # coordinates of (Id - phi^2) b_i
-    for i in range(h.dim):
+    for i in range(d):
         defect = {i: ONE}
         for a, v in _apply_columns(phi_cols, phi_cols[i]).items():
             _accumulate(defect, a, -v)
         defect_cols.append(defect)
-    for i in range(h.dim):
+    pairs = _pair_brackets(h, [*defect_cols, *phi_cols, *_unit_columns(d)])
+    for i in range(d):
         if not defect_cols[i]:
             continue
-        for j in range(h.dim):
-            residual = _sparse_bracket(h, defect_cols[i], phi_cols[j])
+        for j in range(d):
+            residual = pairs.get((i, d + j))
             if residual:
                 failures.append(failure("defect_bracket", (i, j), _dense(h, residual)))
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
+    ad_defect = [[pairs.get((i, 2 * d + m), {}) for m in range(d)] for i in range(d)]  # [defect_i, b_m]
+    for i in range(d):
+        for j in range(i + 1, d):
             if not (defect_cols[i] or defect_cols[j]):
                 continue
-            for k in range(h.dim):
-                lhs = _sparse_bracket(h, defect_cols[i], _sparse_bracket(h, phi_cols[j], {k: Fraction(1)}))
-                rhs = _sparse_bracket(h, defect_cols[j], _sparse_bracket(h, phi_cols[i], {k: Fraction(1)}))
+            for k in range(d):
+                lhs = _apply_columns(ad_defect[i], pairs.get((d + j, 2 * d + k), {}))
+                rhs = _apply_columns(ad_defect[j], pairs.get((d + i, 2 * d + k), {}))
                 if lhs != rhs:
                     failures.append(failure("defect_nested", (i, j, k), _residual(h, lhs, rhs)))
     return CheckReport("admissible_algebra", failures)

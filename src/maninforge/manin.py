@@ -284,14 +284,14 @@ class RootData:
 
 
 def special_linear_data(k: int) -> RootData:
-    """Trace-form data of the rank k-1 special linear algebra, for k in {2, 3}.
+    """Trace-form data of the rank k-1 special linear algebra, for an int k >= 2.
 
     Basis order: Cartan elements H_i = E_ii - E_(i+1)(i+1), then negative root
     vectors -E_ji, then positive root vectors E_ij (positive roots i < j in
     lexicographic order), so each matched pair satisfies [E_-a, E_a] = H_a.
     """
-    if k not in (2, 3):
-        raise ValueError(f"unsupported rank {k - 1}: only the 2x2 and 3x3 cases are built in")
+    if type(k) is not int or k < 2:
+        raise ValueError(f"k must be an int of at least 2, got {k!r}")
     roots = [(i, j) for i in range(k) for j in range(i + 1, k)]
     basis_mats: list[list[list[Fraction]]] = []
     for i in range(k - 1):

@@ -25,11 +25,18 @@ def _embed_rows(d: int, s: int, part: Subspace) -> list[dict[int, Fraction]]:
     return [{offset + i: x for i, x in row.items()} for row in part.echelon]
 
 
+def _require_count(name: str, value: int) -> None:
+    """Raise unless value is an int (a bool is not) of at least 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def nuble(t: ManinTriple, n: int) -> ManinTriple:
     """The n-fold power: componentwise bracket and twist, alternating-sign form
     sum_j (-1)^(j+1) <a_j, a_j'>, split into the two diagonal chains."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_count("n", n)
     h = t.algebra
     d = h.dim
     negated = negate_form(h)
@@ -58,11 +65,8 @@ def snake_permutation(m: int, n: int) -> Permutation:
     >>> snake_permutation(2, 2).images  # slots 1..4 -> (1,1),(2,1),(2,2),(1,2)
     (0, 2, 3, 1)
     """
-    for name, size in (("m", m), ("n", n)):
-        if type(size) is not int:
-            raise ValueError(f"{name} must be an int, got {size!r}")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
+    _require_count("m", m)
+    _require_count("n", n)
     images = [0] * (m * n)
     for s in range(1, m * n + 1):
         c = (s + n - 1) // n
@@ -109,8 +113,7 @@ def _slot_color(s: int) -> str:
 def render_graph(n: int) -> ChainGraph:
     """The colored chain diagram of the n-fold power: circles for the full-algebra
     slots, triangles where a bare half occupies a slot, edges for diagonal pairs."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_count("n", n)
     vertices = [ChainVertex(s, _slot_color(s), "circle") for s in range(1, n + 1)]
     vertices.append(ChainVertex(1, _slot_color(1), "right-triangle"))
     vertices.append(ChainVertex(n, _slot_color(n), "left-triangle"))

@@ -3,7 +3,6 @@ skew and symmetric parts, invariance of the symmetric part, the graded bracket
 on low-degree multivectors, and the quasi-triangularity classifier."""
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +20,8 @@ from .core import (
     is_symmetric,
     wedge_t2_v1_into,
 )
-from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _by_slot, _dense, _phi_fixed, _require_tensor
-from .homlie import _sparse_bracket, check_involutive
+from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _by_slot, _dense, _pair_brackets, _phi_fixed
+from .homlie import _require_tensor, check_involutive
 from .reporting import CheckReport, failure
 
 
@@ -160,7 +159,8 @@ def hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTe
         return -hom_schouten(h, b, a)
     vector = lambda t: {i: x for (i,), x in t.entries.items()}
     if pair == (1, 1):
-        return SparseTensor(1, h.dim, {(k,): v for k, v in _sparse_bracket(h, vector(a), vector(b)).items()})
+        xy = _pair_brackets(h, [vector(a), vector(b)]).get((0, 1), {})
+        return SparseTensor(1, h.dim, {(k,): v for k, v in xy.items()})
     phi = h.phi_columns
 
     def bracket_1_2(x: dict[int, Fraction], t2: SparseTensor) -> SparseTensor:
@@ -176,11 +176,15 @@ def hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTe
     out = SparseTensor.zero(3, h.dim)
     if pair == (1, 3):
         x = vector(a)
+        # [x, e_r] for the third indices r of B, from one kernel call
+        rs = sorted({r for p, q, r in b.entries if p < q < r})
+        pairs = _pair_brackets(h, [x, *({r: ONE} for r in rs)])
+        x_e = {r: pairs.get((0, 1 + n), {}) for n, r in enumerate(rs)}
         for (p, q, r), v in b.entries.items():
             if p < q < r:
                 pq = SparseTensor(2, h.dim, {(p, q): ONE, (q, p): -ONE})
                 wedge_t2_v1_into(out, bracket_1_2(x, pq), phi[r], v)
-                wedge_t2_v1_into(out, pq._apply_per_slot((phi, phi)), _sparse_bracket(h, x, {r: ONE}), v)
+                wedge_t2_v1_into(out, pq._apply_per_slot((phi, phi)), x_e[r], v)
         return out
     # [[A, e_p]] = -ad_p A, from one kernel call over the indices p of B
     ad_a = {p: SparseTensor(2, h.dim, w) for p, w in _ad_basis(h, a, {i for idx in b.entries for i in idx}).items()}
@@ -229,44 +233,35 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     return RMatrixReport(phi_fixed, s_invariant, residual, verdict, factorizable)
 
 
-def hcyb_pairing_check(
-    h: HomLieAlgebra, r: SparseTensor, trials: int = 100, seed: int = 0
-) -> CheckReport:
-    """Randomized identity check: the residual paired with xi (x) eta (x) zeta equals
+def hcyb_pairing_check(h: HomLieAlgebra, r: SparseTensor) -> CheckReport:
+    """Exact identity check: the residual paired with xi (x) eta (x) zeta equals
     <xi,[r-(eta),r-(zeta)]> + <eta,[r-(zeta),r+(xi)]> + <zeta,[r+(xi),r+(eta)]>.
-    Needs an involutive twist fixing r; otherwise inapplicable.  r+ is the sharp
-    map of r and r- that of -swap(r); brackets and pairings are sparse."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    Both sides are trilinear, so they are compared as tensors, on every basis
+    triple (a, b, c); a failure names it with the exact difference there.  Needs
+    an involutive twist fixing r; otherwise inapplicable.  r+ is the sharp map
+    of r and r- that of -swap(r).  The right side comes from one `_pair_brackets`
+    call over the columns m_b = r-(e_b) and p_a = r+(e_a): at (a, b, c) it is
+    [m_b, m_c]_a + [m_c, p_a]_b + [p_a, p_b]_c."""
     _require_tensor(h, r)
     if not check_involutive(h):
-        return CheckReport(
-            "hcyb_pairing", applicable=False, reason="twist is not involutive"
-        )
+        return CheckReport("hcyb_pairing", applicable=False, reason="twist is not involutive")
     if not _phi_fixed(h, r):
-        return CheckReport(
-            "hcyb_pairing", applicable=False, reason="r is not fixed by the twist"
-        )
-    residual = hcyb(h, r)
-    r_plus, r_minus = _sharp_columns(h, r), _sharp_columns(h, -r.swap())
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(trials):
-        xi, eta, zeta = (
-            tuple(Fraction(rng.randint(-9, 9)) for _ in range(h.dim)) for _ in range(3)
-        )
-        lhs = residual.contract((xi, eta, zeta))
-        plus_xi, plus_eta = (_apply_columns(r_plus, _sparse(v)) for v in (xi, eta))
-        minus_eta, minus_zeta = (_apply_columns(r_minus, _sparse(v)) for v in (eta, zeta))
-        rhs = ZERO
-        for covector, x, y in (
-            (xi, minus_eta, minus_zeta),
-            (eta, minus_zeta, plus_xi),
-            (zeta, plus_xi, plus_eta),
-        ):
-            rhs += sum((covector[k] * v for k, v in _sparse_bracket(h, x, y).items()), ZERO)
-        if lhs != rhs:
-            failures.append(failure("pairing", (trial,), lhs - rhs))
+        return CheckReport("hcyb_pairing", applicable=False, reason="r is not fixed by the twist")
+    d = h.dim
+    rhs = SparseTensor.zero(3, d)
+    # vectors 0..d-1 are the columns of r-, vectors d..2d-1 those of r+
+    for (u, v), w in _pair_brackets(h, [*_sharp_columns(h, -r.swap()), *_sharp_columns(h, r)]).items():
+        for k, x in w.items():
+            if v < d:  # [m_u, m_v]
+                rhs.add_into((k, u, v), x)
+                rhs.add_into((k, v, u), -x)
+            elif u < d:  # [m_u, p_(v-d)]
+                rhs.add_into((v - d, k, u), x)
+            else:  # [p_(u-d), p_(v-d)]
+                rhs.add_into((u - d, v - d, k), x)
+                rhs.add_into((v - d, u - d, k), -x)
+    difference = hcyb(h, r) - rhs
+    failures = [failure("pairing", index, value) for index, value in difference.items()]
     return CheckReport("hcyb_pairing", failures)
 
 

@@ -57,7 +57,7 @@ def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
 def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
     """Stability of a subspace under an endomorphism."""
     _require_ambient(q, len(phi))
-    return not _images_outside(sparse_columns(_square(phi, q.ambient_dim, "phi")), q, q)
+    return not _images_outside(sparse_columns(_square(matrix(phi), q.ambient_dim, "phi")), q, q)
 
 
 def _twist_stable(h: HomLieAlgebra, q: Subspace) -> bool:

@@ -14,6 +14,7 @@ from maninforge.core import (
     SparseTensor,
     Subspace,
     Vector,
+    _sparse,
     determinant,
     inverse,
     mat_mul,
@@ -25,7 +26,7 @@ from maninforge.core import (
     unit_vector,
     wedge3_basis,
 )
-from maninforge.homlie import HomLieAlgebra, _dense, _residual, _sparse_bracket, check_involutive
+from maninforge.homlie import HomLieAlgebra, _dense, _residual, check_involutive
 from maninforge.manin import DualBasisPair, ManinTriple
 from maninforge.reporting import CheckReport, failure
 
@@ -600,7 +601,7 @@ def dense_check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
                 for outer, inner in ((phi_cols[i], inner_jk), (phi_cols[j], inner_ki), (phi_cols[k], inner_ij)):
                     if not inner:
                         continue
-                    for a, v in _sparse_bracket(h, outer, inner).items():
+                    for a, v in _sparse(h.bracket(_dense(h, outer), _dense(h, inner))).items():
                         s = total.get(a, ZERO) + v
                         if s == 0:
                             total.pop(a, None)
@@ -617,10 +618,32 @@ def dense_check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
             lhs = _apply_columns(phi_cols, h.bracket_basis(i, j))
-            rhs = _sparse_bracket(h, phi_cols[i], phi_cols[j])
+            rhs = _sparse(h.bracket(_dense(h, phi_cols[i]), _dense(h, phi_cols[j])))
             if lhs != rhs:
                 failures.append(failure("twist_morphism", (i, j), _residual(h, lhs, rhs)))
     return CheckReport("twist_morphism", failures)
+
+
+def dense_check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
+    """Both conditions of `check_admissible_algebra` on every basis pair and
+    triple, each bracket a dense `h.bracket` of dense vectors."""
+    failures = []
+    basis = [unit_vector(h.dim, i) for i in range(h.dim)]
+    phi_cols = [dense_mat_vec(h.phi, e) for e in basis]
+    defects = [tuple(a - b for a, b in zip(e, dense_mat_vec(h.phi, p))) for e, p in zip(basis, phi_cols)]
+    for i in range(h.dim):
+        for j in range(h.dim):
+            residual = h.bracket(defects[i], phi_cols[j])
+            if any(residual):
+                failures.append(failure("defect_bracket", (i, j), residual))
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            for k in range(h.dim):
+                lhs = h.bracket(defects[i], h.bracket(phi_cols[j], basis[k]))
+                rhs = h.bracket(defects[j], h.bracket(phi_cols[i], basis[k]))
+                if lhs != rhs:
+                    failures.append(failure("defect_nested", (i, j, k), tuple(a - b for a, b in zip(lhs, rhs))))
+    return CheckReport("admissible_algebra", failures)
 
 
 def dense_check_quadratic(h: HomLieAlgebra) -> CheckReport:
@@ -700,9 +723,10 @@ def dense_sharp_matrix(h: HomLieAlgebra, t: SparseTensor) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def dense_hcyb_pairing_check(h: HomLieAlgebra, residual: SparseTensor, r: SparseTensor, trials: int, seed: int):
+def dense_hcyb_pairing_check(h: HomLieAlgebra, residual: SparseTensor, r: SparseTensor):
     """The pairing identity of `hcyb_pairing_check` with dense r+ and r-, given
-    the residual of r (`dense_hcyb` is the residual's own oracle)."""
+    the residual of r (`dense_hcyb` is the residual's own oracle), on every
+    basis triple of covectors."""
     if not check_involutive(h):
         return CheckReport("hcyb_pairing", applicable=False, reason="twist is not involutive")
     if r.apply_per_slot((h.phi, h.phi)) != r:
@@ -712,20 +736,19 @@ def dense_hcyb_pairing_check(h: HomLieAlgebra, residual: SparseTensor, r: Sparse
     # r+ = (transpose r)(transpose phi); r- = -(r)(transpose phi)
     r_plus = mat_mul(transpose(r_mat), phi_t)
     r_minus = tuple(tuple(-v for v in row) for row in mat_mul(r_mat, phi_t))
-    rng = random.Random(seed)
+    basis = [unit_vector(h.dim, i) for i in range(h.dim)]
     failures = []
-    for trial in range(trials):
-        xi, eta, zeta = (
-            tuple(Fraction(rng.randint(-9, 9)) for _ in range(h.dim)) for _ in range(3)
-        )
-        lhs = residual.contract((xi, eta, zeta))
-        rhs = (
-            dense_vec_dot(xi, h.bracket(dense_mat_vec(r_minus, eta), dense_mat_vec(r_minus, zeta)))
-            + dense_vec_dot(eta, h.bracket(dense_mat_vec(r_minus, zeta), dense_mat_vec(r_plus, xi)))
-            + dense_vec_dot(zeta, h.bracket(dense_mat_vec(r_plus, xi), dense_mat_vec(r_plus, eta)))
-        )
-        if lhs != rhs:
-            failures.append(failure("pairing", (trial,), lhs - rhs))
+    for a, xi in enumerate(basis):
+        for b, eta in enumerate(basis):
+            for c, zeta in enumerate(basis):
+                lhs = residual.contract((xi, eta, zeta))
+                rhs = (
+                    dense_vec_dot(xi, h.bracket(dense_mat_vec(r_minus, eta), dense_mat_vec(r_minus, zeta)))
+                    + dense_vec_dot(eta, h.bracket(dense_mat_vec(r_minus, zeta), dense_mat_vec(r_plus, xi)))
+                    + dense_vec_dot(zeta, h.bracket(dense_mat_vec(r_plus, xi), dense_mat_vec(r_plus, eta)))
+                )
+                if lhs != rhs:
+                    failures.append(failure("pairing", (a, b, c), lhs - rhs))
     return CheckReport("hcyb_pairing", failures)
 
 

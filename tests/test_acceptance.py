@@ -121,7 +121,7 @@ def test_criterion_5_residual_halves_the_squared_bracket():
 
 
 def test_criterion_6_additivity_and_pairing_identities():
-    with criterion("6 additivity + pairing identities, 100 trials each", 60.0):
+    with criterion("6 additivity (100 trials) + exact pairing identity", 60.0):
         t = triple_double(special_linear_data(2))
         s = SparseTensor.from_matrix(inverse(t.form))
         rng = random.Random(4047)
@@ -129,7 +129,7 @@ def test_criterion_6_additivity_and_pairing_identities():
             lam = rand_phi_fixed_skew(rng, t.algebra)
             report = additivity_check(t.algebra, lam, s)
             assert report.applicable and report.passed
-        pairing = hcyb_pairing_check(sl2_twisted(), sl2_r(), trials=100, seed=0)
+        pairing = hcyb_pairing_check(sl2_twisted(), sl2_r())
         assert pairing.applicable and pairing.passed
 
 

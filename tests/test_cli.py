@@ -224,6 +224,20 @@ def test_hcybe_json_failure_schema(capsys, monkeypatch):
     assert "result" in payload
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_hcybe_passes_a_skew_only_solution(capsys, monkeypatch, json_flag):
+    """The zero tensor is a skew-only solution: every check passes, so the
+    command exits 0 and its JSON report names no failure."""
+    text = fileio.format_algebra(sl2_twisted()) + "tensor degree=2 dim=3\n"
+    code, out, _ = invoke(capsys, ["hcybe", "-", "--r", "-", *json_flag], monkeypatch, text)
+    assert code == 0
+    if json_flag:
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["failures"]) == ("pass", [])
+        out = payload["result"]
+    assert "verdict: skew-only" in out
+
+
 def test_hcybe_shape_mismatch_is_usage_error(capsys, monkeypatch):
     text = fileio.format_algebra(sl2_twisted()) + "tensor degree=1 dim=3\n0 1\n"
     code, _, err = invoke(capsys, ["hcybe", "-", "--r", "-"], monkeypatch, text)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import dense_check_homomorphism, rand_fraction
+from helpers import conjugate_algebra, dense_check_admissible_algebra, dense_check_homomorphism, rand_fraction
 from maninforge.core import _unit_columns, identity_matrix, mat_vec, matrix, sparse_columns
 from maninforge.homlie import (
     HomLieAlgebra,
@@ -336,6 +336,29 @@ def test_non_admissible_twist_detected():
     if check_hom_jacobi(h).passed:
         report = check_admissible_algebra(h)
         assert not report.passed
+
+
+def _sl2_scaled() -> HomLieAlgebra:
+    """The sl2 bracket with the automorphism diag(1, 2, 1/2) as twist: not
+    involutive, so both admissibility conditions have defects to bracket."""
+    return HomLieAlgebra.unchecked(3, SL2_BRACKETS, phi=[[1, 0, 0], [0, 2, 0], [0, 0, Fraction(1, 2)]])
+
+
+ADMISSIBLE_CASES = {
+    "sl2_lie": sl2_lie,
+    "sl2_twisted": sl2_twisted,
+    "nilpotent twist": lambda: HomLieAlgebra.unchecked(3, {(0, 1): {2: 1}}, phi=[[0, 0, 0], [0, 1, 0], [1, 0, 0]]),
+    "sl2 scaled": _sl2_scaled,
+    "sl2 scaled^3": lambda: direct_sum(*[_sl2_scaled()] * 3),
+    "sl2 scaled sheared": lambda: conjugate_algebra(_sl2_scaled(), matrix([[1, 1, 0], [0, 1, 0], [2, 0, 1]])),
+    "sl2 scaled+sl2_twisted": lambda: direct_sum(_sl2_scaled(), sl2_twisted()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSIBLE_CASES))
+def test_admissible_algebra_matches_the_dense_reference(name):
+    h = ADMISSIBLE_CASES[name]()
+    assert check_admissible_algebra(h).to_json() == dense_check_admissible_algebra(h).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from maninforge.manin import (
     triple_g_plus_h,
 )
 from maninforge.polyuble import nuble, uble_of_uble
-from maninforge.rmatrix import sl2_lie, sl2_twisted
+from maninforge.rmatrix import check_quasi_triangular, sl2_lie, sl2_twisted
 
 # Dual structure constants of the standard skew tensor's cobracket.
 STANDARD_DUAL_TABLE = {(0, 1): {1: Fraction(-1, 2)}, (0, 2): {2: Fraction(-1, 2)}}
@@ -396,9 +396,24 @@ def test_special_linear_data_rank_three():
         assert image and all(k in data.cartan for k in image)
 
 
-def test_special_linear_data_rejects_other_ranks():
-    with pytest.raises(ValueError):
-        special_linear_data(4)
+@pytest.mark.parametrize("k, dim, keys", [(4, 15, 60), (5, 24, 126)])
+def test_special_linear_data_beyond_rank_two(k, dim, keys):
+    """Frozen sizes of sl4 and sl5; their doubles and g+h triples certify, and
+    the r-matrix of each splitting is quasi-triangular."""
+    data = special_linear_data(k)
+    h = data.algebra
+    assert (h.dim, len(h.brackets)) == (dim, keys)
+    assert (len(data.cartan), len(data.negatives), len(data.positives)) == (k - 1, (dim - k + 1) // 2, (dim - k + 1) // 2)
+    for t, triple_dim in ((triple_double(data), 2 * dim), (triple_g_plus_h(data), dim + k - 1)):
+        assert t.algebra.dim == triple_dim
+        assert check_manin_triple(t).passed
+        assert check_quasi_triangular(t.algebra, r_from_splitting(t)).verdict == "quasi-triangular"
+
+
+@pytest.mark.parametrize("k", [1, 0, -2, 4.0, "3", True, None])
+def test_special_linear_data_rejects_other_ranks(k):
+    with pytest.raises(ValueError, match="k must be an int of at least 2"):
+        special_linear_data(k)
 
 
 def test_lambda_st_values():

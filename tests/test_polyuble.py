@@ -93,6 +93,15 @@ def test_power_rejects_nonpositive():
         nuble(hyperbolic_triple(), 0)
 
 
+@pytest.mark.parametrize("n, shown", [(2.0, "2.0"), ("2", "'2'"), (True, "True"), (None, "None")])
+def test_power_and_graph_reject_a_count_that_is_not_an_int(n, shown):
+    """2.0 and "2" used to raise a TypeError from deep inside, and
+    render_graph(True) returned a graph."""
+    for build in (lambda: nuble(hyperbolic_triple(), n), lambda: render_graph(n)):
+        with pytest.raises(ValueError, match=f"n must be an int, got {shown}"):
+            build()
+
+
 def _power_data(t):
     h = t.algebra
     return (h.dim, h.brackets, h.phi, h.form, h.name, t.part1, t.part2, t.name)
