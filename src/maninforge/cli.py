@@ -4,6 +4,7 @@ and 0/1/2 exit codes for pass/fail/usage."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -359,7 +360,9 @@ def _cmd_examples(args, inputs: _Inputs, started: float) -> int:
 # Argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
 

@@ -59,6 +59,8 @@ def _parse_header_fields(line: str, lineno: int, kind: str) -> dict[str, str]:
         if "=" not in token:
             raise ParseError(lineno, f"malformed header field {token!r}")
         key, _, value = token.partition("=")
+        if key in fields:
+            raise ParseError(lineno, f"duplicate header field {key!r}")
         fields[key] = value
     return fields
 
@@ -212,10 +214,11 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
                 coeffs[k] = _parse_rational(value, lineno, parsed)
             brackets[(i, j)] = coeffs
         elif keyword in ("phi", "form") or (allow_parts and keyword in rows):
-            row = tuple(_parse_rational(tok, lineno, parsed) for tok in tokens[1:])
-            if len(row) != dim:
+            # Rows are written dense; a literal "0" is skipped unparsed.
+            row = {c: _parse_rational(tok, lineno, parsed) for c, tok in enumerate(tokens[1:]) if tok != "0"}
+            if len(tokens) - 1 != dim:
                 raise ParseError(lineno, f"expected {dim} entries after {keyword!r}")
-            rows[keyword].append(_sparse(row))
+            rows[keyword].append({c: x for c, x in row.items() if x})
         else:
             raise ParseError(lineno, f"unknown line keyword {keyword!r}")
     phi_rows, form_rows = rows["phi"], rows["form"]

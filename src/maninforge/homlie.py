@@ -357,15 +357,53 @@ def _residual(h: HomLieAlgebra, lhs: dict[int, Fraction], rhs: dict[int, Fractio
     return vec_sub(_dense(h, lhs), _dense(h, rhs))
 
 
+def _components(h: HomLieAlgebra) -> list[list[int]]:
+    """For each basis index, the increasing indices of its connected component
+    in the graph that joins i, j and every target k of each bracket key (i, j),
+    and each column c of phi with its nonzero rows; found by union-find."""
+    root = list(range(h.dim))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    def join(i: int, others) -> None:
+        r = find(i)
+        for k in others:
+            s = find(k)
+            if s != r:
+                root[s] = r
+
+    for (i, j), coeffs in h.brackets.items():
+        join(i, (j, *coeffs))
+    for c, col in enumerate(h.phi_columns):
+        join(c, col)
+    members: dict[int, list[int]] = {}
+    for i in range(h.dim):
+        members.setdefault(find(i), []).append(i)
+    return [members[find(i)] for i in range(h.dim)]
+
+
 def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     """Twisted Jacobi on all basis triples:
     J(i, j, k) = [phi(b_i),[b_j,b_k]] + [phi(b_j),[b_k,b_i]] + [phi(b_k),[b_i,b_j]] = 0.
 
     J is alternating: it is cyclic, and swapping two indices negates it exactly
     (the bracket is antisymmetric), so it vanishes on a repeated index.  It is
-    also zero unless one of the triple's pairs is a bracket key.  So J is
-    computed once per triple i < j < k holding a key, and each of the six
-    orderings of a failing triple is reported with its signed residual.
+    also zero unless one of the triple's pairs is a bracket key, and unless
+    the triple lies in one component of `_components`:
+
+    Lemma.  [phi(b_x), [b_y, b_z]] = 0 unless x, y and z lie in one component.
+    For [b_y, b_z] needs the key (y, z), whose targets m lie in y's component;
+    phi(b_x) is supported in x's component; and [b_a, b_m] needs the key
+    (a, m), which joins a in phi(b_x) to m.
+
+    So J is computed once per triple i < j < k formed by a key (a, b) and an
+    index c in a's component, and each of the six orderings of a failing
+    triple is reported with its signed residual.  A direct sum of n copies
+    has no key and no twist entry across copies, so the work is linear in n.
 
     J is summed in integer numerators over den_phi * den_c^2, the denominators
     of the twist's columns and of the bracket table, each term read from the
@@ -377,11 +415,12 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     den_p, phi = _numerators(h.phi_columns)
     den = den_p * den_c * den_c
     lookup = table.get
+    component = _components(h)
     # Each key (a, b) has a < b, so a third index c sorts into it by two comparisons.
     triples = {
         (c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
         for a, b in h.brackets
-        for c in range(h.dim)
+        for c in component[a]
         if c != a and c != b
     }
     for i, j, k in triples:

@@ -195,11 +195,12 @@ def tensor_entries(t: SparseTensor) -> dict[tuple[int, ...], Fraction]:
 
 # ---------------------------------------------------------------------------
 # Dense reference linear algebra: the plain Fraction loops the column-sparse
-# paths replaced, kept verbatim so the fast paths can be compared against them.
+# paths replaced, kept (skipping only zero products) so the fast paths can be
+# compared against them.
 
 
 def dense_vec_dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
 
 
 def dense_mat_vec(m: Matrix, v: Vector) -> Vector:

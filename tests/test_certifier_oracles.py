@@ -6,6 +6,7 @@ checkers off the d^2 and d^3 scans."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -221,6 +222,55 @@ def test_twisted_sl2_sums_match_the_dense_reference(copies, seed):
 
 
 # ---------------------------------------------------------------------------
+# The component lemma: Jacobi visits only triples inside one component
+
+
+def with_brackets(h: HomLieAlgebra, brackets) -> HomLieAlgebra:
+    return HomLieAlgebra.unchecked(h.dim, brackets, h.phi, h.form)
+
+
+def assert_jacobi_matches_dense(h: HomLieAlgebra):
+    report = check_hom_jacobi(h)
+    assert report.to_json() == dense_check_hom_jacobi(h).to_json()
+    return report
+
+
+def test_jacobi_matches_the_dense_reference_on_a_constant_perturbed_inside_one_copy():
+    h = nuble(BASES["D3"], 3).algebra
+    assert h.dim == 48
+    key = min(k for k in h.brackets if k[0] >= 16)
+    brackets = {pair: dict(coeffs) for pair, coeffs in h.brackets.items()}
+    target = min(brackets[key])
+    brackets[key][target] *= 2
+    report = assert_jacobi_matches_dense(with_brackets(h, brackets))
+    assert report.failures
+    assert all(16 <= i < 32 for f in report.failures for i in f.index)
+
+
+def test_jacobi_matches_the_dense_reference_on_a_bracket_reaching_another_copy():
+    """An extra target joins two copies, so triples across them must be checked."""
+    h = nuble(BASES["D3"], 3).algebra
+    key = min(h.brackets)
+    brackets = {pair: dict(coeffs) for pair, coeffs in h.brackets.items()}
+    brackets[key][40] = Fraction(1)
+    report = assert_jacobi_matches_dense(with_brackets(h, brackets))
+    assert any(i < 16 for f in report.failures for i in f.index)
+    assert any(i >= 32 for f in report.failures for i in f.index)
+
+
+def test_jacobi_matches_the_dense_reference_when_the_twist_swaps_two_copies():
+    """phi joins the two copies of sl3, whose brackets never meet: every
+    failing triple has indices in both copies."""
+    sl3 = special_linear_data(3).algebra
+    d = sl3.dim
+    swap = [[1 if abs(r - c) == d else 0 for c in range(2 * d)] for r in range(2 * d)]
+    h = HomLieAlgebra.unchecked(2 * d, direct_sum(sl3, sl3).brackets, swap)
+    report = assert_jacobi_matches_dense(h)
+    assert report.failures
+    assert all(min(f.index) < d <= max(f.index) for f in report.failures)
+
+
+# ---------------------------------------------------------------------------
 # Work count
 
 
@@ -264,25 +314,40 @@ class CountingTable(dict):
         return super().get(key, default)
 
 
+def counted_jacobi_lookups(h: HomLieAlgebra) -> int:
+    """The integer bracket-table lookups of one passing Jacobi check of h."""
+    den, table = h._bracket_numerators
+    counting = CountingTable(table)
+    h.__dict__["_bracket_numerators"] = (den, counting)
+    assert check_hom_jacobi(h).passed
+    return counting.lookups
+
+
 def test_checkers_make_fewer_basis_brackets_than_the_scans(no_dense_calls):
     """The d^3 loops called bracket_basis 854,016 times (Jacobi) and 266,240
     times (quadratic) on this dim-64 power.  Jacobi now reads the integer
     bracket table instead, and calls bracket_basis no more: three lookups for
-    each of the 9,856 triples i < j < k that hold a key, and one for each term
-    of an inner bracket against the twist, 40,480 in all; the counts are
-    deterministic."""
+    each of the 448 triples i < j < k that hold a key inside one of the 8
+    components, and one for each term of an inner bracket against the twist,
+    2,400 in all (40,480 over the 9,856 triples that hold a key anywhere); the
+    counts are deterministic."""
     h = nuble(BASES["D3"], 4).algebra
     d = h.dim
     assert d == 64
-    den, table = h._bracket_numerators
-    counting = CountingTable(table)
-    h.__dict__["_bracket_numerators"] = (den, counting)
-    triples = {tuple(sorted((a, b, c))) for a, b in h.brackets for c in range(d) if c not in (a, b)}
-    assert check_hom_jacobi(h).passed
+    component = homlie._components(h)
+    assert len({tuple(c) for c in component}) == 8
+    triples = {tuple(sorted((a, b, c))) for a, b in h.brackets for c in component[a] if c not in (a, b)}
+    lookups = counted_jacobi_lookups(h)
     assert no_dense_calls() == 0
-    assert 3 * len(triples) == 29_568 < counting.lookups == 40_480 < d**3
+    assert 3 * len(triples) == 1_344 < lookups == 2_400 < d**3
     assert check_quadratic(h).passed
     assert no_dense_calls() < d**2
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_jacobi_lookups_are_linear_in_the_number_of_copies(n):
+    """No key and no twist entry crosses copies, so each copy costs the same."""
+    assert counted_jacobi_lookups(nuble(BASES["D3"], n).algebra) == 600 * n
 
 
 def test_certifier_and_stabilizer_conditions_make_no_dense_call(no_dense_calls):

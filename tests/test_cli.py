@@ -153,6 +153,14 @@ def test_parse_error_reports_line_number(capsys, monkeypatch):
     assert "error: line 1: dim must be non-negative" in err
 
 
+def test_duplicate_header_field_is_a_usage_error(capsys, monkeypatch):
+    text = hyperbolic_text().replace("algebra dim=2", "algebra dim=0 dim=2", 1)
+    assert text != hyperbolic_text()
+    code, out, err = invoke(capsys, ["verify", "manin", "-"], monkeypatch, text)
+    assert (code, out) == (2, "")
+    assert "error: line 1: duplicate header field 'dim'" in err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, _, err = invoke(capsys, ["verify", "manin", "/no/such/file"])
     assert code == 2
@@ -170,6 +178,28 @@ def test_unknown_subcommand_and_flag(capsys, monkeypatch):
     )
     assert (code, out) == (2, "")
     assert "usage:" in err
+
+
+def test_the_parser_built_once_answers_the_same_in_either_order(capsys, monkeypatch):
+    """`run` reuses one argument parser per process, so the calls before
+    it, a refused one among them, must not change what a call prints."""
+    broken = hyperbolic_text().replace("part1 1 0", "part1 1 1")
+    calls = [
+        (["verify", "manin", "-"], hyperbolic_text()),
+        (["snake", "-m", "2", "-n", "3"], None),
+        (["verify", "manin", "-", "--jobs", "4"], hyperbolic_text()),
+        (["snake", "-m", "2"], None),
+        (["verify", "manin", "-"], broken),
+        (["examples", "hyperbolic"], None),
+    ]
+
+    def outcomes(order):
+        return {i: invoke(capsys, calls[i][0], monkeypatch, calls[i][1]) for i in order}
+
+    forward = outcomes(range(len(calls)))
+    assert outcomes(reversed(range(len(calls)))) == forward
+    assert [forward[i][0] for i in range(len(calls))] == [0, 0, 2, 2, 1, 0]
+    assert "usage:" in forward[2][2] and "usage:" in forward[3][2]
 
 
 def test_color_gate_follows_tty_and_environment(capsys, monkeypatch):

@@ -161,6 +161,30 @@ def test_repeated_tokens_parse_to_equal_values_and_errors_keep_their_line():
     ]
 
 
+def test_duplicate_header_fields_are_refused():
+    """A header names each field once; `algebra dim=0 dim=2` used to take the
+    later dim."""
+    expect_parse_error(fileio.parse_algebra, "algebra dim=0 dim=2\nphi 1 0\nphi 0 1\n", 1, "duplicate header field 'dim'")
+    expect_parse_error(fileio.parse_algebra, "algebra name=a dim=1 name=b\nphi 1\n", 1, "duplicate header field 'name'")
+    expect_parse_error(fileio.parse_subspace, "subspace dim=1 dim=1\n1\n", 1, "duplicate header field 'dim'")
+    expect_parse_error(fileio.parse_tensor, "tensor degree=1 degree=1 dim=1\n0 1\n", 1, "duplicate header field")
+
+
+def test_dense_rows_keep_their_errors_and_drop_every_zero():
+    """Rows skip the literal token "0" unparsed, but a row is still parsed
+    before its length is checked, and entries that spell zero otherwise are
+    dropped from the sparse rows."""
+    expect_parse_error(fileio.parse_algebra, "algebra dim=2\nphi 0 0 0\nphi 0 1\n", 2, "expected 2 entries after 'phi'")
+    expect_parse_error(fileio.parse_algebra, "algebra dim=2\nphi 0\nphi 0 1\n", 2, "expected 2 entries after 'phi'")
+    expect_parse_error(fileio.parse_algebra, "algebra dim=2\nphi 0 x 0\nphi 0 1\n", 2, "malformed rational 'x'")
+    expect_parse_error(fileio.parse_triple, "algebra dim=1\nphi 1\npart1 1 0\npart2 1\n", 3, "expected 1 entries after 'part1'")
+    h = fileio.parse_algebra("algebra dim=2\nphi 0/3 -1\nphi -0 1/2\nform 0 1\nform 1 00\n")
+    assert h.phi_columns == ({}, {0: Fraction(-1), 1: Fraction(1, 2)})
+    assert h.form_rows == ({1: Fraction(1)}, {0: Fraction(1)})
+    t = fileio.parse_triple("algebra dim=2\nphi 1 0\nphi 0 1\npart1 0 2\npart2 0/1 1\n")
+    assert t.part1 == t.part2 == Subspace.span(2, [(0, 1)])
+
+
 def test_triple_requires_both_parts():
     text = "algebra dim=2\nphi 1 0\nphi 0 1\npart1 1 0\n"
     expect_parse_error(fileio.parse_triple, text, 1, "part1 and part2")
