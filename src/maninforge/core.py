@@ -5,13 +5,19 @@ Every scalar is a `fractions.Fraction`; equality everywhere is exact.  Every
 row reduction runs one Gauss-Jordan kernel on sparse rows, `_gauss_jordan`:
 a `Subspace` stores the sparse rows it returns, and `rref`, `nullspace`,
 `matrix_rank` and `inverse` are dense wrappers over it.
+
+The elimination, the sparse map `_apply_columns` and the membership test
+`Subspace.contains_sparse` sum plain ints: elimination on primitive integer
+rows, the other two over one common denominator.  Each builds one Fraction per
+value it returns, and none per term.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -50,6 +56,14 @@ def _common_denominator(values: Sequence[int | Fraction]) -> tuple[int, list[int
     """
     den = lcm(*{x.denominator for x in values})
     return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _numerators(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, list[dict[int, int]]]:
+    """(den, numerators): a family of sparse vectors over one common
+    denominator, numerators[a] = {index: entry * den} in the order of v_a."""
+    den, flat = _common_denominator([x for v in vectors for x in v.values()])
+    flat = iter(flat)
+    return den, [{i: next(flat) for i in v} for v in vectors]
 
 
 def vector(entries: Iterable[int | str | Fraction]) -> Vector:
@@ -160,22 +174,23 @@ def _columns_shape_error(cols: Sequence, n_rows: int, n_cols: int) -> str | None
     return None
 
 
-def _add_scaled(out: dict[int, Fraction], xs: Mapping[int, Fraction], f: Fraction) -> None:
-    """out += f * xs for sparse vectors, dropping the entries that cancel."""
-    for a, x in xs.items():
-        total = out.get(a, ZERO) + f * x
-        if total:
-            out[a] = total
-        else:
-            out.pop(a, None)
-
-
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """The map with sparse columns `cols` applied to the sparse vector xs."""
-    out: dict[int, Fraction] = {}
-    for i, xi in xs.items():
-        _add_scaled(out, cols[i], xi)
-    return out
+    """The map with sparse columns `cols` applied to the sparse vector xs, the
+    entries that cancel left out; summed in integer numerators over den_x *
+    den_c, the lcms of the denominators of xs and of the columns it touches."""
+    den_x = lcm(*{x.denominator for x in xs.values()})
+    den_c = lcm(*{y.denominator for i in xs for y in cols[i].values()})
+    out: dict[int, int] = {}
+    for i, x in xs.items():
+        nx = x.numerator * (den_x // x.denominator)
+        for a, y in cols[i].items():
+            total = out.get(a, 0) + nx * y.numerator * (den_c // y.denominator)
+            if total:
+                out[a] = total
+            else:
+                out.pop(a, None)
+    den = den_x * den_c
+    return {a: Fraction(n, den) for a, n in out.items()}
 
 
 def _transpose_sparse(vectors: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
@@ -206,28 +221,89 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(row) for row in out)
 
 
+def _integer_row(v: Mapping[int, int | Fraction]) -> dict[int, int]:
+    """The sparse row v times the lcm of its denominators: a row of ints."""
+    den = lcm(*{x.denominator for x in v.values()})
+    return {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+
+
+def _primitive(v: dict[int, int], pivot: int) -> dict[int, int]:
+    """The int row v divided by the gcd of its entries, signed positive at pivot."""
+    if v[pivot] == 1:
+        return v
+    g = gcd(*v.values()) * (1 if v[pivot] > 0 else -1)
+    return v if g == 1 else {c: x // g for c, x in v.items()}
+
+
+def _eliminate(u: dict[int, int], v: Mapping[int, int], p: int) -> dict[int, int]:
+    """u = (v[p] u - u[p] v) / gcd(v[p], u[p]) in place, for int rows: zero at
+    column p, the entries that cancel dropped."""
+    g = gcd(v[p], u[p])
+    m, x = v[p] // g, u[p] // g
+    if m != 1:
+        for c in u:
+            u[c] *= m
+    for c, y in v.items():
+        total = u.get(c, 0) - x * y
+        if total:
+            u[c] = total
+        else:
+            del u[c]
+    return u
+
+
 def _gauss_jordan(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
     """The reduced row echelon form of the span of sparse rows ({column:
     entry}, not mutated), the package's one Gauss-Jordan elimination:
     its rows by increasing pivot, columns increasing, the pivot's entry 1.
     Each row is reduced by the rows kept so far; if anything is left, its
-    least column is its pivot, and it is scaled and cleared from the kept
-    rows.  So every kept row starts at its pivot and is zero at the others'."""
-    kept: dict[int, dict[int, Fraction]] = {}  # pivot -> row
+    least column is its pivot, and it is cleared from the kept rows.  So every
+    kept row starts at its pivot and is zero at the others'.
+
+    Fraction-free: a kept row is a primitive int multiple of its canonical row
+    (gcd 1, positive pivot), reduced by cross-multiplying (`_eliminate`), and
+    divided by its pivot only when returned, one Fraction per value.  A row
+    that arrives in Fractions with pivot entry 1 and nothing at a kept pivot
+    is kept as given, and made integral only if a later row needs it."""
+    kept: dict[int, dict] = {}  # pivot -> row
+    given: set[int] = set()  # pivots of the rows kept as given
+    holding: defaultdict[int, set[int]] = defaultdict(set)  # column -> pivots of the kept rows nonzero there
+
+    def integral(p: int) -> dict[int, int]:
+        if p in given:
+            given.remove(p)
+            kept[p] = _integer_row(kept[p])
+        return kept[p]
+
     for row in rows:
         v = {c: x for c, x in row.items() if x}
-        for p in [c for c in v if c in kept]:
-            _add_scaled(v, kept[p], -v[p])
-        if v:
+        hits = [p for p in v if p in kept]
+        pivot = min(v, default=None)
+        if hits or pivot is None or v[pivot] != 1 or any(type(x) is not Fraction for x in v.values()):
+            v = _integer_row(v)
+            for p in hits:  # the kept rows vanish at each other's pivots
+                _eliminate(v, integral(p), p)
+            if not v:
+                continue
             pivot = min(v)
-            inv = ONE / v[pivot]
-            v = {c: x * inv for c, x in v.items()}
-            for other in kept.values():
-                f = other.get(pivot)
-                if f:
-                    _add_scaled(other, v, -f)
-            kept[pivot] = v
-    return [dict(sorted(kept[p].items())) for p in sorted(kept)]
+            v = _primitive(v, pivot)
+        else:
+            given.add(pivot)
+        kept[pivot] = v
+        for c in v:
+            holding[c].add(pivot)
+        for q in holding[pivot] - {pivot}:
+            v = integral(pivot)
+            w = kept[q] = _primitive(_eliminate(integral(q), v, pivot), q)
+            for c in v:  # only v's columns can enter or leave w
+                if c in w:
+                    holding[c].add(q)
+                else:
+                    holding[c].discard(q)
+    return [
+        dict(sorted(row.items())) if p in given else {c: Fraction(row[c], row[p]) for c in sorted(row)}
+        for p, row in sorted(kept.items())
+    ]
 
 
 def _null_rows(reduced: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
@@ -282,7 +358,8 @@ def _inverse_rows(rows: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[i
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Gaussian elimination in Fractions, dense: the
+    product of the pivots, negated once per row swap."""
     n = len(_square(m, len(m), "matrix"))
     rows = [list(row) for row in m]
     det = ONE
@@ -524,7 +601,6 @@ class Subspace:
         n, rows = self.ambient_dim, tuple(self.echelon)
         if type(n) is not int or n < 0:
             raise ValueError(f"ambient dimension must be a non-negative int, got {n!r}")
-        pivot_rows: dict[int, dict[int, Fraction]] = {}  # pivot column -> row, for `contains_sparse`
         last, earlier = -1, set()  # the last pivot, and the columns of the rows so far
         for r, row in enumerate(rows):
             if not isinstance(row, Mapping) or not row:
@@ -541,10 +617,9 @@ class Subspace:
                 raise ValueError(f"row {r} has pivot column {pivot}, not after row {r - 1}'s {last}")
             if pivot in earlier:
                 raise ValueError(f"pivot column {pivot} of row {r} is nonzero in an earlier row")
-            pivot_rows[pivot], last = row, pivot
+            last = pivot
             earlier.update(row)
         object.__setattr__(self, "echelon", rows)
-        object.__setattr__(self, "_pivot_rows", pivot_rows)
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(tuple(row.items()) for row in self.echelon)))
@@ -580,14 +655,30 @@ class Subspace:
             raise ValueError(f"vector of length {len(v)} in a space of dimension {self.ambient_dim}")
         return self.contains_sparse(_sparse(v))
 
+    @cached_property
+    def _numerator_rows(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
+        """(den, {pivot: ((column, numerator), ...)}): the rows over one common denominator."""
+        den, rows = _numerators(self.echelon)
+        return den, {next(iter(row)): tuple(row.items()) for row in rows}
+
     def contains_sparse(self, xs: Mapping[int, Fraction]) -> bool:
-        """Exact membership of the vector whose nonzero entries are xs.  The basis
-        is in reduced row echelon form, so v lies in the span exactly when it
-        equals the sum over the rows of v[pivot] * row."""
-        combo: dict[int, Fraction] = {}
-        for pivot in xs.keys() & self._pivot_rows:
-            _add_scaled(combo, self._pivot_rows[pivot], xs[pivot])
-        return combo == xs
+        """Exact membership of the sparse vector xs, {index: entry}, zero entries
+        ignored.  The basis is in reduced row echelon form, so v lies in the span
+        exactly when it equals the sum over the rows of v[pivot] * row; compared
+        in integer numerators.  An index outside range(ambient_dim) or an entry
+        that is not an int or a Fraction raises ValueError."""
+        for c, x in xs.items():
+            if type(c) is not int or not 0 <= c < self.ambient_dim:
+                raise ValueError(f"index {c!r} outside range({self.ambient_dim})")
+            if not _is_exact(x):
+                raise ValueError(f"entry {x!r} at index {c} is not an int or a Fraction")
+        den, rows = self._numerator_rows
+        nums = _integer_row(xs)
+        residual = {c: x * den for c, x in nums.items()}  # den * v - sum of v[pivot] * row, in nums' scale
+        for p, x in nums.items():
+            for c, y in rows.get(p, ()):
+                residual[c] = residual.get(c, 0) - x * y
+        return not any(residual.values())
 
 
 def _span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> Subspace:

@@ -20,6 +20,7 @@ from .core import (
     _gauss_jordan,
     _is_exact,
     _null_rows,
+    _numerators,
     _sparse,
     _square,
     _transpose_sparse,
@@ -219,14 +220,6 @@ def _accumulate(out: dict, key, value: int | Fraction) -> None:
         out.pop(key, None)
     else:
         out[key] = total
-
-
-def _numerators(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, list[dict[int, int]]]:
-    """(den, numerators): a family of sparse vectors over one common
-    denominator, numerators[a] = {index: entry * den} in the order of v_a."""
-    den, flat = _common_denominator([x for v in vectors for x in v.values()])
-    flat = iter(flat)
-    return den, [{i: next(flat) for i in v} for v in vectors]
 
 
 def _holders(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, dict[int, list[tuple[int, int]]]]:
@@ -460,8 +453,10 @@ def _bracket_failures(f_cols: list[dict], h1: HomLieAlgebra, h2: HomLieAlgebra, 
 
 
 def check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
-    """phi is multiplicative: phi[x, y] = [phi(x), phi(y)] on all basis pairs."""
-    return CheckReport("twist_morphism", _bracket_failures(h.phi_columns, h, h, "twist_morphism"))
+    """phi is multiplicative: phi[x, y] = [phi(x), phi(y)] on all basis pairs.
+    The identity twist passes with nothing to compute: Id[x, y] = [x, y]."""
+    failures = [] if h.untwisted else _bracket_failures(h.phi_columns, h, h, "twist_morphism")
+    return CheckReport("twist_morphism", failures)
 
 
 def check_involutive(h: HomLieAlgebra) -> bool:
@@ -475,10 +470,11 @@ def _intertwining_failures(
 ) -> list[Failure]:
     """Where the map with sparse columns f_cols (h1.dim of them, entries indexed
     by h2's basis) fails f . phi1 = phi2 . f on a basis vector of h1, and
-    f[b_i, b_j] = [f(b_i), f(b_j)] on a basis pair."""
+    f[b_i, b_j] = [f(b_i), f(b_j)] on a basis pair.  When both twists are
+    the identity the first holds with nothing to compute: f . Id = Id . f."""
     failures = []
     phi1_cols, phi2_cols = h1.phi_columns, h2.phi_columns
-    for i in range(h1.dim):
+    for i in range(0 if h1.untwisted and h2.untwisted else h1.dim):
         lhs = _apply_columns(f_cols, phi1_cols[i])
         rhs = _apply_columns(phi2_cols, f_cols[i])
         if lhs != rhs:
@@ -640,8 +636,9 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     Symmetry is compared, and the invariance residual summed, in integer
     numerators: the form's over den_g, and the residual over den_g * den_c with
     den_c the bracket table's, each nonzero entry divided once.  The two twist
-    pairings come from `_pairings`; their difference and the elimination for
-    nondegeneracy run in Fractions."""
+    pairings come from `_pairings`, and their difference runs in Fractions; the
+    identity twist is self-adjoint with nothing to compute, <x, y> = <x, y>.
+    The elimination for nondegeneracy is `_gauss_jordan`'s, in ints."""
     if h.form_rows is None:
         raise ValueError("algebra carries no bilinear form to check")
     failures = []
@@ -655,11 +652,12 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
         failures.append(failure("symmetric", (i, j), g_rows[i].get(j, ZERO) - g_rows[j].get(i, ZERO)))
     for v in _null_rows(_gauss_jordan(g_rows), h.dim):
         failures.append(failure("nondegenerate", None, _dense(h, v)))
-    phi_cols, units = h.phi_columns, _unit_columns(h.dim)
-    twist = _pairings(g_rows, phi_cols, units)  # <phi b_i, b_j> - <b_i, phi b_j>
-    for index, value in _pairings(g_rows, units, phi_cols).items():
-        _accumulate(twist, index, -value)
-    failures += [failure("twist_self_adjoint", index, value) for index, value in twist.items()]
+    if not h.untwisted:
+        phi_cols, units = h.phi_columns, _unit_columns(h.dim)
+        twist = _pairings(g_rows, phi_cols, units)  # <phi b_i, b_j> - <b_i, phi b_j>
+        for index, value in _pairings(g_rows, units, phi_cols).items():
+            _accumulate(twist, index, -value)
+        failures += [failure("twist_self_adjoint", index, value) for index, value in twist.items()]
     # Residual <[b_i,b_j],b_k> - <b_i,[b_j,b_k]>, accumulated from each bracket
     # key (a, b) in both orders, in the left slot through row c of the form and
     # in the right slot through column c (the form need not be symmetric).

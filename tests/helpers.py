@@ -8,7 +8,6 @@ from fractions import Fraction
 from maninforge.core import (
     ONE,
     ZERO,
-    _apply_columns,
     Matrix,
     Permutation,
     SparseTensor,
@@ -264,6 +263,57 @@ def dense_contains(space: Subspace, v: Vector) -> bool:
             f = residual[pivot]
             residual = [x - f * y for x, y in zip(residual, row)]
     return all(x == 0 for x in residual)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer kernels: `core._gauss_jordan`,
+# `core._apply_columns` and `Subspace.contains_sparse` as they were before they
+# summed ints, one Fraction multiply and add per term, frozen so the integer
+# kernels can be compared with them row for row and key for key.
+
+
+def _fraction_add_scaled(out: dict[int, Fraction], xs, f: Fraction) -> None:
+    """out += f * xs for sparse vectors, dropping the entries that cancel."""
+    for a, x in xs.items():
+        total = out.get(a, ZERO) + f * x
+        if total:
+            out[a] = total
+        else:
+            out.pop(a, None)
+
+
+def fraction_gauss_jordan(rows) -> list[dict[int, Fraction]]:
+    kept: dict[int, dict[int, Fraction]] = {}  # pivot -> row
+    for row in rows:
+        v = {c: x for c, x in row.items() if x}
+        for p in [c for c in v if c in kept]:
+            _fraction_add_scaled(v, kept[p], -v[p])
+        if v:
+            pivot = min(v)
+            inv = ONE / v[pivot]
+            v = {c: x * inv for c, x in v.items()}
+            for other in kept.values():
+                f = other.get(pivot)
+                if f:
+                    _fraction_add_scaled(other, v, -f)
+            kept[pivot] = v
+    return [dict(sorted(kept[p].items())) for p in sorted(kept)]
+
+
+def fraction_apply_columns(cols, xs) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for i, xi in xs.items():
+        _fraction_add_scaled(out, cols[i], xi)
+    return out
+
+
+def fraction_contains_sparse(space: Subspace, xs) -> bool:
+    """Membership of the vector whose nonzero entries are xs."""
+    pivot_rows = {next(iter(row)): row for row in space.echelon}
+    combo: dict[int, Fraction] = {}
+    for pivot in xs.keys() & pivot_rows:
+        _fraction_add_scaled(combo, pivot_rows[pivot], xs[pivot])
+    return combo == xs
 
 
 def dense_map_subspace(m: Matrix, space: Subspace) -> Subspace:
@@ -618,7 +668,7 @@ def dense_check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
     phi_cols = sparse_columns(h.phi)
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
-            lhs = _apply_columns(phi_cols, h.bracket_basis(i, j))
+            lhs = fraction_apply_columns(phi_cols, h.bracket_basis(i, j))
             rhs = _sparse(h.bracket(_dense(h, phi_cols[i]), _dense(h, phi_cols[j])))
             if lhs != rhs:
                 failures.append(failure("twist_morphism", (i, j), _residual(h, lhs, rhs)))

@@ -377,6 +377,29 @@ def test_contains_rejects_vectors_of_the_wrong_length():
         q.contains((1, 0))
 
 
+def test_sparse_membership_ignores_zero_entries_and_refuses_bad_ones():
+    """An explicit zero does not change the vector; an index outside the
+    space or an inexact entry is an error, not an answer."""
+    q = Subspace.span(3, [[1, 0, 0]])
+    assert q.contains((1, 0, 0))
+    assert q.contains_sparse({0: 1, 2: 0}) and q.contains_sparse({0: Fraction(1), 1: Fraction(0)})
+    assert q.contains_sparse({2: 0}) and q.contains_sparse({})
+    assert not q.contains_sparse({0: 1, 2: Fraction(1, 3)})
+    for xs, match in (
+        ({0: 1, 3: 1}, "index 3 outside range"),
+        ({-1: 1}, "index -1 outside range"),
+        ({0: 1, 3: 0}, "index 3 outside range"),
+        ({"0": 1}, "index '0' outside range"),
+        ({0: 1.0}, "entry 1.0 at index 0 is not an int or a Fraction"),
+        ({1: 0.0}, "entry 0.0 at index 1"),
+        ({0: "1"}, "entry '1' at index 0"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            q.contains_sparse(xs)
+    with pytest.raises(ValueError, match="entry 1.0 at index 0"):
+        q.contains((1.0, 0, 0))
+
+
 def test_map_subspace_rejects_a_column_count_off_the_ambient_dimension():
     q = Subspace.span(3, [[1, 0, 0]])
     with pytest.raises(ValueError, match="3 columns"):

@@ -1,9 +1,10 @@
 """The integer kernels, which sum numerators over one common denominator: the
 scaling helper's contract; the Yang-Baxter kernels and the Manin-triple
 certifier's kernels exact under large pairwise-coprime denominators against
-the dense references; the invariant that every value the kernels return is a
-nonzero Fraction; and counts of the Fraction arithmetic a passing certificate
-still does."""
+the dense references; elimination, sparse maps and subspace membership against
+their Fraction references; the twist checks the identity twist skips; the
+invariant that every value the kernels return is a nonzero Fraction; and counts
+of the Fraction arithmetic a passing certificate still does."""
 from __future__ import annotations
 
 import random
@@ -30,14 +31,19 @@ from helpers import (
     dense_part_report,
     dense_r_from_splitting,
     dense_sharp_matrix,
+    fraction_apply_columns,
+    fraction_contains_sparse,
+    fraction_gauss_jordan,
     pairwise_hcyb,
 )
 from maninforge.core import (
     Matrix,
     SparseTensor,
     Subspace,
+    _apply_columns,
     _common_denominator,
     _gauss_jordan,
+    _span,
     _unit_columns,
     annihilator,
     identity_matrix,
@@ -47,6 +53,8 @@ from maninforge.core import (
     matrix,
     orthogonal_complement,
     sparse_columns,
+    subspace_equal,
+    subspace_sum,
     tensor_skew_sym_split,
 )
 from maninforge.homlie import (
@@ -55,6 +63,7 @@ from maninforge.homlie import (
     _pair_brackets,
     _pairings,
     check_hom_jacobi,
+    check_homomorphism,
     check_involutive,
     check_quadratic,
     check_twist_morphism,
@@ -64,6 +73,7 @@ from maninforge.manin import (
     ManinTriple,
     _part_report,
     check_manin_isomorphism,
+    check_manin_triple,
     dual_basis,
     r_from_splitting,
     special_linear_data,
@@ -446,6 +456,147 @@ def test_stabilizer_conditions_match_the_dense_references_under_hostile_denomina
 
 
 # ---------------------------------------------------------------------------
+# Elimination, maps and membership against their Fraction references
+
+
+def hostile_rows(rng: random.Random, n: int, count: int) -> list[dict]:
+    """Seeded sparse rows over range(n), columns in random order: entries of
+    hostile denominators mixed with ints, integral Fractions and explicit
+    zeros; zero rows; rows dependent on earlier ones; and rows in Fractions
+    with a leading 1, as canonical rows arrive."""
+    rows: list[dict] = []
+    for _ in range(count):
+        kind = rng.randrange(5)
+        if kind == 0 and rows:
+            row: dict = {}
+            for earlier in rng.sample(rows, min(len(rows), 2)):
+                f = _hostile_fraction(rng)
+                for c, x in earlier.items():
+                    row[c] = row.get(c, 0) + f * x
+        elif kind == 1:
+            row = {c: rng.choice((0, Fraction(0))) for c in rng.sample(range(n), rng.randint(0, min(n, 2)))}
+        else:
+            entries = (lambda: _hostile_fraction(rng), lambda: rng.randint(-3, 3), lambda: Fraction(rng.randint(-3, 3)))
+            row = {c: rng.choice(entries)() for c in rng.sample(range(n), rng.randint(1, n))}
+            if kind == 2 and any(row.values()):
+                lead = min(c for c, x in row.items() if x)
+                row = {c: Fraction(x) / row[lead] for c, x in row.items()}
+        rows.append(row)
+    return rows
+
+
+def _items(vectors) -> list[list[tuple]]:
+    """Each vector's (key, value) pairs in its order, after checking that every
+    value is a Fraction."""
+    assert all(type(x) is Fraction for v in vectors for x in v.values())
+    return [list(v.items()) for v in vectors]
+
+
+ROW_SHAPES = [(n, count, seed) for n, count in ((1, 3), (3, 5), (5, 8), (8, 6), (8, 14)) for seed in range(6)]
+
+
+@pytest.mark.parametrize("n, count, seed", ROW_SHAPES)
+def test_elimination_matches_the_fraction_reference_row_for_row(n, count, seed):
+    rng = random.Random(f"rows {n} {count} {seed}")
+    rows = hostile_rows(rng, n, count)
+    before = [list(row.items()) for row in rows]
+    reduced = _gauss_jordan(rows)
+    assert _items(reduced) == _items(fraction_gauss_jordan(rows))
+    assert [list(row.items()) for row in rows] == before  # not mutated
+    space = Subspace(n, tuple(reduced))  # canonical: the constructor checks
+    reversed_rows = _gauss_jordan(list(reversed(rows)))
+    assert _items(reversed_rows) == _items(reduced)
+    assert subspace_equal(subspace_sum(space, space), space)
+
+
+@pytest.mark.parametrize("n, count, seed", ROW_SHAPES)
+def test_maps_match_the_fraction_reference_key_for_key(n, count, seed):
+    rng = random.Random(f"maps {n} {count} {seed}")
+    cols = (hostile_rows(rng, n, count) + [{}] * n)[:n]
+    for xs in hostile_rows(rng, n, 6) + [{}]:
+        assert _items([_apply_columns(cols, xs)]) == _items([fraction_apply_columns(cols, xs)])
+
+
+def test_map_key_order_follows_cancellation():
+    """An entry that cancels leaves the result and comes back at the end, as
+    in the Fraction reference."""
+    cols = [{5: Fraction(1, 7), 6: 1}, {5: Fraction(-2, 7), 4: Fraction(0)}, {5: 3}]
+    xs = {0: 2, 1: 1, 2: Fraction(1, 11)}
+    out = _apply_columns(cols, xs)
+    assert list(out.items()) == list(fraction_apply_columns(cols, xs).items()) == [(6, 2), (5, Fraction(3, 11))]
+
+
+@pytest.mark.parametrize("n, count, seed", ROW_SHAPES)
+def test_membership_matches_the_fraction_reference(n, count, seed):
+    rng = random.Random(f"members {n} {count} {seed}")
+    rows = hostile_rows(rng, n, count)
+    space = _span(n, rows)
+    seen = set()
+    for xs in rows + hostile_rows(rng, n, 8):
+        nonzero = {c: x for c, x in xs.items() if x}
+        answer = fraction_contains_sparse(space, nonzero)
+        assert space.contains_sparse(xs) == space.contains_sparse(nonzero) == answer
+        seen.add(answer)
+    combination: dict = {}
+    for row in space.echelon:
+        f = _hostile_fraction(rng)
+        for c, x in row.items():
+            combination[c] = combination.get(c, 0) + f * x
+    assert space.contains_sparse(combination) and fraction_contains_sparse(
+        space, {c: x for c, x in combination.items() if x}
+    )
+    assert True in seen
+
+
+def test_rows_of_ints_come_back_in_fractions():
+    """A row that leads with the int 1, or with Fraction 1 beside an int, is
+    not returned as given: every value returned is a Fraction."""
+    for rows in ([{2: 1, 0: 0, 3: Fraction(1, 7)}, {1: 1, 3: 2}], [{0: Fraction(1), 1: 3}], [{0: 1}]):
+        assert _items(_gauss_jordan(rows)) == _items(fraction_gauss_jordan(rows))
+
+
+def test_empty_families():
+    assert _gauss_jordan([]) == fraction_gauss_jordan([]) == []
+    assert _gauss_jordan([{}, {0: 0}, {2: Fraction(0)}]) == []
+    assert _apply_columns([{0: Fraction(1, 7)}], {}) == {} and _apply_columns([], {}) == {}
+    assert _apply_columns([{}, {1: Fraction(0)}], {0: 3, 1: 2}) == {}
+    for space in (Subspace.zero(0), Subspace.zero(3)):
+        assert space.contains_sparse({}) and space.contains_sparse({0: 0} if space.ambient_dim else {})
+    assert not Subspace.zero(3).contains_sparse({1: Fraction(1, 13)})
+    assert Subspace.full(3).contains_sparse({0: Fraction(1, 13), 2: -5})
+
+
+# ---------------------------------------------------------------------------
+# The identity twist
+
+
+def test_a_broken_twist_fails_each_check_the_identity_twist_skips():
+    """The identity twist passes the twist checks of `check_twist_morphism`,
+    `check_quadratic`, `_part_report` and `_intertwining_failures` with nothing
+    to compute.  One entry of D2's twist moved by 2/23 makes it a twist that
+    fails each of them, exactly as the dense references say."""
+    h = D2.algebra
+    phi = [list(row) for row in h.phi]
+    phi[0][1] += Fraction(2, 23)
+    broken = HomLieAlgebra.unchecked(h.dim, h.brackets, phi, h.form)
+    assert h.untwisted and not broken.untwisted
+    units = list(_unit_columns(h.dim))
+    for algebra, fails in ((h, False), (broken, True)):
+        t = ManinTriple(algebra, D2.part1, D2.part2)
+        reports = {
+            "twist_morphism": (check_twist_morphism(algebra), dense_check_twist_morphism(algebra)),
+            "twist_self_adjoint": (check_quadratic(algebra), dense_check_quadratic(algebra)),
+            "twist_stable": (_part_report(t, t.part1, "part1"), dense_part_report(t, t.part1, "part1")),
+        }
+        for check, (fast, dense) in reports.items():
+            assert fast.to_json() == dense.to_json()
+            assert (check in {f.check for f in fast.failures}) == fails, check
+        for source, target in ((algebra, h), (h, algebra)):
+            report = check_homomorphism(units, source, target)
+            assert ("twist_intertwine" in {f.check for f in report.failures}) == fails
+
+
+# ---------------------------------------------------------------------------
 # What the pairing and bracket kernels return
 
 
@@ -506,14 +657,15 @@ D3 = triple_double(special_linear_data(3))
 @pytest.mark.parametrize(
     "name, make, quadratic_calls",
     [
-        ("D3x4", lambda: nuble(D3, 4), 200),
-        ("D3 sheared", lambda: hostile_image(D3, hostile_basis(D3.dim, 11, 4)), 104),
+        ("D3x4", lambda: nuble(D3, 4), 0),
+        ("D3 sheared", lambda: hostile_image(D3, hostile_basis(D3.dim, 11, 4)), 0),
     ],
 )
 def test_a_passing_certificate_does_no_fraction_arithmetic_in_jacobi(name, make, quadratic_calls):
-    """Jacobi and the pairing and bracket kernels sum ints only.  The quadratic
-    check does Fraction arithmetic only to eliminate the form (nondegeneracy)
-    and to subtract the two twist pairings, one addition per entry."""
+    """Jacobi and the pairing and bracket kernels sum ints only.  So does the
+    quadratic check on an untwisted algebra: the form's elimination
+    (nondegeneracy) is fraction-free, and the identity twist needs no twist
+    pairings."""
     t = make()
     h = t.algebra
     report, calls = fraction_arithmetic(check_hom_jacobi, h)
@@ -523,6 +675,28 @@ def test_a_passing_certificate_does_no_fraction_arithmetic_in_jacobi(name, make,
         assert fraction_arithmetic(_pair_brackets, h, part.echelon)[1] == 0
     report, calls = fraction_arithmetic(check_quadratic, h)
     assert report.passed and calls == quadratic_calls
-    _, elimination = fraction_arithmetic(_gauss_jordan, h.form_rows)
-    subtraction = len(_pairings(h.form_rows, _unit_columns(h.dim), h.phi_columns))
-    assert calls == elimination + subtraction
+    assert h.untwisted and fraction_arithmetic(_gauss_jordan, h.form_rows)[1] == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: nuble(D3, 1), lambda: nuble(D3, 4), lambda: nuble(D3, 16), lambda: hostile_image(D3, hostile_basis(D3.dim, 11, 4))],
+    ids=["D3x1", "D3x4", "D3x16", "D3 sheared"],
+)
+def test_a_passing_manin_certificate_does_no_fraction_arithmetic(make):
+    """Every kernel of `check_manin_triple` sums ints: elimination, membership
+    and the pairing, bracket and Jacobi kernels; the identity twist is not
+    applied at all."""
+    report, calls = fraction_arithmetic(check_manin_triple, make())
+    assert report.passed and calls == 0
+
+
+def test_elimination_and_membership_of_hostile_halves_do_no_fraction_arithmetic():
+    """The halves of the sheared D3 carry denominators 7-23; their sum and the
+    membership of each row of one in the other run in ints all the same."""
+    t = hostile_image(D3, hostile_basis(D3.dim, 11, 4))
+    assert max(x.denominator for row in t.part1.echelon for x in row.values()) > 1
+    total, calls = fraction_arithmetic(subspace_sum, t.part1, t.part2)
+    assert total.dim == D3.dim and calls == 0
+    members, calls = fraction_arithmetic(lambda: [total.contains_sparse(w) for w in t.part1.echelon])
+    assert all(members) and calls == 0
