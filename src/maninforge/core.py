@@ -14,11 +14,11 @@ value it returns, and none per term.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]

@@ -13,7 +13,9 @@ from .core import (
     ONE,
     ZERO,
     _apply_columns,
+    _common_denominator,
     _gauss_jordan,
+    _numerators,
     _sparse,
     _unit_columns,
     is_antisymmetric,
@@ -35,29 +37,49 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     are read from r with phi applied to the slot that is not bracketed.  The
     pairs of entries are enumerated from the bracket keys (p, q), in both
     orders, through those entries indexed by slot: pairs that meet no key
-    cost nothing.  The sums are of integer numerators over den_r^2 * den_c,
-    the denominators of `_by_slot` and of the bracket table; a total that
-    cancels is dropped as it goes, and each nonzero one is divided once, so
-    every value returned is a nonzero Fraction."""
+    cost nothing.
+
+    An index (k, u, w), with k from the bracket in position pos, is summed at
+    the flat int k*s_k + u*s_u + w*s_w, its strides (s_k, s_u, s_w) the
+    permutation of (d^2, d, 1) that puts k at pos.  For each key and layout
+    the products c*x of the bracket's coefficients with the second entries are
+    built once, with their offsets k*s_k + w*s_w; each first entry (u, v) then
+    adds v*c*x at u*s_u + offset.  The terms come in the order (u, w, k), so
+    the entries keep the order of the sums over tuple indices.  The sums are
+    of integer numerators over den_r^2 * den_c, the denominators of `_by_slot`
+    and of the bracket table; a total that cancels is dropped as it goes, and
+    each nonzero one is decoded and divided once, so every value returned is a
+    nonzero Fraction."""
     _require_tensor(h, r)
     by_slot, den_r = _by_slot(h, r)
     den_c, table = h._bracket_numerators
-    sums: dict[tuple[int, int, int], int] = {}
+    d = h.dim
+    dd = d * d
+    layouts = ((0, 0, dd, d, 1), (1, 0, d, dd, 1), (1, 1, 1, dd, d))  # (s, t, s_k, s_u, s_w) for pos 0, 1, 2
+    sums: dict[int, int] = {}
+    get = sums.get
     for (i, j), cs in table.items():
-        for s, t, pos in ((0, 0, 0), (1, 0, 1), (1, 1, 2)):
-            for u, v in by_slot[s].get(i, ()):
-                for w, x in by_slot[t].get(j, ()):
-                    vx = v * x
-                    for k, c in cs:
-                        index = (k, u, w) if pos == 0 else (u, k, w) if pos == 1 else (u, w, k)
-                        # `_accumulate` inlined: a call per term costs 10-35% of hcyb on D3^8
-                        total = sums.get(index, 0) + c * vx
-                        if total:
-                            sums[index] = total
-                        else:
-                            del sums[index]
+        for s, t, s_k, s_u, s_w in layouts:
+            first, second = by_slot[s].get(i), by_slot[t].get(j)
+            if not (first and second):
+                continue
+            products = [(k * s_k + w * s_w, c * x) for w, x in second for k, c in cs]
+            for u, v in first:
+                base = u * s_u
+                for offset, cx in products:
+                    index = base + offset
+                    # `_accumulate` inlined: a call per term costs 10-35% of hcyb on D3^8
+                    total = get(index, 0) + v * cx
+                    if total:
+                        sums[index] = total
+                    else:
+                        del sums[index]
     den = den_r * den_r * den_c
-    return SparseTensor(3, h.dim, {index: Fraction(n, den) for index, n in sums.items()})
+    entries = {}
+    for index, n in sums.items():
+        a, bc = divmod(index, dd)
+        entries[(a, *divmod(bc, d))] = Fraction(n, den)
+    return SparseTensor(3, d, entries)
 
 
 def cyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
@@ -69,12 +91,18 @@ def cyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
 
 def _sharp_columns(h: HomLieAlgebra, t: SparseTensor) -> list[dict[int, Fraction]]:
     """Sparse columns of t#: xi -> sum_ab t_ab <phi* xi, e_a> e_b.  Column c is
-    sum_ab t_ab phi[c][a] e_b, read from column a of phi."""
-    cols: list[dict[int, Fraction]] = [{} for _ in range(h.dim)]
-    for (a, b), v in t.entries.items():
-        for c, p in h.phi_columns[a].items():
-            _accumulate(cols[c], b, v * p)
-    return cols
+    sum_ab t_ab phi[c][a] e_b, read from column a of phi.  The sums are of
+    integer numerators over den_t * den_phi, the denominators of t and of the
+    twist; a total that cancels is dropped as it goes, and each nonzero one is
+    divided once."""
+    den_t, numerators = _common_denominator(list(t.entries.values()))
+    den_p, phi = _numerators(h.phi_columns)
+    cols: list[dict[int, int]] = [{} for _ in range(h.dim)]
+    for (a, b), n in zip(t.entries, numerators):
+        for c, p in phi[a].items():
+            _accumulate(cols[c], b, n * p)
+    den = den_t * den_p
+    return [{b: Fraction(n, den) for b, n in col.items()} for col in cols]
 
 
 def _s_sharp_columns(h: HomLieAlgebra, s: SparseTensor) -> list[dict[int, Fraction]]:
@@ -212,13 +240,30 @@ class RMatrixReport:
     factorizable: bool
 
 
+def _symmetric_part(r: SparseTensor) -> SparseTensor:
+    """s = (r + r^T)/2 for a degree-2 r, summed in integer numerators over the
+    one common denominator of r's entries: each index of s is visited once,
+    and one Fraction is built per nonzero entry.  The entries come in the
+    order of `tensor_skew_sym_split`: r's indices, then the transposes that r
+    lacks, those that cancel left out."""
+    den, numerators = _common_denominator(list(r.entries.values()))
+    rn = dict(zip(r.entries, numerators))
+    twice = {(a, b): n + rn.get((b, a), 0) for (a, b), n in rn.items()}  # 2s = r + r^T, over den
+    twice.update({(b, a): n for (a, b), n in rn.items() if (b, a) not in rn})
+    return SparseTensor(2, r.dim, {index: Fraction(n, 2 * den) for index, n in twice.items() if n})
+
+
 def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     """Classify r: quasi-triangular when the residual vanishes, the symmetric part
     is invariant, and phi(x)phi(y)-fixedness holds; skew-only when additionally the
-    symmetric part is zero; fails otherwise."""
+    symmetric part is zero; fails otherwise.
+
+    The symmetric part s = (r + r^T)/2 comes from `_symmetric_part`, over the
+    one denominator of r; with the integer kernels of `hcyb`, `_ad_basis`,
+    `_sharp_columns` and `_gauss_jordan`, a passing classification on an
+    untwisted algebra does no Fraction arithmetic."""
     _require_tensor(h, r)
-    half, indices = Fraction(1, 2), [*r.entries, *((b, a) for a, b in r.entries)]
-    s = SparseTensor(2, h.dim, {(a, b): (r.get((a, b)) + r.get((b, a))) * half for a, b in indices})  # (r + r^T)/2
+    s = _symmetric_part(r)
     phi_fixed = _phi_fixed(h, r)
     s_invariant = check_hom_ad_invariant(h, s).passed
     residual = hcyb(h, r)

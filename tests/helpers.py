@@ -13,6 +13,7 @@ from maninforge.core import (
     SparseTensor,
     Subspace,
     Vector,
+    _gauss_jordan,
     _sparse,
     determinant,
     inverse,
@@ -25,9 +26,10 @@ from maninforge.core import (
     unit_vector,
     wedge3_basis,
 )
-from maninforge.homlie import HomLieAlgebra, _dense, _residual, check_involutive
+from maninforge.homlie import HomLieAlgebra, _by_slot, _dense, _phi_fixed, _residual, check_involutive
 from maninforge.manin import DualBasisPair, ManinTriple
 from maninforge.reporting import CheckReport, failure
+from maninforge.rmatrix import RMatrixReport, check_hom_ad_invariant
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
 
@@ -314,6 +316,70 @@ def fraction_contains_sparse(space: Subspace, xs) -> bool:
     for pivot in xs.keys() & pivot_rows:
         _fraction_add_scaled(combo, pivot_rows[pivot], xs[pivot])
     return combo == xs
+
+
+# ---------------------------------------------------------------------------
+# References for the Yang-Baxter kernels: `rmatrix.hcyb` summing at tuple
+# indices, `rmatrix._sharp_columns` and the symmetric part of
+# `check_quasi_triangular` in Fraction arithmetic, and the classification
+# built on them, as they were before the flat integer index and the integer
+# symmetric part, frozen so the kernels can be compared with them entry for
+# entry and in entry order.
+
+
+def tuple_index_hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
+    """The twisted Yang-Baxter residual summed in integer numerators at
+    3-tuple indices, one term at a time in the order (key, layout, u, w, k)."""
+    by_slot, den_r = _by_slot(h, r)
+    den_c, table = h._bracket_numerators
+    sums: dict[tuple[int, int, int], int] = {}
+    for (i, j), cs in table.items():
+        for s, t, pos in ((0, 0, 0), (1, 0, 1), (1, 1, 2)):
+            for u, v in by_slot[s].get(i, ()):
+                for w, x in by_slot[t].get(j, ()):
+                    for k, c in cs:
+                        index = (k, u, w) if pos == 0 else (u, k, w) if pos == 1 else (u, w, k)
+                        total = sums.get(index, 0) + c * v * x
+                        if total:
+                            sums[index] = total
+                        else:
+                            del sums[index]
+    den = den_r * den_r * den_c
+    return SparseTensor(3, h.dim, {index: Fraction(n, den) for index, n in sums.items()})
+
+
+def fraction_sharp_columns(h: HomLieAlgebra, t: SparseTensor) -> list[dict[int, Fraction]]:
+    """Column c of t# is sum_ab t_ab phi[c][a] e_b, one Fraction multiply and add per term."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(h.dim)]
+    for (a, b), v in t.entries.items():
+        for c, p in h.phi_columns[a].items():
+            total = cols[c].get(b, ZERO) + v * p
+            if total:
+                cols[c][b] = total
+            else:
+                cols[c].pop(b, None)
+    return cols
+
+
+def fraction_symmetric_part(r: SparseTensor) -> SparseTensor:
+    """(r + r^T)/2 with two lookups, a Fraction add and a multiply per index,
+    over r's indices and then their transposes."""
+    half, indices = Fraction(1, 2), [*r.entries, *((b, a) for a, b in r.entries)]
+    return SparseTensor(2, r.dim, {(a, b): (r.get((a, b)) + r.get((b, a))) * half for a, b in indices})
+
+
+def fraction_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
+    """`check_quasi_triangular` on the references above."""
+    s = fraction_symmetric_part(r)
+    phi_fixed = _phi_fixed(h, r)
+    s_invariant = check_hom_ad_invariant(h, s).passed
+    residual = tuple_index_hcyb(h, r)
+    if not (phi_fixed and s_invariant and residual.is_zero):
+        verdict = "fails"
+    else:
+        verdict = "skew-only" if s.is_zero else "quasi-triangular"
+    factorizable = (not s.is_zero) and len(_gauss_jordan(fraction_sharp_columns(h, s))) == h.dim
+    return RMatrixReport(phi_fixed, s_invariant, residual, verdict, factorizable)
 
 
 def dense_map_subspace(m: Matrix, space: Subspace) -> Subspace:

@@ -34,7 +34,11 @@ from helpers import (
     fraction_apply_columns,
     fraction_contains_sparse,
     fraction_gauss_jordan,
+    fraction_quasi_triangular,
+    fraction_sharp_columns,
+    fraction_symmetric_part,
     pairwise_hcyb,
+    tuple_index_hcyb,
 )
 from maninforge.core import (
     Matrix,
@@ -80,7 +84,17 @@ from maninforge.manin import (
     triple_double,
 )
 from maninforge.polyuble import nuble
-from maninforge.rmatrix import check_hom_ad_invariant, check_quasi_triangular, cyb, hcyb, hom_schouten, sl2_twisted
+from maninforge.rmatrix import (
+    _sharp_columns,
+    _symmetric_part,
+    check_hom_ad_invariant,
+    check_quasi_triangular,
+    cyb,
+    hcyb,
+    hom_schouten,
+    sl2_lie,
+    sl2_twisted,
+)
 from maninforge.stabilizer import (
     check_bracket_sharp_condition,
     check_coisotropy_form,
@@ -629,6 +643,147 @@ def test_pairings_and_pair_brackets_leave_out_what_cancels():
 
 
 # ---------------------------------------------------------------------------
+# The flat-index residual, the integer sharp map and the integer symmetric
+# part against their references
+
+D3 = triple_double(special_linear_data(3))
+
+
+def _same_tensor(t: SparseTensor, reference: SparseTensor) -> bool:
+    """Equal tensors, equal sorted items, and the same entry order."""
+    return t == reference and t.items() == reference.items() and list(t.entries) == list(reference.entries)
+
+
+def _assert_residual_matches_the_references(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
+    residual = hcyb(h, r)
+    assert _same_tensor(residual, tuple_index_hcyb(h, r))
+    assert dict(residual.items()) == pairwise_hcyb(h, r)
+    assert _all_nonzero_fractions(residual.entries.values())
+    return residual
+
+
+def test_flat_index_residual_of_a_moved_canonical_r_of_the_d3_cube_matches_the_references():
+    """One entry of the canonical r of nuble(D3, 3) moved by 7/11: the terms
+    of all three bracket positions, which cancel for the canonical r, leave a
+    residual equal to the tuple-index kernel in entry order and to the
+    pairwise reference."""
+    t = nuble(D3, 3)
+    h, r = t.algebra, r_from_splitting(t)
+    assert _assert_residual_matches_the_references(h, r).is_zero
+    entries = dict(r.entries)
+    index = sorted(entries)[len(entries) // 3]
+    entries[index] += Fraction(7, 11)
+    moved = SparseTensor(2, h.dim, entries)
+    residual = _assert_residual_matches_the_references(h, moved)
+    assert not residual.is_zero and {v.denominator for v in residual.entries.values()} & {11, 121}
+
+
+def test_flat_index_residual_on_a_twisted_sum_of_four_sl2s_matches_the_references():
+    """A twist diag(1, -1, -1) on each of four sl2 summands, so `_by_slot`
+    applies it, under r of hostile denominators; the untwisted residual too."""
+    h = direct_sum(*[sl2_twisted()] * 4)
+    assert not h.untwisted
+    rng = random.Random(18)
+    nonzero = 0
+    for fill in (3, 8, 20, 40):
+        r = hostile_tensor(rng, h.dim, fill)
+        residual = _assert_residual_matches_the_references(h, r)
+        assert _same_tensor(cyb(h, r), tuple_index_hcyb(direct_sum(*[sl2_lie()] * 4), r))
+        nonzero += not residual.is_zero
+    assert nonzero >= 3
+
+
+def test_flat_index_residual_in_dimension_one():
+    for phi in ([[1]], [[-1]], [[Fraction(3, 7)]]):
+        h = HomLieAlgebra.unchecked(1, {}, phi)
+        r = SparseTensor(2, 1, {(0, 0): Fraction(3, 7)})
+        residual = _assert_residual_matches_the_references(h, r)
+        assert residual == SparseTensor.zero(3, 1)
+        assert _same_tensor(hcyb(h, SparseTensor.zero(2, 1)), SparseTensor.zero(3, 1))
+
+
+def test_flat_index_residual_decodes_the_last_corner_of_d3_to_the_fourth():
+    """(d-1) (x) [d-8, d-1] (x) (d-1) from r's entries (d-1, d-8) and (d-1, d-1)
+    lands on the last index (d-1, d-1, d-1), the largest flat int d^3 - 1."""
+    t = nuble(D3, 4)
+    h = t.algebra
+    d = h.dim
+    moved = r_from_splitting(t) + SparseTensor(2, d, {(d - 1, d - 8): Fraction(7, 11), (d - 1, d - 1): Fraction(3, 13)})
+    residual = _assert_residual_matches_the_references(h, moved)
+    assert residual.get((d - 1, d - 1, d - 1)) == Fraction(-21, 143)
+    assert max(residual.entries) == (d - 1, d - 1, d - 1)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_ALGEBRAS))
+def test_sharp_columns_match_the_fraction_reference_key_for_key(name):
+    h = HOSTILE_ALGEBRAS[name]()
+    rng = random.Random(name)
+    ints = SparseTensor(2, h.dim, {(0, 1): 2, (1, 0): -3, (2, 2): 1})
+    for t in (ints, SparseTensor.zero(2, h.dim), *(hostile_tensor(rng, h.dim, fill) for fill in (2, 6, 12))):
+        cols = _sharp_columns(h, t)
+        reference = fraction_sharp_columns(h, t)
+        assert [list(col.items()) for col in cols] == [list(col.items()) for col in reference]
+        assert all(_all_nonzero_fractions(col.values()) for col in cols)
+
+
+def _symmetric_cases() -> list[tuple[str, HomLieAlgebra, SparseTensor]]:
+    """r with a pair (a, b), (b, a) that cancels in s, one-sided entries and
+    denominators 7, 11 and 13, on the twisted and untwisted sl2, sl2 in a
+    hostile basis, and the canonical r of D3 and of its square."""
+    def moves(d: int) -> dict:
+        a, b, c = d - 3, d - 2, d - 1
+        return {
+            (a, b): Fraction(5, 7),
+            (b, a): Fraction(-5, 7),
+            (a, c): Fraction(2, 11),
+            (c, c): Fraction(-4, 13),
+            (b, c): Fraction(1, 13),
+            (c, b): Fraction(1, 11),
+        }
+
+    cases = []
+    for name, h in (("sl2 twisted", sl2_twisted()), ("sl2", sl2_lie()), ("sl2 hostile", hostile_sl2())):
+        cases.append((f"{name} moved", h, SparseTensor(2, 3, moves(3))))
+        cases.append((f"{name}, skew", h, SparseTensor(2, 3, {(0, 1): Fraction(1, 7), (1, 0): Fraction(-1, 7)})))
+    for n in (1, 2):
+        t = nuble(D3, n)
+        h, r = t.algebra, r_from_splitting(t)
+        cases.append((f"D3x{n}", h, r))
+        cases.append((f"D3x{n} moved", h, r + SparseTensor(2, h.dim, moves(h.dim))))
+        lam, _ = tensor_skew_sym_split(r)
+        cases.append((f"D3x{n} skew part", h, lam))
+    return cases
+
+
+SYMMETRIC_CASES = _symmetric_cases()
+
+
+@pytest.mark.parametrize("name, h, r", SYMMETRIC_CASES, ids=[name for name, _, _ in SYMMETRIC_CASES])
+def test_integer_symmetric_part_and_classification_match_the_fraction_reference(name, h, r):
+    s = _symmetric_part(r)
+    assert _same_tensor(s, tensor_skew_sym_split(r)[1])
+    assert _same_tensor(s, fraction_symmetric_part(r))
+    assert _all_nonzero_fractions(s.entries.values())
+    d = h.dim
+    if "moved" in name:
+        assert (d - 3, d - 2) not in s.entries and (d - 2, d - 3) not in s.entries
+        assert s.get((d - 1, d - 3)) == s.get((d - 3, d - 1)) != 0
+    report, reference = check_quasi_triangular(h, r), fraction_quasi_triangular(h, r)
+    assert (report.phi_fixed, report.s_invariant, report.verdict, report.factorizable) == (
+        reference.phi_fixed,
+        reference.s_invariant,
+        reference.verdict,
+        reference.factorizable,
+    )
+    assert _same_tensor(report.hcyb_residual, reference.hcyb_residual)
+
+
+def test_the_symmetric_cases_reach_every_verdict():
+    verdicts = {check_quasi_triangular(h, r).verdict for _, h, r in SYMMETRIC_CASES}
+    assert verdicts == {"quasi-triangular", "skew-only", "fails"}
+
+
+# ---------------------------------------------------------------------------
 # Fraction arithmetic left in a passing certificate
 
 FRACTION_ARITHMETIC = {Fraction._mul.__code__, Fraction._add.__code__}
@@ -649,9 +804,6 @@ def fraction_arithmetic(fn, *args) -> tuple:
     finally:
         sys.setprofile(None)
     return result, calls
-
-
-D3 = triple_double(special_linear_data(3))
 
 
 @pytest.mark.parametrize(
@@ -700,3 +852,12 @@ def test_elimination_and_membership_of_hostile_halves_do_no_fraction_arithmetic(
     assert total.dim == D3.dim and calls == 0
     members, calls = fraction_arithmetic(lambda: [total.contains_sparse(w) for w in t.part1.echelon])
     assert all(members) and calls == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_a_passing_yang_baxter_classification_does_no_fraction_arithmetic(n):
+    """The symmetric part, the residual, the invariance of s and the sharp map's
+    rank all sum ints on the canonical r of D3^n."""
+    t = nuble(D3, n)
+    report, calls = fraction_arithmetic(check_quasi_triangular, t.algebra, r_from_splitting(t))
+    assert report.verdict == "quasi-triangular" and report.factorizable and calls == 0
