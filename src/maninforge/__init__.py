@@ -7,12 +7,9 @@ from .core import (
     Rational,
     SparseTensor,
     Subspace,
-    orthogonal_complement,
-    subspace_contains,
     subspace_equal,
     subspace_sum,
     tensor_skew_sym_split,
-    wedge,
 )
 from .homlie import (
     HomLieAlgebra,
@@ -59,8 +56,6 @@ from .rmatrix import (
     hcyb,
     hcyb_pairing_check,
     hom_schouten,
-    sharp_lambda,
-    sharp_s,
 )
 from .stabilizer import (
     check_bracket_sharp_condition,

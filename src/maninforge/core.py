@@ -4,7 +4,8 @@ row-reduced subspaces, and permutations.
 Every scalar is a `fractions.Fraction`; equality everywhere is exact.  Every
 row reduction runs one Gauss-Jordan kernel on sparse rows, `_gauss_jordan`:
 a `Subspace` stores the sparse rows it returns, and `rref`, `nullspace`,
-`matrix_rank` and `inverse` are dense wrappers over it.
+`matrix_rank` and `inverse` are dense wrappers over it.  `determinant` runs
+the kernel's row operation, `_eliminate`, on integer rows.
 
 The elimination, the sparse map `_apply_columns` and the membership test
 `Subspace.contains_sparse` sum plain ints: elimination on primitive integer
@@ -69,10 +70,6 @@ def _numerators(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, list[di
 def vector(entries: Iterable[int | str | Fraction]) -> Vector:
     """Build an exact coordinate vector."""
     return tuple(rational(x) for x in entries)
-
-
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
@@ -358,25 +355,31 @@ def _inverse_rows(rows: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[i
 
 
 def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination in Fractions, dense: the
-    product of the pivots, negated once per row swap."""
+    """Exact determinant by fraction-free elimination: each row is scaled to
+    ints by its common denominator, and the rows below each pivot are cleared
+    there with `_eliminate`, which scales a row by v[p] // gcd(v[p], u[p]).
+    The product of the pivots, negated once per row swap, is divided by all
+    those scales."""
     n = len(_square(m, len(m), "matrix"))
-    rows = [list(row) for row in m]
-    det = ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
+    rows, det, den = [], 1, 1
+    for row in m:
+        d, numerators = _common_denominator(row)
+        rows.append({c: x for c, x in enumerate(numerators) if x})
+        den *= d
+    for p in range(n):
+        i = next((i for i in range(p, n) if p in rows[i]), None)
+        if i is None:
             return ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+        if i != p:
+            rows[p], rows[i] = rows[i], rows[p]
             det = -det
-        det *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+        v = rows[p]
+        det *= v[p]
+        for u in rows[p + 1 :]:
+            if p in u:
+                den *= v[p] // gcd(v[p], u[p])
+                _eliminate(u, v, p)
+    return Fraction(det, den)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +388,8 @@ def determinant(m: Matrix) -> Fraction:
 
 @dataclass
 class SparseTensor:
-    """Sparse tensor of degree 1, 2, or 3 over a dim-dimensional space.
+    """Sparse tensor of degree 1, 2, or 3 over a dim-dimensional space, dim a
+    non-negative int.
 
     Entries map index tuples (0-based) to nonzero exact values, ints or
     Fractions; zero values are never stored, so equality of entry dicts is
@@ -399,6 +403,8 @@ class SparseTensor:
     def __post_init__(self) -> None:
         if self.degree not in (1, 2, 3):
             raise ValueError(f"unsupported tensor degree {self.degree}")
+        if type(self.dim) is not int or self.dim < 0:
+            raise ValueError(f"tensor dimension must be a non-negative int, got {self.dim!r}")
         for idx, value in list(self.entries.items()):
             if not all(type(i) is int for i in idx):
                 raise ValueError(f"index {idx!r} holds an entry that is not an int")
@@ -482,23 +488,6 @@ class SparseTensor:
                 out.add_into(full_idx, coeff)
         return out
 
-    def contract(self, covectors: Sequence[Vector]) -> Fraction:
-        """Full pairing with one coordinate covector per slot."""
-        if len(covectors) != self.degree:
-            raise ValueError("need one covector per tensor slot")
-        for s, covector in enumerate(covectors):
-            if len(covector) != self.dim:
-                raise ValueError(f"covector for slot {s} must have length {self.dim}, got {len(covector)}")
-        total = ZERO
-        for idx, v in self.entries.items():
-            term = v
-            for s, i in enumerate(idx):
-                term *= covectors[s][i]
-                if term == 0:
-                    break
-            total += term
-        return total
-
     @classmethod
     def from_matrix(cls, m: Matrix) -> SparseTensor:
         dim = len(m)
@@ -519,27 +508,21 @@ def tensor_skew_sym_split(t: SparseTensor) -> tuple[SparseTensor, SparseTensor]:
     """
     if t.degree != 2:
         raise ValueError("split is defined for degree-2 tensors only")
-    half = Fraction(1, 2)
-    swapped = t.swap()
-    return (t - swapped).scale(half), (t + swapped).scale(half)
+    s = _symmetric_part(t)
+    return t.scale(ONE) - s, s  # scaled by ONE so that t's int entries come back as Fractions
 
 
-def wedge_into(t: SparseTensor, x: Mapping[int, Fraction], y: Mapping[int, Fraction], coeff: Fraction) -> None:
-    """Accumulate coeff * (x ^ y) = coeff * (x (x) y - y (x) x) into a degree-2 tensor,
-    for sparse vectors given as {index: entry}."""
-    for i, xi in x.items():
-        for j, yj in y.items():
-            if i != j:
-                v = coeff * xi * yj
-                t.add_into((i, j), v)
-                t.add_into((j, i), -v)
-
-
-def wedge(x: Vector, y: Vector) -> SparseTensor:
-    """The wedge x ^ y = x (x) y - y (x) x (no 1/2 normalization)."""
-    out = SparseTensor.zero(2, len(x))
-    wedge_into(out, _sparse(x), _sparse(y), ONE)
-    return out
+def _symmetric_part(t: SparseTensor) -> SparseTensor:
+    """s = (t + t^T)/2 for a degree-2 t, the package's one symmetric part,
+    summed in integer numerators over the one common denominator of t's
+    entries: each index of s is visited once, and one Fraction is built per
+    nonzero entry.  The entries come in the order of t's indices, then the
+    transposes that t lacks, those that cancel left out."""
+    den, numerators = _common_denominator(list(t.entries.values()))
+    tn = dict(zip(t.entries, numerators))
+    twice = {(a, b): n + tn.get((b, a), 0) for (a, b), n in tn.items()}  # 2s = t + t^T, over den
+    twice.update({(b, a): n for (a, b), n in tn.items() if (b, a) not in tn})
+    return SparseTensor(2, t.dim, {index: Fraction(n, 2 * den) for index, n in twice.items() if n})
 
 
 def wedge3_basis(t: SparseTensor, a: int, b: int, c: int, coeff: Fraction) -> None:
@@ -698,19 +681,10 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     return a.ambient_dim == b.ambient_dim and a.echelon == b.echelon
 
 
-def subspace_contains(a: Subspace, b: Subspace) -> bool:
-    """True when b is contained in a."""
-    return a.ambient_dim == b.ambient_dim and all(map(a.contains_sparse, b.echelon))
-
-
-def orthogonal_complement(space: Subspace, gram: Matrix) -> Subspace:
-    """{v : <w, v> = 0 for all w in space}, for the bilinear form with Gram matrix `gram`."""
-    return _orthogonal_complement(space, [_sparse(row) for row in _square(gram, space.ambient_dim, "gram")])
-
-
 def _orthogonal_complement(space: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> Subspace:
-    """The same for the form with sparse rows form_rows: the kernel of the
-    covectors w^T G, one per canonical row w of space."""
+    """{v : <w, v> = 0 for all w in space}, for the bilinear form with sparse
+    rows form_rows: the kernel of the covectors w^T G, one per canonical row w
+    of space."""
     return _null_space((_apply_columns(form_rows, row) for row in space.echelon), space.ambient_dim)
 
 

@@ -1,28 +1,24 @@
-"""Twisted classical Yang-Baxter machinery: the residual map, sharp maps of the
-skew and symmetric parts, invariance of the symmetric part, the graded bracket
-on low-degree multivectors, and the quasi-triangularity classifier."""
+"""Twisted classical Yang-Baxter machinery: the residual map, the sharp map of a
+degree-2 tensor, invariance of the symmetric part, the graded bracket on
+low-degree multivectors, and the quasi-triangularity classifier."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    Matrix,
     SparseTensor,
-    Vector,
     ONE,
-    ZERO,
-    _apply_columns,
     _common_denominator,
     _gauss_jordan,
     _numerators,
-    _sparse,
+    _symmetric_part,
     _unit_columns,
     is_antisymmetric,
     is_symmetric,
     wedge_t2_v1_into,
 )
-from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _by_slot, _dense, _pair_brackets, _phi_fixed
+from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _by_slot, _pair_brackets, _phi_fixed
 from .homlie import _require_tensor, check_involutive
 from .reporting import CheckReport, failure
 
@@ -111,32 +107,6 @@ def _s_sharp_columns(h: HomLieAlgebra, s: SparseTensor) -> list[dict[int, Fracti
     if not is_symmetric(s):
         raise ValueError("sharp of the symmetric part needs a symmetric tensor")
     return _sharp_columns(h, s)
-
-
-def _apply_sharp(h: HomLieAlgebra, cols: list[dict[int, Fraction]], xi: Vector) -> Vector:
-    """The dense image of the covector xi under the sharp map with columns cols."""
-    if len(xi) != h.dim:
-        raise ValueError(f"covector of length {len(xi)}, expected {h.dim}")
-    return _dense(h, _apply_columns(cols, _sparse(xi)))
-
-
-def sharp_lambda(h: HomLieAlgebra, lam: SparseTensor, xi: Vector) -> Vector:
-    """Contract a covector through the skew part's sharp map."""
-    _require_tensor(h, lam)
-    if not is_antisymmetric(lam):
-        raise ValueError("sharp of the skew part needs an antisymmetric tensor")
-    return _apply_sharp(h, _sharp_columns(h, lam), xi)
-
-
-def sharp_s(h: HomLieAlgebra, s: SparseTensor, xi: Vector) -> Vector:
-    """Contract a covector through the symmetric part's sharp map."""
-    return _apply_sharp(h, _s_sharp_columns(h, s), xi)
-
-
-def s_sharp_matrix(h: HomLieAlgebra, s: SparseTensor) -> Matrix:
-    """Dense matrix of the symmetric part's sharp map (covectors to vectors)."""
-    cols = _s_sharp_columns(h, s)
-    return tuple(tuple(col.get(b, ZERO) for col in cols) for b in range(h.dim))
 
 
 def check_hom_ad_invariant(h: HomLieAlgebra, s: SparseTensor) -> CheckReport:
@@ -240,26 +210,13 @@ class RMatrixReport:
     factorizable: bool
 
 
-def _symmetric_part(r: SparseTensor) -> SparseTensor:
-    """s = (r + r^T)/2 for a degree-2 r, summed in integer numerators over the
-    one common denominator of r's entries: each index of s is visited once,
-    and one Fraction is built per nonzero entry.  The entries come in the
-    order of `tensor_skew_sym_split`: r's indices, then the transposes that r
-    lacks, those that cancel left out."""
-    den, numerators = _common_denominator(list(r.entries.values()))
-    rn = dict(zip(r.entries, numerators))
-    twice = {(a, b): n + rn.get((b, a), 0) for (a, b), n in rn.items()}  # 2s = r + r^T, over den
-    twice.update({(b, a): n for (a, b), n in rn.items() if (b, a) not in rn})
-    return SparseTensor(2, r.dim, {index: Fraction(n, 2 * den) for index, n in twice.items() if n})
-
-
 def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     """Classify r: quasi-triangular when the residual vanishes, the symmetric part
     is invariant, and phi(x)phi(y)-fixedness holds; skew-only when additionally the
     symmetric part is zero; fails otherwise.
 
-    The symmetric part s = (r + r^T)/2 comes from `_symmetric_part`, over the
-    one denominator of r; with the integer kernels of `hcyb`, `_ad_basis`,
+    The symmetric part s = (r + r^T)/2 comes from `core._symmetric_part`, over
+    the one denominator of r; with the integer kernels of `hcyb`, `_ad_basis`,
     `_sharp_columns` and `_gauss_jordan`, a passing classification on an
     untwisted algebra does no Fraction arithmetic."""
     _require_tensor(h, r)

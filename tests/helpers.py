@@ -319,12 +319,13 @@ def fraction_contains_sparse(space: Subspace, xs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# References for the Yang-Baxter kernels: `rmatrix.hcyb` summing at tuple
-# indices, `rmatrix._sharp_columns` and the symmetric part of
-# `check_quasi_triangular` in Fraction arithmetic, and the classification
-# built on them, as they were before the flat integer index and the integer
-# symmetric part, frozen so the kernels can be compared with them entry for
-# entry and in entry order.
+# References for the Yang-Baxter kernels and the integer symmetric part:
+# `rmatrix.hcyb` summing at tuple indices, `rmatrix._sharp_columns`, the
+# symmetric part of `check_quasi_triangular`, `core.tensor_skew_sym_split` and
+# `core.determinant` in Fraction arithmetic, and the classification built on
+# them, as they were before the flat integer index, the integer symmetric part
+# and the integer row operation, frozen so the kernels can be compared with
+# them entry for entry and in entry order.
 
 
 def tuple_index_hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
@@ -366,6 +367,34 @@ def fraction_symmetric_part(r: SparseTensor) -> SparseTensor:
     over r's indices and then their transposes."""
     half, indices = Fraction(1, 2), [*r.entries, *((b, a) for a, b in r.entries)]
     return SparseTensor(2, r.dim, {(a, b): (r.get((a, b)) + r.get((b, a))) * half for a, b in indices})
+
+
+def fraction_skew_sym_split(t: SparseTensor) -> tuple[SparseTensor, SparseTensor]:
+    """(t - t^T)/2 and (t + t^T)/2 by whole-tensor Fraction arithmetic."""
+    half, swapped = Fraction(1, 2), t.swap()
+    return (t - swapped).scale(half), (t + swapped).scale(half)
+
+
+def fraction_determinant(m: Matrix) -> Fraction:
+    """Dense Gaussian elimination in Fractions: the product of the pivots,
+    negated once per row swap."""
+    n = len(m)
+    rows = [list(row) for row in m]
+    det = ONE
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = ONE / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
 
 
 def fraction_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
@@ -858,7 +887,7 @@ def dense_hcyb_pairing_check(h: HomLieAlgebra, residual: SparseTensor, r: Sparse
     for a, xi in enumerate(basis):
         for b, eta in enumerate(basis):
             for c, zeta in enumerate(basis):
-                lhs = residual.contract((xi, eta, zeta))
+                lhs = residual.get((a, b, c))
                 rhs = (
                     dense_vec_dot(xi, h.bracket(dense_mat_vec(r_minus, eta), dense_mat_vec(r_minus, zeta)))
                     + dense_vec_dot(eta, h.bracket(dense_mat_vec(r_minus, zeta), dense_mat_vec(r_plus, xi)))

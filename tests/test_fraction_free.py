@@ -33,9 +33,11 @@ from helpers import (
     dense_sharp_matrix,
     fraction_apply_columns,
     fraction_contains_sparse,
+    fraction_determinant,
     fraction_gauss_jordan,
     fraction_quasi_triangular,
     fraction_sharp_columns,
+    fraction_skew_sym_split,
     fraction_symmetric_part,
     pairwise_hcyb,
     tuple_index_hcyb,
@@ -47,15 +49,18 @@ from maninforge.core import (
     _apply_columns,
     _common_denominator,
     _gauss_jordan,
+    _orthogonal_complement,
     _span,
+    _sparse,
+    _symmetric_part,
     _unit_columns,
     annihilator,
+    determinant,
     identity_matrix,
     inverse,
     map_subspace,
     mat_mul,
     matrix,
-    orthogonal_complement,
     sparse_columns,
     subspace_equal,
     subspace_sum,
@@ -86,7 +91,6 @@ from maninforge.manin import (
 from maninforge.polyuble import nuble
 from maninforge.rmatrix import (
     _sharp_columns,
-    _symmetric_part,
     check_hom_ad_invariant,
     check_quasi_triangular,
     cyb,
@@ -449,7 +453,7 @@ def test_stabilizer_conditions_match_the_dense_references_under_hostile_denomina
     spaces += [Subspace.span(h.dim, [sparse_row() for _ in range(k)]) for k in (1, 2, 3, 4, 5)]
     seen: dict[str, set] = {}
     for q in spaces:
-        complement = orthogonal_complement(q, form).rows
+        complement = _orthogonal_complement(q, [_sparse(row) for row in form]).rows
         twisted = [dense_mat_vec(h.phi, v) for v in q.rows]
         outcomes = [
             ("subalgebra", is_subalgebra(h, q), dense_brackets_in(h, q.rows, q)),
@@ -781,6 +785,64 @@ def test_integer_symmetric_part_and_classification_match_the_fraction_reference(
 def test_the_symmetric_cases_reach_every_verdict():
     verdicts = {check_quasi_triangular(h, r).verdict for _, h, r in SYMMETRIC_CASES}
     assert verdicts == {"quasi-triangular", "skew-only", "fails"}
+
+
+def _split_cases() -> list[SparseTensor]:
+    """Seeded hostile tensors, some int entries, with (a, b)/(b, a) pairs that
+    cancel in the skew half or in the symmetric half, and the canonical r of
+    D3^1, D3^2 and D3^4."""
+    rng = random.Random(61)
+    cases = []
+    for _ in range(300):
+        dim = rng.randint(1, 6)
+        entries = dict(hostile_tensor(rng, dim, rng.randint(0, 8)).entries)
+        for _ in range(rng.randint(0, 3)):
+            a, b, x = rng.randrange(dim), rng.randrange(dim), _hostile_fraction(rng)
+            entries[(a, b)] = rng.choice((x, x.numerator))
+            entries[(b, a)] = rng.choice((1, -1)) * entries[(a, b)]
+        cases.append(SparseTensor(2, dim, entries))
+    return cases + [r_from_splitting(nuble(D3, n)) for n in (1, 2, 4)]
+
+
+def test_skew_sym_split_matches_the_fraction_reference_in_entry_order():
+    cancelled = {"skew": 0, "symmetric": 0}
+    for t in _split_cases():
+        lam, s = tensor_skew_sym_split(t)
+        ref_lam, ref_s = fraction_skew_sym_split(t)
+        assert _same_tensor(lam, ref_lam) and _same_tensor(s, ref_s)
+        assert _all_nonzero_fractions(lam.entries.values()) and _all_nonzero_fractions(s.entries.values())
+        cancelled["skew"] += any(a != b and (a, b) not in lam.entries for a, b in t.entries)
+        cancelled["symmetric"] += any((a, b) not in s.entries for a, b in t.entries)
+    assert min(cancelled.values()) > 20
+
+
+def _determinant_cases() -> list[Matrix]:
+    """Seeded sparse rational square matrices of sizes 0 to 7: as drawn, with a
+    zero leading entry so that rows must swap, and singular, one row the sum
+    of two others."""
+    rng = random.Random(67)
+    cases = []
+    for n in range(8):
+        for k in range(30):
+            m = [[_hostile_fraction(rng) if rng.randrange(2) else 0 for _ in range(n)] for _ in range(n)]
+            if n and k % 3 == 1:
+                m[0][0] = 0
+            if n > 2 and k % 3 == 2:
+                m[-1] = [x + y for x, y in zip(m[0], m[1])]
+            cases.append(matrix(m))
+    return cases
+
+
+def test_determinant_matches_the_fraction_reference():
+    seen = set()
+    for m in _determinant_cases():
+        det = determinant(m)
+        assert repr(det) == repr(fraction_determinant(m))
+        if m and not m[0][0]:
+            seen.add("swapped" if det else "singular after a zero leading entry")
+        if det == 0 and all(any(row) for row in m):
+            seen.add("singular with no zero row")
+    assert seen == {"swapped", "singular after a zero leading entry", "singular with no zero row"}
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from helpers import (
     dense_hcyb,
     dense_hcyb_pairing_check,
     dense_hom_schouten,
-    dense_mat_vec,
     dense_sharp_matrix,
     dense_vec_dot,
+    dense_wedge,
     dense_wedge_t2_v1,
     rand_fraction,
     rand_phi_fixed_skew,
@@ -26,6 +26,7 @@ from maninforge import rmatrix
 from maninforge.core import (
     SparseTensor,
     Subspace,
+    _gauss_jordan,
     inverse,
     is_symmetric,
     mat_vec,
@@ -33,7 +34,6 @@ from maninforge.core import (
     matrix_rank,
     tensor_skew_sym_split,
     unit_vector,
-    wedge,
     wedge3_basis,
 )
 from maninforge.homlie import HomLieAlgebra, check_involutive, direct_sum
@@ -54,9 +54,6 @@ from maninforge.rmatrix import (
     hcyb,
     hcyb_pairing_check,
     hom_schouten,
-    s_sharp_matrix,
-    sharp_lambda,
-    sharp_s,
     sl2_lie,
     sl2_r,
     sl2_twisted,
@@ -138,32 +135,35 @@ def test_residual_shape_validation():
 # Sharp maps
 
 
+def assert_sharp_columns_match_the_dense_reference(h: HomLieAlgebra, t: SparseTensor) -> None:
+    """Column c of `_sharp_columns(h, t)` is column c of `dense_sharp_matrix`, without its zeros."""
+    cols, dense = rmatrix._sharp_columns(h, t), dense_sharp_matrix(h, t)
+    assert len(cols) == h.dim
+    for c, col in enumerate(cols):
+        assert col == {b: row[c] for b, row in enumerate(dense) if row[c]}
+
+
 def test_sharp_of_symmetric_part_values():
     h = sl2_twisted()
     _, s = tensor_skew_sym_split(sl2_r())
-    assert sharp_s(h, s, unit_vector(3, 0)) == (Fraction(1, 4), Fraction(0), Fraction(0))
-    assert matrix_rank(s_sharp_matrix(h, s)) == 3
+    assert rmatrix._sharp_columns(h, s)[0] == {0: Fraction(1, 4)}
+    assert len(_gauss_jordan(rmatrix._sharp_columns(h, s))) == 3
+    assert_sharp_columns_match_the_dense_reference(h, s)
 
 
 def test_sharp_of_skew_part_values():
     h = sl2_twisted()
     lam, _ = tensor_skew_sym_split(sl2_r())
-    assert sharp_lambda(h, lam, unit_vector(3, 1)) == (
-        Fraction(0),
-        Fraction(0),
-        Fraction(-1, 2),
-    )
+    assert rmatrix._sharp_columns(h, lam)[1] == {2: Fraction(-1, 2)}
+    assert_sharp_columns_match_the_dense_reference(h, lam)
 
 
-def test_sharp_maps_validate_symmetry_class():
+def test_symmetric_sharp_rejects_a_non_symmetric_tensor():
     h = sl2_twisted()
     lam, s = tensor_skew_sym_split(sl2_r())
-    with pytest.raises(ValueError):
-        sharp_lambda(h, s, unit_vector(3, 0))
-    with pytest.raises(ValueError):
-        sharp_s(h, lam, unit_vector(3, 0))
-    with pytest.raises(ValueError):
-        s_sharp_matrix(h, lam)
+    with pytest.raises(ValueError, match="needs a symmetric tensor"):
+        rmatrix._s_sharp_columns(h, lam)
+    assert rmatrix._s_sharp_columns(h, s) == rmatrix._sharp_columns(h, s)
 
 
 @pytest.mark.parametrize("name", sorted(YB_ALGEBRAS))
@@ -172,40 +172,21 @@ def test_sharp_maps_match_the_dense_reference(name):
     rng = random.Random(79)
     for _ in range(10):
         lam, s = tensor_skew_sym_split(rand_tensor(rng, 2, h.dim, fill=8))
-        assert s_sharp_matrix(h, s) == dense_sharp_matrix(h, s)
-        for _ in range(3):
-            xi = rand_vector(rng, h.dim)
-            assert sharp_s(h, s, xi) == dense_mat_vec(dense_sharp_matrix(h, s), xi)
-            assert sharp_lambda(h, lam, xi) == dense_mat_vec(dense_sharp_matrix(h, lam), xi)
-
-
-@pytest.mark.parametrize("length", [2, 4])
-def test_sharp_maps_reject_a_covector_of_the_wrong_length(length):
-    h = sl2_twisted()
-    lam, s = tensor_skew_sym_split(sl2_r())
-    xi = unit_vector(length, 0)
-    with pytest.raises(ValueError, match=rf"covector of length {length}, expected 3"):
-        sharp_lambda(h, lam, xi)
-    with pytest.raises(ValueError, match=rf"covector of length {length}, expected 3"):
-        sharp_s(h, s, xi)
+        assert_sharp_columns_match_the_dense_reference(h, s)
+        assert_sharp_columns_match_the_dense_reference(h, lam)
 
 
 # ---------------------------------------------------------------------------
 # Tensors of the wrong degree or dimension
 
 # Without a shape check these answer silently or fail deep inside: on the
-# three-dimensional twisted sl2, check_hom_ad_invariant passes a dim-5 tensor,
-# the bracket-sharp condition accepts a dim-2 S and sharp_s indexes past phi on
-# a dim-5 S.
+# three-dimensional twisted sl2, check_hom_ad_invariant passes a dim-5 tensor
+# and the bracket-sharp condition accepts a dim-2 S.
 WRONG_SHAPES = {"dim 2": (2, 2), "dim 5": (2, 5), "degree 1": (1, 3), "degree 3": (3, 3)}
 SL2_LAM, SL2_S = tensor_skew_sym_split(sl2_r())
 SL2_LINE = Subspace.span(3, [[1, 0, 0]])
-SL2_COVECTOR = unit_vector(3, 0)
 ENTRY_POINTS = {
     "check_hom_ad_invariant": lambda h, t, lam, s: check_hom_ad_invariant(h, s),
-    "sharp_lambda": lambda h, t, lam, s: sharp_lambda(h, lam, SL2_COVECTOR),
-    "sharp_s": lambda h, t, lam, s: sharp_s(h, s, SL2_COVECTOR),
-    "s_sharp_matrix": lambda h, t, lam, s: s_sharp_matrix(h, s),
     "check_quasi_triangular": lambda h, t, lam, s: check_quasi_triangular(h, t),
     "hcyb_pairing_check": lambda h, t, lam, s: hcyb_pairing_check(h, t),
     "additivity_check-skew": lambda h, t, lam, s: additivity_check(h, lam, SL2_S),
@@ -289,7 +270,7 @@ def test_skew_half_alone_fails_classically():
 
 def test_pure_skew_solution_is_skew_only():
     algebra = hyperbolic_triple().algebra
-    w = wedge(unit_vector(2, 0), unit_vector(2, 1))
+    w = SparseTensor(2, 2, {(0, 1): 1, (1, 0): -1})
     report = check_quasi_triangular(algebra, w)
     assert report.verdict == "skew-only"
     assert not report.factorizable
@@ -356,29 +337,29 @@ def test_vector_bivector_bracket_matches_leibniz_expansion_untwisted():
         for a in range(3):
             for b in range(a + 1, 3):
                 ea, eb = unit_vector(3, a), unit_vector(3, b)
-                expect = wedge(h.bracket(x, ea), eb) + wedge(ea, h.bracket(x, eb))
-                got = hom_schouten(h, vec_tensor(x), wedge(ea, eb))
+                expect = dense_wedge(h.bracket(x, ea), eb) + dense_wedge(ea, h.bracket(x, eb))
+                got = hom_schouten(h, vec_tensor(x), dense_wedge(ea, eb))
                 assert got == expect
 
 
 def test_vector_trivector_bracket_matches_leibniz_expansion_untwisted():
     h = sl2_lie()
     rng = random.Random(47)
-    top = dense_wedge_t2_v1(wedge(unit_vector(3, 0), unit_vector(3, 1)), unit_vector(3, 2))
+    top = dense_wedge_t2_v1(SparseTensor(2, 3, {(0, 1): 1, (1, 0): -1}), unit_vector(3, 2))
     basis = [unit_vector(3, i) for i in range(3)]
     for _ in range(10):
         x = rand_vector(rng, 3)
         expect = (
-            dense_wedge_t2_v1(wedge(h.bracket(x, basis[0]), basis[1]), basis[2])
-            + dense_wedge_t2_v1(wedge(basis[0], h.bracket(x, basis[1])), basis[2])
-            + dense_wedge_t2_v1(wedge(basis[0], basis[1]), h.bracket(x, basis[2]))
+            dense_wedge_t2_v1(dense_wedge(h.bracket(x, basis[0]), basis[1]), basis[2])
+            + dense_wedge_t2_v1(dense_wedge(basis[0], h.bracket(x, basis[1])), basis[2])
+            + dense_wedge_t2_v1(dense_wedge(basis[0], basis[1]), h.bracket(x, basis[2]))
         )
         assert hom_schouten(h, vec_tensor(x), top) == expect
 
 
 def test_unsupported_degree_pairs_rejected():
     h = sl2_twisted()
-    b2 = wedge(unit_vector(3, 0), unit_vector(3, 1))
+    b2 = SparseTensor(2, 3, {(0, 1): 1, (1, 0): -1})
     b3 = dense_wedge_t2_v1(b2, unit_vector(3, 2))
     for a, b in ((b2, b3), (b3, b2), (b3, b3)):
         with pytest.raises(ValueError):
@@ -389,7 +370,7 @@ def test_non_antisymmetric_inputs_rejected():
     h = sl2_twisted()
     sym = SparseTensor.from_entries(2, 3, {(0, 1): 1, (1, 0): 1})
     with pytest.raises(ValueError):
-        hom_schouten(h, sym, wedge(unit_vector(3, 0), unit_vector(3, 1)))
+        hom_schouten(h, sym, SparseTensor(2, 3, {(0, 1): 1, (1, 0): -1}))
     with pytest.raises(ValueError):
         hom_schouten(h, vec_tensor(unit_vector(3, 0)), sym)
 
@@ -529,11 +510,11 @@ def test_symmetric_part_residual_is_totally_antisymmetric_with_bracket_pairing()
         (2, 0, 1): Fraction(-1, 4),
         (2, 1, 0): Fraction(1, 4),
     }
-    sharp = s_sharp_matrix(h, s)
+    sharp = dense_sharp_matrix(h, s)
     rng = random.Random(67)
     for _ in range(30):
         xi, eta, zeta = (rand_vector(rng, 3) for _ in range(3))
-        lhs = hs.contract((xi, eta, zeta))
+        lhs = sum(v * xi[a] * eta[b] * zeta[c] for (a, b, c), v in hs.entries.items())
         rhs = dense_vec_dot(zeta, h.bracket(mat_vec(sharp, xi), mat_vec(sharp, eta)))
         assert lhs == rhs
 
@@ -654,7 +635,7 @@ def test_additivity_inapplicable_for_unfixed_sum():
     not twist-fixed, so the split law does not apply."""
     h = sl2_twisted()
     _, s = tensor_skew_sym_split(sl2_r())
-    moving = wedge(unit_vector(3, 0), unit_vector(3, 1))
+    moving = SparseTensor(2, 3, {(0, 1): 1, (1, 0): -1})
     report = additivity_check(h, moving, s)
     assert not report.applicable
     assert "twist" in report.reason
