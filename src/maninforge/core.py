@@ -122,6 +122,15 @@ def _square(m: Matrix, n: int, what: str) -> Matrix:
     return m
 
 
+def _exact(m: Matrix) -> Matrix:
+    """m itself, after checking that every entry is an int or a Fraction."""
+    for r, row in enumerate(m):
+        for c, x in enumerate(row):
+            if not _is_exact(x):
+                raise ValueError(f"matrix entry ({r}, {c}) is {x!r}, not an int or a Fraction")
+    return m
+
+
 def _sparse(v: Vector) -> dict[int, Fraction]:
     """{index: entry} over the nonzero entries of a dense vector."""
     return {i: x for i, x in enumerate(v) if x}
@@ -323,25 +332,25 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     >>> r, p
     (((Fraction(1, 1), Fraction(2, 1)),), (0,))
     """
-    n_cols = _width(m)
+    n_cols = _width(_exact(m))
     reduced = _gauss_jordan(map(_sparse, m))
     return tuple(_dense_vector(row, n_cols) for row in reduced), tuple(next(iter(row)) for row in reduced)
 
 
 def matrix_rank(m: Matrix) -> int:
-    _width(m)
+    _width(_exact(m))
     return len(_gauss_jordan(map(_sparse, m)))
 
 
 def nullspace(m: Matrix) -> list[Vector]:
     """Basis of {v : m @ v = 0}, one vector per free column (deterministic order)."""
-    n_cols = _width(m)
+    n_cols = _width(_exact(m))
     return [_dense_vector(v, n_cols) for v in _null_rows(_gauss_jordan(map(_sparse, m)), n_cols)]
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse of a square invertible matrix."""
-    n = len(_square(m, len(m), "matrix"))
+    n = len(_square(_exact(m), len(m), "matrix"))
     return tuple(_dense_vector(row, n) for row in _inverse_rows(list(map(_sparse, m)), n))
 
 
@@ -360,7 +369,7 @@ def determinant(m: Matrix) -> Fraction:
     there with `_eliminate`, which scales a row by v[p] // gcd(v[p], u[p]).
     The product of the pivots, negated once per row swap, is divided by all
     those scales."""
-    n = len(_square(m, len(m), "matrix"))
+    n = len(_square(_exact(m), len(m), "matrix"))
     rows, det, den = [], 1, 1
     for row in m:
         d, numerators = _common_denominator(row)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from helpers import (
     rand_tensor,
 )
 from maninforge.core import (
+    ONE,
     ZERO,
     Permutation,
     _apply_columns,
@@ -159,6 +161,18 @@ def test_singular_or_non_square_matrix_rejected_by_inverse():
         inverse(matrix([[1, 2], [2, 4]]))
     with pytest.raises(ValueError, match="must be 2x2"):
         inverse(matrix([[1, 0, 5], [0, 1, 7]]))
+
+
+@pytest.mark.parametrize("fn", [determinant, inverse, rref, matrix_rank, nullspace], ids=lambda fn: fn.__name__)
+def test_dense_entry_points_refuse_inexact_entries(fn):
+    """A hand-built matrix that `matrix` would refuse: a float, a string or a
+    bool entry raises a ValueError naming it, not an AttributeError deep in
+    the elimination (or, for a float, an inexact answer)."""
+    for bad in (1.5, "1/2", True):
+        m = ((ONE, ZERO), (ZERO, bad))
+        with pytest.raises(ValueError, match=rf"matrix entry \(1, 1\) is {re.escape(repr(bad))}, not an int or a Fraction"):
+            fn(m)
+    assert fn(((1, 0), (Fraction(1, 2), 2))) == fn(matrix([[1, 0], ["1/2", 2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +315,22 @@ def test_span_is_canonical():
     assert a.rows == b.rows
 
 
-def test_membership():
+def test_membership_and_containment():
+    """Containment a >= b is subspace_sum(a, b) == a."""
     q = Subspace.span(3, [[1, 0, 1]])
     assert q.contains((Fraction(2), Fraction(0), Fraction(2)))
     assert not q.contains((Fraction(1), Fraction(0), Fraction(0)))
+
+    def contains(a: Subspace, b: Subspace) -> bool:
+        return subspace_equal(subspace_sum(a, b), a)
+
+    assert contains(Subspace.full(3), q)
+    assert not contains(q, Subspace.full(3))
+    assert contains(q, Subspace.zero(3))
+    assert contains(q, Subspace.span(3, [[-3, 0, -3]]))
+    assert not contains(Subspace.span(3, [[1, 0, 1], [0, 1, 0]]), Subspace.span(3, [[1, 1, 0]]))
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        contains(Subspace.full(2), Subspace.zero(3))
 
 
 def test_subspace_sum_dims():

@@ -158,7 +158,7 @@ def test_sharp_of_skew_part_values():
     assert_sharp_columns_match_the_dense_reference(h, lam)
 
 
-def test_symmetric_sharp_rejects_a_non_symmetric_tensor():
+def test_sharp_maps_validate_symmetry_class():
     h = sl2_twisted()
     lam, s = tensor_skew_sym_split(sl2_r())
     with pytest.raises(ValueError, match="needs a symmetric tensor"):
@@ -187,6 +187,7 @@ SL2_LAM, SL2_S = tensor_skew_sym_split(sl2_r())
 SL2_LINE = Subspace.span(3, [[1, 0, 0]])
 ENTRY_POINTS = {
     "check_hom_ad_invariant": lambda h, t, lam, s: check_hom_ad_invariant(h, s),
+    "_s_sharp_columns": lambda h, t, lam, s: rmatrix._s_sharp_columns(h, s),
     "check_quasi_triangular": lambda h, t, lam, s: check_quasi_triangular(h, t),
     "hcyb_pairing_check": lambda h, t, lam, s: hcyb_pairing_check(h, t),
     "additivity_check-skew": lambda h, t, lam, s: additivity_check(h, lam, SL2_S),
