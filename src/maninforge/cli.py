@@ -73,13 +73,14 @@ class _Inputs:
         for doc in self._documents(path):
             if doc[0] == header_kind and not doc[2]:
                 doc[2] = True
-                if kind == "triple":
-                    return fileio.parse_triple(doc[1])
-                if kind == "algebra":
-                    return fileio.parse_algebra(doc[1])
-                if kind == "tensor":
-                    return fileio.parse_tensor(doc[1])
-                return fileio.parse_subspace(doc[1])
+                # Read per call, so that a rebound fileio parser is the one called.
+                parsers = {
+                    "triple": fileio.parse_triple,
+                    "algebra": fileio.parse_algebra,
+                    "tensor": fileio.parse_tensor,
+                    "subspace": fileio.parse_subspace,
+                }
+                return parsers[kind](doc[1])
         raise CliError(f"no {kind} document found in {path}")
 
 
@@ -90,37 +91,35 @@ def _status(ok: bool) -> str:
     return text
 
 
-def _emit_json(command: str, verdict: str, failures: list[dict], started: float, result: str | None = None) -> None:
-    payload: dict = {
-        "command": command,
-        "verdict": verdict,
-        "failures": failures,
-        "timing": round(time.perf_counter() - started, 6),
-    }
-    if result is not None:
-        payload["result"] = result
-    print(json.dumps(payload))
-
-
-def _print_report(report: CheckReport, stream=None) -> None:
-    stream = stream or sys.stdout
-    print(f"{report.name}: {_status(report.passed)}", file=stream)
-    if not report.applicable:
-        print(f"  inapplicable: {report.reason}", file=stream)
-    for f in report.failures:
-        where = f" at {f.index}" if f.index is not None else ""
-        extra = f": {f.residual}" if f.residual is not None else ""
-        print(f"  {f.check}{where}{extra}", file=stream)
-
-
-def _report_exit(args, command: str, report: CheckReport, started: float, result: str | None = None) -> int:
+def _finish(
+    args, command: str, started: float, result: str | None = None, report: CheckReport | None = None, stream=None
+) -> int:
+    """Print a subcommand's outcome and return its exit code, 0 unless the
+    report fails.  With --json: one JSON payload on stdout, with the report's
+    verdict and failures ("pass" and none without a report) and the result.
+    Otherwise: the result on stdout, then the report on `stream` if given."""
     if args.json:
-        _emit_json(command, report.verdict, report.to_json()["failures"], started, result)
+        payload: dict = {
+            "command": command,
+            "verdict": "pass" if report is None else report.verdict,
+            "failures": [] if report is None else report.to_json()["failures"],
+            "timing": round(time.perf_counter() - started, 6),
+        }
+        if result is not None:
+            payload["result"] = result
+        print(json.dumps(payload))
     else:
         if result is not None:
             sys.stdout.write(result)
-        _print_report(report)
-    return 0 if report.passed else 1
+        if report is not None and stream is not None:
+            print(f"{report.name}: {_status(report.passed)}", file=stream)
+            if not report.applicable:
+                print(f"  inapplicable: {report.reason}", file=stream)
+            for f in report.failures:
+                where = f" at {f.index}" if f.index is not None else ""
+                extra = f": {f.residual}" if f.residual is not None else ""
+                print(f"  {f.check}{where}{extra}", file=stream)
+    return 0 if report is None or report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +128,7 @@ def _report_exit(args, command: str, report: CheckReport, started: float, result
 
 def _cmd_verify(args, inputs: _Inputs, started: float) -> int:
     triple = inputs.take(args.file, "triple")
-    return _report_exit(args, "verify manin", check_manin_triple(triple), started)
+    return _finish(args, "verify manin", started, report=check_manin_triple(triple), stream=sys.stdout)
 
 
 def _cmd_polyuble(args, inputs: _Inputs, started: float) -> int:
@@ -138,19 +137,8 @@ def _cmd_polyuble(args, inputs: _Inputs, started: float) -> int:
         raise CliError("-n must be at least 1")
     built = nuble(triple, args.n)
     text = fileio.format_triple(built)
-    if not args.check:
-        if args.json:
-            _emit_json("polyuble", "pass", [], started, text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    report = check_manin_triple(built)
-    if args.json:
-        _emit_json("polyuble", report.verdict, report.to_json()["failures"], started, text)
-    else:
-        sys.stdout.write(text)
-        _print_report(report, sys.stderr)
-    return 0 if report.passed else 1
+    report = check_manin_triple(built) if args.check else None
+    return _finish(args, "polyuble", started, text, report, sys.stderr)
 
 
 def _cmd_snake(args, inputs: _Inputs, started: float) -> int:
@@ -165,15 +153,10 @@ def _cmd_snake(args, inputs: _Inputs, started: float) -> int:
         else:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(dot_text)
-    if args.verify is None:
-        if args.json:
-            _emit_json("snake", "pass", [], started, perm_text)
-        else:
-            sys.stdout.write(perm_text)
-        return 0
-    triple = inputs.take(args.verify, "triple")
-    report = verify_snake_iso(triple, args.m, args.n)
-    return _report_exit(args, "snake", report, started, perm_text)
+    report = None
+    if args.verify is not None:
+        report = verify_snake_iso(inputs.take(args.verify, "triple"), args.m, args.n)
+    return _finish(args, "snake", started, perm_text, report, sys.stdout)
 
 
 def _cmd_hcybe(args, inputs: _Inputs, started: float) -> int:
@@ -189,7 +172,6 @@ def _cmd_hcybe(args, inputs: _Inputs, started: float) -> int:
     else:
         verdict = check_quasi_triangular(algebra, r)
         residual = verdict.hcyb_residual
-        ok = verdict.verdict != "fails"
         lines = [
             f"phi_fixed: {str(verdict.phi_fixed).lower()}",
             f"s_invariant: {str(verdict.s_invariant).lower()}",
@@ -204,12 +186,7 @@ def _cmd_hcybe(args, inputs: _Inputs, started: float) -> int:
         if not residual.is_zero:
             failures.append(failure("residual", None, residual))
     result = fileio.format_tensor(residual) + "\n".join(lines) + "\n"
-    if args.json:
-        report = CheckReport("hcybe", failures)
-        _emit_json("hcybe", "pass" if ok else "fail", report.to_json()["failures"], started, result)
-    else:
-        sys.stdout.write(result)
-    return 0 if ok else 1
+    return _finish(args, "hcybe", started, result, CheckReport("hcybe", failures))
 
 
 def _cmd_stabilizer(args, inputs: _Inputs, started: float) -> int:
@@ -235,12 +212,9 @@ def _cmd_stabilizer(args, inputs: _Inputs, started: float) -> int:
         "stabilizer", [failure(name) for name, ok in outcomes if not ok]
     )
     result = "".join(f"{name}: {str(ok).lower()}\n" for name, ok in outcomes)
-    if args.json:
-        _emit_json("stabilizer", report.verdict, report.to_json()["failures"], started, result)
-    else:
-        sys.stdout.write(result)
-        print(f"stabilizer: {_status(report.passed)}")
-    return 0 if report.passed else 1
+    if not args.json:
+        result += f"stabilizer: {_status(report.passed)}\n"
+    return _finish(args, "stabilizer", started, result, report)
 
 
 def _parse_weyl_word(k: int, text: str) -> WeylElement:
@@ -279,11 +253,7 @@ def _cmd_leafmap(args, inputs: _Inputs, started: float) -> int:
         "words: " + " ".join(_render_weyl(e) for e in image.u) + "\n"
         "w: " + _render_weyl(image.w) + "\n"
     )
-    if args.json:
-        _emit_json("leafmap", "pass", [], started, result)
-    else:
-        sys.stdout.write(result)
-    return 0
+    return _finish(args, "leafmap", started, result)
 
 
 def _matrix_block_text(g: GroupElement) -> str:
@@ -326,11 +296,7 @@ def _cmd_psi(args, inputs: _Inputs, started: float) -> int:
     pairs = psi_map(args.n, gs)
     stages = psi_stages(args.n, gs) if args.stages else None
     result = _psi_output(pairs, stages)
-    if args.json:
-        _emit_json("psi", "pass", [], started, result)
-    else:
-        sys.stdout.write(result)
-    return 0
+    return _finish(args, "psi", started, result)
 
 
 def _example_text(name: str) -> str:
@@ -349,11 +315,7 @@ def _example_text(name: str) -> str:
 
 def _cmd_examples(args, inputs: _Inputs, started: float) -> int:
     text = _example_text(args.name)
-    if args.json:
-        _emit_json("examples", "pass", [], started, text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _finish(args, "examples", started, text)
 
 
 # ---------------------------------------------------------------------------

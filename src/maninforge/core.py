@@ -19,6 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 Rational = Fraction
@@ -42,6 +43,21 @@ def rational(x: int | str | Fraction) -> Fraction:
 def _is_exact(x: object) -> bool:
     """True for an int or a Fraction (not a bool), the scalars stored entries hold."""
     return type(x) is int or type(x) is Fraction
+
+
+def _dimension(n: object, what: str) -> int:
+    """n itself, after checking that it is a non-negative int (not a bool)."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} must be a non-negative int, got {n!r}")
+    return n
+
+
+def _exact_vector(v: Vector, what: str) -> Vector:
+    """v itself, after checking that every entry is an int or a Fraction."""
+    for i, x in enumerate(v):
+        if not _is_exact(x):
+            raise ValueError(f"{what} entry {i} is {x!r}, not an int or a Fraction")
+    return v
 
 
 def _common_denominator(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
@@ -74,6 +90,8 @@ def vector(entries: Iterable[int | str | Fraction]) -> Vector:
 
 def unit_vector(n: int, i: int) -> Vector:
     """Standard basis vector e_i (0-based) in dimension n."""
+    if type(i) is not int or not 0 <= i < _dimension(n, "dimension"):
+        raise ValueError(f"index {i!r} outside range({n})")
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
@@ -87,7 +105,7 @@ def matrix(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(unit_vector(n, i) for i in range(n))
+    return tuple(unit_vector(n, i) for i in range(_dimension(n, "dimension")))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -96,9 +114,9 @@ def transpose(m: Matrix) -> Matrix:
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     """Matrix times column vector, summing over the nonzero entries of v only."""
-    terms = [(j, x) for j, x in enumerate(v) if x]
+    terms = [(j, x) for j, x in enumerate(_exact_vector(v, "vector")) if x]
     out = []
-    for row in m:
+    for row in _exact(m):
         if len(row) != len(v):
             raise ValueError(f"matrix row of length {len(row)} times a vector of length {len(v)}")
         out.append(sum((row[j] * x for j, x in terms if row[j]), ZERO))
@@ -123,11 +141,12 @@ def _square(m: Matrix, n: int, what: str) -> Matrix:
 
 
 def _exact(m: Matrix) -> Matrix:
-    """m itself, after checking that every entry is an int or a Fraction."""
-    for r, row in enumerate(m):
-        for c, x in enumerate(row):
-            if not _is_exact(x):
-                raise ValueError(f"matrix entry ({r}, {c}) is {x!r}, not an int or a Fraction")
+    """m itself, after checking that every entry is an int or a Fraction; the
+    types are collected in one pass, and the first bad entry is sought only
+    when there is one."""
+    if not set(map(type, chain.from_iterable(m))) <= {int, Fraction}:
+        r, c, x = next((r, c, x) for r, row in enumerate(m) for c, x in enumerate(row) if not _is_exact(x))
+        raise ValueError(f"matrix entry ({r}, {c}) is {x!r}, not an int or a Fraction")
     return m
 
 
@@ -210,8 +229,8 @@ def _transpose_sparse(vectors: Sequence[Mapping[int, Fraction]], n: int) -> list
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product, skipping zero entries (block/permutation matrices are common)."""
-    cols_b = _width(b)
-    if any(len(row) != len(b) for row in a):
+    cols_b = _width(_exact(b))
+    if any(len(row) != len(b) for row in _exact(a)):
         lengths = sorted({len(row) for row in a})
         raise ValueError(f"left factor must have {len(b)} columns, got rows of lengths {lengths}")
     out = [[ZERO] * cols_b for _ in a]
@@ -412,8 +431,7 @@ class SparseTensor:
     def __post_init__(self) -> None:
         if self.degree not in (1, 2, 3):
             raise ValueError(f"unsupported tensor degree {self.degree}")
-        if type(self.dim) is not int or self.dim < 0:
-            raise ValueError(f"tensor dimension must be a non-negative int, got {self.dim!r}")
+        _dimension(self.dim, "tensor dimension")
         for idx, value in list(self.entries.items()):
             if not all(type(i) is int for i in idx):
                 raise ValueError(f"index {idx!r} holds an entry that is not an int")
@@ -499,8 +517,8 @@ class SparseTensor:
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> SparseTensor:
-        dim = len(m)
-        return cls(2, dim, {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v != 0})
+        rows = enumerate(_square(m, len(m), "matrix"))
+        return cls(2, len(m), {(i, j): v for i, row in rows for j, v in enumerate(row) if v != 0})
 
     def _check_compatible(self, other: SparseTensor) -> None:
         if (self.degree, self.dim) != (other.degree, other.dim):
@@ -590,9 +608,7 @@ class Subspace:
     echelon: tuple[dict[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        n, rows = self.ambient_dim, tuple(self.echelon)
-        if type(n) is not int or n < 0:
-            raise ValueError(f"ambient dimension must be a non-negative int, got {n!r}")
+        n, rows = _dimension(self.ambient_dim, "ambient dimension"), tuple(self.echelon)
         last, earlier = -1, set()  # the last pivot, and the columns of the rows so far
         for r, row in enumerate(rows):
             if not isinstance(row, Mapping) or not row:
@@ -709,7 +725,7 @@ def annihilator(space: Subspace) -> Subspace:
 
 def map_subspace(m: Matrix, space: Subspace) -> Subspace:
     """Image of a subspace under the linear map with matrix m (columns index the source)."""
-    if any(len(row) != space.ambient_dim for row in m):
+    if any(len(row) != space.ambient_dim for row in _exact(m)):
         raise ValueError(f"map must have {space.ambient_dim} columns, one per source coordinate")
     return _column_image(sparse_columns(m) if m else [{}] * space.ambient_dim, len(m), space)
 

@@ -16,23 +16,27 @@ from .core import Matrix, ONE, Permutation, ZERO, determinant, inverse, mat_mul,
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Element of the symmetric group on `rank + 1` letters, one per k x k
-    matrix group."""
+    """Element of the symmetric group on the letters 1..k, one per k x k
+    matrix group; k and the rank k - 1 are read from the permutation."""
 
-    rank: int  # number of simple reflections; letters are 1..rank+1
     perm: Permutation
 
     @property
     def letters(self) -> int:
-        return self.rank + 1
+        return self.perm.n
+
+    @property
+    def rank(self) -> int:
+        """The number of simple reflections."""
+        return self.perm.n - 1
 
     def __mul__(self, other: WeylElement) -> WeylElement:
-        if self.rank != other.rank:
+        if self.letters != other.letters:
             raise ValueError("rank mismatch")
-        return WeylElement(self.rank, self.perm.compose(other.perm))
+        return WeylElement(self.perm.compose(other.perm))
 
     def inv(self) -> WeylElement:
-        return WeylElement(self.rank, self.perm.inverse())
+        return WeylElement(self.perm.inverse())
 
     def apply(self, letter: int) -> int:
         """Image of a 1-based letter."""
@@ -45,7 +49,7 @@ class WeylElement:
 
 def weyl_identity(k: int) -> WeylElement:
     """Identity of the symmetric group on k letters."""
-    return WeylElement(k - 1, Permutation.identity(k))
+    return WeylElement(Permutation.identity(k))
 
 
 def weyl_simple(k: int, i: int) -> WeylElement:
@@ -54,12 +58,12 @@ def weyl_simple(k: int, i: int) -> WeylElement:
         raise ValueError(f"simple reflection index must be in 1..{k - 1}")
     images = list(range(k))
     images[i - 1], images[i] = images[i], images[i - 1]
-    return WeylElement(k - 1, Permutation(tuple(images)))
+    return WeylElement(Permutation(tuple(images)))
 
 
 def weyl_longest(k: int) -> WeylElement:
     """Longest element: letter i goes to k + 1 - i."""
-    return WeylElement(k - 1, Permutation(tuple(k - 1 - i for i in range(k))))
+    return WeylElement(Permutation(tuple(k - 1 - i for i in range(k))))
 
 
 def weyl_from_word(k: int, word: tuple[int, ...]) -> WeylElement:
@@ -73,7 +77,7 @@ def weyl_from_word(k: int, word: tuple[int, ...]) -> WeylElement:
 def all_weyl_elements(k: int) -> tuple[WeylElement, ...]:
     """Every element of the symmetric group on k letters, in lexicographic order."""
     return tuple(
-        WeylElement(k - 1, Permutation(images))
+        WeylElement(Permutation(images))
         for images in itertools.permutations(range(k))
     )
 

@@ -11,13 +11,16 @@ from .core import (
     Matrix,
     ONE,
     SparseTensor,
+    Subspace,
     Vector,
     ZERO,
     _apply_columns,
     _columns_shape_error,
     _common_denominator,
     _dense_vector,
+    _dimension,
     _gauss_jordan,
+    _images_outside,
     _is_exact,
     _null_rows,
     _numerators,
@@ -106,6 +109,7 @@ class HomLieAlgebra:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        _dimension(self.dim, "dim")
         _check_bracket_table(self.dim, self.brackets)
         self.phi_columns = tuple(self.phi_columns)
         self.form_rows = None if self.form_rows is None else tuple(self.form_rows)
@@ -180,9 +184,8 @@ class HomLieAlgebra:
     ) -> HomLieAlgebra:
         """Build without validity checks, for negative tests and for constructions
         whose validity a separate certifier re-establishes.  Shapes are still
-        checked: dim >= 0, and phi and the form (when given) dim x dim."""
-        if dim < 0:
-            raise ValueError(f"dim must be non-negative, got {dim}")
+        checked: dim a non-negative int, and phi and the form (when given) dim x dim."""
+        _dimension(dim, "dim")
         phi_columns = _unit_columns(dim) if phi is None else sparse_columns(_square(matrix(phi), dim, "phi"))
         form_rows = None if form is None else tuple(map(_sparse, _square(matrix(form), dim, "form")))
         return cls(dim, _normalize_brackets(dim, brackets), phi_columns, form_rows, name)
@@ -255,6 +258,18 @@ def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) 
                         _accumulate(w, k, scale * c)
     den = den_v * den_v * den_c
     return {index: {k: Fraction(n, den) for k, n in w.items()} for index, w in out.items() if w}
+
+
+def _brackets_outside(h: HomLieAlgebra, rows: Sequence[Mapping], q: Subspace) -> list[tuple[tuple[int, int], dict]]:
+    """((a, b), [row_a, row_b]) for each bracket of two of the sparse rows,
+    a < b, that does not lie in q: the one bracket-closure test of a subspace."""
+    return [(index, w) for index, w in _pair_brackets(h, rows).items() if not q.contains_sparse(w)]
+
+
+def _twist_outside(h: HomLieAlgebra, q: Subspace) -> list[tuple[int, dict]]:
+    """(a, phi(row_a)) for each canonical row a of q that the twist moves out of
+    q.  The identity twist keeps every subspace with nothing to compute: Id(w) = w."""
+    return [] if h.untwisted else _images_outside(h.phi_columns, q, q)
 
 
 def _pairings(
@@ -508,6 +523,7 @@ class LinearRep:
         alpha: Sequence[Sequence[int | str | Fraction]] | None = None,
     ) -> LinearRep:
         """Build with shape checks: every rho matrix and alpha are target_dim x target_dim."""
+        _dimension(target_dim, "target_dim")
         rho_matrices = tuple(_square(matrix(m), target_dim, f"rho[{i}]") for i, m in enumerate(rho))
         if alpha is None:
             alpha_matrix = identity_matrix(target_dim)

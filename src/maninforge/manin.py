@@ -17,14 +17,10 @@ from .core import (
     _apply_columns,
     _column_image,
     _columns_shape_error,
-    _images_outside,
     _inverse_rows,
     _span,
     _unit_columns,
-    mat_mul,
     mat_vec,
-    matrix,
-    rref,
     subspace_equal,
     subspace_sum,
 )
@@ -38,11 +34,12 @@ from .homlie import (
     negate_form,
     _accumulate,
     _ad_basis,
+    _brackets_outside,
     _dense,
     _intertwining_failures,
-    _pair_brackets,
     _pairings,
     _require_tensor,
+    _twist_outside,
 )
 from .reporting import CheckReport, combine, failure
 
@@ -94,19 +91,17 @@ def _form_rows(t: ManinTriple) -> tuple[dict[int, Fraction], ...]:
 
 
 def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
-    """Isotropy, bracket closure, and twist stability of one half; the pairings
-    and brackets of its basis rows come from `_pairings` and `_pair_brackets`,
-    and the rows the twist moves out of the half from `_images_outside`.  The
-    identity twist keeps every half with nothing to compute: Id(w) = w."""
+    """Isotropy, bracket closure, and twist stability of one half: the pairings
+    of its basis rows come from `_pairings`, the brackets and twisted rows that
+    leave the half from `_brackets_outside` and `_twist_outside`."""
     failures = []
     h = t.algebra
     for (a, b), value in _pairings(_form_rows(t), part.echelon).items():
         if a <= b:
             failures.append(failure("isotropic", (a, b), value))
-    for index, w in _pair_brackets(h, part.echelon).items():
-        if not part.contains_sparse(w):
-            failures.append(failure("subalgebra", index, _dense(h, w)))
-    for a, image in [] if h.untwisted else _images_outside(h.phi_columns, part, part):
+    for index, w in _brackets_outside(h, part.echelon, part):
+        failures.append(failure("subalgebra", index, _dense(h, w)))
+    for a, image in _twist_outside(h, part):
         failures.append(failure("twist_stable", (a,), _dense(h, image)))
     return CheckReport(label, failures)
 
@@ -290,51 +285,49 @@ def special_linear_data(k: int) -> RootData:
     Basis order: Cartan elements H_i = E_ii - E_(i+1)(i+1), then negative root
     vectors -E_ji, then positive root vectors E_ij (positive roots i < j in
     lexicographic order), so each matched pair satisfies [E_-a, E_a] = H_a.
+
+    Lemma (matrix units).  E_ab E_cd = [b = c] E_ad.  So the commutator of two
+    basis matrices, each a sum of at most two units, and the trace form
+    tr(E_ab E_cd) = [b = c][a = d] are read off unit by unit.  The commutator's
+    coordinates are its entries: an off-diagonal unit E_ij (i < j) is the
+    root vector at its index, E_ji is minus the root vector -E_ji, and a
+    traceless diagonal sum_r d_r E_rr equals sum_i (d_0 + ... + d_i) H_i, whose
+    entry at r is the difference of consecutive partial sums, d_r, and at
+    r = k-1 is -(d_0 + ... + d_(k-2)) = d_(k-1).
     """
     if type(k) is not int or k < 2:
         raise ValueError(f"k must be an int of at least 2, got {k!r}")
     roots = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    basis_mats: list[list[list[Fraction]]] = []
-    for i in range(k - 1):
-        m = [[ZERO] * k for _ in range(k)]
-        m[i][i] = ONE
-        m[i + 1][i + 1] = -ONE
-        basis_mats.append(m)
-    for (i, j) in roots:
-        m = [[ZERO] * k for _ in range(k)]
-        m[j][i] = -ONE
-        basis_mats.append(m)
-    for (i, j) in roots:
-        m = [[ZERO] * k for _ in range(k)]
-        m[i][j] = ONE
-        basis_mats.append(m)
-    dim = len(basis_mats)
-    flat = matrix([[m[r][c] for m in basis_mats] for r in range(k) for c in range(k)])
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    n_roots = len(roots)
+    units = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(k - 1)]  # basis matrices as {(row, column): entry}
+    units += [{(j, i): -1} for i, j in roots] + [{(i, j): 1} for i, j in roots]
+    dim = len(units)
+    root_index = {}  # off-diagonal unit -> (its root vector's index, the sign of the unit in it)
+    for n, (i, j) in enumerate(roots):
+        root_index[j, i], root_index[i, j] = (k - 1 + n, -1), (k - 1 + n_roots + n, 1)
+    brackets: dict[tuple[int, int], dict[int, int]] = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            forward = mat_mul(basis_mats[a], basis_mats[b])
-            backward = mat_mul(basis_mats[b], basis_mats[a])
-            target = tuple(forward[r][c] - backward[r][c] for r in range(k) for c in range(k))
-            augmented = tuple(row + (t,) for row, t in zip(flat, target))
-            reduced, pivots = rref(augmented)
-            coords = [ZERO] * dim
-            for row, piv in zip(reduced, pivots):
-                if piv == dim:
-                    raise AssertionError("commutator escaped the span")
-                coords[piv] = row[dim]
-            entry = {c: v for c, v in enumerate(coords) if v != 0}
-            if entry:
-                brackets[(a, b)] = entry
-    trace_form = tuple(
-        tuple(
-            sum((basis_mats[a][r][c] * basis_mats[b][c][r] for r in range(k) for c in range(k)), ZERO)
-            for b in range(dim)
-        )
-        for a in range(dim)
-    )
+            commutator: dict[tuple[int, int], int] = {}
+            for (r, s), x in units[a].items():
+                for (t, u), y in units[b].items():
+                    if s == t:
+                        commutator[r, u] = commutator.get((r, u), 0) + x * y
+                    if u == r:
+                        commutator[t, s] = commutator.get((t, s), 0) - x * y
+            coords, partial = {}, 0
+            for i in range(k - 1):
+                partial += commutator.get((i, i), 0)
+                if partial:
+                    coords[i] = partial
+            for unit, v in commutator.items():
+                if v and unit in root_index:
+                    index, sign = root_index[unit]
+                    coords[index] = sign * v
+            if coords:
+                brackets[a, b] = dict(sorted(coords.items()))
+    trace_form = [[sum(x * y.get((s, r), 0) for (r, s), x in u.items()) for y in units] for u in units]
     algebra = HomLieAlgebra.create(dim, brackets, form=trace_form, name=f"sl{k}")
-    n_roots = len(roots)
     return RootData(
         rank=k,
         algebra=algebra,

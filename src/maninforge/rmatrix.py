@@ -294,24 +294,19 @@ def additivity_check(h: HomLieAlgebra, lam: SparseTensor, s: SparseTensor) -> Ch
 # The worked three-dimensional example
 
 
+# [e1,e2] = -2e2, [e1,e3] = 2e3, [e2,e3] = e1: the bracket of both sl2 examples.
+_SL2_BRACKETS = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}}
+
+
 def sl2_twisted() -> HomLieAlgebra:
     """Three-dimensional simple algebra [e1,e2]=-2e2, [e1,e3]=2e3, [e2,e3]=e1
     with the involutive twist diag(1, -1, -1)."""
-    return HomLieAlgebra.create(
-        3,
-        {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}},
-        phi=[[1, 0, 0], [0, -1, 0], [0, 0, -1]],
-        name="sl2-twisted",
-    )
+    return HomLieAlgebra.create(3, _SL2_BRACKETS, phi=[[1, 0, 0], [0, -1, 0], [0, 0, -1]], name="sl2-twisted")
 
 
 def sl2_lie() -> HomLieAlgebra:
     """The same bracket with the identity twist (the untwisted case)."""
-    return HomLieAlgebra.create(
-        3,
-        {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}},
-        name="sl2",
-    )
+    return HomLieAlgebra.create(3, _SL2_BRACKETS, name="sl2")
 
 
 def sl2_r() -> SparseTensor:

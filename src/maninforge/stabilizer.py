@@ -13,6 +13,7 @@ from .core import (
     Subspace,
     Vector,
     _apply_columns,
+    _exact_vector,
     _images_outside,
     _null_space,
     _orthogonal_complement,
@@ -23,7 +24,7 @@ from .core import (
     matrix,
     sparse_columns,
 )
-from .homlie import HomLieAlgebra, LinearRep, _pair_brackets
+from .homlie import HomLieAlgebra, LinearRep, _brackets_outside, _twist_outside
 from .manin import ManinTriple, _form_rows
 from .rmatrix import _s_sharp_columns
 from .reporting import CheckReport, failure
@@ -31,7 +32,7 @@ from .reporting import CheckReport, failure
 
 def stabilizer_at(rep: LinearRep, point: Vector) -> Subspace:
     """Subalgebra of algebra elements whose action kills the point."""
-    if len(point) != rep.target_dim:
+    if len(_exact_vector(point, "point")) != rep.target_dim:
         raise ValueError("point dimension mismatch")
     columns = [mat_vec(m, point) for m in rep.rho]
     rows = [{i: col[r] for i, col in enumerate(columns) if col[r]} for r in range(rep.target_dim)]
@@ -43,15 +44,10 @@ def _require_ambient(q: Subspace, dim: int) -> None:
         raise ValueError(f"subspace has ambient dimension {q.ambient_dim}, expected {dim}")
 
 
-def _brackets_in(h: HomLieAlgebra, rows: Sequence[Mapping], q: Subspace) -> bool:
-    """Every bracket of two of the sparse rows lies in q."""
-    return all(q.contains_sparse(w) for w in _pair_brackets(h, rows).values())
-
-
 def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
     """Closure of a subspace under the bracket."""
     _require_ambient(q, h.dim)
-    return _brackets_in(h, q.echelon, q)
+    return not _brackets_outside(h, q.echelon, q)
 
 
 def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
@@ -61,15 +57,15 @@ def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
 
 
 def _twist_stable(h: HomLieAlgebra, q: Subspace) -> bool:
-    """Stability of a subspace under the algebra's twist, read from its columns."""
+    """Stability of a subspace under the algebra's twist."""
     _require_ambient(q, h.dim)
-    return not _images_outside(h.phi_columns, q, q)
+    return not _twist_outside(h, q)
 
 
 def _coisotropic(h: HomLieAlgebra, q: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> bool:
     """[c, c] inside q, with c the complement of q under the form with sparse rows form_rows."""
     _require_ambient(q, h.dim)
-    return _brackets_in(h, _orthogonal_complement(q, form_rows).echelon, q)
+    return not _brackets_outside(h, _orthogonal_complement(q, form_rows).echelon, q)
 
 
 def check_coisotropy(t: ManinTriple, q: Subspace) -> bool:
@@ -97,7 +93,7 @@ def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace
     land in q."""
     _require_ambient(q, h.dim)
     cols = _s_sharp_columns(h, s)
-    return _brackets_in(h, [_apply_columns(cols, xi) for xi in annihilator(q).echelon], q)
+    return not _brackets_outside(h, [_apply_columns(cols, xi) for xi in annihilator(q).echelon], q)
 
 
 def stabilizer_report(

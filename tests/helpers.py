@@ -21,13 +21,14 @@ from maninforge.core import (
     mat_vec,
     matrix,
     nullspace,
+    rref,
     sparse_columns,
     transpose,
     unit_vector,
     wedge3_basis,
 )
 from maninforge.homlie import HomLieAlgebra, _by_slot, _dense, _phi_fixed, _residual, check_involutive
-from maninforge.manin import DualBasisPair, ManinTriple
+from maninforge.manin import DualBasisPair, ManinTriple, RootData
 from maninforge.reporting import CheckReport, failure
 from maninforge.rmatrix import RMatrixReport, check_hom_ad_invariant
 
@@ -921,3 +922,66 @@ def dense_r_from_splitting(t: ManinTriple) -> SparseTensor:
             for b in range(t.dim):
                 out.add_into((a, b), xi[a] * x[b])
     return out
+
+
+def dense_special_linear_data(k: int) -> RootData:
+    """Frozen reference for `special_linear_data`: each commutator of basis
+    matrices solved for its coordinates by a dense row reduction.
+
+    Trace-form data of the rank k-1 special linear algebra, for an int k >= 2.
+
+    Basis order: Cartan elements H_i = E_ii - E_(i+1)(i+1), then negative root
+    vectors -E_ji, then positive root vectors E_ij (positive roots i < j in
+    lexicographic order), so each matched pair satisfies [E_-a, E_a] = H_a.
+    """
+    if type(k) is not int or k < 2:
+        raise ValueError(f"k must be an int of at least 2, got {k!r}")
+    roots = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    basis_mats: list[list[list[Fraction]]] = []
+    for i in range(k - 1):
+        m = [[ZERO] * k for _ in range(k)]
+        m[i][i] = ONE
+        m[i + 1][i + 1] = -ONE
+        basis_mats.append(m)
+    for (i, j) in roots:
+        m = [[ZERO] * k for _ in range(k)]
+        m[j][i] = -ONE
+        basis_mats.append(m)
+    for (i, j) in roots:
+        m = [[ZERO] * k for _ in range(k)]
+        m[i][j] = ONE
+        basis_mats.append(m)
+    dim = len(basis_mats)
+    flat = matrix([[m[r][c] for m in basis_mats] for r in range(k) for c in range(k)])
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            forward = mat_mul(basis_mats[a], basis_mats[b])
+            backward = mat_mul(basis_mats[b], basis_mats[a])
+            target = tuple(forward[r][c] - backward[r][c] for r in range(k) for c in range(k))
+            augmented = tuple(row + (t,) for row, t in zip(flat, target))
+            reduced, pivots = rref(augmented)
+            coords = [ZERO] * dim
+            for row, piv in zip(reduced, pivots):
+                if piv == dim:
+                    raise AssertionError("commutator escaped the span")
+                coords[piv] = row[dim]
+            entry = {c: v for c, v in enumerate(coords) if v != 0}
+            if entry:
+                brackets[(a, b)] = entry
+    trace_form = tuple(
+        tuple(
+            sum((basis_mats[a][r][c] * basis_mats[b][c][r] for r in range(k) for c in range(k)), ZERO)
+            for b in range(dim)
+        )
+        for a in range(dim)
+    )
+    algebra = HomLieAlgebra.create(dim, brackets, form=trace_form, name=f"sl{k}")
+    n_roots = len(roots)
+    return RootData(
+        rank=k,
+        algebra=algebra,
+        cartan=tuple(range(k - 1)),
+        negatives=tuple(range(k - 1, k - 1 + n_roots)),
+        positives=tuple(range(k - 1 + n_roots, dim)),
+    )

@@ -175,6 +175,44 @@ def test_dense_entry_points_refuse_inexact_entries(fn):
     assert fn(((1, 0), (Fraction(1, 2), 2))) == fn(matrix([[1, 0], ["1/2", 2]]))
 
 
+def test_products_and_images_refuse_inexact_entries():
+    """A float used to come back as a float from mat_vec and mat_mul, and made
+    map_subspace raise an AttributeError."""
+    bad = ((1.5, 0), (0, 1))
+    message = r"matrix entry \(0, 0\) is 1.5, not an int or a Fraction"
+    with pytest.raises(ValueError, match=message):
+        map_subspace(bad, Subspace.span(2, [[1, 0]]))
+    with pytest.raises(ValueError, match=message):
+        mat_vec(bad, (ONE, ZERO))
+    with pytest.raises(ValueError, match="vector entry 1 is '1', not an int or a Fraction"):
+        mat_vec(identity_matrix(2), (ONE, "1"))
+    for left, right in ((bad, identity_matrix(2)), (identity_matrix(2), bad)):
+        with pytest.raises(ValueError, match=message):
+            mat_mul(left, right)
+    assert mat_vec(((1, 2),), (Fraction(1, 2), 1)) == (Fraction(5, 2),)
+
+
+def test_tensor_from_a_ragged_matrix_is_refused():
+    with pytest.raises(ValueError, match=r"matrix must be 2x2, got 2 rows of lengths \[1, 2\]"):
+        SparseTensor.from_matrix(((1, 0), (0,)))
+    assert SparseTensor.from_matrix(((0, 2), (0, 0))).entries == {(0, 1): 2}
+
+
+@pytest.mark.parametrize("n, i", [(2, 5), (2, -1), (2, 2), (2, True), (2, 1.0), (-1, 0), (2.5, 0)])
+def test_unit_vector_refuses_an_index_outside_the_dimension(n, i):
+    """unit_vector(2, 5) used to return the zero vector."""
+    with pytest.raises(ValueError, match="outside range|must be a non-negative int"):
+        unit_vector(n, i)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True, "2"])
+def test_identity_matrix_needs_a_non_negative_int(n):
+    """identity_matrix(-1) used to return ()."""
+    with pytest.raises(ValueError, match=f"dimension must be a non-negative int, got {re.escape(repr(n))}"):
+        identity_matrix(n)
+    assert identity_matrix(0) == ()
+
+
 # ---------------------------------------------------------------------------
 # Sparse tensors
 

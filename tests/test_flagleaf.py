@@ -64,6 +64,19 @@ def test_weyl_identity_and_letters():
     assert e * e == e
 
 
+def test_weyl_element_reads_rank_and_letters_from_its_permutation():
+    """A separately stored rank could disagree with the permutation: then an
+    identity read as not the identity, and a product raised an IndexError."""
+    e = WeylElement(Permutation((0, 1)))
+    assert (e.rank, e.letters, e.is_identity) == (1, 2, True)
+    assert e == weyl_identity(2)
+    s = weyl_simple(6, 2)
+    assert (s.rank, s.letters) == (5, 6)
+    assert (s * s).is_identity and s.inv() == s
+    with pytest.raises(ValueError, match="rank mismatch"):
+        s * e
+
+
 def test_weyl_simple_swaps_adjacent_letters():
     s1 = weyl_simple(3, 1)
     assert s1.apply(1) == 2

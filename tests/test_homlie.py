@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import conjugate_algebra, dense_check_admissible_algebra, dense_check_homomorphism, rand_fraction
-from maninforge.core import _unit_columns, identity_matrix, mat_vec, matrix, sparse_columns
+from maninforge.core import SparseTensor, Subspace, _unit_columns, identity_matrix, mat_vec, matrix, sparse_columns
 from maninforge.homlie import (
     HomLieAlgebra,
     LinearRep,
@@ -52,8 +53,28 @@ def test_unchecked_defers_to_certifier():
 
 
 def test_negative_dimension_rejected():
-    with pytest.raises(ValueError, match="dim must be non-negative"):
+    with pytest.raises(ValueError, match="dim must be a non-negative int, got -1"):
         HomLieAlgebra.create(-1, {})
+
+
+@pytest.mark.parametrize("dim", [-1, 2.5, True, "2", None])
+def test_dimensions_must_be_non_negative_ints_everywhere(dim):
+    """One message for every dimension: a float or a string used to raise a
+    TypeError, and True or a negative target_dim used to be stored."""
+    builders = {
+        "dim": (
+            lambda: HomLieAlgebra.unchecked(dim, {}),
+            lambda: HomLieAlgebra.create(dim, {}),
+            lambda: HomLieAlgebra(dim, {}, ({0: 1},)),
+        ),
+        "target_dim": (lambda: LinearRep.of(dim, []),),
+        "ambient dimension": (lambda: Subspace(dim, ()),),
+        "tensor dimension": (lambda: SparseTensor(2, dim),),
+    }
+    for what, builds in builders.items():
+        for build in builds:
+            with pytest.raises(ValueError, match=f"^{what} must be a non-negative int, got {re.escape(repr(dim))}$"):
+                build()
 
 
 @pytest.mark.parametrize("phi", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1], [0, 0, 1]]])

@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import maninforge.core
+import maninforge.homlie
+import maninforge.manin
 from helpers import (
     dense_block_permutation,
     dense_check_manin_isomorphism,
@@ -15,9 +18,11 @@ from helpers import (
     dense_double_cross_brackets,
     dense_dual_basis,
     dense_r_from_splitting,
+    dense_special_linear_data,
     rand_invertible,
     rand_tensor,
 )
+from maninforge import fileio
 from maninforge.core import Permutation, SparseTensor, identity_matrix, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
 from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_quadratic
 from maninforge.manin import (
@@ -408,6 +413,37 @@ def test_special_linear_data_beyond_rank_two(k, dim, keys):
         assert t.algebra.dim == triple_dim
         assert check_manin_triple(t).passed
         assert check_quasi_triangular(t.algebra, r_from_splitting(t)).verdict == "quasi-triangular"
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_special_linear_data_matches_the_dense_reference(k):
+    """The matrix-unit rule reproduces the frozen dense solve exactly: bracket
+    keys and entry order, values and their types, the form's rows, the name,
+    the root indices and the text of the double."""
+    data, ref = special_linear_data(k), dense_special_linear_data(k)
+    h, g = data.algebra, ref.algebra
+    typed = lambda coeffs: [(i, type(v), v) for i, v in coeffs.items()]
+    assert [(key, typed(c)) for key, c in h.brackets.items()] == [(key, typed(c)) for key, c in g.brackets.items()]
+    assert [typed(row) for row in h.form_rows] == [typed(row) for row in g.form_rows]
+    assert (h.name, h.dim, h.phi_columns) == (g.name, g.dim, g.phi_columns)
+    roots = lambda d: (d.rank, d.cartan, d.negatives, d.positives)
+    assert roots(data) == roots(ref)
+    assert fileio.format_triple(triple_double(data)) == fileio.format_triple(triple_double(ref))
+
+
+def test_special_linear_data_solves_no_linear_system(monkeypatch):
+    """Work-count guard: the coordinates are read off the matrix units, so no
+    dense product or row reduction runs."""
+
+    def refuse(*args):
+        raise AssertionError("dense rref or mat_mul called")
+
+    for module in (maninforge.core, maninforge.homlie, maninforge.manin):
+        for name in ("rref", "mat_mul"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for k in range(2, 7):
+        assert special_linear_data(k).algebra.dim == k * k - 1
 
 
 @pytest.mark.parametrize("k", [1, 0, -2, 4.0, "3", True, None])

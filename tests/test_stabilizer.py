@@ -3,9 +3,13 @@ satisfy to be compatible with a quasi-triangular structure."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+
+import maninforge.core
+import maninforge.homlie
 
 from helpers import (
     SL2_FORM,
@@ -53,6 +57,7 @@ from maninforge.stabilizer import (
     check_phi_stable,
     check_s_sharp_condition,
     is_subalgebra,
+    _twist_stable,
     stabilizer_at,
     stabilizer_report,
 )
@@ -127,6 +132,33 @@ def test_stabilizer_point_dimension_checked():
     rep = LinearRep.of(2, DEFINING_MATRICES)
     with pytest.raises(ValueError):
         stabilizer_at(rep, (Fraction(1),))
+
+
+@pytest.mark.parametrize("entry", [1.5, "1", True, None])
+def test_stabilizer_point_entries_must_be_exact(entry):
+    """A float point entry used to raise an AttributeError, and a string one a TypeError."""
+    for rep in (adjoint_representation(sl2_lie()), LinearRep.of(3, [])):
+        with pytest.raises(ValueError, match=f"point entry 0 is {re.escape(repr(entry))}, not an int or a Fraction"):
+            stabilizer_at(rep, (entry, 0, 0))
+
+
+def test_twist_stability_of_an_untwisted_algebra_computes_no_image(monkeypatch):
+    """Work-count guard: the identity twist keeps every subspace, so
+    `_twist_stable` asks `_images_outside` for nothing; a twisted algebra asks once."""
+    calls = []
+    images_outside = maninforge.homlie._images_outside
+
+    def counted(*args):
+        calls.append(args)
+        return images_outside(*args)
+
+    monkeypatch.setattr(maninforge.homlie, "_images_outside", counted)
+    monkeypatch.setattr(maninforge.core, "_images_outside", counted)
+    q = Subspace.span(3, [[0, 1, 0]])
+    assert _twist_stable(sl2_lie(), q)
+    assert calls == []
+    assert _twist_stable(sl2_twisted(), q)
+    assert len(calls) == 1
 
 
 def test_stabilizers_are_subalgebras_random_points():
