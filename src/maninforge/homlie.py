@@ -19,6 +19,7 @@ from .core import (
     _common_denominator,
     _dense_vector,
     _dimension,
+    _exact,
     _gauss_jordan,
     _images_outside,
     _is_exact,
@@ -38,7 +39,7 @@ from .core import (
     transpose,
     vec_sub,
 )
-from .reporting import CheckReport, Failure, failure
+from .reporting import CheckReport, Failure, failure, render_residual
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -365,91 +366,67 @@ def _residual(h: HomLieAlgebra, lhs: dict[int, Fraction], rhs: dict[int, Fractio
     return vec_sub(_dense(h, lhs), _dense(h, rhs))
 
 
-def _components(h: HomLieAlgebra) -> list[list[int]]:
-    """For each basis index, the increasing indices of its connected component
-    in the graph that joins i, j and every target k of each bracket key (i, j),
-    and each column c of phi with its nonzero rows; found by union-find."""
-    root = list(range(h.dim))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    def join(i: int, others) -> None:
-        r = find(i)
-        for k in others:
-            s = find(k)
-            if s != r:
-                root[s] = r
-
-    for (i, j), coeffs in h.brackets.items():
-        join(i, (j, *coeffs))
-    for c, col in enumerate(h.phi_columns):
-        join(c, col)
-    members: dict[int, list[int]] = {}
-    for i in range(h.dim):
-        members.setdefault(find(i), []).append(i)
-    return [members[find(i)] for i in range(h.dim)]
-
-
 def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     """Twisted Jacobi on all basis triples:
     J(i, j, k) = [phi(b_i),[b_j,b_k]] + [phi(b_j),[b_k,b_i]] + [phi(b_k),[b_i,b_j]] = 0.
 
     J is alternating: it is cyclic, and swapping two indices negates it exactly
-    (the bracket is antisymmetric), so it vanishes on a repeated index.  It is
-    also zero unless one of the triple's pairs is a bracket key, and unless
-    the triple lies in one component of `_components`:
+    (the bracket is antisymmetric), so it vanishes on a repeated index and is
+    computed once per triple i < j < k, each of the six orderings of a failing
+    triple reported with its signed residual.
 
-    Lemma.  [phi(b_x), [b_y, b_z]] = 0 unless x, y and z lie in one component.
-    For [b_y, b_z] needs the key (y, z), whose targets m lie in y's component;
-    phi(b_x) is supported in x's component; and [b_a, b_m] needs the key
-    (a, m), which joins a in phi(b_x) to m.
+    Lemma.  With N(x; y, z) = [phi(b_x), [b_y, b_z]], for i < j < k
+    J(i, j, k) = N(i; j, k) - N(j; i, k) + N(k; i, j), and
+    N(x; y, z) = sum p c [b_a, b_m] over the targets m (coefficient c) of the
+    key (y, z), the keys (a, m) and the rows a (entry p) of phi(b_x).  So J is
+    the sum of these terms over the keys (y, z), y < z, and the x outside
+    {y, z}, each added to the sorted triple of x, y and z with sign -1 when
+    y < x < z and +1 otherwise: only triples that some nested bracket reaches
+    cost anything.  A direct sum of n copies has no key and no twist entry
+    across copies, so the work is linear in n.
 
-    So J is computed once per triple i < j < k formed by a key (a, b) and an
-    index c in a's component, and each of the six orderings of a failing
-    triple is reported with its signed residual.  A direct sum of n copies
-    has no key and no twist entry across copies, so the work is linear in n.
-
-    J is summed in integer numerators over den_phi * den_c^2, the denominators
-    of the twist's columns and of the bracket table, each term read from the
-    integer table twice: [phi(b_x), [b_y, b_z]] through the key (y, z) and then
-    the keys (a, m) for a in phi(b_x) and m in [b_y, b_z].  A Fraction is built
-    only for the residual of a failing triple."""
-    failures = []
+    The terms are enumerated from the keys (a, m) grouped by m and the twist's
+    entries grouped by row, and summed in integer numerators over
+    den_phi * den_c^2, the denominators of the twist's columns and of the
+    bracket table, at the flat int ((i d + j) d + k) d + n.  Each nonzero
+    total is decoded and divided once, and each failing triple's two residuals
+    are rendered once."""
+    d = h.dim
     den_c, table = h._bracket_numerators
-    den_p, phi = _numerators(h.phi_columns)
+    den_p, phi_rows = _holders(h.phi_columns)
+    partners: dict[int, list] = {}
+    for (a, m), outer in table.items():
+        partners.setdefault(m, []).append((a, outer))
+    sums: dict[int, int] = {}
+    get = sums.get
+    for y, z in h.brackets:
+        for m, c in table[y, z]:
+            for a, outer in partners.get(m, ()):
+                for x, p in phi_rows.get(a, ()):
+                    if x == y or x == z:
+                        continue
+                    if x < y:
+                        base, pc = ((x * d + y) * d + z) * d, p * c
+                    elif x < z:
+                        base, pc = ((y * d + x) * d + z) * d, -p * c
+                    else:
+                        base, pc = ((y * d + z) * d + x) * d, p * c
+                    for n, e in outer:
+                        at = base + n
+                        sums[at] = get(at, 0) + pc * e
     den = den_p * den_c * den_c
-    lookup = table.get
-    component = _components(h)
-    # Each key (a, b) has a < b, so a third index c sorts into it by two comparisons.
-    triples = {
-        (c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
-        for a, b in h.brackets
-        for c in component[a]
-        if c != a and c != b
-    }
-    for i, j, k in triples:
-        total: dict[int, int] = {}
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = lookup((y, z))
-            if inner:
-                for a, p in phi[x].items():
-                    for m, c in inner:
-                        outer = lookup((a, m))
-                        if outer:
-                            pc = p * c
-                            for n, e in outer:
-                                total[n] = total.get(n, 0) + pc * e
-        if any(total.values()):
-            even = _dense(h, {a: Fraction(n, den) for a, n in total.items() if n})
-            odd = tuple(-v for v in even)
-            for index in ((i, j, k), (j, k, i), (k, i, j)):
-                failures.append(failure("hom_jacobi", index, even))
-            for index in ((j, i, k), (i, k, j), (k, j, i)):
-                failures.append(failure("hom_jacobi", index, odd))
+    totals: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for at, total in sums.items():
+        if total:
+            ijk, n = divmod(at, d)
+            ij, k = divmod(ijk, d)
+            totals.setdefault((*divmod(ij, d), k), {})[n] = Fraction(total, den)
+    failures = []
+    for (i, j, k), total in totals.items():
+        even = _dense(h, total)
+        even_text, odd_text = render_residual(even), render_residual(tuple(-v for v in even))
+        failures += [failure("hom_jacobi", index, even_text) for index in ((i, j, k), (j, k, i), (k, i, j))]
+        failures += [failure("hom_jacobi", index, odd_text) for index in ((j, i, k), (i, k, j), (k, j, i))]
     return CheckReport("hom_jacobi", failures)
 
 
@@ -509,11 +486,22 @@ def check_homomorphism(f: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomL
 @dataclass(frozen=True)
 class LinearRep:
     """Linear data of a representation: rho maps each basis element of the algebra
-    to an endomorphism of a target space, intertwined by the target twist alpha."""
+    to an endomorphism of a target space, intertwined by the target twist alpha.
+    Every rho matrix and alpha must be target_dim x target_dim tuples of row
+    tuples of exact entries; `of` builds them from any nested sequences."""
 
     target_dim: int
     rho: tuple[Matrix, ...]
     alpha: Matrix
+
+    def __post_init__(self) -> None:
+        _dimension(self.target_dim, "target_dim")
+        if type(self.rho) is not tuple:
+            raise ValueError(f"rho must be a tuple of matrices, got {self.rho!r}")
+        for what, m in (*((f"rho[{i}]", m) for i, m in enumerate(self.rho)), ("alpha", self.alpha)):
+            if type(m) is not tuple or any(type(row) is not tuple for row in m):
+                raise ValueError(f"{what} must be a tuple of row tuples, got {m!r}")
+            _exact(_square(m, self.target_dim, what))
 
     @classmethod
     def of(
@@ -522,14 +510,10 @@ class LinearRep:
         rho: Sequence[Sequence[Sequence[int | str | Fraction]]],
         alpha: Sequence[Sequence[int | str | Fraction]] | None = None,
     ) -> LinearRep:
-        """Build with shape checks: every rho matrix and alpha are target_dim x target_dim."""
+        """Build from nested sequences; the constructor checks the shapes."""
         _dimension(target_dim, "target_dim")
-        rho_matrices = tuple(_square(matrix(m), target_dim, f"rho[{i}]") for i, m in enumerate(rho))
-        if alpha is None:
-            alpha_matrix = identity_matrix(target_dim)
-        else:
-            alpha_matrix = _square(matrix(alpha), target_dim, "alpha")
-        return cls(target_dim, rho_matrices, alpha_matrix)
+        alpha_matrix = identity_matrix(target_dim) if alpha is None else matrix(alpha)
+        return cls(target_dim, tuple(map(matrix, rho)), alpha_matrix)
 
     def rho_of(self, x: Vector) -> Matrix:
         """rho extended linearly to an arbitrary algebra element."""
@@ -677,16 +661,19 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     # Residual <[b_i,b_j],b_k> - <b_i,[b_j,b_k]>, accumulated from each bracket
     # key (a, b) in both orders, in the left slot through row c of the form and
     # in the right slot through column c (the form need not be symmetric).
+    # `_accumulate` inlined, the zeros dropped at the end: a call per term cost
+    # about a sixth of this check on the sheared D3 images.
     den_c, table = h._bracket_numerators
     residual: dict[tuple[int, int, int], int] = {}
+    get = residual.get
     for (a, b), cs in table.items():
         for c, v in cs:
             for k, g in n_rows[c].items():
-                _accumulate(residual, (a, b, k), v * g)
+                residual[a, b, k] = get((a, b, k), 0) + v * g
             for i, g in n_cols[c].items():
-                _accumulate(residual, (i, a, b), -g * v)
+                residual[i, a, b] = get((i, a, b), 0) - g * v
     den = den_g * den_c
-    failures += [failure("invariant", index, Fraction(n, den)) for index, n in residual.items()]
+    failures += [failure("invariant", index, Fraction(n, den)) for index, n in residual.items() if n]
     return CheckReport("quadratic", failures)
 
 

@@ -16,7 +16,9 @@ from maninforge.core import (
     _gauss_jordan,
     _sparse,
     determinant,
+    identity_matrix,
     inverse,
+    map_subspace,
     mat_mul,
     mat_vec,
     matrix,
@@ -99,6 +101,36 @@ def conjugate_algebra(h: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
     phi = mat_mul(pinv, mat_mul(h.phi, p))
     form = None if h.form is None else mat_mul(transpose(p), mat_mul(h.form, p))
     return HomLieAlgebra.unchecked(h.dim, brackets, phi, form)
+
+
+def basis_image(t: ManinTriple, p: Matrix) -> ManinTriple:
+    """t written in the basis formed by the columns of p: p maps it onto t."""
+    pinv = inverse(p)
+    return ManinTriple(conjugate_algebra(t.algebra, p), map_subspace(pinv, t.part1), map_subspace(pinv, t.part2))
+
+
+def shear_product(dim: int, count: int, seed: int, entry=lambda rng: rng.choice((1, -1))) -> Matrix:
+    """A seeded product of `count` elementary shears I + s E_ab (a != b), each
+    s drawn by entry(rng): by default s = +-1, an integer change of basis with
+    an integer inverse."""
+    rng = random.Random(seed)
+    p = identity_matrix(dim)
+    for _ in range(count):
+        a, b = rng.sample(range(dim), 2)
+        rows = [list(row) for row in identity_matrix(dim)]
+        rows[a][b] = entry(rng)
+        p = mat_mul(p, matrix(rows))
+    return p
+
+
+def flip_first_constant(t: ManinTriple) -> ManinTriple:
+    """t with the sign of its first structure constant flipped."""
+    h = t.algebra
+    brackets = {key: dict(coeffs) for key, coeffs in h.brackets.items()}
+    key = next(iter(brackets))
+    k = next(iter(brackets[key]))
+    brackets[key][k] = -brackets[key][k]
+    return ManinTriple(HomLieAlgebra.unchecked(h.dim, brackets, h.phi, h.form), t.part1, t.part2)
 
 
 def dense_structure_constants(h: HomLieAlgebra) -> list[list[list[Fraction]]]:

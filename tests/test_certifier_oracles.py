@@ -12,13 +12,16 @@ import pytest
 
 from helpers import (
     SL2_FORM,
+    basis_image,
     conjugate_algebra,
     dense_check_hom_jacobi,
     dense_check_quadratic,
     dense_check_twist_morphism,
     dense_part_report,
+    flip_first_constant,
     rand_fraction,
     rand_subspace,
+    shear_product,
 )
 from maninforge import homlie, manin, stabilizer
 from maninforge.core import SparseTensor, identity_matrix, inverse, map_subspace, mat_mul, matrix, tensor_skew_sym_split
@@ -222,7 +225,7 @@ def test_twisted_sl2_sums_match_the_dense_reference(copies, seed):
 
 
 # ---------------------------------------------------------------------------
-# The component lemma: Jacobi visits only triples inside one component
+# The term-enumeration lemma: Jacobi sums only the nested brackets that exist
 
 
 def with_brackets(h: HomLieAlgebra, brackets) -> HomLieAlgebra:
@@ -270,6 +273,16 @@ def test_jacobi_matches_the_dense_reference_when_the_twist_swaps_two_copies():
     assert all(min(f.index) < d <= max(f.index) for f in report.failures)
 
 
+def test_jacobi_matches_the_dense_reference_on_a_sheared_power_and_its_flipped_constant():
+    """Eight signed shears join the two copies of sl3's double into one
+    component, in which nested brackets reach 572 of the 3,034 triples that
+    hold a key and a third index; so most triples have no term.  Flipping the
+    sign of one structure constant breaks Jacobi there."""
+    image = basis_image(nuble(BASES["D3"], 2), shear_product(32, 8, 0))
+    assert not assert_jacobi_matches_dense(image.algebra).failures
+    assert assert_jacobi_matches_dense(flip_first_constant(image).algebra).failures
+
+
 # ---------------------------------------------------------------------------
 # Work count
 
@@ -304,50 +317,48 @@ def no_dense_calls(monkeypatch):
     return taken
 
 
-class CountingTable(dict):
-    """An integer bracket table that counts its lookups by key."""
-
-    lookups = 0
-
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
-
-
-def counted_jacobi_lookups(h: HomLieAlgebra) -> int:
-    """The integer bracket-table lookups of one passing Jacobi check of h."""
+def counted_jacobi_work(h: HomLieAlgebra) -> tuple[int, int]:
+    """(visits, products) of one passing Jacobi check of h, counted as walks
+    over the rows of its integer bracket table: one walk of [b_y, b_z] per
+    key y < z, and one walk of [b_a, b_m] per visit (key (y, z), target m,
+    partner key (a, m), x with phi(b_x) holding a, x outside {y, z}), each
+    term of that walk one product summed."""
     den, table = h._bracket_numerators
-    counting = CountingTable(table)
-    h.__dict__["_bracket_numerators"] = (den, counting)
+    walks = []
+
+    class CountingTerms(tuple):
+        def __iter__(self):
+            walks.append(len(self))
+            return super().__iter__()
+
+    h.__dict__["_bracket_numerators"] = (den, {key: CountingTerms(terms) for key, terms in table.items()})
     assert check_hom_jacobi(h).passed
-    return counting.lookups
+    keys, targets = len(h.brackets), sum(map(len, h.brackets.values()))
+    return len(walks) - keys, sum(walks) - targets
 
 
 def test_checkers_make_fewer_basis_brackets_than_the_scans(no_dense_calls):
     """The d^3 loops called bracket_basis 854,016 times (Jacobi) and 266,240
     times (quadratic) on this dim-64 power.  Jacobi now reads the integer
-    bracket table instead, and calls bracket_basis no more: three lookups for
-    each of the 448 triples i < j < k that hold a key inside one of the 8
-    components, and one for each term of an inner bracket against the twist,
-    2,400 in all (40,480 over the 9,856 triples that hold a key anywhere); the
-    counts are deterministic."""
+    bracket table instead, and calls bracket_basis no more: it sums 800
+    products over 752 visits, one per term of a nested bracket [phi b_x,
+    [b_y, b_z]] (the candidate triples of its 8 components cost 2,400 table
+    lookups); the counts are deterministic."""
     h = nuble(BASES["D3"], 4).algebra
     d = h.dim
     assert d == 64
-    component = homlie._components(h)
-    assert len({tuple(c) for c in component}) == 8
-    triples = {tuple(sorted((a, b, c))) for a, b in h.brackets for c in component[a] if c not in (a, b)}
-    lookups = counted_jacobi_lookups(h)
+    visits, products = counted_jacobi_work(h)
     assert no_dense_calls() == 0
-    assert 3 * len(triples) == 1_344 < lookups == 2_400 < d**3
+    assert (visits, products) == (752, 800)
     assert check_quadratic(h).passed
     assert no_dense_calls() < d**2
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_jacobi_lookups_are_linear_in_the_number_of_copies(n):
-    """No key and no twist entry crosses copies, so each copy costs the same."""
-    assert counted_jacobi_lookups(nuble(BASES["D3"], n).algebra) == 600 * n
+    """No key and no twist entry crosses copies, so each copy costs the same:
+    188 visits and 200 products."""
+    assert counted_jacobi_work(nuble(BASES["D3"], n).algebra) == (188 * n, 200 * n)
 
 
 def test_certifier_and_stabilizer_conditions_make_no_dense_call(no_dense_calls):

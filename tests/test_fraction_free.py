@@ -16,6 +16,7 @@ import pytest
 
 from helpers import (
     SL2_FORM,
+    basis_image,
     conjugate_algebra,
     dense_brackets_in,
     dense_check_hom_ad_invariant,
@@ -40,6 +41,7 @@ from helpers import (
     fraction_skew_sym_split,
     fraction_symmetric_part,
     pairwise_hcyb,
+    shear_product,
     tuple_index_hcyb,
 )
 from maninforge.core import (
@@ -58,8 +60,6 @@ from maninforge.core import (
     determinant,
     identity_matrix,
     inverse,
-    map_subspace,
-    mat_mul,
     matrix,
     sparse_columns,
     subspace_equal,
@@ -315,20 +315,7 @@ def test_entries_that_cancel_are_absent():
 def hostile_basis(dim: int, seed: int, shears: int) -> Matrix:
     """A seeded product of shears I + s E_ab, each s of a denominator in
     HOSTILE: a change of basis whose entries carry those denominators."""
-    rng = random.Random(seed)
-    p = identity_matrix(dim)
-    for _ in range(shears):
-        a, b = rng.sample(range(dim), 2)
-        rows = [list(row) for row in identity_matrix(dim)]
-        rows[a][b] = _hostile_fraction(rng)
-        p = mat_mul(p, matrix(rows))
-    return p
-
-
-def hostile_image(t: ManinTriple, p) -> ManinTriple:
-    """t written in the basis formed by the columns of p: p maps it onto t."""
-    pinv = inverse(p)
-    return ManinTriple(conjugate_algebra(t.algebra, p), map_subspace(pinv, t.part1), map_subspace(pinv, t.part2))
+    return shear_product(dim, shears, seed, _hostile_fraction)
 
 
 def perturbed_algebra(h: HomLieAlgebra, what: str) -> HomLieAlgebra:
@@ -357,7 +344,7 @@ def twisted_sl2_pair() -> HomLieAlgebra:
 
 
 D2 = triple_double(special_linear_data(2))
-D2_IMAGE = hostile_image(D2, hostile_basis(D2.dim, 7, 10))
+D2_IMAGE = basis_image(D2, hostile_basis(D2.dim, 7, 10))
 
 
 def hostile_triples() -> dict[str, ManinTriple]:
@@ -872,7 +859,7 @@ def fraction_arithmetic(fn, *args) -> tuple:
     "name, make, quadratic_calls",
     [
         ("D3x4", lambda: nuble(D3, 4), 0),
-        ("D3 sheared", lambda: hostile_image(D3, hostile_basis(D3.dim, 11, 4)), 0),
+        ("D3 sheared", lambda: basis_image(D3, hostile_basis(D3.dim, 11, 4)), 0),
     ],
 )
 def test_a_passing_certificate_does_no_fraction_arithmetic_in_jacobi(name, make, quadratic_calls):
@@ -894,7 +881,7 @@ def test_a_passing_certificate_does_no_fraction_arithmetic_in_jacobi(name, make,
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: nuble(D3, 1), lambda: nuble(D3, 4), lambda: nuble(D3, 16), lambda: hostile_image(D3, hostile_basis(D3.dim, 11, 4))],
+    [lambda: nuble(D3, 1), lambda: nuble(D3, 4), lambda: nuble(D3, 16), lambda: basis_image(D3, hostile_basis(D3.dim, 11, 4))],
     ids=["D3x1", "D3x4", "D3x16", "D3 sheared"],
 )
 def test_a_passing_manin_certificate_does_no_fraction_arithmetic(make):
@@ -908,7 +895,7 @@ def test_a_passing_manin_certificate_does_no_fraction_arithmetic(make):
 def test_elimination_and_membership_of_hostile_halves_do_no_fraction_arithmetic():
     """The halves of the sheared D3 carry denominators 7-23; their sum and the
     membership of each row of one in the other run in ints all the same."""
-    t = hostile_image(D3, hostile_basis(D3.dim, 11, 4))
+    t = basis_image(D3, hostile_basis(D3.dim, 11, 4))
     assert max(x.denominator for row in t.part1.echelon for x in row.values()) > 1
     total, calls = fraction_arithmetic(subspace_sum, t.part1, t.part2)
     assert total.dim == D3.dim and calls == 0

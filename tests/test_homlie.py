@@ -341,6 +341,31 @@ def test_representation_shapes_checked():
         LinearRep.of(3, rep.rho, alpha=[[1]])
 
 
+I2 = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((-1, (), ()), "target_dim must be a non-negative int, got -1"),
+        ((True, (), ()), "target_dim must be a non-negative int, got True"),
+        ((2, ((1, 2),), "x"), r"rho\[0\] must be a tuple of row tuples, got \(1, 2\)"),
+        ((2, (I2,), "x"), "alpha must be a tuple of row tuples, got 'x'"),
+        ((2, [I2], I2), "rho must be a tuple of matrices"),
+        ((2, (I2, ((1, 0),)), I2), r"rho\[1\] must be 2x2, got 1 rows of lengths \[2\]"),
+        ((2, (I2,), ((1, 0), (0,))), r"alpha must be 2x2, got 2 rows of lengths \[1, 2\]"),
+        ((2, (((1, 0), (0, 1.5)),), I2), r"matrix entry \(1, 1\) is 1.5, not an int or a Fraction"),
+    ],
+    ids=["negative dim", "bool dim", "row as rho", "string alpha", "list rho", "short rho", "ragged alpha", "float"],
+)
+def test_linear_rep_constructor_checks_shapes(args, match):
+    """The positional constructor stored every one of these: a negative
+    target_dim, a rho matrix that is a row, a string alpha, ragged or short
+    matrices and a float entry."""
+    with pytest.raises(ValueError, match=match):
+        LinearRep(*args)
+
+
 def test_involutive_algebras_are_admissible():
     assert check_admissible_algebra(sl2_lie()).passed
     assert check_admissible_algebra(sl2_twisted()).passed
