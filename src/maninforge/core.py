@@ -10,7 +10,8 @@ the kernel's row operation, `_eliminate`, on integer rows.
 The elimination, the sparse map `_apply_columns` and the membership test
 `Subspace.contains_sparse` sum plain ints: elimination on primitive integer
 rows, the other two over one common denominator.  Each builds one Fraction per
-value it returns, and none per term.
+value it returns, and none per term; `_apply_columns` builds none for a
+relabelling (unit columns at distinct rows), whose values it moves unchanged.
 """
 from __future__ import annotations
 
@@ -187,14 +188,13 @@ def _columns_shape_error(cols: Sequence, n_rows: int, n_cols: int) -> str | None
     """Why cols are not the sparse columns of an n_rows x n_cols matrix, or None."""
     if len(cols) != n_cols:
         return f"got {len(cols)} columns"
-    rows = range(n_rows)
     for c, col in enumerate(cols):
-        if not isinstance(col, Mapping):
+        if type(col) is not dict and not isinstance(col, Mapping):
             return f"column {c} is a {type(col).__name__}, not a mapping"
         for r, x in col.items():
-            if r not in rows:
+            if type(r) is not int or not 0 <= r < n_rows:
                 return f"column {c} has row index {r!r} outside range({n_rows})"
-            if not _is_exact(x):
+            if type(x) is not Fraction and type(x) is not int:
                 return f"column {c} has entry {x!r} at row {r}, not an int or a Fraction"
     return None
 
@@ -202,7 +202,21 @@ def _columns_shape_error(cols: Sequence, n_rows: int, n_cols: int) -> str | None
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
     """The map with sparse columns `cols` applied to the sparse vector xs, the
     entries that cancel left out; summed in integer numerators over den_x *
-    den_c, the lcms of the denominators of xs and of the columns it touches."""
+    den_c, the lcms of the denominators of xs and of the columns it touches.
+    A relabelling is not summed: when each x in xs is a nonzero Fraction whose
+    column is the single entry 1 at a row r no earlier x reached, the sum is
+    {r: x}, in the order of xs, and x itself is stored."""
+    moved: dict[int, Fraction] = {}
+    for i, x in xs.items():
+        col = cols[i]
+        if type(x) is not Fraction or not x or len(col) != 1:
+            break
+        ((a, y),) = col.items()
+        if y != 1 or a in moved:
+            break
+        moved[a] = x
+    else:
+        return moved
     den_x = lcm(*{x.denominator for x in xs.values()})
     den_c = lcm(*{y.denominator for i in xs for y in cols[i].values()})
     out: dict[int, int] = {}
@@ -611,12 +625,12 @@ class Subspace:
         n, rows = _dimension(self.ambient_dim, "ambient dimension"), tuple(self.echelon)
         last, earlier = -1, set()  # the last pivot, and the columns of the rows so far
         for r, row in enumerate(rows):
-            if not isinstance(row, Mapping) or not row:
+            if (type(row) is not dict and not isinstance(row, Mapping)) or not row:
                 raise ValueError(f"row {r} is {row!r}, not a nonempty mapping {{column: entry}}")
             for c, x in row.items():
                 if type(c) is not int or not 0 <= c < n:
                     raise ValueError(f"row {r} has column index {c!r} outside range({n})")
-                if not _is_exact(x) or x == 0:
+                if (type(x) is not Fraction and type(x) is not int) or not x:
                     raise ValueError(f"row {r} has entry {x!r} at column {c}, not a nonzero int or Fraction")
             pivot = next(iter(row))
             if list(row) != sorted(row) or row[pivot] != 1:

@@ -22,7 +22,6 @@ from .core import (
     _exact,
     _gauss_jordan,
     _images_outside,
-    _is_exact,
     _null_rows,
     _numerators,
     _sparse,
@@ -59,9 +58,9 @@ def _check_bracket_table(dim: int, brackets: Mapping[tuple[int, int], Mapping[in
         for k, v in coeffs.items():
             if not 0 <= k < dim:
                 raise ValueError(f"bracket value index {k} out of range")
-            if not _is_exact(v):
+            if type(v) is not Fraction and type(v) is not int:
                 raise ValueError(f"bracket key {key}: value {v!r} at index {k} is not an int or a Fraction")
-            if v == 0:
+            if not v:
                 raise ValueError(f"bracket key {key}: value at index {k} is zero; only nonzero values are stored")
 
 
@@ -123,8 +122,8 @@ class HomLieAlgebra:
             ("form row", "column", self.form_rows or ()),
         ):
             for a, v in enumerate(vectors):
-                zero = next((b for b, x in v.items() if x == 0), None)
-                if zero is not None:
+                if not all(v.values()):
+                    zero = next(b for b, x in v.items() if not x)
                     raise ValueError(f"{vector} {a} has a zero entry at {position} {zero}; store nonzero entries only")
 
     @cached_property

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ONE, Permutation, Subspace, _span
+from .core import ONE, Permutation, Subspace
 from .homlie import direct_sum, negate_form
 from .manin import ManinTriple, check_manin_isomorphism
 from .reporting import CheckReport
@@ -20,9 +20,9 @@ def _edge_rows(d: int, s: int) -> list[dict[int, Fraction]]:
 
 
 def _embed_rows(d: int, s: int, part: Subspace) -> list[dict[int, Fraction]]:
-    """The stored rows of a subspace of the base, placed into ambient slot s (1-based)."""
+    """The stored rows of a subspace of the base, in Fractions, placed into ambient slot s (1-based)."""
     offset = (s - 1) * d
-    return [{offset + i: x for i, x in row.items()} for row in part.echelon]
+    return [{offset + i: x if type(x) is Fraction else Fraction(x) for i, x in row.items()} for row in part.echelon]
 
 
 def _require_count(name: str, value: int) -> None:
@@ -35,7 +35,16 @@ def _require_count(name: str, value: int) -> None:
 
 def nuble(t: ManinTriple, n: int) -> ManinTriple:
     """The n-fold power: componentwise bracket and twist, alternating-sign form
-    sum_j (-1)^(j+1) <a_j, a_j'>, split into the two diagonal chains."""
+    sum_j (-1)^(j+1) <a_j, a_j'>, split into the two diagonal chains.
+
+    Lemma (the halves need no elimination).  A half's edges (s, s+1) all
+    have s of one parity, so no two share a slot, and its base rows sit in the
+    one slot that its edges leave free, in slot order with them.  Edge row i
+    of (s, s+1) has pivot lo+i, entry 1, and one more entry, at lo+d+i in
+    slot s+1, where no other row is nonzero; the base rows are canonical,
+    shifted.  So the rows, in the order built, are the half's reduced echelon
+    basis.  The `Subspace` constructor checks all of this, so a wrong lemma
+    raises."""
     _require_count("n", n)
     h = t.algebra
     d = h.dim
@@ -49,11 +58,13 @@ def nuble(t: ManinTriple, n: int) -> ManinTriple:
     part2_rows = _embed_rows(d, 1, t.part2) + [row for s in range(2, n, 2) for row in _edge_rows(d, s)]
     (part1_rows if n % 2 else part2_rows).extend(_embed_rows(d, n, t.part1))
     base = t.name or "triple"
-    return ManinTriple(ambient, _span(n * d, part1_rows), _span(n * d, part2_rows), name=f"{base}^{n}")
+    return ManinTriple(ambient, Subspace(n * d, part1_rows), Subspace(n * d, part2_rows), name=f"{base}^{n}")
 
 
 def uble_of_uble(t: ManinTriple, m: int, n: int) -> ManinTriple:
     """The n-fold power of the m-fold power, by literal composition."""
+    _require_count("m", m)
+    _require_count("n", n)
     return nuble(nuble(t, m), n)
 
 
@@ -79,9 +90,8 @@ def snake_permutation(m: int, n: int) -> Permutation:
 def verify_snake_iso(t: ManinTriple, m: int, n: int) -> CheckReport:
     """Certify that the snake map is an isomorphism of split quadratic algebras
     from the mn-fold power onto the n-fold power of the m-fold power."""
-    flat = nuble(t, m * n)
-    nested = uble_of_uble(t, m, n)
-    return check_manin_isomorphism(snake_permutation(m, n).columns(t.algebra.dim), flat, nested)
+    columns = snake_permutation(m, n).columns(t.algebra.dim)  # checks m and n first, by name
+    return check_manin_isomorphism(columns, nuble(t, m * n), uble_of_uble(t, m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from helpers import (
 )
 from maninforge.core import (
     Matrix,
+    Permutation,
     SparseTensor,
     Subspace,
     _apply_columns,
@@ -516,10 +517,34 @@ def test_elimination_matches_the_fraction_reference_row_for_row(n, count, seed):
 
 @pytest.mark.parametrize("n, count, seed", ROW_SHAPES)
 def test_maps_match_the_fraction_reference_key_for_key(n, count, seed):
+    """Hostile columns, then unit columns, which `_apply_columns` applies by
+    relabelling when it can: a block permutation, the same with two sources
+    sent to one target, and with one unit column holding Fraction(0) or an
+    int 1; on the hostile vectors (zero and int entries among them) and on
+    vectors of nonzero Fractions."""
     rng = random.Random(f"maps {n} {count} {seed}")
     cols = (hostile_rows(rng, n, count) + [{}] * n)[:n]
-    for xs in hostile_rows(rng, n, 6) + [{}]:
+    vectors = hostile_rows(rng, n, 6) + [{}]
+    for xs in vectors:
         assert _items([_apply_columns(cols, xs)]) == _items([fraction_apply_columns(cols, xs)])
+    block = 2 if n % 2 == 0 else 1
+    images = list(range(n // block))
+    rng.shuffle(images)
+    permutation = Permutation(tuple(images)).columns(block)
+    maps = [permutation]
+    for entry in (Fraction(0), 1):
+        odd = list(permutation)
+        odd[rng.randrange(n)] = {rng.randrange(n): entry}
+        maps.append(odd)
+    if n > 1:
+        source, other = rng.sample(range(n), 2)
+        merged = list(permutation)
+        merged[source] = permutation[other]
+        maps.append(merged)
+    vectors += [{c: _hostile_fraction(rng) for c in rng.sample(range(n), rng.randint(1, n))} for _ in range(4)]
+    for unit_cols in maps:
+        for xs in vectors:
+            assert _items([_apply_columns(unit_cols, xs)]) == _items([fraction_apply_columns(unit_cols, xs)])
 
 
 def test_map_key_order_follows_cancellation():

@@ -24,7 +24,7 @@ from helpers import (
 )
 from maninforge import fileio
 from maninforge.core import Permutation, SparseTensor, identity_matrix, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
-from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_quadratic
+from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_homomorphism, check_quadratic
 from maninforge.manin import (
     ManinTriple,
     check_manin_isomorphism,
@@ -214,12 +214,24 @@ def test_shape_mismatch_is_a_single_failure():
         [{0: 1}, {1: 1}, {}],  # one column too many
         [{0: 1}, {2: 1}],  # a row index outside range(2)
         identity_matrix(2),  # dense rows, not mappings
+        [{0.0: 1}, {1: 1}],  # a float row index equal to 0
+        [{0: 1}, {True: 1}],  # a bool row index equal to 1
     ],
 )
 def test_non_square_or_ragged_map_is_a_single_shape_failure(f):
+    """A row index that only compares equal to an int is not one: {0.0: 1}
+    raised a TypeError from inside the pairings, {True: 1} a ValueError from
+    inside `Subspace`."""
     hyp = hyperbolic_triple()
     report = check_manin_isomorphism(f, hyp, hyp)
     assert [(x.check, x.index) for x in report.failures] == [("shape", (2, 2, len(f)))]
+
+
+def test_homomorphism_refuses_a_row_index_that_is_not_an_int():
+    """{True: 1} was read as row 1 and the map passed."""
+    h = hyperbolic_triple().algebra
+    with pytest.raises(ValueError, match=r"column 1 has row index True outside range\(2\)"):
+        check_homomorphism([{0: 1}, {True: 1}], h, h)
 
 
 def _check_slot_regroupings(base: ManinTriple) -> None:

@@ -9,9 +9,12 @@ from fractions import Fraction
 import pytest
 
 import maninforge.core
+import maninforge.homlie
+import maninforge.rmatrix
 from helpers import dense_block_permutation, dense_nuble, rand_vector
 from maninforge.core import (
     Permutation,
+    Subspace,
     _apply_columns,
     mat_mul,
     mat_vec,
@@ -20,6 +23,7 @@ from maninforge.core import (
     transpose,
 )
 from maninforge.manin import (
+    ManinTriple,
     check_manin_isomorphism,
     check_manin_triple,
     hyperbolic_triple,
@@ -88,16 +92,28 @@ def test_powers_certify_small():
 
 
 def test_power_rejects_nonpositive():
+    t = hyperbolic_triple()
     with pytest.raises(ValueError):
-        nuble(hyperbolic_triple(), 0)
+        nuble(t, 0)
+    for build in (verify_snake_iso, uble_of_uble):  # (0, 2) said "n must be at least 1"
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            build(t, 0, 2)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            build(t, 2, -1)
 
 
 @pytest.mark.parametrize("n, shown", [(2.0, "2.0"), ("2", "'2'"), (True, "True"), (None, "None")])
 def test_power_and_graph_reject_a_count_that_is_not_an_int(n, shown):
     """2.0 and "2" used to raise a TypeError from deep inside, and
-    render_graph(True) returned a graph."""
-    for build in (lambda: nuble(hyperbolic_triple(), n), lambda: render_graph(n)):
+    render_graph(True) returned a graph.  The snake and the nested power name
+    the bad count: verify_snake_iso(t, 2.0, 2) said "n must be an int, got 4.0"."""
+    t = hyperbolic_triple()
+    for build in (lambda: nuble(t, n), lambda: render_graph(n), lambda: verify_snake_iso(t, 2, n),
+                  lambda: uble_of_uble(t, 2, n)):
         with pytest.raises(ValueError, match=f"n must be an int, got {shown}"):
+            build()
+    for build in (lambda: verify_snake_iso(t, n, 2), lambda: uble_of_uble(t, n, 2)):
+        with pytest.raises(ValueError, match=f"m must be an int, got {shown}"):
             build()
 
 
@@ -106,13 +122,33 @@ def _power_data(t):
     return (h.dim, h.brackets, h.phi, h.form, h.name, t.part1, t.part2, t.name)
 
 
+def _fraction_halves(t):
+    """True when every stored entry of both halves is a Fraction."""
+    return all(type(x) is Fraction for part in (t.part1, t.part2) for row in part.echelon for x in row.values())
+
+
 def test_power_matches_the_dense_reference():
+    """Flat powers, and the nested ones that the snake certificates build; the
+    halves come out in Fractions, as an elimination returns them."""
     data = special_linear_data(2)
-    for t in (hyperbolic_triple(), triple_g_plus_h(data), triple_double(data)):
-        for n in range(1, 6):
-            assert _power_data(nuble(t, n)) == _power_data(dense_nuble(t, n))
-    d2 = triple_double(data)
-    assert _power_data(nuble(nuble(d2, 3), 3)) == _power_data(dense_nuble(dense_nuble(d2, 3), 3))
+    d2, d3 = triple_double(data), triple_double(special_linear_data(3))
+    for t in (hyperbolic_triple(), triple_g_plus_h(data), d2, d3):
+        for n in range(1, 6 if t is not d3 else 5):
+            power = nuble(t, n)
+            assert _power_data(power) == _power_data(dense_nuble(t, n))
+            assert _fraction_halves(power)
+    for t, m, n in ((d2, 2, 4), (d2, 3, 3), (d3, 2, 2)):
+        nested = uble_of_uble(t, m, n)
+        assert _power_data(nested) == _power_data(dense_nuble(dense_nuble(t, m), n))
+        assert _fraction_halves(nested)
+
+
+def test_power_of_halves_stored_in_ints_is_stored_in_fractions():
+    hyp = hyperbolic_triple()
+    t = ManinTriple(hyp.algebra, Subspace(2, ({0: 1},)), Subspace(2, ({1: 1},)), name=hyp.name)
+    for n in (1, 2, 3):
+        assert _fraction_halves(nuble(t, n))
+        assert _power_data(nuble(t, n)) == _power_data(nuble(hyp, n))
 
 
 def test_nested_power_is_power_of_power():
@@ -240,6 +276,50 @@ def test_snake_certificate_needs_no_dense_matrix_product(monkeypatch):
     monkeypatch.setattr(maninforge.core, "mat_mul", refuse)
     assert verify_snake_iso(d3, 2, 2).passed
     assert verify_snake_iso(d2, 3, 3).passed
+
+
+def test_snake_certificate_eliminates_only_the_two_half_images(monkeypatch):
+    """Work-count guard: the powers' halves are built canonical (the lemma in
+    `nuble`), so certifying the snake row-reduces only the images of the two
+    halves; it ran 8 eliminations when the powers reduced their halves."""
+    d2 = triple_double(special_linear_data(2))
+    calls = []
+    eliminate = maninforge.core._gauss_jordan
+
+    def counted(rows):
+        calls.append(1)
+        return eliminate(rows)
+
+    for module in (maninforge.core, maninforge.homlie, maninforge.rmatrix):
+        monkeypatch.setattr(module, "_gauss_jordan", counted)
+    assert verify_snake_iso(d2, 2, 4).passed
+    assert len(calls) == 2
+
+
+def test_permutation_columns_are_applied_without_building_a_fraction(monkeypatch):
+    """A permutation's columns relabel a Fraction vector: the image holds the
+    same Fraction objects under the new keys, and no Fraction is built."""
+    rng = random.Random("relabel")
+    p = snake_permutation(3, 3)
+    cols = p.columns(4)
+    rows = [
+        {c: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for c in rng.sample(range(36), k)}
+        for k in (1, 2, 3, 36)
+    ]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    images = [_apply_columns(cols, row) for row in rows]
+    monkeypatch.undo()
+    assert built == []
+    for row, image in zip(rows, images):
+        assert list(image) == [p(c // 4) * 4 + c % 4 for c in row]
+        assert all(image[p(c // 4) * 4 + c % 4] is x for c, x in row.items())
 
 
 # ---------------------------------------------------------------------------
