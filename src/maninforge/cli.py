@@ -245,6 +245,8 @@ def _cmd_leafmap(args, inputs: _Inputs, started: float) -> int:
     k = args.rank
     if k < 2:
         raise CliError("--rank must be at least 2")
+    if args.n < 1:
+        raise CliError("--n must be at least 1")
     u = _parse_weyl_words(k, args.n, args.u, "-u")
     v = _parse_weyl_words(k, args.n, args.v, "-v")
     w = _parse_weyl_word(k, args.w)

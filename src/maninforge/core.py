@@ -96,10 +96,6 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def matrix(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
     """Build an exact matrix from any nested sequence of scalars."""
     return tuple(vector(row) for row in rows)
@@ -197,6 +193,14 @@ def _columns_shape_error(cols: Sequence, n_rows: int, n_cols: int) -> str | None
             if type(x) is not Fraction and type(x) is not int:
                 return f"column {c} has entry {x!r} at row {r}, not an int or a Fraction"
     return None
+
+
+def _square_columns(cols: Sequence, n: int, what: str) -> Sequence:
+    """cols itself, after checking that they are the sparse vectors of an n x n matrix."""
+    problem = _columns_shape_error(cols, n, n)
+    if problem:
+        raise ValueError(f"{what} must be {n}x{n} as sparse vectors: {problem}")
+    return cols
 
 
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Matrix, ONE, Permutation, ZERO, determinant, inverse, mat_mul, matrix
+from .core import Matrix, ONE, Permutation, ZERO, determinant, identity_matrix, inverse, mat_mul, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,7 @@ class GroupElement:
 
 
 def group_identity(k: int) -> GroupElement:
-    return GroupElement(tuple(
-        tuple(ONE if i == j else ZERO for j in range(k)) for i in range(k)
-    ))
+    return GroupElement(identity_matrix(k))
 
 
 def w0_matrix(k: int) -> GroupElement:

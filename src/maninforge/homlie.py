@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Container, Mapping, Sequence
+from typing import Callable, Container, Mapping, Sequence
 
 from .core import (
     Matrix,
@@ -19,24 +19,20 @@ from .core import (
     _common_denominator,
     _dense_vector,
     _dimension,
-    _exact,
     _gauss_jordan,
     _images_outside,
     _null_rows,
     _numerators,
     _sparse,
     _square,
+    _square_columns,
     _transpose_sparse,
     _unit_columns,
-    identity_matrix,
-    mat_mul,
     mat_vec,
     matrix,
-    matrix_rank,
     rational,
     sparse_columns,
     transpose,
-    vec_sub,
 )
 from .reporting import CheckReport, Failure, failure, render_residual
 
@@ -114,9 +110,8 @@ class HomLieAlgebra:
         self.phi_columns = tuple(self.phi_columns)
         self.form_rows = None if self.form_rows is None else tuple(self.form_rows)
         for what, vectors in (("phi", self.phi_columns), ("form", self.form_rows)):
-            problem = vectors is not None and _columns_shape_error(vectors, self.dim, self.dim)
-            if problem:
-                raise ValueError(f"{what} must be {self.dim}x{self.dim} as sparse vectors: {problem}")
+            if vectors is not None:
+                _square_columns(vectors, self.dim, what)
         for vector, position, vectors in (
             ("phi column", "row", self.phi_columns),
             ("form row", "column", self.form_rows or ()),
@@ -360,9 +355,17 @@ def _dense(h: HomLieAlgebra, xs: Mapping[int, Fraction]) -> Vector:
     return _dense_vector(xs, h.dim)
 
 
+def _difference(xs: Mapping, ys: Mapping) -> dict:
+    """Sparse xs - ys, the entries that cancel dropped."""
+    out = dict(xs)
+    for k, v in ys.items():
+        _accumulate(out, k, -v)
+    return out
+
+
 def _residual(h: HomLieAlgebra, lhs: dict[int, Fraction], rhs: dict[int, Fraction]) -> Vector:
     """Dense lhs - rhs, for the failure report of an identity that did not hold."""
-    return vec_sub(_dense(h, lhs), _dense(h, rhs))
+    return _dense(h, _difference(lhs, rhs))
 
 
 def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
@@ -486,21 +489,22 @@ def check_homomorphism(f: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomL
 class LinearRep:
     """Linear data of a representation: rho maps each basis element of the algebra
     to an endomorphism of a target space, intertwined by the target twist alpha.
-    Every rho matrix and alpha must be target_dim x target_dim tuples of row
-    tuples of exact entries; `of` builds them from any nested sequences."""
+    Every map is stored as its target_dim sparse columns, {row: entry} per
+    column as in `HomLieAlgebra.phi_columns`: rho is a tuple of column tuples
+    and alpha a column tuple.  `of` builds them from dense nested sequences."""
 
     target_dim: int
-    rho: tuple[Matrix, ...]
-    alpha: Matrix
+    rho: tuple[tuple[dict[int, Fraction], ...], ...]
+    alpha: tuple[dict[int, Fraction], ...]
 
     def __post_init__(self) -> None:
         _dimension(self.target_dim, "target_dim")
         if type(self.rho) is not tuple:
-            raise ValueError(f"rho must be a tuple of matrices, got {self.rho!r}")
-        for what, m in (*((f"rho[{i}]", m) for i, m in enumerate(self.rho)), ("alpha", self.alpha)):
-            if type(m) is not tuple or any(type(row) is not tuple for row in m):
-                raise ValueError(f"{what} must be a tuple of row tuples, got {m!r}")
-            _exact(_square(m, self.target_dim, what))
+            raise ValueError(f"rho must be a tuple of column tuples, got {self.rho!r}")
+        for what, cols in (*((f"rho[{i}]", m) for i, m in enumerate(self.rho)), ("alpha", self.alpha)):
+            if type(cols) is not tuple:
+                raise ValueError(f"{what} must be a tuple of sparse columns, got {cols!r}")
+            _square_columns(cols, self.target_dim, what)
 
     @classmethod
     def of(
@@ -509,58 +513,52 @@ class LinearRep:
         rho: Sequence[Sequence[Sequence[int | str | Fraction]]],
         alpha: Sequence[Sequence[int | str | Fraction]] | None = None,
     ) -> LinearRep:
-        """Build from nested sequences; the constructor checks the shapes."""
-        _dimension(target_dim, "target_dim")
-        alpha_matrix = identity_matrix(target_dim) if alpha is None else matrix(alpha)
-        return cls(target_dim, tuple(map(matrix, rho)), alpha_matrix)
-
-    def rho_of(self, x: Vector) -> Matrix:
-        """rho extended linearly to an arbitrary algebra element."""
-        out = [[ZERO] * self.target_dim for _ in range(self.target_dim)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for r, row in enumerate(self.rho[i]):
-                for c, v in enumerate(row):
-                    if v != 0:
-                        out[r][c] += xi * v
-        return tuple(tuple(row) for row in out)
+        """Build from dense target_dim x target_dim matrices, alpha the identity
+        when not given."""
+        n = _dimension(target_dim, "target_dim")
+        columns = lambda m, what: tuple(sparse_columns(_square(matrix(m), n, what)))
+        alpha_columns = _unit_columns(n) if alpha is None else columns(alpha, "alpha")
+        return cls(n, tuple(columns(m, f"rho[{i}]") for i, m in enumerate(rho)), alpha_columns)
 
 
 def adjoint_representation(h: HomLieAlgebra) -> LinearRep:
-    """The algebra acting on itself by ad_x(y) = [x, y], twisted by its own phi."""
-    mats = []
-    for i in range(h.dim):
-        cols = [h.bracket_basis(i, j) for j in range(h.dim)]
-        mats.append(tuple(tuple(cols[j].get(r, ZERO) for j in range(h.dim)) for r in range(h.dim)))
-    return LinearRep(h.dim, tuple(mats), h.phi)
+    """The algebra acting on itself by ad_x(y) = [x, y], twisted by its own phi:
+    column j of ad_i is [b_i, b_j]."""
+    rho = tuple(tuple(h.bracket_basis(i, j) for j in range(h.dim)) for i in range(h.dim))
+    return LinearRep(h.dim, rho, h.phi_columns)
 
 
-def _require_rho_count(h: HomLieAlgebra, rep: LinearRep) -> None:
+def _compose(a: Sequence[Mapping], b: Sequence[Mapping]) -> list[dict]:
+    """The sparse columns of a . b, for maps given by their sparse columns."""
+    return [_apply_columns(a, col) for col in b]
+
+
+def _extend_rho(h: HomLieAlgebra, rep: LinearRep) -> Callable[[Mapping[int, Fraction]], list[dict]]:
+    """rho extended linearly, v -> sum v_i rho_i as sparse columns, after
+    checking that there is one rho map per basis element: column c of rho(v)
+    is v applied to the family (column c of rho_i)_i."""
     if len(rep.rho) != h.dim:
         raise ValueError(
             f"representation needs {h.dim} rho matrices, one per basis element, got {len(rep.rho)}"
         )
+    families = [[m[c] for m in rep.rho] for c in range(rep.target_dim)]
+    return lambda v: [_apply_columns(family, v) for family in families]
 
 
 def check_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
     """Representation axioms: rho(phi x) alpha = alpha rho(x), and
     rho([x,y]) alpha = rho(phi x) rho(y) - rho(phi y) rho(x)."""
-    _require_rho_count(h, rep)
+    rho_at, rho, alpha = _extend_rho(h, rep), rep.rho, rep.alpha
     failures = []
-    rho_phi = [rep.rho_of(_dense(h, column)) for column in h.phi_columns]
+    rho_phi = [rho_at(column) for column in h.phi_columns]
     for i in range(h.dim):
-        lhs = mat_mul(rho_phi[i], rep.alpha)
-        rhs = mat_mul(rep.alpha, rep.rho[i])
-        if lhs != rhs:
+        if _compose(rho_phi[i], alpha) != _compose(alpha, rho[i]):
             failures.append(failure("intertwine", (i,)))
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
-            lhs = mat_mul(rep.rho_of(_dense(h, h.bracket_basis(i, j))), rep.alpha)
-            rhs_mat = mat_mul(rho_phi[i], rep.rho[j])
-            neg = mat_mul(rho_phi[j], rep.rho[i])
-            rhs = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(rhs_mat, neg))
-            if lhs != rhs:
+            lhs = _compose(rho_at(h.bracket_basis(i, j)), alpha)
+            rhs = map(_difference, _compose(rho_phi[i], rho[j]), _compose(rho_phi[j], rho[i]))
+            if lhs != list(rhs):
                 failures.append(failure("bracket_action", (i, j)))
     return CheckReport("representation", failures)
 
@@ -568,27 +566,23 @@ def check_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
 def check_admissible_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
     """Dual-representation conditions: alpha rho(phi x) = rho(x) alpha, and
     alpha rho([x,y]) = rho(x) rho(phi y) - rho(y) rho(phi x). Needs invertible alpha."""
-    _require_rho_count(h, rep)
-    if matrix_rank(rep.alpha) < rep.target_dim:
+    rho_at, rho, alpha = _extend_rho(h, rep), rep.rho, rep.alpha
+    if len(_gauss_jordan(alpha)) < rep.target_dim:
         return CheckReport(
             "admissible_representation",
             applicable=False,
             reason="alpha is singular; the dual-side conditions are undefined",
         )
     failures = []
-    rho_phi = [rep.rho_of(_dense(h, column)) for column in h.phi_columns]
+    rho_phi = [rho_at(column) for column in h.phi_columns]
     for i in range(h.dim):
-        lhs = mat_mul(rep.alpha, rho_phi[i])
-        rhs = mat_mul(rep.rho[i], rep.alpha)
-        if lhs != rhs:
+        if _compose(alpha, rho_phi[i]) != _compose(rho[i], alpha):
             failures.append(failure("dual_intertwine", (i,)))
     for i in range(h.dim):
         for j in range(i + 1, h.dim):
-            lhs = mat_mul(rep.alpha, rep.rho_of(_dense(h, h.bracket_basis(i, j))))
-            pos = mat_mul(rep.rho[i], rho_phi[j])
-            neg = mat_mul(rep.rho[j], rho_phi[i])
-            rhs = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(pos, neg))
-            if lhs != rhs:
+            lhs = _compose(alpha, rho_at(h.bracket_basis(i, j)))
+            rhs = map(_difference, _compose(rho[i], rho_phi[j]), _compose(rho[j], rho_phi[i]))
+            if lhs != list(rhs):
                 failures.append(failure("dual_bracket_action", (i, j)))
     return CheckReport("admissible_representation", failures)
 
@@ -601,12 +595,8 @@ def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
     combinations of [defect_i, b_m] through the coordinates of [phi b_j, b_k]."""
     failures = []
     d, phi_cols = h.dim, h.phi_columns
-    defect_cols = []  # coordinates of (Id - phi^2) b_i
-    for i in range(d):
-        defect = {i: ONE}
-        for a, v in _apply_columns(phi_cols, phi_cols[i]).items():
-            _accumulate(defect, a, -v)
-        defect_cols.append(defect)
+    # coordinates of (Id - phi^2) b_i
+    defect_cols = [_difference({i: ONE}, _apply_columns(phi_cols, col)) for i, col in enumerate(phi_cols)]
     pairs = _pair_brackets(h, [*defect_cols, *phi_cols, *_unit_columns(d)])
     for i in range(d):
         if not defect_cols[i]:
@@ -653,9 +643,8 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
         failures.append(failure("nondegenerate", None, _dense(h, v)))
     if not h.untwisted:
         phi_cols, units = h.phi_columns, _unit_columns(h.dim)
-        twist = _pairings(g_rows, phi_cols, units)  # <phi b_i, b_j> - <b_i, phi b_j>
-        for index, value in _pairings(g_rows, units, phi_cols).items():
-            _accumulate(twist, index, -value)
+        # <phi b_i, b_j> - <b_i, phi b_j>
+        twist = _difference(_pairings(g_rows, phi_cols, units), _pairings(g_rows, units, phi_cols))
         failures += [failure("twist_self_adjoint", index, value) for index, value in twist.items()]
     # Residual <[b_i,b_j],b_k> - <b_i,[b_j,b_k]>, accumulated from each bracket
     # key (a, b) in both orders, in the left slot through row c of the form and

@@ -8,7 +8,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import (
-    Matrix,
     SparseTensor,
     Subspace,
     Vector,
@@ -18,11 +17,9 @@ from .core import (
     _null_space,
     _orthogonal_complement,
     _sparse,
-    _square,
+    _square_columns,
+    _transpose_sparse,
     annihilator,
-    mat_vec,
-    matrix,
-    sparse_columns,
 )
 from .homlie import HomLieAlgebra, LinearRep, _brackets_outside, _twist_outside
 from .manin import ManinTriple, _form_rows
@@ -34,9 +31,9 @@ def stabilizer_at(rep: LinearRep, point: Vector) -> Subspace:
     """Subalgebra of algebra elements whose action kills the point."""
     if len(_exact_vector(point, "point")) != rep.target_dim:
         raise ValueError("point dimension mismatch")
-    columns = [mat_vec(m, point) for m in rep.rho]
-    rows = [{i: col[r] for i, col in enumerate(columns) if col[r]} for r in range(rep.target_dim)]
-    return _null_space(rows, len(rep.rho))
+    xs = _sparse(point)
+    images = [_apply_columns(m, xs) for m in rep.rho]
+    return _null_space(_transpose_sparse(images, rep.target_dim), len(rep.rho))
 
 
 def _require_ambient(q: Subspace, dim: int) -> None:
@@ -50,10 +47,11 @@ def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
     return not _brackets_outside(h, q.echelon, q)
 
 
-def check_phi_stable(q: Subspace, phi: Matrix) -> bool:
-    """Stability of a subspace under an endomorphism."""
-    _require_ambient(q, len(phi))
-    return not _images_outside(sparse_columns(_square(matrix(phi), q.ambient_dim, "phi")), q, q)
+def check_phi_stable(q: Subspace, phi_columns: Sequence[Mapping[int, Fraction]]) -> bool:
+    """Stability of a subspace under the endomorphism with sparse columns
+    phi_columns, the format of `HomLieAlgebra.phi_columns`."""
+    _require_ambient(q, len(phi_columns))
+    return not _images_outside(_square_columns(phi_columns, q.ambient_dim, "phi"), q, q)
 
 
 def _twist_stable(h: HomLieAlgebra, q: Subspace) -> bool:
@@ -74,11 +72,12 @@ def check_coisotropy(t: ManinTriple, q: Subspace) -> bool:
     return _coisotropic(t.algebra, q, _form_rows(t))
 
 
-def check_coisotropy_form(h: HomLieAlgebra, q: Subspace, form: Matrix) -> bool:
-    """Coisotropy with respect to a chosen pairing: with c the pairing-complement
-    of q, require [c, c] inside q."""
+def check_coisotropy_form(h: HomLieAlgebra, q: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> bool:
+    """Coisotropy with respect to a chosen pairing, given by its sparse rows as
+    in `HomLieAlgebra.form_rows`: with c the pairing-complement of q, require
+    [c, c] inside q."""
     _require_ambient(q, h.dim)
-    return _coisotropic(h, q, [_sparse(row) for row in _square(matrix(form), h.dim, "form")])
+    return _coisotropic(h, q, _square_columns(form_rows, h.dim, "form"))
 
 
 def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
@@ -97,18 +96,18 @@ def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace
 
 
 def stabilizer_report(
-    h: HomLieAlgebra, s: SparseTensor | None, q: Subspace, form: Matrix | None = None
+    h: HomLieAlgebra, s: SparseTensor | None, q: Subspace, form_rows: Sequence[Mapping] | None = None
 ) -> CheckReport:
     """Bundle of the subalgebra conditions for one subspace: twist stability,
-    coisotropy when a pairing is available, and the two sharp-image conditions
-    when a symmetric part is supplied."""
+    coisotropy when a pairing (sparse rows, as in `HomLieAlgebra.form_rows`) is
+    supplied, and the two sharp-image conditions when a symmetric part is."""
     _require_ambient(q, h.dim)
     failures = []
     if not _twist_stable(h, q):
         failures.append(failure("twist_stable"))
     if not is_subalgebra(h, q):
         failures.append(failure("subalgebra"))
-    if form is not None and not check_coisotropy_form(h, q, form):
+    if form_rows is not None and not check_coisotropy_form(h, q, form_rows):
         failures.append(failure("coisotropic"))
     if s is not None:
         if not check_s_sharp_condition(h, s, q):

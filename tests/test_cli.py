@@ -385,7 +385,7 @@ def test_stabilizer_reports_each_condition(capsys, monkeypatch):
 
     q = Subspace.span(4, [tuple(map(int, row)) for row in q_rows])
     expect_coiso = check_coisotropy(triple, q)
-    expect_stable = check_phi_stable(q, triple.algebra.phi)
+    expect_stable = check_phi_stable(q, triple.algebra.phi_columns)
     assert f"coisotropic: {str(expect_coiso).lower()}" in out
     assert f"twist_stable: {str(expect_stable).lower()}" in out
     assert code == (0 if expect_coiso and expect_stable else 1)
@@ -466,6 +466,18 @@ def test_leafmap_word_count_error(capsys):
     )
     assert code == 2
     assert "exactly 2 words" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_leafmap_word_count_below_one_is_a_usage_error(capsys, n):
+    """--n 0 used to report "-u needs exactly 0 words", and --n -1 "exactly -1 words"."""
+    code, out, err = invoke(
+        capsys,
+        ["leafmap", "--rank", "3", "--n", n, "-u", "e", "-v", "e", "-w", "e"],
+    )
+    assert (code, out) == (2, "")
+    assert "--n must be at least 1" in err
+    assert "words" not in err
 
 
 def test_leafmap_malformed_word(capsys):

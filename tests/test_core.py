@@ -56,8 +56,7 @@ from maninforge.core import (
     wedge_t2_v1_into,
 )
 from maninforge.flagleaf import GroupElement
-from maninforge.homlie import HomLieAlgebra
-from maninforge.stabilizer import check_phi_stable
+from maninforge.homlie import HomLieAlgebra, LinearRep
 from maninforge.polyuble import snake_permutation
 
 
@@ -83,14 +82,15 @@ def test_rational_accepts_ints_strings_fractions():
         lambda: Subspace.span(2, [[1, 0.5]]),
         lambda: GroupElement.of([[1, 0.5], [0, 1]]),
         lambda: SparseTensor.from_entries(2, 2, {(0, 0): 1}).apply_per_slot([[[0.1, 0], [0, 1]], identity_matrix(2)]),
-        lambda: check_phi_stable(Subspace.span(2, [[1, 0]]), [[0.1, 0], [0.3, 1]]),
+        lambda: LinearRep.of(2, [[[0.1, 0], [0.3, 1]]]),
     ],
 )
 def test_floats_are_refused_with_a_hint(build):
     """A float's binary value is rarely the rational meant: 0.1 used to become
     3602879701896397/36028797018963968 without a word.  A float map used to
     leave a float entry in the image of `apply_per_slot`, and make
-    `check_phi_stable` answer False."""
+    `check_phi_stable` answer False; that check now takes sparse columns,
+    which refuse a float as a shape error (test_stabilizer)."""
     with pytest.raises(ValueError, match="is not exact; write it as a string like '1/10' or as a Fraction"):
         build()
 

@@ -445,8 +445,8 @@ def test_stabilizer_conditions_match_the_dense_references_under_hostile_denomina
         twisted = [dense_mat_vec(h.phi, v) for v in q.rows]
         outcomes = [
             ("subalgebra", is_subalgebra(h, q), dense_brackets_in(h, q.rows, q)),
-            ("coisotropic", check_coisotropy_form(h, q, form), dense_brackets_in(h, complement, q)),
-            ("twist_stable", check_phi_stable(q, h.phi), all(dense_contains(q, w) for w in twisted)),
+            ("coisotropic", check_coisotropy_form(h, q, h.form_rows), dense_brackets_in(h, complement, q)),
+            ("twist_stable", check_phi_stable(q, h.phi_columns), all(dense_contains(q, w) for w in twisted)),
         ]
         for s in tensors:
             images = [dense_mat_vec(dense_sharp_matrix(h, s), xi) for xi in annihilator(q).rows]

@@ -300,8 +300,8 @@ def test_adjoint_matrices_encode_brackets():
     h = sl2_twisted()
     rep = adjoint_representation(h)
     # ad_{e0} scales the root vectors by -2 and 2.
-    assert rep.rho[0] == matrix([[0, 0, 0], [0, -2, 0], [0, 0, 2]])
-    assert rep.alpha == h.phi
+    assert rep.rho[0] == ({}, {1: -2}, {2: 2})
+    assert rep.alpha == h.phi_columns
 
 
 def test_adjoint_is_a_representation_both_twists():
@@ -314,7 +314,7 @@ def test_adjoint_is_a_representation_both_twists():
 def test_wrong_alpha_breaks_intertwining():
     h = sl2_twisted()
     rep = adjoint_representation(h)
-    wrong = LinearRep(rep.target_dim, rep.rho, identity_matrix(3))
+    wrong = LinearRep(rep.target_dim, rep.rho, _unit_columns(3))
     report = check_representation(h, wrong)
     assert not report.passed
     assert any(f.check == "intertwine" for f in report.failures)
@@ -338,10 +338,10 @@ def test_representation_shapes_checked():
         with pytest.raises(ValueError, match="needs 3 rho matrices"):
             check(h, short)
     with pytest.raises(ValueError, match="alpha must be 3x3"):
-        LinearRep.of(3, rep.rho, alpha=[[1]])
+        LinearRep.of(3, [[[0] * 3] * 3] * 3, alpha=[[1]])
 
 
-I2 = ((1, 0), (0, 1))
+I2 = ({0: 1}, {1: 1})
 
 
 @pytest.mark.parametrize(
@@ -349,19 +349,19 @@ I2 = ((1, 0), (0, 1))
     [
         ((-1, (), ()), "target_dim must be a non-negative int, got -1"),
         ((True, (), ()), "target_dim must be a non-negative int, got True"),
-        ((2, ((1, 2),), "x"), r"rho\[0\] must be a tuple of row tuples, got \(1, 2\)"),
-        ((2, (I2,), "x"), "alpha must be a tuple of row tuples, got 'x'"),
-        ((2, [I2], I2), "rho must be a tuple of matrices"),
-        ((2, (I2, ((1, 0),)), I2), r"rho\[1\] must be 2x2, got 1 rows of lengths \[2\]"),
-        ((2, (I2,), ((1, 0), (0,))), r"alpha must be 2x2, got 2 rows of lengths \[1, 2\]"),
-        ((2, (((1, 0), (0, 1.5)),), I2), r"matrix entry \(1, 1\) is 1.5, not an int or a Fraction"),
+        ((2, ((1, 2),), "x"), r"rho\[0\] must be 2x2 as sparse vectors: column 0 is a int, not a mapping"),
+        ((2, (I2,), "x"), "alpha must be a tuple of sparse columns, got 'x'"),
+        ((2, [I2], I2), "rho must be a tuple of column tuples"),
+        ((2, (I2, ({0: 1},)), I2), r"rho\[1\] must be 2x2 as sparse vectors: got 1 columns"),
+        ((2, (I2,), ({0: 1}, {2: 1})), r"alpha must be 2x2 as sparse vectors: column 1 has row index 2 outside range\(2\)"),
+        ((2, (({0: 1}, {1: 1.5}),), I2), r"rho\[0\] must be 2x2 as sparse vectors: column 1 has entry 1.5 at row 1"),
     ],
     ids=["negative dim", "bool dim", "row as rho", "string alpha", "list rho", "short rho", "ragged alpha", "float"],
 )
 def test_linear_rep_constructor_checks_shapes(args, match):
-    """The positional constructor stored every one of these: a negative
-    target_dim, a rho matrix that is a row, a string alpha, ragged or short
-    matrices and a float entry."""
+    """The positional constructor once stored every one of these: a negative
+    target_dim, a rho map that is a row, a string alpha, a short map, a row
+    index outside the target and a float entry."""
     with pytest.raises(ValueError, match=match):
         LinearRep(*args)
 

@@ -11,20 +11,31 @@ import pytest
 import maninforge.core
 import maninforge.homlie
 
+import maninforge.stabilizer
+
 from helpers import (
     SL2_FORM,
     dense_brackets_in,
+    dense_check_admissible_representation,
+    dense_check_representation,
     dense_contains,
     dense_mat_vec,
+    dense_of_columns,
+    dense_rep,
     dense_sharp_matrix,
+    dense_stabilizer_at,
     dense_vec_dot,
+    rand_fraction,
     rand_subspace,
     rand_tensor,
 )
 from maninforge.core import (
     Subspace,
+    _apply_columns,
+    _dense_vector,
     _orthogonal_complement,
     _sparse,
+    _unit_columns,
     annihilator,
     identity_matrix,
     inverse,
@@ -40,6 +51,7 @@ from maninforge.homlie import (
     HomLieAlgebra,
     LinearRep,
     adjoint_representation,
+    check_admissible_representation,
     check_representation,
     direct_sum,
 )
@@ -84,9 +96,9 @@ def test_action_construction_validation():
 def test_adjoint_representation_matches_bracket():
     h = sl2_lie()
     rep = adjoint_representation(h)
-    x = (Fraction(1), Fraction(-2), Fraction(3))
     y = (Fraction(0), Fraction(1), Fraction(1))
-    assert mat_vec(rep.rho_of(x), y) == h.bracket(x, y)
+    for i in range(3):
+        assert _dense_vector(_apply_columns(rep.rho[i], _sparse(y)), 3) == h.bracket(unit_vector(3, i), y)
     assert check_representation(h, rep).passed
 
 
@@ -175,7 +187,7 @@ def test_stabilizer_equivariance_under_nilpotent_flow():
     the stabilizer of the moved point is the moved stabilizer."""
     h = sl2_lie()
     rep = adjoint_representation(h)
-    ad_top = rep.rho[2]
+    ad_top = dense_of_columns(rep.rho[2], 3)
     g = identity_matrix(3)
     term = identity_matrix(3)
     fact = 1
@@ -204,7 +216,7 @@ def test_is_subalgebra():
 
 
 def test_phi_stability():
-    phi = sl2_twisted().phi
+    phi = sl2_twisted().phi_columns
     assert check_phi_stable(Subspace.span(3, [[0, 0, 1]]), phi)
     # a line sent to its own negative is still stable
     assert check_phi_stable(Subspace.span(3, [[0, 1, 1]]), phi)
@@ -247,7 +259,7 @@ def test_coisotropy_wrappers_agree():
         q = Subspace.span(
             6, [[rng.randint(-3, 3) for _ in range(6)] for _ in range(rng.randint(0, 6))]
         )
-        assert check_coisotropy(dbl, q) == check_coisotropy_form(dbl.algebra, q, dbl.form)
+        assert check_coisotropy(dbl, q) == check_coisotropy_form(dbl.algebra, q, dbl.algebra.form_rows)
 
 
 def test_coisotropy_checks_ambient_dimension():
@@ -340,7 +352,7 @@ def test_report_passes_for_the_worked_plane():
 
 def test_report_names_each_failed_condition():
     h = sl2_twisted()
-    report = stabilizer_report(h, worked_s(), Subspace.zero(3), form=identity_matrix(3))
+    report = stabilizer_report(h, worked_s(), Subspace.zero(3), form_rows=_unit_columns(3))
     checks = [f.check for f in report.failures]
     assert "sharp_image" in checks
     assert "sharp_brackets" in checks
@@ -354,20 +366,40 @@ def test_report_names_each_failed_condition():
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3)])
 def test_form_of_the_wrong_shape_gets_the_constructors_message(shape):
-    """A wrong-shape form used to get the generic message of a dense product."""
+    """A wrong-shape form, as sparse rows, gets the message of the algebra's
+    constructor; it once got the generic message of a dense product."""
     h = sl2_twisted()
-    form = [[1] * shape[1] for _ in range(shape[0])]
+    form_rows = [{j: 1 for j in range(shape[1])} for _ in range(shape[0])]
     with pytest.raises(ValueError) as expected:
-        HomLieAlgebra.unchecked(3, {}, form=form)
-    assert str(expected.value).startswith("form must be 3x3, got")
+        HomLieAlgebra(3, {}, _unit_columns(3), form_rows)
+    assert str(expected.value).startswith("form must be 3x3 as sparse vectors: ")
     q = Subspace.span(3, [[1, 0, 0]])
     for check in (
-        lambda: stabilizer_report(h, None, q, form=form),
-        lambda: check_coisotropy_form(h, q, form),
+        lambda: stabilizer_report(h, None, q, form_rows=form_rows),
+        lambda: check_coisotropy_form(h, q, form_rows),
     ):
         with pytest.raises(ValueError) as raised:
             check()
         assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("entry", [0.5, "1/2", True])
+def test_twist_and_form_entries_must_be_exact(entry):
+    """A sparse twist or form refuses an entry that is not an int or a Fraction,
+    as the algebra's constructor does; a dense float twist once made
+    `check_phi_stable` answer False."""
+    h, q = sl2_twisted(), Subspace.span(3, [[1, 0, 0]])
+    vectors = ({0: entry}, {1: 1}, {2: 1})
+    message = rf"must be 3x3 as sparse vectors: column 0 has entry {re.escape(repr(entry))} at row 0"
+    for what, check in (
+        ("phi", lambda: check_phi_stable(q, vectors)),
+        ("form", lambda: check_coisotropy_form(h, q, vectors)),
+        ("form", lambda: stabilizer_report(h, None, q, vectors)),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} {message}"):
+            check()
+    with pytest.raises(ValueError, match="^phi must be 3x3 as sparse vectors: column 1 has row index 3 outside range"):
+        check_phi_stable(q, ({0: 1}, {3: 1}, {2: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +407,12 @@ def test_form_of_the_wrong_shape_gets_the_constructors_message(shape):
 
 ENTRY_POINTS = {
     "is_subalgebra": lambda t, s, q: is_subalgebra(t.algebra, q),
-    "check_phi_stable": lambda t, s, q: check_phi_stable(q, t.algebra.phi),
+    "check_phi_stable": lambda t, s, q: check_phi_stable(q, t.algebra.phi_columns),
     "check_coisotropy": lambda t, s, q: check_coisotropy(t, q),
-    "check_coisotropy_form": lambda t, s, q: check_coisotropy_form(t.algebra, q, t.form),
+    "check_coisotropy_form": lambda t, s, q: check_coisotropy_form(t.algebra, q, t.algebra.form_rows),
     "check_s_sharp_condition": lambda t, s, q: check_s_sharp_condition(t.algebra, s, q),
     "check_bracket_sharp_condition": lambda t, s, q: check_bracket_sharp_condition(t.algebra, s, q),
-    "stabilizer_report": lambda t, s, q: stabilizer_report(t.algebra, s, q, t.form),
+    "stabilizer_report": lambda t, s, q: stabilizer_report(t.algebra, s, q, t.algebra.form_rows),
 }
 
 
@@ -426,7 +458,7 @@ def test_bracket_conditions_match_the_dense_reference():
                 ("subalgebra", is_subalgebra(h, q), dense_brackets_in(h, q.rows, q)),
                 (
                     "coisotropic",
-                    check_coisotropy_form(h, q, form),
+                    check_coisotropy_form(h, q, h.form_rows),
                     dense_brackets_in(h, _orthogonal_complement(q, [_sparse(row) for row in form]).rows, q),
                 ),
             ]
@@ -451,7 +483,7 @@ def test_twist_and_image_conditions_match_the_dense_reference():
         tensors = (SparseTensor.from_matrix(inverse(form)), (raw + raw.swap()).scale(Fraction(1, 2)))
         for q in spaces:
             dense_stable = all(dense_contains(q, dense_mat_vec(h.phi, row)) for row in q.rows)
-            outcomes = [("twist_stable", check_phi_stable(q, h.phi), dense_stable)]
+            outcomes = [("twist_stable", check_phi_stable(q, h.phi_columns), dense_stable)]
             for s in tensors:
                 sharp = dense_sharp_matrix(h, s)
                 dense_image = all(dense_contains(q, dense_mat_vec(sharp, xi)) for xi in annihilator(q).rows)
@@ -460,3 +492,101 @@ def test_twist_and_image_conditions_match_the_dense_reference():
                 assert fast == dense, (name, q.rows, check)
                 seen[check].add(fast)
     assert all(values == {True, False} for values in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# Sparse columns against the frozen dense references
+
+
+def representation_cases():
+    """(name, algebra, representation): the adjoint representations of sl2,
+    twisted sl2, D2 and D3, the defining representation of sl2 and its
+    root-swapped breakage, a singular alpha, and seeded one-entry
+    perturbations of rho and of alpha (a new entry, zero included) under
+    both twists."""
+    sl2, twisted = sl2_lie(), sl2_twisted()
+    cases = [
+        (name, h, adjoint_representation(h))
+        for name, h in (
+            ("sl2", sl2),
+            ("twisted sl2", twisted),
+            ("D2", triple_double(special_linear_data(2)).algebra),
+            ("D3", triple_double(special_linear_data(3)).algebra),
+        )
+    ]
+    cases += [
+        ("defining", sl2, LinearRep.of(2, DEFINING_MATRICES)),
+        ("root-swapped", sl2, LinearRep.of(2, (DEFINING_MATRICES[0], DEFINING_MATRICES[2], DEFINING_MATRICES[1]))),
+        ("singular alpha", sl2, LinearRep(3, adjoint_representation(sl2).rho, ({0: 1}, {}, {2: Fraction(1, 2)}))),
+    ]
+    rng = random.Random(127)
+    for name, h in (("sl2", sl2), ("twisted sl2", twisted)):
+        rep = adjoint_representation(h)
+        for k in range(16):
+            maps = [*rep.rho, rep.alpha]
+            m = len(rep.rho) if k % 2 else rng.randrange(len(rep.rho))
+            r, c = rng.randrange(h.dim), rng.randrange(h.dim)
+            column = {**maps[m][c], r: rand_fraction(rng, -2, 2)}
+            maps[m] = maps[m][:c] + (column,) + maps[m][c + 1 :]
+            what = "alpha" if m == len(rep.rho) else f"rho[{m}]"
+            cases.append((f"{name}, {what} entry ({r}, {c}) perturbed", h, LinearRep(h.dim, tuple(maps[:-1]), maps[-1])))
+    return cases
+
+
+def test_representation_checks_match_the_dense_references():
+    """Both representation checks on sparse columns give the reports of the
+    dense `mat_mul` references, failures, indices and inapplicability alike."""
+    verdicts = set()
+    for name, h, rep in representation_cases():
+        dense = dense_rep(rep)
+        for check, reference in (
+            (check_representation, dense_check_representation),
+            (check_admissible_representation, dense_check_admissible_representation),
+        ):
+            report = check(h, rep)
+            assert report.to_json() == reference(h, dense).to_json(), (name, check.__name__)
+            verdicts.add(report.verdict)
+    assert verdicts == {"pass", "fail", "inapplicable"}
+
+
+def test_stabilizers_match_the_dense_reference():
+    """`stabilizer_at` on sparse columns spans the subspace of the dense
+    `mat_vec` reference at seeded points, zero entries and the origin included."""
+    rng = random.Random(131)
+    dims = set()
+    for name, h, rep in representation_cases():
+        dense = dense_rep(rep)
+        points = [(0,) * rep.target_dim] + [
+            tuple(rand_fraction(rng) if rng.randrange(3) else 0 for _ in range(rep.target_dim)) for _ in range(6)
+        ]
+        for p in points:
+            stab = stabilizer_at(rep, p)
+            assert stab == dense_stabilizer_at(dense, p), (name, p)
+            dims.add(stab.dim < h.dim)
+    assert dims == {True, False}
+
+
+def test_representations_and_stabilizer_conditions_need_no_dense_matrix(monkeypatch):
+    """Work-count guard: once D3 is built, its adjoint representation, both
+    representation checks, the stabilizer of a point and the subalgebra
+    conditions apply and compose sparse columns; no dense matrix product or
+    matrix-vector product runs."""
+    t = triple_double(special_linear_data(3))
+    h, q = t.algebra, t.part1
+    s = SparseTensor.from_matrix(inverse(t.form))
+    point = tuple(Fraction(i % 3 - 1) for i in range(h.dim))
+
+    def refuse(*args):
+        raise AssertionError("dense matrix product called")
+
+    for module in (maninforge.core, maninforge.homlie, maninforge.stabilizer):
+        for name in ("mat_mul", "mat_vec"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rep = adjoint_representation(h)
+    assert check_representation(h, rep).passed
+    assert check_admissible_representation(h, rep).passed
+    assert is_subalgebra(h, stabilizer_at(rep, point))
+    assert check_phi_stable(q, h.phi_columns)
+    assert check_coisotropy_form(h, q, h.form_rows)
+    assert stabilizer_report(h, s, q, h.form_rows).passed

@@ -168,12 +168,11 @@ def test_certifiers_build_no_dense_view(no_dense_views):
     assert hom_schouten(h, lam, lam).scale(Fraction(1, 2)) == hcyb(h, lam)
     table = coboundary_cobracket(data.algebra, lambda_st(data))
     double = double_from_bialgebra(data.algebra, table)
-    gram = [[row.get(j, 0) for j in range(h.dim)] for row in h.form_rows]
-    assert stabilizer_report(h, s, power.part1, form=gram).passed
-    assert check_coisotropy(power, power.part1) and check_coisotropy_form(h, power.part1, gram)
+    assert stabilizer_report(h, s, power.part1, form_rows=h.form_rows).passed
+    assert check_coisotropy(power, power.part1) and check_coisotropy_form(h, power.part1, h.form_rows)
     assert stabilizer_report(twisted, SparseTensor.zero(2, 3), Subspace.zero(3)).passed
     assert check_coisotropy(power, power.part2) and check_coisotropy(d3, d3.part1)
-    assert stabilizer_report(h, s, power.part2, form=gram).passed
+    assert stabilizer_report(h, s, power.part2, form_rows=h.form_rows).passed
     g_plus_h = triple_g_plus_h(data)
     assert check_manin_triple(double).passed and check_manin_triple(g_plus_h).passed
     for algebra in (data.algebra, d3.algebra, h, twisted, double.algebra, g_plus_h.algebra):
