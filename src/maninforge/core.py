@@ -12,6 +12,8 @@ The elimination, the sparse map `_apply_columns` and the membership test
 rows, the other two over one common denominator.  Each builds one Fraction per
 value it returns, and none per term; `_apply_columns` builds none for a
 relabelling (unit columns at distinct rows), whose values it moves unchanged.
+`_relabelling` recognises such a family of vectors, so that the bracket,
+pairing and isomorphism kernels can read it off stored keys.
 """
 from __future__ import annotations
 
@@ -201,6 +203,26 @@ def _square_columns(cols: Sequence, n: int, what: str) -> Sequence:
     if problem:
         raise ValueError(f"{what} must be {n}x{n} as sparse vectors: {problem}")
     return cols
+
+
+def _relabelling(vectors: Sequence[Mapping[int, Fraction]]) -> list[int] | None:
+    """sigma with vectors[a] == {sigma[a]: 1} for every a and no index twice,
+    or None, found at the first vector that is not such a unit.
+
+    >>> _relabelling([{2: ONE}, {0: 1}]), _relabelling([{0: ONE}, {0: ONE}]), _relabelling([{0: 2}])
+    ([2, 0], None, None)
+    """
+    sigma: list[int] = []
+    seen: set[int] = set()
+    for v in vectors:
+        if len(v) == 1:
+            ((i, x),) = v.items()
+            if x == 1 and i not in seen:
+                seen.add(i)
+                sigma.append(i)
+                continue
+        return None
+    return sigma
 
 
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:

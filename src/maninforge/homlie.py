@@ -23,6 +23,7 @@ from .core import (
     _images_outside,
     _null_rows,
     _numerators,
+    _relabelling,
     _sparse,
     _square,
     _square_columns,
@@ -238,7 +239,26 @@ def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) 
     sums are of integer numerators over den_v^2 * den_c, the denominators of
     the family and of the bracket table; a total that cancels is dropped as it
     goes, and each nonzero one is divided once, so every value returned is a
-    nonzero Fraction."""
+    nonzero Fraction.
+
+    A relabelling is not summed.  When v_a = b_sigma(a) for distinct indices
+    (`_relabelling`), [v_a, v_b] is the stored bracket of the key (i, j) with
+    {i, j} = {sigma(a), sigma(b)}, negated when sigma(a) > sigma(b), and no
+    two pairs share a key.  So the keys are walked in stored order, each
+    mapped back through sigma^-1: the same pairs in the same order with equal
+    values, the stored Fractions themselves where no sign changes."""
+    sigma = _relabelling(vectors)
+    if sigma is not None:
+        back = {i: a for a, i in enumerate(sigma)}
+        moved: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j), coeffs in h.brackets.items():
+            if i in back and j in back:
+                a, b = back[i], back[j]
+                if a < b:
+                    moved[a, b] = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items()}
+                else:
+                    moved[b, a] = {k: Fraction(-c) for k, c in coeffs.items()}
+        return moved
     den_v, holders = _holders(vectors)
     den_c, table = h._bracket_numerators
     out: dict[tuple[int, int], dict[int, int]] = {}
@@ -276,7 +296,23 @@ def _pairings(
     integer numerators over den_g * den_l * den_r, the denominators of the form
     and of the two families; a total that cancels is dropped as it goes, and
     each nonzero one is divided once, so every value returned is a nonzero
-    Fraction."""
+    Fraction.
+
+    A relabelling is not summed.  When right is left and left_a = b_sigma(a)
+    for distinct indices (`_relabelling`), <left_a, left_b> is the form's
+    entry at (sigma(a), sigma(b)).  So row sigma(a) of the form is read for
+    each a in turn, its entries at indices that sigma reaches mapped back
+    through sigma^-1: the pairs of the summing path in its order, with the
+    stored Fractions as values."""
+    sigma = None if right is not None else _relabelling(left)
+    if sigma is not None:
+        back = {i: a for a, i in enumerate(sigma)}
+        return {
+            (a, back[j]): g if type(g) is Fraction else Fraction(g)
+            for a, i in enumerate(sigma)
+            for j, g in form_rows[i].items()
+            if j in back
+        }
     den_l, left_holders = _holders(left)
     den_r, right_holders = (den_l, left_holders) if right is None else _holders(right)
     den_g, g_rows = _numerators(form_rows)
@@ -491,7 +527,10 @@ class LinearRep:
     to an endomorphism of a target space, intertwined by the target twist alpha.
     Every map is stored as its target_dim sparse columns, {row: entry} per
     column as in `HomLieAlgebra.phi_columns`: rho is a tuple of column tuples
-    and alpha a column tuple.  `of` builds them from dense nested sequences."""
+    and alpha a column tuple.  `of` builds them from dense nested sequences.
+    Callers must not mutate the stored dicts, as for `Subspace`:
+    `adjoint_representation` stores the algebra's own bracket dicts and
+    `phi_columns`, so a changed column would change the algebra."""
 
     target_dim: int
     rho: tuple[tuple[dict[int, Fraction], ...], ...]

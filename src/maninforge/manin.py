@@ -18,6 +18,7 @@ from .core import (
     _column_image,
     _columns_shape_error,
     _inverse_rows,
+    _relabelling,
     _span,
     _unit_columns,
     mat_vec,
@@ -181,11 +182,33 @@ def r_from_splitting(t: ManinTriple) -> SparseTensor:
     return out
 
 
+def _relabels_onto(sigma: list[int], source: Subspace, target: Subspace) -> bool:
+    """Whether the relabelling b_a -> b_sigma(a) maps source onto target.
+
+    Lemma.  A relabelling is injective, so the image of source has dim source
+    and is spanned by source's canonical rows relabelled.  It equals target
+    exactly when the dimensions agree and every relabelled row lies in
+    target.  The rows are first compared, ordered by pivot, with target's
+    canonical rows; equal rows span target, so no row is reduced.  Otherwise
+    each row's membership decides."""
+    if source.dim != target.dim:
+        return False
+    images = [{sigma[c]: x for c, x in row.items()} for row in source.echelon]
+    return sorted(images, key=min) == list(target.echelon) or all(map(target.contains_sparse, images))
+
+
 def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: ManinTriple) -> CheckReport:
     """The map with sparse columns f (one {row: entry} per basis vector of t1) is
     a triple isomorphism: it preserves bracket, form and twist, and maps each
     half onto its mate.  The form residual f^T g2 f - g1 is the pairing of f's
-    columns under g2, less g1."""
+    columns under g2, less g1, each entry compared before it is subtracted.
+
+    A relabelling f (each column the single entry 1, no row twice; a slot
+    permutation is one) is decided from stored entries moved to new keys: the
+    brackets and pairings of its columns are read off the target's table and
+    form (`_pair_brackets`, `_pairings`), and each half's image by
+    `_relabels_onto`, with no elimination.  Any other map has each half's
+    image row-reduced and compared with its mate's canonical rows."""
     h1, h2 = t1.algebra, t2.algebra
     if h1.dim != h2.dim or _columns_shape_error(f, h2.dim, h1.dim):
         return CheckReport("manin_isomorphism", [failure("shape", (h1.dim, h2.dim, len(f)))])
@@ -193,13 +216,23 @@ def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: M
     residual = _pairings(_form_rows(t2), f)
     for i, form_row in enumerate(_form_rows(t1)):
         for j, g in form_row.items():
-            _accumulate(residual, (i, j), -g)
+            pulled = residual.get((i, j))
+            if pulled is None:
+                residual[i, j] = -g
+            elif pulled == g:
+                del residual[i, j]
+            else:
+                residual[i, j] = pulled - g
     for index, value in residual.items():
         failures.append(failure("form_preserved", index, value))
-    if not subspace_equal(_column_image(f, h2.dim, t1.part1), t2.part1):
-        failures.append(failure("part1_image"))
-    if not subspace_equal(_column_image(f, h2.dim, t1.part2), t2.part2):
-        failures.append(failure("part2_image"))
+    sigma = _relabelling(f)
+    for label, source, target in (("part1_image", t1.part1, t2.part1), ("part2_image", t1.part2, t2.part2)):
+        if sigma is not None:
+            onto = _relabels_onto(sigma, source, target)
+        else:
+            onto = subspace_equal(_column_image(f, h2.dim, source), target)
+        if not onto:
+            failures.append(failure(label))
     return CheckReport("manin_isomorphism", failures)
 
 

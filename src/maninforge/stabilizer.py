@@ -49,8 +49,8 @@ def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
 
 def check_phi_stable(q: Subspace, phi_columns: Sequence[Mapping[int, Fraction]]) -> bool:
     """Stability of a subspace under the endomorphism with sparse columns
-    phi_columns, the format of `HomLieAlgebra.phi_columns`."""
-    _require_ambient(q, len(phi_columns))
+    phi_columns, the format of `HomLieAlgebra.phi_columns`, which must be
+    q.ambient_dim of them."""
     return not _images_outside(_square_columns(phi_columns, q.ambient_dim, "phi"), q, q)
 
 

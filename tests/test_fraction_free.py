@@ -658,6 +658,28 @@ def test_pairings_and_pair_brackets_leave_out_what_cancels():
     assert _pairings(hyperbolic, [x, y]) == {(0, 0): Fraction(2, 7 * 7 * 19), (1, 1): Fraction(-2, 23 * 23 * 19)}
 
 
+def test_relabelled_brackets_and_pairings_equal_the_summing_path_key_for_key():
+    """On a relabelling (distinct unit vectors), `_pair_brackets` and
+    `_pairings` read stored entries; on the same family with each 1 made 2,
+    which they sum, each value is 4 times as large, with the same pairs, keys
+    and order.  Entries stored as ints come back as Fractions."""
+    rng = random.Random(2409)
+    brackets, form_rows = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}}, ({0: 2}, {2: -1}, {1: -1})
+    int_stored = HomLieAlgebra(3, brackets, _unit_columns(3), form_rows)
+    for h in (D3.algebra, int_stored):
+        for _ in range(20):
+            family = [{i: Fraction(1)} for i in rng.sample(range(h.dim), rng.randint(2, h.dim))]
+            doubled = [{i: Fraction(2) for i in v} for v in family]
+            brackets, summed = _pair_brackets(h, family), _pair_brackets(h, doubled)
+            assert list(summed) == list(brackets)
+            for index, w in brackets.items():
+                assert list(summed[index].items()) == [(k, 4 * v) for k, v in w.items()]
+                assert _all_nonzero_fractions(w.values())
+            pairings = _pairings(h.form_rows, family)
+            assert list(_pairings(h.form_rows, doubled).items()) == [(index, 4 * v) for index, v in pairings.items()]
+            assert _all_nonzero_fractions(pairings.values())
+
+
 # ---------------------------------------------------------------------------
 # The flat-index residual, the integer sharp map and the integer symmetric
 # part against their references

@@ -13,18 +13,22 @@ import maninforge.homlie
 import maninforge.manin
 from helpers import (
     dense_block_permutation,
+    dense_check_homomorphism,
     dense_check_manin_isomorphism,
     dense_coboundary_cobracket,
     dense_double_cross_brackets,
     dense_dual_basis,
+    dense_map_subspace,
+    dense_of_columns,
     dense_r_from_splitting,
     dense_special_linear_data,
     rand_invertible,
+    rand_subspace,
     rand_tensor,
 )
 from maninforge import fileio
 from maninforge.core import Permutation, SparseTensor, identity_matrix, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
-from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_homomorphism, check_quadratic
+from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_homomorphism, check_quadratic, direct_sum
 from maninforge.manin import (
     ManinTriple,
     check_manin_isomorphism,
@@ -39,7 +43,7 @@ from maninforge.manin import (
     triple_double,
     triple_g_plus_h,
 )
-from maninforge.polyuble import nuble, uble_of_uble
+from maninforge.polyuble import nuble, snake_permutation, uble_of_uble
 from maninforge.rmatrix import check_quasi_triangular, sl2_lie, sl2_twisted
 
 # Dual structure constants of the standard skew tensor's cobracket.
@@ -255,6 +259,120 @@ def test_isomorphism_reports_match_the_dense_reference_on_slot_permutations():
 def test_isomorphism_reports_match_the_dense_reference_on_sl3_slot_permutations():
     """The same at dim 64."""
     _check_slot_regroupings(triple_double(special_linear_data(3)))
+
+
+def _matches_the_dense_reference(f: list[dict], t1: ManinTriple, t2: ManinTriple) -> bool:
+    """Assert that the report on the map with sparse columns f lists the dense
+    reference's failures, in its order; return whether it passed."""
+    report = check_manin_isomorphism(f, t1, t2)
+    assert report.failures == dense_check_manin_isomorphism(dense_of_columns(f, t2.dim), t1, t2).failures
+    return report.passed
+
+
+def _refuse(*args):
+    raise AssertionError("a relabelling's half image was row-reduced")
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+def test_relabelled_reports_match_the_dense_reference_on_every_hyperbolic_slot_permutation(m, n, monkeypatch):
+    """All 6! slot permutations of the six-fold hyperbolic power onto the
+    nested one are relabellings: decided from stored keys, with no half image
+    reduced, each reports what the dense reference does, and only the snake
+    passes."""
+    monkeypatch.setattr(maninforge.manin, "_column_image", _refuse)
+    base = hyperbolic_triple()
+    flat, nested = nuble(base, m * n), uble_of_uble(base, m, n)
+    winners = [
+        images
+        for images in itertools.permutations(range(m * n))
+        if _matches_the_dense_reference(Permutation(images).columns(base.dim), flat, nested)
+    ]
+    assert winners == [snake_permutation(m, n).images]
+
+
+def _near_relabellings(cols: list[dict]) -> list[list[dict]]:
+    """Copies of a relabelling with one column changed: its entry made -1, 2 or
+    1/2 (first, middle and last column), or the row of another column."""
+    out = []
+    last = len(cols) - 1
+    for c in (0, last // 2, last):
+        ((r, _),) = cols[c].items()
+        for entry in (-1, 2, Fraction(1, 2)):
+            out.append([*cols[:c], {r: Fraction(entry)}, *cols[c + 1 :]])
+    for c, other in ((0, 1), (last, 0), (last // 2, last)):
+        out.append([*cols[:c], dict(cols[other]), *cols[c + 1 :]])
+    return out
+
+
+def test_near_relabellings_take_the_summing_path(monkeypatch):
+    """A snake map with one column off a unit, or with two columns on one
+    row, is no relabelling: its half images are row-reduced, and it fails
+    exactly as the dense reference says."""
+    reduced = []
+    column_image = maninforge.manin._column_image
+    monkeypatch.setattr(maninforge.manin, "_column_image", lambda *args: reduced.append(1) or column_image(*args))
+    d2 = triple_double(special_linear_data(2))
+    flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
+    snake = snake_permutation(2, 2).columns(d2.dim)
+    assert _matches_the_dense_reference(snake, flat, nested) and reduced == []
+    maps = _near_relabellings(snake)
+    for f in maps:
+        assert maninforge.core._relabelling(f) is None
+        assert not _matches_the_dense_reference(f, flat, nested)
+    assert len(reduced) == 2 * len(maps)
+
+
+def test_relabelled_halves_off_their_mates_rows_are_decided_by_membership(monkeypatch):
+    """Relabelled canonical rows of random subspaces are seldom canonical, so
+    `_relabels_onto` falls back on membership.  Each half's mate is its image,
+    a larger space holding the image, or a random space of its dimension; the
+    verdicts equal the dense reference's."""
+    rng = random.Random(2407)
+    outcomes = []
+    contains = Subspace.contains_sparse
+    monkeypatch.setattr(Subspace, "contains_sparse", lambda q, xs: outcomes.append(contains(q, xs)) or outcomes[-1])
+    monkeypatch.setattr(maninforge.manin, "_column_image", _refuse)
+    n = 6
+    h = HomLieAlgebra.unchecked(n, {}, form=identity_matrix(n))
+    verdicts = set()
+    for _ in range(60):
+        p = Permutation(tuple(rng.sample(range(n), n)))
+        parts = [rand_subspace(rng, n, rng.randint(1, n - 1)) for _ in range(2)]
+        mates = []
+        for q in parts:
+            image = dense_map_subspace(dense_block_permutation(p, 1), q)
+            superspace = Subspace.span(n, [*image.rows, [rng.randint(-4, 4) for _ in range(n)]])
+            mates.append(rng.choice((image, superspace, rand_subspace(rng, n, q.dim))))
+        verdicts.add(_matches_the_dense_reference(p.columns(), ManinTriple(h, *parts), ManinTriple(h, *mates)))
+    assert verdicts == {True, False}
+    assert True in outcomes and False in outcomes
+
+
+def test_homomorphism_reports_match_the_dense_reference_on_relabellings_of_twisted_sums(monkeypatch):
+    """Slot permutations and seeded coordinate permutations between sums of
+    twisted and untwisted sl2 copies: the brackets of the columns are read off
+    the twisted target's table (some with a swapped, negated key), and every
+    report equals the dense reference's."""
+    relabelled = []
+    relabelling = maninforge.homlie._relabelling
+    monkeypatch.setattr(maninforge.homlie, "_relabelling", lambda v: relabelled.append(relabelling(v)) or relabelled[-1])
+    tw, lie = sl2_twisted(), sl2_lie()
+    source = direct_sum(tw, lie, tw)
+    rng = random.Random(2408)
+    maps = [Permutation(images).columns(3) for images in itertools.permutations(range(3))]
+    maps += [Permutation(tuple(rng.sample(range(9), 9))).columns() for _ in range(30)]
+    checks = set()
+    for target in (source, direct_sum(tw, tw, lie)):
+        for f in maps:
+            report = check_homomorphism(f, source, target)
+            assert report.failures == dense_check_homomorphism(dense_of_columns(f, 9), source, target).failures
+            checks.update(x.check for x in report.failures)
+            if report.passed:
+                checks.add("pass")
+    assert checks == {"pass", "twist_intertwine", "bracket_preserved"}
+    back = [{next(iter(col)): a for a, col in enumerate(f)} for f in maps]
+    assert any(b[i] > b[j] for b in back for i, j in source.brackets)
+    assert sum(sigma is not None for sigma in relabelled) == 2 * len(maps)
 
 
 @given(st.integers(0, 2**30), st.sampled_from((0, 1, 2)))

@@ -280,8 +280,10 @@ def test_snake_certificate_needs_no_dense_matrix_product(monkeypatch):
 
 def test_snake_certificate_eliminates_only_the_two_half_images(monkeypatch):
     """Work-count guard: the powers' halves are built canonical (the lemma in
-    `nuble`), so certifying the snake row-reduces only the images of the two
-    halves; it ran 8 eliminations when the powers reduced their halves."""
+    `nuble`), and the snake map is a relabelling, whose half images are
+    compared with their mates' rows without reduction (`_relabels_onto`).  So
+    certifying the snake row-reduces nothing; it ran 8 eliminations when the
+    powers reduced their halves, and 2 when the half images were reduced."""
     d2 = triple_double(special_linear_data(2))
     calls = []
     eliminate = maninforge.core._gauss_jordan
@@ -293,7 +295,28 @@ def test_snake_certificate_eliminates_only_the_two_half_images(monkeypatch):
     for module in (maninforge.core, maninforge.homlie, maninforge.rmatrix):
         monkeypatch.setattr(module, "_gauss_jordan", counted)
     assert verify_snake_iso(d2, 2, 4).passed
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+def test_snake_certificate_builds_no_fraction(monkeypatch):
+    """Work-count guard: once the powers are built, a passing snake
+    certificate moves stored entries to new keys: brackets, pairings, the form
+    residual and the half images build no Fraction."""
+    d2 = triple_double(special_linear_data(2))
+    flat, nested = nuble(d2, 6), uble_of_uble(d2, 2, 3)
+    columns = snake_permutation(2, 3).columns(d2.dim)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    report = check_manin_isomorphism(columns, flat, nested)
+    monkeypatch.undo()
+    assert report.passed
+    assert built == []
 
 
 def test_permutation_columns_are_applied_without_building_a_fraction(monkeypatch):

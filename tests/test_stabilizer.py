@@ -402,6 +402,13 @@ def test_twist_and_form_entries_must_be_exact(entry):
         check_phi_stable(q, ({0: 1}, {3: 1}, {2: 1}))
 
 
+def test_twist_with_the_wrong_column_count_is_blamed_on_the_twist():
+    """The subspace fixes the dimension, and the twist is checked against it:
+    two columns for a subspace of a 3-space were blamed on the subspace."""
+    with pytest.raises(ValueError, match=r"^phi must be 3x3 as sparse vectors: got 2 columns$"):
+        check_phi_stable(Subspace.full(3), ({0: 1}, {1: 1}))
+
+
 # ---------------------------------------------------------------------------
 # Ambient dimension
 
@@ -419,11 +426,16 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("ambient", [4, 14])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_every_condition_rejects_a_subspace_of_another_dimension(entry, ambient):
-    """A line of a smaller or larger space is an error, not a vacuous pass."""
+    """A line of a smaller or larger space is an error, not a vacuous pass.
+    `check_phi_stable` has no algebra: its subspace fixes the dimension, and
+    the twist's six columns are blamed."""
     t = triple_double(special_linear_data(2))
     s = SparseTensor.from_matrix(inverse(t.form))
     q = Subspace.span(ambient, [unit_vector(ambient, 0)])
-    with pytest.raises(ValueError, match=f"ambient dimension {ambient}, expected 6"):
+    message = f"ambient dimension {ambient}, expected 6"
+    if entry == "check_phi_stable":
+        message = f"^phi must be {ambient}x{ambient} as sparse vectors: got 6 columns$"
+    with pytest.raises(ValueError, match=message):
         ENTRY_POINTS[entry](t, s, q)
 
 
