@@ -87,6 +87,10 @@ class HomLieAlgebra:
     nonzero entries only, indices increasing.  `create` and `unchecked` take
     dense matrices; `phi` and `form` are dense views, built on first use, and
     so is `_bracket_numerators`, the integer view of the bracket table.
+    Callers must not mutate the stored dicts, as for `Subspace`: the cached
+    views would go stale, `direct_sum` and `negate_form` rely on their
+    arguments having passed the constructor's check, and `negate_form` and
+    `adjoint_representation` share the algebra's own dicts.
 
     >>> h = HomLieAlgebra.unchecked(2, {}, phi=[[1, 0], [0, -1]], form=[[0, 2], [2, 0]])
     >>> h.phi_columns
@@ -121,6 +125,24 @@ class HomLieAlgebra:
                 if not all(v.values()):
                     zero = next(b for b, x in v.items() if not x)
                     raise ValueError(f"{vector} {a} has a zero entry at {position} {zero}; store nonzero entries only")
+
+    @classmethod
+    def _of_checked(
+        cls,
+        dim: int,
+        brackets: BracketTable,
+        phi_columns: Sequence[dict[int, Fraction]],
+        form_rows: Sequence[dict[int, Fraction]] | None,
+        untwisted: bool,
+    ) -> HomLieAlgebra:
+        """Set the fields without `__post_init__`, for data that keeps every
+        property it checks (see `direct_sum`), with `untwisted` already known."""
+        h = cls.__new__(cls)
+        h.dim, h.brackets, h.name = dim, brackets, None
+        h.phi_columns = tuple(phi_columns)
+        h.form_rows = None if form_rows is None else tuple(form_rows)
+        h.untwisted = untwisted
+        return h
 
     @cached_property
     def untwisted(self) -> bool:
@@ -234,31 +256,38 @@ def _holders(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, dict[int, 
 
 def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
     """{(a, b): [v_a, v_b]} for a < b over a family of sparse vectors, zero
-    brackets absent, accumulated from the bracket keys through the vectors
-    holding each index: two vectors that no key reaches cost nothing.  The
-    sums are of integer numerators over den_v^2 * den_c, the denominators of
-    the family and of the bracket table; a total that cancels is dropped as it
-    goes, and each nonzero one is divided once, so every value returned is a
-    nonzero Fraction.
+    brackets absent, every value a nonzero Fraction: read off the table by
+    `_moved_brackets` when the family is a relabelling (`_relabelling`),
+    summed by `_summed_brackets` otherwise."""
+    sigma = _relabelling(vectors)
+    return _summed_brackets(h, vectors) if sigma is None else _moved_brackets(h, sigma)
 
-    A relabelling is not summed.  When v_a = b_sigma(a) for distinct indices
-    (`_relabelling`), [v_a, v_b] is the stored bracket of the key (i, j) with
+
+def _moved_brackets(h: HomLieAlgebra, sigma: Sequence[int]) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """`_pair_brackets` of the relabelling v_a = b_sigma(a), sigma injective.
+    [v_a, v_b] is the stored bracket of the key (i, j) with
     {i, j} = {sigma(a), sigma(b)}, negated when sigma(a) > sigma(b), and no
     two pairs share a key.  So the keys are walked in stored order, each
-    mapped back through sigma^-1: the same pairs in the same order with equal
-    values, the stored Fractions themselves where no sign changes."""
-    sigma = _relabelling(vectors)
-    if sigma is not None:
-        back = {i: a for a, i in enumerate(sigma)}
-        moved: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), coeffs in h.brackets.items():
-            if i in back and j in back:
-                a, b = back[i], back[j]
-                if a < b:
-                    moved[a, b] = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items()}
-                else:
-                    moved[b, a] = {k: Fraction(-c) for k, c in coeffs.items()}
-        return moved
+    mapped back through sigma^-1: the pairs of the summing path in its order
+    with equal values, the stored Fractions themselves where no sign changes."""
+    back = {i: a for a, i in enumerate(sigma)}
+    moved: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j), coeffs in h.brackets.items():
+        if i in back and j in back:
+            a, b = back[i], back[j]
+            if a < b:
+                moved[a, b] = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items()}
+            else:
+                moved[b, a] = {k: Fraction(-c) for k, c in coeffs.items()}
+    return moved
+
+
+def _summed_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
+    """`_pair_brackets` by summing, accumulated from the bracket keys through
+    the vectors holding each index: two vectors that no key reaches cost
+    nothing.  The sums are of integer numerators over den_v^2 * den_c, the
+    denominators of the family and of the bracket table; a total that cancels
+    is dropped as it goes, and each nonzero one is divided once."""
     den_v, holders = _holders(vectors)
     den_c, table = h._bracket_numerators
     out: dict[tuple[int, int], dict[int, int]] = {}
@@ -298,23 +327,14 @@ def _pairings(
     each nonzero one is divided once, so every value returned is a nonzero
     Fraction.
 
-    A relabelling is not summed.  When right is left and left_a = b_sigma(a)
-    for distinct indices (`_relabelling`), <left_a, left_b> is the form's
-    entry at (sigma(a), sigma(b)).  So row sigma(a) of the form is read for
-    each a in turn, its entries at indices that sigma reaches mapped back
-    through sigma^-1: the pairs of the summing path in its order, with the
-    stored Fractions as values."""
+    Only when right is not given is left tested for a relabelling
+    (`_relabelling`), and one is read off the form by `_moved_pairings`, not
+    summed; `_pairings(form_rows, v, v)` sums."""
     sigma = None if right is not None else _relabelling(left)
     if sigma is not None:
-        back = {i: a for a, i in enumerate(sigma)}
-        return {
-            (a, back[j]): g if type(g) is Fraction else Fraction(g)
-            for a, i in enumerate(sigma)
-            for j, g in form_rows[i].items()
-            if j in back
-        }
+        return _moved_pairings(form_rows, sigma)
     den_l, left_holders = _holders(left)
-    den_r, right_holders = (den_l, left_holders) if right is None else _holders(right)
+    den_r, right_holders = (den_l, left_holders) if right is None or right is left else _holders(right)
     den_g, g_rows = _numerators(form_rows)
     out: dict[tuple[int, int], int] = {}
     for i, xs in left_holders.items():
@@ -326,6 +346,21 @@ def _pairings(
                         _accumulate(out, (a, b), xg * y)
     den = den_g * den_l * den_r
     return {index: Fraction(n, den) for index, n in out.items()}
+
+
+def _moved_pairings(form_rows: Sequence[Mapping], sigma: Sequence[int]) -> dict[tuple[int, int], Fraction]:
+    """`_pairings` of the relabelling v_a = b_sigma(a) with itself, sigma
+    injective: <v_a, v_b> is the form's entry at (sigma(a), sigma(b)).  So
+    row sigma(a) of the form is read for each a in turn, its entries at
+    indices that sigma reaches mapped back through sigma^-1: the pairs of the
+    summing path in its order, with the stored Fractions as values."""
+    back = {i: a for a, i in enumerate(sigma)}
+    return {
+        (a, back[j]): g if type(g) is Fraction else Fraction(g)
+        for a, i in enumerate(sigma)
+        for j, g in form_rows[i].items()
+        if j in back
+    }
 
 
 def _require_tensor(h: HomLieAlgebra, t: SparseTensor) -> None:
@@ -468,11 +503,36 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     return CheckReport("hom_jacobi", failures)
 
 
-def _bracket_failures(f_cols: list[dict], h1: HomLieAlgebra, h2: HomLieAlgebra, check: str) -> list[Failure]:
+def _bracket_failures(
+    f_cols: Sequence[Mapping], h1: HomLieAlgebra, h2: HomLieAlgebra, check: str, sigma: Sequence[int] | None
+) -> list[Failure]:
     """Where f[b_i, b_j] = [f(b_i), f(b_j)] fails on a basis pair i < j of h1, for
-    the map with sparse columns f_cols into h2.  Both sides vanish unless (i, j)
-    is a bracket key of h1 or `_pair_brackets` reaches it."""
-    images = _pair_brackets(h2, f_cols)
+    the map with sparse columns f_cols into h2, sigma its `_relabelling`.
+    Both sides vanish unless (i, j) is a bracket key of h1 or the brackets of
+    the columns reach it.
+
+    Lemma (a relabelling's brackets are stored keys).  Let f relabel,
+    b_a -> b_sigma(a), sigma injective.  Then f[b_i, b_j] is {sigma(k): c}
+    over the stored entries of h1's key (i, j), and [f(b_i), f(b_j)] is h2's
+    stored dict at the key {sigma(i), sigma(j)}, negated when
+    sigma(i) > sigma(j).  Suppose the two agree at every key of h1, and the
+    tables have equally many keys.  Distinct pairs have distinct images, so
+    the images of h1's keys are all of h2's keys, no other pair of h1 reaches
+    a key, and nothing fails.  So a relabelling's keys are compared as dicts,
+    and only at the first mismatch are the failures summed as for any other
+    map, in the same order."""
+    if sigma is not None and len(h1.brackets) == len(h2.brackets):
+        stored = h2.brackets
+        for (i, j), coeffs in h1.brackets.items():
+            a, b = sigma[i], sigma[j]
+            if a < b:
+                if stored.get((a, b)) != {sigma[k]: c for k, c in coeffs.items()}:
+                    break
+            elif stored.get((b, a)) != {sigma[k]: -c for k, c in coeffs.items()}:
+                break
+        else:
+            return []
+    images = _summed_brackets(h2, f_cols) if sigma is None else _moved_brackets(h2, sigma)
     failures = []
     for index in h1.brackets.keys() | images.keys():
         lhs = _apply_columns(f_cols, h1.brackets.get(index, {}))
@@ -485,7 +545,8 @@ def _bracket_failures(f_cols: list[dict], h1: HomLieAlgebra, h2: HomLieAlgebra, 
 def check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
     """phi is multiplicative: phi[x, y] = [phi(x), phi(y)] on all basis pairs.
     The identity twist passes with nothing to compute: Id[x, y] = [x, y]."""
-    failures = [] if h.untwisted else _bracket_failures(h.phi_columns, h, h, "twist_morphism")
+    cols = h.phi_columns
+    failures = [] if h.untwisted else _bracket_failures(cols, h, h, "twist_morphism", _relabelling(cols))
     return CheckReport("twist_morphism", failures)
 
 
@@ -496,12 +557,13 @@ def check_involutive(h: HomLieAlgebra) -> bool:
 
 
 def _intertwining_failures(
-    f_cols: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra
+    f_cols: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra, sigma: Sequence[int] | None
 ) -> list[Failure]:
     """Where the map with sparse columns f_cols (h1.dim of them, entries indexed
-    by h2's basis) fails f . phi1 = phi2 . f on a basis vector of h1, and
-    f[b_i, b_j] = [f(b_i), f(b_j)] on a basis pair.  When both twists are
-    the identity the first holds with nothing to compute: f . Id = Id . f."""
+    by h2's basis), sigma its `_relabelling`, fails f . phi1 = phi2 . f on a
+    basis vector of h1, and f[b_i, b_j] = [f(b_i), f(b_j)] on a basis pair.
+    When both twists are the identity the first holds with nothing to
+    compute: f . Id = Id . f."""
     failures = []
     phi1_cols, phi2_cols = h1.phi_columns, h2.phi_columns
     for i in range(0 if h1.untwisted and h2.untwisted else h1.dim):
@@ -509,16 +571,17 @@ def _intertwining_failures(
         rhs = _apply_columns(phi2_cols, f_cols[i])
         if lhs != rhs:
             failures.append(failure("twist_intertwine", (i,), _residual(h2, lhs, rhs)))
-    return failures + _bracket_failures(f_cols, h1, h2, "bracket_preserved")
+    return failures + _bracket_failures(f_cols, h1, h2, "bracket_preserved", sigma)
 
 
 def check_homomorphism(f: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:
     """The map with sparse columns f (one {row: entry} per basis vector of h1)
-    intertwines twists and brackets: f . phi1 = phi2 . f and f[x,y] = [f(x), f(y)]."""
+    intertwines twists and brackets: f . phi1 = phi2 . f and f[x,y] = [f(x), f(y)].
+    A relabelling's brackets are compared as stored keys (`_bracket_failures`)."""
     problem = _columns_shape_error(f, h2.dim, h1.dim)
     if problem:
         raise ValueError(f"map must be {h2.dim}x{h1.dim} (target dim x source dim) as sparse columns: {problem}")
-    return CheckReport("homomorphism", _intertwining_failures(f, h1, h2))
+    return CheckReport("homomorphism", _intertwining_failures(f, h1, h2, _relabelling(f)))
 
 
 @dataclass(frozen=True)
@@ -629,13 +692,16 @@ def check_admissible_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckRe
 def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
     """The coadjoint action is a representation: [(Id - phi^2)x, phi y] = 0 and
     [(Id - phi^2)x, [phi y, z]] = [(Id - phi^2)y, [phi x, z]] on basis elements.
-    One `_pair_brackets` call over the defects (Id - phi^2)b_i, the columns
+    Both hold when every defect (Id - phi^2)b_i is zero, with nothing more to
+    compute.  Otherwise one `_pair_brackets` call over the defects, the columns
     phi(b_j) and the basis vectors gives every bracket, the nested ones as
     combinations of [defect_i, b_m] through the coordinates of [phi b_j, b_k]."""
     failures = []
     d, phi_cols = h.dim, h.phi_columns
     # coordinates of (Id - phi^2) b_i
     defect_cols = [_difference({i: ONE}, _apply_columns(phi_cols, col)) for i, col in enumerate(phi_cols)]
+    if not any(defect_cols):
+        return CheckReport("admissible_algebra", failures)
     pairs = _pair_brackets(h, [*defect_cols, *phi_cols, *_unit_columns(d)])
     for i in range(d):
         if not defect_cols[i]:
@@ -704,10 +770,27 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     return CheckReport("quadratic", failures)
 
 
+def _require_algebra(function: str, position: int, h: object) -> None:
+    """Raise unless h, argument `position` (1-based) of function, is a HomLieAlgebra."""
+    if not isinstance(h, HomLieAlgebra):
+        raise ValueError(f"{function} argument {position} must be a HomLieAlgebra, got {type(h).__name__}")
+
+
 def direct_sum(*algebras: HomLieAlgebra) -> HomLieAlgebra:
     """Componentwise bracket and twist on the concatenated coordinate space;
     forms (when all are present) combine block-diagonally.  The twist's columns
-    and the form's rows are each summand's, shifted by its offset."""
+    and the form's rows are each summand's, shifted by its offset.
+
+    Lemma (a sum of checked algebras needs no check).  Each summand passed the
+    constructor's check when it was built.  Shifting its indices by its offset
+    keeps keys i < j, puts keys and value indices in range(dim) (the offsets
+    tile it), and leaves the values, nonzero ints or Fractions, as they are;
+    the twist and the form stay square, block by block.  So the result is
+    built without re-checking, and its twist is the identity exactly when
+    every summand's is: column offset + i is {offset + i: 1} exactly when
+    column i of the summand is {i: 1}."""
+    for position, h in enumerate(algebras, 1):
+        _require_algebra("direct_sum", position, h)
     dim = sum(h.dim for h in algebras)
     brackets: BracketTable = {}
     phi_columns: list[dict[int, Fraction]] = []
@@ -720,12 +803,16 @@ def direct_sum(*algebras: HomLieAlgebra) -> HomLieAlgebra:
         if form_rows is not None:
             form_rows += ({k + offset: v for k, v in row.items()} for row in h.form_rows)
         offset += h.dim
-    return HomLieAlgebra(dim, brackets, phi_columns, form_rows)
+    untwisted = all(h.untwisted for h in algebras)
+    return HomLieAlgebra._of_checked(dim, brackets, phi_columns, form_rows, untwisted)
 
 
 def negate_form(h: HomLieAlgebra) -> HomLieAlgebra:
-    """The same bracket and twist with the bilinear form negated."""
+    """The same bracket and twist with the bilinear form negated; a checked
+    algebra's negated rows keep their nonzero exact entries, so, as in
+    `direct_sum`, nothing is re-checked."""
+    _require_algebra("negate_form", 1, h)
     if h.form_rows is None:
         raise ValueError("algebra carries no bilinear form")
     negated = [{j: -g for j, g in row.items()} for row in h.form_rows]
-    return HomLieAlgebra(h.dim, h.brackets, h.phi_columns, negated)
+    return HomLieAlgebra._of_checked(h.dim, h.brackets, h.phi_columns, negated, h.untwisted)

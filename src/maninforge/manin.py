@@ -38,6 +38,7 @@ from .homlie import (
     _brackets_outside,
     _dense,
     _intertwining_failures,
+    _moved_pairings,
     _pairings,
     _require_tensor,
     _twist_outside,
@@ -203,17 +204,26 @@ def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: M
     half onto its mate.  The form residual f^T g2 f - g1 is the pairing of f's
     columns under g2, less g1, each entry compared before it is subtracted.
 
-    A relabelling f (each column the single entry 1, no row twice; a slot
-    permutation is one) is decided from stored entries moved to new keys: the
-    brackets and pairings of its columns are read off the target's table and
-    form (`_pair_brackets`, `_pairings`), and each half's image by
-    `_relabels_onto`, with no elimination.  Any other map has each half's
-    image row-reduced and compared with its mate's canonical rows."""
+    f is scanned once for a relabelling (`_relabelling`: each column the
+    single entry 1, no row twice; a slot permutation is one), and one is
+    decided from stored entries moved to new keys, with no elimination:
+    - the brackets by comparing, key by key, h1's stored dict relabelled with
+      h2's stored dict at the image key, negated when the key's order flips,
+      and the two tables' key counts (the lemma in `_bracket_failures`).  At
+      the first mismatch the failures are summed from the brackets of the
+      columns, read off h2's table (`_moved_brackets`), as for any map;
+    - the pairings of the columns by reading them off the target's form
+      (`_moved_pairings`);
+    - each half's image by `_relabels_onto`.
+    Any other map has each half's image row-reduced and compared with its
+    mate's canonical rows.  Either way the failures are the same, in the same
+    order."""
     h1, h2 = t1.algebra, t2.algebra
     if h1.dim != h2.dim or _columns_shape_error(f, h2.dim, h1.dim):
         return CheckReport("manin_isomorphism", [failure("shape", (h1.dim, h2.dim, len(f)))])
-    failures = _intertwining_failures(f, h1, h2)
-    residual = _pairings(_form_rows(t2), f)
+    sigma = _relabelling(f)
+    failures = _intertwining_failures(f, h1, h2, sigma)
+    residual = _pairings(_form_rows(t2), f, f) if sigma is None else _moved_pairings(_form_rows(t2), sigma)
     for i, form_row in enumerate(_form_rows(t1)):
         for j, g in form_row.items():
             pulled = residual.get((i, j))
@@ -225,7 +235,6 @@ def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: M
                 residual[i, j] = pulled - g
     for index, value in residual.items():
         failures.append(failure("form_preserved", index, value))
-    sigma = _relabelling(f)
     for label, source, target in (("part1_image", t1.part1, t2.part1), ("part2_image", t1.part2, t2.part2)):
         if sigma is not None:
             onto = _relabels_onto(sigma, source, target)

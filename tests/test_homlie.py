@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import maninforge.homlie
 from helpers import conjugate_algebra, dense_check_admissible_algebra, dense_check_homomorphism, rand_fraction
 from maninforge.core import SparseTensor, Subspace, _unit_columns, identity_matrix, mat_vec, matrix, sparse_columns
 from maninforge.homlie import (
@@ -23,8 +24,16 @@ from maninforge.homlie import (
     check_representation,
     check_twist_morphism,
     direct_sum,
+    negate_form,
 )
-from maninforge.manin import check_manin_isomorphism, hyperbolic_triple, special_linear_data
+from maninforge.manin import (
+    check_manin_isomorphism,
+    hyperbolic_triple,
+    special_linear_data,
+    triple_double,
+    triple_g_plus_h,
+)
+from maninforge.polyuble import nuble, uble_of_uble
 from maninforge.rmatrix import sl2_lie, sl2_twisted
 
 SL2_BRACKETS = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}}
@@ -407,6 +416,30 @@ def test_admissible_algebra_matches_the_dense_reference(name):
     assert check_admissible_algebra(h).to_json() == dense_check_admissible_algebra(h).to_json()
 
 
+@pytest.mark.parametrize("name", sorted(ADMISSIBLE_CASES))
+def test_admissible_algebra_brackets_nothing_when_every_defect_is_zero(name, monkeypatch):
+    """An involutive twist, the identity included, leaves no defect
+    (Id - phi^2)b_i, so no bracket is summed; the report is the dense
+    reference's either way."""
+    calls = []
+    pair_brackets = maninforge.homlie._pair_brackets
+    monkeypatch.setattr(maninforge.homlie, "_pair_brackets", lambda *args: calls.append(1) or pair_brackets(*args))
+    h = ADMISSIBLE_CASES[name]()
+    assert check_admissible_algebra(h).to_json() == dense_check_admissible_algebra(h).to_json()
+    assert len(calls) == (0 if check_involutive(h) else 1)
+
+
+def _refuse_brackets(*args):
+    raise AssertionError("brackets were summed although every defect is zero")
+
+
+def test_admissible_algebra_of_untwisted_algebras_brackets_nothing(monkeypatch):
+    monkeypatch.setattr(maninforge.homlie, "_pair_brackets", _refuse_brackets)
+    for h in (special_linear_data(3).algebra, triple_double(special_linear_data(2)).algebra, direct_sum(sl2_lie(), sl2_lie())):
+        assert h.untwisted
+        assert check_admissible_algebra(h).to_json() == dense_check_admissible_algebra(h).to_json()
+
+
 # ---------------------------------------------------------------------------
 # Quadratic forms
 
@@ -489,3 +522,49 @@ def test_direct_sum_of_many_equals_the_nested_binary_sums():
     assert check_quadratic(with_forms).passed
     assert direct_sum(a) == HomLieAlgebra.unchecked(3, a.brackets, a.phi, None)
     assert direct_sum() == HomLieAlgebra.unchecked(0, {}, (), ())
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: direct_sum(hyperbolic_triple()), "direct_sum argument 1 must be a HomLieAlgebra, got ManinTriple"),
+        (lambda: direct_sum(sl2_lie(), "x"), "direct_sum argument 2 must be a HomLieAlgebra, got str"),
+        (lambda: direct_sum(sl2_lie(), sl2_lie(), None), "direct_sum argument 3 must be a HomLieAlgebra, got NoneType"),
+        (lambda: negate_form(hyperbolic_triple()), "negate_form argument 1 must be a HomLieAlgebra, got ManinTriple"),
+        (lambda: negate_form(sl2_lie().brackets), "negate_form argument 1 must be a HomLieAlgebra, got dict"),
+    ],
+)
+def test_sums_and_negations_refuse_what_is_not_an_algebra(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def _built_without_a_check() -> list[HomLieAlgebra]:
+    """Results of `direct_sum`, `negate_form`, `nuble` and `uble_of_uble` over
+    the worked triples and over sums of twisted and untwisted sl2."""
+    tw, lie = sl2_twisted(), sl2_lie()
+    data = special_linear_data(2)
+    triples = (hyperbolic_triple(), triple_g_plus_h(data), triple_double(data))
+    out = [direct_sum(), direct_sum(tw), direct_sum(lie, lie), direct_sum(tw, lie, tw)]
+    out += [direct_sum(direct_sum(lie, tw), lie), direct_sum(direct_sum(lie, lie), lie, direct_sum(tw))]
+    formed_tw = HomLieAlgebra.unchecked(3, tw.brackets, tw.phi, data.algebra.form)
+    out += [negate_form(formed_tw), direct_sum(data.algebra, negate_form(formed_tw)), negate_form(direct_sum(formed_tw))]
+    for t in triples:
+        h = t.algebra
+        out += [negate_form(h), negate_form(negate_form(h)), direct_sum(h, negate_form(h), h)]
+        out += [nuble(t, n).algebra for n in range(1, 9)]
+        out += [uble_of_uble(t, 2, 3).algebra, uble_of_uble(t, 3, 2).algebra]
+    return out
+
+
+def test_sums_built_without_a_check_pass_it_and_know_their_twist():
+    """Slow reference for the unchecked construction: each result, rebuilt
+    through the validating positional constructor, raises nothing and equals
+    itself, and the `untwisted` it was built with is the one computed afresh."""
+    for h in _built_without_a_check():
+        assert "untwisted" in vars(h)
+        rebuilt = HomLieAlgebra(h.dim, h.brackets, h.phi_columns, h.form_rows, h.name)
+        assert rebuilt == h
+        assert type(h.phi_columns) is tuple and type(h.form_rows) in (tuple, type(None))
+        assert "untwisted" not in vars(rebuilt) and rebuilt.untwisted == h.untwisted
+    assert {h.untwisted for h in _built_without_a_check()} == {True, False}

@@ -375,6 +375,116 @@ def test_homomorphism_reports_match_the_dense_reference_on_relabellings_of_twist
     assert sum(sigma is not None for sigma in relabelled) == 2 * len(maps)
 
 
+def _bracket_edits(h: HomLieAlgebra) -> list[dict]:
+    """Copies of h's bracket table with one key off: a stored entry changed,
+    a key added, a key deleted, and a key moved to a pair that had none (so
+    the key counts still agree)."""
+    key = list(h.brackets)[len(h.brackets) // 2]
+    ((k, c), *rest) = h.brackets[key].items()
+    changed = {**h.brackets, key: {k: c + 1 if c != -1 else c + 2, **dict(rest)}}
+    free = next((a, b) for a in range(h.dim) for b in range(a + 1, h.dim) if (a, b) not in h.brackets)
+    missing = {index: coeffs for index, coeffs in h.brackets.items() if index != key}
+    return [changed, {**h.brackets, free: {0: Fraction(1)}}, missing, {**missing, free: h.brackets[key]}]
+
+
+def _with_brackets(t: ManinTriple, brackets: dict) -> ManinTriple:
+    h = t.algebra
+    return ManinTriple(HomLieAlgebra(h.dim, brackets, h.phi_columns, h.form_rows), t.part1, t.part2)
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """Patch `_moved_brackets`, which only a relabelling whose stored keys do
+    not match calls, to record each call."""
+    calls = []
+    moved_brackets = maninforge.homlie._moved_brackets
+    monkeypatch.setattr(maninforge.homlie, "_moved_brackets", lambda *args: calls.append(1) or moved_brackets(*args))
+    return calls
+
+
+def test_relabelled_brackets_off_the_stored_keys_fail_as_the_dense_reference_says(monkeypatch):
+    """The snake map between powers of D2 whose bracket tables have one key
+    off, on either side: the stored keys do not match, and the summed
+    failures are the dense reference's, all of them on brackets."""
+    fallbacks = _count_fallbacks(monkeypatch)
+    d2 = triple_double(special_linear_data(2))
+    flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
+    snake = snake_permutation(2, 2).columns(d2.dim)
+    assert _matches_the_dense_reference(snake, flat, nested) and fallbacks == []
+    pairs = [(flat, _with_brackets(nested, edited)) for edited in _bracket_edits(nested.algebra)]
+    pairs += [(_with_brackets(flat, edited), nested) for edited in _bracket_edits(flat.algebra)]
+    for source, target in pairs:
+        assert not _matches_the_dense_reference(snake, source, target)
+        assert {x.check for x in check_manin_isomorphism(snake, source, target).failures} == {"bracket_preserved"}
+    assert len(fallbacks) == 2 * len(pairs)
+
+
+def _relabelled_algebra(h: HomLieAlgebra, sigma: tuple[int, ...], brackets: dict | None = None) -> HomLieAlgebra:
+    """h, or h with the given bracket table, with each basis vector b_a
+    renamed b_sigma(a): a key (i, j) goes to (sigma(i), sigma(j)), negated
+    and swapped when sigma(i) > sigma(j)."""
+    table = {}
+    for (i, j), coeffs in (h.brackets if brackets is None else brackets).items():
+        a, b = sigma[i], sigma[j]
+        sign = 1 if a < b else -1
+        table[min(a, b), max(a, b)] = {sigma[k]: sign * c for k, c in coeffs.items()}
+    phi = [{}] * h.dim
+    for i, col in enumerate(h.phi_columns):
+        phi[sigma[i]] = {sigma[k]: v for k, v in col.items()}
+    return HomLieAlgebra(h.dim, table, phi)
+
+
+def test_relabellings_that_flip_keys_on_a_twisted_sum_match_the_dense_reference(monkeypatch):
+    """Seeded relabellings sigma of a sum of twisted and untwisted sl2 onto
+    the sum renamed by sigma, which flips keys (sigma(i) > sigma(j)): each
+    passes from stored keys alone.  With one stored entry changed at any key
+    of the source, or one key off in the target, each report equals the dense
+    reference's."""
+    fallbacks = _count_fallbacks(monkeypatch)
+    source = direct_sum(sl2_twisted(), sl2_lie(), sl2_twisted())
+    rng = random.Random(2501)
+    sigmas = [tuple(range(8, -1, -1))] + [tuple(rng.sample(range(9), 9)) for _ in range(12)]
+    assert all(any(s[i] > s[j] for i, j in source.brackets) for s in sigmas)
+    failing = 0
+    for sigma in sigmas:
+        f = Permutation(sigma).columns()
+        target = _relabelled_algebra(source, sigma)
+        assert check_homomorphism(f, source, target).passed
+        targets = [_relabelled_algebra(source, sigma, edited) for edited in _changed_entries(source)]
+        targets += [HomLieAlgebra(9, edited, target.phi_columns) for edited in _bracket_edits(target)]
+        for wrong in targets:
+            report = check_homomorphism(f, source, wrong)
+            assert report.failures == dense_check_homomorphism(dense_of_columns(f, 9), source, wrong).failures
+            assert {x.check for x in report.failures} == {"bracket_preserved"}
+            failing += 1
+    assert len(fallbacks) == failing
+
+
+def _changed_entries(h: HomLieAlgebra) -> list[dict]:
+    """Copies of h's bracket table with one stored entry doubled, one copy per key."""
+    out = []
+    for key, coeffs in h.brackets.items():
+        ((k, c), *rest) = coeffs.items()
+        out.append({**h.brackets, key: {k: 2 * c, **dict(rest)}})
+    return out
+
+
+def test_isomorphism_scans_its_map_once(monkeypatch):
+    """One `_relabelling` scan per `check_manin_isomorphism` call, whether
+    the map is a relabelling, a near one, or a dense invertible map."""
+    calls = []
+    relabelling = maninforge.core._relabelling
+    for module in (maninforge.core, maninforge.homlie, maninforge.manin):
+        monkeypatch.setattr(module, "_relabelling", lambda v: calls.append(1) or relabelling(v))
+    d2 = triple_double(special_linear_data(2))
+    flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
+    snake = snake_permutation(2, 2).columns(d2.dim)
+    maps = [snake, *_near_relabellings(snake), sparse_columns(rand_invertible(random.Random(2502), flat.dim))]
+    for f in maps:
+        calls.clear()
+        check_manin_isomorphism(f, flat, nested)
+        assert len(calls) == 1
+
+
 @given(st.integers(0, 2**30), st.sampled_from((0, 1, 2)))
 def test_isomorphism_reports_match_the_dense_reference_on_random_maps(seed, which):
     t = worked_triples()[which]
