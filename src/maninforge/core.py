@@ -217,7 +217,8 @@ def _relabelling(vectors: Sequence[Mapping[int, Fraction]]) -> list[int] | None:
     for v in vectors:
         if len(v) == 1:
             ((i, x),) = v.items()
-            if x == 1 and i not in seen:
+            # most units are the shared ONE of `Permutation.columns` and `_unit_columns`: no Fraction call
+            if (x is ONE or x == 1) and i not in seen:
                 seen.add(i)
                 sigma.append(i)
                 continue

@@ -381,16 +381,19 @@ def _by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[tuple[dict, dict], int]
     -> [(other index, numerator)], and the one denominator of both: the
     entries of a degree-2 t with phi applied to the slot that a bracket on the
     indexed slot leaves alone, over a common denominator."""
-    if h.untwisted:
+    if h.untwisted:  # both slots read t itself: one family, so its denominator once
         left = right = t
+        den, numerators = _common_denominator(list(t.entries.values()))
+        right_numerators = numerators
     else:
         ident = _unit_columns(h.dim)
         left, right = t._apply_per_slot((ident, h.phi_columns)), t._apply_per_slot((h.phi_columns, ident))
-    den, numerators = _common_denominator([*left.entries.values(), *right.entries.values()])
+        den, numerators = _common_denominator([*left.entries.values(), *right.entries.values()])
+        right_numerators = numerators[len(left.entries) :]
     by_slot: tuple[dict, dict] = ({}, {})
     for (a, b), v in zip(left.entries, numerators):
         by_slot[0].setdefault(a, []).append((b, v))
-    for (a, b), v in zip(right.entries, numerators[len(left.entries) :]):
+    for (a, b), v in zip(right.entries, right_numerators):
         by_slot[1].setdefault(b, []).append((a, v))
     return by_slot, den
 

@@ -31,57 +31,103 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     Each term (s, t, pos) brackets slot s of one entry with slot t of another
     into position pos, and phi acts on the two slots left over; so the entries
     are read from r with phi applied to the slot that is not bracketed.  The
-    pairs of entries are enumerated from the bracket keys (p, q), in both
+    pairs of entries are enumerated from the bracket keys (i, j), in both
     orders, through those entries indexed by slot: pairs that meet no key
     cost nothing.
 
-    An index (k, u, w), with k from the bracket in position pos, is summed at
-    the flat int k*s_k + u*s_u + w*s_w, its strides (s_k, s_u, s_w) the
-    permutation of (d^2, d, 1) that puts k at pos.  For each key and layout
-    the products c*x of the bracket's coefficients with the second entries are
-    built once, with their offsets k*s_k + w*s_w; each first entry (u, v) then
-    adds v*c*x at u*s_u + offset.  The terms come in the order (u, w, k), so
-    the entries keep the order of the sums over tuple indices.  The sums are
-    of integer numerators over den_r^2 * den_c, the denominators of `_by_slot`
-    and of the bracket table; a total that cancels is dropped as it goes, and
-    each nonzero one is decoded and divided once, so every value returned is a
-    nonzero Fraction."""
+    The sums are of integer numerators over den_r^2 * den_c, the denominators
+    of `_by_slot` and of the bracket table, and they are kept by rows: row
+    (a, b) of the residual is one int, the sum over c of its field c times
+    2^(W*c).  Slot-0 entries (w, x) indexed at j are packed the same way into
+    S0[j] = sum x 2^(W*w), and a key's coefficients (k, c) into
+    C[i, j] = sum c 2^(W*k).  So the three positions add whole rows to one
+    accumulator: for a coefficient (k, c) and a first entry (u, v), position 0
+    adds c*v*S0[j] to row (k, u) and position 1 adds c*v*S0[j] to row (u, k);
+    for first and second entries (u, v) and (w, x), position 2 adds
+    v*x*C[i, j] to row (u, w).  One int add stands for the terms over the
+    packed index: w in positions 0 and 1, k in position 2.
+
+    Lemma (the packed rows decode uniquely).  Let B be the sum, over keys and
+    positions, of sum|c| * sum|v| * sum|x|, the coefficients of the key and
+    the numerators of its first and second entries; B is the sum of |term|
+    over all terms, so it bounds every field's total T_c.  With W =
+    bitlen(B) + 1, |T_c| <= B < 2^(W-1), and a row's int is sum T_c 2^(W*c)
+    exactly, whatever the order of the adds.  Signed digits of base 2^W in
+    [-2^(W-1), 2^(W-1)) are unique, so T_0 is the row's low W bits read in
+    that range, and T_1, T_2, ... follow from (row - T_0) / 2^W.
+
+    Only the nonzero rows are decoded, in increasing (a, b).  A field is zero
+    exactly when its W bits are, so the decoder jumps to the field of the
+    lowest set bit, and the entries come in increasing index order.  Each
+    nonzero total is divided once, so every value is a nonzero Fraction, and
+    a residual that cancels, as for a canonical r, decodes nothing."""
     _require_tensor(h, r)
-    by_slot, den_r = _by_slot(h, r)
+    (slot0, slot1), den_r = _by_slot(h, r)
     den_c, table = h._bracket_numerators
     d = h.dim
-    dd = d * d
-    layouts = ((0, 0, dd, d, 1), (1, 0, d, dd, 1), (1, 1, 1, dd, d))  # (s, t, s_k, s_u, s_w) for pos 0, 1, 2
-    sums: dict[int, int] = {}
-    get = sums.get
+    mass0 = {j: sum([abs(x) for _, x in es]) for j, es in slot0.items()}.get
+    mass1 = {j: sum([abs(x) for _, x in es]) for j, es in slot1.items()}.get
+    bound = 0
     for (i, j), cs in table.items():
-        for s, t, s_k, s_u, s_w in layouts:
-            first, second = by_slot[s].get(i), by_slot[t].get(j)
-            if not (first and second):
-                continue
-            products = [(k * s_k + w * s_w, c * x) for w, x in second for k, c in cs]
-            for u, v in first:
-                base = u * s_u
-                for offset, cx in products:
-                    index = base + offset
-                    # `_accumulate` inlined: a call per term costs 10-35% of hcyb on D3^8
-                    total = get(index, 0) + v * cx
-                    if total:
-                        sums[index] = total
-                    else:
-                        del sums[index]
+        # positions 0, 1 and 2 pair first entries of slots 0, 1, 1 with second ones of slots 0, 0, 1
+        weight = (mass0(i, 0) + mass1(i, 0)) * mass0(j, 0) + mass1(i, 0) * mass1(j, 0)
+        if weight:
+            bound += weight * sum([abs(c) for _, c in cs])
+    width = bound.bit_length() + 1
+    packed0 = {j: sum([x << width * w for w, x in es]) for j, es in slot0.items()}
+    rows: dict[int, int] = {}
+    get = rows.get
+    for (i, j), cs in table.items():
+        first1 = slot1.get(i, ())
+        packed = packed0.get(j)
+        if packed:
+            first0 = slot0.get(i, ())
+            for k, c in cs:
+                cp, kd = c * packed, k * d
+                for u, v in first0:  # position 0: row (k, u)
+                    row = kd + u
+                    rows[row] = get(row, 0) + v * cp
+                for u, v in first1:  # position 1: row (u, k)
+                    row = u * d + k
+                    rows[row] = get(row, 0) + v * cp
+        second1 = slot1.get(j)
+        if first1 and second1:  # position 2: row (u, w)
+            coefficients = sum([c << width * k for k, c in cs])
+            for u, v in first1:
+                vc, ud = v * coefficients, u * d
+                for w, x in second1:
+                    row = ud + w
+                    rows[row] = get(row, 0) + x * vc
     den = den_r * den_r * den_c
+    mask, half = (1 << width) - 1, 1 << (width - 1)
     entries = {}
-    for index, n in sums.items():
-        a, bc = divmod(index, dd)
-        entries[(a, *divmod(bc, d))] = Fraction(n, den)
+    for row in sorted(row for row, n in rows.items() if n):
+        n = rows[row]
+        a, b = divmod(row, d)
+        c = 0
+        while n:  # n = sum T_c' 2^(W*(c'-c)) over c' >= c; jump to the lowest nonzero field
+            skip = ((n & -n).bit_length() - 1) // width
+            n >>= width * skip
+            c += skip
+            total = n & mask
+            if total >= half:
+                total -= mask + 1
+            entries[a, b, c] = Fraction(total, den)
+            n = (n - total) >> width
+            c += 1
     return SparseTensor(3, d, entries)
 
 
 def cyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
-    """The untwisted Yang-Baxter residual: the same map with the twist replaced by Id."""
+    """The untwisted Yang-Baxter residual: the same map with the twist replaced by Id.
+
+    Lemma (the identity-twist copy needs no check).  h passed the
+    constructor's check when it was built, and the copy keeps its bracket
+    table and form; the identity's columns {i: 1} are square, in range and
+    nonzero.  So, as in `direct_sum`, the copy is built without re-checking,
+    and its twist is the identity."""
     if not h.untwisted:
-        h = HomLieAlgebra(h.dim, h.brackets, _unit_columns(h.dim), h.form_rows)
+        h = HomLieAlgebra._of_checked(h.dim, h.brackets, _unit_columns(h.dim), h.form_rows, untwisted=True)
     return hcyb(h, r)
 
 

@@ -692,18 +692,38 @@ def _same_tensor(t: SparseTensor, reference: SparseTensor) -> bool:
     return t == reference and t.items() == reference.items() and list(t.entries) == list(reference.entries)
 
 
+def _same_residual(t: SparseTensor, reference: SparseTensor) -> bool:
+    """Equal tensors and equal sorted items, with `hcyb`'s entries in
+    increasing index order: it decodes its packed rows in that order, where
+    the frozen kernel kept the order in which terms first touched an index.
+    Entry order is not observable: `items()`, `render_tensor` and
+    `format_tensor` all sort."""
+    return t == reference and t.items() == reference.items() and list(t.entries) == sorted(t.entries)
+
+
 def _assert_residual_matches_the_references(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     residual = hcyb(h, r)
-    assert _same_tensor(residual, tuple_index_hcyb(h, r))
+    assert _same_residual(residual, tuple_index_hcyb(h, r))
     assert dict(residual.items()) == pairwise_hcyb(h, r)
     assert _all_nonzero_fractions(residual.entries.values())
     return residual
 
 
+def _assert_residual_matches_every_reference(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
+    residual = _assert_residual_matches_the_references(h, r)
+    assert dict(residual.items()) == dense_hcyb(h, r)
+    return residual
+
+
+def _huge_fraction(rng: random.Random) -> Fraction:
+    """A numerator of 64 to 80 bits over a product of HOSTILE denominators."""
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(2**64, 2**80), prod(rng.sample(HOSTILE, 2)))
+
+
 def test_flat_index_residual_of_a_moved_canonical_r_of_the_d3_cube_matches_the_references():
     """One entry of the canonical r of nuble(D3, 3) moved by 7/11: the terms
     of all three bracket positions, which cancel for the canonical r, leave a
-    residual equal to the tuple-index kernel in entry order and to the
+    residual equal to the tuple-index kernel, value for value, and to the
     pairwise reference."""
     t = nuble(D3, 3)
     h, r = t.algebra, r_from_splitting(t)
@@ -726,18 +746,25 @@ def test_flat_index_residual_on_a_twisted_sum_of_four_sl2s_matches_the_reference
     for fill in (3, 8, 20, 40):
         r = hostile_tensor(rng, h.dim, fill)
         residual = _assert_residual_matches_the_references(h, r)
-        assert _same_tensor(cyb(h, r), tuple_index_hcyb(direct_sum(*[sl2_lie()] * 4), r))
+        assert _same_residual(cyb(h, r), tuple_index_hcyb(direct_sum(*[sl2_lie()] * 4), r))
         nonzero += not residual.is_zero
     assert nonzero >= 3
+    # small r, where `dense_hcyb` still runs in dimension 12, of hostile and of 64-bit numerators
+    rng = random.Random(26)
+    huge = SparseTensor(2, h.dim, {(0, 4): _huge_fraction(rng), (4, 1): _huge_fraction(rng)})
+    for r in (hostile_tensor(rng, h.dim, 3), huge):
+        assert not _assert_residual_matches_every_reference(h, r).is_zero
 
 
 def test_flat_index_residual_in_dimension_one():
     for phi in ([[1]], [[-1]], [[Fraction(3, 7)]]):
         h = HomLieAlgebra.unchecked(1, {}, phi)
-        r = SparseTensor(2, 1, {(0, 0): Fraction(3, 7)})
-        residual = _assert_residual_matches_the_references(h, r)
-        assert residual == SparseTensor.zero(3, 1)
-        assert _same_tensor(hcyb(h, SparseTensor.zero(2, 1)), SparseTensor.zero(3, 1))
+        for value in (Fraction(3, 7), Fraction(2**70 + 1, 13)):
+            residual = _assert_residual_matches_every_reference(h, SparseTensor(2, 1, {(0, 0): value}))
+            assert residual == SparseTensor.zero(3, 1)
+        assert _same_residual(hcyb(h, SparseTensor.zero(2, 1)), SparseTensor.zero(3, 1))
+    zero = _assert_residual_matches_every_reference(HomLieAlgebra.unchecked(0, {}), SparseTensor.zero(2, 0))
+    assert _same_residual(zero, SparseTensor.zero(3, 0))
 
 
 def test_flat_index_residual_decodes_the_last_corner_of_d3_to_the_fourth():
@@ -750,6 +777,61 @@ def test_flat_index_residual_decodes_the_last_corner_of_d3_to_the_fourth():
     residual = _assert_residual_matches_the_references(h, moved)
     assert residual.get((d - 1, d - 1, d - 1)) == Fraction(-21, 143)
     assert max(residual.entries) == (d - 1, d - 1, d - 1)
+
+
+# ---------------------------------------------------------------------------
+# The width of `hcyb`'s packed rows: every field total T_c of a row satisfies
+# |T_c| <= B < 2^(W-1), B the sum of |term| over all terms.
+
+
+@pytest.mark.parametrize("name", ["sl2 twisted", *sorted(HOSTILE_ALGEBRAS)])
+def test_packed_rows_are_exact_with_numerators_beyond_64_bits(name):
+    h = sl2_twisted() if name == "sl2 twisted" else HOSTILE_ALGEBRAS[name]()
+    rng = random.Random(f"{name} huge")
+    widest = 0
+    for fill in (2, 5, 9):
+        r = SparseTensor.zero(2, h.dim)
+        for _ in range(fill):
+            r.add_into((rng.randrange(h.dim), rng.randrange(h.dim)), _huge_fraction(rng))
+        residual = _assert_residual_matches_every_reference(h, r)
+        widest = max([widest, *(abs(v.numerator) for v in residual.entries.values())])
+    assert widest >= 2**128
+
+
+def test_a_field_whose_total_reaches_the_bound_decodes_at_both_signs():
+    """All terms land in one field with one sign, so that field's total is B.
+    phi(e_2) = e_1, so r's entries (1, 0) and (2, 0) both read as e_1 (x) e_0
+    on slot 1, and [e_0, e_1] = s e_0 puts the terms v*v*s and w*v*s at (1, 0, 0):
+    c = 0, the lowest field.  With s = 1 and -1 the total is +B and -B."""
+    v, w = Fraction(2**64 + 13, 7**3), Fraction(2**66 + 1, 11**2)
+    r = SparseTensor(2, 3, {(1, 0): v, (2, 0): w})
+    for s in (1, -1):
+        h = HomLieAlgebra.unchecked(3, {(0, 1): {0: s}}, phi=[[1, 0, 0], [0, 1, 1], [0, 0, 0]])
+        residual = _assert_residual_matches_every_reference(h, r)
+        assert residual.entries == {(1, 0, 0): s * v * (v + w)}
+
+
+def test_a_field_at_the_top_of_its_width_decodes_at_the_first_and_last_field():
+    """[e_0, e_1] = (2^64 - 1) e_1 and one entry of r: the one term is B = 2^64 - 1,
+    so W = 65 and the total is 2^(W-1) - 1, the largest that W bits hold
+    in either sign.  r = e_1 (x) e_0 gives +B at (1, 1, 0), c = 0; r = e_0 (x) e_1
+    gives -B at (0, 1, 1), c = d - 1."""
+    top = 2**64 - 1
+    h = HomLieAlgebra.unchecked(2, {(0, 1): {1: top}})
+    for index, expected in (((1, 0), {(1, 1, 0): top}), ((0, 1), {(0, 1, 1): -top})):
+        residual = _assert_residual_matches_every_reference(h, SparseTensor(2, 2, {index: 1}))
+        assert residual.entries == expected
+
+
+def test_negative_totals_and_the_first_and_last_fields_of_a_row():
+    """[e_0, e_1] = e_0 - e_2 and r = 3 e_0 (x) e_0 - 2/7 e_1 (x) e_1: the third
+    position puts phi(e_1) (x) phi(e_0) (x) [e_1, e_0] in row (1, 0), a positive
+    total at field c = 0 and a negative one at c = d - 1."""
+    h = HomLieAlgebra.unchecked(3, {(0, 1): {0: 1, 2: -1}})
+    r = SparseTensor(2, 3, {(0, 0): 3, (1, 1): Fraction(-2, 7)})
+    residual = _assert_residual_matches_every_reference(h, r)
+    assert (residual.get((1, 0, 0)), residual.get((1, 0, 2))) == (Fraction(12, 7), Fraction(-6, 7))
+    assert sum(v < 0 for v in residual.entries.values()) == 4
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_ALGEBRAS))
@@ -813,7 +895,7 @@ def test_integer_symmetric_part_and_classification_match_the_fraction_reference(
         reference.verdict,
         reference.factorizable,
     )
-    assert _same_tensor(report.hcyb_residual, reference.hcyb_residual)
+    assert _same_residual(report.hcyb_residual, reference.hcyb_residual)
 
 
 def test_the_symmetric_cases_reach_every_verdict():
