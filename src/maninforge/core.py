@@ -18,7 +18,7 @@ pairing and isomorphism kernels can read it off stored keys.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -84,6 +84,68 @@ def _numerators(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, list[di
     den, flat = _common_denominator([x for v in vectors for x in v.values()])
     flat = iter(flat)
     return den, [{i: next(flat) for i in v} for v in vectors]
+
+
+def _pack(terms: Iterable[tuple[int, int]], width: int) -> int:
+    """The int sum x 2^(width*i) over integer terms (i, x): a sparse row packed
+    into fields of `width` bits, for `_signed_fields` to read back."""
+    n = 0
+    for i, x in terms:
+        n += x << width * i
+    return n
+
+
+def _l1_bounds(vectors: Iterable[Iterable[tuple[int, int]]]) -> tuple[int, int]:
+    """(top l1 mass, top absolute entry) over a family of integer vectors given
+    as (index, entry) terms, (0, 0) for none: what the packed-row kernels
+    bound their field totals with.
+
+    >>> _l1_bounds([((0, 3), (2, -5)), ((1, 6),)])
+    (8, 6)
+    """
+    mass = top = 0
+    for terms in vectors:
+        total = 0
+        for _, x in terms:
+            x = abs(x)
+            total += x
+            if x > top:
+                top = x
+        if total > mass:
+            mass = total
+    return mass, top
+
+
+def _signed_fields(n: int, width: int, den: int) -> Iterator[tuple[int, Fraction]]:
+    """(c, T_c / den) for the nonzero fields of a packed row n = sum T_c 2^(W*c),
+    W = width, in increasing c: the one decoder of the packed-row kernels
+    (`rmatrix.hcyb`, `homlie.check_hom_jacobi`, `homlie.check_quadratic`).
+
+    Lemma (a packed row decodes uniquely).  Each kernel bounds every field's
+    total by some B and takes W = bitlen(B) + 1, so |T_c| <= B < 2^(W-1).
+    Then n is sum T_c 2^(W*c) exactly, whatever the order
+    of the adds that built it, and signed digits of base 2^W in
+    [-2^(W-1), 2^(W-1)) are unique: T_0 is n's low W bits read in that range,
+    and T_1, T_2, ... follow from (n - T_0) / 2^W.  A field is zero exactly
+    when its W bits are, so the decoder jumps to the field of the lowest set
+    bit; each nonzero total is divided once, so every value is a nonzero
+    Fraction, and a row that cancels decodes nothing.
+
+    >>> list(_signed_fields(_pack([(0, 3), (2, -5)], 4), 4, 2))
+    [(0, Fraction(3, 2)), (2, Fraction(-5, 2))]
+    """
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    c = 0
+    while n:  # n = sum T_c' 2^(W*(c'-c)) over c' >= c; jump to the lowest nonzero field
+        skip = ((n & -n).bit_length() - 1) // width
+        n >>= width * skip
+        c += skip
+        total = n & mask
+        if total >= half:
+            total -= mask + 1
+        yield c, Fraction(total, den)
+        n = (n - total) >> width
+        c += 1
 
 
 def vector(entries: Iterable[int | str | Fraction]) -> Vector:
@@ -482,6 +544,22 @@ class SparseTensor:
                 raise ValueError(f"entry {value!r} at index {idx} is not an int or a Fraction")
             if value == 0:
                 del self.entries[idx]
+
+    @classmethod
+    def _of_checked(cls, degree: int, dim: int, entries: dict[tuple[int, ...], Fraction]) -> SparseTensor:
+        """Set the fields without `__post_init__`, for output built valid.
+
+        Lemma (checked output needs no second check).  `__post_init__` checks
+        that degree is 1, 2 or 3, that dim is a non-negative int, and that each
+        entry has `degree` int indices in range(dim) and an exact value, and it
+        drops zero values.  A caller that builds its entries with those
+        properties, and no zero value, gets the same tensor from the fields
+        alone: `rmatrix.hcyb` (degree 3, indices decoded from rows in
+        range(dim^2) and fields in range(dim), nonzero Fractions from
+        `_signed_fields`) and `fileio.parse_tensor` (after its own checks)."""
+        t = cls.__new__(cls)
+        t.degree, t.dim, t.entries = degree, dim, entries
+        return t
 
     @classmethod
     def zero(cls, degree: int, dim: int) -> SparseTensor:

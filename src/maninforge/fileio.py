@@ -110,10 +110,12 @@ def parse_tensor(text: str) -> SparseTensor:
         if idx in entries:
             raise ParseError(lineno, f"duplicate entry for index {idx}")
         entries[idx] = _parse_rational(tokens[degree], lineno, parsed)
-    try:
-        return SparseTensor(degree, dim, entries)
-    except ValueError as exc:
-        raise ParseError(lines[0][0], str(exc)) from None
+    # Each line checked its int indices against degree and dim, and its value
+    # is an exact rational: with the degree checked and the zeros dropped,
+    # the tensor holds every property that its constructor would check.
+    if degree not in (1, 2, 3):
+        raise ParseError(lines[0][0], f"unsupported tensor degree {degree}")
+    return SparseTensor._of_checked(degree, dim, {idx: v for idx, v in entries.items() if v})
 
 
 # ---------------------------------------------------------------------------

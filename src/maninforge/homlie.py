@@ -21,9 +21,12 @@ from .core import (
     _dimension,
     _gauss_jordan,
     _images_outside,
+    _l1_bounds,
     _null_rows,
     _numerators,
+    _pack,
     _relabelling,
+    _signed_fields,
     _sparse,
     _square,
     _square_columns,
@@ -86,7 +89,8 @@ class HomLieAlgebra:
     as {row: entry} and form_rows[i] is {j: <b_i, b_j>} (None without a form),
     nonzero entries only, indices increasing.  `create` and `unchecked` take
     dense matrices; `phi` and `form` are dense views, built on first use, and
-    so is `_bracket_numerators`, the integer view of the bracket table.
+    so are `_bracket_numerators`, the integer view of the bracket table, and
+    `_bracket_bounds`, its top key mass and entry.
     Callers must not mutate the stored dicts, as for `Subspace`: the cached
     views would go stale, `direct_sum` and `negate_form` rely on their
     arguments having passed the constructor's check, and `negate_form` and
@@ -161,6 +165,13 @@ class HomLieAlgebra:
             table[i, j] = tuple(cs.items())
             table[j, i] = tuple((k, -c) for k, c in cs.items())
         return den, table
+
+    @cached_property
+    def _bracket_bounds(self) -> tuple[int, int]:
+        """(top l1 mass of a key, top entry) of `_bracket_numerators`, from one
+        walk of each key i < j: the bracket's part of the packed-row bounds of
+        `check_hom_jacobi` and `check_quadratic`."""
+        return _l1_bounds(map(self._bracket_numerators[1].__getitem__, self.brackets))
 
     @cached_property
     def phi(self) -> Matrix:
@@ -461,48 +472,68 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     cost anything.  A direct sum of n copies has no key and no twist entry
     across copies, so the work is linear in n.
 
-    The terms are enumerated from the keys (a, m) grouped by m and the twist's
-    entries grouped by row, and summed in integer numerators over
-    den_phi * den_c^2, the denominators of the twist's columns and of the
-    bracket table, at the flat int ((i d + j) d + k) d + n.  Each nonzero
-    total is decoded and divided once, and each failing triple's two residuals
-    are rendered once."""
+    The terms are summed in integer numerators over den_phi * den_c^2, the
+    denominators of the twist's columns and of the bracket table, by rows:
+    row (i, j, k) is one int holding coordinate n of J(i, j, k) in field n.
+    Each key a < m is packed once over its coefficients, (m, a) by negation,
+    and each packed key (a, m) is scaled once by each entry p at row a of a
+    column phi(b_x).  So each visit (key (y, z), target m, partner (a, m), x
+    with phi(b_x) holding a) adds +-c times its scaled partner to its row:
+    one int add per visit.
+
+    Bound.  Let P be the top l1 mass of a twist column's numerators, C the top
+    l1 mass of a key and E the top entry of the table.  Coordinate n of
+    N(x; y, z) is sum_m c_m sum_a p_a e_(a,m,n), at most C P E in size, and
+    that of J a signed sum of three of them; so every field's total T
+    satisfies |T| <= 3 P C E, and with W = bitlen(3 P C E) + 1 each row
+    decodes uniquely by `core._signed_fields`, once, each value divided
+    once.  Each failing triple's two residuals are rendered once."""
     d = h.dim
     den_c, table = h._bracket_numerators
-    den_p, phi_rows = _holders(h.phi_columns)
-    partners: dict[int, list] = {}
-    for (a, m), outer in table.items():
-        partners.setdefault(m, []).append((a, outer))
-    sums: dict[int, int] = {}
-    get = sums.get
+    den_p, phi = _numerators(h.phi_columns)
+    phi_rows = _transpose_sparse(phi, d)
+    key_mass, entry = h._bracket_bounds
+    width = (3 * _l1_bounds(map(dict.items, phi))[0] * key_mass * entry).bit_length() + 1
+    # twisted[m]: (x, p times packed (a, m)) over the keys (a, m) and the
+    # entries p at row a of the columns phi(b_x)
+    twisted: list[list] = [[] for _ in range(d)]
+    for a, m in h.brackets:
+        packed = _pack(table[a, m], width)
+        into = twisted[m].append
+        for x, p in phi_rows[a].items():
+            into((x, p * packed))
+        into = twisted[a].append
+        for x, p in phi_rows[m].items():
+            into((x, -p * packed))
+    rows: dict[int, int] = {}
+    get = rows.get
+    dd = d * d
     for y, z in h.brackets:
+        yd = y * d
+        yz = yd + z
+        yzd = yz * d
         for m, c in table[y, z]:
-            for a, outer in partners.get(m, ()):
-                for x, p in phi_rows.get(a, ()):
-                    if x == y or x == z:
-                        continue
-                    if x < y:
-                        base, pc = ((x * d + y) * d + z) * d, p * c
-                    elif x < z:
-                        base, pc = ((y * d + x) * d + z) * d, -p * c
-                    else:
-                        base, pc = ((y * d + z) * d + x) * d, p * c
-                    for n, e in outer:
-                        at = base + n
-                        sums[at] = get(at, 0) + pc * e
+            for x, q in twisted[m]:
+                if x < y:  # row (x, y, z)
+                    at = x * dd + yz
+                    rows[at] = get(at, 0) + c * q
+                elif x < z:  # row (y, x, z), negated
+                    if x != y:
+                        at = (yd + x) * d + z
+                        rows[at] = get(at, 0) - c * q
+                elif x > z:  # row (y, z, x)
+                    at = yzd + x
+                    rows[at] = get(at, 0) + c * q
     den = den_p * den_c * den_c
-    totals: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for at, total in sums.items():
-        if total:
-            ijk, n = divmod(at, d)
-            ij, k = divmod(ijk, d)
-            totals.setdefault((*divmod(ij, d), k), {})[n] = Fraction(total, den)
     failures = []
-    for (i, j, k), total in totals.items():
-        even = _dense(h, total)
-        even_text, odd_text = render_residual(even), render_residual(tuple(-v for v in even))
-        failures += [failure("hom_jacobi", index, even_text) for index in ((i, j, k), (j, k, i), (k, i, j))]
-        failures += [failure("hom_jacobi", index, odd_text) for index in ((j, i, k), (i, k, j), (k, j, i))]
+    for at, n in rows.items():
+        if n:
+            ij, k = divmod(at, d)
+            i, j = divmod(ij, d)
+            even = _dense(h, dict(_signed_fields(n, width, den)))
+            even_text, odd_text = render_residual(even), render_residual(tuple(-v for v in even))
+            failures += [failure("hom_jacobi", index, even_text) for index in ((i, j, k), (j, k, i), (k, i, j))]
+            failures += [failure("hom_jacobi", index, odd_text) for index in ((j, i, k), (i, k, j), (k, j, i))]
     return CheckReport("hom_jacobi", failures)
 
 
@@ -732,10 +763,27 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
 
     Symmetry is compared, and the invariance residual summed, in integer
     numerators: the form's over den_g, and the residual over den_g * den_c with
-    den_c the bracket table's, each nonzero entry divided once.  The two twist
-    pairings come from `_pairings`, and their difference runs in Fractions; the
-    identity twist is self-adjoint with nothing to compute, <x, y> = <x, y>.
-    The elimination for nondegeneracy is `_gauss_jordan`'s, in ints."""
+    den_c the bracket table's.  The two twist pairings come from `_pairings`,
+    and their difference runs in Fractions; the identity twist is self-adjoint
+    with nothing to compute, <x, y> = <x, y>.  The elimination for
+    nondegeneracy is `_gauss_jordan`'s, in ints.
+
+    The residual R(a, b, k) = <[b_a, b_b], b_k> - <b_a, [b_b, b_k]> is kept
+    by rows: row (a, b) is one int holding R(a, b, k) in field k.  With
+    G[c] = sum_k g_ck 2^(W*k), row c of the form packed, the left slot puts
+    sum_c C_ab^c G[c] in row (a, b) for each key a < b, and its negative in
+    row (b, a); with M[a, c] = sum_b C_ab^c 2^(W*b), the right slot adds
+    -g_ic M[a, c] to row (i, a) for each entry g_ic of column c of the form
+    (the form need not be symmetric).  Both land in one accumulator, so
+    their terms cancel there.
+
+    Bound.  Let C be the top l1 mass of a key and c the table's top entry,
+    G the top l1 mass of a form row and g the form's top entry.  The left
+    term of field k of row (a, b) is sum_c C_ab^c g_ck, at most C g in size,
+    and the right one sum_c g_ac C_bk^c, at most G c; so every total T
+    satisfies |T| <= C g + G c, and with W = bitlen(C g + G c) + 1 each row
+    decodes uniquely by `core._signed_fields`, each nonzero entry divided
+    once."""
     if h.form_rows is None:
         raise ValueError("algebra carries no bilinear form to check")
     failures = []
@@ -754,22 +802,36 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
         # <phi b_i, b_j> - <b_i, phi b_j>
         twist = _difference(_pairings(g_rows, phi_cols, units), _pairings(g_rows, units, phi_cols))
         failures += [failure("twist_self_adjoint", index, value) for index, value in twist.items()]
-    # Residual <[b_i,b_j],b_k> - <b_i,[b_j,b_k]>, accumulated from each bracket
-    # key (a, b) in both orders, in the left slot through row c of the form and
-    # in the right slot through column c (the form need not be symmetric).
-    # `_accumulate` inlined, the zeros dropped at the end: a call per term cost
-    # about a sixth of this check on the sheared D3 images.
+    # Residual <[b_a,b_b],b_k> - <b_a,[b_b,b_k]>, in packed rows (a, b) over k.
+    d = h.dim
     den_c, table = h._bracket_numerators
-    residual: dict[tuple[int, int, int], int] = {}
-    get = residual.get
-    for (a, b), cs in table.items():
-        for c, v in cs:
-            for k, g in n_rows[c].items():
-                residual[a, b, k] = get((a, b, k), 0) + v * g
-            for i, g in n_cols[c].items():
-                residual[i, a, b] = get((i, a, b), 0) - g * v
+    key_mass, entry = h._bracket_bounds
+    row_mass, top_g = _l1_bounds(map(dict.items, n_rows))
+    width = (key_mass * top_g + row_mass * entry).bit_length() + 1
+    form = [_pack(row.items(), width) for row in n_rows]
+    rows: dict[int, int] = {}
+    moved: list[dict[int, int]] = [{} for _ in range(d)]  # moved[c][a] = M[a, c] = sum_b C_ab^c 2^(W*b)
+    for a, b in h.brackets:  # the key (b, a) is the negative of (a, b)
+        shift_a, shift_b = width * a, width * b
+        left = 0
+        for c, v in table[a, b]:
+            left += v * form[c]
+            by_a = moved[c]
+            by_a[a] = by_a.get(a, 0) + (v << shift_b)
+            by_a[b] = by_a.get(b, 0) - (v << shift_a)
+        rows[a * d + b], rows[b * d + a] = left, -left
+    get = rows.get
+    for c, by_a in enumerate(moved):  # right slot: row (i, a) gets -g_ic M[a, c]
+        column = n_cols[c].items()
+        for a, packed in by_a.items():
+            for i, g in column:
+                row = i * d + a
+                rows[row] = get(row, 0) - g * packed
     den = den_g * den_c
-    failures += [failure("invariant", index, Fraction(n, den)) for index, n in residual.items() if n]
+    for ab, n in rows.items():
+        if n:
+            a, b = divmod(ab, d)
+            failures += [failure("invariant", (a, b, k), value) for k, value in _signed_fields(n, width, den)]
     return CheckReport("quadratic", failures)
 
 

@@ -12,6 +12,8 @@ from .core import (
     _common_denominator,
     _gauss_jordan,
     _numerators,
+    _pack,
+    _signed_fields,
     _symmetric_part,
     _unit_columns,
     is_antisymmetric,
@@ -47,20 +49,17 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     v*x*C[i, j] to row (u, w).  One int add stands for the terms over the
     packed index: w in positions 0 and 1, k in position 2.
 
-    Lemma (the packed rows decode uniquely).  Let B be the sum, over keys and
-    positions, of sum|c| * sum|v| * sum|x|, the coefficients of the key and
-    the numerators of its first and second entries; B is the sum of |term|
-    over all terms, so it bounds every field's total T_c.  With W =
-    bitlen(B) + 1, |T_c| <= B < 2^(W-1), and a row's int is sum T_c 2^(W*c)
-    exactly, whatever the order of the adds.  Signed digits of base 2^W in
-    [-2^(W-1), 2^(W-1)) are unique, so T_0 is the row's low W bits read in
-    that range, and T_1, T_2, ... follow from (row - T_0) / 2^W.
+    Bound.  Let B be the sum, over keys and positions, of
+    sum|c| * sum|v| * sum|x|, the coefficients of the key and the numerators
+    of its first and second entries; B is the sum of |term| over all terms,
+    so it bounds every field's total, and with W = bitlen(B) + 1 each row
+    decodes uniquely by `core._signed_fields`.
 
-    Only the nonzero rows are decoded, in increasing (a, b).  A field is zero
-    exactly when its W bits are, so the decoder jumps to the field of the
-    lowest set bit, and the entries come in increasing index order.  Each
-    nonzero total is divided once, so every value is a nonzero Fraction, and
-    a residual that cancels, as for a canonical r, decodes nothing."""
+    Only the nonzero rows are decoded, in increasing (a, b), and the decoder
+    gives each row's fields in increasing c, so the entries come in
+    increasing index order; a residual that cancels, as for a canonical r,
+    decodes nothing.  Those entries are valid as built, so the residual is
+    made by `SparseTensor._of_checked`, with no second check."""
     _require_tensor(h, r)
     (slot0, slot1), den_r = _by_slot(h, r)
     den_c, table = h._bracket_numerators
@@ -74,7 +73,7 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
         if weight:
             bound += weight * sum([abs(c) for _, c in cs])
     width = bound.bit_length() + 1
-    packed0 = {j: sum([x << width * w for w, x in es]) for j, es in slot0.items()}
+    packed0 = {j: _pack(es, width) for j, es in slot0.items()}
     rows: dict[int, int] = {}
     get = rows.get
     for (i, j), cs in table.items():
@@ -92,30 +91,19 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
                     rows[row] = get(row, 0) + v * cp
         second1 = slot1.get(j)
         if first1 and second1:  # position 2: row (u, w)
-            coefficients = sum([c << width * k for k, c in cs])
+            coefficients = _pack(cs, width)
             for u, v in first1:
                 vc, ud = v * coefficients, u * d
                 for w, x in second1:
                     row = ud + w
                     rows[row] = get(row, 0) + x * vc
     den = den_r * den_r * den_c
-    mask, half = (1 << width) - 1, 1 << (width - 1)
     entries = {}
     for row in sorted(row for row, n in rows.items() if n):
-        n = rows[row]
         a, b = divmod(row, d)
-        c = 0
-        while n:  # n = sum T_c' 2^(W*(c'-c)) over c' >= c; jump to the lowest nonzero field
-            skip = ((n & -n).bit_length() - 1) // width
-            n >>= width * skip
-            c += skip
-            total = n & mask
-            if total >= half:
-                total -= mask + 1
-            entries[a, b, c] = Fraction(total, den)
-            n = (n - total) >> width
-            c += 1
-    return SparseTensor(3, d, entries)
+        for c, value in _signed_fields(rows[row], width, den):
+            entries[a, b, c] = value
+    return SparseTensor._of_checked(3, d, entries)
 
 
 def cyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:

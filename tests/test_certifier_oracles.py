@@ -318,39 +318,70 @@ def no_dense_calls(monkeypatch):
     return taken
 
 
-def counted_jacobi_work(h: HomLieAlgebra) -> tuple[int, int]:
-    """(visits, products) of one passing Jacobi check of h, counted as walks
-    over the rows of its integer bracket table: one walk of [b_y, b_z] per
-    key y < z, and one walk of [b_a, b_m] per visit (key (y, z), target m,
-    partner key (a, m), x with phi(b_x) holding a, x outside {y, z}), each
-    term of that walk one product summed."""
+def counted_jacobi_work(h: HomLieAlgebra) -> tuple[int, int, int, int]:
+    """(visits, adds, walks, terms) of one passing Jacobi check of h.  Each
+    key's terms are packed by `homlie._pack` and scaled by the twist's
+    entries once.  A visit (key (y, z), target m, partner key (a, m), x with
+    phi(b_x) holding a, x outside {y, z}) multiplies such a scaled partner
+    by the target's coefficient, and an add is that product added to (or
+    subtracted from) a row.  walks and terms count the walks over the rows
+    of its integer bracket table and the terms they read, none per visit."""
     den, table = h._bracket_numerators
+    pack = homlie._pack
     walks = []
+    counts = {"visits": 0, "adds": 0}
 
     class CountingTerms(tuple):
         def __iter__(self):
             walks.append(len(self))
             return super().__iter__()
 
+    class Product(int):
+        def __radd__(self, other):
+            counts["adds"] += 1
+            return other + int(self)
+
+        def __rsub__(self, other):
+            counts["adds"] += 1
+            return other - int(self)
+
+    class Scaled(int):
+        def __rmul__(self, other):
+            counts["visits"] += 1
+            return Product(other * int(self))
+
+        __mul__ = __rmul__
+
+    class Packed(int):
+        def __rmul__(self, other):
+            return Scaled(other * int(self))
+
+        __mul__ = __rmul__
+
     h.__dict__["_bracket_numerators"] = (den, {key: CountingTerms(terms) for key, terms in table.items()})
-    assert check_hom_jacobi(h).passed
-    keys, targets = len(h.brackets), sum(map(len, h.brackets.values()))
-    return len(walks) - keys, sum(walks) - targets
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homlie, "_pack", lambda terms, width: Packed(pack(terms, width)))
+        assert check_hom_jacobi(h).passed
+    return counts["visits"], counts["adds"], len(walks), sum(walks)
 
 
 def test_checkers_make_fewer_basis_brackets_than_the_scans(no_dense_calls):
     """The d^3 loops called bracket_basis 854,016 times (Jacobi) and 266,240
     times (quadratic) on this dim-64 power.  Jacobi now reads the integer
-    bracket table instead, and calls bracket_basis no more: it sums 800
-    products over 752 visits, one per term of a nested bracket [phi b_x,
-    [b_y, b_z]] (the candidate triples of its 8 components cost 2,400 table
-    lookups); the counts are deterministic."""
+    bracket table instead, and calls bracket_basis no more: it makes 752
+    visits, one per packed nested bracket [phi b_x, [b_y, b_z]] (the
+    candidate triples of its 8 components cost 2,400 table lookups), and each
+    visit adds one packed row.  The table's rows are walked three times
+    each, for the bound, as outer brackets and to be packed, never per
+    visit; the counts are deterministic."""
     h = nuble(BASES["D3"], 4).algebra
     d = h.dim
     assert d == 64
-    visits, products = counted_jacobi_work(h)
+    keys, targets = len(h.brackets), sum(map(len, h.brackets.values()))
+    visits, adds, walks, terms = counted_jacobi_work(h)
     assert no_dense_calls() == 0
-    assert (visits, products) == (752, 800)
+    assert (visits, adds) == (752, 752)
+    assert (walks, terms) == (3 * keys, 3 * targets)
     assert check_quadratic(h).passed
     assert no_dense_calls() < d**2
 
@@ -358,8 +389,8 @@ def test_checkers_make_fewer_basis_brackets_than_the_scans(no_dense_calls):
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
 def test_jacobi_lookups_are_linear_in_the_number_of_copies(n):
     """No key and no twist entry crosses copies, so each copy costs the same:
-    188 visits and 200 products."""
-    assert counted_jacobi_work(nuble(BASES["D3"], n).algebra) == (188 * n, 200 * n)
+    188 visits, 188 packed adds, and 126 walks over 132 terms of the table."""
+    assert counted_jacobi_work(nuble(BASES["D3"], n).algebra) == (188 * n, 188 * n, 126 * n, 132 * n)
 
 
 def test_certifier_and_stabilizer_conditions_make_no_dense_call(no_dense_calls):

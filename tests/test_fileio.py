@@ -113,6 +113,17 @@ def test_tensor_errors_carry_line_numbers():
     expect_parse_error(
         fileio.parse_tensor, "tensor degree=1 dim=2\n0 1/0\n", 2, "malformed rational"
     )
+    expect_parse_error(fileio.parse_tensor, "tensor degree=0 dim=2\n5\n", 1, "unsupported tensor degree 0")
+    expect_parse_error(fileio.parse_tensor, "tensor degree=4 dim=2\n", 1, "unsupported tensor degree 4")
+    # an entry line is checked before the degree, and a zero entry still counts as a duplicate
+    expect_parse_error(fileio.parse_tensor, "tensor degree=4 dim=2\n0 1\n", 2, "expected 4 indices")
+    expect_parse_error(fileio.parse_tensor, "tensor degree=2 dim=2\n0 1 0\n0 1 3\n", 3, "duplicate")
+
+
+def test_tensor_entries_that_spell_zero_are_dropped():
+    t = fileio.parse_tensor("tensor degree=3 dim=2\n1 1 1 -0\n0 1 0 2/4\n1 0 0 0/7\n")
+    assert t.entries == {(0, 1, 0): Fraction(1, 2)}
+    assert t == SparseTensor(3, 2, {(0, 1, 0): Fraction(1, 2)})
 
 
 def test_subspace_errors_carry_line_numbers():

@@ -45,6 +45,7 @@ from helpers import (
     tuple_index_hcyb,
 )
 from maninforge.core import (
+    ZERO,
     Matrix,
     Permutation,
     SparseTensor,
@@ -100,6 +101,7 @@ from maninforge.rmatrix import (
     sl2_lie,
     sl2_twisted,
 )
+from maninforge.reporting import CheckReport, render_vector
 from maninforge.stabilizer import (
     check_bracket_sharp_condition,
     check_coisotropy_form,
@@ -832,6 +834,101 @@ def test_negative_totals_and_the_first_and_last_fields_of_a_row():
     residual = _assert_residual_matches_every_reference(h, r)
     assert (residual.get((1, 0, 0)), residual.get((1, 0, 2))) == (Fraction(12, 7), Fraction(-6, 7))
     assert sum(v < 0 for v in residual.entries.values()) == 4
+
+
+# ---------------------------------------------------------------------------
+# Packed Jacobi and invariance rows at the edges of their widths
+
+
+def _assert_checks_match_the_dense_references(h: HomLieAlgebra) -> tuple[CheckReport, CheckReport | None]:
+    """The Jacobi check of h and, with a form, its quadratic check, each equal
+    to its dense reference report for report."""
+    jacobi = check_hom_jacobi(h)
+    assert jacobi.to_json() == dense_check_hom_jacobi(h).to_json()
+    if h.form_rows is None:
+        return jacobi, None
+    quadratic = check_quadratic(h)
+    assert quadratic.to_json() == dense_check_quadratic(h).to_json()
+    return jacobi, quadratic
+
+
+def _reversed(h: HomLieAlgebra) -> HomLieAlgebra:
+    """h in the basis b_(d-1), ..., b_0, so that field n of every packed row
+    moves to field d-1-n: the key (i, j) becomes (d-1-j, d-1-i), negated."""
+    d = h.dim
+    brackets = {(d - 1 - j, d - 1 - i): {d - 1 - k: -c for k, c in coeffs.items()} for (i, j), coeffs in h.brackets.items()}
+    flip = lambda m: None if m is None else [row[::-1] for row in m[::-1]]
+    return HomLieAlgebra.unchecked(d, brackets, flip(h.phi), flip(h.form))
+
+
+def _failure_at(report: CheckReport, index: tuple[int, ...]) -> str:
+    return next(f.residual for f in report.failures if f.index == index)
+
+
+def test_a_jacobi_field_whose_total_reaches_the_bound_decodes_at_both_signs_and_ends():
+    """phi = s Id and six one-term keys of one constant K, numerators beyond
+    2^64 over hostile denominators, so that P = |num s| and C = E = |num K|.
+    Only the triple (0, 1, 2) fails: [phi b_0, [b_1, b_2]] + [phi b_1, [b_2, b_0]]
+    + [phi b_2, [b_0, b_1]] = s K ([b_0, b_3] + [b_1, b_4] + [b_2, b_5]) = 3 s K^2 b_6,
+    three terms of one sign in field 6 = d - 1, so its total is +-3PCE, the
+    bound.  Reversed, the triple is (4, 5, 6) and the field is 0."""
+    K = Fraction(2**66 + 1, 11**2)
+    brackets = {(1, 2): {3: K}, (0, 2): {4: -K}, (0, 1): {5: K}, (0, 3): {6: K}, (1, 4): {6: K}, (2, 5): {6: K}}
+    for s in (Fraction(2**64 + 13, 7**3), Fraction(-(2**64 + 13), 7**3)):
+        h = HomLieAlgebra.unchecked(7, brackets, phi=[[s if i == j else 0 for j in range(7)] for i in range(7)])
+        top = 3 * s * K * K
+        for algebra, triple, field in ((h, (0, 1, 2), 6), (_reversed(h), (4, 5, 6), 0)):
+            jacobi, _ = _assert_checks_match_the_dense_references(algebra)
+            assert len(jacobi.failures) == 6
+            expected = [ZERO] * 7
+            expected[field] = top if field == 6 else -top
+            assert _failure_at(jacobi, triple) == render_vector(tuple(expected))
+
+
+def test_an_invariance_field_whose_total_reaches_the_bound_decodes_at_both_signs_and_ends():
+    """[b_0, b_1] = K b_2 and the form g (b_0 b_2 + b_1 b_1 + b_2 b_0), numerators
+    beyond 2^64 over hostile denominators: C = c = |num K| and G = |num g|.
+    R(0, 1, 0) = <[b_0, b_1], b_0> - <b_0, [b_1, b_0]> = K g + g K, both
+    slots of one sign, so the total is +-(C g + G c), the bound, at field 0
+    and, reversed, at row (2, 1) and field d - 1 = 2."""
+    K = Fraction(2**65 + 7, 19 * 23)
+    for g in (Fraction(2**64 + 3, 17), Fraction(-(2**64 + 3), 17)):
+        h = HomLieAlgebra.unchecked(3, {(0, 1): {2: K}}, form=[[0, 0, g], [0, g, 0], [g, 0, 0]])
+        for algebra, index in ((h, (0, 1, 0)), (_reversed(h), (2, 1, 2))):
+            jacobi, quadratic = _assert_checks_match_the_dense_references(algebra)
+            assert jacobi.passed
+            assert _failure_at(quadratic, index) == str(2 * K * g)
+
+
+def _hostile_huge_algebra(seed: int, dim: int) -> HomLieAlgebra:
+    """Brackets of 64- to 80-bit numerators over hostile denominators, a dense
+    twist of such entries, so that every column's mass is above one entry's,
+    and a form that is not symmetric,
+    so that the right slot of the invariance sum reads columns."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    brackets = {key: {k: _huge_fraction(rng) for k in rng.sample(range(dim), min(dim, 2))} for key in pairs}
+    phi = [[_huge_fraction(rng) for _ in range(dim)] for _ in range(dim)]
+    form = [[_huge_fraction(rng) if rng.randrange(3) else 0 for _ in range(dim)] for _ in range(dim)]
+    return HomLieAlgebra.unchecked(dim, brackets, phi, form)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 4, 5])
+def test_packed_jacobi_and_invariance_rows_are_exact_with_numerators_beyond_64_bits(dim):
+    """Dimensions 0 to 2, where a row has at most two fields, and 4 and 5,
+    where most triples fail."""
+    widest = 0
+    for seed in range(3):
+        h = _hostile_huge_algebra(100 * dim + seed, dim)
+        if dim > 1:
+            assert max(len(col) for col in h.phi_columns) > 1
+            assert any(h.form[i][j] != h.form[j][i] for i in range(dim) for j in range(dim))
+        for algebra in (h, _reversed(h)):
+            jacobi, quadratic = _assert_checks_match_the_dense_references(algebra)
+            for f in (*jacobi.failures, *quadratic.failures):
+                if f.check in ("hom_jacobi", "invariant"):
+                    widest = max([widest, *(abs(Fraction(x).numerator) for x in f.residual.strip("()").split(", "))])
+    assert widest >= (2**128 if dim > 1 else 0)
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_ALGEBRAS))
