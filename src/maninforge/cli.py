@@ -34,12 +34,7 @@ from .manin import (
 from .polyuble import chain_graph_dot, nuble, render_graph, snake_permutation, verify_snake_iso
 from .reporting import CheckReport, failure
 from .rmatrix import check_quasi_triangular, cyb, sl2_r, sl2_twisted
-from .stabilizer import (
-    _twist_stable,
-    check_bracket_sharp_condition,
-    check_coisotropy,
-    check_s_sharp_condition,
-)
+from .stabilizer import _sharp_conditions, _twist_stable, check_coisotropy
 
 
 class CliError(Exception):
@@ -204,10 +199,8 @@ def _cmd_stabilizer(args, inputs: _Inputs, started: float) -> int:
         ("twist_stable", _twist_stable(triple.algebra, q)),
     ]
     if s is not None:
-        outcomes.append(("s_sharp_image", check_s_sharp_condition(triple.algebra, s, q)))
-        outcomes.append(
-            ("sharp_brackets", check_bracket_sharp_condition(triple.algebra, s, q))
-        )
+        image_in, brackets_in = _sharp_conditions(triple.algebra, s, q)
+        outcomes += [("s_sharp_image", image_in), ("sharp_brackets", brackets_in)]
     report = CheckReport(
         "stabilizer", [failure(name) for name, ok in outcomes if not ok]
     )

@@ -2,18 +2,22 @@
 row-reduced subspaces, and permutations.
 
 Every scalar is a `fractions.Fraction`; equality everywhere is exact.  Every
-row reduction runs one Gauss-Jordan kernel on sparse rows, `_gauss_jordan`:
-a `Subspace` stores the sparse rows it returns, and `rref`, `nullspace`,
-`matrix_rank` and `inverse` are dense wrappers over it.  `determinant` runs
-the kernel's row operation, `_eliminate`, on integer rows.
+row reduction runs one Gauss-Jordan kernel on sparse rows, `_gauss_jordan`,
+whose integer elimination stage is `_eliminated`: a `Subspace` stores the
+sparse rows it returns, `rref`, `nullspace` and `inverse` are dense wrappers
+over it, and `_rank` (behind `matrix_rank`) counts the stage's rows with none
+divided.  `determinant` runs the kernel's row operation, `_eliminate`, on
+integer rows.
 
 The elimination, the sparse map `_apply_columns` and the membership test
-`Subspace.contains_sparse` sum plain ints: elimination on primitive integer
-rows, the other two over one common denominator.  Each builds one Fraction per
-value it returns, and none per term; `_apply_columns` builds none for a
-relabelling (unit columns at distinct rows), whose values it moves unchanged.
-`_relabelling` recognises such a family of vectors, so that the bracket,
-pairing and isomorphism kernels can read it off stored keys.
+`Subspace._contains_numerators` sum plain ints: elimination on primitive
+integer rows, the other two over one common denominator.  Each builds one
+Fraction per value it returns, and none per term; `_apply_columns` builds none
+for a relabelling (unit columns at distinct rows), whose values it moves
+unchanged.  The image test `_images_outside` tests the integer sums of
+`_column_sums` as they are, and divides only the images it reports.
+`_relabelling` recognises a relabelling, so that the bracket, pairing and
+isomorphism kernels can read it off stored keys.
 """
 from __future__ import annotations
 
@@ -288,24 +292,13 @@ def _relabelling(vectors: Sequence[Mapping[int, Fraction]]) -> list[int] | None:
     return sigma
 
 
-def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    """The map with sparse columns `cols` applied to the sparse vector xs, the
-    entries that cancel left out; summed in integer numerators over den_x *
-    den_c, the lcms of the denominators of xs and of the columns it touches.
-    A relabelling is not summed: when each x in xs is a nonzero Fraction whose
-    column is the single entry 1 at a row r no earlier x reached, the sum is
-    {r: x}, in the order of xs, and x itself is stored."""
-    moved: dict[int, Fraction] = {}
-    for i, x in xs.items():
-        col = cols[i]
-        if type(x) is not Fraction or not x or len(col) != 1:
-            break
-        ((a, y),) = col.items()
-        if y != 1 or a in moved:
-            break
-        moved[a] = x
-    else:
-        return moved
+def _column_sums(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """(den, sums): the map with sparse columns `cols` applied to the sparse
+    vector xs in integer numerators, the image being {a: n / den} over
+    sums.items(); den = den_x * den_c, the lcms of the denominators of xs and
+    of the columns it touches.  The entries that cancel are left out as they
+    go, so an entry sits where its last nonzero total began.  The summing
+    stage of `_apply_columns` and `_images_outside`."""
     den_x = lcm(*{x.denominator for x in xs.values()})
     den_c = lcm(*{y.denominator for i in xs for y in cols[i].values()})
     out: dict[int, int] = {}
@@ -317,7 +310,27 @@ def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Frac
                 out[a] = total
             else:
                 out.pop(a, None)
-    den = den_x * den_c
+    return den_x * den_c, out
+
+
+def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """The map with sparse columns `cols` applied to the sparse vector xs, the
+    entries that cancel left out; summed by `_column_sums`, each total divided
+    once.  A relabelling is not summed: when each x in xs is a nonzero
+    Fraction whose column is the single entry 1 at a row r no earlier x
+    reached, the sum is {r: x}, in the order of xs, and x itself is stored."""
+    moved: dict[int, Fraction] = {}
+    for i, x in xs.items():
+        col = cols[i]
+        if type(x) is not Fraction or not x or len(col) != 1:
+            break
+        ((a, y),) = col.items()
+        if y != 1 or a in moved:
+            break
+        moved[a] = x
+    else:
+        return moved
+    den, out = _column_sums(cols, xs)
     return {a: Fraction(n, den) for a, n in out.items()}
 
 
@@ -384,15 +397,33 @@ def _gauss_jordan(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Frac
     """The reduced row echelon form of the span of sparse rows ({column:
     entry}, not mutated), the package's one Gauss-Jordan elimination:
     its rows by increasing pivot, columns increasing, the pivot's entry 1.
-    Each row is reduced by the rows kept so far; if anything is left, its
-    least column is its pivot, and it is cleared from the kept rows.  So every
-    kept row starts at its pivot and is zero at the others'.
+    The rows `_eliminated` keeps, each divided by its pivot, one Fraction per
+    value; a row kept as given is returned as it is."""
+    kept, given = _eliminated(rows)
+    return [
+        dict(sorted(row.items())) if p in given else {c: Fraction(row[c], row[p]) for c in sorted(row)}
+        for p, row in sorted(kept.items())
+    ]
+
+
+def _rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
+    """The dimension of the span of sparse rows: the number of rows that
+    `_eliminated` keeps, with no row divided."""
+    return len(_eliminated(rows)[0])
+
+
+def _eliminated(rows: Iterable[Mapping[int, Fraction]]) -> tuple[dict[int, dict], set[int]]:
+    """(kept, given): the elimination stage of `_gauss_jordan`, kept mapping
+    each pivot to its row.  Each row is reduced by the rows kept so far; if
+    anything is left, its least column is its pivot, and it is cleared from
+    the kept rows.  So every kept row starts at its pivot and is zero at the
+    others', and the kept rows are a basis of the span.
 
     Fraction-free: a kept row is a primitive int multiple of its canonical row
-    (gcd 1, positive pivot), reduced by cross-multiplying (`_eliminate`), and
-    divided by its pivot only when returned, one Fraction per value.  A row
-    that arrives in Fractions with pivot entry 1 and nothing at a kept pivot
-    is kept as given, and made integral only if a later row needs it."""
+    (gcd 1, positive pivot), reduced by cross-multiplying (`_eliminate`).  A
+    row that arrives in Fractions with pivot entry 1 and nothing at a kept
+    pivot is kept as given (its pivot in `given`), and made integral only if
+    a later row needs it."""
     kept: dict[int, dict] = {}  # pivot -> row
     given: set[int] = set()  # pivots of the rows kept as given
     holding: defaultdict[int, set[int]] = defaultdict(set)  # column -> pivots of the kept rows nonzero there
@@ -428,10 +459,7 @@ def _gauss_jordan(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Frac
                     holding[c].add(q)
                 else:
                     holding[c].discard(q)
-    return [
-        dict(sorted(row.items())) if p in given else {c: Fraction(row[c], row[p]) for c in sorted(row)}
-        for p, row in sorted(kept.items())
-    ]
+    return kept, given
 
 
 def _null_rows(reduced: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
@@ -461,7 +489,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def matrix_rank(m: Matrix) -> int:
     _width(_exact(m))
-    return len(_gauss_jordan(map(_sparse, m)))
+    return _rank(map(_sparse, m))
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -784,27 +812,49 @@ class Subspace:
 
     @cached_property
     def _numerator_rows(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
-        """(den, {pivot: ((column, numerator), ...)}): the rows over one common denominator."""
+        """(den, {pivot: ((column, numerator), ...)}): the rows over one common
+        denominator, each without its pivot, whose numerator is den."""
         den, rows = _numerators(self.echelon)
-        return den, {next(iter(row)): tuple(row.items()) for row in rows}
+        return den, {next(iter(row)): tuple(row.items())[1:] for row in rows}
 
     def contains_sparse(self, xs: Mapping[int, Fraction]) -> bool:
         """Exact membership of the sparse vector xs, {index: entry}, zero entries
-        ignored.  The basis is in reduced row echelon form, so v lies in the span
-        exactly when it equals the sum over the rows of v[pivot] * row; compared
-        in integer numerators.  An index outside range(ambient_dim) or an entry
-        that is not an int or a Fraction raises ValueError."""
+        ignored, decided by `_contains_numerators` on xs times the lcm of its
+        denominators.  An index outside range(ambient_dim) or an entry that is
+        not an int or a Fraction raises ValueError."""
         for c, x in xs.items():
             if type(c) is not int or not 0 <= c < self.ambient_dim:
                 raise ValueError(f"index {c!r} outside range({self.ambient_dim})")
             if not _is_exact(x):
                 raise ValueError(f"entry {x!r} at index {c} is not an int or a Fraction")
+        return self._contains_numerators(_integer_row(xs))
+
+    def _contains_numerators(self, nums: Mapping[int, int]) -> bool:
+        """Whether the vector with integer numerators nums, {index: int}, lies
+        in the space, whatever its denominator: the one membership test.
+
+        Lemma (membership at any scale).  Let den_q be the common denominator
+        of the canonical rows and Q_p the numerators of the row with pivot p,
+        so that the row is Q_p / den_q.  The rows are in reduced echelon form,
+        so v lies in the span exactly when v = sum_p v_p Q_p / den_q over the
+        pivots p.  Multiply by den_q times any nonzero scale s, with N = s v
+        the integer numerators: v lies in the span exactly when
+        den_q N - sum_p N_p Q_p = 0.  So a sum kept in integer numerators over
+        any denominator is tested as it is, with no division and no common
+        factor taken out.  At a pivot p the difference is
+        den_q N_p - N_p den_q = 0, since Q_p is den_q there and the other rows
+        are zero there; so only the other columns are summed, and
+        `_numerator_rows` stores each row without its pivot."""
         den, rows = self._numerator_rows
-        nums = _integer_row(xs)
-        residual = {c: x * den for c, x in nums.items()}  # den * v - sum of v[pivot] * row, in nums' scale
-        for p, x in nums.items():
-            for c, y in rows.get(p, ()):
-                residual[c] = residual.get(c, 0) - x * y
+        residual: dict[int, int] = {}  # den_q N - sum_p N_p Q_p, off the pivots
+        get = residual.get
+        for c, x in nums.items():
+            row = rows.get(c)
+            if row is None:
+                residual[c] = get(c, 0) + x * den
+            else:
+                for b, y in row:
+                    residual[b] = get(b, 0) - x * y
         return not any(residual.values())
 
 
@@ -853,9 +903,16 @@ def _images_outside(
     cols: list[dict[int, Fraction]], space: Subspace, target: Subspace
 ) -> list[tuple[int, dict[int, Fraction]]]:
     """(a, image) for each canonical row a of space whose image under the map
-    with sparse columns cols does not lie in target."""
-    images = ((a, _apply_columns(cols, row)) for a, row in enumerate(space.echelon))
-    return [(a, image) for a, image in images if not target.contains_sparse(image)]
+    with sparse columns cols does not lie in target: the one image test.  Each
+    image is summed by `_column_sums` and tested in those integer numerators
+    (`Subspace._contains_numerators`); only a reported image is divided, its
+    values and order those of `_apply_columns`."""
+    outside = []
+    for a, row in enumerate(space.echelon):
+        den, sums = _column_sums(cols, row)
+        if not target._contains_numerators(sums):
+            outside.append((a, {r: Fraction(n, den) for r, n in sums.items()}))
+    return outside
 
 
 def _column_image(cols: list[dict[int, Fraction]], dim: int, space: Subspace) -> Subspace:

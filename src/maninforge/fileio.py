@@ -3,10 +3,11 @@ blocks.  Every serializer emits sorted, canonical output and every parser
 round-trips it bit-exactly; parse errors carry 1-based line numbers."""
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
-from .core import Matrix, Subspace, SparseTensor, Vector, _sparse, _span, _transpose_sparse
-from .homlie import HomLieAlgebra, _normalize_brackets
+from .core import Matrix, Subspace, SparseTensor, Vector, _span, _transpose_sparse
+from .homlie import HomLieAlgebra
 from .manin import ManinTriple
 
 
@@ -66,15 +67,40 @@ def _parse_header_fields(line: str, lineno: int, kind: str) -> dict[str, str]:
 
 
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
-    return [
-        (i, line.strip())
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
+    return [(i, stripped) for i, line in enumerate(text.splitlines(), start=1) if (stripped := line.strip())]
 
 
 def _row_text(row: Vector) -> str:
     return " ".join(render_rational(x) for x in row)
+
+
+def _dense_text(row: Mapping[int, Fraction], dim: int) -> str:
+    """The text of a sparse row written dense: each nonzero entry rendered,
+    "0" at every other column of range(dim)."""
+    tokens = ["0"] * dim
+    for c, x in row.items():
+        tokens[c] = render_rational(x)
+    return " ".join(tokens)
+
+
+def _dense_row(tokens: list[str], lineno: int, parsed: dict[str, Fraction]) -> dict[int, Fraction]:
+    """{column: value} over the nonzero entries of a row written dense, columns
+    increasing.  The "0" tokens are counted, not parsed; the others are parsed
+    in order, up to the last of them, so a malformed token fails as it would
+    in a scan of every token, and a token that spells zero (`0/3`, `-0`) is
+    parsed and dropped.  The caller checks the row's length afterwards."""
+    row: dict[int, Fraction] = {}
+    left = len(tokens) - tokens.count("0")
+    if left:
+        for c, tok in enumerate(tokens):
+            if tok != "0":
+                value = _parse_rational(tok, lineno, parsed)
+                if value:
+                    row[c] = value
+                left -= 1
+                if not left:
+                    break
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +150,7 @@ def parse_tensor(text: str) -> SparseTensor:
 
 def format_subspace(s: Subspace) -> str:
     lines = [f"subspace dim={s.ambient_dim}"]
-    lines.extend(_row_text(row) for row in s.rows)
+    lines.extend(_dense_text(row, s.ambient_dim) for row in s.echelon)
     return "\n".join(lines) + "\n"
 
 
@@ -140,10 +166,11 @@ def parse_subspace(text: str) -> Subspace:
     rows = []
     parsed: dict[str, Fraction] = {}
     for lineno, line in lines[1:]:
-        row = tuple(_parse_rational(tok, lineno, parsed) for tok in line.split())
-        if len(row) != dim:
+        tokens = line.split()
+        row = _dense_row(tokens, lineno, parsed)
+        if len(tokens) != dim:
             raise ParseError(lineno, f"expected {dim} entries per row")
-        rows.append(_sparse(row))
+        rows.append(row)
     return _span(dim, rows)
 
 
@@ -160,11 +187,9 @@ def _format_algebra_lines(h: HomLieAlgebra) -> list[str]:
         coeffs = h.brackets[(i, j)]
         terms = " ".join(f"{k}:{render_rational(v)}" for k, v in sorted(coeffs.items()))
         lines.append(f"bracket {i} {j} : {terms}")
-    for row in h.phi:
-        lines.append(f"phi {_row_text(row)}")
-    if h.form is not None:
-        for row in h.form:
-            lines.append(f"form {_row_text(row)}")
+    lines += (f"phi {_dense_text(row, h.dim)}" for row in _transpose_sparse(h.phi_columns, h.dim))
+    if h.form_rows is not None:
+        lines += (f"form {_dense_text(row, h.dim)}" for row in h.form_rows)
     return lines
 
 
@@ -174,10 +199,8 @@ def format_algebra(h: HomLieAlgebra) -> str:
 
 def format_triple(t: ManinTriple) -> str:
     lines = _format_algebra_lines(t.algebra)
-    for row in t.part1.rows:
-        lines.append(f"part1 {_row_text(row)}")
-    for row in t.part2.rows:
-        lines.append(f"part2 {_row_text(row)}")
+    lines += (f"part1 {_dense_text(row, t.dim)}" for row in t.part1.echelon)
+    lines += (f"part2 {_dense_text(row, t.dim)}" for row in t.part2.echelon)
     return "\n".join(lines) + "\n"
 
 
@@ -189,6 +212,7 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
     dim = _parse_dim(fields["dim"], lineno)
     name = fields.get("name")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    seen: set[tuple[int, int]] = set()  # the keys of every bracket line, zero brackets too
     rows: dict[str, list[dict[int, Fraction]]] = {"phi": [], "form": [], "part1": [], "part2": []}
     parsed: dict[str, Fraction] = {}
     for lineno, line in lines[1:]:
@@ -201,9 +225,10 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
             j = _parse_int(tokens[2], lineno)
             if not 0 <= i < j < dim:
                 raise ParseError(lineno, f"bracket indices must satisfy 0 <= i < j < dim, got {i} {j}")
-            if (i, j) in brackets:
+            if (i, j) in seen:
                 raise ParseError(lineno, f"duplicate bracket line for ({i}, {j})")
             coeffs: dict[int, Fraction] = {}
+            targets: set[int] = set()  # with the targets of zero values, for the duplicate check
             for term in tokens[4:]:
                 target, sep, value = term.partition(":")
                 if not sep:
@@ -211,16 +236,21 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
                 k = _parse_int(target, lineno)
                 if not 0 <= k < dim:
                     raise ParseError(lineno, f"bracket target {k} out of range")
-                if k in coeffs:
+                if k in targets:
                     raise ParseError(lineno, f"duplicate bracket target {k}")
-                coeffs[k] = _parse_rational(value, lineno, parsed)
-            brackets[(i, j)] = coeffs
+                targets.add(k)
+                x = _parse_rational(value, lineno, parsed)
+                if x:
+                    coeffs[k] = x
+            seen.add((i, j))
+            if coeffs:
+                brackets[i, j] = coeffs
         elif keyword in ("phi", "form") or (allow_parts and keyword in rows):
-            # Rows are written dense; a literal "0" is skipped unparsed.
-            row = {c: _parse_rational(tok, lineno, parsed) for c, tok in enumerate(tokens[1:]) if tok != "0"}
-            if len(tokens) - 1 != dim:
+            rest = tokens[1:]
+            row = _dense_row(rest, lineno, parsed)
+            if len(rest) != dim:
                 raise ParseError(lineno, f"expected {dim} entries after {keyword!r}")
-            rows[keyword].append({c: x for c, x in row.items() if x})
+            rows[keyword].append(row)
         else:
             raise ParseError(lineno, f"unknown line keyword {keyword!r}")
     phi_rows, form_rows = rows["phi"], rows["form"]
@@ -229,7 +259,18 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
     if form_rows and len(form_rows) != dim:
         raise ParseError(lines[0][0], f"expected {dim} form rows, found {len(form_rows)}")
     phi_columns = _transpose_sparse(phi_rows, dim)
-    algebra = HomLieAlgebra(dim, _normalize_brackets(dim, brackets), phi_columns, form_rows or None, name)
+    # Lemma (a parsed algebra needs no second check).  The constructor checks
+    # that dim is a non-negative int, that each bracket key is (i, j) with ints
+    # 0 <= i < j < dim and a nonempty map of int targets in range(dim) to
+    # nonzero ints or Fractions, and that phi and the form are dim x dim, as
+    # sparse vectors of nonzero exact entries.  `_parse_dim` read dim; each
+    # bracket line checked its key and targets, its values are Fractions with
+    # the zeros dropped, and a line left with none has no key; each phi and
+    # form row has dim entries, nonzero Fractions after `_dense_row`, and there
+    # are dim phi rows and none or dim form rows.  So no constructor check can
+    # fail, and the fields are set as they are, the twist's identity read from
+    # its columns on first use, as for a constructed algebra.
+    algebra = HomLieAlgebra._of_checked(dim, brackets, phi_columns, form_rows or None, None, name)
     return algebra, rows
 
 

@@ -25,6 +25,7 @@ from .core import (
     _null_rows,
     _numerators,
     _pack,
+    _rank,
     _relabelling,
     _signed_fields,
     _sparse,
@@ -137,15 +138,19 @@ class HomLieAlgebra:
         brackets: BracketTable,
         phi_columns: Sequence[dict[int, Fraction]],
         form_rows: Sequence[dict[int, Fraction]] | None,
-        untwisted: bool,
+        untwisted: bool | None,
+        name: str | None = None,
     ) -> HomLieAlgebra:
         """Set the fields without `__post_init__`, for data that keeps every
-        property it checks (see `direct_sum`), with `untwisted` already known."""
+        property it checks (see `direct_sum` and `fileio._parse_algebra_body`),
+        with `untwisted` already known, or None to read it from the columns
+        on first use."""
         h = cls.__new__(cls)
-        h.dim, h.brackets, h.name = dim, brackets, None
+        h.dim, h.brackets, h.name = dim, brackets, name
         h.phi_columns = tuple(phi_columns)
         h.form_rows = None if form_rows is None else tuple(form_rows)
-        h.untwisted = untwisted
+        if untwisted is not None:
+            h.untwisted = untwisted
         return h
 
     @cached_property
@@ -293,12 +298,16 @@ def _moved_brackets(h: HomLieAlgebra, sigma: Sequence[int]) -> dict[tuple[int, i
     return moved
 
 
-def _summed_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
-    """`_pair_brackets` by summing, accumulated from the bracket keys through
+def _bracket_sums(
+    h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]
+) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+    """(den, sums): [v_a, v_b] = {k: n / den} over sums[a, b].items() for
+    a < b, in integer numerators, accumulated from the bracket keys through
     the vectors holding each index: two vectors that no key reaches cost
-    nothing.  The sums are of integer numerators over den_v^2 * den_c, the
-    denominators of the family and of the bracket table; a total that cancels
-    is dropped as it goes, and each nonzero one is divided once."""
+    nothing.  den = den_v^2 * den_c, the denominators of the family and of the
+    bracket table.  A total that cancels is dropped as it goes; a pair that
+    some key reaches but whose bracket cancels keeps an empty dict.  The
+    summing stage of `_summed_brackets` and `_brackets_outside`."""
     den_v, holders = _holders(vectors)
     den_c, table = h._bracket_numerators
     out: dict[tuple[int, int], dict[int, int]] = {}
@@ -310,15 +319,35 @@ def _summed_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]
                     index, scale = ((a, b), x * y) if a < b else ((b, a), -x * y)
                     w = out.setdefault(index, {})
                     for k, c in cs:
-                        _accumulate(w, k, scale * c)
-    den = den_v * den_v * den_c
+                        total = w.get(k, 0) + scale * c
+                        if total:
+                            w[k] = total
+                        else:
+                            w.pop(k, None)
+    return den_v * den_v * den_c, out
+
+
+def _summed_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
+    """`_pair_brackets` by summing (`_bracket_sums`), each nonzero total
+    divided once."""
+    den, out = _bracket_sums(h, vectors)
     return {index: {k: Fraction(n, den) for k, n in w.items()} for index, w in out.items() if w}
 
 
 def _brackets_outside(h: HomLieAlgebra, rows: Sequence[Mapping], q: Subspace) -> list[tuple[tuple[int, int], dict]]:
     """((a, b), [row_a, row_b]) for each bracket of two of the sparse rows,
-    a < b, that does not lie in q: the one bracket-closure test of a subspace."""
-    return [(index, w) for index, w in _pair_brackets(h, rows).items() if not q.contains_sparse(w)]
+    a < b, that does not lie in q: the one bracket-closure test of a subspace.
+    Each bracket is summed by `_bracket_sums` and tested in those integer
+    numerators (`Subspace._contains_numerators`: at any scale, so nothing is
+    divided to test it); only a reported bracket is divided.  For a
+    relabelling the summing path meets the same pairs, in the order and with
+    the values of `_moved_brackets`, so the report is that of `_pair_brackets`."""
+    den, out = _bracket_sums(h, rows)
+    return [
+        (index, {k: Fraction(n, den) for k, n in w.items()})
+        for index, w in out.items()
+        if w and not q._contains_numerators(w)
+    ]
 
 
 def _twist_outside(h: HomLieAlgebra, q: Subspace) -> list[tuple[int, dict]]:
@@ -703,7 +732,7 @@ def check_admissible_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckRe
     """Dual-representation conditions: alpha rho(phi x) = rho(x) alpha, and
     alpha rho([x,y]) = rho(x) rho(phi y) - rho(y) rho(phi x). Needs invertible alpha."""
     rho_at, rho, alpha = _extend_rho(h, rep), rep.rho, rep.alpha
-    if len(_gauss_jordan(alpha)) < rep.target_dim:
+    if _rank(alpha) < rep.target_dim:
         return CheckReport(
             "admissible_representation",
             applicable=False,

@@ -18,12 +18,12 @@ from .core import (
     _column_image,
     _columns_shape_error,
     _inverse_rows,
+    _rank,
     _relabelling,
     _span,
     _unit_columns,
     mat_vec,
     subspace_equal,
-    subspace_sum,
 )
 from .homlie import (
     BracketTable,
@@ -109,7 +109,9 @@ def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
 
 
 def _splitting_report(t: ManinTriple) -> CheckReport:
-    """Halves of equal dimension whose sum is the whole even-dimensional space."""
+    """Halves of equal dimension whose sum is the whole even-dimensional space:
+    the sum's dimension is the rank of the two halves' rows, read from the
+    elimination stage (`_rank`), with no row divided and no subspace built."""
     h = t.algebra
     shape_failures = []
     if h.dim % 2 != 0:
@@ -118,7 +120,7 @@ def _splitting_report(t: ManinTriple) -> CheckReport:
         shape_failures.append(failure("part1_dim", (t.part1.dim,)))
     if t.part2.dim != h.dim // 2:
         shape_failures.append(failure("part2_dim", (t.part2.dim,)))
-    if subspace_sum(t.part1, t.part2).dim != h.dim:
+    if _rank(t.part1.echelon + t.part2.echelon) != h.dim:
         shape_failures.append(failure("direct_sum"))
     return CheckReport("splitting", shape_failures)
 

@@ -10,9 +10,9 @@ from .core import (
     SparseTensor,
     ONE,
     _common_denominator,
-    _gauss_jordan,
     _numerators,
     _pack,
+    _rank,
     _signed_fields,
     _symmetric_part,
     _unit_columns,
@@ -251,7 +251,7 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
 
     The symmetric part s = (r + r^T)/2 comes from `core._symmetric_part`, over
     the one denominator of r; with the integer kernels of `hcyb`, `_ad_basis`,
-    `_sharp_columns` and `_gauss_jordan`, a passing classification on an
+    `_sharp_columns` and `_rank`, a passing classification on an
     untwisted algebra does no Fraction arithmetic."""
     _require_tensor(h, r)
     s = _symmetric_part(r)
@@ -265,7 +265,7 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
         verdict = "skew-only"
     else:
         verdict = "quasi-triangular"
-    factorizable = (not s.is_zero) and len(_gauss_jordan(_s_sharp_columns(h, s))) == h.dim
+    factorizable = (not s.is_zero) and _rank(_s_sharp_columns(h, s)) == h.dim
     return RMatrixReport(phi_fixed, s_invariant, residual, verdict, factorizable)
 
 

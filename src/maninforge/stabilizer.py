@@ -91,8 +91,21 @@ def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace
     """Bracket-image condition: brackets of sharp images of annihilator covectors
     land in q."""
     _require_ambient(q, h.dim)
-    cols = _s_sharp_columns(h, s)
-    return not _brackets_outside(h, [_apply_columns(cols, xi) for xi in annihilator(q).echelon], q)
+    return _sharp_brackets_in(h, _s_sharp_columns(h, s), annihilator(q), q)
+
+
+def _sharp_brackets_in(h: HomLieAlgebra, cols: Sequence[Mapping], ann: Subspace, q: Subspace) -> bool:
+    """Whether the brackets of the images of ann's rows under the map with
+    sparse columns cols lie in q."""
+    return not _brackets_outside(h, [_apply_columns(cols, xi) for xi in ann.echelon], q)
+
+
+def _sharp_conditions(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> tuple[bool, bool]:
+    """(`check_s_sharp_condition`, `check_bracket_sharp_condition`) with the
+    sharp map's columns and the annihilator of q computed once for both."""
+    _require_ambient(q, h.dim)
+    cols, ann = _s_sharp_columns(h, s), annihilator(q)
+    return not _images_outside(cols, ann, q), _sharp_brackets_in(h, cols, ann, q)
 
 
 def stabilizer_report(
@@ -110,8 +123,9 @@ def stabilizer_report(
     if form_rows is not None and not check_coisotropy_form(h, q, form_rows):
         failures.append(failure("coisotropic"))
     if s is not None:
-        if not check_s_sharp_condition(h, s, q):
+        image_in, brackets_in = _sharp_conditions(h, s, q)
+        if not image_in:
             failures.append(failure("sharp_image"))
-        if not check_bracket_sharp_condition(h, s, q):
+        if not brackets_in:
             failures.append(failure("sharp_brackets"))
     return CheckReport("stabilizer_conditions", failures)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from maninforge.core import (
     ONE,
@@ -16,8 +17,13 @@ from maninforge.core import (
     Vector,
     _exact_vector,
     _gauss_jordan,
+    _integer_row,
     _null_space,
+    _numerators,
+    _orthogonal_complement,
+    _relabelling,
     _sparse,
+    annihilator,
     determinant,
     identity_matrix,
     inverse,
@@ -33,10 +39,22 @@ from maninforge.core import (
     unit_vector,
     wedge3_basis,
 )
-from maninforge.homlie import HomLieAlgebra, LinearRep, _by_slot, _dense, _phi_fixed, _residual, check_involutive
+from maninforge.homlie import (
+    HomLieAlgebra,
+    LinearRep,
+    _accumulate,
+    _by_slot,
+    _dense,
+    _holders,
+    _moved_brackets,
+    _pairings,
+    _phi_fixed,
+    _residual,
+    check_involutive,
+)
 from maninforge.manin import DualBasisPair, ManinTriple, RootData
 from maninforge.reporting import CheckReport, failure
-from maninforge.rmatrix import RMatrixReport, check_hom_ad_invariant
+from maninforge.rmatrix import RMatrixReport, _s_sharp_columns, check_hom_ad_invariant
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
 
@@ -1126,3 +1144,145 @@ def dense_stabilizer_at(rep: DenseLinearRep, point: Vector) -> Subspace:
     columns = [mat_vec(m, point) for m in rep.rho]
     rows = [{i: col[r] for i, col in enumerate(columns) if col[r]} for r in range(rep.target_dim)]
     return _null_space(rows, len(rep.rho))
+
+
+# ---------------------------------------------------------------------------
+# The half-space tests and the text writer as they were before the closure and
+# image tests summed in integer numerators and the writer read the sparse
+# rows: `homlie._brackets_outside` (with the summing path of
+# `homlie._summed_brackets`), `core._images_outside` (with
+# `core._apply_columns`), `Subspace.contains_sparse` on Fraction values, the
+# reports built on them, and the writer of dense rows, one rendered value per
+# entry, frozen so the new paths can be compared with them report for report
+# and byte for byte.
+
+
+def frozen_contains_sparse(space: Subspace, xs) -> bool:
+    den, rows = _numerators(space.echelon)
+    rows = {next(iter(row)): tuple(row.items()) for row in rows}
+    nums = _integer_row(xs)
+    residual = {c: x * den for c, x in nums.items()}
+    for p, x in nums.items():
+        for c, y in rows.get(p, ()):
+            residual[c] = residual.get(c, 0) - x * y
+    return not any(residual.values())
+
+
+def frozen_apply_columns(cols, xs) -> dict[int, Fraction]:
+    moved: dict[int, Fraction] = {}
+    for i, x in xs.items():
+        col = cols[i]
+        if type(x) is not Fraction or not x or len(col) != 1:
+            break
+        ((a, y),) = col.items()
+        if y != 1 or a in moved:
+            break
+        moved[a] = x
+    else:
+        return moved
+    den_x = lcm(*{x.denominator for x in xs.values()})
+    den_c = lcm(*{y.denominator for i in xs for y in cols[i].values()})
+    out: dict[int, int] = {}
+    for i, x in xs.items():
+        nx = x.numerator * (den_x // x.denominator)
+        for a, y in cols[i].items():
+            total = out.get(a, 0) + nx * y.numerator * (den_c // y.denominator)
+            if total:
+                out[a] = total
+            else:
+                out.pop(a, None)
+    den = den_x * den_c
+    return {a: Fraction(n, den) for a, n in out.items()}
+
+
+def frozen_pair_brackets(h: HomLieAlgebra, vectors) -> dict[tuple[int, int], dict]:
+    sigma = _relabelling(vectors)
+    if sigma is not None:
+        return _moved_brackets(h, sigma)
+    den_v, holders = _holders(vectors)
+    den_c, table = h._bracket_numerators
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for i, j in h.brackets:
+        cs = table[i, j]
+        for a, x in holders.get(i, ()):
+            for b, y in holders.get(j, ()):
+                if a != b:
+                    index, scale = ((a, b), x * y) if a < b else ((b, a), -x * y)
+                    w = out.setdefault(index, {})
+                    for k, c in cs:
+                        _accumulate(w, k, scale * c)
+    den = den_v * den_v * den_c
+    return {index: {k: Fraction(n, den) for k, n in w.items()} for index, w in out.items() if w}
+
+
+def frozen_brackets_outside(h: HomLieAlgebra, rows, q: Subspace) -> list[tuple[tuple[int, int], dict]]:
+    return [(index, w) for index, w in frozen_pair_brackets(h, rows).items() if not frozen_contains_sparse(q, w)]
+
+
+def frozen_images_outside(cols, space: Subspace, target: Subspace) -> list[tuple[int, dict]]:
+    images = ((a, frozen_apply_columns(cols, row)) for a, row in enumerate(space.echelon))
+    return [(a, image) for a, image in images if not frozen_contains_sparse(target, image)]
+
+
+def frozen_part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
+    failures = []
+    h = t.algebra
+    for (a, b), value in _pairings(t.algebra.form_rows, part.echelon).items():
+        if a <= b:
+            failures.append(failure("isotropic", (a, b), value))
+    for index, w in frozen_brackets_outside(h, part.echelon, part):
+        failures.append(failure("subalgebra", index, _dense(h, w)))
+    for a, image in [] if h.untwisted else frozen_images_outside(h.phi_columns, part, part):
+        failures.append(failure("twist_stable", (a,), _dense(h, image)))
+    return CheckReport(label, failures)
+
+
+def frozen_stabilizer_report(h: HomLieAlgebra, s: SparseTensor | None, q: Subspace, form_rows=None) -> CheckReport:
+    failures = []
+    if not h.untwisted and frozen_images_outside(h.phi_columns, q, q):
+        failures.append(failure("twist_stable"))
+    if frozen_brackets_outside(h, q.echelon, q):
+        failures.append(failure("subalgebra"))
+    if form_rows is not None and frozen_brackets_outside(h, _orthogonal_complement(q, form_rows).echelon, q):
+        failures.append(failure("coisotropic"))
+    if s is not None:
+        cols = _s_sharp_columns(h, s)
+        if frozen_images_outside(cols, annihilator(q), q):
+            failures.append(failure("sharp_image"))
+        images = [frozen_apply_columns(cols, xi) for xi in annihilator(q).echelon]
+        if frozen_brackets_outside(h, images, q):
+            failures.append(failure("sharp_brackets"))
+    return CheckReport("stabilizer_conditions", failures)
+
+
+def _frozen_row_text(row: Vector) -> str:
+    return " ".join(str(x) for x in row)
+
+
+def _frozen_algebra_lines(h: HomLieAlgebra) -> list[str]:
+    header = f"algebra dim={h.dim}"
+    if h.name:
+        header += f" name={h.name}"
+    lines = [header]
+    for i, j in sorted(h.brackets):
+        terms = " ".join(f"{k}:{v}" for k, v in sorted(h.brackets[i, j].items()))
+        lines.append(f"bracket {i} {j} : {terms}")
+    lines += (f"phi {_frozen_row_text(row)}" for row in h.phi)
+    if h.form is not None:
+        lines += (f"form {_frozen_row_text(row)}" for row in h.form)
+    return lines
+
+
+def frozen_format_algebra(h: HomLieAlgebra) -> str:
+    return "\n".join(_frozen_algebra_lines(h)) + "\n"
+
+
+def frozen_format_triple(t: ManinTriple) -> str:
+    lines = _frozen_algebra_lines(t.algebra)
+    lines += (f"part1 {_frozen_row_text(row)}" for row in t.part1.rows)
+    lines += (f"part2 {_frozen_row_text(row)}" for row in t.part2.rows)
+    return "\n".join(lines) + "\n"
+
+
+def frozen_format_subspace(s: Subspace) -> str:
+    return "\n".join([f"subspace dim={s.ambient_dim}", *map(_frozen_row_text, s.rows)]) + "\n"

@@ -196,6 +196,41 @@ def test_dense_rows_keep_their_errors_and_drop_every_zero():
     assert t.part1 == t.part2 == Subspace.span(2, [(0, 1)])
 
 
+def test_bracket_values_that_spell_zero_are_dropped_and_their_lines_still_count():
+    """A zero value leaves its bracket, a bracket left with none has no key,
+    and its line still takes part in the duplicate checks: the parsed table
+    is the one the constructor would build from the same values."""
+    brackets = "bracket 0 1 : 0:0 1:2/4\nbracket 0 2 : 1:-0 2:0/5\nbracket 1 2 :\n"
+    h = fileio.parse_algebra("algebra dim=3\n" + brackets + "phi 1 0 0\nphi 0 1 0\nphi 0 0 1\n")
+    assert h.brackets == {(0, 1): {1: Fraction(1, 2)}}
+    assert h == HomLieAlgebra.unchecked(3, {(0, 1): {0: 0, 1: Fraction(1, 2)}, (0, 2): {1: 0, 2: 0}})
+    for lines, lineno, message in (
+        ("bracket 0 1 : 0:0\nbracket 0 1 : 1:1\n", 3, "duplicate bracket line"),
+        ("bracket 0 1 :\nbracket 0 1 : 1:1\n", 3, "duplicate bracket line"),
+        ("bracket 0 1 : 1:0 1:1\n", 2, "duplicate bracket target 1"),
+    ):
+        expect_parse_error(fileio.parse_algebra, "algebra dim=2\n" + lines + "phi 1 0\nphi 0 1\n", lineno, message)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        fileio.format_triple(triple_double(special_linear_data(3))),
+        fileio.format_algebra(sl2_twisted()),
+        "algebra dim=2 name=z\nbracket 0 1 : 0:0 1:-3/6\nphi 0/2 -1\nphi 1 00\nform 0 1\nform 1 -0\n",
+        "algebra dim=0\n",
+    ],
+    ids=["D3", "sl2 twisted", "zeros spelt otherwise", "dim 0"],
+)
+def test_a_parsed_algebra_holds_what_the_constructor_checks(text):
+    """The parser builds its algebra without the constructor's checks (the
+    lemma in `_parse_algebra_body`): every field passes them, and the
+    constructor rebuilds the same algebra from the parsed fields."""
+    h = fileio.parse_algebra(text.split("part1")[0])
+    assert HomLieAlgebra(h.dim, h.brackets, h.phi_columns, h.form_rows, h.name) == h
+    assert h.untwisted == all(col == {i: 1} for i, col in enumerate(h.phi_columns))
+
+
 def test_triple_requires_both_parts():
     text = "algebra dim=2\nphi 1 0\nphi 0 1\npart1 1 0\n"
     expect_parse_error(fileio.parse_triple, text, 1, "part1 and part2")

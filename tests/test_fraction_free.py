@@ -7,6 +7,7 @@ invariant that every value the kernels return is a nonzero Fraction; and counts
 of the Fraction arithmetic a passing certificate still does."""
 from __future__ import annotations
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -40,11 +41,20 @@ from helpers import (
     fraction_sharp_columns,
     fraction_skew_sym_split,
     fraction_symmetric_part,
+    frozen_brackets_outside,
+    frozen_format_algebra,
+    frozen_format_subspace,
+    frozen_format_triple,
+    frozen_images_outside,
+    frozen_part_report,
+    frozen_stabilizer_report,
     pairwise_hcyb,
     shear_product,
     tuple_index_hcyb,
 )
+from maninforge.cli import run as cli_run
 from maninforge.core import (
+    ONE,
     ZERO,
     Matrix,
     Permutation,
@@ -53,6 +63,7 @@ from maninforge.core import (
     _apply_columns,
     _common_denominator,
     _gauss_jordan,
+    _images_outside,
     _orthogonal_complement,
     _span,
     _sparse,
@@ -68,11 +79,22 @@ from maninforge.core import (
     subspace_sum,
     tensor_skew_sym_split,
 )
+from maninforge.fileio import (
+    format_algebra,
+    format_subspace,
+    format_tensor,
+    format_triple,
+    parse_algebra,
+    parse_subspace,
+    parse_triple,
+)
 from maninforge.homlie import (
     HomLieAlgebra,
     _ad_basis,
+    _brackets_outside,
     _pair_brackets,
     _pairings,
+    _twist_outside,
     check_hom_jacobi,
     check_homomorphism,
     check_involutive,
@@ -86,9 +108,11 @@ from maninforge.manin import (
     check_manin_isomorphism,
     check_manin_triple,
     dual_basis,
+    hyperbolic_triple,
     r_from_splitting,
     special_linear_data,
     triple_double,
+    triple_g_plus_h,
 )
 from maninforge.polyuble import nuble
 from maninforge.rmatrix import (
@@ -103,11 +127,13 @@ from maninforge.rmatrix import (
 )
 from maninforge.reporting import CheckReport, render_vector
 from maninforge.stabilizer import (
+    _sharp_conditions,
     check_bracket_sharp_condition,
     check_coisotropy_form,
     check_phi_stable,
     check_s_sharp_condition,
     is_subalgebra,
+    stabilizer_report,
 )
 
 # Pairwise coprime, so that a wrong lcm or a lost division changes a value.
@@ -1136,3 +1162,243 @@ def test_a_passing_yang_baxter_classification_does_no_fraction_arithmetic(n):
     t = nuble(D3, n)
     report, calls = fraction_arithmetic(check_quasi_triangular, t.algebra, r_from_splitting(t))
     assert report.verdict == "quasi-triangular" and report.factorizable and calls == 0
+
+
+# ---------------------------------------------------------------------------
+# The half-space tests and the writer against their frozen forms
+
+
+def _moved_half(part: Subspace, row: int, by: Fraction) -> Subspace:
+    """part with the last entry of one canonical row moved by `by`: one entry
+    off, so closure, isotropy or a sharp condition may break."""
+    rows = [dict(r) for r in part.echelon]
+    column = max(rows[row])
+    rows[row][column] += by
+    return _span(part.ambient_dim, rows)
+
+
+def _twisted_sl2_sum(copies: int) -> HomLieAlgebra:
+    sl2 = sl2_twisted()
+    quadratic = HomLieAlgebra.unchecked(3, sl2.brackets, sl2.phi, SL2_FORM)
+    return direct_sum(*[quadratic] * copies)
+
+
+def _half_space_triples() -> dict[str, ManinTriple]:
+    sl2, sl3 = special_linear_data(2), special_linear_data(3)
+    d3_square = nuble(D3, 2)
+    rng = random.Random(61)
+    twisted = _twisted_sl2_sum(2)
+    stable = [{0: ONE, 3: ONE}, {1: ONE}, {2: ONE, 5: Fraction(1, 7)}]  # phi-stable: phi is diagonal
+    ints = HomLieAlgebra(2, {(0, 1): {0: 2}}, ({0: 1}, {1: -1}), ({1: 3}, {0: 3}), name="ints")
+    triples = {
+        "hyperbolic": hyperbolic_triple(),
+        "g+h sl2": triple_g_plus_h(sl2),
+        "g+h sl3": triple_g_plus_h(sl3),
+        "D2": D2,
+        "D3": D3,
+        "D2^3": nuble(D2, 3),
+        "D3^2": d3_square,
+        "D3 sheared": basis_image(D3, shear_product(D3.dim, 12, 5)),
+        "D3^2, part1 moved": ManinTriple(
+            d3_square.algebra, _moved_half(d3_square.part1, 3, Fraction(2, 7)), d3_square.part2
+        ),
+        "D3, part2 moved": ManinTriple(D3.algebra, D3.part1, _moved_half(D3.part2, 1, Fraction(-1, 11))),
+        **{f"hostile {name}": t for name, t in HOSTILE_TRIPLES.items()},
+        "twisted sl2 sum, stable halves": ManinTriple(twisted, _span(6, stable), _span(6, stable[:2])),
+        "twisted sl2 sum, random halves": ManinTriple(
+            twisted, *(Subspace.span(6, [[_hostile_fraction(rng) for _ in range(6)] for _ in range(k)]) for k in (1, 3))
+        ),
+        "ints": ManinTriple(ints, Subspace(2, ({0: 1},)), Subspace(2, ({1: 1},))),
+        "dim 0": ManinTriple(HomLieAlgebra.unchecked(0, {}, form=[]), Subspace.zero(0), Subspace.zero(0)),
+        "dim 1": ManinTriple(HomLieAlgebra.unchecked(1, {}, phi=[[-1]], form=[[3]]), Subspace.full(1), Subspace.zero(1)),
+    }
+    return triples
+
+
+HALF_SPACE_TRIPLES = _half_space_triples()
+
+
+def _listed(found) -> list:
+    """The closure or image test's output with each dict's entry order kept."""
+    return [(index, list(w.items())) for index, w in found]
+
+
+@pytest.mark.parametrize("name", sorted(HALF_SPACE_TRIPLES))
+def test_half_reports_and_text_match_the_frozen_forms(name):
+    """`_brackets_outside` and `_images_outside` return what the frozen
+    Fraction paths return, in the same order with the same entry order; each
+    half's report equals the frozen one `to_json()` for `to_json()`; and the
+    writer's text for the triple, its algebra and each half equals the frozen
+    dense-view writer's byte for byte and parses back to itself."""
+    t = HALF_SPACE_TRIPLES[name]
+    h = t.algebra
+    for label, part in (("part1", t.part1), ("part2", t.part2)):
+        closure = _brackets_outside(h, part.echelon, part), frozen_brackets_outside(h, part.echelon, part)
+        images = _images_outside(h.phi_columns, part, part), frozen_images_outside(h.phi_columns, part, part)
+        assert _listed(closure[0]) == _listed(closure[1]) and _listed(images[0]) == _listed(images[1])
+        assert _part_report(t, part, label).to_json() == frozen_part_report(t, part, label).to_json()
+        assert format_subspace(part) == frozen_format_subspace(part)
+        assert format_subspace(parse_subspace(format_subspace(part))) == format_subspace(part)
+    text = format_triple(t)
+    assert text == frozen_format_triple(t)
+    assert format_algebra(h) == frozen_format_algebra(h)
+    if t.part1.dim and t.part2.dim:  # the triple format needs rows in both halves
+        assert format_triple(parse_triple(text)) == text
+        assert check_manin_triple(parse_triple(text)).to_json() == check_manin_triple(t).to_json()
+    assert format_algebra(parse_algebra(format_algebra(h))) == format_algebra(h)
+
+
+def test_the_half_space_cases_fail_each_half_check():
+    """The cases above are not vacuous: between them every check of a half
+    both passes and fails."""
+    seen: dict[str, set] = {}
+    for t in HALF_SPACE_TRIPLES.values():
+        for label, part in (("part1", t.part1), ("part2", t.part2)):
+            failing = {f.check for f in _part_report(t, part, label).failures}
+            for check in ("isotropic", "subalgebra", "twist_stable"):
+                seen.setdefault(check, set()).add(check in failing)
+    assert all(values == {True, False} for values in seen.values()), seen
+
+
+def _stabilizer_cases() -> list[tuple[str, HomLieAlgebra, SparseTensor | None, Subspace, tuple | None]]:
+    rng = random.Random(67)
+    cases = []
+    for name in ("D3", "D3^2", "twisted sl2 sum, stable halves", "hostile twisted sl2 pair", "hostile D2 image", "dim 1"):
+        t = HALF_SPACE_TRIPLES[name]
+        h = t.algebra
+        s = SparseTensor.from_matrix(inverse(t.form))
+        entries = dict(s.entries)
+        (a, b), _ = max(entries.items())
+        for index in {(a, b), (b, a)}:
+            entries[index] = entries.get(index, 0) + Fraction(1, 13)
+        moved = SparseTensor(2, h.dim, entries)  # one symmetric pair of entries moved
+        spaces = [t.part1, t.part2, Subspace.full(h.dim), Subspace.zero(h.dim)]
+        if t.part1.dim:
+            spaces.append(_moved_half(t.part1, 0, Fraction(3, 17)))
+        for q in spaces:
+            for tensor in (s, moved):
+                cases.append((name, h, tensor, q, h.form_rows))
+    for h in (sl2_twisted(), direct_sum(sl2_twisted(), sl2_lie())):  # no form
+        raw = hostile_tensor(rng, h.dim, 5)
+        s = (raw + raw.swap()).scale(Fraction(1, 2))
+        for k in (1, 2):
+            rows = [[_hostile_fraction(rng) if rng.randrange(2) else 0 for _ in range(h.dim)] for _ in range(k)]
+            q = Subspace.span(h.dim, rows)
+            cases += [("form-less", h, s, q, None), ("form-less", h, None, q, None)]
+        cases.append(("form-less", h, s, Subspace(h.dim, ({0: ONE},)), None))
+    zero = HomLieAlgebra.unchecked(0, {}, form=[])
+    cases.append(("dim 0", zero, SparseTensor.zero(2, 0), Subspace.zero(0), zero.form_rows))
+    return cases
+
+
+STABILIZER_CASES = _stabilizer_cases()
+
+
+@pytest.mark.parametrize("case", range(len(STABILIZER_CASES)))
+def test_stabilizer_reports_match_the_frozen_form(case):
+    """`stabilizer_report` equals the report built on the frozen closure and
+    image tests `to_json()` for `to_json()`; the public conditions each agree
+    with it, and `_sharp_conditions` gives both sharp conditions at once."""
+    _, h, s, q, form_rows = STABILIZER_CASES[case]
+    report = stabilizer_report(h, s, q, form_rows)
+    assert report.to_json() == frozen_stabilizer_report(h, s, q, form_rows).to_json()
+    failing = {f.check for f in report.failures}
+    assert is_subalgebra(h, q) == ("subalgebra" not in failing)
+    assert check_phi_stable(q, h.phi_columns) == ("twist_stable" not in failing)
+    if form_rows is not None:
+        assert check_coisotropy_form(h, q, form_rows) == ("coisotropic" not in failing)
+    if s is not None:
+        image_in, brackets_in = _sharp_conditions(h, s, q)
+        assert (image_in, brackets_in) == (check_s_sharp_condition(h, s, q), check_bracket_sharp_condition(h, s, q))
+        assert (image_in, brackets_in) == ("sharp_image" not in failing, "sharp_brackets" not in failing)
+
+
+def test_the_stabilizer_cases_fail_each_condition():
+    seen: dict[str, set] = {}
+    for _, h, s, q, form_rows in STABILIZER_CASES:
+        failing = {f.check for f in stabilizer_report(h, s, q, form_rows).failures}
+        checks = ["twist_stable", "subalgebra"] + ["coisotropic"] * (form_rows is not None)
+        for check in checks + ["sharp_image", "sharp_brackets"] * (s is not None):
+            seen.setdefault(check, set()).add(check in failing)
+    assert len(seen) == 5 and all(values == {True, False} for values in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# Fractions built by the half-space tests
+
+HALF_SPACE_TESTS = {_brackets_outside.__code__, _images_outside.__code__}
+
+
+def fractions_in_half_space_tests(fn, *args) -> tuple:
+    """(fn(*args), Fractions built while `_brackets_outside` or
+    `_images_outside` runs, the number of calls to them)."""
+    built = depth = entered = 0
+    new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal built, depth, entered
+        code = frame.f_code
+        if code in HALF_SPACE_TESTS:
+            if event == "call":
+                depth += 1
+                entered += 1
+            elif event == "return":
+                depth -= 1
+        elif depth and event == "call" and code is new:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, built, entered
+
+
+def _cli(capsys, tmp_path, argv: list[str], **documents: str) -> tuple[int, dict, int, int]:
+    """(exit code, JSON payload, Fractions built in the half-space tests, calls
+    to them) of one CLI run, each named document written to tmp_path first."""
+    paths = {}
+    for key, text in documents.items():
+        paths[key] = tmp_path / key
+        paths[key].write_text(text, encoding="utf-8")
+    full = [str(paths.get(a, a)) for a in argv]
+    code, built, entered = fractions_in_half_space_tests(cli_run, full)
+    return code, json.loads(capsys.readouterr().out), built, entered
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_a_passing_verify_and_stabilizer_build_no_fraction_in_the_half_space_tests(capsys, tmp_path, n):
+    """`verify manin` on D3^n tests each half's closure, and `stabilizer --S`
+    on D3^n tests the coisotropy, the sharp image and the sharp brackets of
+    its first half: every bracket and image is tested in integer numerators,
+    and none is divided."""
+    t = nuble(D3, n)
+    code, payload, built, entered = _cli(capsys, tmp_path, ["verify", "manin", "t", "--json"], t=format_triple(t))
+    assert (code, payload["verdict"], built, entered) == (0, "pass", 0, 2)
+    s = SparseTensor.from_matrix(inverse(t.form))
+    argv = ["stabilizer", "t", "--q", "q", "--S", "s", "--json"]
+    code, payload, built, entered = _cli(
+        capsys, tmp_path, argv, t=format_triple(t), q=format_subspace(t.part1), s=format_tensor(s)
+    )
+    assert (code, payload["verdict"], built, entered) == (0, "pass", 0, 3)
+
+
+def test_a_failing_verify_builds_fractions_only_for_the_reported_residuals(capsys, tmp_path):
+    """A half of D3^2 with one entry moved fails closure, and the D2 image with
+    a twist entry moved fails twist stability: inside the half-space tests one
+    Fraction is built per entry of each reported bracket or image, and none
+    for the brackets and images that pass."""
+    d3_square = HALF_SPACE_TRIPLES["D3^2, part1 moved"]
+    twisted = HALF_SPACE_TRIPLES["hostile D2 image, phi moved"]
+    for t, check in ((d3_square, "subalgebra"), (twisted, "twist_stable")):
+        h = t.algebra
+        reported = [w for part in (t.part1, t.part2) for _, w in _brackets_outside(h, part.echelon, part)]
+        reported += [w for part in (t.part1, t.part2) for _, w in _twist_outside(h, part)]
+        code, payload, built, entered = _cli(capsys, tmp_path, ["verify", "manin", "t", "--json"], t=format_triple(t))
+        failures = [f for f in payload["failures"] if f["check"].endswith(check)]
+        assert code == 1 and failures and built == sum(map(len, reported)) > 0
+        assert len(reported) == len([f for f in payload["failures"] if f["check"].endswith(("subalgebra", "twist_stable"))])
+        assert entered == 2 + 2 * (not h.untwisted)
+        all_pairs = sum(len(part.echelon) * (len(part.echelon) - 1) // 2 for part in (t.part1, t.part2))
+        assert len(reported) < all_pairs
