@@ -584,7 +584,10 @@ class SparseTensor:
         properties, and no zero value, gets the same tensor from the fields
         alone: `rmatrix.hcyb` (degree 3, indices decoded from rows in
         range(dim^2) and fields in range(dim), nonzero Fractions from
-        `_signed_fields`) and `fileio.parse_tensor` (after its own checks)."""
+        `_signed_fields`), `rmatrix.hom_schouten` (indices read from its
+        arguments' and phi's, one Fraction per nonzero total),
+        `_symmetric_part` (see its lemma) and `fileio.parse_tensor` (after its
+        own checks)."""
         t = cls.__new__(cls)
         t.degree, t.dim, t.entries = degree, dim, entries
         return t
@@ -691,12 +694,17 @@ def _symmetric_part(t: SparseTensor) -> SparseTensor:
     summed in integer numerators over the one common denominator of t's
     entries: each index of s is visited once, and one Fraction is built per
     nonzero entry.  The entries come in the order of t's indices, then the
-    transposes that t lacks, those that cancel left out."""
+    transposes that t lacks, those that cancel left out.
+
+    Lemma (the symmetric part needs no check).  Its indices are t's and their
+    transposes, degree-2 int indices in range(t.dim), and its values are
+    Fractions built from the nonzero totals only, so s is made by
+    `SparseTensor._of_checked`."""
     den, numerators = _common_denominator(list(t.entries.values()))
     tn = dict(zip(t.entries, numerators))
     twice = {(a, b): n + tn.get((b, a), 0) for (a, b), n in tn.items()}  # 2s = t + t^T, over den
     twice.update({(b, a): n for (a, b), n in tn.items() if (b, a) not in tn})
-    return SparseTensor(2, t.dim, {index: Fraction(n, 2 * den) for index, n in twice.items() if n})
+    return SparseTensor._of_checked(2, t.dim, {index: Fraction(n, 2 * den) for index, n in twice.items() if n})
 
 
 def wedge3_basis(t: SparseTensor, a: int, b: int, c: int, coeff: Fraction) -> None:
@@ -723,7 +731,12 @@ def is_antisymmetric(t: SparseTensor) -> bool:
     """True when a degree-2 tensor satisfies t(i,j) = -t(j,i) with zero diagonal."""
     if t.degree != 2:
         raise ValueError("degree-2 tensors only")
-    return all(i != j and t.get((j, i)) == -v for (i, j), v in t.entries.items())
+    entries = t.entries  # exact values in lowest terms: w == -v exactly when the parts match
+    for (i, j), v in entries.items():
+        w = entries.get((j, i))
+        if i == j or w is None or w.numerator != -v.numerator or w.denominator != v.denominator:
+            return False
+    return True
 
 
 def is_symmetric(t: SparseTensor) -> bool:

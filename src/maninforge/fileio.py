@@ -130,7 +130,10 @@ def parse_tensor(text: str) -> SparseTensor:
         tokens = line.split()
         if len(tokens) != degree + 1:
             raise ParseError(lineno, f"expected {degree} indices and one value")
-        idx = tuple(_parse_int(tok, lineno) for tok in tokens[:degree])
+        try:
+            idx = tuple(map(int, tokens[:degree]))
+        except ValueError:  # name the first malformed token
+            idx = tuple(_parse_int(tok, lineno) for tok in tokens[:degree])
         if any(i < 0 or i >= dim for i in idx):
             raise ParseError(lineno, f"index out of range in {line!r}")
         if idx in entries:

@@ -420,36 +420,53 @@ def _by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[tuple[dict, dict], int]
     """Slot 0 of (Id (x) phi)t and slot 1 of (phi (x) Id)t, each as index there
     -> [(other index, numerator)], and the one denominator of both: the
     entries of a degree-2 t with phi applied to the slot that a bracket on the
-    indexed slot leaves alone, over a common denominator."""
-    if h.untwisted:  # both slots read t itself: one family, so its denominator once
-        left = right = t
-        den, numerators = _common_denominator(list(t.entries.values()))
-        right_numerators = numerators
-    else:
-        ident = _unit_columns(h.dim)
-        left, right = t._apply_per_slot((ident, h.phi_columns)), t._apply_per_slot((h.phi_columns, ident))
-        den, numerators = _common_denominator([*left.entries.values(), *right.entries.values()])
-        right_numerators = numerators[len(left.entries) :]
+    indexed slot leaves alone, over a common denominator.
+
+    A twist that is not the identity is applied in integer numerators, t's
+    over den_t and phi's columns over den_phi, so den = den_t * den_phi:
+    (Id (x) phi)t at (a, c) is sum_b t_ab phi[b][c], summed under its slot-0
+    index a, and (phi (x) Id)t at (c, b) is sum_a t_ab phi[a][c], summed
+    under its slot-1 index b.  A total that cancels is dropped as it goes, so
+    each list holds the nonzero entries in the order that a Fraction sum over
+    the whole tensor keeps them.
+
+    >>> h = HomLieAlgebra.unchecked(2, {}, phi=[[0, Fraction(1, 2)], [1, 0]])
+    >>> _by_slot(h, SparseTensor(2, 2, {(0, 1): Fraction(1, 3), (1, 1): ONE}))
+    (({0: [(0, 1)], 1: [(0, 3)]}, {1: [(1, 2), (0, 3)]}), 6)
+    """
+    den, numerators = _common_denominator(list(t.entries.values()))
     by_slot: tuple[dict, dict] = ({}, {})
-    for (a, b), v in zip(left.entries, numerators):
-        by_slot[0].setdefault(a, []).append((b, v))
-    for (a, b), v in zip(right.entries, right_numerators):
-        by_slot[1].setdefault(b, []).append((a, v))
-    return by_slot, den
+    if h.untwisted:  # both slots read t itself
+        for (a, b), v in zip(t.entries, numerators):
+            by_slot[0].setdefault(a, []).append((b, v))
+            by_slot[1].setdefault(b, []).append((a, v))
+        return by_slot, den
+    den_p, phi = _numerators(h.phi_columns)
+    left: dict[int, dict[int, int]] = {}
+    right: dict[int, dict[int, int]] = {}
+    for (a, b), v in zip(t.entries, numerators):
+        w = left.setdefault(a, {})
+        for c, p in phi[b].items():
+            _accumulate(w, c, v * p)
+        w = right.setdefault(b, {})
+        for c, p in phi[a].items():
+            _accumulate(w, c, v * p)
+    for slot, sums in zip(by_slot, (left, right)):
+        slot.update((i, list(w.items())) for i, w in sums.items() if w)
+    return by_slot, den * den_p
 
 
-def _ad_basis(
+def _ad_sums(
     h: HomLieAlgebra, t: SparseTensor, ks: Container[int] | None = None
-) -> dict[int, dict[tuple[int, int], Fraction]]:
-    """{k: ad_k t} for the nonzero twisted adjoint actions of the basis vectors
-    e_k (k in ks when given) on a degree-2 tensor,
-    ad_x t = sum_ab t_ab ([x, e_a] (x) phi(e_b) + phi(e_a) (x) [x, e_b]).
-    Accumulated from the bracket keys (k, a), in both orders, through the
-    entries of t indexed by slot: an index that no key reaches costs nothing.
-    The sums are of integer numerators over den_t * den_c, the denominators of
-    `_by_slot` and of the bracket table; a total that cancels is dropped as it
-    goes, and each nonzero one is divided once, so every value returned is a
-    nonzero Fraction."""
+) -> tuple[int, dict[int, dict[tuple[int, int], int]]]:
+    """(den, sums): ad_k t = {index: n / den} over sums[k].items(), the
+    integer stage of `_ad_basis`.  A k that some key reaches but whose action
+    cancels keeps an empty dict.
+
+    >>> h = HomLieAlgebra.unchecked(3, {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}})
+    >>> _ad_sums(h, SparseTensor(2, 3, {(1, 2): Fraction(1, 2)}), {0, 1})
+    (2, {0: {}, 1: {(1, 0): 1}})
+    """
     (slot0, slot1), den_t = _by_slot(h, t)
     den_c, table = h._bracket_numerators
     sums: dict[int, dict[tuple[int, int], int]] = {}
@@ -461,7 +478,22 @@ def _ad_basis(
                     _accumulate(w, (c, m), x * v)
                 for m, v in slot1.get(a, ()):
                     _accumulate(w, (m, c), x * v)
-    den = den_t * den_c
+    return den_t * den_c, sums
+
+
+def _ad_basis(
+    h: HomLieAlgebra, t: SparseTensor, ks: Container[int] | None = None
+) -> dict[int, dict[tuple[int, int], Fraction]]:
+    """{k: ad_k t} for the nonzero twisted adjoint actions of the basis vectors
+    e_k (k in ks when given) on a degree-2 tensor,
+    ad_x t = sum_ab t_ab ([x, e_a] (x) phi(e_b) + phi(e_a) (x) [x, e_b]).
+    Accumulated by `_ad_sums` from the bracket keys (k, a), in both orders,
+    through the entries of t indexed by slot: an index that no key reaches
+    costs nothing.  The sums are of integer numerators over den_t * den_c,
+    the denominators of `_by_slot` and of the bracket table; a total that
+    cancels is dropped as it goes, and each nonzero one is divided once, so
+    every value returned is a nonzero Fraction."""
+    den, sums = _ad_sums(h, t, ks)
     return {k: {index: Fraction(n, den) for index, n in w.items()} for k, w in sums.items() if w}
 
 
@@ -794,8 +826,9 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     numerators: the form's over den_g, and the residual over den_g * den_c with
     den_c the bracket table's.  The two twist pairings come from `_pairings`,
     and their difference runs in Fractions; the identity twist is self-adjoint
-    with nothing to compute, <x, y> = <x, y>.  The elimination for
-    nondegeneracy is `_gauss_jordan`'s, in ints.
+    with nothing to compute, <x, y> = <x, y>.  Nondegeneracy is the rank
+    of the form's rows, `_rank`, in ints; only a degenerate form is reduced
+    by `_gauss_jordan`, for the kernel basis it reports.
 
     The residual R(a, b, k) = <[b_a, b_b], b_k> - <b_a, [b_b, b_k]> is kept
     by rows: row (a, b) is one int holding R(a, b, k) in field k.  With
@@ -824,8 +857,9 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     }
     for i, j in sorted(asymmetric):
         failures.append(failure("symmetric", (i, j), g_rows[i].get(j, ZERO) - g_rows[j].get(i, ZERO)))
-    for v in _null_rows(_gauss_jordan(g_rows), h.dim):
-        failures.append(failure("nondegenerate", None, _dense(h, v)))
+    if _rank(g_rows) < h.dim:  # only a degenerate form is reduced, for its kernel
+        for v in _null_rows(_gauss_jordan(g_rows), h.dim):
+            failures.append(failure("nondegenerate", None, _dense(h, v)))
     if not h.untwisted:
         phi_cols, units = h.phi_columns, _unit_columns(h.dim)
         # <phi b_i, b_j> - <b_i, phi b_j>

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .core import (
     SparseTensor,
@@ -18,9 +19,8 @@ from .core import (
     _unit_columns,
     is_antisymmetric,
     is_symmetric,
-    wedge_t2_v1_into,
 )
-from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _by_slot, _pair_brackets, _phi_fixed
+from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _ad_sums, _bracket_sums, _by_slot, _pair_brackets, _phi_fixed
 from .homlie import _require_tensor, check_involutive
 from .reporting import CheckReport, failure
 
@@ -49,6 +49,16 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     v*x*C[i, j] to row (u, w).  One int add stands for the terms over the
     packed index: w in positions 0 and 1, k in position 2.
 
+    Lemma (position 2 needs each key once).  The table stores the key (j, i)
+    as the negative of (i, j), and position 2 reads slot 1 for both entries.
+    So for first and second entries (u, v) in slot 1 at i and (w, x) in
+    slot 1 at j, the key (j, i) adds -v*x*C[i, j] to row (w, u) exactly when
+    (i, j) adds v*x*C[i, j] to row (u, w).  Each stored key i < j is summed
+    once, into an accumulator H over rows (u, w), and row (u, w) of the
+    residual gets H(u, w) - H(w, u); on the diagonal u = w the two cancel
+    exactly, so it gets nothing.  Every row is the same int as when both
+    orders are summed, so the bound and the decoding below do not change.
+
     Bound.  Let B be the sum, over keys and positions, of
     sum|c| * sum|v| * sum|x|, the coefficients of the key and the numerators
     of its first and second entries; B is the sum of |term| over all terms,
@@ -76,11 +86,10 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     packed0 = {j: _pack(es, width) for j, es in slot0.items()}
     rows: dict[int, int] = {}
     get = rows.get
-    for (i, j), cs in table.items():
-        first1 = slot1.get(i, ())
+    for (i, j), cs in table.items():  # positions 0 and 1, each key in both orders
         packed = packed0.get(j)
         if packed:
-            first0 = slot0.get(i, ())
+            first0, first1 = slot0.get(i, ()), slot1.get(i, ())
             for k, c in cs:
                 cp, kd = c * packed, k * d
                 for u, v in first0:  # position 0: row (k, u)
@@ -89,14 +98,23 @@ def hcyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
                 for u, v in first1:  # position 1: row (u, k)
                     row = u * d + k
                     rows[row] = get(row, 0) + v * cp
-        second1 = slot1.get(j)
-        if first1 and second1:  # position 2: row (u, w)
-            coefficients = _pack(cs, width)
+    # position 2: see the lemma; each key i < j once, into rows (u, w) of `half`
+    half: dict[int, int] = {}
+    hget = half.get
+    for i, j in h.brackets:
+        first1, second1 = slot1.get(i), slot1.get(j)
+        if first1 and second1:
+            coefficients = _pack(table[i, j], width)
             for u, v in first1:
                 vc, ud = v * coefficients, u * d
                 for w, x in second1:
                     row = ud + w
-                    rows[row] = get(row, 0) + x * vc
+                    half[row] = hget(row, 0) + x * vc
+    for row, n in half.items():
+        u, w = divmod(row, d)
+        if n and u != w:
+            mirror = w * d + u
+            rows[row], rows[mirror] = get(row, 0) + n, get(mirror, 0) - n
     den = den_r * den_r * den_c
     entries = {}
     for row in sorted(row for row, n in rows.items() if n):
@@ -119,19 +137,29 @@ def cyb(h: HomLieAlgebra, r: SparseTensor) -> SparseTensor:
     return hcyb(h, r)
 
 
-def _sharp_columns(h: HomLieAlgebra, t: SparseTensor) -> list[dict[int, Fraction]]:
-    """Sparse columns of t#: xi -> sum_ab t_ab <phi* xi, e_a> e_b.  Column c is
-    sum_ab t_ab phi[c][a] e_b, read from column a of phi.  The sums are of
-    integer numerators over den_t * den_phi, the denominators of t and of the
-    twist; a total that cancels is dropped as it goes, and each nonzero one is
-    divided once."""
+def _sharp_sums(h: HomLieAlgebra, t: SparseTensor) -> tuple[int, list[dict[int, int]]]:
+    """(den, cols): column c of t# is {b: n / den} over cols[c].items(), the
+    integer stage of `_sharp_columns`.  Column c is sum_ab t_ab phi[c][a] e_b,
+    read from column a of phi, over den = den_t * den_phi, the denominators
+    of t and of the twist; a total that cancels is dropped as it goes.
+
+    >>> h = HomLieAlgebra.unchecked(2, {}, phi=[[0, Fraction(1, 2)], [1, 0]])
+    >>> _sharp_sums(h, SparseTensor(2, 2, {(0, 1): Fraction(1, 3), (1, 1): ONE}))
+    (6, [{1: 3}, {1: 2}])
+    """
     den_t, numerators = _common_denominator(list(t.entries.values()))
     den_p, phi = _numerators(h.phi_columns)
     cols: list[dict[int, int]] = [{} for _ in range(h.dim)]
     for (a, b), n in zip(t.entries, numerators):
         for c, p in phi[a].items():
             _accumulate(cols[c], b, n * p)
-    den = den_t * den_p
+    return den_t * den_p, cols
+
+
+def _sharp_columns(h: HomLieAlgebra, t: SparseTensor) -> list[dict[int, Fraction]]:
+    """Sparse columns of t#: xi -> sum_ab t_ab <phi* xi, e_a> e_b, summed by
+    `_sharp_sums`, each nonzero total divided once."""
+    den, cols = _sharp_sums(h, t)
     return [{b: Fraction(n, den) for b, n in col.items()} for col in cols]
 
 
@@ -169,15 +197,76 @@ def _is_antisymmetric3(t: SparseTensor) -> bool:
     return True
 
 
+def _wedge_into(out: dict, t2: Mapping[tuple[int, int], int], v: Mapping[int, int], coeff: int) -> None:
+    """Add coeff * (t2 ^ v) to a degree-3 sum of integer numerators, for an
+    antisymmetric t2 and a vector v, both sparse in integer numerators: each
+    term coeff * t2_ab * v_c, a < b, at the six slot orders of (a, b, c),
+    signed by their parity, in the order of `core.wedge3_basis`; a total that
+    cancels is dropped as it goes.
+
+    >>> out = {}
+    >>> _wedge_into(out, {(0, 1): 2, (1, 0): -2}, {2: 3, 0: 1}, -1)
+    >>> out
+    {(0, 1, 2): -6, (1, 2, 0): -6, (2, 0, 1): -6, (1, 0, 2): 6, (0, 2, 1): 6, (2, 1, 0): 6}
+    """
+    for (a, b), x in t2.items():
+        if a < b:  # each unordered pair once; the (b, a) entry is its negative
+            for c, y in v.items():
+                n = coeff * x * y
+                for index, m in (
+                    ((a, b, c), n), ((b, c, a), n), ((c, a, b), n),
+                    ((b, a, c), -n), ((a, c, b), -n), ((c, b, a), -n),
+                ):
+                    total = out.get(index, 0) + m
+                    if total:
+                        out[index] = total
+                    else:
+                        del out[index]
+
+
+def _bracket_1_2(
+    h: HomLieAlgebra, x: Mapping[int, Fraction], t2: SparseTensor
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """(den, sums): [[x, t2]] = sum_k x_k ad_k t2 = {index: n / den} over
+    sums.items(), over the support of x: the actions ad_k of `_ad_sums`
+    times x's numerators, den = den_x * den_ad, a total that cancels dropped
+    as it goes.  On e_1 ^ e_2 of sl2, (1/2) e_1 gives (1/2) e_1 ^ [e_1, e_2]:
+
+    >>> _bracket_1_2(sl2_lie(), {1: Fraction(1, 2)}, SparseTensor(2, 3, {(1, 2): 1, (2, 1): -1}))
+    (2, {(0, 1): -1, (1, 0): 1})
+    """
+    den_x, (xs,) = _numerators([x])
+    den_ad, actions = _ad_sums(h, t2, x.keys())
+    sums: dict[tuple[int, int], int] = {}
+    for k, w in actions.items():
+        xk = xs[k]
+        for index, n in w.items():
+            _accumulate(sums, index, xk * n)
+    return den_x * den_ad, sums
+
+
+def _divided(degree: int, dim: int, den: int, sums: dict[tuple[int, ...], int]) -> SparseTensor:
+    """The tensor {index: n / den} of nonzero integer numerators, one Fraction
+    per entry.  The indices are read from tensors of the same degree and dim
+    and the values are nonzero Fractions, so it is built by
+    `SparseTensor._of_checked`."""
+    return SparseTensor._of_checked(degree, dim, {index: Fraction(n, den) for index, n in sums.items()})
+
+
 def hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTensor:
     """Graded bracket of antisymmetric multivectors for degree pairs
     (1,1), (1,2), (2,1), (2,2), (1,3), (3,1); larger pairs are rejected.
 
     [[A, x]] = -[[x, A]] for a vector x; the rest is read from the twisted
-    adjoint actions ad_k of `_ad_basis`, phi from its sparse columns:
+    adjoint actions ad_k of `_ad_sums`, phi from its sparse columns:
     [[x, B]] = sum_k x_k ad_k B, which is [x, e_p] ^ phi(e_q) + phi(e_p) ^ [x, e_q] on e_p ^ e_q,
     [[A, e_p ^ e_q]] = [[A, e_p]] ^ phi(e_q) - [[A, e_q]] ^ phi(e_p) with [[A, e_p]] = -ad_p A, and
-    [[x, e_p ^ e_q ^ e_r]] = [[x, e_p ^ e_q]] ^ phi(e_r) + phi(e_p) ^ phi(e_q) ^ [x, e_r]."""
+    [[x, e_p ^ e_q ^ e_r]] = [[x, e_p ^ e_q]] ^ phi(e_r) + phi(e_p) ^ phi(e_q) ^ [x, e_r].
+
+    The sums are of integer numerators: the actions', phi's columns' and
+    B's entries' over their denominators, each degree-3 term added at its six
+    signed slot orders by `_wedge_into`; one Fraction is built per nonzero
+    entry of the result."""
     if a.dim != h.dim or b.dim != h.dim:
         raise ValueError("multivector dimension mismatch")
     if a.degree >= 2 and not (is_antisymmetric(a) if a.degree == 2 else _is_antisymmetric3(a)):
@@ -193,39 +282,39 @@ def hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTe
     if pair == (1, 1):
         xy = _pair_brackets(h, [vector(a), vector(b)]).get((0, 1), {})
         return SparseTensor(1, h.dim, {(k,): v for k, v in xy.items()})
-    phi = h.phi_columns
-
-    def bracket_1_2(x: dict[int, Fraction], t2: SparseTensor) -> SparseTensor:
-        """[[x, t2]] = sum_k x_k ad_k t2, over the support of x."""
-        out2 = SparseTensor.zero(2, h.dim)
-        for k, w in _ad_basis(h, t2, x.keys()).items():
-            for index, v in w.items():
-                out2.add_into(index, x[k] * v)
-        return out2
-
     if pair == (1, 2):
-        return bracket_1_2(vector(a), b)
-    out = SparseTensor.zero(3, h.dim)
+        return _divided(2, h.dim, *_bracket_1_2(h, vector(a), b))
+    den_p, phi = _numerators(h.phi_columns)
+    den_b, values = _common_denominator(list(b.entries.values()))
+    out: dict[tuple[int, int, int], int] = {}
     if pair == (1, 3):
         x = vector(a)
-        # [x, e_r] for the third indices r of B, from one kernel call
+        # [x, e_r] for the third indices r of B, from one kernel call, over den_e = den_x^2 * den_c
         rs = sorted({r for p, q, r in b.entries if p < q < r})
-        pairs = _pair_brackets(h, [x, *({r: ONE} for r in rs)])
+        den_e, pairs = _bracket_sums(h, [x, *({r: ONE} for r in rs)])
         x_e = {r: pairs.get((0, 1 + n), {}) for n, r in enumerate(rs)}
-        for (p, q, r), v in b.entries.items():
+        # [[x, e_p ^ e_q]] is over den_x * den_t * den_c, den_t (that of `_by_slot`) 1 or den_phi,
+        # and phi(e_p) ^ phi(e_q) over den_phi^2: both terms are brought to den = den_e * den_phi^2
+        den = den_e * den_p * den_p
+        for (p, q, r), v in zip(b.entries, values):
             if p < q < r:
                 pq = SparseTensor(2, h.dim, {(p, q): ONE, (q, p): -ONE})
-                wedge_t2_v1_into(out, bracket_1_2(x, pq), phi[r], v)
-                wedge_t2_v1_into(out, pq._apply_per_slot((phi, phi)), x_e[r], v)
-        return out
+                den_1, inner = _bracket_1_2(h, x, pq)
+                _wedge_into(out, inner, phi[r], v * (den // (den_1 * den_p)))
+                square: dict[tuple[int, int], int] = {}  # (phi (x) phi)(e_p ^ e_q)
+                for i, j, sign in ((p, q, 1), (q, p, -1)):
+                    for k, y in phi[i].items():
+                        for m, z in phi[j].items():
+                            _accumulate(square, (k, m), sign * y * z)
+                _wedge_into(out, square, x_e[r], v)
+        return _divided(3, h.dim, den * den_b, out)
     # [[A, e_p]] = -ad_p A, from one kernel call over the indices p of B
-    ad_a = {p: SparseTensor(2, h.dim, w) for p, w in _ad_basis(h, a, {i for idx in b.entries for i in idx}).items()}
-    zero = SparseTensor.zero(2, h.dim)
-    for (p, q), v in b.entries.items():
+    den_ad, ad_a = _ad_sums(h, a, {i for idx in b.entries for i in idx})
+    for (p, q), v in zip(b.entries, values):
         if p < q:
-            wedge_t2_v1_into(out, ad_a.get(p, zero), phi[q], -v)
-            wedge_t2_v1_into(out, ad_a.get(q, zero), phi[p], v)
-    return out
+            _wedge_into(out, ad_a.get(p, {}), phi[q], -v)
+            _wedge_into(out, ad_a.get(q, {}), phi[p], v)
+    return _divided(3, h.dim, den_ad * den_p * den_b, out)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +339,11 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     symmetric part is zero; fails otherwise.
 
     The symmetric part s = (r + r^T)/2 comes from `core._symmetric_part`, over
-    the one denominator of r; with the integer kernels of `hcyb`, `_ad_basis`,
-    `_sharp_columns` and `_rank`, a passing classification on an
-    untwisted algebra does no Fraction arithmetic."""
+    the one denominator of r; with the integer kernels of `hcyb`, `_ad_basis`
+    and `_rank`, a passing classification on an untwisted algebra does no
+    Fraction arithmetic.  Factorizability is the rank of s#'s integer columns
+    from `_sharp_sums`, which divides nothing: s is symmetric and over h by
+    construction, so the checks of `_s_sharp_columns` are not repeated."""
     _require_tensor(h, r)
     s = _symmetric_part(r)
     phi_fixed = _phi_fixed(h, r)
@@ -265,7 +356,7 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
         verdict = "skew-only"
     else:
         verdict = "quasi-triangular"
-    factorizable = (not s.is_zero) and _rank(_s_sharp_columns(h, s)) == h.dim
+    factorizable = (not s.is_zero) and _rank(_sharp_sums(h, s)[1]) == h.dim
     return RMatrixReport(phi_fixed, s_invariant, residual, verdict, factorizable)
 
 

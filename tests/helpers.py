@@ -15,6 +15,7 @@ from maninforge.core import (
     SparseTensor,
     Subspace,
     Vector,
+    _common_denominator,
     _exact_vector,
     _gauss_jordan,
     _integer_row,
@@ -23,6 +24,7 @@ from maninforge.core import (
     _orthogonal_complement,
     _relabelling,
     _sparse,
+    _unit_columns,
     annihilator,
     determinant,
     identity_matrix,
@@ -38,15 +40,18 @@ from maninforge.core import (
     transpose,
     unit_vector,
     wedge3_basis,
+    wedge_t2_v1_into,
 )
 from maninforge.homlie import (
     HomLieAlgebra,
     LinearRep,
     _accumulate,
+    _ad_basis,
     _by_slot,
     _dense,
     _holders,
     _moved_brackets,
+    _pair_brackets,
     _pairings,
     _phi_fixed,
     _residual,
@@ -464,6 +469,76 @@ def fraction_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixRepor
         verdict = "skew-only" if s.is_zero else "quasi-triangular"
     factorizable = (not s.is_zero) and len(_gauss_jordan(fraction_sharp_columns(h, s))) == h.dim
     return RMatrixReport(phi_fixed, s_invariant, residual, verdict, factorizable)
+
+
+# ---------------------------------------------------------------------------
+# The twisted entries by slot and the graded bracket as they were before the
+# twist and the degree-3 sums moved to integer numerators: the twist applied
+# by two Fraction `_apply_per_slot` passes, and every term of the graded
+# bracket added to a Fraction tensor.  Frozen so that the integer forms can be
+# compared with them value for value and in entry order.
+
+
+def fraction_by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[tuple[dict, dict], int]:
+    """`homlie._by_slot`, a non-identity twist applied by `_apply_per_slot`
+    and the two images put over the lcm of their denominators."""
+    if h.untwisted:
+        left = right = t
+        den, numerators = _common_denominator(list(t.entries.values()))
+        right_numerators = numerators
+    else:
+        ident = _unit_columns(h.dim)
+        left, right = t._apply_per_slot((ident, h.phi_columns)), t._apply_per_slot((h.phi_columns, ident))
+        den, numerators = _common_denominator([*left.entries.values(), *right.entries.values()])
+        right_numerators = numerators[len(left.entries) :]
+    by_slot: tuple[dict, dict] = ({}, {})
+    for (a, b), v in zip(left.entries, numerators):
+        by_slot[0].setdefault(a, []).append((b, v))
+    for (a, b), v in zip(right.entries, right_numerators):
+        by_slot[1].setdefault(b, []).append((a, v))
+    return by_slot, den
+
+
+def fraction_hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTensor:
+    """`rmatrix.hom_schouten` on valid input, each term a Fraction added to the
+    result by `wedge_t2_v1_into` or `add_into`."""
+    if a.degree > b.degree == 1:
+        return -fraction_hom_schouten(h, b, a)
+    vector = lambda t: {i: x for (i,), x in t.entries.items()}
+    pair = (a.degree, b.degree)
+    if pair == (1, 1):
+        xy = _pair_brackets(h, [vector(a), vector(b)]).get((0, 1), {})
+        return SparseTensor(1, h.dim, {(k,): v for k, v in xy.items()})
+    phi = h.phi_columns
+
+    def bracket_1_2(x: dict[int, Fraction], t2: SparseTensor) -> SparseTensor:
+        out2 = SparseTensor.zero(2, h.dim)
+        for k, w in _ad_basis(h, t2, x.keys()).items():
+            for index, v in w.items():
+                out2.add_into(index, x[k] * v)
+        return out2
+
+    if pair == (1, 2):
+        return bracket_1_2(vector(a), b)
+    out = SparseTensor.zero(3, h.dim)
+    if pair == (1, 3):
+        x = vector(a)
+        rs = sorted({r for p, q, r in b.entries if p < q < r})
+        pairs = _pair_brackets(h, [x, *({r: ONE} for r in rs)])
+        x_e = {r: pairs.get((0, 1 + n), {}) for n, r in enumerate(rs)}
+        for (p, q, r), v in b.entries.items():
+            if p < q < r:
+                pq = SparseTensor(2, h.dim, {(p, q): ONE, (q, p): -ONE})
+                wedge_t2_v1_into(out, bracket_1_2(x, pq), phi[r], v)
+                wedge_t2_v1_into(out, pq._apply_per_slot((phi, phi)), x_e[r], v)
+        return out
+    ad_a = {p: SparseTensor(2, h.dim, w) for p, w in _ad_basis(h, a, {i for idx in b.entries for i in idx}).items()}
+    zero = SparseTensor.zero(2, h.dim)
+    for (p, q), v in b.entries.items():
+        if p < q:
+            wedge_t2_v1_into(out, ad_a.get(p, zero), phi[q], -v)
+            wedge_t2_v1_into(out, ad_a.get(q, zero), phi[p], v)
+    return out
 
 
 def dense_map_subspace(m: Matrix, space: Subspace) -> Subspace:

@@ -314,6 +314,24 @@ def test_skew_sym_split_recomposes_200_random():
         assert lam + s == t
 
 
+def test_antisymmetry_compares_each_pair_exactly():
+    """A pair of entries is antisymmetric when the values are exact
+    negatives, int or Fraction: equal numerators over different denominators,
+    or the same value on both sides, are not."""
+    cases = (
+        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}, True),
+        ({(0, 1): 3, (1, 0): Fraction(-3)}, True),
+        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 3)}, False),
+        ({(0, 1): Fraction(2, 3), (1, 0): Fraction(-1, 3)}, False),
+        ({(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}, False),
+        ({(0, 1): 1}, False),
+        ({(1, 1): 1}, False),
+        ({}, True),
+    )
+    for entries, expected in cases:
+        assert is_antisymmetric(SparseTensor(2, 2, entries)) is expected, entries
+
+
 def test_split_rejects_wrong_degree():
     with pytest.raises(ValueError):
         tensor_skew_sym_split(SparseTensor.zero(3, 2))

@@ -120,6 +120,22 @@ def test_tensor_errors_carry_line_numbers():
     expect_parse_error(fileio.parse_tensor, "tensor degree=2 dim=2\n0 1 0\n0 1 3\n", 3, "duplicate")
 
 
+def test_a_malformed_tensor_index_is_named_with_its_line():
+    """The indices of an entry line are read together; a malformed one is
+    named, the first of several, with the full message and line number."""
+    for text, lineno, message in (
+        ("tensor degree=2 dim=3\n0 1 1\n1 x 2\n", 3, "malformed integer 'x'"),
+        ("tensor degree=3 dim=3\n0 1 2 1\n0 y 1.5 2\n", 3, "malformed integer 'y'"),
+        ("tensor degree=2 dim=3\n1/2 0 1\n", 2, "malformed integer '1/2'"),
+        ("tensor degree=1 dim=3\n1.0 1\n", 2, "malformed integer '1.0'"),
+    ):
+        with pytest.raises(fileio.ParseError) as excinfo:
+            fileio.parse_tensor(text)
+        assert (excinfo.value.lineno, str(excinfo.value)) == (lineno, f"line {lineno}: {message}")
+    t = fileio.parse_tensor("tensor degree=2 dim=12\n+1 011 -3\n10 0 1/2\n")
+    assert t.entries == {(1, 11): -3, (10, 0): Fraction(1, 2)}
+
+
 def test_tensor_entries_that_spell_zero_are_dropped():
     t = fileio.parse_tensor("tensor degree=3 dim=2\n1 1 1 -0\n0 1 0 2/4\n1 0 0 0/7\n")
     assert t.entries == {(0, 1, 0): Fraction(1, 2)}

@@ -7,6 +7,7 @@ invariant that every value the kernels return is a nonzero Fraction; and counts
 of the Fraction arithmetic a passing certificate still does."""
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import sys
@@ -34,9 +35,11 @@ from helpers import (
     dense_r_from_splitting,
     dense_sharp_matrix,
     fraction_apply_columns,
+    fraction_by_slot,
     fraction_contains_sparse,
     fraction_determinant,
     fraction_gauss_jordan,
+    fraction_hom_schouten,
     fraction_quasi_triangular,
     fraction_sharp_columns,
     fraction_skew_sym_split,
@@ -73,11 +76,15 @@ from maninforge.core import (
     determinant,
     identity_matrix,
     inverse,
+    is_antisymmetric,
+    is_symmetric,
     matrix,
+    matrix_rank,
     sparse_columns,
     subspace_equal,
     subspace_sum,
     tensor_skew_sym_split,
+    wedge3_basis,
 )
 from maninforge.fileio import (
     format_algebra,
@@ -92,6 +99,7 @@ from maninforge.homlie import (
     HomLieAlgebra,
     _ad_basis,
     _brackets_outside,
+    _by_slot,
     _pair_brackets,
     _pairings,
     _twist_outside,
@@ -115,6 +123,7 @@ from maninforge.manin import (
     triple_g_plus_h,
 )
 from maninforge.polyuble import nuble
+from maninforge import homlie, rmatrix
 from maninforge.rmatrix import (
     _sharp_columns,
     check_hom_ad_invariant,
@@ -1402,3 +1411,277 @@ def test_a_failing_verify_builds_fractions_only_for_the_reported_residuals(capsy
         assert entered == 2 + 2 * (not h.untwisted)
         all_pairs = sum(len(part.echelon) * (len(part.echelon) - 1) // 2 for part in (t.part1, t.part2))
         assert len(reported) < all_pairs
+
+
+# ---------------------------------------------------------------------------
+# The halved third position of `hcyb`, the twist of `_by_slot` and the graded
+# bracket in integer numerators, and the rank test of `check_quadratic`
+
+
+def _moved_entry(r: SparseTensor, by: Fraction) -> SparseTensor:
+    """r with the entry a third of the way through its sorted indices moved by `by`."""
+    entries = dict(r.entries)
+    index = sorted(entries)[len(entries) // 3]
+    entries[index] += by
+    return SparseTensor(2, r.dim, entries)
+
+
+def _position_two_cases() -> list[tuple[str, HomLieAlgebra, SparseTensor]]:
+    rng = random.Random(29)
+    cases = []
+    for n in (1, 2, 4):
+        t = nuble(D3, n)
+        h, r = t.algebra, r_from_splitting(t)
+        cases += [(f"canonical D3^{n}", h, r), (f"canonical D3^{n}, one entry moved", h, _moved_entry(r, Fraction(7, 11)))]
+        cases.append((f"D3^{n}, neither skew nor symmetric", h, hostile_tensor(rng, h.dim, 4 * h.dim)))
+    sl2_sum = _twisted_sl2_sum(4)
+    cases += [(f"twisted sl2^4, {fill} entries", sl2_sum, hostile_tensor(rng, sl2_sum.dim, fill)) for fill in (5, 15, 40)]
+    for name in sorted(HOSTILE_ALGEBRAS):
+        h = HOSTILE_ALGEBRAS[name]()
+        huge = SparseTensor.zero(2, h.dim)
+        for _ in range(9):
+            huge.add_into((rng.randrange(h.dim), rng.randrange(h.dim)), _huge_fraction(rng))
+        cases.append((f"{name}, numerators beyond 64 bits", h, huge))
+    # one field at +B and at -B, B the sum of |term| (see the bound tests above)
+    v, w = Fraction(2**64 + 13, 7**3), Fraction(2**66 + 1, 11**2)
+    for s in (1, -1):
+        h = HomLieAlgebra.unchecked(3, {(0, 1): {0: s}}, phi=[[1, 0, 0], [0, 1, 1], [0, 0, 0]])
+        cases.append((f"a field at {'+' if s > 0 else '-'}B", h, SparseTensor(2, 3, {(1, 0): v, (2, 0): w})))
+    return cases
+
+
+POSITION_TWO_CASES = _position_two_cases()
+
+
+@pytest.mark.parametrize("name, h, r", POSITION_TWO_CASES, ids=[name for name, _, _ in POSITION_TWO_CASES])
+def test_the_halved_third_position_matches_the_tuple_index_kernel(name, h, r):
+    """Each stored key summed once, its mirror row subtracted: the residual
+    equals the kernel that sums both orders of every key at tuple indices,
+    value for value, and the pairwise reference."""
+    residual = _assert_residual_matches_the_references(h, r)
+    if "neither" in name:
+        assert not is_antisymmetric(r) and not is_symmetric(r) and not residual.is_zero
+    if name.startswith("canonical") and "moved" not in name:
+        assert residual.is_zero
+    if "moved" in name:
+        assert not residual.is_zero
+
+
+def test_the_cases_for_the_third_position_carry_its_terms():
+    """Every case but the two field-bound ones has entries on slot 1 that a
+    stored key pairs, so the halved sum is exercised."""
+    for name, h, r in POSITION_TWO_CASES:
+        slot1 = _by_slot(h, r)[0][1]
+        pairs = sum(len(slot1.get(i, ())) * len(slot1.get(j, ())) for i, j in h.brackets)
+        assert pairs > 0 or name.startswith("a field at"), name
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_third_position_field_at_its_largest_total_decodes_at_both_signs(sign, k):
+    """[e_0, e_1] = s e_k and r = v e_2 (x) e_0 + w e_3 (x) e_1 on numerators
+    beyond 64 bits: only the third position has terms, v w s at (2, 3, k)
+    from the key (0, 1) and -v w s at (3, 2, k) from (1, 0).  Those two terms
+    make up B, and a field of the third position, which the key's mirror
+    always halves, reaches at most B / 2: here both of its rows do, at the
+    first and the last field."""
+    v, w = Fraction(2**64 + 13, 7**3), Fraction(-(2**66) - 1, 11**2)
+    h = HomLieAlgebra.unchecked(4, {(0, 1): {k: sign}})
+    residual = _assert_residual_matches_every_reference(h, SparseTensor(2, 4, {(2, 0): v, (3, 1): w}))
+    assert residual.entries == {(2, 3, k): sign * v * w, (3, 2, k): -sign * v * w}
+
+
+def _line_executions(fn, args: tuple, code, marker: str) -> tuple[object, int]:
+    """(fn(*args), how many times the one line of `code` that contains marker ran)."""
+    lines, start = inspect.getsourcelines(code)
+    (line,) = [start + n for n, text in enumerate(lines) if marker in text]
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line" and frame.f_lineno == line:
+            count += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+    return result, count
+
+
+# The third position's adds on the canonical r of D3^n, each stored key once:
+# half of the 228, 1,784 and 14,192 that summing both orders of every key makes.
+POSITION_TWO_ADDS = {1: 114, 2: 892, 4: 7096}
+
+
+@pytest.mark.parametrize("n", sorted(POSITION_TWO_ADDS))
+def test_the_third_position_visits_each_unordered_key_once(monkeypatch, n):
+    """The keys packed for the third position are the stored keys i < j that
+    reach entries on slot 1 at both i and j, each once and in stored order;
+    the adds into the half accumulator are the products of those entries'
+    counts, pinned."""
+    t = nuble(D3, n)
+    h, r = t.algebra, r_from_splitting(t)
+    table = h._bracket_numerators[1]
+    packed = []
+    pack = rmatrix._pack
+
+    def recording_pack(terms, width):
+        packed.append(terms)
+        return pack(terms, width)
+
+    monkeypatch.setattr(rmatrix, "_pack", recording_pack)
+    residual, adds = _line_executions(hcyb, (h, r), hcyb.__code__, "half[row] = hget(row, 0) + x * vc")
+    slot1 = _by_slot(h, r)[0][1]
+    reached = [(i, j) for i, j in h.brackets if slot1.get(i) and slot1.get(j)]
+    assert residual.is_zero and reached
+    assert [terms for terms in packed if type(terms) is tuple] == [table[key] for key in reached]
+    assert adds == sum(len(slot1[i]) * len(slot1[j]) for i, j in reached) == POSITION_TWO_ADDS[n]
+
+
+def _cancelling_twist_cases() -> list[tuple[HomLieAlgebra, SparseTensor]]:
+    """phi(e_2) = phi(e_3) = e_1: the images of (0, 1), (0, 2) and (0, 3)
+    meet at (0, 1), where the second cancels the first and the third puts
+    the entry back behind (0, 0); on slot 1, (2, 0) and (3, 0) cancel at
+    (1, 0) and leave (0, 0) alone at index 0."""
+    phi = [[1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+    v = Fraction(3, 7)
+    r = SparseTensor(2, 4, {(0, 1): v, (0, 0): Fraction(-2, 11), (0, 2): -v, (0, 3): Fraction(5, 13), (2, 0): v, (3, 0): -v})
+    return [(HomLieAlgebra.unchecked(4, {(0, 1): {0: 1}}, phi=phi), r)]
+
+
+def _by_slot_cases() -> list[tuple[HomLieAlgebra, SparseTensor]]:
+    rng = random.Random(31)
+    cases = _cancelling_twist_cases()
+    algebras = [sl2_twisted(), sl2_lie(), _twisted_sl2_sum(3), *(make() for make in HOSTILE_ALGEBRAS.values())]
+    for h in algebras:
+        cases += [(h, hostile_tensor(rng, h.dim, fill)) for fill in (1, 4, 12)]
+        cases.append((h, SparseTensor(2, h.dim, {(0, 1): 2, (1, 0): -1, (1, 1): _huge_fraction(rng)})))
+        cases.append((h, SparseTensor.zero(2, h.dim)))
+    for phi in ([[1]], [[-1]], [[Fraction(3, 7)]], [[0]]):
+        cases.append((HomLieAlgebra.unchecked(1, {}, phi), SparseTensor(2, 1, {(0, 0): Fraction(2**70 + 1, 13)})))
+    cases.append((HomLieAlgebra.unchecked(0, {}), SparseTensor.zero(2, 0)))
+    return cases
+
+
+def _by_slot_values(by_slot: tuple[dict, dict], den: int) -> list[dict]:
+    return [{i: [(j, Fraction(n, den)) for j, n in entries] for i, entries in slot.items()} for slot in by_slot]
+
+
+def test_the_integer_twist_by_slot_matches_the_frozen_apply_per_slot_form():
+    """For every case, each slot's lists hold the frozen form's values in its
+    order, with the same indices; the twist's cancellations leave no empty
+    list."""
+    for h, r in _by_slot_cases():
+        got, reference = _by_slot(h, r), fraction_by_slot(h, r)
+        assert _by_slot_values(*got) == _by_slot_values(*reference)
+        assert all(entries for slot in got[0] for entries in slot.values())
+    h, r = _cancelling_twist_cases()[0]
+    (slot0, slot1), den = _by_slot(h, r)
+    assert [j for j, _ in slot0[0]] == [0, 1] and [j for j, _ in slot1[0]] == [0]
+
+
+def _multivector_cases(h: HomLieAlgebra, rng: random.Random) -> list[tuple[SparseTensor, SparseTensor]]:
+    """Multivectors of every supported degree pair, skew tensors from the
+    antisymmetric part of hostile ones and a 3-vector from `wedge3_basis`."""
+    x, y = hostile_vector(rng, h.dim), hostile_vector(rng, h.dim)
+    lam, _ = tensor_skew_sym_split(hostile_tensor(rng, h.dim, 6))
+    other, _ = tensor_skew_sym_split(hostile_tensor(rng, h.dim, 3))
+    a3 = SparseTensor.zero(3, h.dim)
+    for _ in range(3):
+        wedge3_basis(a3, *rng.sample(range(h.dim), 3), _hostile_fraction(rng))
+    return [(x, y), (x, lam), (lam, x), (lam, other), (lam, lam), (x, a3), (a3, y)]
+
+
+GRADED_ALGEBRAS = {
+    "sl2 twisted": sl2_twisted,
+    "sl2": sl2_lie,
+    "twisted sl2^2": lambda: _twisted_sl2_sum(2),
+    "D3": lambda: D3.algebra,
+    **HOSTILE_ALGEBRAS,
+}
+
+
+@pytest.mark.parametrize("twisted", [True, False], ids=["twisted", "untwisted"])
+@pytest.mark.parametrize("name", sorted(GRADED_ALGEBRAS))
+def test_the_integer_graded_bracket_matches_the_dense_and_frozen_forms(name, twisted):
+    """Every degree pair equals the dense reference, and the frozen form
+    that adds each term as a Fraction value for value and in entry order;
+    each algebra with its twist and with the identity."""
+    h = GRADED_ALGEBRAS[name]()
+    if not twisted:
+        h = HomLieAlgebra.unchecked(h.dim, h.brackets)
+    rng = random.Random(name)
+    nonzero = set()
+    for _ in range(3):
+        for a, b in _multivector_cases(h, rng):
+            got = hom_schouten(h, a, b)
+            assert got == dense_hom_schouten(h, a, b)
+            assert _same_tensor(got, fraction_hom_schouten(h, a, b))
+            assert _all_nonzero_fractions(got.entries.values())
+            if got.entries:
+                nonzero.add((a.degree, b.degree))
+    assert nonzero == {(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)} or h.dim < 4
+
+
+def fractions_built(fn, *args) -> tuple:
+    """(fn(*args), the number of Fractions it built)."""
+    built = 0
+    new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is new:
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, built
+
+
+@pytest.mark.parametrize("key", ["twisted sl2^4", "D3"])
+def test_the_graded_square_builds_one_fraction_per_entry(key):
+    """hom_schouten(h, lam, lam) on skew lambdas like those of the identity
+    trials: the twist, the actions and the degree-3 sum stay in integer
+    numerators, and one Fraction is built per entry of the result."""
+    h = _twisted_sl2_sum(4) if key == "twisted sl2^4" else D3.algebra
+    rng = random.Random(key)
+    for pairs in (1, 4, 8):
+        lam, _ = tensor_skew_sym_split(hostile_tensor(rng, h.dim, pairs))
+        square, built = fractions_built(hom_schouten, h, lam, lam)
+        assert built == len(square.entries)
+        assert square == dense_hom_schouten(h, lam, lam)
+    assert built > 0
+
+
+QUADRATIC_FORMS = {
+    "rank 0": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    "rank 1": [[Fraction(2, 7), 0, 0], [0, 0, 0], [0, 0, 0]],
+    "rank 2, hostile": [[Fraction(1, 7), Fraction(2, 11), 0], [Fraction(2, 11), Fraction(4, 13), 0], [0, 0, 0]],
+    "rank 2, asymmetric": [[1, 2, 3], [2, 4, 6], [0, 1, Fraction(1, 13)]],
+    "full rank": SL2_FORM,
+    "full rank, hostile": [[Fraction(1, 7), 0, 1], [0, Fraction(3, 11), 0], [1, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC_FORMS))
+def test_a_form_is_reduced_only_when_it_is_degenerate(monkeypatch, name):
+    """The quadratic report equals the dense one, its kernel report included;
+    `_gauss_jordan` runs for a degenerate form only, after the rank test."""
+    reductions = []
+    gauss_jordan = homlie._gauss_jordan
+    monkeypatch.setattr(homlie, "_gauss_jordan", lambda rows: reductions.append(rows) or gauss_jordan(rows))
+    sl2 = sl2_twisted()
+    for h in (HomLieAlgebra.unchecked(3, sl2.brackets, sl2.phi, QUADRATIC_FORMS[name]),
+              HomLieAlgebra.unchecked(3, {}, form=QUADRATIC_FORMS[name])):
+        reductions.clear()
+        report = check_quadratic(h)
+        assert report.to_json() == dense_check_quadratic(h).to_json()
+        kernel = [f for f in report.failures if f.check == "nondegenerate"]
+        assert len(reductions) == (1 if kernel else 0)
+        assert len(kernel) == 3 - matrix_rank(h.form)
