@@ -12,12 +12,11 @@ integer rows.
 The elimination, the sparse map `_apply_columns` and the membership test
 `Subspace._contains_numerators` sum plain ints: elimination on primitive
 integer rows, the other two over one common denominator.  Each builds one
-Fraction per value it returns, and none per term; `_apply_columns` builds none
-for a relabelling (unit columns at distinct rows), whose values it moves
-unchanged.  The image test `_images_outside` tests the integer sums of
-`_column_sums` as they are, and divides only the images it reports.
-`_relabelling` recognises a relabelling, so that the bracket, pairing and
-isomorphism kernels can read it off stored keys.
+Fraction per value it returns, and none per term.  The image test
+`_images_outside` tests the integer sums of `_column_sums` as they are, and
+divides only the images it reports.  Every map takes the one summing path, a
+relabelling (unit columns at distinct rows) included; the snake certificate
+compares relabelled stored data in `manin._relabels` instead.
 """
 from __future__ import annotations
 
@@ -271,27 +270,6 @@ def _square_columns(cols: Sequence, n: int, what: str) -> Sequence:
     return cols
 
 
-def _relabelling(vectors: Sequence[Mapping[int, Fraction]]) -> list[int] | None:
-    """sigma with vectors[a] == {sigma[a]: 1} for every a and no index twice,
-    or None, found at the first vector that is not such a unit.
-
-    >>> _relabelling([{2: ONE}, {0: 1}]), _relabelling([{0: ONE}, {0: ONE}]), _relabelling([{0: 2}])
-    ([2, 0], None, None)
-    """
-    sigma: list[int] = []
-    seen: set[int] = set()
-    for v in vectors:
-        if len(v) == 1:
-            ((i, x),) = v.items()
-            # most units are the shared ONE of `Permutation.columns` and `_unit_columns`: no Fraction call
-            if (x is ONE or x == 1) and i not in seen:
-                seen.add(i)
-                sigma.append(i)
-                continue
-        return None
-    return sigma
-
-
 def _column_sums(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
     """(den, sums): the map with sparse columns `cols` applied to the sparse
     vector xs in integer numerators, the image being {a: n / den} over
@@ -316,20 +294,7 @@ def _column_sums(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fracti
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
     """The map with sparse columns `cols` applied to the sparse vector xs, the
     entries that cancel left out; summed by `_column_sums`, each total divided
-    once.  A relabelling is not summed: when each x in xs is a nonzero
-    Fraction whose column is the single entry 1 at a row r no earlier x
-    reached, the sum is {r: x}, in the order of xs, and x itself is stored."""
-    moved: dict[int, Fraction] = {}
-    for i, x in xs.items():
-        col = cols[i]
-        if type(x) is not Fraction or not x or len(col) != 1:
-            break
-        ((a, y),) = col.items()
-        if y != 1 or a in moved:
-            break
-        moved[a] = x
-    else:
-        return moved
+    once."""
     den, out = _column_sums(cols, xs)
     return {a: Fraction(n, den) for a, n in out.items()}
 
@@ -705,26 +670,6 @@ def _symmetric_part(t: SparseTensor) -> SparseTensor:
     twice = {(a, b): n + tn.get((b, a), 0) for (a, b), n in tn.items()}  # 2s = t + t^T, over den
     twice.update({(b, a): n for (a, b), n in tn.items() if (b, a) not in tn})
     return SparseTensor._of_checked(2, t.dim, {index: Fraction(n, 2 * den) for index, n in twice.items() if n})
-
-
-def wedge3_basis(t: SparseTensor, a: int, b: int, c: int, coeff: Fraction) -> None:
-    """Accumulate coeff * (e_a ^ e_b ^ e_c), the signed sum over all six slot orders."""
-    if coeff == 0:
-        return
-    for idx, sign in (
-        ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
-        ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1),
-    ):
-        t.add_into(idx, coeff if sign > 0 else -coeff)
-
-
-def wedge_t2_v1_into(t: SparseTensor, t2: SparseTensor, v: Mapping[int, Fraction], coeff: Fraction) -> None:
-    """Accumulate coeff * (t2 ^ v) into a degree-3 tensor, for an antisymmetric
-    degree-2 t2 and a sparse vector v given as {index: entry}."""
-    for (a, b), x in t2.entries.items():
-        if a < b:  # each unordered pair once; the (b, a) entry is its negative
-            for c, vc in v.items():
-                wedge3_basis(t, a, b, c, coeff * x * vc)
 
 
 def is_antisymmetric(t: SparseTensor) -> bool:

@@ -201,6 +201,12 @@ def format_algebra(h: HomLieAlgebra) -> str:
 
 
 def format_triple(t: ManinTriple) -> str:
+    """The algebra's lines, then one line per canonical row of each half.  A
+    zero-dimensional half has no row to write, and `parse_triple` needs rows
+    of both halves, so such a triple is refused, the empty half named."""
+    for label, part in (("part1", t.part1), ("part2", t.part2)):
+        if not part.echelon:
+            raise ValueError(f"{label} is zero-dimensional: the triple text needs at least one {label} row")
     lines = _format_algebra_lines(t.algebra)
     lines += (f"part1 {_dense_text(row, t.dim)}" for row in t.part1.echelon)
     lines += (f"part2 {_dense_text(row, t.dim)}" for row in t.part2.echelon)

@@ -26,7 +26,6 @@ from .core import (
     _numerators,
     _pack,
     _rank,
-    _relabelling,
     _signed_fields,
     _sparse,
     _square,
@@ -270,34 +269,6 @@ def _holders(vectors: Sequence[Mapping[int, Fraction]]) -> tuple[int, dict[int, 
     return den, holders
 
 
-def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
-    """{(a, b): [v_a, v_b]} for a < b over a family of sparse vectors, zero
-    brackets absent, every value a nonzero Fraction: read off the table by
-    `_moved_brackets` when the family is a relabelling (`_relabelling`),
-    summed by `_summed_brackets` otherwise."""
-    sigma = _relabelling(vectors)
-    return _summed_brackets(h, vectors) if sigma is None else _moved_brackets(h, sigma)
-
-
-def _moved_brackets(h: HomLieAlgebra, sigma: Sequence[int]) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """`_pair_brackets` of the relabelling v_a = b_sigma(a), sigma injective.
-    [v_a, v_b] is the stored bracket of the key (i, j) with
-    {i, j} = {sigma(a), sigma(b)}, negated when sigma(a) > sigma(b), and no
-    two pairs share a key.  So the keys are walked in stored order, each
-    mapped back through sigma^-1: the pairs of the summing path in its order
-    with equal values, the stored Fractions themselves where no sign changes."""
-    back = {i: a for a, i in enumerate(sigma)}
-    moved: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), coeffs in h.brackets.items():
-        if i in back and j in back:
-            a, b = back[i], back[j]
-            if a < b:
-                moved[a, b] = {k: c if type(c) is Fraction else Fraction(c) for k, c in coeffs.items()}
-            else:
-                moved[b, a] = {k: Fraction(-c) for k, c in coeffs.items()}
-    return moved
-
-
 def _bracket_sums(
     h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]
 ) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
@@ -307,7 +278,7 @@ def _bracket_sums(
     nothing.  den = den_v^2 * den_c, the denominators of the family and of the
     bracket table.  A total that cancels is dropped as it goes; a pair that
     some key reaches but whose bracket cancels keeps an empty dict.  The
-    summing stage of `_summed_brackets` and `_brackets_outside`."""
+    summing stage of `_pair_brackets` and `_brackets_outside`."""
     den_v, holders = _holders(vectors)
     den_c, table = h._bracket_numerators
     out: dict[tuple[int, int], dict[int, int]] = {}
@@ -327,9 +298,10 @@ def _bracket_sums(
     return den_v * den_v * den_c, out
 
 
-def _summed_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
-    """`_pair_brackets` by summing (`_bracket_sums`), each nonzero total
-    divided once."""
+def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) -> dict[tuple[int, int], dict]:
+    """{(a, b): [v_a, v_b]} for a < b over a family of sparse vectors, zero
+    brackets absent, every value a nonzero Fraction: summed by
+    `_bracket_sums`, each nonzero total divided once."""
     den, out = _bracket_sums(h, vectors)
     return {index: {k: Fraction(n, den) for k, n in w.items()} for index, w in out.items() if w}
 
@@ -339,9 +311,8 @@ def _brackets_outside(h: HomLieAlgebra, rows: Sequence[Mapping], q: Subspace) ->
     a < b, that does not lie in q: the one bracket-closure test of a subspace.
     Each bracket is summed by `_bracket_sums` and tested in those integer
     numerators (`Subspace._contains_numerators`: at any scale, so nothing is
-    divided to test it); only a reported bracket is divided.  For a
-    relabelling the summing path meets the same pairs, in the order and with
-    the values of `_moved_brackets`, so the report is that of `_pair_brackets`."""
+    divided to test it); only a reported bracket is divided, so each reported
+    bracket is the one `_pair_brackets` returns, in its order."""
     den, out = _bracket_sums(h, rows)
     return [
         (index, {k: Fraction(n, den) for k, n in w.items()})
@@ -365,14 +336,7 @@ def _pairings(
     integer numerators over den_g * den_l * den_r, the denominators of the form
     and of the two families; a total that cancels is dropped as it goes, and
     each nonzero one is divided once, so every value returned is a nonzero
-    Fraction.
-
-    Only when right is not given is left tested for a relabelling
-    (`_relabelling`), and one is read off the form by `_moved_pairings`, not
-    summed; `_pairings(form_rows, v, v)` sums."""
-    sigma = None if right is not None else _relabelling(left)
-    if sigma is not None:
-        return _moved_pairings(form_rows, sigma)
+    Fraction.  Every family, a relabelling included, is summed."""
     den_l, left_holders = _holders(left)
     den_r, right_holders = (den_l, left_holders) if right is None or right is left else _holders(right)
     den_g, g_rows = _numerators(form_rows)
@@ -386,21 +350,6 @@ def _pairings(
                         _accumulate(out, (a, b), xg * y)
     den = den_g * den_l * den_r
     return {index: Fraction(n, den) for index, n in out.items()}
-
-
-def _moved_pairings(form_rows: Sequence[Mapping], sigma: Sequence[int]) -> dict[tuple[int, int], Fraction]:
-    """`_pairings` of the relabelling v_a = b_sigma(a) with itself, sigma
-    injective: <v_a, v_b> is the form's entry at (sigma(a), sigma(b)).  So
-    row sigma(a) of the form is read for each a in turn, its entries at
-    indices that sigma reaches mapped back through sigma^-1: the pairs of the
-    summing path in its order, with the stored Fractions as values."""
-    back = {i: a for a, i in enumerate(sigma)}
-    return {
-        (a, back[j]): g if type(g) is Fraction else Fraction(g)
-        for a, i in enumerate(sigma)
-        for j, g in form_rows[i].items()
-        if j in back
-    }
 
 
 def _require_tensor(h: HomLieAlgebra, t: SparseTensor) -> None:
@@ -598,36 +547,12 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     return CheckReport("hom_jacobi", failures)
 
 
-def _bracket_failures(
-    f_cols: Sequence[Mapping], h1: HomLieAlgebra, h2: HomLieAlgebra, check: str, sigma: Sequence[int] | None
-) -> list[Failure]:
+def _bracket_failures(f_cols: Sequence[Mapping], h1: HomLieAlgebra, h2: HomLieAlgebra, check: str) -> list[Failure]:
     """Where f[b_i, b_j] = [f(b_i), f(b_j)] fails on a basis pair i < j of h1, for
-    the map with sparse columns f_cols into h2, sigma its `_relabelling`.
-    Both sides vanish unless (i, j) is a bracket key of h1 or the brackets of
-    the columns reach it.
-
-    Lemma (a relabelling's brackets are stored keys).  Let f relabel,
-    b_a -> b_sigma(a), sigma injective.  Then f[b_i, b_j] is {sigma(k): c}
-    over the stored entries of h1's key (i, j), and [f(b_i), f(b_j)] is h2's
-    stored dict at the key {sigma(i), sigma(j)}, negated when
-    sigma(i) > sigma(j).  Suppose the two agree at every key of h1, and the
-    tables have equally many keys.  Distinct pairs have distinct images, so
-    the images of h1's keys are all of h2's keys, no other pair of h1 reaches
-    a key, and nothing fails.  So a relabelling's keys are compared as dicts,
-    and only at the first mismatch are the failures summed as for any other
-    map, in the same order."""
-    if sigma is not None and len(h1.brackets) == len(h2.brackets):
-        stored = h2.brackets
-        for (i, j), coeffs in h1.brackets.items():
-            a, b = sigma[i], sigma[j]
-            if a < b:
-                if stored.get((a, b)) != {sigma[k]: c for k, c in coeffs.items()}:
-                    break
-            elif stored.get((b, a)) != {sigma[k]: -c for k, c in coeffs.items()}:
-                break
-        else:
-            return []
-    images = _summed_brackets(h2, f_cols) if sigma is None else _moved_brackets(h2, sigma)
+    the map with sparse columns f_cols into h2.  Both sides vanish unless
+    (i, j) is a bracket key of h1 or the brackets of the columns
+    (`_pair_brackets`) reach it."""
+    images = _pair_brackets(h2, f_cols)
     failures = []
     for index in h1.brackets.keys() | images.keys():
         lhs = _apply_columns(f_cols, h1.brackets.get(index, {}))
@@ -641,7 +566,7 @@ def check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
     """phi is multiplicative: phi[x, y] = [phi(x), phi(y)] on all basis pairs.
     The identity twist passes with nothing to compute: Id[x, y] = [x, y]."""
     cols = h.phi_columns
-    failures = [] if h.untwisted else _bracket_failures(cols, h, h, "twist_morphism", _relabelling(cols))
+    failures = [] if h.untwisted else _bracket_failures(cols, h, h, "twist_morphism")
     return CheckReport("twist_morphism", failures)
 
 
@@ -651,13 +576,10 @@ def check_involutive(h: HomLieAlgebra) -> bool:
     return h.untwisted or all(_apply_columns(cols, col) == {i: ONE} for i, col in enumerate(cols))
 
 
-def _intertwining_failures(
-    f_cols: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra, sigma: Sequence[int] | None
-) -> list[Failure]:
+def _intertwining_failures(f_cols: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra) -> list[Failure]:
     """Where the map with sparse columns f_cols (h1.dim of them, entries indexed
-    by h2's basis), sigma its `_relabelling`, fails f . phi1 = phi2 . f on a
-    basis vector of h1, and f[b_i, b_j] = [f(b_i), f(b_j)] on a basis pair.
-    When both twists are the identity the first holds with nothing to
+    by h2's basis) fails f . phi1 = phi2 . f on a basis vector of h1, and
+    f[b_i, b_j] = [f(b_i), f(b_j)] on a basis pair.  When both twists are the identity the first holds with nothing to
     compute: f . Id = Id . f."""
     failures = []
     phi1_cols, phi2_cols = h1.phi_columns, h2.phi_columns
@@ -666,17 +588,19 @@ def _intertwining_failures(
         rhs = _apply_columns(phi2_cols, f_cols[i])
         if lhs != rhs:
             failures.append(failure("twist_intertwine", (i,), _residual(h2, lhs, rhs)))
-    return failures + _bracket_failures(f_cols, h1, h2, "bracket_preserved", sigma)
+    return failures + _bracket_failures(f_cols, h1, h2, "bracket_preserved")
 
 
 def check_homomorphism(f: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomLieAlgebra) -> CheckReport:
     """The map with sparse columns f (one {row: entry} per basis vector of h1)
     intertwines twists and brackets: f . phi1 = phi2 . f and f[x,y] = [f(x), f(y)].
-    A relabelling's brackets are compared as stored keys (`_bracket_failures`)."""
+    Every map, a relabelling included, takes the one path of
+    `_intertwining_failures`: the twist on each basis vector, then the
+    brackets of the columns (`_bracket_failures`)."""
     problem = _columns_shape_error(f, h2.dim, h1.dim)
     if problem:
         raise ValueError(f"map must be {h2.dim}x{h1.dim} (target dim x source dim) as sparse columns: {problem}")
-    return CheckReport("homomorphism", _intertwining_failures(f, h1, h2, _relabelling(f)))
+    return CheckReport("homomorphism", _intertwining_failures(f, h1, h2))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .core import ONE, Permutation, Subspace
 from .homlie import direct_sum, negate_form
-from .manin import ManinTriple, check_manin_isomorphism
+from .manin import ManinTriple, _relabels, check_manin_isomorphism
 from .reporting import CheckReport
 
 
@@ -89,9 +89,18 @@ def snake_permutation(m: int, n: int) -> Permutation:
 
 def verify_snake_iso(t: ManinTriple, m: int, n: int) -> CheckReport:
     """Certify that the snake map is an isomorphism of split quadratic algebras
-    from the mn-fold power onto the n-fold power of the m-fold power."""
-    columns = snake_permutation(m, n).columns(t.algebra.dim)  # checks m and n first, by name
-    return check_manin_isomorphism(columns, nuble(t, m * n), uble_of_uble(t, m, n))
+    from the mn-fold power onto the n-fold power of the m-fold power.
+
+    The map moves the block of slot s, unchanged, to slot snake(s): it
+    relabels coordinates, so `_relabels` certifies it from the powers' stored
+    data.  Only when that decides nothing does `check_manin_isomorphism` run,
+    which names the failures."""
+    perm = snake_permutation(m, n)  # checks m and n first, by name
+    d = t.algebra.dim
+    flat, nested = nuble(t, m * n), uble_of_uble(t, m, n)
+    if _relabels([j * d + b for j in perm.images for b in range(d)], flat, nested):
+        return CheckReport("manin_isomorphism", [])
+    return check_manin_isomorphism(perm.columns(d), flat, nested)
 
 
 # ---------------------------------------------------------------------------

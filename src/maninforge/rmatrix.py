@@ -201,8 +201,9 @@ def _wedge_into(out: dict, t2: Mapping[tuple[int, int], int], v: Mapping[int, in
     """Add coeff * (t2 ^ v) to a degree-3 sum of integer numerators, for an
     antisymmetric t2 and a vector v, both sparse in integer numerators: each
     term coeff * t2_ab * v_c, a < b, at the six slot orders of (a, b, c),
-    signed by their parity, in the order of `core.wedge3_basis`; a total that
-    cancels is dropped as it goes.
+    signed by their parity, in the order (a, b, c), (b, c, a), (c, a, b),
+    (b, a, c), (a, c, b), (c, b, a); a total that cancels is dropped as it
+    goes.
 
     >>> out = {}
     >>> _wedge_into(out, {(0, 1): 2, (1, 0): -2}, {2: 3, 0: 1}, -1)

@@ -22,7 +22,6 @@ from maninforge.core import (
     _null_space,
     _numerators,
     _orthogonal_complement,
-    _relabelling,
     _sparse,
     _unit_columns,
     annihilator,
@@ -39,8 +38,6 @@ from maninforge.core import (
     sparse_columns,
     transpose,
     unit_vector,
-    wedge3_basis,
-    wedge_t2_v1_into,
 )
 from maninforge.homlie import (
     HomLieAlgebra,
@@ -50,7 +47,6 @@ from maninforge.homlie import (
     _by_slot,
     _dense,
     _holders,
-    _moved_brackets,
     _pair_brackets,
     _pairings,
     _phi_fixed,
@@ -475,8 +471,29 @@ def fraction_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixRepor
 # The twisted entries by slot and the graded bracket as they were before the
 # twist and the degree-3 sums moved to integer numerators: the twist applied
 # by two Fraction `_apply_per_slot` passes, and every term of the graded
-# bracket added to a Fraction tensor.  Frozen so that the integer forms can be
-# compared with them value for value and in entry order.
+# bracket added to a Fraction tensor by `wedge3_basis` and `wedge_t2_v1_into`,
+# the Fraction references of `rmatrix._wedge_into`.  Frozen so that the
+# integer forms can be compared with them value for value and in entry order.
+
+
+def wedge3_basis(t: SparseTensor, a: int, b: int, c: int, coeff: Fraction) -> None:
+    """Accumulate coeff * (e_a ^ e_b ^ e_c), the signed sum over all six slot orders."""
+    if coeff == 0:
+        return
+    for idx, sign in (
+        ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
+        ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1),
+    ):
+        t.add_into(idx, coeff if sign > 0 else -coeff)
+
+
+def wedge_t2_v1_into(t: SparseTensor, t2: SparseTensor, v, coeff: Fraction) -> None:
+    """Accumulate coeff * (t2 ^ v) into a degree-3 tensor, for an antisymmetric
+    degree-2 t2 and a sparse vector v given as {index: entry}."""
+    for (a, b), x in t2.entries.items():
+        if a < b:  # each unordered pair once; the (b, a) entry is its negative
+            for c, vc in v.items():
+                wedge3_basis(t, a, b, c, coeff * x * vc)
 
 
 def fraction_by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[tuple[dict, dict], int]:
@@ -1225,7 +1242,7 @@ def dense_stabilizer_at(rep: DenseLinearRep, point: Vector) -> Subspace:
 # The half-space tests and the text writer as they were before the closure and
 # image tests summed in integer numerators and the writer read the sparse
 # rows: `homlie._brackets_outside` (with the summing path of
-# `homlie._summed_brackets`), `core._images_outside` (with
+# `homlie._pair_brackets`), `core._images_outside` (with
 # `core._apply_columns`), `Subspace.contains_sparse` on Fraction values, the
 # reports built on them, and the writer of dense rows, one rendered value per
 # entry, frozen so the new paths can be compared with them report for report
@@ -1271,9 +1288,6 @@ def frozen_apply_columns(cols, xs) -> dict[int, Fraction]:
 
 
 def frozen_pair_brackets(h: HomLieAlgebra, vectors) -> dict[tuple[int, int], dict]:
-    sigma = _relabelling(vectors)
-    if sigma is not None:
-        return _moved_brackets(h, sigma)
     den_v, holders = _holders(vectors)
     den_c, table = h._bracket_numerators
     out: dict[tuple[int, int], dict[int, int]] = {}

@@ -21,6 +21,8 @@ from helpers import (
     rand_invertible,
     rand_subspace,
     rand_tensor,
+    wedge3_basis,
+    wedge_t2_v1_into,
 )
 from maninforge.core import (
     ONE,
@@ -52,8 +54,6 @@ from maninforge.core import (
     transpose,
     unit_vector,
     vector,
-    wedge3_basis,
-    wedge_t2_v1_into,
 )
 from maninforge.flagleaf import GroupElement
 from maninforge.homlie import HomLieAlgebra, LinearRep

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from maninforge import fileio
 from maninforge.core import SparseTensor, Subspace
 from maninforge.homlie import HomLieAlgebra
-from maninforge.manin import hyperbolic_triple, special_linear_data, triple_double
+from maninforge.manin import ManinTriple, hyperbolic_triple, special_linear_data, triple_double
 from maninforge.rmatrix import sl2_twisted
 
 rationals = st.builds(
@@ -250,6 +250,23 @@ def test_a_parsed_algebra_holds_what_the_constructor_checks(text):
 def test_triple_requires_both_parts():
     text = "algebra dim=2\nphi 1 0\nphi 0 1\npart1 1 0\n"
     expect_parse_error(fileio.parse_triple, text, 1, "part1 and part2")
+
+
+@pytest.mark.parametrize("empty", ["part1", "part2"])
+def test_a_triple_with_a_zero_dimensional_half_is_not_written(empty):
+    """The text of a triple needs rows of both halves, so `format_triple`
+    refuses a triple whose half has none, naming it, rather than write text
+    that `parse_triple` refuses."""
+    h = HomLieAlgebra.unchecked(1, {}, form=[[1]])
+    full, zero = Subspace.span(1, [[1]]), Subspace(1, ())
+    t = ManinTriple(h, zero, full) if empty == "part1" else ManinTriple(h, full, zero)
+    with pytest.raises(ValueError, match=f"{empty} is zero-dimensional"):
+        fileio.format_triple(t)
+
+def test_the_dimension_0_triple_is_not_written():
+    t = ManinTriple(HomLieAlgebra.unchecked(0, {}, form=[]), Subspace(0, ()), Subspace(0, ()))
+    with pytest.raises(ValueError, match="part1 is zero-dimensional"):
+        fileio.format_triple(t)
 
 
 def test_document_split_rejects_leading_content():

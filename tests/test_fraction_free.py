@@ -54,6 +54,7 @@ from helpers import (
     pairwise_hcyb,
     shear_product,
     tuple_index_hcyb,
+    wedge3_basis,
 )
 from maninforge.cli import run as cli_run
 from maninforge.core import (
@@ -84,7 +85,6 @@ from maninforge.core import (
     subspace_equal,
     subspace_sum,
     tensor_skew_sym_split,
-    wedge3_basis,
 )
 from maninforge.fileio import (
     format_algebra,
@@ -554,11 +554,10 @@ def test_elimination_matches_the_fraction_reference_row_for_row(n, count, seed):
 
 @pytest.mark.parametrize("n, count, seed", ROW_SHAPES)
 def test_maps_match_the_fraction_reference_key_for_key(n, count, seed):
-    """Hostile columns, then unit columns, which `_apply_columns` applies by
-    relabelling when it can: a block permutation, the same with two sources
-    sent to one target, and with one unit column holding Fraction(0) or an
-    int 1; on the hostile vectors (zero and int entries among them) and on
-    vectors of nonzero Fractions."""
+    """Hostile columns, then unit columns: a block permutation, the same with
+    two sources sent to one target, and with one unit column holding
+    Fraction(0) or an int 1; on the hostile vectors (zero and int entries
+    among them) and on vectors of nonzero Fractions."""
     rng = random.Random(f"maps {n} {count} {seed}")
     cols = (hostile_rows(rng, n, count) + [{}] * n)[:n]
     vectors = hostile_rows(rng, n, 6) + [{}]
@@ -697,9 +696,9 @@ def test_pairings_and_pair_brackets_leave_out_what_cancels():
 
 def test_relabelled_brackets_and_pairings_equal_the_summing_path_key_for_key():
     """On a relabelling (distinct unit vectors), `_pair_brackets` and
-    `_pairings` read stored entries; on the same family with each 1 made 2,
-    which they sum, each value is 4 times as large, with the same pairs, keys
-    and order.  Entries stored as ints come back as Fractions."""
+    `_pairings` return the stored entries; on the same family with each 1
+    made 2, each value is 4 times as large, with the same pairs, keys and
+    order.  Entries stored as ints come back as Fractions."""
     rng = random.Random(2409)
     brackets, form_rows = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}}, ({0: 2}, {2: -1}, {1: -1})
     int_stored = HomLieAlgebra(3, brackets, _unit_columns(3), form_rows)
@@ -1238,7 +1237,9 @@ def test_half_reports_and_text_match_the_frozen_forms(name):
     Fraction paths return, in the same order with the same entry order; each
     half's report equals the frozen one `to_json()` for `to_json()`; and the
     writer's text for the triple, its algebra and each half equals the frozen
-    dense-view writer's byte for byte and parses back to itself."""
+    dense-view writer's byte for byte and parses back to itself.  A triple
+    with a zero-dimensional half has no triple text: `format_triple` refuses
+    it (`test_a_triple_with_a_zero_dimensional_half_is_not_written`)."""
     t = HALF_SPACE_TRIPLES[name]
     h = t.algebra
     for label, part in (("part1", t.part1), ("part2", t.part2)):
@@ -1248,12 +1249,15 @@ def test_half_reports_and_text_match_the_frozen_forms(name):
         assert _part_report(t, part, label).to_json() == frozen_part_report(t, part, label).to_json()
         assert format_subspace(part) == frozen_format_subspace(part)
         assert format_subspace(parse_subspace(format_subspace(part))) == format_subspace(part)
-    text = format_triple(t)
-    assert text == frozen_format_triple(t)
     assert format_algebra(h) == frozen_format_algebra(h)
     if t.part1.dim and t.part2.dim:  # the triple format needs rows in both halves
+        text = format_triple(t)
+        assert text == frozen_format_triple(t)
         assert format_triple(parse_triple(text)) == text
         assert check_manin_triple(parse_triple(text)).to_json() == check_manin_triple(t).to_json()
+    else:
+        with pytest.raises(ValueError, match="zero-dimensional"):
+            format_triple(t)
     assert format_algebra(parse_algebra(format_algebra(h))) == format_algebra(h)
 
 

@@ -39,6 +39,7 @@ from maninforge.manin import (
     hyperbolic_triple,
     lambda_st,
     r_from_splitting,
+    _relabels,
     special_linear_data,
     triple_double,
     triple_g_plus_h,
@@ -238,16 +239,24 @@ def test_homomorphism_refuses_a_row_index_that_is_not_an_int():
         check_homomorphism([{0: 1}, {True: 1}], h, h)
 
 
+def _sigma(cols: list[dict]) -> list[int]:
+    """sigma with cols[a] == {sigma[a]: 1}, for the columns of a relabelling."""
+    return [next(iter(col)) for col in cols]
+
+
 def _check_slot_regroupings(base: ManinTriple) -> None:
     """Every slot regrouping of the four-fold power of base, the snake and 23
-    wrong ones, fails exactly as the dense reference says."""
+    wrong ones, fails exactly as the dense reference says, and `_relabels`
+    certifies exactly the one that passes."""
     flat, nested = nuble(base, 4), uble_of_uble(base, 2, 2)
     passed = 0
     for images in itertools.permutations(range(4)):
         p = Permutation(images)
-        report = check_manin_isomorphism(p.columns(base.dim), flat, nested)
+        cols = p.columns(base.dim)
+        report = check_manin_isomorphism(cols, flat, nested)
         dense = dense_check_manin_isomorphism(dense_block_permutation(p, base.dim), flat, nested)
         assert report.failures == dense.failures, images
+        assert _relabels(_sigma(cols), flat, nested) == report.passed, images
         passed += report.passed
     assert passed == 1
 
@@ -269,25 +278,21 @@ def _matches_the_dense_reference(f: list[dict], t1: ManinTriple, t2: ManinTriple
     return report.passed
 
 
-def _refuse(*args):
-    raise AssertionError("a relabelling's half image was row-reduced")
-
-
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
-def test_relabelled_reports_match_the_dense_reference_on_every_hyperbolic_slot_permutation(m, n, monkeypatch):
+def test_relabelled_reports_match_the_dense_reference_on_every_hyperbolic_slot_permutation(m, n):
     """All 6! slot permutations of the six-fold hyperbolic power onto the
-    nested one are relabellings: decided from stored keys, with no half image
-    reduced, each reports what the dense reference does, and only the snake
-    passes."""
-    monkeypatch.setattr(maninforge.manin, "_column_image", _refuse)
+    nested one are relabellings: each reports what the dense reference does,
+    only the snake passes, and `_relabels` certifies exactly the snake."""
     base = hyperbolic_triple()
     flat, nested = nuble(base, m * n), uble_of_uble(base, m, n)
-    winners = [
-        images
-        for images in itertools.permutations(range(m * n))
-        if _matches_the_dense_reference(Permutation(images).columns(base.dim), flat, nested)
-    ]
-    assert winners == [snake_permutation(m, n).images]
+    winners, certified = [], []
+    for images in itertools.permutations(range(m * n)):
+        cols = Permutation(images).columns(base.dim)
+        if _matches_the_dense_reference(cols, flat, nested):
+            winners.append(images)
+        if _relabels(_sigma(cols), flat, nested):
+            certified.append(images)
+    assert winners == certified == [snake_permutation(m, n).images]
 
 
 def _near_relabellings(cols: list[dict]) -> list[list[dict]]:
@@ -304,37 +309,29 @@ def _near_relabellings(cols: list[dict]) -> list[list[dict]]:
     return out
 
 
-def test_near_relabellings_take_the_summing_path(monkeypatch):
+def test_near_relabellings_take_the_summing_path():
     """A snake map with one column off a unit, or with two columns on one
-    row, is no relabelling: its half images are row-reduced, and it fails
-    exactly as the dense reference says."""
-    reduced = []
-    column_image = maninforge.manin._column_image
-    monkeypatch.setattr(maninforge.manin, "_column_image", lambda *args: reduced.append(1) or column_image(*args))
+    row, is no relabelling, and it fails exactly as the dense reference
+    says; the snake map itself passes."""
     d2 = triple_double(special_linear_data(2))
     flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
     snake = snake_permutation(2, 2).columns(d2.dim)
-    assert _matches_the_dense_reference(snake, flat, nested) and reduced == []
-    maps = _near_relabellings(snake)
-    for f in maps:
-        assert maninforge.core._relabelling(f) is None
+    assert _matches_the_dense_reference(snake, flat, nested)
+    for f in _near_relabellings(snake):
         assert not _matches_the_dense_reference(f, flat, nested)
-    assert len(reduced) == 2 * len(maps)
 
 
-def test_relabelled_halves_off_their_mates_rows_are_decided_by_membership(monkeypatch):
+def test_relabelled_halves_off_their_mates_rows_are_decided_by_the_generic_path():
     """Relabelled canonical rows of random subspaces are seldom canonical, so
-    `_relabels_onto` falls back on membership.  Each half's mate is its image,
-    a larger space holding the image, or a random space of its dimension; the
-    verdicts equal the dense reference's."""
+    `_relabels` seldom certifies, and its False decides nothing: the verdict
+    is `check_manin_isomorphism`'s.  Each half's mate is its image, a larger
+    space holding the image, or a random space of its dimension; the
+    verdicts equal the dense reference's, and each map `_relabels`
+    certifies passes."""
     rng = random.Random(2407)
-    outcomes = []
-    contains = Subspace.contains_sparse
-    monkeypatch.setattr(Subspace, "contains_sparse", lambda q, xs: outcomes.append(contains(q, xs)) or outcomes[-1])
-    monkeypatch.setattr(maninforge.manin, "_column_image", _refuse)
     n = 6
     h = HomLieAlgebra.unchecked(n, {}, form=identity_matrix(n))
-    verdicts = set()
+    outcomes = set()
     for _ in range(60):
         p = Permutation(tuple(rng.sample(range(n), n)))
         parts = [rand_subspace(rng, n, rng.randint(1, n - 1)) for _ in range(2)]
@@ -343,19 +340,19 @@ def test_relabelled_halves_off_their_mates_rows_are_decided_by_membership(monkey
             image = dense_map_subspace(dense_block_permutation(p, 1), q)
             superspace = Subspace.span(n, [*image.rows, [rng.randint(-4, 4) for _ in range(n)]])
             mates.append(rng.choice((image, superspace, rand_subspace(rng, n, q.dim))))
-        verdicts.add(_matches_the_dense_reference(p.columns(), ManinTriple(h, *parts), ManinTriple(h, *mates)))
-    assert verdicts == {True, False}
-    assert True in outcomes and False in outcomes
+        t1, t2 = ManinTriple(h, *parts), ManinTriple(h, *mates)
+        passed = _matches_the_dense_reference(p.columns(), t1, t2)
+        certified = _relabels(list(p.images), t1, t2)
+        assert passed or not certified
+        outcomes.add((passed, certified))
+    assert {(True, False), (False, False)} <= outcomes
 
 
-def test_homomorphism_reports_match_the_dense_reference_on_relabellings_of_twisted_sums(monkeypatch):
+def test_homomorphism_reports_match_the_dense_reference_on_relabellings_of_twisted_sums():
     """Slot permutations and seeded coordinate permutations between sums of
     twisted and untwisted sl2 copies: the brackets of the columns are read off
     the twisted target's table (some with a swapped, negated key), and every
     report equals the dense reference's."""
-    relabelled = []
-    relabelling = maninforge.homlie._relabelling
-    monkeypatch.setattr(maninforge.homlie, "_relabelling", lambda v: relabelled.append(relabelling(v)) or relabelled[-1])
     tw, lie = sl2_twisted(), sl2_lie()
     source = direct_sum(tw, lie, tw)
     rng = random.Random(2408)
@@ -372,7 +369,6 @@ def test_homomorphism_reports_match_the_dense_reference_on_relabellings_of_twist
     assert checks == {"pass", "twist_intertwine", "bracket_preserved"}
     back = [{next(iter(col)): a for a, col in enumerate(f)} for f in maps]
     assert any(b[i] > b[j] for b in back for i, j in source.brackets)
-    assert sum(sigma is not None for sigma in relabelled) == 2 * len(maps)
 
 
 def _bracket_edits(h: HomLieAlgebra) -> list[dict]:
@@ -392,30 +388,21 @@ def _with_brackets(t: ManinTriple, brackets: dict) -> ManinTriple:
     return ManinTriple(HomLieAlgebra(h.dim, brackets, h.phi_columns, h.form_rows), t.part1, t.part2)
 
 
-def _count_fallbacks(monkeypatch) -> list:
-    """Patch `_moved_brackets`, which only a relabelling whose stored keys do
-    not match calls, to record each call."""
-    calls = []
-    moved_brackets = maninforge.homlie._moved_brackets
-    monkeypatch.setattr(maninforge.homlie, "_moved_brackets", lambda *args: calls.append(1) or moved_brackets(*args))
-    return calls
-
-
-def test_relabelled_brackets_off_the_stored_keys_fail_as_the_dense_reference_says(monkeypatch):
+def test_relabelled_brackets_off_the_stored_keys_fail_as_the_dense_reference_says():
     """The snake map between powers of D2 whose bracket tables have one key
-    off, on either side: the stored keys do not match, and the summed
-    failures are the dense reference's, all of them on brackets."""
-    fallbacks = _count_fallbacks(monkeypatch)
+    off, on either side: the stored keys do not match, so `_relabels` does
+    not certify it, and the failures are the dense reference's, all of them
+    on brackets."""
     d2 = triple_double(special_linear_data(2))
     flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
     snake = snake_permutation(2, 2).columns(d2.dim)
-    assert _matches_the_dense_reference(snake, flat, nested) and fallbacks == []
+    assert _matches_the_dense_reference(snake, flat, nested) and _relabels(_sigma(snake), flat, nested)
     pairs = [(flat, _with_brackets(nested, edited)) for edited in _bracket_edits(nested.algebra)]
     pairs += [(_with_brackets(flat, edited), nested) for edited in _bracket_edits(flat.algebra)]
     for source, target in pairs:
         assert not _matches_the_dense_reference(snake, source, target)
+        assert not _relabels(_sigma(snake), source, target)
         assert {x.check for x in check_manin_isomorphism(snake, source, target).failures} == {"bracket_preserved"}
-    assert len(fallbacks) == 2 * len(pairs)
 
 
 def _relabelled_algebra(h: HomLieAlgebra, sigma: tuple[int, ...], brackets: dict | None = None) -> HomLieAlgebra:
@@ -433,18 +420,15 @@ def _relabelled_algebra(h: HomLieAlgebra, sigma: tuple[int, ...], brackets: dict
     return HomLieAlgebra(h.dim, table, phi)
 
 
-def test_relabellings_that_flip_keys_on_a_twisted_sum_match_the_dense_reference(monkeypatch):
+def test_relabellings_that_flip_keys_on_a_twisted_sum_match_the_dense_reference():
     """Seeded relabellings sigma of a sum of twisted and untwisted sl2 onto
     the sum renamed by sigma, which flips keys (sigma(i) > sigma(j)): each
-    passes from stored keys alone.  With one stored entry changed at any key
-    of the source, or one key off in the target, each report equals the dense
-    reference's."""
-    fallbacks = _count_fallbacks(monkeypatch)
+    passes.  With one stored entry changed at any key of the source, or one
+    key off in the target, each report equals the dense reference's."""
     source = direct_sum(sl2_twisted(), sl2_lie(), sl2_twisted())
     rng = random.Random(2501)
     sigmas = [tuple(range(8, -1, -1))] + [tuple(rng.sample(range(9), 9)) for _ in range(12)]
     assert all(any(s[i] > s[j] for i, j in source.brackets) for s in sigmas)
-    failing = 0
     for sigma in sigmas:
         f = Permutation(sigma).columns()
         target = _relabelled_algebra(source, sigma)
@@ -455,8 +439,6 @@ def test_relabellings_that_flip_keys_on_a_twisted_sum_match_the_dense_reference(
             report = check_homomorphism(f, source, wrong)
             assert report.failures == dense_check_homomorphism(dense_of_columns(f, 9), source, wrong).failures
             assert {x.check for x in report.failures} == {"bracket_preserved"}
-            failing += 1
-    assert len(fallbacks) == failing
 
 
 def _changed_entries(h: HomLieAlgebra) -> list[dict]:
@@ -466,23 +448,6 @@ def _changed_entries(h: HomLieAlgebra) -> list[dict]:
         ((k, c), *rest) = coeffs.items()
         out.append({**h.brackets, key: {k: 2 * c, **dict(rest)}})
     return out
-
-
-def test_isomorphism_scans_its_map_once(monkeypatch):
-    """One `_relabelling` scan per `check_manin_isomorphism` call, whether
-    the map is a relabelling, a near one, or a dense invertible map."""
-    calls = []
-    relabelling = maninforge.core._relabelling
-    for module in (maninforge.core, maninforge.homlie, maninforge.manin):
-        monkeypatch.setattr(module, "_relabelling", lambda v: calls.append(1) or relabelling(v))
-    d2 = triple_double(special_linear_data(2))
-    flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
-    snake = snake_permutation(2, 2).columns(d2.dim)
-    maps = [snake, *_near_relabellings(snake), sparse_columns(rand_invertible(random.Random(2502), flat.dim))]
-    for f in maps:
-        calls.clear()
-        check_manin_isomorphism(f, flat, nested)
-        assert len(calls) == 1
 
 
 @given(st.integers(0, 2**30), st.sampled_from((0, 1, 2)))

@@ -10,6 +10,7 @@ import pytest
 
 import maninforge.core
 import maninforge.homlie
+import maninforge.polyuble
 import maninforge.rmatrix
 from helpers import dense_block_permutation, dense_nuble, rand_vector
 from maninforge.core import (
@@ -22,6 +23,7 @@ from maninforge.core import (
     subspace_equal,
     transpose,
 )
+from maninforge.homlie import HomLieAlgebra
 from maninforge.manin import (
     ManinTriple,
     check_manin_isomorphism,
@@ -39,6 +41,7 @@ from maninforge.polyuble import (
     uble_of_uble,
     verify_snake_iso,
 )
+from maninforge.reporting import CheckReport
 
 DOT_N2 = (
     "graph chains {\n"
@@ -281,7 +284,7 @@ def test_snake_certificate_needs_no_dense_matrix_product(monkeypatch):
 def test_snake_certificate_eliminates_only_the_two_half_images(monkeypatch):
     """Work-count guard: the powers' halves are built canonical (the lemma in
     `nuble`), and the snake map is a relabelling, whose half images are
-    compared with their mates' rows without reduction (`_relabels_onto`).  So
+    compared with their mates' rows without reduction (`_relabels`).  So
     certifying the snake row-reduces nothing; it ran 8 eliminations when the
     powers reduced their halves, and 2 when the half images were reduced.
     Every elimination, a full reduction or a rank, runs the one elimination
@@ -299,13 +302,20 @@ def test_snake_certificate_eliminates_only_the_two_half_images(monkeypatch):
     assert len(calls) == 0
 
 
+def _refuse_check(*args):
+    raise AssertionError("check_manin_isomorphism was called")
+
+
 def test_snake_certificate_builds_no_fraction(monkeypatch):
     """Work-count guard: once the powers are built, a passing snake
-    certificate moves stored entries to new keys: brackets, pairings, the form
-    residual and the half images build no Fraction."""
+    certificate compares their stored data moved to new keys (`_relabels`):
+    brackets, twist, form and half rows build no Fraction, and
+    `check_manin_isomorphism` is never called."""
     d2 = triple_double(special_linear_data(2))
     flat, nested = nuble(d2, 6), uble_of_uble(d2, 2, 3)
-    columns = snake_permutation(2, 3).columns(d2.dim)
+    monkeypatch.setattr(maninforge.polyuble, "nuble", lambda t, n: flat)
+    monkeypatch.setattr(maninforge.polyuble, "uble_of_uble", lambda t, m, n: nested)
+    monkeypatch.setattr(maninforge.polyuble, "check_manin_isomorphism", _refuse_check)
     built = []
     new = Fraction.__new__
 
@@ -314,36 +324,57 @@ def test_snake_certificate_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    report = check_manin_isomorphism(columns, flat, nested)
+    report = verify_snake_iso(d2, 2, 3)
     monkeypatch.undo()
     assert report.passed
     assert built == []
 
 
-def test_permutation_columns_are_applied_without_building_a_fraction(monkeypatch):
-    """A permutation's columns relabel a Fraction vector: the image holds the
-    same Fraction objects under the new keys, and no Fraction is built."""
-    rng = random.Random("relabel")
-    p = snake_permutation(3, 3)
-    cols = p.columns(4)
-    rows = [
-        {c: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for c in rng.sample(range(36), k)}
-        for k in (1, 2, 3, 36)
-    ]
-    built = []
-    new = Fraction.__new__
+SNAKE_SHAPES = [("D2", 2, 2), ("D2", 2, 3), ("D2", 2, 4), ("D2", 3, 3), ("D3", 2, 2), ("D3", 3, 3), ("g+h", 2, 2)]
 
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    images = [_apply_columns(cols, row) for row in rows]
-    monkeypatch.undo()
-    assert built == []
-    for row, image in zip(rows, images):
-        assert list(image) == [p(c // 4) * 4 + c % 4 for c in row]
-        assert all(image[p(c // 4) * 4 + c % 4] is x for c, x in row.items())
+def _snake_base(name: str) -> ManinTriple:
+    if name == "g+h":
+        return triple_g_plus_h(special_linear_data(2))
+    return triple_double(special_linear_data(int(name[1])))
+
+
+@pytest.mark.parametrize("name, m, n", SNAKE_SHAPES)
+def test_snake_certificate_passes_without_the_generic_check(name, m, n, monkeypatch):
+    """`_relabels` certifies the snake map of every benchmarked shape (and D3
+    at 3x3) alone: `check_manin_isomorphism` is never called."""
+    monkeypatch.setattr(maninforge.polyuble, "check_manin_isomorphism", _refuse_check)
+    assert verify_snake_iso(_snake_base(name), m, n).to_json() == CheckReport("manin_isomorphism", []).to_json()
+
+
+@pytest.mark.parametrize("name, m, n", SNAKE_SHAPES)
+def test_snake_certificate_without_a_relabelling_is_the_generic_report(name, m, n, monkeypatch):
+    """With `_relabels` deciding nothing, `verify_snake_iso` returns what
+    `check_manin_isomorphism` reports on the snake map's columns."""
+    t = _snake_base(name)
+    expected = check_manin_isomorphism(snake_permutation(m, n).columns(t.dim), nuble(t, m * n), uble_of_uble(t, m, n))
+    calls = []
+    check = maninforge.polyuble.check_manin_isomorphism
+    monkeypatch.setattr(maninforge.polyuble, "_relabels", lambda *args: False)
+    monkeypatch.setattr(maninforge.polyuble, "check_manin_isomorphism", lambda *args: calls.append(1) or check(*args))
+    assert verify_snake_iso(t, m, n).to_json() == expected.to_json()
+    assert calls == [1]
+
+
+def test_snake_certificate_names_the_failures_of_a_wrong_target(monkeypatch):
+    """With one stored bracket entry of the nested power changed, the stored
+    keys do not match, and `verify_snake_iso` returns the failures that
+    `check_manin_isomorphism` names."""
+    d2 = triple_double(special_linear_data(2))
+    flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
+    h = nested.algebra
+    key = list(h.brackets)[len(h.brackets) // 2]
+    brackets = {**h.brackets, key: {k: 2 * c for k, c in h.brackets[key].items()}}
+    wrong = ManinTriple(HomLieAlgebra(h.dim, brackets, h.phi_columns, h.form_rows), nested.part1, nested.part2)
+    monkeypatch.setattr(maninforge.polyuble, "uble_of_uble", lambda t, m, n: wrong)
+    report = verify_snake_iso(d2, 2, 2)
+    assert not report.passed and {x.check for x in report.failures} == {"bracket_preserved"}
+    assert report.to_json() == check_manin_isomorphism(snake_permutation(2, 2).columns(d2.dim), flat, wrong).to_json()
 
 
 # ---------------------------------------------------------------------------

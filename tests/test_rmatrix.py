@@ -21,6 +21,7 @@ from helpers import (
     rand_phi_fixed_skew,
     rand_tensor,
     rand_vector,
+    wedge3_basis,
 )
 from maninforge import rmatrix
 from maninforge.core import (
@@ -34,7 +35,6 @@ from maninforge.core import (
     matrix_rank,
     tensor_skew_sym_split,
     unit_vector,
-    wedge3_basis,
 )
 from maninforge.homlie import HomLieAlgebra, check_involutive, direct_sum
 from maninforge.manin import (
