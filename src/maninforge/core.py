@@ -15,8 +15,7 @@ integer rows, the other two over one common denominator.  Each builds one
 Fraction per value it returns, and none per term.  The image test
 `_images_outside` tests the integer sums of `_column_sums` as they are, and
 divides only the images it reports.  Every map takes the one summing path, a
-relabelling (unit columns at distinct rows) included; the snake certificate
-compares relabelled stored data in `manin._relabels` instead.
+relabelling (unit columns at distinct rows) included.
 """
 from __future__ import annotations
 

@@ -157,6 +157,15 @@ def format_subspace(s: Subspace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parsed_span(dim: int, rows: list[dict[int, Fraction]]) -> Subspace:
+    """`_span(dim, rows)`: canonical rows, as the writers emit them, pass the
+    `Subspace` constructor's check as they are; only refused rows are reduced."""
+    try:
+        return Subspace(dim, tuple(rows))
+    except ValueError:
+        return _span(dim, rows)
+
+
 def parse_subspace(text: str) -> Subspace:
     lines = _numbered_lines(text)
     if not lines:
@@ -174,7 +183,7 @@ def parse_subspace(text: str) -> Subspace:
         if len(tokens) != dim:
             raise ParseError(lineno, f"expected {dim} entries per row")
         rows.append(row)
-    return _span(dim, rows)
+    return _parsed_span(dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +307,8 @@ def parse_triple(text: str) -> ManinTriple:
     algebra, part_rows = _parse_algebra_body(lines, allow_parts=True)
     if not part_rows["part1"] or not part_rows["part2"]:
         raise ParseError(lines[0][0], "triple needs part1 and part2 rows")
-    return ManinTriple(
-        algebra, _span(algebra.dim, part_rows["part1"]), _span(algebra.dim, part_rows["part2"]), name=algebra.name
-    )
+    part1, part2 = (_parsed_span(algebra.dim, part_rows[label]) for label in ("part1", "part2"))
+    return ManinTriple(algebra, part1, part2, name=algebra.name)
 
 
 # ---------------------------------------------------------------------------

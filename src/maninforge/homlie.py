@@ -361,8 +361,19 @@ def _require_tensor(h: HomLieAlgebra, t: SparseTensor) -> None:
 
 
 def _phi_fixed(h: HomLieAlgebra, t: SparseTensor) -> bool:
-    """True when (phi (x) phi)t = t for a degree-2 t."""
-    return h.untwisted or t._apply_per_slot((h.phi_columns, h.phi_columns)) == t
+    """True when (phi (x) phi)t = t for a degree-2 t, in integer numerators:
+    phi applied to the slot-0 index of `_by_slot`'s (Id (x) phi)t, over den,
+    gives (phi (x) phi)t over den * den_phi, compared with t over that."""
+    if h.untwisted:
+        return True
+    (left, _), den = _by_slot(h, t)
+    den_p, phi = _numerators(h.phi_columns)
+    twisted: dict[tuple[int, int], int] = {}
+    for a, row in left.items():
+        for e, p in phi[a].items():
+            for c, v in row:
+                _accumulate(twisted, (e, c), p * v)
+    return twisted == {index: v.numerator * (den * den_p // v.denominator) for index, v in t.entries.items()}
 
 
 def _by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[tuple[dict, dict], int]:

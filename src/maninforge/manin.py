@@ -190,8 +190,7 @@ def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: M
     columns under g2 (`_pairings`), less g1, each entry compared before it is
     subtracted; each half's image is row-reduced and compared with its mate's
     canonical rows.  Every map, a relabelling included, takes this one path,
-    which names every failure; `_relabels` certifies a relabelling from stored
-    data alone."""
+    which names every failure."""
     h1, h2 = t1.algebra, t2.algebra
     if h1.dim != h2.dim or _columns_shape_error(f, h2.dim, h1.dim):
         return CheckReport("manin_isomorphism", [failure("shape", (h1.dim, h2.dim, len(f)))])
@@ -212,60 +211,6 @@ def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: M
         if not subspace_equal(_column_image(f, h2.dim, source), target):
             failures.append(failure(label))
     return CheckReport("manin_isomorphism", failures)
-
-
-def _relabels(sigma: Sequence[int], t1: ManinTriple, t2: ManinTriple) -> bool:
-    """Whether the relabelling f(b_a) = b_sigma(a), sigma a permutation of
-    range(t1.dim), carries t1's stored data onto t2's, of equal dimension.  True certifies that f
-    is a triple isomorphism, so `check_manin_isomorphism` passes it; False
-    decides nothing, since equal spaces can be stored in other rows.
-
-    Lemma (a relabelling moves stored data to new keys).  Let f relabel.
-    - Brackets.  f[b_i, b_j] is {sigma(k): c} over the stored entries of h1's
-      key (i, j), and [f(b_i), f(b_j)] is h2's stored dict at the key
-      {sigma(i), sigma(j)}, negated when sigma(i) > sigma(j).  Suppose the two
-      agree at every key of h1 and the tables have equally many keys.
-      Distinct pairs have distinct images, so the images of h1's keys are all
-      of h2's keys, and on every other pair both sides vanish.
-    - Twist.  f . phi1 = phi2 . f on b_i when column i of phi1, relabelled, is
-      column sigma(i) of phi2.  Two identity twists pass with nothing to
-      compare: f . Id = Id . f.
-    - Form.  <f(b_i), f(b_j)> under g2 is g2's entry at (sigma(i), sigma(j)),
-      so f^T g2 f = g1 when row i of g1, relabelled, is row sigma(i) of g2.
-    - Halves.  f is injective, so the image of a half has its dimension and
-      is spanned by its canonical rows relabelled.  When those rows, ordered
-      by pivot, are the mate's canonical rows, they span the mate.
-    No row is reduced, and a Fraction is built only to negate the entries of
-    a key whose order sigma flips.
-
-    >>> t = hyperbolic_triple()
-    >>> swapped = ManinTriple(t.algebra, t.part2, t.part1)
-    >>> _relabels([0, 1], t, t), _relabels([1, 0], t, swapped), _relabels([1, 0], t, t)
-    (True, True, False)
-    """
-    h1, h2 = t1.algebra, t2.algebra
-    if h1.dim != h2.dim or len(h1.brackets) != len(h2.brackets):
-        return False
-    stored = h2.brackets
-    for (i, j), coeffs in h1.brackets.items():
-        a, b = sigma[i], sigma[j]
-        if a < b:
-            if stored.get((a, b)) != {sigma[k]: c for k, c in coeffs.items()}:
-                return False
-        elif stored.get((b, a)) != {sigma[k]: -c for k, c in coeffs.items()}:
-            return False
-    moved = lambda rows: [{sigma[k]: x for k, x in row.items()} for row in rows]
-    if not (h1.untwisted and h2.untwisted):
-        phi2 = h2.phi_columns
-        if any(col != phi2[sigma[i]] for i, col in enumerate(moved(h1.phi_columns))):
-            return False
-    g2 = _form_rows(t2)
-    if any(row != g2[sigma[i]] for i, row in enumerate(moved(_form_rows(t1)))):
-        return False
-    return all(
-        sorted(moved(source.echelon), key=min) == list(target.echelon)
-        for source, target in ((t1.part1, t2.part1), (t1.part2, t2.part2))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,54 @@ from fractions import Fraction
 
 from .core import ONE, Permutation, Subspace
 from .homlie import direct_sum, negate_form
-from .manin import ManinTriple, _relabels, check_manin_isomorphism
+from .manin import ManinTriple, check_manin_isomorphism
 from .reporting import CheckReport
 
-
-def _edge_rows(d: int, s: int) -> list[dict[int, Fraction]]:
-    """Sparse diagonal rows joining ambient slots s and s+1 (1-based slots, block size d)."""
-    lo = (s - 1) * d
-    return [{lo + i: ONE, lo + d + i: ONE} for i in range(d)]
+Chain = tuple[tuple[int, ...], tuple[tuple[tuple[int, int, int], ...], ...]]  # see `_chain`
 
 
-def _embed_rows(d: int, s: int, part: Subspace) -> list[dict[int, Fraction]]:
-    """The stored rows of a subspace of the base, in Fractions, placed into ambient slot s (1-based)."""
-    offset = (s - 1) * d
-    return [{offset + i: x if type(x) is Fraction else Fraction(x) for i, x in row.items()} for row in part.echelon]
+def _chain(n: int, inner: Chain = ((1,), (((1, 1, 1),), ((1, 1, 2),)))) -> Chain:
+    """(signs, (part1 pieces, part2 pieces)), the chain of the n-fold power of
+    a triple whose chain is inner (the base's by default), in 1-based slots of
+    one base block each: signs[s - 1] is slot s's form sign, and a piece
+    (lo, hi, k) is an edge, k = 0, the diagonal rows joining slots lo < hi, or
+    a label, base half k in slot lo == hi.  Each slot is in one piece per half.
+
+    Outer slot r holds inner slot c at (r - 1)m + c, with sign (-1)^(r+1)
+    times c's.  Edge (r, r+1), in part 1 for odd r and part 2 for even r, is
+    the m slot edges ((r, c), (r + 1, c)).  Inner half 2 fills outer slot 1,
+    and inner half 1 fills slot n, in the half whose edges leave it free.  The
+    pieces stay in slot order, the order of the built rows.
+
+    >>> _chain(3)
+    ((1, -1, 1), (((1, 2, 0), (3, 3, 1)), ((1, 1, 2), (2, 3, 0))))
+    >>> _chain(2, _chain(2))
+    ((1, -1, -1, 1), (((1, 3, 0), (2, 4, 0)), ((1, 1, 2), (2, 2, 1), (3, 4, 0))))
+    """
+    signs, (half1, half2) = inner
+    m = len(signs)
+    edges = lambda r: [((r - 1) * m + c, r * m + c, 0) for c in range(1, m + 1)]
+    shifted = lambda half, r: [((r - 1) * m + lo, (r - 1) * m + hi, k) for lo, hi, k in half]
+    part1 = [piece for r in range(1, n, 2) for piece in edges(r)]
+    part2 = shifted(half2, 1) + [piece for r in range(2, n, 2) for piece in edges(r)]
+    (part1 if n % 2 else part2).extend(shifted(half1, n))
+    return tuple(x if r % 2 else -x for r in range(1, n + 1) for x in signs), (tuple(part1), tuple(part2))
+
+
+def _piece_rows(t: ManinTriple, pieces: tuple[tuple[int, int, int], ...]) -> list[dict[int, Fraction]]:
+    """The sparse rows of a power's half, piece by piece: an edge's d rows
+    {lo_i: 1, hi_i: 1}, a label's base half's canonical rows, in Fractions,
+    shifted into its slot."""
+    d = t.dim
+    rows: list[dict[int, Fraction]] = []
+    for lo, hi, k in pieces:
+        a, b = (lo - 1) * d, (hi - 1) * d
+        if k:
+            part = (t.part1, t.part2)[k - 1].echelon
+            rows += ({a + i: x if type(x) is Fraction else Fraction(x) for i, x in row.items()} for row in part)
+        else:
+            rows += ({a + i: ONE, b + i: ONE} for i in range(d))
+    return rows
 
 
 def _require_count(name: str, value: int) -> None:
@@ -35,30 +69,22 @@ def _require_count(name: str, value: int) -> None:
 
 def nuble(t: ManinTriple, n: int) -> ManinTriple:
     """The n-fold power: componentwise bracket and twist, alternating-sign form
-    sum_j (-1)^(j+1) <a_j, a_j'>, split into the two diagonal chains.
+    sum_j (-1)^(j+1) <a_j, a_j'>, split into the two diagonal chains of
+    `_chain(n)`, whose pieces give the halves' rows.
 
-    Lemma (the halves need no elimination).  A half's edges (s, s+1) all
-    have s of one parity, so no two share a slot, and its base rows sit in the
-    one slot that its edges leave free, in slot order with them.  Edge row i
-    of (s, s+1) has pivot lo+i, entry 1, and one more entry, at lo+d+i in
-    slot s+1, where no other row is nonzero; the base rows are canonical,
-    shifted.  So the rows, in the order built, are the half's reduced echelon
-    basis.  The `Subspace` constructor checks all of this, so a wrong lemma
-    raises."""
+    Lemma (the halves need no elimination).  A half's pieces lie on disjoint
+    slots, in slot order.  Edge row i of (s, s+1) has pivot lo+i, entry 1,
+    and one more entry, at lo+d+i in slot s+1, where no other row is nonzero;
+    the base rows are canonical, shifted.  So the rows, in the order built,
+    are the half's reduced echelon basis.  The `Subspace` constructor checks
+    all of this, so a wrong lemma raises."""
     _require_count("n", n)
     h = t.algebra
-    d = h.dim
     negated = negate_form(h)
-    copies = [negated if j % 2 else h for j in range(n)]
-    ambient = direct_sum(*copies)
-    # Edge (s, s+1) joins slots s and s+1: odd s in the first chain, even s in
-    # the second.  The base's second half fills slot 1; its first half fills
-    # slot n, in the chain whose edges leave slot n free.
-    part1_rows = [row for s in range(1, n, 2) for row in _edge_rows(d, s)]
-    part2_rows = _embed_rows(d, 1, t.part2) + [row for s in range(2, n, 2) for row in _edge_rows(d, s)]
-    (part1_rows if n % 2 else part2_rows).extend(_embed_rows(d, n, t.part1))
-    base = t.name or "triple"
-    return ManinTriple(ambient, Subspace(n * d, part1_rows), Subspace(n * d, part2_rows), name=f"{base}^{n}")
+    signs, halves = _chain(n)
+    ambient = direct_sum(*(h if sign > 0 else negated for sign in signs))
+    part1, part2 = (Subspace(n * h.dim, _piece_rows(t, pieces)) for pieces in halves)
+    return ManinTriple(ambient, part1, part2, name=f"{t.name or 'triple'}^{n}")
 
 
 def uble_of_uble(t: ManinTriple, m: int, n: int) -> ManinTriple:
@@ -78,29 +104,46 @@ def snake_permutation(m: int, n: int) -> Permutation:
     """
     _require_count("m", m)
     _require_count("n", n)
-    images = [0] * (m * n)
-    for s in range(1, m * n + 1):
-        c = (s + n - 1) // n
-        j = s - (c - 1) * n
-        r = j if c % 2 == 1 else n + 1 - j
-        images[s - 1] = (r - 1) * m + c - 1
-    return Permutation(tuple(images))
+    # Source slot c*n + j (0-based) is row j of column c, read upward in odd columns.
+    return Permutation(tuple((n - 1 - j if c % 2 else j) * m + c for c in range(m) for j in range(n)))
+
+
+def _carries(images: tuple[int, ...], source: Chain, target: Chain) -> bool:
+    """Whether the slot permutation s -> images[s - 1] + 1 keeps every slot's
+    sign and carries each half's pieces of source onto target's: an edge to
+    the edge of its image slots, a label to its base half in its image slot."""
+    (signs, halves), (target_signs, target_halves) = source, target
+    move = lambda s: images[s - 1] + 1
+    moved = tuple(tuple(sorted((*sorted((move(lo), move(hi))), k) for lo, hi, k in pieces)) for pieces in halves)
+    return all(target_signs[j] == sign for j, sign in zip(images, signs)) and moved == target_halves
 
 
 def verify_snake_iso(t: ManinTriple, m: int, n: int) -> CheckReport:
     """Certify that the snake map is an isomorphism of split quadratic algebras
-    from the mn-fold power onto the n-fold power of the m-fold power.
+    from the mn-fold power onto the n-fold power of the m-fold power, from the
+    two powers' chains (`_chain`), building neither power.
 
-    The map moves the block of slot s, unchanged, to slot snake(s): it
-    relabels coordinates, so `_relabels` certifies it from the powers' stored
-    data.  Only when that decides nothing does `check_manin_isomorphism` run,
-    which names the failures."""
+    Lemma (a block relabelling is certified by the chains).  Let sigma move
+    the block of each slot of one power of t, unchanged, to a slot of another.
+    - Bracket and twist.  Both powers act componentwise, by t's bracket and
+      twist in every slot, so sigma keeps both.
+    - Form.  Each power's form is t's form times the slot's sign, block by
+      block.  So sigma keeps the form when it keeps every slot's sign (and
+      only then, for a nonzero form).
+    - Halves.  Each half is the direct sum of its pieces, which lie on
+      disjoint slots: sigma maps it onto its mate when it maps pieces onto
+      pieces (and only then, for distinct nonzero base halves, since the
+      pieces are the blocks of that sum).  An edge's rows are symmetric in
+      its two slots, so the edge goes to the edge of its image slots.
+    `nuble` builds the powers from these chains, so `_carries` certifies the
+    snake.  If it fails, `check_manin_isomorphism` on both built powers names
+    every failure."""
     perm = snake_permutation(m, n)  # checks m and n first, by name
-    d = t.algebra.dim
-    flat, nested = nuble(t, m * n), uble_of_uble(t, m, n)
-    if _relabels([j * d + b for j in perm.images for b in range(d)], flat, nested):
+    if t.algebra.form_rows is None:
+        raise ValueError("algebra carries no bilinear form")
+    if _carries(perm.images, _chain(m * n), _chain(n, _chain(m))):
         return CheckReport("manin_isomorphism", [])
-    return check_manin_isomorphism(perm.columns(d), flat, nested)
+    return check_manin_isomorphism(perm.columns(t.dim), nuble(t, m * n), uble_of_uble(t, m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -125,25 +168,19 @@ class ChainGraph:
     edges: tuple[tuple[int, int], ...]
 
 
-def _slot_color(s: int) -> str:
-    return "open" if s % 2 == 1 else "filled"
-
-
 def render_graph(n: int) -> ChainGraph:
-    """The colored chain diagram of the n-fold power: circles for the full-algebra
-    slots, triangles where a bare half occupies a slot, edges for diagonal pairs."""
+    """The colored chain diagram of the n-fold power, read from `_chain(n)`:
+    circles for the full-algebra slots, colored by sign, triangles where a
+    label puts a bare half in a slot, and both halves' edges."""
     _require_count("n", n)
-    vertices = [ChainVertex(s, _slot_color(s), "circle") for s in range(1, n + 1)]
-    vertices.append(ChainVertex(1, _slot_color(1), "right-triangle"))
-    vertices.append(ChainVertex(n, _slot_color(n), "left-triangle"))
-    edges: list[tuple[int, int]] = []
-    if n % 2 == 1:
-        edges += [(s, s + 1) for s in range(1, n - 1, 2)]
-        edges += [(s, s + 1) for s in range(2, n, 2)]
-    else:
-        edges += [(s, s + 1) for s in range(1, n, 2)]
-        edges += [(s, s + 1) for s in range(2, n - 1, 2)]
-    return ChainGraph(n, tuple(vertices), tuple(sorted(edges)))
+    signs, halves = _chain(n)
+    color = lambda s: "open" if signs[s - 1] > 0 else "filled"
+    vertices = [ChainVertex(s, color(s), "circle") for s in range(1, n + 1)]
+    labels = {k: s for pieces in halves for s, _, k in pieces if k}
+    for k, shape in ((2, "right-triangle"), (1, "left-triangle")):
+        vertices.append(ChainVertex(labels[k], color(labels[k]), shape))
+    edges = sorted((lo, hi) for pieces in halves for lo, hi, k in pieces if not k)
+    return ChainGraph(n, tuple(vertices), tuple(edges))
 
 
 def chain_graph_dot(g: ChainGraph) -> str:

@@ -49,11 +49,10 @@ from maninforge.homlie import (
     _holders,
     _pair_brackets,
     _pairings,
-    _phi_fixed,
     _residual,
     check_involutive,
 )
-from maninforge.manin import DualBasisPair, ManinTriple, RootData
+from maninforge.manin import DualBasisPair, ManinTriple, RootData, _form_rows
 from maninforge.reporting import CheckReport, failure
 from maninforge.rmatrix import RMatrixReport, _s_sharp_columns, check_hom_ad_invariant
 
@@ -456,7 +455,7 @@ def fraction_determinant(m: Matrix) -> Fraction:
 def fraction_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     """`check_quasi_triangular` on the references above."""
     s = fraction_symmetric_part(r)
-    phi_fixed = _phi_fixed(h, r)
+    phi_fixed = fraction_phi_fixed(h, r)
     s_invariant = check_hom_ad_invariant(h, s).passed
     residual = tuple_index_hcyb(h, r)
     if not (phi_fixed and s_invariant and residual.is_zero):
@@ -514,6 +513,11 @@ def fraction_by_slot(h: HomLieAlgebra, t: SparseTensor) -> tuple[tuple[dict, dic
     for (a, b), v in zip(right.entries, right_numerators):
         by_slot[1].setdefault(b, []).append((a, v))
     return by_slot, den
+
+
+def fraction_phi_fixed(h: HomLieAlgebra, t: SparseTensor) -> bool:
+    """`homlie._phi_fixed`, the twist applied to both slots by `_apply_per_slot`."""
+    return h.untwisted or t._apply_per_slot((h.phi_columns, h.phi_columns)) == t
 
 
 def fraction_hom_schouten(h: HomLieAlgebra, a: SparseTensor, b: SparseTensor) -> SparseTensor:
@@ -628,6 +632,93 @@ def dense_check_manin_isomorphism(f: Matrix, t1, t2) -> CheckReport:
     if dense_map_subspace(f, t1.part2).rows != t2.part2.rows:
         failures.append(failure("part2_image"))
     return CheckReport("manin_isomorphism", failures)
+
+
+def relabels(sigma, t1: ManinTriple, t2: ManinTriple) -> bool:
+    """Whether the relabelling f(b_a) = b_sigma(a), sigma a permutation of
+    range(t1.dim), carries t1's stored data onto t2's, of equal dimension.  True certifies that f
+    is a triple isomorphism, so `check_manin_isomorphism` passes it; False
+    decides nothing, since equal spaces can be stored in other rows.
+
+    Lemma (a relabelling moves stored data to new keys).  Let f relabel.
+    - Brackets.  f[b_i, b_j] is {sigma(k): c} over the stored entries of h1's
+      key (i, j), and [f(b_i), f(b_j)] is h2's stored dict at the key
+      {sigma(i), sigma(j)}, negated when sigma(i) > sigma(j).  Suppose the two
+      agree at every key of h1 and the tables have equally many keys.
+      Distinct pairs have distinct images, so the images of h1's keys are all
+      of h2's keys, and on every other pair both sides vanish.
+    - Twist.  f . phi1 = phi2 . f on b_i when column i of phi1, relabelled, is
+      column sigma(i) of phi2.  Two identity twists pass with nothing to
+      compare: f . Id = Id . f.
+    - Form.  <f(b_i), f(b_j)> under g2 is g2's entry at (sigma(i), sigma(j)),
+      so f^T g2 f = g1 when row i of g1, relabelled, is row sigma(i) of g2.
+    - Halves.  f is injective, so the image of a half has its dimension and
+      is spanned by its canonical rows relabelled.  When those rows, ordered
+      by pivot, are the mate's canonical rows, they span the mate."""
+    h1, h2 = t1.algebra, t2.algebra
+    if h1.dim != h2.dim or len(h1.brackets) != len(h2.brackets):
+        return False
+    stored = h2.brackets
+    for (i, j), coeffs in h1.brackets.items():
+        a, b = sigma[i], sigma[j]
+        if a < b:
+            if stored.get((a, b)) != {sigma[k]: c for k, c in coeffs.items()}:
+                return False
+        elif stored.get((b, a)) != {sigma[k]: -c for k, c in coeffs.items()}:
+            return False
+    moved = lambda rows: [{sigma[k]: x for k, x in row.items()} for row in rows]
+    if not (h1.untwisted and h2.untwisted):
+        phi2 = h2.phi_columns
+        if any(col != phi2[sigma[i]] for i, col in enumerate(moved(h1.phi_columns))):
+            return False
+    g2 = _form_rows(t2)
+    if any(row != g2[sigma[i]] for i, row in enumerate(moved(_form_rows(t1)))):
+        return False
+    return all(
+        sorted(moved(source.echelon), key=min) == list(target.echelon)
+        for source, target in ((t1.part1, t2.part1), (t1.part2, t2.part2))
+    )
+
+
+def read_chain(power: ManinTriple, base: ManinTriple):
+    """The chain of a built power of base, read from its stored data: each
+    slot's form sign (+1 or -1 when its form block is base's or its
+    negation), and each half's canonical rows grouped by the slots they touch
+    into pieces (lo, hi, k) in 1-based slots: an edge (lo, hi, 0) when the
+    group is the d diagonal rows of two slots, a label (s, s, k) when it is
+    base half k shifted into slot s.  Anything else raises ValueError."""
+    d = base.dim
+    g, slots = _form_rows(base), power.dim // d
+    signs = []
+    for s in range(slots):
+        block = [{j - s * d: x for j, x in row.items()} for row in _form_rows(power)[s * d : (s + 1) * d]]
+        if block == list(g):
+            signs.append(1)
+        elif block == [{j: -x for j, x in row.items()} for row in g]:
+            signs.append(-1)
+        else:
+            raise ValueError(f"slot {s + 1}'s form block is not the base form or its negation")
+    halves = []
+    for part in (power.part1, power.part2):
+        groups: dict[tuple[int, ...], list[dict]] = {}
+        for row in part.echelon:
+            touched = tuple(sorted({j // d for j in row}))
+            groups.setdefault(touched, []).append(row)
+        pieces = []
+        for touched, rows in groups.items():
+            lo = touched[0]
+            local = [{j - lo * d: x for j, x in row.items()} for row in rows]
+            if len(touched) == 2:
+                hi = touched[1]
+                if rows != [{lo * d + i: 1, hi * d + i: 1} for i in range(d)]:
+                    raise ValueError(f"the rows joining slots {lo + 1} and {hi + 1} are not the diagonal")
+                pieces.append((lo + 1, hi + 1, 0))
+            elif len(touched) == 1 and local in (list(base.part1.echelon), list(base.part2.echelon)):
+                pieces.append((lo + 1, lo + 1, 1 if local == list(base.part1.echelon) else 2))
+            else:
+                raise ValueError(f"rows {rows} are neither an edge nor a base half")
+        halves.append(tuple(sorted(pieces)))
+    return tuple(signs), tuple(halves)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import maninforge.core
 from maninforge import fileio
-from maninforge.core import SparseTensor, Subspace
+from maninforge.core import SparseTensor, Subspace, _span
 from maninforge.homlie import HomLieAlgebra
 from maninforge.manin import ManinTriple, hyperbolic_triple, special_linear_data, triple_double
 from maninforge.rmatrix import sl2_twisted
@@ -67,6 +68,50 @@ def test_triple_round_trip():
         assert parsed.algebra.brackets == t.algebra.brackets
         assert parsed.part1 == t.part1
         assert parsed.part2 == t.part2
+
+
+SPANNED_ROWS = {
+    "canonical": [[1, 0, 2, 0], [0, 1, Fraction(-1, 3), 0]],
+    "unreduced": [[2, 0, 4, 0], [1, 1, 1, 0]],
+    "entry above a pivot": [[1, 1, 0, 0], [0, 1, 0, 0]],
+    "permuted": [[0, 1, Fraction(-1, 3), 0], [1, 0, 2, 0]],
+    "zero row": [[1, 0, 2, 0], [0, 0, 0, 0], [0, 1, 0, 5]],
+    "duplicate row": [[1, 0, 2, 0], [1, 0, 2, 0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPANNED_ROWS))
+def test_parsed_rows_give_what_span_gives(case):
+    """A subspace document and both halves of a triple parse to the subspace
+    that `_span` returns on the rows written, canonical or not."""
+    rows = SPANNED_ROWS[case]
+    expected = _span(4, [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows])
+    lines = [" ".join(str(x) for x in row) for row in rows]
+    subspace = fileio.parse_subspace("subspace dim=4\n" + "\n".join(lines) + "\n")
+    phi = ["phi " + " ".join("1" if i == j else "0" for j in range(4)) + "\n" for i in range(4)]
+    algebra = "algebra dim=4\n" + "".join(phi)
+    triple = fileio.parse_triple(algebra + "".join(f"part{k} {line}\n" for k in (1, 2) for line in lines))
+    for got in (subspace, triple.part1, triple.part2):
+        assert got == expected
+        assert all(type(x) is Fraction for row in got.echelon for x in row.values())
+
+
+def test_parsing_written_text_eliminates_nothing(monkeypatch):
+    """Work-count guard: the writers emit canonical rows, which the parsers
+    keep after the `Subspace` constructor's check, so parsing `format_triple`
+    and `format_subspace` output runs no elimination stage; rows that are
+    not canonical still do."""
+    triples = (hyperbolic_triple(), triple_double(special_linear_data(2)), triple_double(special_linear_data(3)))
+    calls = []
+    eliminated = maninforge.core._eliminated
+    monkeypatch.setattr(maninforge.core, "_eliminated", lambda rows: calls.append(1) or eliminated(rows))
+    for t in triples:
+        parsed = fileio.parse_triple(fileio.format_triple(t))
+        assert (parsed.part1, parsed.part2) == (t.part1, t.part2)
+        assert fileio.parse_subspace(fileio.format_subspace(t.part2)) == t.part2
+    assert calls == []
+    fileio.parse_subspace("subspace dim=2\n2 0\n")
+    assert calls == [1]
 
 
 def test_matrix_blocks_round_trip():

@@ -40,6 +40,7 @@ from helpers import (
     fraction_determinant,
     fraction_gauss_jordan,
     fraction_hom_schouten,
+    fraction_phi_fixed,
     fraction_quasi_triangular,
     fraction_sharp_columns,
     fraction_skew_sym_split,
@@ -52,6 +53,7 @@ from helpers import (
     frozen_part_report,
     frozen_stabilizer_report,
     pairwise_hcyb,
+    rand_phi_fixed_skew,
     shear_product,
     tuple_index_hcyb,
     wedge3_basis,
@@ -102,6 +104,7 @@ from maninforge.homlie import (
     _by_slot,
     _pair_brackets,
     _pairings,
+    _phi_fixed,
     _twist_outside,
     check_hom_jacobi,
     check_homomorphism,
@@ -132,6 +135,7 @@ from maninforge.rmatrix import (
     hcyb,
     hom_schouten,
     sl2_lie,
+    sl2_r,
     sl2_twisted,
 )
 from maninforge.reporting import CheckReport, render_vector
@@ -1585,6 +1589,60 @@ def test_the_integer_twist_by_slot_matches_the_frozen_apply_per_slot_form():
     h, r = _cancelling_twist_cases()[0]
     (slot0, slot1), den = _by_slot(h, r)
     assert [j for j, _ in slot0[0]] == [0, 1] and [j for j, _ in slot1[0]] == [0]
+
+
+def _worked_sl2_sum_r(copies: int) -> SparseTensor:
+    """The worked r of `sl2_r` in each summand of `_twisted_sl2_sum(copies)`."""
+    entries = sl2_r().entries.items()
+    return SparseTensor(2, 3 * copies, {(3 * k + a, 3 * k + b): v for k in range(copies) for (a, b), v in entries})
+
+
+def _twist_fixed_cases() -> list[tuple[HomLieAlgebra, SparseTensor]]:
+    """Twisted sl2^4 with the worked r, a twist-fixed skew tensor and hostile
+    ones; a twist that is not involutive, diag(2, 1/2); the twist e_1 ->
+    e_0 - e_1, whose images cancel at (0, 0) inside a fixed tensor; and the
+    cancelling twist of `_cancelling_twist_cases`, with r and with its image,
+    which that idempotent twist fixes."""
+    rng = random.Random(2931)
+    sl2_sum = _twisted_sl2_sum(4)
+    worked = _worked_sl2_sum_r(4)
+    cases = [(sl2_sum, worked), (sl2_sum, rand_phi_fixed_skew(rng, sl2_sum)), (sl2_sum, SparseTensor.zero(2, 12))]
+    cases += [(sl2_sum, hostile_tensor(rng, 12, fill)) for fill in (1, 6)]
+    cases.append((sl2_sum, worked + SparseTensor(2, 12, {(0, 4): Fraction(1, 3)})))
+    stretch = HomLieAlgebra.unchecked(2, {}, phi=[[2, 0], [0, Fraction(1, 2)]])
+    cases.append((stretch, SparseTensor(2, 2, {(0, 1): Fraction(5, 3), (1, 0): -1})))
+    cases.append((stretch, SparseTensor(2, 2, {(0, 0): ONE})))
+    flip = HomLieAlgebra.unchecked(2, {}, phi=[[1, 1], [0, -1]])
+    cases.append((flip, SparseTensor(2, 2, {(0, 0): ONE, (0, 1): -ONE, (1, 0): -ONE, (1, 1): Fraction(2)})))
+    cases.append((flip, SparseTensor(2, 2, {(1, 1): ONE})))
+    for h, r in _cancelling_twist_cases():
+        cases += [(h, r), (h, r._apply_per_slot((h.phi_columns, h.phi_columns)))]
+    return cases
+
+
+def test_the_integer_twist_check_matches_the_frozen_apply_per_slot_form():
+    verdicts = [(_phi_fixed(h, t), fraction_phi_fixed(h, t)) for h, t in _twist_fixed_cases()]
+    assert all(got == reference for got, reference in verdicts)
+    fixed = [got for got, _ in verdicts]
+    assert fixed == [True, True, True, False, False, False, True, False, True, False, False, True]
+
+
+def test_a_passing_twisted_classification_builds_no_fraction_to_test_the_twist(monkeypatch):
+    """On twisted sl2^4 with the worked r of each summand, the twist test of a
+    passing `check_quasi_triangular` builds no Fraction; through
+    `_apply_per_slot` it built 24."""
+    counts = []
+    phi_fixed = rmatrix._phi_fixed
+
+    def counted(h, t):
+        result, built = fractions_built(phi_fixed, h, t)
+        counts.append(built)
+        return result
+
+    monkeypatch.setattr(rmatrix, "_phi_fixed", counted)
+    report = check_quasi_triangular(_twisted_sl2_sum(4), _worked_sl2_sum_r(4))
+    assert report.verdict == "quasi-triangular" and report.phi_fixed
+    assert counts == [0]
 
 
 def _multivector_cases(h: HomLieAlgebra, rng: random.Random) -> list[tuple[SparseTensor, SparseTensor]]:

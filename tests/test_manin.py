@@ -25,6 +25,7 @@ from helpers import (
     rand_invertible,
     rand_subspace,
     rand_tensor,
+    relabels,
 )
 from maninforge import fileio
 from maninforge.core import Permutation, SparseTensor, identity_matrix, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
@@ -39,7 +40,6 @@ from maninforge.manin import (
     hyperbolic_triple,
     lambda_st,
     r_from_splitting,
-    _relabels,
     special_linear_data,
     triple_double,
     triple_g_plus_h,
@@ -246,7 +246,7 @@ def _sigma(cols: list[dict]) -> list[int]:
 
 def _check_slot_regroupings(base: ManinTriple) -> None:
     """Every slot regrouping of the four-fold power of base, the snake and 23
-    wrong ones, fails exactly as the dense reference says, and `_relabels`
+    wrong ones, fails exactly as the dense reference says, and `relabels`
     certifies exactly the one that passes."""
     flat, nested = nuble(base, 4), uble_of_uble(base, 2, 2)
     passed = 0
@@ -256,7 +256,7 @@ def _check_slot_regroupings(base: ManinTriple) -> None:
         report = check_manin_isomorphism(cols, flat, nested)
         dense = dense_check_manin_isomorphism(dense_block_permutation(p, base.dim), flat, nested)
         assert report.failures == dense.failures, images
-        assert _relabels(_sigma(cols), flat, nested) == report.passed, images
+        assert relabels(_sigma(cols), flat, nested) == report.passed, images
         passed += report.passed
     assert passed == 1
 
@@ -282,7 +282,7 @@ def _matches_the_dense_reference(f: list[dict], t1: ManinTriple, t2: ManinTriple
 def test_relabelled_reports_match_the_dense_reference_on_every_hyperbolic_slot_permutation(m, n):
     """All 6! slot permutations of the six-fold hyperbolic power onto the
     nested one are relabellings: each reports what the dense reference does,
-    only the snake passes, and `_relabels` certifies exactly the snake."""
+    only the snake passes, and `relabels` certifies exactly the snake."""
     base = hyperbolic_triple()
     flat, nested = nuble(base, m * n), uble_of_uble(base, m, n)
     winners, certified = [], []
@@ -290,9 +290,17 @@ def test_relabelled_reports_match_the_dense_reference_on_every_hyperbolic_slot_p
         cols = Permutation(images).columns(base.dim)
         if _matches_the_dense_reference(cols, flat, nested):
             winners.append(images)
-        if _relabels(_sigma(cols), flat, nested):
+        if relabels(_sigma(cols), flat, nested):
             certified.append(images)
     assert winners == certified == [snake_permutation(m, n).images]
+
+
+def test_relabels_compares_stored_data_moved_to_new_keys():
+    """The reference certifies the identity and the swap of the hyperbolic
+    triple's two halves, and refuses the swap onto the triple itself."""
+    t = hyperbolic_triple()
+    swapped = ManinTriple(t.algebra, t.part2, t.part1)
+    assert (relabels([0, 1], t, t), relabels([1, 0], t, swapped), relabels([1, 0], t, t)) == (True, True, False)
 
 
 def _near_relabellings(cols: list[dict]) -> list[list[dict]]:
@@ -323,10 +331,10 @@ def test_near_relabellings_take_the_summing_path():
 
 def test_relabelled_halves_off_their_mates_rows_are_decided_by_the_generic_path():
     """Relabelled canonical rows of random subspaces are seldom canonical, so
-    `_relabels` seldom certifies, and its False decides nothing: the verdict
+    `relabels` seldom certifies, and its False decides nothing: the verdict
     is `check_manin_isomorphism`'s.  Each half's mate is its image, a larger
     space holding the image, or a random space of its dimension; the
-    verdicts equal the dense reference's, and each map `_relabels`
+    verdicts equal the dense reference's, and each map `relabels`
     certifies passes."""
     rng = random.Random(2407)
     n = 6
@@ -342,7 +350,7 @@ def test_relabelled_halves_off_their_mates_rows_are_decided_by_the_generic_path(
             mates.append(rng.choice((image, superspace, rand_subspace(rng, n, q.dim))))
         t1, t2 = ManinTriple(h, *parts), ManinTriple(h, *mates)
         passed = _matches_the_dense_reference(p.columns(), t1, t2)
-        certified = _relabels(list(p.images), t1, t2)
+        certified = relabels(list(p.images), t1, t2)
         assert passed or not certified
         outcomes.add((passed, certified))
     assert {(True, False), (False, False)} <= outcomes
@@ -390,18 +398,18 @@ def _with_brackets(t: ManinTriple, brackets: dict) -> ManinTriple:
 
 def test_relabelled_brackets_off_the_stored_keys_fail_as_the_dense_reference_says():
     """The snake map between powers of D2 whose bracket tables have one key
-    off, on either side: the stored keys do not match, so `_relabels` does
+    off, on either side: the stored keys do not match, so `relabels` does
     not certify it, and the failures are the dense reference's, all of them
     on brackets."""
     d2 = triple_double(special_linear_data(2))
     flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
     snake = snake_permutation(2, 2).columns(d2.dim)
-    assert _matches_the_dense_reference(snake, flat, nested) and _relabels(_sigma(snake), flat, nested)
+    assert _matches_the_dense_reference(snake, flat, nested) and relabels(_sigma(snake), flat, nested)
     pairs = [(flat, _with_brackets(nested, edited)) for edited in _bracket_edits(nested.algebra)]
     pairs += [(_with_brackets(flat, edited), nested) for edited in _bracket_edits(flat.algebra)]
     for source, target in pairs:
         assert not _matches_the_dense_reference(snake, source, target)
-        assert not _relabels(_sigma(snake), source, target)
+        assert not relabels(_sigma(snake), source, target)
         assert {x.check for x in check_manin_isomorphism(snake, source, target).failures} == {"bracket_preserved"}
 
 

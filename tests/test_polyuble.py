@@ -12,7 +12,7 @@ import maninforge.core
 import maninforge.homlie
 import maninforge.polyuble
 import maninforge.rmatrix
-from helpers import dense_block_permutation, dense_nuble, rand_vector
+from helpers import dense_block_permutation, dense_nuble, rand_vector, read_chain, relabels
 from maninforge.core import (
     Permutation,
     Subspace,
@@ -34,6 +34,9 @@ from maninforge.manin import (
     triple_g_plus_h,
 )
 from maninforge.polyuble import (
+    _carries,
+    _chain,
+    _piece_rows,
     chain_graph_dot,
     nuble,
     render_graph,
@@ -282,11 +285,10 @@ def test_snake_certificate_needs_no_dense_matrix_product(monkeypatch):
 
 
 def test_snake_certificate_eliminates_only_the_two_half_images(monkeypatch):
-    """Work-count guard: the powers' halves are built canonical (the lemma in
-    `nuble`), and the snake map is a relabelling, whose half images are
-    compared with their mates' rows without reduction (`_relabels`).  So
-    certifying the snake row-reduces nothing; it ran 8 eliminations when the
-    powers reduced their halves, and 2 when the half images were reduced.
+    """Work-count guard: the snake is certified from the two powers' chains
+    (`_carries`), and no power is built, so certifying it row-reduces
+    nothing; it ran 8 eliminations when the powers reduced their halves, and
+    2 when the half images were reduced.
     Every elimination, a full reduction or a rank, runs the one elimination
     stage `core._eliminated`, so that is what is counted."""
     d2 = triple_double(special_linear_data(2))
@@ -307,9 +309,8 @@ def _refuse_check(*args):
 
 
 def test_snake_certificate_builds_no_fraction(monkeypatch):
-    """Work-count guard: once the powers are built, a passing snake
-    certificate compares their stored data moved to new keys (`_relabels`):
-    brackets, twist, form and half rows build no Fraction, and
+    """Work-count guard: a passing snake certificate compares the two powers'
+    chains (`_carries`), which builds no Fraction, and
     `check_manin_isomorphism` is never called."""
     d2 = triple_double(special_linear_data(2))
     flat, nested = nuble(d2, 6), uble_of_uble(d2, 2, 3)
@@ -334,6 +335,8 @@ SNAKE_SHAPES = [("D2", 2, 2), ("D2", 2, 3), ("D2", 2, 4), ("D2", 3, 3), ("D3", 2
 
 
 def _snake_base(name: str) -> ManinTriple:
+    if name == "hyperbolic":
+        return hyperbolic_triple()
     if name == "g+h":
         return triple_g_plus_h(special_linear_data(2))
     return triple_double(special_linear_data(int(name[1])))
@@ -341,7 +344,7 @@ def _snake_base(name: str) -> ManinTriple:
 
 @pytest.mark.parametrize("name, m, n", SNAKE_SHAPES)
 def test_snake_certificate_passes_without_the_generic_check(name, m, n, monkeypatch):
-    """`_relabels` certifies the snake map of every benchmarked shape (and D3
+    """`_carries` certifies the snake map of every benchmarked shape (and D3
     at 3x3) alone: `check_manin_isomorphism` is never called."""
     monkeypatch.setattr(maninforge.polyuble, "check_manin_isomorphism", _refuse_check)
     assert verify_snake_iso(_snake_base(name), m, n).to_json() == CheckReport("manin_isomorphism", []).to_json()
@@ -349,21 +352,21 @@ def test_snake_certificate_passes_without_the_generic_check(name, m, n, monkeypa
 
 @pytest.mark.parametrize("name, m, n", SNAKE_SHAPES)
 def test_snake_certificate_without_a_relabelling_is_the_generic_report(name, m, n, monkeypatch):
-    """With `_relabels` deciding nothing, `verify_snake_iso` returns what
+    """With the chain comparison deciding nothing, `verify_snake_iso` returns what
     `check_manin_isomorphism` reports on the snake map's columns."""
     t = _snake_base(name)
     expected = check_manin_isomorphism(snake_permutation(m, n).columns(t.dim), nuble(t, m * n), uble_of_uble(t, m, n))
     calls = []
     check = maninforge.polyuble.check_manin_isomorphism
-    monkeypatch.setattr(maninforge.polyuble, "_relabels", lambda *args: False)
+    monkeypatch.setattr(maninforge.polyuble, "_carries", lambda *args: False)
     monkeypatch.setattr(maninforge.polyuble, "check_manin_isomorphism", lambda *args: calls.append(1) or check(*args))
     assert verify_snake_iso(t, m, n).to_json() == expected.to_json()
     assert calls == [1]
 
 
 def test_snake_certificate_names_the_failures_of_a_wrong_target(monkeypatch):
-    """With one stored bracket entry of the nested power changed, the stored
-    keys do not match, and `verify_snake_iso` returns the failures that
+    """With the chain comparison deciding nothing and one stored bracket entry
+    of the nested power changed, `verify_snake_iso` returns the failures that
     `check_manin_isomorphism` names."""
     d2 = triple_double(special_linear_data(2))
     flat, nested = nuble(d2, 4), uble_of_uble(d2, 2, 2)
@@ -372,9 +375,88 @@ def test_snake_certificate_names_the_failures_of_a_wrong_target(monkeypatch):
     brackets = {**h.brackets, key: {k: 2 * c for k, c in h.brackets[key].items()}}
     wrong = ManinTriple(HomLieAlgebra(h.dim, brackets, h.phi_columns, h.form_rows), nested.part1, nested.part2)
     monkeypatch.setattr(maninforge.polyuble, "uble_of_uble", lambda t, m, n: wrong)
+    monkeypatch.setattr(maninforge.polyuble, "_carries", lambda *args: False)
     report = verify_snake_iso(d2, 2, 2)
     assert not report.passed and {x.check for x in report.failures} == {"bracket_preserved"}
     assert report.to_json() == check_manin_isomorphism(snake_permutation(2, 2).columns(d2.dim), flat, wrong).to_json()
+
+
+@pytest.mark.parametrize("name", ["hyperbolic", "g+h", "D2", "D3"])
+def test_chains_are_what_a_reader_finds_in_the_built_powers(name):
+    """`_chain(n)`, `_chain(n, _chain(m))` and one step deeper are the slot
+    signs and pieces that `read_chain` finds in the stored data of the built
+    flat powers, n up to 8, nested ones, m and n up to 4, and powers of those
+    at depth 3; each chain's pieces give its power's canonical rows, in
+    order."""
+    t = _snake_base(name)
+    powers = [(nuble(t, n), _chain(n)) for n in range(1, 9)]
+    powers += [(uble_of_uble(t, m, n), _chain(n, _chain(m))) for m, n in itertools.product(range(1, 5), repeat=2)]
+    for m, n, p in ((2, 2, 2), (3, 1, 2), (2, 3, 1)):
+        powers.append((nuble(uble_of_uble(t, m, n), p), _chain(p, _chain(n, _chain(m)))))
+    for power, chain in powers:
+        assert read_chain(power, t) == chain, power.name
+        assert [list(part.echelon) for part in (power.part1, power.part2)] == [_piece_rows(t, p) for p in chain[1]]
+
+
+# The shapes of acceptance criterion 4 (the worked triples at m, n = 1..3) and SNAKE_SHAPES.
+VERDICT_SHAPES = sorted(
+    {(name, m, n) for name in ("hyperbolic", "g+h", "D2") for m in (1, 2, 3) for n in (1, 2, 3)} | set(SNAKE_SHAPES)
+)
+
+
+@pytest.mark.parametrize("name, m, n", VERDICT_SHAPES)
+def test_snake_verdict_equals_the_references_on_built_powers(name, m, n):
+    """The chain certificate's report is the one `check_manin_isomorphism`
+    gives on the built powers, and `relabels` certifies the same map."""
+    t = _snake_base(name)
+    flat, nested = nuble(t, m * n), uble_of_uble(t, m, n)
+    perm = snake_permutation(m, n)
+    report = verify_snake_iso(t, m, n)
+    assert report.passed
+    assert report.to_json() == check_manin_isomorphism(perm.columns(t.dim), flat, nested).to_json()
+    assert relabels([j * t.dim + b for j in perm.images for b in range(t.dim)], flat, nested)
+
+
+def test_the_chain_check_accepts_only_the_snake_among_slot_permutations():
+    """For every m, n with mn <= 6, of all (mn)! slot permutations, `_carries`
+    accepts exactly the snake."""
+    for m, n in ((m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6):
+        source, target = _chain(m * n), _chain(n, _chain(m))
+        accepted = [p for p in itertools.permutations(range(m * n)) if _carries(p, source, target)]
+        assert accepted == [snake_permutation(m, n).images], (m, n)
+
+
+def test_the_chain_check_refuses_a_map_that_carries_the_pieces_but_not_the_signs():
+    """The identity carries the four-fold chain's pieces onto a copy with its
+    signs negated, which would flip the form, so `_carries` refuses it."""
+    signs, halves = _chain(4)
+    identity = tuple(range(4))
+    assert _carries(identity, (signs, halves), (signs, halves))
+    assert not _carries(identity, (signs, halves), (tuple(-x for x in signs), halves))
+
+
+def test_a_passing_snake_certificate_builds_no_power(monkeypatch):
+    """Work-count guard: certifying the snake calls none of `nuble`,
+    `direct_sum` or `check_manin_isomorphism`."""
+
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} was called")
+
+        return refused
+
+    for name in ("nuble", "direct_sum", "check_manin_isomorphism"):
+        monkeypatch.setattr(maninforge.polyuble, name, refuse(name))
+    for name, m, n in SNAKE_SHAPES:
+        assert verify_snake_iso(_snake_base(name), m, n).passed
+
+
+def test_snake_certificate_of_a_triple_without_a_form_raises_as_the_power_does():
+    hyp = hyperbolic_triple()
+    t = ManinTriple(HomLieAlgebra.unchecked(2, {}), hyp.part1, hyp.part2)
+    for build in (lambda: nuble(t, 4), lambda: verify_snake_iso(t, 2, 2)):
+        with pytest.raises(ValueError, match="^algebra carries no bilinear form$"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +490,22 @@ def test_graph_each_slot_in_at_most_one_edge_per_chain():
         for chain in (part1_edges, part2_edges):
             seen = [s for e in chain for s in e]
             assert len(seen) == len(set(seen))
+
+
+def test_graph_reads_the_edges_and_labels_of_the_built_power():
+    """The graph's edges are the union of both halves' edges, its triangles
+    are the two labels (h' for base half 2, h for base half 1), and its
+    circles carry the slots' signs, as `read_chain` finds them in the built
+    power."""
+    t = hyperbolic_triple()
+    for n in range(1, 11):
+        signs, halves = read_chain(nuble(t, n), t)
+        g = render_graph(n)
+        assert g.edges == tuple(sorted((lo, hi) for pieces in halves for lo, hi, k in pieces if not k))
+        triangles = {(v.index, v.shape) for v in g.vertices if v.shape != "circle"}
+        shapes = {1: "left-triangle", 2: "right-triangle"}
+        assert triangles == {(lo, shapes[k]) for pieces in halves for lo, _, k in pieces if k}
+        assert [v.color for v in g.vertices if v.shape == "circle"] == ["open" if x > 0 else "filled" for x in signs]
 
 
 def test_graph_rejects_nonpositive():
