@@ -550,8 +550,8 @@ class SparseTensor:
         range(dim^2) and fields in range(dim), nonzero Fractions from
         `_signed_fields`), `rmatrix.hom_schouten` (indices read from its
         arguments' and phi's, one Fraction per nonzero total),
-        `_symmetric_part` (see its lemma) and `fileio.parse_tensor` (after its
-        own checks)."""
+        `_symmetric_part` (see its lemma), `scale` and `swap` (see theirs) and
+        `fileio.parse_tensor` (after its own checks)."""
         t = cls.__new__(cls)
         t.degree, t.dim, t.entries = degree, dim, entries
         return t
@@ -599,15 +599,25 @@ class SparseTensor:
         return self.scale(Fraction(-1))
 
     def scale(self, c: Fraction) -> SparseTensor:
+        """c times the tensor, for an exact scalar c (a float raises).
+
+        Lemma (a scaled tensor needs no second check).  The entries are
+        valid, and c is an int or a Fraction: each product of a nonzero c
+        with a nonzero exact entry is a nonzero exact value, at the same
+        index; so the result is built by `_of_checked`."""
+        if not _is_exact(c):
+            raise ValueError(f"scalar {c!r} is not an int or a Fraction")
         if c == 0:
             return SparseTensor.zero(self.degree, self.dim)
-        return SparseTensor(self.degree, self.dim, {idx: c * v for idx, v in self.entries.items()})
+        return SparseTensor._of_checked(self.degree, self.dim, {idx: c * v for idx, v in self.entries.items()})
 
     def swap(self) -> SparseTensor:
-        """Transpose of a degree-2 tensor (swap the two slots)."""
+        """Transpose of a degree-2 tensor (swap the two slots), built by
+        `_of_checked`: swapping two in-range int indices keeps them in range,
+        and the values are the valid tensor's own."""
         if self.degree != 2:
             raise ValueError("swap is defined for degree-2 tensors only")
-        return SparseTensor(2, self.dim, {(j, i): v for (i, j), v in self.entries.items()})
+        return SparseTensor._of_checked(2, self.dim, {(j, i): v for (i, j), v in self.entries.items()})
 
     def apply_per_slot(self, maps: Sequence[Matrix]) -> SparseTensor:
         """Apply one linear map per slot: e_i in slot s maps to sum_a maps[s][a][i] e_a."""

@@ -141,9 +141,9 @@ class HomLieAlgebra:
         name: str | None = None,
     ) -> HomLieAlgebra:
         """Set the fields without `__post_init__`, for data that keeps every
-        property it checks (see `direct_sum` and `fileio._parse_algebra_body`),
-        with `untwisted` already known, or None to read it from the columns
-        on first use."""
+        property it checks (see `direct_sum`, `fileio._parse_algebra_body` and
+        `manin._power_base`), with `untwisted` already known, or None to read
+        it from the columns on first use."""
         h = cls.__new__(cls)
         h.dim, h.brackets, h.name = dim, brackets, name
         h.phi_columns = tuple(phi_columns)

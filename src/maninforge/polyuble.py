@@ -1,62 +1,16 @@
 """Iterated doubles of a split quadratic algebra: the n-fold alternating-sign
-power with its two Lagrangian chains, the snake reindexing that identifies the
-mn-fold power with the n-fold power of the m-fold one, and the colored chain
-graphs that encode both splittings."""
+power built from its two Lagrangian chains (`manin._chain`, which the triple
+certifier reads too), the snake reindexing that identifies the mn-fold power
+with the n-fold power of the m-fold one, and the colored chain graphs that
+encode both splittings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import ONE, Permutation, Subspace
+from .core import Permutation, Subspace
 from .homlie import direct_sum, negate_form
-from .manin import ManinTriple, check_manin_isomorphism
+from .manin import Chain, ManinTriple, _chain, _piece_rows, check_manin_isomorphism
 from .reporting import CheckReport
-
-Chain = tuple[tuple[int, ...], tuple[tuple[tuple[int, int, int], ...], ...]]  # see `_chain`
-
-
-def _chain(n: int, inner: Chain = ((1,), (((1, 1, 1),), ((1, 1, 2),)))) -> Chain:
-    """(signs, (part1 pieces, part2 pieces)), the chain of the n-fold power of
-    a triple whose chain is inner (the base's by default), in 1-based slots of
-    one base block each: signs[s - 1] is slot s's form sign, and a piece
-    (lo, hi, k) is an edge, k = 0, the diagonal rows joining slots lo < hi, or
-    a label, base half k in slot lo == hi.  Each slot is in one piece per half.
-
-    Outer slot r holds inner slot c at (r - 1)m + c, with sign (-1)^(r+1)
-    times c's.  Edge (r, r+1), in part 1 for odd r and part 2 for even r, is
-    the m slot edges ((r, c), (r + 1, c)).  Inner half 2 fills outer slot 1,
-    and inner half 1 fills slot n, in the half whose edges leave it free.  The
-    pieces stay in slot order, the order of the built rows.
-
-    >>> _chain(3)
-    ((1, -1, 1), (((1, 2, 0), (3, 3, 1)), ((1, 1, 2), (2, 3, 0))))
-    >>> _chain(2, _chain(2))
-    ((1, -1, -1, 1), (((1, 3, 0), (2, 4, 0)), ((1, 1, 2), (2, 2, 1), (3, 4, 0))))
-    """
-    signs, (half1, half2) = inner
-    m = len(signs)
-    edges = lambda r: [((r - 1) * m + c, r * m + c, 0) for c in range(1, m + 1)]
-    shifted = lambda half, r: [((r - 1) * m + lo, (r - 1) * m + hi, k) for lo, hi, k in half]
-    part1 = [piece for r in range(1, n, 2) for piece in edges(r)]
-    part2 = shifted(half2, 1) + [piece for r in range(2, n, 2) for piece in edges(r)]
-    (part1 if n % 2 else part2).extend(shifted(half1, n))
-    return tuple(x if r % 2 else -x for r in range(1, n + 1) for x in signs), (tuple(part1), tuple(part2))
-
-
-def _piece_rows(t: ManinTriple, pieces: tuple[tuple[int, int, int], ...]) -> list[dict[int, Fraction]]:
-    """The sparse rows of a power's half, piece by piece: an edge's d rows
-    {lo_i: 1, hi_i: 1}, a label's base half's canonical rows, in Fractions,
-    shifted into its slot."""
-    d = t.dim
-    rows: list[dict[int, Fraction]] = []
-    for lo, hi, k in pieces:
-        a, b = (lo - 1) * d, (hi - 1) * d
-        if k:
-            part = (t.part1, t.part2)[k - 1].echelon
-            rows += ({a + i: x if type(x) is Fraction else Fraction(x) for i, x in row.items()} for row in part)
-        else:
-            rows += ({a + i: ONE, b + i: ONE} for i in range(d))
-    return rows
 
 
 def _require_count(name: str, value: int) -> None:
@@ -77,7 +31,15 @@ def nuble(t: ManinTriple, n: int) -> ManinTriple:
     and one more entry, at lo+d+i in slot s+1, where no other row is nonzero;
     the base rows are canonical, shifted.  So the rows, in the order built,
     are the half's reduced echelon basis.  The `Subspace` constructor checks
-    all of this, so a wrong lemma raises."""
+    all of this, so a wrong lemma raises.
+
+    Lemma (the power of a triple is a triple).  Bracket and twist act slot by
+    slot, the form is the base's times each slot's sign, and each half is the
+    sum of its pieces on disjoint slots, edges joining slots of opposite
+    sign.  So the power passes every check exactly when the base does, for
+    every n; `manin.check_manin_triple` states the lemma check by check, and
+    certifies a power that `manin._power_base` reads from its stored data by
+    certifying the base."""
     _require_count("n", n)
     h = t.algebra
     negated = negate_form(h)

@@ -266,6 +266,40 @@ def test_tensor_arithmetic_and_swap():
     assert t.swap().swap() == t
 
 
+@pytest.mark.parametrize("c", [0.5, 0.0, True, "1/2", None])
+def test_tensor_scale_refuses_an_inexact_scalar(c):
+    """The scalar is checked once, so a float raises even where no entry is
+    multiplied: on an empty tensor, and as 0.0."""
+    for entries in ({}, {(0, 1): Fraction(1, 2)}):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            SparseTensor(2, 3, dict(entries)).scale(c)
+
+
+def test_tensor_scale_and_swap_build_valid_tensors_without_a_second_check(monkeypatch):
+    """`scale` and `swap` build from a valid tensor's entries what the checking
+    constructor builds, without running its check again."""
+    rng = random.Random(11)
+    tensors = [rand_tensor(rng, degree, 4, fill=6) for degree in (1, 2, 3) for _ in range(3)]
+    tensors.append(SparseTensor(2, 4, {(0, 1): 3, (2, 1): Fraction(-1, 2)}))  # an int entry
+    expected = [
+        [
+            SparseTensor(t.degree, t.dim, {idx: c * v for idx, v in t.entries.items()})
+            for c in (Fraction(1, 2), 3, Fraction(-2, 7), 0)
+        ]
+        for t in tensors
+    ]
+    swapped = [SparseTensor(2, t.dim, {(j, i): v for (i, j), v in t.entries.items()}) for t in tensors if t.degree == 2]
+
+    def forbidden(self):
+        raise AssertionError("the entries were checked again")
+
+    monkeypatch.setattr(SparseTensor, "__post_init__", forbidden)
+    monkeypatch.setattr(SparseTensor, "zero", classmethod(lambda cls, degree, dim: cls._of_checked(degree, dim, {})))
+    for t, scaled in zip(tensors, expected):
+        assert [t.scale(c) for c in (Fraction(1, 2), 3, Fraction(-2, 7), 0)] == scaled
+    assert [t.swap() for t in tensors if t.degree == 2] == swapped
+
+
 def test_apply_per_slot_matches_matrix_action():
     """Slot-wise application of a matrix to e_j introduces its j-th column."""
     m = matrix([[1, 2], [3, 4]])

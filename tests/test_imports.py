@@ -1,4 +1,5 @@
-"""Every name a maninforge module imports is used in that module."""
+"""Every name a maninforge module imports is used in that module, and every
+import is at module level."""
 from __future__ import annotations
 
 import ast
@@ -45,3 +46,36 @@ def test_src_modules_use_every_imported_name():
     assert sorted(unused - ALLOWED) == []
     # An allowance for a name its module now uses is stale and must go.
     assert sorted(ALLOWED - unused) == []
+
+
+def late_imports(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each import statement inside a function
+    or method body, at any depth."""
+    tree = ast.parse(source)
+    return sorted(
+        (function.name, node.lineno)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_scanner_finds_an_import_inside_a_function():
+    source = (
+        "import os\n"
+        "def f():\n    from .manin import check_manin_triple\n    return check_manin_triple\n"
+        "class C:\n    def g(self):\n        if self:\n            import json\n"
+    )
+    assert late_imports(source) == [("f", 3), ("g", 8)]
+
+
+def test_src_modules_import_only_at_module_level():
+    """The modules' dependencies sit in the module layout, where an import
+    cycle fails at import time, not in a late import inside a function: the
+    chain reader that `manin.check_manin_triple` calls lives in `manin`, and
+    `polyuble` imports it from there."""
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    late = {path.stem: late_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {stem: found for stem, found in late.items() if found} == {}
