@@ -8,19 +8,14 @@ from .core import (
     SparseTensor,
     Subspace,
     subspace_equal,
-    subspace_sum,
     tensor_skew_sym_split,
 )
 from .homlie import (
     HomLieAlgebra,
-    LinearRep,
-    check_admissible_algebra,
-    check_admissible_representation,
     check_hom_jacobi,
     check_homomorphism,
     check_involutive,
     check_quadratic,
-    check_representation,
     check_twist_morphism,
     direct_sum,
 )
@@ -62,7 +57,6 @@ from .stabilizer import (
     check_coisotropy,
     check_phi_stable,
     check_s_sharp_condition,
-    stabilizer_at,
 )
 from .flagleaf import (
     DoubleLeafIndex,

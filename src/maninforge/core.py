@@ -441,6 +441,7 @@ def _null_rows(reduced: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[i
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns; zero rows are dropped.
+    Kept for the dense references of `tests/helpers.py` until ROADMAP item 13.
 
     >>> r, p = rref(matrix([[2, 4], [1, 2]]))
     >>> r, p
@@ -452,12 +453,14 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def matrix_rank(m: Matrix) -> int:
+    """Rank of an exact matrix, for ROADMAP item 5's `bruhat_cell` (corner ranks)."""
     _width(_exact(m))
     return _rank(map(_sparse, m))
 
 
 def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of {v : m @ v = 0}, one vector per free column (deterministic order)."""
+    """Basis of {v : m @ v = 0}, one vector per free column (deterministic order).
+    Kept, like `rref`, for the `tests/helpers.py` references until ROADMAP item 13."""
     n_cols = _width(_exact(m))
     return [_dense_vector(v, n_cols) for v in _null_rows(_gauss_jordan(map(_sparse, m)), n_cols)]
 
@@ -651,6 +654,7 @@ class SparseTensor:
 
 def tensor_skew_sym_split(t: SparseTensor) -> tuple[SparseTensor, SparseTensor]:
     """Split a degree-2 tensor into (skew-symmetric, symmetric) halves.
+    Kept for ROADMAP item 15, which writes the standard r as Λ + Ω/2.
 
     >>> t = SparseTensor.from_entries(2, 2, {(0, 1): 1})
     >>> lam, s = tensor_skew_sym_split(t)
@@ -828,13 +832,6 @@ class Subspace:
 def _span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> Subspace:
     """The span of sparse rows with indices in range(ambient_dim)."""
     return Subspace(ambient_dim, tuple(_gauss_jordan(rows)))
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Span of the union of two subspaces of the same ambient space."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return _span(a.ambient_dim, a.echelon + b.echelon)
 
 
 def subspace_equal(a: Subspace, b: Subspace) -> bool:

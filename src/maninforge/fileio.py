@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .core import Matrix, Subspace, SparseTensor, Vector, _span, _transpose_sparse
+from .core import ONE, Matrix, Subspace, SparseTensor, Vector, _span, _transpose_sparse
 from .homlie import HomLieAlgebra
 from .manin import ManinTriple
 
@@ -68,10 +68,6 @@ def _parse_header_fields(line: str, lineno: int, kind: str) -> dict[str, str]:
 
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
     return [(i, stripped) for i, line in enumerate(text.splitlines(), start=1) if (stripped := line.strip())]
-
-
-def _row_text(row: Vector) -> str:
-    return " ".join(render_rational(x) for x in row)
 
 
 def _dense_text(row: Mapping[int, Fraction], dim: int) -> str:
@@ -232,7 +228,7 @@ def _parse_algebra_body(lines: list[tuple[int, str]], allow_parts: bool):
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     seen: set[tuple[int, int]] = set()  # the keys of every bracket line, zero brackets too
     rows: dict[str, list[dict[int, Fraction]]] = {"phi": [], "form": [], "part1": [], "part2": []}
-    parsed: dict[str, Fraction] = {}
+    parsed: dict[str, Fraction] = {"1": ONE}  # `manin._piece_rows`' 1, compared by identity
     for lineno, line in lines[1:]:
         tokens = line.split()
         keyword = tokens[0]
@@ -313,13 +309,6 @@ def parse_triple(text: str) -> ManinTriple:
 
 # ---------------------------------------------------------------------------
 # Matrix blocks (one matrix per blank-line-separated block)
-
-
-def format_matrix_blocks(blocks) -> str:
-    parts = []
-    for block in blocks:
-        parts.append("\n".join(_row_text(row) for row in block))
-    return "\n\n".join(parts) + "\n"
 
 
 def parse_matrix_blocks(text: str) -> list[Matrix]:

@@ -1,11 +1,11 @@
 """Twisted (hom-)Lie algebras over exact rationals: the algebra type, its axioms
-as structured checkers, representations, and direct sums."""
+and homomorphisms as structured checkers, and direct sums."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Container, Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .core import (
     Matrix,
@@ -93,8 +93,8 @@ class HomLieAlgebra:
     `_bracket_bounds`, its top key mass and entry.
     Callers must not mutate the stored dicts, as for `Subspace`: the cached
     views would go stale, `direct_sum` and `negate_form` rely on their
-    arguments having passed the constructor's check, and `negate_form` and
-    `adjoint_representation` share the algebra's own dicts.
+    arguments having passed the constructor's check, and `negate_form` shares
+    the algebra's own dicts.
 
     >>> h = HomLieAlgebra.unchecked(2, {}, phi=[[1, 0], [0, -1]], form=[[0, 2], [2, 0]])
     >>> h.phi_columns
@@ -607,150 +607,12 @@ def check_homomorphism(f: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomL
     intertwines twists and brackets: f . phi1 = phi2 . f and f[x,y] = [f(x), f(y)].
     Every map, a relabelling included, takes the one path of
     `_intertwining_failures`: the twist on each basis vector, then the
-    brackets of the columns (`_bracket_failures`)."""
+    brackets of the columns (`_bracket_failures`).  Kept for ROADMAP item 17's
+    corpus, which compares it with its dense reference."""
     problem = _columns_shape_error(f, h2.dim, h1.dim)
     if problem:
         raise ValueError(f"map must be {h2.dim}x{h1.dim} (target dim x source dim) as sparse columns: {problem}")
     return CheckReport("homomorphism", _intertwining_failures(f, h1, h2))
-
-
-@dataclass(frozen=True)
-class LinearRep:
-    """Linear data of a representation: rho maps each basis element of the algebra
-    to an endomorphism of a target space, intertwined by the target twist alpha.
-    Every map is stored as its target_dim sparse columns, {row: entry} per
-    column as in `HomLieAlgebra.phi_columns`: rho is a tuple of column tuples
-    and alpha a column tuple.  `of` builds them from dense nested sequences.
-    Callers must not mutate the stored dicts, as for `Subspace`:
-    `adjoint_representation` stores the algebra's own bracket dicts and
-    `phi_columns`, so a changed column would change the algebra."""
-
-    target_dim: int
-    rho: tuple[tuple[dict[int, Fraction], ...], ...]
-    alpha: tuple[dict[int, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        _dimension(self.target_dim, "target_dim")
-        if type(self.rho) is not tuple:
-            raise ValueError(f"rho must be a tuple of column tuples, got {self.rho!r}")
-        for what, cols in (*((f"rho[{i}]", m) for i, m in enumerate(self.rho)), ("alpha", self.alpha)):
-            if type(cols) is not tuple:
-                raise ValueError(f"{what} must be a tuple of sparse columns, got {cols!r}")
-            _square_columns(cols, self.target_dim, what)
-
-    @classmethod
-    def of(
-        cls,
-        target_dim: int,
-        rho: Sequence[Sequence[Sequence[int | str | Fraction]]],
-        alpha: Sequence[Sequence[int | str | Fraction]] | None = None,
-    ) -> LinearRep:
-        """Build from dense target_dim x target_dim matrices, alpha the identity
-        when not given."""
-        n = _dimension(target_dim, "target_dim")
-        columns = lambda m, what: tuple(sparse_columns(_square(matrix(m), n, what)))
-        alpha_columns = _unit_columns(n) if alpha is None else columns(alpha, "alpha")
-        return cls(n, tuple(columns(m, f"rho[{i}]") for i, m in enumerate(rho)), alpha_columns)
-
-
-def adjoint_representation(h: HomLieAlgebra) -> LinearRep:
-    """The algebra acting on itself by ad_x(y) = [x, y], twisted by its own phi:
-    column j of ad_i is [b_i, b_j]."""
-    rho = tuple(tuple(h.bracket_basis(i, j) for j in range(h.dim)) for i in range(h.dim))
-    return LinearRep(h.dim, rho, h.phi_columns)
-
-
-def _compose(a: Sequence[Mapping], b: Sequence[Mapping]) -> list[dict]:
-    """The sparse columns of a . b, for maps given by their sparse columns."""
-    return [_apply_columns(a, col) for col in b]
-
-
-def _extend_rho(h: HomLieAlgebra, rep: LinearRep) -> Callable[[Mapping[int, Fraction]], list[dict]]:
-    """rho extended linearly, v -> sum v_i rho_i as sparse columns, after
-    checking that there is one rho map per basis element: column c of rho(v)
-    is v applied to the family (column c of rho_i)_i."""
-    if len(rep.rho) != h.dim:
-        raise ValueError(
-            f"representation needs {h.dim} rho matrices, one per basis element, got {len(rep.rho)}"
-        )
-    families = [[m[c] for m in rep.rho] for c in range(rep.target_dim)]
-    return lambda v: [_apply_columns(family, v) for family in families]
-
-
-def check_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
-    """Representation axioms: rho(phi x) alpha = alpha rho(x), and
-    rho([x,y]) alpha = rho(phi x) rho(y) - rho(phi y) rho(x)."""
-    rho_at, rho, alpha = _extend_rho(h, rep), rep.rho, rep.alpha
-    failures = []
-    rho_phi = [rho_at(column) for column in h.phi_columns]
-    for i in range(h.dim):
-        if _compose(rho_phi[i], alpha) != _compose(alpha, rho[i]):
-            failures.append(failure("intertwine", (i,)))
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            lhs = _compose(rho_at(h.bracket_basis(i, j)), alpha)
-            rhs = map(_difference, _compose(rho_phi[i], rho[j]), _compose(rho_phi[j], rho[i]))
-            if lhs != list(rhs):
-                failures.append(failure("bracket_action", (i, j)))
-    return CheckReport("representation", failures)
-
-
-def check_admissible_representation(h: HomLieAlgebra, rep: LinearRep) -> CheckReport:
-    """Dual-representation conditions: alpha rho(phi x) = rho(x) alpha, and
-    alpha rho([x,y]) = rho(x) rho(phi y) - rho(y) rho(phi x). Needs invertible alpha."""
-    rho_at, rho, alpha = _extend_rho(h, rep), rep.rho, rep.alpha
-    if _rank(alpha) < rep.target_dim:
-        return CheckReport(
-            "admissible_representation",
-            applicable=False,
-            reason="alpha is singular; the dual-side conditions are undefined",
-        )
-    failures = []
-    rho_phi = [rho_at(column) for column in h.phi_columns]
-    for i in range(h.dim):
-        if _compose(alpha, rho_phi[i]) != _compose(rho[i], alpha):
-            failures.append(failure("dual_intertwine", (i,)))
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            lhs = _compose(alpha, rho_at(h.bracket_basis(i, j)))
-            rhs = map(_difference, _compose(rho[i], rho_phi[j]), _compose(rho[j], rho_phi[i]))
-            if lhs != list(rhs):
-                failures.append(failure("dual_bracket_action", (i, j)))
-    return CheckReport("admissible_representation", failures)
-
-
-def check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
-    """The coadjoint action is a representation: [(Id - phi^2)x, phi y] = 0 and
-    [(Id - phi^2)x, [phi y, z]] = [(Id - phi^2)y, [phi x, z]] on basis elements.
-    Both hold when every defect (Id - phi^2)b_i is zero, with nothing more to
-    compute.  Otherwise one `_pair_brackets` call over the defects, the columns
-    phi(b_j) and the basis vectors gives every bracket, the nested ones as
-    combinations of [defect_i, b_m] through the coordinates of [phi b_j, b_k]."""
-    failures = []
-    d, phi_cols = h.dim, h.phi_columns
-    # coordinates of (Id - phi^2) b_i
-    defect_cols = [_difference({i: ONE}, _apply_columns(phi_cols, col)) for i, col in enumerate(phi_cols)]
-    if not any(defect_cols):
-        return CheckReport("admissible_algebra", failures)
-    pairs = _pair_brackets(h, [*defect_cols, *phi_cols, *_unit_columns(d)])
-    for i in range(d):
-        if not defect_cols[i]:
-            continue
-        for j in range(d):
-            residual = pairs.get((i, d + j))
-            if residual:
-                failures.append(failure("defect_bracket", (i, j), _dense(h, residual)))
-    ad_defect = [[pairs.get((i, 2 * d + m), {}) for m in range(d)] for i in range(d)]  # [defect_i, b_m]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not (defect_cols[i] or defect_cols[j]):
-                continue
-            for k in range(d):
-                lhs = _apply_columns(ad_defect[i], pairs.get((d + j, 2 * d + k), {}))
-                rhs = _apply_columns(ad_defect[j], pairs.get((d + i, 2 * d + k), {}))
-                if lhs != rhs:
-                    failures.append(failure("defect_nested", (i, j, k), _residual(h, lhs, rhs)))
-    return CheckReport("admissible_algebra", failures)
 
 
 def check_quadratic(h: HomLieAlgebra) -> CheckReport:

@@ -343,7 +343,8 @@ def _dual_rows(t: ManinTriple) -> tuple[tuple[dict[int, Fraction], ...], list[di
 
 def dual_basis(t: ManinTriple) -> DualBasisPair:
     """Dual bases of the two halves under the ambient form, dense, with the
-    pairing matrix of the result as certificate."""
+    pairing matrix of the result as certificate.  Kept for ROADMAP item 11's
+    dual-basis lemma on the canonical element."""
     xi_rows, x_basis = _dual_rows(t)
     pairs = _pairings(_form_rows(t), xi_rows, x_basis)
     gram = tuple(tuple(pairs.get((a, b), ZERO) for b in range(len(x_basis))) for a in range(len(xi_rows)))
@@ -397,7 +398,9 @@ def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: M
 def coboundary_cobracket(g: HomLieAlgebra, lam: SparseTensor) -> BracketTable:
     """Dual structure constants of the cobracket x -> ad_x(lam) of a skew tensor
     (untwisted algebras): [f_a, f_b]* = sum_k (ad_{b_k} lam)_{ab} f_k for a < b,
-    lam read from its entries above the diagonal."""
+    lam read from its entries above the diagonal.  It derives acceptance
+    criterion 8's standard dual table, and ROADMAP item 17's corpus runs it
+    against its dense reference."""
     _require_tensor(g, lam)
     if not g.untwisted:
         raise ValueError("the double construction needs an untwisted algebra")

@@ -1,7 +1,7 @@
-"""Stabilizer subalgebras of linear actions and the subalgebra conditions that
-make a point's stabilizer compatible with a quasi-triangular structure: coisotropy
-with respect to the pairing, stability of the symmetric part's sharp image, and
-closure of sharp-image brackets."""
+"""The subalgebra conditions that make a subspace, such as a point's stabilizer
+or a Lagrangian subalgebra of a double, compatible with a quasi-triangular
+structure: closure, twist stability, coisotropy with respect to the pairing,
+stability of the symmetric part's sharp image, and closure of sharp-image brackets."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -10,30 +10,16 @@ from typing import Mapping, Sequence
 from .core import (
     SparseTensor,
     Subspace,
-    Vector,
     _apply_columns,
-    _exact_vector,
     _images_outside,
-    _null_space,
     _orthogonal_complement,
-    _sparse,
     _square_columns,
-    _transpose_sparse,
     annihilator,
 )
-from .homlie import HomLieAlgebra, LinearRep, _brackets_outside, _twist_outside
+from .homlie import HomLieAlgebra, _brackets_outside, _twist_outside
 from .manin import ManinTriple, _form_rows
 from .rmatrix import _s_sharp_columns
 from .reporting import CheckReport, failure
-
-
-def stabilizer_at(rep: LinearRep, point: Vector) -> Subspace:
-    """Subalgebra of algebra elements whose action kills the point."""
-    if len(_exact_vector(point, "point")) != rep.target_dim:
-        raise ValueError("point dimension mismatch")
-    xs = _sparse(point)
-    images = [_apply_columns(m, xs) for m in rep.rho]
-    return _null_space(_transpose_sparse(images, rep.target_dim), len(rep.rho))
 
 
 def _require_ambient(q: Subspace, dim: int) -> None:
@@ -50,7 +36,8 @@ def is_subalgebra(h: HomLieAlgebra, q: Subspace) -> bool:
 def check_phi_stable(q: Subspace, phi_columns: Sequence[Mapping[int, Fraction]]) -> bool:
     """Stability of a subspace under the endomorphism with sparse columns
     phi_columns, the format of `HomLieAlgebra.phi_columns`, which must be
-    q.ambient_dim of them."""
+    q.ambient_dim of them.  Kept for ROADMAP item 7, whose Yau twist needs
+    both halves α-stable."""
     return not _images_outside(_square_columns(phi_columns, q.ambient_dim, "phi"), q, q)
 
 
@@ -82,14 +69,14 @@ def check_coisotropy_form(h: HomLieAlgebra, q: Subspace, form_rows: Sequence[Map
 
 def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
     """Image condition: the symmetric part's sharp map sends the annihilator of q
-    into q."""
+    into q.  A named condition for ROADMAP item 6's per-check reports."""
     _require_ambient(q, h.dim)
     return not _images_outside(_s_sharp_columns(h, s), annihilator(q), q)
 
 
 def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
     """Bracket-image condition: brackets of sharp images of annihilator covectors
-    land in q."""
+    land in q.  A named condition for ROADMAP item 6's per-check reports."""
     _require_ambient(q, h.dim)
     return _sharp_brackets_in(h, _s_sharp_columns(h, s), annihilator(q), q)
 
@@ -113,7 +100,9 @@ def stabilizer_report(
 ) -> CheckReport:
     """Bundle of the subalgebra conditions for one subspace: twist stability,
     coisotropy when a pairing (sparse rows, as in `HomLieAlgebra.form_rows`) is
-    supplied, and the two sharp-image conditions when a symmetric part is."""
+    supplied, and the two sharp-image conditions when a symmetric part is.
+    Kept for ROADMAP item 4, which compares its verdicts before and after
+    transport, and item 6, which makes its conditions report residuals."""
     _require_ambient(q, h.dim)
     failures = []
     if not _twist_stable(h, q):

@@ -3,7 +3,6 @@ independent dense oracles used to cross-check the sparse implementations."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -16,10 +15,8 @@ from maninforge.core import (
     Subspace,
     Vector,
     _common_denominator,
-    _exact_vector,
     _gauss_jordan,
     _integer_row,
-    _null_space,
     _numerators,
     _orthogonal_complement,
     _sparse,
@@ -32,7 +29,6 @@ from maninforge.core import (
     mat_mul,
     mat_vec,
     matrix,
-    matrix_rank,
     nullspace,
     rref,
     sparse_columns,
@@ -41,7 +37,6 @@ from maninforge.core import (
 )
 from maninforge.homlie import (
     HomLieAlgebra,
-    LinearRep,
     _accumulate,
     _ad_basis,
     _by_slot,
@@ -1008,28 +1003,6 @@ def dense_check_twist_morphism(h: HomLieAlgebra) -> CheckReport:
     return CheckReport("twist_morphism", failures)
 
 
-def dense_check_admissible_algebra(h: HomLieAlgebra) -> CheckReport:
-    """Both conditions of `check_admissible_algebra` on every basis pair and
-    triple, each bracket a dense `h.bracket` of dense vectors."""
-    failures = []
-    basis = [unit_vector(h.dim, i) for i in range(h.dim)]
-    phi_cols = [dense_mat_vec(h.phi, e) for e in basis]
-    defects = [tuple(a - b for a, b in zip(e, dense_mat_vec(h.phi, p))) for e, p in zip(basis, phi_cols)]
-    for i in range(h.dim):
-        for j in range(h.dim):
-            residual = h.bracket(defects[i], phi_cols[j])
-            if any(residual):
-                failures.append(failure("defect_bracket", (i, j), residual))
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            for k in range(h.dim):
-                lhs = h.bracket(defects[i], h.bracket(phi_cols[j], basis[k]))
-                rhs = h.bracket(defects[j], h.bracket(phi_cols[i], basis[k]))
-                if lhs != rhs:
-                    failures.append(failure("defect_nested", (i, j, k), tuple(a - b for a, b in zip(lhs, rhs))))
-    return CheckReport("admissible_algebra", failures)
-
-
 def dense_check_quadratic(h: HomLieAlgebra) -> CheckReport:
     failures = []
     g = h.form
@@ -1225,108 +1198,12 @@ def dense_special_linear_data(k: int) -> RootData:
 
 
 # ---------------------------------------------------------------------------
-# Dense references for the representation checks and the stabilizer of a
-# point: a representation as dense matrices, extended linearly by `rho_of`,
-# and the checks that multiplied those matrices with `mat_mul` and applied
-# them with `mat_vec`, kept as written before representations moved to
-# sparse columns.
-
-
-@dataclass(frozen=True)
-class DenseLinearRep:
-    """rho and alpha as dense target_dim x target_dim matrices."""
-
-    target_dim: int
-    rho: tuple[Matrix, ...]
-    alpha: Matrix
-
-    def rho_of(self, x: Vector) -> Matrix:
-        """rho extended linearly to an arbitrary algebra element."""
-        out = [[ZERO] * self.target_dim for _ in range(self.target_dim)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for r, row in enumerate(self.rho[i]):
-                for c, v in enumerate(row):
-                    if v != 0:
-                        out[r][c] += xi * v
-        return tuple(tuple(row) for row in out)
+# Dense views of sparse columns
 
 
 def dense_of_columns(cols, n: int) -> Matrix:
     """The dense matrix with n rows whose sparse columns are cols."""
     return tuple(tuple(col.get(r, ZERO) for col in cols) for r in range(n))
-
-
-def dense_rep(rep: LinearRep) -> DenseLinearRep:
-    n = rep.target_dim
-    return DenseLinearRep(n, tuple(dense_of_columns(m, n) for m in rep.rho), dense_of_columns(rep.alpha, n))
-
-
-def _require_rho_count(h: HomLieAlgebra, rep: DenseLinearRep) -> None:
-    if len(rep.rho) != h.dim:
-        raise ValueError(
-            f"representation needs {h.dim} rho matrices, one per basis element, got {len(rep.rho)}"
-        )
-
-
-def dense_check_representation(h: HomLieAlgebra, rep: DenseLinearRep) -> CheckReport:
-    """Representation axioms: rho(phi x) alpha = alpha rho(x), and
-    rho([x,y]) alpha = rho(phi x) rho(y) - rho(phi y) rho(x)."""
-    _require_rho_count(h, rep)
-    failures = []
-    rho_phi = [rep.rho_of(_dense(h, column)) for column in h.phi_columns]
-    for i in range(h.dim):
-        lhs = mat_mul(rho_phi[i], rep.alpha)
-        rhs = mat_mul(rep.alpha, rep.rho[i])
-        if lhs != rhs:
-            failures.append(failure("intertwine", (i,)))
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            lhs = mat_mul(rep.rho_of(_dense(h, h.bracket_basis(i, j))), rep.alpha)
-            rhs_mat = mat_mul(rho_phi[i], rep.rho[j])
-            neg = mat_mul(rho_phi[j], rep.rho[i])
-            rhs = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(rhs_mat, neg))
-            if lhs != rhs:
-                failures.append(failure("bracket_action", (i, j)))
-    return CheckReport("representation", failures)
-
-
-def dense_check_admissible_representation(h: HomLieAlgebra, rep: DenseLinearRep) -> CheckReport:
-    """Dual-representation conditions: alpha rho(phi x) = rho(x) alpha, and
-    alpha rho([x,y]) = rho(x) rho(phi y) - rho(y) rho(phi x). Needs invertible alpha."""
-    _require_rho_count(h, rep)
-    if matrix_rank(rep.alpha) < rep.target_dim:
-        return CheckReport(
-            "admissible_representation",
-            applicable=False,
-            reason="alpha is singular; the dual-side conditions are undefined",
-        )
-    failures = []
-    rho_phi = [rep.rho_of(_dense(h, column)) for column in h.phi_columns]
-    for i in range(h.dim):
-        lhs = mat_mul(rep.alpha, rho_phi[i])
-        rhs = mat_mul(rep.rho[i], rep.alpha)
-        if lhs != rhs:
-            failures.append(failure("dual_intertwine", (i,)))
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            lhs = mat_mul(rep.alpha, rep.rho_of(_dense(h, h.bracket_basis(i, j))))
-            pos = mat_mul(rep.rho[i], rho_phi[j])
-            neg = mat_mul(rep.rho[j], rho_phi[i])
-            rhs = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(pos, neg))
-            if lhs != rhs:
-                failures.append(failure("dual_bracket_action", (i, j)))
-    return CheckReport("admissible_representation", failures)
-
-
-def dense_stabilizer_at(rep: DenseLinearRep, point: Vector) -> Subspace:
-    """Subalgebra of algebra elements whose action kills the point."""
-    if len(_exact_vector(point, "point")) != rep.target_dim:
-        raise ValueError("point dimension mismatch")
-    columns = [mat_vec(m, point) for m in rep.rho]
-    rows = [{i: col[r] for i, col in enumerate(columns) if col[r]} for r in range(rep.target_dim)]
-    return _null_space(rows, len(rep.rho))
 
 
 # ---------------------------------------------------------------------------

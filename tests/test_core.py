@@ -31,6 +31,7 @@ from maninforge.core import (
     _apply_columns,
     _orthogonal_complement,
     _sparse,
+    _span,
     SparseTensor,
     Subspace,
     annihilator,
@@ -49,14 +50,13 @@ from maninforge.core import (
     rref,
     sparse_columns,
     subspace_equal,
-    subspace_sum,
     tensor_skew_sym_split,
     transpose,
     unit_vector,
     vector,
 )
 from maninforge.flagleaf import GroupElement
-from maninforge.homlie import HomLieAlgebra, LinearRep
+from maninforge.homlie import HomLieAlgebra
 from maninforge.polyuble import snake_permutation
 
 
@@ -82,7 +82,6 @@ def test_rational_accepts_ints_strings_fractions():
         lambda: Subspace.span(2, [[1, 0.5]]),
         lambda: GroupElement.of([[1, 0.5], [0, 1]]),
         lambda: SparseTensor.from_entries(2, 2, {(0, 0): 1}).apply_per_slot([[[0.1, 0], [0, 1]], identity_matrix(2)]),
-        lambda: LinearRep.of(2, [[[0.1, 0], [0.3, 1]]]),
     ],
 )
 def test_floats_are_refused_with_a_hint(build):
@@ -406,29 +405,19 @@ def test_span_is_canonical():
 
 
 def test_membership_and_containment():
-    """Containment a >= b is subspace_sum(a, b) == a."""
+    """Containment a >= b is the span of both equal to a."""
     q = Subspace.span(3, [[1, 0, 1]])
     assert q.contains((Fraction(2), Fraction(0), Fraction(2)))
     assert not q.contains((Fraction(1), Fraction(0), Fraction(0)))
 
     def contains(a: Subspace, b: Subspace) -> bool:
-        return subspace_equal(subspace_sum(a, b), a)
+        return subspace_equal(_span(a.ambient_dim, a.echelon + b.echelon), a)
 
     assert contains(Subspace.full(3), q)
     assert not contains(q, Subspace.full(3))
     assert contains(q, Subspace.zero(3))
     assert contains(q, Subspace.span(3, [[-3, 0, -3]]))
     assert not contains(Subspace.span(3, [[1, 0, 1], [0, 1, 0]]), Subspace.span(3, [[1, 1, 0]]))
-    with pytest.raises(ValueError, match="ambient dimensions differ"):
-        contains(Subspace.full(2), Subspace.zero(3))
-
-
-def test_subspace_sum_dims():
-    a = Subspace.span(4, [[1, 0, 0, 0]])
-    b = Subspace.span(4, [[0, 1, 0, 0], [1, 1, 0, 0]])
-    total = subspace_sum(a, b)
-    assert total.dim == 2
-    assert subspace_equal(total, Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]]))
 
 
 def test_orthogonal_complement_extremes():
@@ -595,14 +584,15 @@ def test_rref_matches_the_dense_reference(m):
     )
 )
 def test_subspace_operations_match_the_dense_reference(triple):
-    """span, subspace_sum, annihilator and _orthogonal_complement against
-    dense_span over dense_rref; equal subspaces hash alike."""
+    """span (of rows, and of two spaces' canonical rows), annihilator and
+    _orthogonal_complement against dense_span over dense_rref; equal
+    subspaces hash alike."""
     a_rows, b_rows, gram = triple
     n = len(gram)
     a, b = Subspace.span(n, a_rows), Subspace.span(n, b_rows)
     reference = dense_span(n, a_rows)
     assert a == reference and hash(a) == hash(reference)
-    assert subspace_sum(a, b) == dense_span(n, a_rows + b_rows)
+    assert _span(n, a.echelon + b.echelon) == dense_span(n, a_rows + b_rows)
     null = dense_nullspace(reference.rows) if reference.dim else identity_matrix(n)
     assert annihilator(a) == dense_span(n, null)
     conditions = [dense_mat_vec(transpose(gram), w) for w in reference.rows]

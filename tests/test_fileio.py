@@ -114,13 +114,13 @@ def test_parsing_written_text_eliminates_nothing(monkeypatch):
     assert calls == [1]
 
 
-def test_matrix_blocks_round_trip():
+def test_matrix_blocks_parse():
+    """A blank line ends a block; CLI `psi` reads its group elements this way."""
     blocks = [
         ((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(1))),
         ((Fraction(-3),),),
     ]
-    text = fileio.format_matrix_blocks(blocks)
-    assert fileio.parse_matrix_blocks(text) == blocks
+    assert fileio.parse_matrix_blocks("1 1/2\n0 1\n\n-3\n") == blocks
 
 
 def test_render_rational_is_canonical():

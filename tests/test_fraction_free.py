@@ -85,7 +85,6 @@ from maninforge.core import (
     matrix_rank,
     sparse_columns,
     subspace_equal,
-    subspace_sum,
     tensor_skew_sym_split,
 )
 from maninforge.fileio import (
@@ -553,7 +552,7 @@ def test_elimination_matches_the_fraction_reference_row_for_row(n, count, seed):
     space = Subspace(n, tuple(reduced))  # canonical: the constructor checks
     reversed_rows = _gauss_jordan(list(reversed(rows)))
     assert _items(reversed_rows) == _items(reduced)
-    assert subspace_equal(subspace_sum(space, space), space)
+    assert subspace_equal(_span(n, space.echelon + space.echelon), space)
 
 
 @pytest.mark.parametrize("n, count, seed", ROW_SHAPES)
@@ -1161,7 +1160,7 @@ def test_elimination_and_membership_of_hostile_halves_do_no_fraction_arithmetic(
     membership of each row of one in the other run in ints all the same."""
     t = basis_image(D3, hostile_basis(D3.dim, 11, 4))
     assert max(x.denominator for row in t.part1.echelon for x in row.values()) > 1
-    total, calls = fraction_arithmetic(subspace_sum, t.part1, t.part2)
+    total, calls = fraction_arithmetic(_span, D3.dim, t.part1.echelon + t.part2.echelon)
     assert total.dim == D3.dim and calls == 0
     members, calls = fraction_arithmetic(lambda: [total.contains_sparse(w) for w in t.part1.echelon])
     assert all(members) and calls == 0

@@ -1,4 +1,4 @@
-"""Twisted Lie algebras: axiom certifiers, morphisms, representations, forms."""
+"""Twisted Lie algebras: axiom certifiers, morphisms, forms."""
 from __future__ import annotations
 
 import random
@@ -8,20 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-import maninforge.homlie
-from helpers import conjugate_algebra, dense_check_admissible_algebra, dense_check_homomorphism, rand_fraction
+from helpers import dense_check_homomorphism, rand_fraction
 from maninforge.core import SparseTensor, Subspace, _unit_columns, identity_matrix, mat_vec, matrix, sparse_columns
 from maninforge.homlie import (
     HomLieAlgebra,
-    LinearRep,
-    adjoint_representation,
-    check_admissible_algebra,
-    check_admissible_representation,
     check_hom_jacobi,
     check_homomorphism,
     check_involutive,
     check_quadratic,
-    check_representation,
     check_twist_morphism,
     direct_sum,
     negate_form,
@@ -69,14 +63,13 @@ def test_negative_dimension_rejected():
 @pytest.mark.parametrize("dim", [-1, 2.5, True, "2", None])
 def test_dimensions_must_be_non_negative_ints_everywhere(dim):
     """One message for every dimension: a float or a string used to raise a
-    TypeError, and True or a negative target_dim used to be stored."""
+    TypeError."""
     builders = {
         "dim": (
             lambda: HomLieAlgebra.unchecked(dim, {}),
             lambda: HomLieAlgebra.create(dim, {}),
             lambda: HomLieAlgebra(dim, {}, ({0: 1},)),
         ),
-        "target_dim": (lambda: LinearRep.of(dim, []),),
         "ambient dimension": (lambda: Subspace(dim, ()),),
         "tensor dimension": (lambda: SparseTensor(2, dim),),
     }
@@ -299,145 +292,6 @@ def test_homomorphism_reports_match_the_dense_reference(seed, zeros_in_four):
     for f, report in zip(maps, reports):
         assert report.failures == dense_check_homomorphism(f, h1, h2).failures
     assert reports[1].passed and not reports[2].passed
-
-
-# ---------------------------------------------------------------------------
-# Representations
-
-
-def test_adjoint_matrices_encode_brackets():
-    h = sl2_twisted()
-    rep = adjoint_representation(h)
-    # ad_{e0} scales the root vectors by -2 and 2.
-    assert rep.rho[0] == ({}, {1: -2}, {2: 2})
-    assert rep.alpha == h.phi_columns
-
-
-def test_adjoint_is_a_representation_both_twists():
-    for h in (sl2_lie(), sl2_twisted()):
-        rep = adjoint_representation(h)
-        assert check_representation(h, rep).passed
-        assert check_admissible_representation(h, rep).passed
-
-
-def test_wrong_alpha_breaks_intertwining():
-    h = sl2_twisted()
-    rep = adjoint_representation(h)
-    wrong = LinearRep(rep.target_dim, rep.rho, _unit_columns(3))
-    report = check_representation(h, wrong)
-    assert not report.passed
-    assert any(f.check == "intertwine" for f in report.failures)
-
-
-def test_singular_alpha_is_inapplicable_not_failing():
-    h = sl2_lie()
-    zero3 = [[0] * 3 for _ in range(3)]
-    rep = LinearRep.of(3, [zero3, zero3, zero3], alpha=zero3)
-    report = check_admissible_representation(h, rep)
-    assert not report.applicable
-    assert report.verdict == "inapplicable"
-    assert not report.failures
-
-
-def test_representation_shapes_checked():
-    h = sl2_lie()
-    rep = adjoint_representation(h)
-    short = LinearRep(rep.target_dim, rep.rho[:2], rep.alpha)
-    for check in (check_representation, check_admissible_representation):
-        with pytest.raises(ValueError, match="needs 3 rho matrices"):
-            check(h, short)
-    with pytest.raises(ValueError, match="alpha must be 3x3"):
-        LinearRep.of(3, [[[0] * 3] * 3] * 3, alpha=[[1]])
-
-
-I2 = ({0: 1}, {1: 1})
-
-
-@pytest.mark.parametrize(
-    "args, match",
-    [
-        ((-1, (), ()), "target_dim must be a non-negative int, got -1"),
-        ((True, (), ()), "target_dim must be a non-negative int, got True"),
-        ((2, ((1, 2),), "x"), r"rho\[0\] must be 2x2 as sparse vectors: column 0 is a int, not a mapping"),
-        ((2, (I2,), "x"), "alpha must be a tuple of sparse columns, got 'x'"),
-        ((2, [I2], I2), "rho must be a tuple of column tuples"),
-        ((2, (I2, ({0: 1},)), I2), r"rho\[1\] must be 2x2 as sparse vectors: got 1 columns"),
-        ((2, (I2,), ({0: 1}, {2: 1})), r"alpha must be 2x2 as sparse vectors: column 1 has row index 2 outside range\(2\)"),
-        ((2, (({0: 1}, {1: 1.5}),), I2), r"rho\[0\] must be 2x2 as sparse vectors: column 1 has entry 1.5 at row 1"),
-    ],
-    ids=["negative dim", "bool dim", "row as rho", "string alpha", "list rho", "short rho", "ragged alpha", "float"],
-)
-def test_linear_rep_constructor_checks_shapes(args, match):
-    """The positional constructor once stored every one of these: a negative
-    target_dim, a rho map that is a row, a string alpha, a short map, a row
-    index outside the target and a float entry."""
-    with pytest.raises(ValueError, match=match):
-        LinearRep(*args)
-
-
-def test_involutive_algebras_are_admissible():
-    assert check_admissible_algebra(sl2_lie()).passed
-    assert check_admissible_algebra(sl2_twisted()).passed
-
-
-def test_non_admissible_twist_detected():
-    """A nilpotent non-involutive twist on the two-step algebra leaves a
-    defect (Id - phi^2) that does not bracket away."""
-    h = HomLieAlgebra.unchecked(
-        3,
-        {(0, 1): {2: 1}},
-        phi=[[0, 0, 0], [0, 1, 0], [1, 0, 0]],
-    )
-    if check_hom_jacobi(h).passed:
-        report = check_admissible_algebra(h)
-        assert not report.passed
-
-
-def _sl2_scaled() -> HomLieAlgebra:
-    """The sl2 bracket with the automorphism diag(1, 2, 1/2) as twist: not
-    involutive, so both admissibility conditions have defects to bracket."""
-    return HomLieAlgebra.unchecked(3, SL2_BRACKETS, phi=[[1, 0, 0], [0, 2, 0], [0, 0, Fraction(1, 2)]])
-
-
-ADMISSIBLE_CASES = {
-    "sl2_lie": sl2_lie,
-    "sl2_twisted": sl2_twisted,
-    "nilpotent twist": lambda: HomLieAlgebra.unchecked(3, {(0, 1): {2: 1}}, phi=[[0, 0, 0], [0, 1, 0], [1, 0, 0]]),
-    "sl2 scaled": _sl2_scaled,
-    "sl2 scaled^3": lambda: direct_sum(*[_sl2_scaled()] * 3),
-    "sl2 scaled sheared": lambda: conjugate_algebra(_sl2_scaled(), matrix([[1, 1, 0], [0, 1, 0], [2, 0, 1]])),
-    "sl2 scaled+sl2_twisted": lambda: direct_sum(_sl2_scaled(), sl2_twisted()),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ADMISSIBLE_CASES))
-def test_admissible_algebra_matches_the_dense_reference(name):
-    h = ADMISSIBLE_CASES[name]()
-    assert check_admissible_algebra(h).to_json() == dense_check_admissible_algebra(h).to_json()
-
-
-@pytest.mark.parametrize("name", sorted(ADMISSIBLE_CASES))
-def test_admissible_algebra_brackets_nothing_when_every_defect_is_zero(name, monkeypatch):
-    """An involutive twist, the identity included, leaves no defect
-    (Id - phi^2)b_i, so no bracket is summed; the report is the dense
-    reference's either way."""
-    calls = []
-    pair_brackets = maninforge.homlie._pair_brackets
-    monkeypatch.setattr(maninforge.homlie, "_pair_brackets", lambda *args: calls.append(1) or pair_brackets(*args))
-    h = ADMISSIBLE_CASES[name]()
-    assert check_admissible_algebra(h).to_json() == dense_check_admissible_algebra(h).to_json()
-    assert len(calls) == (0 if check_involutive(h) else 1)
-
-
-def _refuse_brackets(*args):
-    raise AssertionError("brackets were summed although every defect is zero")
-
-
-def test_admissible_algebra_of_untwisted_algebras_brackets_nothing(monkeypatch):
-    monkeypatch.setattr(maninforge.homlie, "_pair_brackets", _refuse_brackets)
-    for h in (special_linear_data(3).algebra, triple_double(special_linear_data(2)).algebra, direct_sum(sl2_lie(), sl2_lie())):
-        assert h.untwisted
-        assert check_admissible_algebra(h).to_json() == dense_check_admissible_algebra(h).to_json()
 
 
 # ---------------------------------------------------------------------------

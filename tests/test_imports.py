@@ -1,8 +1,9 @@
-"""Every name a maninforge module imports is used in that module, and every
-import is at module level."""
+"""Every name a maninforge module imports is used in that module, every
+import is at module level, and every public name has a user or a claim."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import maninforge
@@ -79,3 +80,67 @@ def test_src_modules_import_only_at_module_level():
     assert modules
     late = {path.stem: late_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {stem: found for stem, found in late.items() if found} == {}
+
+
+REPO_DIR = PACKAGE_DIR.parents[1]
+CLAIM = re.compile(r"ROADMAP item \d+")
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every name the tree refers to: bare, as an attribute or in an import.
+    An import counts because `test_src_modules_use_every_imported_name` holds
+    each imported name to a use, bar the `ALLOWED` ones the benchmark keeps."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def unclaimed_public_names(sources: dict[str, str], outside: list[str]) -> list[str]:
+    """The "module.name" of each module-level public function or class of the
+    modules in sources that nothing else refers to: no other top-level
+    statement of any of those modules, no source in outside, and no
+    `ROADMAP item N` claim in its own docstring."""
+    trees = {stem: ast.parse(source) for stem, source in sources.items()}
+    used = set().union(*map(referenced_names, map(ast.parse, outside)))
+    definitions = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            defines = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if defines and not defines.startswith("_"):
+                definitions.append((stem, node))
+            used |= referenced_names(node) - {defines}
+    return sorted(
+        f"{stem}.{node.name}"
+        for stem, node in definitions
+        if node.name not in used and not CLAIM.search(ast.get_docstring(node) or "")
+    )
+
+
+def test_scanner_finds_an_unclaimed_public_name():
+    sources = {
+        "a": (
+            "def kept():\n    return helper()\ndef helper():\n    pass\n"
+            "def imported():\n    pass\ndef lonely():\n    return lonely()\n"
+        ),
+        "b": 'class Claimed:\n    """Kept for ROADMAP item 4."""\nclass Benched:\n    pass\ndef _private():\n    pass\n',
+    }
+    outside = ["import maninforge.b\nfrom maninforge.a import imported\nmaninforge.b.Benched()\n"]
+    assert unclaimed_public_names(sources, outside) == ["a.kept", "a.lonely"]
+
+
+def test_every_public_name_has_a_user_or_a_roadmap_claim():
+    """Each module-level public function or class of the package is used by
+    another definition in the package (the CLI included), by the benchmark or
+    by an acceptance criterion, or its docstring names the open ROADMAP item
+    that will use it.  A name whose only callers are its own tests goes."""
+    modules = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    outside = sorted((REPO_DIR / "bench").glob("*.py")) + [REPO_DIR / "tests" / "test_acceptance.py"]
+    assert modules and len(outside) > 1
+    read = lambda path: path.read_text(encoding="utf-8")
+    assert unclaimed_public_names({p.stem: read(p) for p in modules}, [read(p) for p in outside]) == []

@@ -280,3 +280,16 @@ def test_the_reader_eliminates_nothing_and_reads_no_dense_view(monkeypatch):
     monkeypatch.setattr(Subspace, "rows", property(forbidden))
     base, n = _power_base(power)
     assert n == 8 and stored(base) == stored(D3)
+
+
+def test_the_reader_compares_edge_entries_by_identity(monkeypatch):
+    """Work-count guard: a parsed "1" is the shared `core.ONE` that the edge
+    rows of `manin._piece_rows` hold, so comparing a parsed power's edge rows
+    calls `Fraction.__eq__` for fewer than one entry in each edge piece."""
+    power = read_back(nuble(D3, 8))
+    edge_entries = sum(2 * D3.dim for half in manin._chain(8)[1] for _, _, k in half if not k)
+    calls = []
+    equal = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(1) or equal(a, b))
+    assert _power_base(power)[1] == 8
+    assert edge_entries == 224 and len(calls) < edge_entries

@@ -1,5 +1,5 @@
-"""Stabilizers of linear actions and the subalgebra conditions a subspace must
-satisfy to be compatible with a quasi-triangular structure."""
+"""The subalgebra conditions a subspace must satisfy to be compatible with a
+quasi-triangular structure."""
 from __future__ import annotations
 
 import random
@@ -16,45 +16,26 @@ import maninforge.stabilizer
 from helpers import (
     SL2_FORM,
     dense_brackets_in,
-    dense_check_admissible_representation,
-    dense_check_representation,
     dense_contains,
     dense_mat_vec,
-    dense_of_columns,
-    dense_rep,
     dense_sharp_matrix,
-    dense_stabilizer_at,
     dense_vec_dot,
-    rand_fraction,
     rand_subspace,
     rand_tensor,
 )
 from maninforge.core import (
     Subspace,
-    _apply_columns,
-    _dense_vector,
     _orthogonal_complement,
     _sparse,
     _unit_columns,
     annihilator,
-    identity_matrix,
     inverse,
-    map_subspace,
-    mat_mul,
     mat_vec,
-    subspace_equal,
     tensor_skew_sym_split,
     unit_vector,
     SparseTensor,
 )
-from maninforge.homlie import (
-    HomLieAlgebra,
-    LinearRep,
-    adjoint_representation,
-    check_admissible_representation,
-    check_representation,
-    direct_sum,
-)
+from maninforge.homlie import HomLieAlgebra, direct_sum
 from maninforge.manin import (
     hyperbolic_triple,
     special_linear_data,
@@ -70,11 +51,8 @@ from maninforge.stabilizer import (
     check_s_sharp_condition,
     is_subalgebra,
     _twist_stable,
-    stabilizer_at,
     stabilizer_report,
 )
-
-DEFINING_MATRICES = ([[1, 0], [0, -1]], [[0, 0], [-1, 0]], [[0, 1], [0, 0]])
 
 
 def worked_s():
@@ -82,76 +60,7 @@ def worked_s():
 
 
 # ---------------------------------------------------------------------------
-# Representations as actions
-
-
-def test_action_construction_validation():
-    h = sl2_lie()
-    with pytest.raises(ValueError, match="3 rho matrices"):
-        check_representation(h, LinearRep.of(2, DEFINING_MATRICES[:2]))
-    with pytest.raises(ValueError, match="rho\\[0\\] must be 2x2"):
-        LinearRep.of(2, ([[1, 0]], [[0, 0]], [[0, 1]]))
-
-
-def test_adjoint_representation_matches_bracket():
-    h = sl2_lie()
-    rep = adjoint_representation(h)
-    y = (Fraction(0), Fraction(1), Fraction(1))
-    for i in range(3):
-        assert _dense_vector(_apply_columns(rep.rho[i], _sparse(y)), 3) == h.bracket(unit_vector(3, i), y)
-    assert check_representation(h, rep).passed
-
-
-def test_defining_action_satisfies_commutator_axiom():
-    rep = LinearRep.of(2, DEFINING_MATRICES)
-    assert check_representation(sl2_lie(), rep).passed
-
-
-def test_broken_action_located():
-    """Swapping the two root-vector matrices flips commutator signs."""
-    h = sl2_lie()
-    bad = LinearRep.of(2, (DEFINING_MATRICES[0], DEFINING_MATRICES[2], DEFINING_MATRICES[1]))
-    report = check_representation(h, bad)
-    assert not report.passed
-    assert all(f.check == "bracket_action" for f in report.failures)
-
-
-# ---------------------------------------------------------------------------
-# Stabilizers
-
-
-def test_adjoint_stabilizer_of_diagonal_element_is_its_own_line():
-    rep = adjoint_representation(sl2_lie())
-    stab = stabilizer_at(rep, unit_vector(3, 0))
-    assert subspace_equal(stab, Subspace.span(3, [[1, 0, 0]]))
-
-
-def test_stabilizer_of_zero_is_everything():
-    rep = adjoint_representation(sl2_lie())
-    assert stabilizer_at(rep, (Fraction(0),) * 3).dim == 3
-    assert stabilizer_at(LinearRep.of(0, [[], [], []]), ()).dim == 3
-
-
-def test_defining_stabilizer_of_first_basis_point():
-    """The matrices killing (1,0) by left action are spanned by the strictly
-    upper-triangular one."""
-    rep = LinearRep.of(2, DEFINING_MATRICES)
-    stab = stabilizer_at(rep, (Fraction(1), Fraction(0)))
-    assert subspace_equal(stab, Subspace.span(3, [[0, 0, 1]]))
-
-
-def test_stabilizer_point_dimension_checked():
-    rep = LinearRep.of(2, DEFINING_MATRICES)
-    with pytest.raises(ValueError):
-        stabilizer_at(rep, (Fraction(1),))
-
-
-@pytest.mark.parametrize("entry", [1.5, "1", True, None])
-def test_stabilizer_point_entries_must_be_exact(entry):
-    """A float point entry used to raise an AttributeError, and a string one a TypeError."""
-    for rep in (adjoint_representation(sl2_lie()), LinearRep.of(3, [])):
-        with pytest.raises(ValueError, match=f"point entry 0 is {re.escape(repr(entry))}, not an int or a Fraction"):
-            stabilizer_at(rep, (entry, 0, 0))
+# Subspace predicates
 
 
 def test_twist_stability_of_an_untwisted_algebra_computes_no_image(monkeypatch):
@@ -171,40 +80,6 @@ def test_twist_stability_of_an_untwisted_algebra_computes_no_image(monkeypatch):
     assert calls == []
     assert _twist_stable(sl2_twisted(), q)
     assert len(calls) == 1
-
-
-def test_stabilizers_are_subalgebras_random_points():
-    rng = random.Random(83)
-    for h in (sl2_lie(), triple_g_plus_h(special_linear_data(2)).algebra):
-        rep = adjoint_representation(h)
-        for _ in range(20):
-            p = tuple(Fraction(rng.randint(-5, 5)) for _ in range(h.dim))
-            assert is_subalgebra(h, stabilizer_at(rep, p))
-
-
-def test_stabilizer_equivariance_under_nilpotent_flow():
-    """exp(ad) of a nilpotent element is an exact polynomial automorphism g;
-    the stabilizer of the moved point is the moved stabilizer."""
-    h = sl2_lie()
-    rep = adjoint_representation(h)
-    ad_top = dense_of_columns(rep.rho[2], 3)
-    g = identity_matrix(3)
-    term = identity_matrix(3)
-    fact = 1
-    for k in range(1, 4):
-        term = mat_mul(ad_top, term)
-        fact *= k
-        g = tuple(tuple(x + y / fact for x, y in zip(g_row, t_row)) for g_row, t_row in zip(g, term))
-    rng = random.Random(89)
-    for _ in range(20):
-        p = tuple(Fraction(rng.randint(-5, 5)) for _ in range(3))
-        left = stabilizer_at(rep, mat_vec(g, p))
-        right = map_subspace(g, stabilizer_at(rep, p))
-        assert subspace_equal(left, right)
-
-
-# ---------------------------------------------------------------------------
-# Subspace predicates
 
 
 def test_is_subalgebra():
@@ -507,86 +382,15 @@ def test_twist_and_image_conditions_match_the_dense_reference():
 
 
 # ---------------------------------------------------------------------------
-# Sparse columns against the frozen dense references
+# Sparse columns only
 
 
-def representation_cases():
-    """(name, algebra, representation): the adjoint representations of sl2,
-    twisted sl2, D2 and D3, the defining representation of sl2 and its
-    root-swapped breakage, a singular alpha, and seeded one-entry
-    perturbations of rho and of alpha (a new entry, zero included) under
-    both twists."""
-    sl2, twisted = sl2_lie(), sl2_twisted()
-    cases = [
-        (name, h, adjoint_representation(h))
-        for name, h in (
-            ("sl2", sl2),
-            ("twisted sl2", twisted),
-            ("D2", triple_double(special_linear_data(2)).algebra),
-            ("D3", triple_double(special_linear_data(3)).algebra),
-        )
-    ]
-    cases += [
-        ("defining", sl2, LinearRep.of(2, DEFINING_MATRICES)),
-        ("root-swapped", sl2, LinearRep.of(2, (DEFINING_MATRICES[0], DEFINING_MATRICES[2], DEFINING_MATRICES[1]))),
-        ("singular alpha", sl2, LinearRep(3, adjoint_representation(sl2).rho, ({0: 1}, {}, {2: Fraction(1, 2)}))),
-    ]
-    rng = random.Random(127)
-    for name, h in (("sl2", sl2), ("twisted sl2", twisted)):
-        rep = adjoint_representation(h)
-        for k in range(16):
-            maps = [*rep.rho, rep.alpha]
-            m = len(rep.rho) if k % 2 else rng.randrange(len(rep.rho))
-            r, c = rng.randrange(h.dim), rng.randrange(h.dim)
-            column = {**maps[m][c], r: rand_fraction(rng, -2, 2)}
-            maps[m] = maps[m][:c] + (column,) + maps[m][c + 1 :]
-            what = "alpha" if m == len(rep.rho) else f"rho[{m}]"
-            cases.append((f"{name}, {what} entry ({r}, {c}) perturbed", h, LinearRep(h.dim, tuple(maps[:-1]), maps[-1])))
-    return cases
-
-
-def test_representation_checks_match_the_dense_references():
-    """Both representation checks on sparse columns give the reports of the
-    dense `mat_mul` references, failures, indices and inapplicability alike."""
-    verdicts = set()
-    for name, h, rep in representation_cases():
-        dense = dense_rep(rep)
-        for check, reference in (
-            (check_representation, dense_check_representation),
-            (check_admissible_representation, dense_check_admissible_representation),
-        ):
-            report = check(h, rep)
-            assert report.to_json() == reference(h, dense).to_json(), (name, check.__name__)
-            verdicts.add(report.verdict)
-    assert verdicts == {"pass", "fail", "inapplicable"}
-
-
-def test_stabilizers_match_the_dense_reference():
-    """`stabilizer_at` on sparse columns spans the subspace of the dense
-    `mat_vec` reference at seeded points, zero entries and the origin included."""
-    rng = random.Random(131)
-    dims = set()
-    for name, h, rep in representation_cases():
-        dense = dense_rep(rep)
-        points = [(0,) * rep.target_dim] + [
-            tuple(rand_fraction(rng) if rng.randrange(3) else 0 for _ in range(rep.target_dim)) for _ in range(6)
-        ]
-        for p in points:
-            stab = stabilizer_at(rep, p)
-            assert stab == dense_stabilizer_at(dense, p), (name, p)
-            dims.add(stab.dim < h.dim)
-    assert dims == {True, False}
-
-
-def test_representations_and_stabilizer_conditions_need_no_dense_matrix(monkeypatch):
-    """Work-count guard: once D3 is built, its adjoint representation, both
-    representation checks, the stabilizer of a point and the subalgebra
-    conditions apply and compose sparse columns; no dense matrix product or
-    matrix-vector product runs."""
+def test_stabilizer_conditions_need_no_dense_matrix(monkeypatch):
+    """Work-count guard: once D3 is built, the subalgebra conditions apply
+    sparse columns; no dense matrix product or matrix-vector product runs."""
     t = triple_double(special_linear_data(3))
     h, q = t.algebra, t.part1
     s = SparseTensor.from_matrix(inverse(t.form))
-    point = tuple(Fraction(i % 3 - 1) for i in range(h.dim))
 
     def refuse(*args):
         raise AssertionError("dense matrix product called")
@@ -595,10 +399,7 @@ def test_representations_and_stabilizer_conditions_need_no_dense_matrix(monkeypa
         for name in ("mat_mul", "mat_vec"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    rep = adjoint_representation(h)
-    assert check_representation(h, rep).passed
-    assert check_admissible_representation(h, rep).passed
-    assert is_subalgebra(h, stabilizer_at(rep, point))
+    assert is_subalgebra(h, q)
     assert check_phi_stable(q, h.phi_columns)
     assert check_coisotropy_form(h, q, h.form_rows)
     assert stabilizer_report(h, s, q, h.form_rows).passed
