@@ -37,6 +37,7 @@ from maninforge.core import (
 )
 from maninforge.homlie import (
     HomLieAlgebra,
+    direct_sum,
     _accumulate,
     _ad_basis,
     _by_slot,
@@ -49,7 +50,7 @@ from maninforge.homlie import (
 )
 from maninforge.manin import DualBasisPair, ManinTriple, RootData, _form_rows
 from maninforge.reporting import CheckReport, failure
-from maninforge.rmatrix import RMatrixReport, _s_sharp_columns, check_hom_ad_invariant
+from maninforge.rmatrix import RMatrixReport, _s_sharp_columns, check_hom_ad_invariant, sl2_lie, sl2_twisted
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
 
@@ -118,6 +119,28 @@ def conjugate_algebra(h: HomLieAlgebra, p: Matrix) -> HomLieAlgebra:
     phi = mat_mul(pinv, mat_mul(h.phi, p))
     form = None if h.form is None else mat_mul(transpose(p), mat_mul(h.form, p))
     return HomLieAlgebra.unchecked(h.dim, brackets, phi, form)
+
+
+SL2_BRACKETS = {(0, 1): {1: -2}, (0, 2): {2: 2}, (1, 2): {0: 1}}
+
+
+def sl2_scaled() -> HomLieAlgebra:
+    """The sl2 bracket with the automorphism diag(1, 2, 1/2) as twist: a
+    multiplicative twist that is not an involution."""
+    return HomLieAlgebra.unchecked(3, SL2_BRACKETS, phi=[[1, 0, 0], [0, 2, 0], [0, 0, Fraction(1, 2)]])
+
+
+# Twisted algebras, most with a twist that does not square to the identity:
+# a nilpotent twist, a scaled sl2, its sums and a conjugate of it.
+TWISTED_ALGEBRAS = {
+    "sl2_lie": sl2_lie,
+    "sl2_twisted": sl2_twisted,
+    "nilpotent twist": lambda: HomLieAlgebra.unchecked(3, {(0, 1): {2: 1}}, phi=[[0, 0, 0], [0, 1, 0], [1, 0, 0]]),
+    "sl2 scaled": sl2_scaled,
+    "sl2 scaled^3": lambda: direct_sum(*[sl2_scaled()] * 3),
+    "sl2 scaled sheared": lambda: conjugate_algebra(sl2_scaled(), matrix([[1, 1, 0], [0, 1, 0], [2, 0, 1]])),
+    "sl2 scaled+sl2_twisted": lambda: direct_sum(sl2_scaled(), sl2_twisted()),
+}
 
 
 def basis_image(t: ManinTriple, p: Matrix) -> ManinTriple:

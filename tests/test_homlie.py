@@ -8,8 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import dense_check_homomorphism, rand_fraction
-from maninforge.core import SparseTensor, Subspace, _unit_columns, identity_matrix, mat_vec, matrix, sparse_columns
+from helpers import (
+    SL2_BRACKETS,
+    TWISTED_ALGEBRAS,
+    dense_check_homomorphism,
+    dense_check_hom_jacobi,
+    dense_check_twist_morphism,
+    rand_fraction,
+)
+from maninforge.core import SparseTensor, Subspace, _unit_columns, identity_matrix, mat_mul, mat_vec, matrix, sparse_columns
 from maninforge.homlie import (
     HomLieAlgebra,
     check_hom_jacobi,
@@ -292,6 +299,56 @@ def test_homomorphism_reports_match_the_dense_reference(seed, zeros_in_four):
     for f, report in zip(maps, reports):
         assert report.failures == dense_check_homomorphism(f, h1, h2).failures
     assert reports[1].passed and not reports[2].passed
+
+
+# ---------------------------------------------------------------------------
+# Twists that are not involutions
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_ALGEBRAS))
+def test_twisted_algebras_match_the_dense_certifiers(name):
+    h = TWISTED_ALGEBRAS[name]()
+    assert check_hom_jacobi(h).to_json() == dense_check_hom_jacobi(h).to_json()
+    assert check_twist_morphism(h).to_json() == dense_check_twist_morphism(h).to_json()
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_ALGEBRAS))
+def test_involutive_means_the_twist_squares_to_the_identity(name):
+    """Only the two sl2 twists diag(1, 1, 1) and diag(1, -1, -1) are involutions."""
+    h = TWISTED_ALGEBRAS[name]()
+    squares_to_one = mat_mul(h.phi, h.phi) == identity_matrix(h.dim)
+    assert check_involutive(h) == squares_to_one == (name in ("sl2_lie", "sl2_twisted"))
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_ALGEBRAS))
+def test_the_twist_is_an_endomorphism_exactly_when_it_is_multiplicative(name):
+    """The twist commutes with itself, so as a map h -> h it can fail only to
+    preserve brackets, and it fails there exactly when check_twist_morphism does."""
+    h = TWISTED_ALGEBRAS[name]()
+    report = check_homomorphism(sparse_columns(h.phi), h, h)
+    assert report.failures == dense_check_homomorphism(h.phi, h, h).failures
+    assert all(f.check == "bracket_preserved" for f in report.failures)
+    assert report.passed == check_twist_morphism(h).passed
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_ALGEBRAS))
+def test_summand_inclusions_and_projections_are_homomorphisms(name):
+    """In h + twisted sl2 the block inclusions and the projection onto h
+    intertwine twists and brackets, whatever h's twist; embedding h in the
+    block of twisted sl2 does not, unless h is twisted sl2."""
+    h, k = TWISTED_ALGEBRAS[name](), sl2_twisted()
+    total = direct_sum(h, k)
+    n, m = h.dim, k.dim
+    maps = {
+        "first": (matrix([[int(r == c) for c in range(n)] for r in range(n + m)]), h, total),
+        "second": (matrix([[int(r == c + n) for c in range(m)] for r in range(n + m)]), k, total),
+        "onto h": (matrix([[int(r == c) for c in range(n + m)] for r in range(n)]), total, h),
+        "wrong block": (matrix([[int(r == c + n) for c in range(n)] for r in range(n + m)]), h, total),
+    }
+    for label, (f, source, target) in maps.items():
+        report = check_homomorphism(sparse_columns(f), source, target)
+        assert report.failures == dense_check_homomorphism(f, source, target).failures, label
+        assert report.passed == (label != "wrong block" or name == "sl2_twisted"), label
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import maninforge.core
 import maninforge.homlie
 import maninforge.manin
 from helpers import (
+    basis_image,
     dense_block_permutation,
     dense_check_homomorphism,
     dense_check_manin_isomorphism,
@@ -26,9 +27,10 @@ from helpers import (
     rand_subspace,
     rand_tensor,
     relabels,
+    shear_product,
 )
 from maninforge import fileio
-from maninforge.core import Permutation, SparseTensor, identity_matrix, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
+from maninforge.core import Permutation, SparseTensor, identity_matrix, inverse, matrix, sparse_columns, subspace_equal, Subspace, unit_vector
 from maninforge.homlie import HomLieAlgebra, check_hom_jacobi, check_homomorphism, check_quadratic, direct_sum
 from maninforge.manin import (
     ManinTriple,
@@ -180,6 +182,20 @@ def test_dual_basis_and_canonical_r_match_the_dense_reference(name):
     assert pair == dense_dual_basis(t)
     assert pair.gram == identity_matrix(t.part1.dim)
     assert r_from_splitting(t) == dense_r_from_splitting(t)
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_BASIS_TRIPLES))
+def test_the_canonical_element_moves_with_a_change_of_basis(name):
+    """The canonical element of the splitting does not depend on the basis of
+    the first half: written in the basis formed by the columns of a shear p,
+    it is the old one with p^-1 applied in each slot, while the dual basis
+    pair still matches its dense reference."""
+    t = DUAL_BASIS_TRIPLES[name]()
+    p = shear_product(t.dim, 2 * t.dim, len(name))
+    image = basis_image(t, p)
+    pinv = inverse(p)
+    assert dual_basis(image) == dense_dual_basis(image)
+    assert r_from_splitting(image) == r_from_splitting(t).apply_per_slot([pinv, pinv])
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,28 @@ import maninforge.stabilizer
 
 from helpers import (
     SL2_FORM,
+    TWISTED_ALGEBRAS,
+    basis_image,
     dense_brackets_in,
     dense_contains,
     dense_mat_vec,
     dense_sharp_matrix,
     dense_vec_dot,
+    frozen_stabilizer_report,
     rand_subspace,
     rand_tensor,
+    shear_product,
 )
 from maninforge.core import (
+    ONE,
     Subspace,
+    _span,
     _orthogonal_complement,
     _sparse,
     _unit_columns,
     annihilator,
     inverse,
+    map_subspace,
     mat_vec,
     tensor_skew_sym_split,
     unit_vector,
@@ -42,6 +49,7 @@ from maninforge.manin import (
     triple_double,
     triple_g_plus_h,
 )
+from maninforge.polyuble import nuble
 from maninforge.rmatrix import sl2_lie, sl2_r, sl2_twisted
 from maninforge.stabilizer import (
     check_bracket_sharp_condition,
@@ -379,6 +387,82 @@ def test_twist_and_image_conditions_match_the_dense_reference():
                 assert fast == dense, (name, q.rows, check)
                 seen[check].add(fast)
     assert all(values == {True, False} for values in seen.values()), seen
+
+
+CONDITIONS = ("twist_stable", "subalgebra", "sharp_image", "sharp_brackets")
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_ALGEBRAS))
+def test_conditions_under_twists_that_are_not_involutions_match_the_dense_references(name):
+    """Each condition, and stabilizer_report's list of failed ones, agree with
+    dense images, dense membership and dense pairwise brackets on the zero
+    space, the basis lines and random subspaces, with a random symmetric S."""
+    rng = random.Random(name)
+    h = TWISTED_ALGEBRAS[name]()
+    raw = rand_tensor(rng, 2, h.dim, fill=4)
+    s = (raw + raw.swap()).scale(Fraction(1, 2))
+    sharp = dense_sharp_matrix(h, s)
+    spaces = [Subspace(h.dim, ())] + [_span(h.dim, [{i: ONE}]) for i in range(h.dim)]
+    spaces += [rand_subspace(rng, h.dim, k) for k in range(1, h.dim + 1)]
+    seen = {check: set() for check in CONDITIONS}
+    for q in spaces:
+        images = [dense_mat_vec(sharp, xi) for xi in annihilator(q).rows]
+        expected = {
+            "twist_stable": all(dense_contains(q, dense_mat_vec(h.phi, row)) for row in q.rows),
+            "subalgebra": dense_brackets_in(h, q.rows, q),
+            "sharp_image": all(dense_contains(q, w) for w in images),
+            "sharp_brackets": dense_brackets_in(h, images, q),
+        }
+        fast = {
+            "twist_stable": check_phi_stable(q, h.phi_columns),
+            "subalgebra": is_subalgebra(h, q),
+            "sharp_image": check_s_sharp_condition(h, s, q),
+            "sharp_brackets": check_bracket_sharp_condition(h, s, q),
+        }
+        assert fast == expected, q.rows
+        report = stabilizer_report(h, s, q)
+        assert sorted(f.check for f in report.failures) == sorted(check for check in CONDITIONS if not expected[check])
+        assert report.to_json() == frozen_stabilizer_report(h, s, q).to_json()
+        for check in CONDITIONS:
+            seen[check].add(expected[check])
+    assert seen["subalgebra"] == {True, False}
+    assert seen["twist_stable"] == ({True} if h.untwisted else {True, False})
+
+
+TRANSPORTED_TRIPLES = {
+    "D2": lambda: triple_double(special_linear_data(2)),
+    "D3": lambda: triple_double(special_linear_data(3)),
+    "g+h sl2": lambda: triple_g_plus_h(special_linear_data(2)),
+    "D2x2": lambda: nuble(triple_double(special_linear_data(2)), 2),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(TRANSPORTED_TRIPLES))
+def test_stabilizer_reports_agree_before_and_after_a_change_of_basis(name, seed):
+    """A change of basis p is an isomorphism of triples; moving the subspace,
+    the pairing and S along p^-1 leaves every stabilizer_report unchanged,
+    the comparison that ROADMAP item 4 makes after a transport.  With S the
+    inverse form both halves pass."""
+    rng = random.Random(seed)
+    t = TRANSPORTED_TRIPLES[name]()
+    p = shear_product(t.dim, 2 * t.dim, seed)
+    pinv = inverse(p)
+    image = basis_image(t, p)
+    raw = rand_tensor(rng, 2, t.dim, fill=4)
+    tensors = (SparseTensor.from_matrix(inverse(t.form)), (raw + raw.swap()).scale(Fraction(1, 2)))
+    spaces = [t.part1, t.part2] + [rand_subspace(rng, t.dim, k) for k in (1, 2, t.dim // 2, t.dim - 1)]
+    verdicts = set()
+    for s in tensors:
+        moved_s = s.apply_per_slot([pinv, pinv])
+        for q in spaces:
+            before = stabilizer_report(t.algebra, s, q, t.algebra.form_rows)
+            after = stabilizer_report(image.algebra, moved_s, map_subspace(pinv, q), image.algebra.form_rows)
+            assert after.to_json() == before.to_json(), q.rows
+            verdicts.add(before.passed)
+            if s is tensors[0] and q in (t.part1, t.part2):
+                assert before.passed, q.rows
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
