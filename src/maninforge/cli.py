@@ -399,6 +399,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The console entry point: run on sys.argv and exit with its code."""
     sys.exit(run())
 
 

@@ -168,10 +168,12 @@ def matrix(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
 
 
 def identity_matrix(n: int) -> Matrix:
+    """The n x n identity matrix, dense, for a non-negative int n."""
     return tuple(unit_vector(n, i) for i in range(_dimension(n, "dimension")))
 
 
 def transpose(m: Matrix) -> Matrix:
+    """The transpose of a dense matrix; the empty matrix is its own."""
     return tuple(zip(*m)) if m else ()
 
 
@@ -839,21 +841,33 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     return a.ambient_dim == b.ambient_dim and a.echelon == b.echelon
 
 
+def _orthogonal_rows(space: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Rows spanning {v : <w, v> = 0 for all w in space}, for the bilinear form
+    with sparse rows form_rows: the null rows of the reduced covectors w^T G,
+    one per canonical row w of space.  A verdict on the space reads them as
+    they are; they are not reduced again."""
+    covectors = _gauss_jordan(_apply_columns(form_rows, row) for row in space.echelon)
+    return _null_rows(covectors, space.ambient_dim)
+
+
 def _orthogonal_complement(space: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> Subspace:
-    """{v : <w, v> = 0 for all w in space}, for the bilinear form with sparse
-    rows form_rows: the kernel of the covectors w^T G, one per canonical row w
-    of space."""
-    return _null_space((_apply_columns(form_rows, row) for row in space.echelon), space.ambient_dim)
+    """The span of `_orthogonal_rows`, as a canonical `Subspace`."""
+    return _span(space.ambient_dim, _orthogonal_rows(space, form_rows))
 
 
-def _null_space(rows: Iterable[Mapping[int, Fraction]], n: int) -> Subspace:
-    """{v : row . v = 0 for every sparse row}, in dimension n."""
-    return _span(n, _null_rows(_gauss_jordan(rows), n))
+def _annihilator_rows(space: Subspace) -> list[dict[int, Fraction]]:
+    """Rows spanning the covectors that vanish on the subspace, read off its
+    canonical rows by `_null_rows`.  A verdict on the annihilator reads them
+    as they are; they are not reduced again."""
+    return _null_rows(space.echelon, space.ambient_dim)
 
 
 def annihilator(space: Subspace) -> Subspace:
-    """Covectors vanishing on the subspace: {xi : xi(w) = 0 for all w in space}."""
-    return _span(space.ambient_dim, _null_rows(space.echelon, space.ambient_dim))
+    """Covectors vanishing on the subspace: {xi : xi(w) = 0 for all w in space},
+    as a canonical `Subspace`.  The verdicts read `_annihilator_rows` instead;
+    this is kept for ROADMAP item 6, whose reports name an offending row, an
+    index that needs canonical rows."""
+    return _span(space.ambient_dim, _annihilator_rows(space))
 
 
 def map_subspace(m: Matrix, space: Subspace) -> Subspace:
@@ -864,15 +878,15 @@ def map_subspace(m: Matrix, space: Subspace) -> Subspace:
 
 
 def _images_outside(
-    cols: list[dict[int, Fraction]], space: Subspace, target: Subspace
+    cols: list[dict[int, Fraction]], rows: Sequence[Mapping[int, Fraction]], target: Subspace
 ) -> list[tuple[int, dict[int, Fraction]]]:
-    """(a, image) for each canonical row a of space whose image under the map
-    with sparse columns cols does not lie in target: the one image test.  Each
+    """(a, image) for each sparse row rows[a] whose image under the map with
+    sparse columns cols does not lie in target: the one image test.  Each
     image is summed by `_column_sums` and tested in those integer numerators
     (`Subspace._contains_numerators`); only a reported image is divided, its
     values and order those of `_apply_columns`."""
     outside = []
-    for a, row in enumerate(space.echelon):
+    for a, row in enumerate(rows):
         den, sums = _column_sums(cols, row)
         if not target._contains_numerators(sums):
             outside.append((a, {r: Fraction(n, den) for r, n in sums.items()}))

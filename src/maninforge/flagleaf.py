@@ -114,6 +114,7 @@ class GroupElement:
 
 
 def group_identity(k: int) -> GroupElement:
+    """The identity element of GL(k)."""
     return GroupElement(identity_matrix(k))
 
 
@@ -127,11 +128,13 @@ def w0_matrix(k: int) -> GroupElement:
 
 
 def is_upper_triangular(g: GroupElement) -> bool:
+    """Whether every entry below the diagonal of g is zero."""
     m = g.matrix
     return all(m[i][j] == 0 for i in range(len(m)) for j in range(i))
 
 
 def is_lower_triangular(g: GroupElement) -> bool:
+    """Whether every entry above the diagonal of g is zero."""
     m = g.matrix
     return all(m[i][j] == 0 for i in range(len(m)) for j in range(i + 1, len(m)))
 

@@ -38,7 +38,7 @@ from .core import (
     sparse_columns,
     transpose,
 )
-from .reporting import CheckReport, Failure, failure, render_residual
+from .reporting import CheckReport, Failure, _render_fields, failure
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -324,7 +324,7 @@ def _brackets_outside(h: HomLieAlgebra, rows: Sequence[Mapping], q: Subspace) ->
 def _twist_outside(h: HomLieAlgebra, q: Subspace) -> list[tuple[int, dict]]:
     """(a, phi(row_a)) for each canonical row a of q that the twist moves out of
     q.  The identity twist keeps every subspace with nothing to compute: Id(w) = w."""
-    return [] if h.untwisted else _images_outside(h.phi_columns, q, q)
+    return [] if h.untwisted else _images_outside(h.phi_columns, q.echelon, q)
 
 
 def _pairings(
@@ -508,7 +508,8 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
     that of J a signed sum of three of them; so every field's total T
     satisfies |T| <= 3 P C E, and with W = bitlen(3 P C E) + 1 each row
     decodes uniquely by `core._signed_fields`, once, each value divided
-    once.  Each failing triple's two residuals are rendered once."""
+    once.  Each failing triple's two residuals are rendered once, from its
+    nonzero fields and their negatives: no Fraction for a zero coordinate."""
     d = h.dim
     den_c, table = h._bracket_numerators
     den_p, phi = _numerators(h.phi_columns)
@@ -551,8 +552,8 @@ def check_hom_jacobi(h: HomLieAlgebra) -> CheckReport:
         if n:
             ij, k = divmod(at, d)
             i, j = divmod(ij, d)
-            even = _dense(h, dict(_signed_fields(n, width, den)))
-            even_text, odd_text = render_residual(even), render_residual(tuple(-v for v in even))
+            fields = list(_signed_fields(n, width, den))
+            even_text, odd_text = _render_fields(fields, d), _render_fields([(c, -x) for c, x in fields], d)
             failures += [failure("hom_jacobi", index, even_text) for index in ((i, j, k), (j, k, i), (k, i, j))]
             failures += [failure("hom_jacobi", index, odd_text) for index in ((j, i, k), (i, k, j), (k, j, i))]
     return CheckReport("hom_jacobi", failures)

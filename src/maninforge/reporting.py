@@ -13,6 +13,15 @@ def render_vector(v: Vector) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
+def _render_fields(fields: Iterable[tuple[int, Fraction]], dim: int) -> str:
+    """`render_vector` of the vector of length dim that holds each (index,
+    value) of fields and 0 elsewhere: no coordinate is built for a zero."""
+    tokens = ["0"] * dim
+    for c, x in fields:
+        tokens[c] = str(x)
+    return "(" + ", ".join(tokens) + ")"
+
+
 def render_tensor(t: SparseTensor) -> str:
     """Exact text form of a sparse tensor as ``idx:value`` pairs in sorted order."""
     if t.is_zero:
@@ -23,6 +32,9 @@ def render_tensor(t: SparseTensor) -> str:
 
 
 def render_residual(residual) -> str | None:
+    """A failure's residual as exact text: None stays None, a tensor and a
+    vector of Fractions are rendered by `render_tensor` and `render_vector`,
+    and anything else by `str`."""
     if residual is None:
         return None
     if isinstance(residual, SparseTensor):

@@ -10,11 +10,11 @@ from typing import Mapping, Sequence
 from .core import (
     SparseTensor,
     Subspace,
+    _annihilator_rows,
     _apply_columns,
     _images_outside,
-    _orthogonal_complement,
+    _orthogonal_rows,
     _square_columns,
-    annihilator,
 )
 from .homlie import HomLieAlgebra, _brackets_outside, _twist_outside
 from .manin import ManinTriple, _form_rows
@@ -38,7 +38,7 @@ def check_phi_stable(q: Subspace, phi_columns: Sequence[Mapping[int, Fraction]])
     phi_columns, the format of `HomLieAlgebra.phi_columns`, which must be
     q.ambient_dim of them.  Kept for ROADMAP item 7, whose Yau twist needs
     both halves α-stable."""
-    return not _images_outside(_square_columns(phi_columns, q.ambient_dim, "phi"), q, q)
+    return not _images_outside(_square_columns(phi_columns, q.ambient_dim, "phi"), q.echelon, q)
 
 
 def _twist_stable(h: HomLieAlgebra, q: Subspace) -> bool:
@@ -48,9 +48,10 @@ def _twist_stable(h: HomLieAlgebra, q: Subspace) -> bool:
 
 
 def _coisotropic(h: HomLieAlgebra, q: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> bool:
-    """[c, c] inside q, with c the complement of q under the form with sparse rows form_rows."""
+    """[c, c] inside q, with c the complement of q under the form with sparse
+    rows form_rows: the brackets of any rows spanning c span [c, c]."""
     _require_ambient(q, h.dim)
-    return not _brackets_outside(h, _orthogonal_complement(q, form_rows).echelon, q)
+    return not _brackets_outside(h, _orthogonal_rows(q, form_rows), q)
 
 
 def check_coisotropy(t: ManinTriple, q: Subspace) -> bool:
@@ -71,27 +72,27 @@ def check_s_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> b
     """Image condition: the symmetric part's sharp map sends the annihilator of q
     into q.  A named condition for ROADMAP item 6's per-check reports."""
     _require_ambient(q, h.dim)
-    return not _images_outside(_s_sharp_columns(h, s), annihilator(q), q)
+    return not _images_outside(_s_sharp_columns(h, s), _annihilator_rows(q), q)
 
 
 def check_bracket_sharp_condition(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> bool:
     """Bracket-image condition: brackets of sharp images of annihilator covectors
     land in q.  A named condition for ROADMAP item 6's per-check reports."""
     _require_ambient(q, h.dim)
-    return _sharp_brackets_in(h, _s_sharp_columns(h, s), annihilator(q), q)
+    return _sharp_brackets_in(h, _s_sharp_columns(h, s), _annihilator_rows(q), q)
 
 
-def _sharp_brackets_in(h: HomLieAlgebra, cols: Sequence[Mapping], ann: Subspace, q: Subspace) -> bool:
-    """Whether the brackets of the images of ann's rows under the map with
+def _sharp_brackets_in(h: HomLieAlgebra, cols: Sequence[Mapping], ann: Sequence[Mapping], q: Subspace) -> bool:
+    """Whether the brackets of the images of the rows ann under the map with
     sparse columns cols lie in q."""
-    return not _brackets_outside(h, [_apply_columns(cols, xi) for xi in ann.echelon], q)
+    return not _brackets_outside(h, [_apply_columns(cols, xi) for xi in ann], q)
 
 
 def _sharp_conditions(h: HomLieAlgebra, s: SparseTensor, q: Subspace) -> tuple[bool, bool]:
     """(`check_s_sharp_condition`, `check_bracket_sharp_condition`) with the
-    sharp map's columns and the annihilator of q computed once for both."""
+    sharp map's columns and the annihilator's rows computed once for both."""
     _require_ambient(q, h.dim)
-    cols, ann = _s_sharp_columns(h, s), annihilator(q)
+    cols, ann = _s_sharp_columns(h, s), _annihilator_rows(q)
     return not _images_outside(cols, ann, q), _sharp_brackets_in(h, cols, ann, q)
 
 

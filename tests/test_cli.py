@@ -161,6 +161,30 @@ def test_duplicate_header_field_is_a_usage_error(capsys, monkeypatch):
     assert "error: line 1: duplicate header field 'dim'" in err
 
 
+@pytest.mark.parametrize("before", ["", "tensor degree=2 dim=2\n0 1 1\n"], ids=["alone", "after a tensor"])
+def test_a_parse_error_names_the_line_of_the_stream(capsys, tmp_path, before):
+    """Blank lines and earlier documents count: the bad token sits on line 5
+    of the algebra alone, and on line 7 after a two-line tensor document."""
+    path = tmp_path / "stream"
+    path.write_text(before + "algebra dim=2\n\n\nphi 1 0\nphi 0 x\n", encoding="utf-8")
+    code, out, err = invoke(capsys, ["hcybe", str(path), "--r", str(path)])
+    lineno = 5 + before.count("\n")
+    assert (code, out, err) == (2, "", f"error: line {lineno}: malformed rational 'x'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text, lineno, field",
+    [
+        (["verify", "manin", "-"], hyperbolic_text().replace("algebra dim=2", "algebra dim=2 foo=1", 1), 1, "foo"),
+        (["hcybe", "-", "--r", "-"], "algebra dim=1\nphi 1\ntensor degree=2 dim=1 kind=r\n0 0 1\n", 3, "kind"),
+    ],
+    ids=["triple", "tensor"],
+)
+def test_an_unknown_header_field_is_a_usage_error(capsys, monkeypatch, argv, text, lineno, field):
+    code, out, err = invoke(capsys, argv, monkeypatch, text)
+    assert (code, out, err) == (2, "", f"error: line {lineno}: unknown header field {field!r}\n")
+
+
 def test_missing_file_is_a_usage_error(capsys):
     code, _, err = invoke(capsys, ["verify", "manin", "/no/such/file"])
     assert code == 2

@@ -173,6 +173,8 @@ def test_a_malformed_tensor_index_is_named_with_its_line():
         ("tensor degree=3 dim=3\n0 1 2 1\n0 y 1.5 2\n", 3, "malformed integer 'y'"),
         ("tensor degree=2 dim=3\n1/2 0 1\n", 2, "malformed integer '1/2'"),
         ("tensor degree=1 dim=3\n1.0 1\n", 2, "malformed integer '1.0'"),
+        ("tensor degree=2 dim=3\n0 1 1\n1 0 1\n0 3 1\n", 4, "index out of range in '0 3 1'"),
+        ("tensor degree=2 dim=3\n0 1 1\n1 -1 1\n", 3, "index out of range in '1 -1 1'"),
     ):
         with pytest.raises(fileio.ParseError) as excinfo:
             fileio.parse_tensor(text)
@@ -335,3 +337,82 @@ def test_document_split_kinds_in_order():
             "subspace": fileio.parse_subspace,
         }[kind]
         parse(body)
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno, field",
+    [
+        (fileio.parse_algebra, "algebra dim=1 foo=1\nphi 1\n", 1, "foo"),
+        (fileio.parse_triple, "algebra name=t dim=1 kind=triple\nphi 1\npart1 1\npart2 1\n", 1, "kind"),
+        (fileio.parse_tensor, "tensor degree=2 dim=2 kind=r\n0 1 1\n", 1, "kind"),
+        (fileio.parse_subspace, "\nsubspace dim=1 degree=1\n1\n", 2, "degree"),
+    ],
+    ids=["algebra", "triple", "tensor", "subspace"],
+)
+def test_unknown_header_fields_are_refused(parse, text, lineno, field):
+    """A header takes only the fields its writer emits: `dim` and `name` for
+    an algebra or a triple, `degree` and `dim` for a tensor, `dim` for a
+    subspace."""
+    expect_parse_error(parse, text, lineno, f"unknown header field {field!r}")
+
+
+# Every line boundary of `str.splitlines`.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def scanned_documents(text: str) -> list[tuple[str, list[tuple[int, str]]]]:
+    """(kind, [(stream line number, stripped line)] over its lines that are
+    not blank) per document: the reference, a scan of every line."""
+    docs: list[tuple[str, list[tuple[int, str]]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        first = stripped.split(maxsplit=1)[0] if stripped else ""
+        if first in fileio.DOCUMENT_KINDS:
+            docs.append((first, [(lineno, stripped)]))
+        elif stripped:
+            docs[-1][1].append((lineno, stripped))
+    return docs
+
+
+def numbered(body: str) -> list[tuple[int, str]]:
+    return [(lineno, line.strip()) for lineno, line in enumerate(body.splitlines(), start=1) if line.strip()]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["", " algebra dim=1", "", "phi 1", " "],
+        ["algebra dim=1 name=tensor", "phi 1"],
+        ["", "algebra dim=1", "phi 1", "", "tensor degree=1 dim=1", "", "0 1", "subspace dim=1", "1", ""],
+        ["tensor degree=1 dim=2", "0 1", "tensor\tdegree=1 dim=2", "1 1"],
+    ],
+    ids=["one document", "a keyword as a name", "three kinds", "two tensors"],
+)
+def test_documents_keep_the_lines_and_numbers_of_the_stream(brk, lines):
+    """Each document holds the stream's lines from its header to the next
+    header, numbered as in the stream, for every line boundary that
+    `str.splitlines` knows; a lone document is the stream itself."""
+    text = brk.join(lines)
+    docs = fileio.split_documents(text)
+    assert [(kind, numbered(body)) for kind, body in docs] == scanned_documents(text)
+    whole = sum(map(text.count, fileio.DOCUMENT_KINDS)) == 1
+    assert (len(docs) == 1 and docs[0][1] is text) == whole
+    parse = {"algebra": fileio.parse_algebra, "tensor": fileio.parse_tensor, "subspace": fileio.parse_subspace}
+    for kind, body in docs:
+        parse[kind](body)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+def test_a_document_error_names_the_stream_line(brk):
+    text = brk.join(["tensor degree=1 dim=1", "", "0 1", "", "algebra dim=2", "", "phi 1 0", "phi 0 x", ""])
+    (_, tensor), (_, algebra) = fileio.split_documents(text)
+    assert fileio.parse_tensor(tensor) == SparseTensor(1, 1, {(0,): 1})
+    expect_parse_error(fileio.parse_algebra, algebra, 8, "malformed rational 'x'")
+
+
+def test_a_keyword_that_only_starts_a_token_opens_no_document():
+    """A lone keyword hit opens the stream only as a whole first token."""
+    for text, lineno in (("algebras dim=1\nphi 1\n", 1), ("\n tensors\n", 2), ("x algebra dim=1\n", 1)):
+        expect_parse_error(fileio.split_documents, text, lineno, "content before the first document header")
+    assert fileio.split_documents(" \n\t\n") == []

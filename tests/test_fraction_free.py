@@ -1247,7 +1247,7 @@ def test_half_reports_and_text_match_the_frozen_forms(name):
     h = t.algebra
     for label, part in (("part1", t.part1), ("part2", t.part2)):
         closure = _brackets_outside(h, part.echelon, part), frozen_brackets_outside(h, part.echelon, part)
-        images = _images_outside(h.phi_columns, part, part), frozen_images_outside(h.phi_columns, part, part)
+        images = _images_outside(h.phi_columns, part.echelon, part), frozen_images_outside(h.phi_columns, part, part)
         assert _listed(closure[0]) == _listed(closure[1]) and _listed(images[0]) == _listed(images[1])
         assert _part_report(t, part, label).to_json() == frozen_part_report(t, part, label).to_json()
         assert format_subspace(part) == frozen_format_subspace(part)
@@ -1718,6 +1718,31 @@ def test_the_graded_square_builds_one_fraction_per_entry(key):
         assert built == len(square.entries)
         assert square == dense_hom_schouten(h, lam, lam)
     assert built > 0
+
+
+def _flipped(h: HomLieAlgebra, rank: int) -> HomLieAlgebra:
+    """h with the sign of its rank-th structure constant, in sorted order, flipped."""
+    key, k = sorted((key, k) for key, coeffs in h.brackets.items() for k in coeffs)[rank]
+    brackets = {pair: dict(coeffs) for pair, coeffs in h.brackets.items()}
+    brackets[key][k] = -brackets[key][k]
+    return HomLieAlgebra.unchecked(h.dim, brackets, h.phi, h.form)
+
+
+@pytest.mark.parametrize("rank", [0, 7, 30])
+@pytest.mark.parametrize("base", ["D3", "D3 sheared"])
+def test_a_failing_jacobi_builds_two_fractions_per_nonzero_residual_coordinate(base, rank):
+    """Each failing triple's residual is decoded into its nonzero coordinates,
+    one Fraction each, and its negated text is rendered from their negatives,
+    one Fraction each: nothing is built for a zero coordinate.  The report is
+    the dense reference's."""
+    t = D3 if base == "D3" else basis_image(D3, hostile_basis(D3.dim, 11, 4))
+    h = _flipped(t.algebra, rank)
+    h._bracket_numerators, h._bracket_bounds  # built on first use, outside the count
+    report, built = fractions_built(check_hom_jacobi, h)
+    assert report.to_json() == dense_check_hom_jacobi(h).to_json()
+    even = [f.residual for f in report.failures if f.index[0] < f.index[1] < f.index[2]]
+    coordinates = sum(x != "0" for text in even for x in text.strip("()").split(", "))
+    assert len(even) * 6 == len(report.failures) and built == 2 * coordinates > 0
 
 
 QUADRATIC_FORMS = {

@@ -144,3 +144,27 @@ def test_every_public_name_has_a_user_or_a_roadmap_claim():
     assert modules and len(outside) > 1
     read = lambda path: path.read_text(encoding="utf-8")
     assert unclaimed_public_names({p.stem: read(p) for p in modules}, [read(p) for p in outside]) == []
+
+
+def undocumented_public_names(sources: dict[str, str]) -> list[str]:
+    """The "module.name" of each module-level public function or class of the
+    modules in sources that has no docstring."""
+    return sorted(
+        f"{stem}.{node.name}"
+        for stem, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and ast.get_docstring(node) is None
+    )
+
+
+def test_scanner_finds_an_undocumented_public_name():
+    source = 'def bare():\n    pass\ndef told():\n    """Told."""\nclass Plain:\n    x = 1\ndef _private():\n    pass\n'
+    assert undocumented_public_names({"a": source}) == ["a.Plain", "a.bare"]
+
+
+def test_every_public_name_has_a_docstring():
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    assert undocumented_public_names({p.stem: p.read_text(encoding="utf-8") for p in modules}) == []

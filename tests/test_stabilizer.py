@@ -2,8 +2,10 @@
 quasi-triangular structure."""
 from __future__ import annotations
 
+import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,8 @@ from maninforge.core import (
     unit_vector,
     SparseTensor,
 )
+from maninforge.cli import run
+from maninforge.fileio import format_subspace, format_tensor, format_triple
 from maninforge.homlie import HomLieAlgebra, direct_sum
 from maninforge.manin import (
     hyperbolic_triple,
@@ -487,3 +491,42 @@ def test_stabilizer_conditions_need_no_dense_matrix(monkeypatch):
     assert check_phi_stable(q, h.phi_columns)
     assert check_coisotropy_form(h, q, h.form_rows)
     assert stabilizer_report(h, s, q, h.form_rows).passed
+
+
+def test_cli_stabilizer_on_d3_cubed_reduces_one_set_of_rows(tmp_path, capsys):
+    """Work-count guard: the coisotropy test reduces the covectors of q's
+    rows under the form once, and brackets the null rows of that reduction;
+    the sharp conditions read the annihilator's rows off q's canonical rows.
+    Neither spanning set is reduced again, so a passing `stabilizer --S` on
+    D3^3 runs `_gauss_jordan` once, reading its inputs included."""
+    import json
+    import sys
+
+    from maninforge.cli import run
+    from maninforge.fileio import format_subspace, format_tensor, format_triple
+
+    t = nuble(triple_double(special_linear_data(3)), 3)
+    paths = []
+    for name, text in (
+        ("t", format_triple(t)),
+        ("q", format_subspace(t.part1)),
+        ("s", format_tensor(SparseTensor.from_matrix(inverse(t.form)))),
+    ):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text, encoding="utf-8")
+    code = maninforge.core._gauss_jordan.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        exit_code = run(["stabilizer", str(paths[0]), "--q", str(paths[1]), "--S", str(paths[2]), "--json"])
+    finally:
+        sys.setprofile(None)
+    payload = json.loads(capsys.readouterr().out)
+    assert (exit_code, payload["verdict"], calls) == (0, "pass", 1)
+    assert payload["result"] == "coisotropic: true\ntwist_stable: true\ns_sharp_image: true\nsharp_brackets: true\n"
