@@ -343,8 +343,10 @@ def _dual_rows(t: ManinTriple) -> tuple[tuple[dict[int, Fraction], ...], list[di
 
 def dual_basis(t: ManinTriple) -> DualBasisPair:
     """Dual bases of the two halves under the ambient form, dense, with the
-    pairing matrix of the result as certificate.  Kept for ROADMAP item 11's
-    dual-basis lemma on the canonical element."""
+    pairing matrix of the result as certificate.  Kept for ROADMAP item 7,
+    whose candidate canonical element of a twisted triple pairs dual bases
+    under <phi^-1 x, y>; the untwisted canonical element needs no dense basis
+    (`r_from_splitting`, and the lemma of `rmatrix.check_quasi_triangular`)."""
     xi_rows, x_basis = _dual_rows(t)
     pairs = _pairings(_form_rows(t), xi_rows, x_basis)
     gram = tuple(tuple(pairs.get((a, b), ZERO) for b in range(len(x_basis))) for a in range(len(xi_rows)))

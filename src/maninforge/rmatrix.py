@@ -15,13 +15,14 @@ from .core import (
     _pack,
     _rank,
     _signed_fields,
+    _span,
     _symmetric_part,
     _unit_columns,
     is_antisymmetric,
     is_symmetric,
 )
 from .homlie import HomLieAlgebra, _accumulate, _ad_basis, _ad_sums, _bracket_sums, _by_slot, _pair_brackets, _phi_fixed
-from .homlie import _require_tensor, check_involutive
+from .homlie import _brackets_outside, _require_tensor, check_involutive
 from .reporting import CheckReport, failure
 
 
@@ -334,6 +335,28 @@ class RMatrixReport:
     factorizable: bool
 
 
+def _lagrangian_legs(h: HomLieAlgebra, r: SparseTensor) -> bool:
+    """The leg-space hypotheses of `check_quasi_triangular`'s lemma: g1, the
+    span of the rows of r's matrix A (A[a][b] = r_ab, the second-slot
+    vectors), has dimension dim/2, and g1 and g2, the span of A's columns
+    (the first-slot vectors), are closed under the bracket
+    (`_brackets_outside`, the closure test of `manin._part_report`).  dim g2
+    is the column rank of A, which is its row rank, dim g1; so one dimension
+    is checked.  The rows are r's entries over their one common denominator:
+    a scale does not move a span."""
+    d = h.dim
+    rows: dict[int, dict[int, int]] = {}
+    columns: dict[int, dict[int, int]] = {}
+    for (a, b), n in zip(r.entries, _common_denominator(list(r.entries.values()))[1]):
+        rows.setdefault(a, {})[b] = n
+        columns.setdefault(b, {})[a] = n
+    g1 = _span(d, rows.values())
+    if 2 * g1.dim != d or _brackets_outside(h, g1.echelon, g1):
+        return False
+    g2 = _span(d, columns.values())
+    return not _brackets_outside(h, g2.echelon, g2)
+
+
 def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     """Classify r: quasi-triangular when the residual vanishes, the symmetric part
     is invariant, and phi(x)phi(y)-fixedness holds; skew-only when additionally the
@@ -344,12 +367,53 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     and `_rank`, a passing classification on an untwisted algebra does no
     Fraction arithmetic.  Factorizability is the rank of s#'s integer columns
     from `_sharp_sums`, which divides nothing: s is symmetric and over h by
-    construction, so the checks of `_s_sharp_columns` are not repeated."""
+    construction, so the checks of `_s_sharp_columns` are not repeated.
+
+    Before `hcyb` runs, the residual is read off r itself where the double
+    lemma below applies (`_lagrangian_legs`): then it is the empty degree-3
+    tensor, and the report is the one `hcyb` would give.  Anywhere else
+    `hcyb` sums it, as for any r.
+
+    Lemma (the double; Drinfeld 1983, Semenov-Tian-Shansky, "What is a
+    classical r-matrix?", 1983).  Let phi = Id, S = r + r_21 = 2s invariant and
+    nondegenerate, and g1 (the span of r's second-slot vectors) and g2 (that
+    of its first-slot vectors) both of dimension d/2 and closed under the
+    bracket.  Then r solves the classical Yang-Baxter equation, so its
+    residual is zero.
+    - Each column of S is a column of r's matrix plus a row, so Im S lies in
+      g1 + g2; S is nondegenerate, so g1 + g2 = d, and with the dimensions
+      d = g1 (+) g2.
+    - r lies in g2 (x) g1, so S = r + r_21 has no g1 (x) g1 and no
+      g2 (x) g2 part.  So S#, read as a map from covectors, sends the
+      annihilator of g1 into g1 and that of g2 into g2, onto each by the
+      dimensions; for B = S^-1, B(S#xi, S#eta) = <xi, S#eta>, which is 0
+      when xi and eta both annihilate the same half.  So both halves are
+      Lagrangian for B.  B is invariant because S is: ad_x S + S ad_x^T = 0
+      gives B ad_x + ad_x^T B = 0, and with B symmetric and the bracket
+      antisymmetric, B([x, y], z) = B(x, [y, z]).
+    - So (d, B, g1, g2) is a Manin triple, S is the Casimir element of B,
+      and r, its g2 (x) g1 part, is the canonical element sum_i xi_i (x) x_i
+      over dual bases x_i of g1 and xi_i of g2.  Expanding [xi_i, xi_j] in
+      g2, [x_i, x_j] in g1 and [x_i, xi_j] over both bases, the residual's
+      coefficient of xi_a (x) x_b (x) x_c is
+      B([xi_b, xi_c], x_a) + B([x_a, xi_c], xi_b), that of
+      xi_a (x) xi_b (x) x_c is B([x_a, xi_c], x_b) + B([x_a, x_b], xi_c), and
+      no other occurs; invariance and antisymmetry cancel both.
+    The proof uses antisymmetry of the bracket, which the table stores by
+    construction, and invariance, closure and the dimensions; not the Jacobi
+    identity, which no part of this report checks.  It says nothing on a
+    non-identity twist (ROADMAP item 7 leaves the canonical element of a
+    twisted triple open), and nothing when a hypothesis fails: then `hcyb`
+    decides, whatever the lemma's converse."""
     _require_tensor(h, r)
     s = _symmetric_part(r)
     phi_fixed = _phi_fixed(h, r)
     s_invariant = check_hom_ad_invariant(h, s).passed
-    residual = hcyb(h, r)
+    factorizable = (not s.is_zero) and _rank(_sharp_sums(h, s)[1]) == h.dim
+    if h.untwisted and s_invariant and factorizable and _lagrangian_legs(h, r):
+        residual = SparseTensor.zero(3, h.dim)
+    else:
+        residual = hcyb(h, r)
     ok = phi_fixed and s_invariant and residual.is_zero
     if not ok:
         verdict = "fails"
@@ -357,7 +421,6 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
         verdict = "skew-only"
     else:
         verdict = "quasi-triangular"
-    factorizable = (not s.is_zero) and _rank(_sharp_sums(h, s)[1]) == h.dim
     return RMatrixReport(phi_fixed, s_invariant, residual, verdict, factorizable)
 
 
