@@ -34,10 +34,7 @@ from .manin import (
     triple_g_plus_h,
 )
 from .polyuble import (
-    ChainGraph,
-    chain_graph_dot,
     nuble,
-    render_graph,
     snake_permutation,
     uble_of_uble,
     verify_snake_iso,

@@ -24,6 +24,7 @@ from .flagleaf import (
     weyl_identity,
 )
 from .manin import (
+    Chain,
     check_manin_triple,
     hyperbolic_triple,
     lambda_st,
@@ -31,7 +32,7 @@ from .manin import (
     triple_double,
     triple_g_plus_h,
 )
-from .polyuble import chain_graph_dot, nuble, render_graph, snake_permutation, verify_snake_iso
+from .polyuble import nuble, snake_permutation, verify_snake_iso
 from .reporting import CheckReport, failure
 from .rmatrix import check_quasi_triangular, cyb, sl2_r, sl2_twisted
 from .stabilizer import _sharp_conditions, _twist_stable, check_coisotropy
@@ -139,15 +140,20 @@ def _cmd_polyuble(args, inputs: _Inputs, started: float) -> int:
 def _cmd_snake(args, inputs: _Inputs, started: float) -> int:
     if args.m < 1 or args.n < 1:
         raise CliError("-m and -n must be at least 1")
+    if args.dot == "-" and args.json:
+        raise CliError("--dot - and --json both write to stdout; give --dot a file")
     perm = snake_permutation(args.m, args.n)
     perm_text = " ".join(str(i) for i in perm.images) + "\n"
     if args.dot is not None:
-        dot_text = chain_graph_dot(render_graph(args.m * args.n))
+        dot_text = Chain.BASE.power(args.m * args.n).dot()
         if args.dot == "-":
             sys.stdout.write(dot_text)
         else:
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(dot_text)
+            try:
+                with open(args.dot, "w", encoding="utf-8") as handle:
+                    handle.write(dot_text)
+            except OSError as exc:
+                raise CliError(f"cannot write {args.dot}: {exc.strerror}") from None
     report = None
     if args.verify is not None:
         report = verify_snake_iso(inputs.take(args.verify, "triple"), args.m, args.n)

@@ -288,7 +288,7 @@ def _parse_algebra_body(lines: list[str], h: int, fields: dict[str, str], allow_
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     seen: set[tuple[int, int]] = set()  # the keys of every bracket line, zero brackets too
     rows: dict[str, list[dict[int, Fraction]]] = {"phi": [], "form": [], "part1": [], "part2": []}
-    parsed: dict[str, Fraction] = {"1": ONE}  # `manin._piece_rows`' 1, compared by identity
+    parsed: dict[str, Fraction] = {"1": ONE}  # the 1 of `manin.Chain.rows`' edge rows, compared by identity
     for lineno, line in enumerate(islice(lines, h + 1, None), h + 2):
         tokens = line.split()
         if not tokens:

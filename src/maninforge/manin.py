@@ -1,12 +1,13 @@
 """Quadratic twisted Lie algebras with Lagrangian splittings: the triple type,
-its certifier, the chain of a power and its reader, dual bases and the induced
-r-matrix, self-dual doubles built from a cobracket, and the worked
-split/diagonal constructions for special linear data."""
+its certifier, the `Chain` that gives a power's slot structure and the reader
+of a stored power, dual bases and the induced r-matrix, self-dual doubles
+built from a cobracket, and the worked split/diagonal constructions for
+special linear data."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .core import (
     Matrix,
@@ -154,7 +155,7 @@ def check_manin_triple(t: ManinTriple) -> CheckReport:
 
     Lemma (a power of a triple is a triple).  Let the base (g, g1, g2) pass,
     and let the power's slots carry the signs and the halves the pieces of
-    `_chain(n)`.
+    `Chain.BASE.power(n)`.
     - Jacobi and the twist.  Bracket and twist act componentwise, and the
       bracket of two slots is zero; so a basis triple across slots has zero
       Jacobi sum, a pair across slots has [phi x, phi y] = phi [x, y] = 0, and
@@ -185,53 +186,103 @@ def check_manin_triple(t: ManinTriple) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Powers: the chain of the n-fold power, and the reader of a stored power
+# Powers: the chain of a power, and the reader of a stored power
 
-Chain = tuple[tuple[int, ...], tuple[tuple[tuple[int, int, int], ...], ...]]  # see `_chain`
+def _require_count(name: str, value: int) -> None:
+    """Raise unless value is an int (a bool is not) of at least 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
-def _chain(n: int, inner: Chain = ((1,), (((1, 1, 1),), ((1, 1, 2),)))) -> Chain:
-    """(signs, (part1 pieces, part2 pieces)), the chain of the n-fold power of
-    a triple whose chain is inner (the base's by default), in 1-based slots of
-    one base block each: signs[s - 1] is slot s's form sign, and a piece
-    (lo, hi, k) is an edge, k = 0, the diagonal rows joining slots lo < hi, or
-    a label, base half k in slot lo == hi.  Each slot is in one piece per half.
+@dataclass(frozen=True)
+class Chain:
+    """The slot structure of a power of a triple, in 1-based slots of one base
+    block each: signs[s - 1] is slot s's form sign, and halves holds each
+    half's pieces, in slot order.  A piece (lo, hi, k) is an edge, k = 0, the
+    diagonal rows joining slots lo < hi, or a label, base half k in slot
+    lo == hi.  Each slot is in one piece per half.  `BASE` is the chain of a
+    triple itself, and `power` nests.
 
-    Outer slot r holds inner slot c at (r - 1)m + c, with sign (-1)^(r+1)
-    times c's.  Edge (r, r+1), in part 1 for odd r and part 2 for even r, is
-    the m slot edges ((r, c), (r + 1, c)).  Inner half 2 fills outer slot 1,
-    and inner half 1 fills slot n, in the half whose edges leave it free.  The
-    pieces stay in slot order, the order of the built rows.
-
-    >>> _chain(3)
-    ((1, -1, 1), (((1, 2, 0), (3, 3, 1)), ((1, 1, 2), (2, 3, 0))))
-    >>> _chain(2, _chain(2))
-    ((1, -1, -1, 1), (((1, 3, 0), (2, 4, 0)), ((1, 1, 2), (2, 2, 1), (3, 4, 0))))
+    >>> Chain.BASE.power(3)
+    Chain(signs=(1, -1, 1), halves=(((1, 2, 0), (3, 3, 1)), ((1, 1, 2), (2, 3, 0))))
+    >>> Chain.BASE.power(2).power(2)
+    Chain(signs=(1, -1, -1, 1), halves=(((1, 3, 0), (2, 4, 0)), ((1, 1, 2), (2, 2, 1), (3, 4, 0))))
     """
-    signs, (half1, half2) = inner
-    m = len(signs)
-    edges = lambda r: [((r - 1) * m + c, r * m + c, 0) for c in range(1, m + 1)]
-    shifted = lambda half, r: [((r - 1) * m + lo, (r - 1) * m + hi, k) for lo, hi, k in half]
-    part1 = [piece for r in range(1, n, 2) for piece in edges(r)]
-    part2 = shifted(half2, 1) + [piece for r in range(2, n, 2) for piece in edges(r)]
-    (part1 if n % 2 else part2).extend(shifted(half1, n))
-    return tuple(x if r % 2 else -x for r in range(1, n + 1) for x in signs), (tuple(part1), tuple(part2))
+
+    signs: tuple[int, ...]
+    halves: tuple[tuple[tuple[int, int, int], ...], ...]
+    BASE: ClassVar[Chain]
+
+    def power(self, n: int) -> Chain:
+        """The chain of the n-fold power of a triple with this chain, for an
+        int n >= 1.  Outer slot r holds inner slot c at (r - 1)m + c, with
+        sign (-1)^(r+1) times c's.  Edge (r, r+1), in half 1 for odd r and
+        half 2 for even r, is the m slot edges ((r, c), (r + 1, c)).  Inner
+        half 2 fills outer slot 1, and inner half 1 fills slot n, in the half
+        whose edges leave it free.  The pieces stay in slot order, the order
+        of the built rows."""
+        _require_count("n", n)
+        m = len(self.signs)
+        edges = lambda r: [((r - 1) * m + c, r * m + c, 0) for c in range(1, m + 1)]
+        shifted = lambda pieces, r: [((r - 1) * m + lo, (r - 1) * m + hi, k) for lo, hi, k in pieces]
+        half1 = [piece for r in range(1, n, 2) for piece in edges(r)]
+        half2 = shifted(self.halves[1], 1) + [piece for r in range(2, n, 2) for piece in edges(r)]
+        (half1 if n % 2 else half2).extend(shifted(self.halves[0], n))
+        signs = tuple(x if r % 2 else -x for r in range(1, n + 1) for x in self.signs)
+        return Chain(signs, (tuple(half1), tuple(half2)))
+
+    def rows(self, t: ManinTriple, half: int) -> list[dict[int, Fraction]]:
+        """The sparse rows of half 1 or 2 of the power of t with this chain,
+        piece by piece: an edge's d = dim t rows {lo_i: 1, hi_i: 1}, a label's
+        base half's canonical rows, in Fractions, shifted into its slot."""
+        d = t.dim
+        rows: list[dict[int, Fraction]] = []
+        for lo, hi, k in self.halves[half - 1]:
+            a, b = (lo - 1) * d, (hi - 1) * d
+            if k:
+                part = (t.part1, t.part2)[k - 1].echelon
+                rows += ({a + i: x if type(x) is Fraction else Fraction(x) for i, x in row.items()} for row in part)
+            else:
+                rows += ({a + i: ONE, b + i: ONE} for i in range(d))
+        return rows
+
+    @property
+    def labels(self) -> dict[int, tuple[int, int]]:
+        """Base half k -> (half, slot): the half, 1 or 2, whose label puts
+        base half k in that slot."""
+        return {k: (half, lo) for half, pieces in enumerate(self.halves, 1) for lo, _, k in pieces if k}
+
+    def moved(self, images: Sequence[int]) -> Chain:
+        """The chain that the slot permutation s -> images[s - 1] + 1 makes of
+        this one: each sign moves with its slot, an edge goes to the edge of
+        its image slots and a label to its image slot, and each half's pieces
+        are sorted back into slot order."""
+        signs = [0] * len(self.signs)
+        for s, j in enumerate(images):
+            signs[j] = self.signs[s]
+        move = lambda lo, hi, k: (*sorted((images[lo - 1] + 1, images[hi - 1] + 1)), k)
+        halves = tuple(tuple(sorted(move(*piece) for piece in pieces)) for pieces in self.halves)
+        return Chain(tuple(signs), halves)
+
+    def dot(self) -> str:
+        """Deterministic DOT text of the colored chain graph: a circle u<s>
+        per slot, a triangle per label (h' for base half 2, h for base half
+        1), style=filled on every vertex in a slot of negative sign, then both
+        halves' edges in slot order."""
+        fill = lambda s: " style=filled" if self.signs[s - 1] < 0 else ""
+        lines = ["graph chains {"]
+        lines += (f'  u{s} [label="u{s}" shape=circle{fill(s)}];' for s in range(1, len(self.signs) + 1))
+        labels = self.labels
+        for k, node, label in ((2, "hp", "h'"), (1, "h", "h")):
+            s = labels[k][1]
+            lines.append(f'  {node}{s} [label="{label}" shape=triangle{fill(s)}];')
+        lines += (f"  u{lo} -- u{hi};" for lo, hi, k in sorted(p for pieces in self.halves for p in pieces) if not k)
+        return "\n".join(lines) + "\n}\n"
 
 
-def _piece_rows(t: ManinTriple, pieces: tuple[tuple[int, int, int], ...]) -> list[dict[int, Fraction]]:
-    """The sparse rows of a power's half, piece by piece: an edge's d rows
-    {lo_i: 1, hi_i: 1}, a label's base half's canonical rows, in Fractions,
-    shifted into its slot."""
-    d = t.dim
-    rows: list[dict[int, Fraction]] = []
-    for lo, hi, k in pieces:
-        a, b = (lo - 1) * d, (hi - 1) * d
-        if k:
-            part = (t.part1, t.part2)[k - 1].echelon
-            rows += ({a + i: x if type(x) is Fraction else Fraction(x) for i, x in row.items()} for row in part)
-        else:
-            rows += ({a + i: ONE, b + i: ONE} for i in range(d))
-    return rows
+Chain.BASE = Chain((1,), (((1, 1, 1),), ((1, 1, 2),)))
 
 
 def _slot_rows(rows: Sequence[dict[int, Fraction]], s: int, d: int) -> list[dict[int, Fraction]] | None:
@@ -269,13 +320,14 @@ def _power_base(t: ManinTriple) -> tuple[ManinTriple, int] | None:
 
     - Part 1's first canonical row is the row {0: 1, d: 1} of the power's
       first edge (1, 2), and d divides dim; so n = dim / d.
-    - The base halves are read from the two labels of `_chain(n)`: the rows
-      of a label's half whose pivots lie in the label's slot, none leaving it.
+    - The base halves are read from the two labels of `Chain.BASE.power(n)`
+      (`Chain.labels`): the rows of a label's half whose pivots lie in the
+      label's slot, none leaving it.
     - Block 0's twist columns, form rows and bracket keys lie in block 0, and
       are the base's.  Every slot's are block 0's, shifted, the form's times
       the slot's sign; the power has n times block 0's bracket keys, each in
       one slot, so slot by slot its table is block 0's.
-    - Both halves' canonical rows are `_piece_rows(base, pieces)`, the rows
+    - Both halves' canonical rows are `Chain.rows(base, half)`, the rows
       that `nuble` builds.
     Twist, form and bracket table then equal those `direct_sum` builds, key
     order aside, so t has the data of `nuble(base, n)`.  The base's algebra
@@ -290,16 +342,12 @@ def _power_base(t: ManinTriple) -> tuple[ManinTriple, int] | None:
     if pivot != 0 or x != 1 or h.dim % d:
         return None
     n = h.dim // d
-    signs, halves = _chain(n)
+    chain = Chain.BASE.power(n)
     parts = (t.part1, t.part2)
-    labels = {}  # base half k, read from its label's slot
-    for part, pieces in zip(parts, halves):
-        for s, _, k in pieces:
-            if k:
-                labels[k] = _slot_rows(part.echelon, s, d)
-                if labels[k] is None:
-                    return None
-    if not (_repeats(h.phi_columns, d, (1,) * n) and _repeats(h.form_rows, d, signs)):
+    labels = {k: _slot_rows(parts[half - 1].echelon, s, d) for k, (half, s) in chain.labels.items()}
+    if None in labels.values():
+        return None
+    if not (_repeats(h.phi_columns, d, (1,) * n) and _repeats(h.form_rows, d, chain.signs)):
         return None
     table = h.brackets
     block = {key: coeffs for key, coeffs in table.items() if key[1] < d}
@@ -311,9 +359,8 @@ def _power_base(t: ManinTriple) -> tuple[ManinTriple, int] | None:
             return None
     algebra = HomLieAlgebra._of_checked(d, block, h.phi_columns[:d], h.form_rows[:d], None)
     base = ManinTriple(algebra, Subspace(d, tuple(labels[1])), Subspace(d, tuple(labels[2])))
-    for part, pieces in zip(parts, halves):
-        if list(part.echelon) != _piece_rows(base, pieces):
-            return None
+    if any(list(part.echelon) != chain.rows(base, half) for half, part in enumerate(parts, 1)):
+        return None
     return base, n
 
 

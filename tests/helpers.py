@@ -48,7 +48,7 @@ from maninforge.homlie import (
     _residual,
     check_involutive,
 )
-from maninforge.manin import DualBasisPair, ManinTriple, RootData, _form_rows
+from maninforge.manin import Chain, DualBasisPair, ManinTriple, RootData, _form_rows
 from maninforge.reporting import CheckReport, failure
 from maninforge.rmatrix import RMatrixReport, _s_sharp_columns, check_hom_ad_invariant, sl2_lie, sl2_twisted
 
@@ -698,8 +698,8 @@ def relabels(sigma, t1: ManinTriple, t2: ManinTriple) -> bool:
     )
 
 
-def read_chain(power: ManinTriple, base: ManinTriple):
-    """The chain of a built power of base, read from its stored data: each
+def read_chain(power: ManinTriple, base: ManinTriple) -> Chain:
+    """The `Chain` of a built power of base, read from its stored data: each
     slot's form sign (+1 or -1 when its form block is base's or its
     negation), and each half's canonical rows grouped by the slots they touch
     into pieces (lo, hi, k) in 1-based slots: an edge (lo, hi, 0) when the
@@ -736,7 +736,7 @@ def read_chain(power: ManinTriple, base: ManinTriple):
             else:
                 raise ValueError(f"rows {rows} are neither an edge nor a base half")
         halves.append(tuple(sorted(pieces)))
-    return tuple(signs), tuple(halves)
+    return Chain(tuple(signs), tuple(halves))
 
 
 # ---------------------------------------------------------------------------

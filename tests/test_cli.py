@@ -389,6 +389,27 @@ def test_snake_dot_file_output(capsys, tmp_path):
     assert "u4" in text
 
 
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing", "No such file or directory"), ("directory", "Is a directory")],
+)
+def test_snake_dot_to_a_path_it_cannot_write_is_a_usage_error(capsys, tmp_path, where, reason):
+    """A --dot path in a missing directory, or a directory, used to end in a
+    traceback and exit 1, the exit code of a failed check."""
+    target = str(tmp_path / "absent" / "x.dot") if where == "missing" else str(tmp_path)
+    code, out, err = invoke(capsys, ["snake", "-m", "2", "-n", "2", "--dot", target])
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: {reason}\n"
+
+
+def test_snake_refuses_dot_on_stdout_with_json(capsys):
+    """--dot - used to write the DOT text on stdout before the one JSON
+    payload that --json promises there."""
+    code, out, err = invoke(capsys, ["snake", "-m", "2", "-n", "2", "--dot", "-", "--json"])
+    assert code == 2 and out == ""
+    assert "--dot -" in err and "--json" in err
+
+
 def test_snake_rejects_nonpositive_sizes(capsys):
     assert invoke(capsys, ["snake", "-m", "0", "-n", "2"])[0] == 2
 

@@ -1,5 +1,6 @@
 """Iterated powers of a split quadratic algebra, the snake identification
-between the two ways of iterating, and the chain diagrams."""
+between the two ways of iterating, and the chains of the powers: their
+invariants and their DOT text."""
 from __future__ import annotations
 
 import itertools
@@ -25,6 +26,7 @@ from maninforge.core import (
 )
 from maninforge.homlie import HomLieAlgebra
 from maninforge.manin import (
+    Chain,
     ManinTriple,
     check_manin_isomorphism,
     check_manin_triple,
@@ -34,12 +36,7 @@ from maninforge.manin import (
     triple_g_plus_h,
 )
 from maninforge.polyuble import (
-    _carries,
-    _chain,
-    _piece_rows,
-    chain_graph_dot,
     nuble,
-    render_graph,
     snake_permutation,
     uble_of_uble,
     verify_snake_iso,
@@ -110,12 +107,11 @@ def test_power_rejects_nonpositive():
 
 @pytest.mark.parametrize("n, shown", [(2.0, "2.0"), ("2", "'2'"), (True, "True"), (None, "None")])
 def test_power_and_graph_reject_a_count_that_is_not_an_int(n, shown):
-    """2.0 and "2" used to raise a TypeError from deep inside, and
-    render_graph(True) returned a graph.  The snake and the nested power name
-    the bad count: verify_snake_iso(t, 2.0, 2) said "n must be an int, got 4.0"."""
+    """2.0 and "2" used to raise a TypeError from deep inside.  The snake and
+    the nested power name the bad count: verify_snake_iso(t, 2.0, 2) said
+    "n must be an int, got 4.0"."""
     t = hyperbolic_triple()
-    for build in (lambda: nuble(t, n), lambda: render_graph(n), lambda: verify_snake_iso(t, 2, n),
-                  lambda: uble_of_uble(t, 2, n)):
+    for build in (lambda: nuble(t, n), lambda: verify_snake_iso(t, 2, n), lambda: uble_of_uble(t, 2, n)):
         with pytest.raises(ValueError, match=f"n must be an int, got {shown}"):
             build()
     for build in (lambda: verify_snake_iso(t, n, 2), lambda: uble_of_uble(t, n, 2)):
@@ -286,7 +282,7 @@ def test_snake_certificate_needs_no_dense_matrix_product(monkeypatch):
 
 def test_snake_certificate_eliminates_only_the_two_half_images(monkeypatch):
     """Work-count guard: the snake is certified from the two powers' chains
-    (`_carries`), and no power is built, so certifying it row-reduces
+    (`Chain.moved`), and no power is built, so certifying it row-reduces
     nothing; it ran 8 eliminations when the powers reduced their halves, and
     2 when the half images were reduced.
     Every elimination, a full reduction or a rank, runs the one elimination
@@ -310,7 +306,7 @@ def _refuse_check(*args):
 
 def test_snake_certificate_builds_no_fraction(monkeypatch):
     """Work-count guard: a passing snake certificate compares the two powers'
-    chains (`_carries`), which builds no Fraction, and
+    chains (`Chain.moved`), which builds no Fraction, and
     `check_manin_isomorphism` is never called."""
     d2 = triple_double(special_linear_data(2))
     flat, nested = nuble(d2, 6), uble_of_uble(d2, 2, 3)
@@ -344,7 +340,7 @@ def _snake_base(name: str) -> ManinTriple:
 
 @pytest.mark.parametrize("name, m, n", SNAKE_SHAPES)
 def test_snake_certificate_passes_without_the_generic_check(name, m, n, monkeypatch):
-    """`_carries` certifies the snake map of every benchmarked shape (and D3
+    """`Chain.moved` certifies the snake map of every benchmarked shape (and D3
     at 3x3) alone: `check_manin_isomorphism` is never called."""
     monkeypatch.setattr(maninforge.polyuble, "check_manin_isomorphism", _refuse_check)
     assert verify_snake_iso(_snake_base(name), m, n).to_json() == CheckReport("manin_isomorphism", []).to_json()
@@ -358,7 +354,7 @@ def test_snake_certificate_without_a_relabelling_is_the_generic_report(name, m, 
     expected = check_manin_isomorphism(snake_permutation(m, n).columns(t.dim), nuble(t, m * n), uble_of_uble(t, m, n))
     calls = []
     check = maninforge.polyuble.check_manin_isomorphism
-    monkeypatch.setattr(maninforge.polyuble, "_carries", lambda *args: False)
+    monkeypatch.setattr(Chain, "moved", lambda chain, images: None)
     monkeypatch.setattr(maninforge.polyuble, "check_manin_isomorphism", lambda *args: calls.append(1) or check(*args))
     assert verify_snake_iso(t, m, n).to_json() == expected.to_json()
     assert calls == [1]
@@ -375,7 +371,7 @@ def test_snake_certificate_names_the_failures_of_a_wrong_target(monkeypatch):
     brackets = {**h.brackets, key: {k: 2 * c for k, c in h.brackets[key].items()}}
     wrong = ManinTriple(HomLieAlgebra(h.dim, brackets, h.phi_columns, h.form_rows), nested.part1, nested.part2)
     monkeypatch.setattr(maninforge.polyuble, "uble_of_uble", lambda t, m, n: wrong)
-    monkeypatch.setattr(maninforge.polyuble, "_carries", lambda *args: False)
+    monkeypatch.setattr(Chain, "moved", lambda chain, images: None)
     report = verify_snake_iso(d2, 2, 2)
     assert not report.passed and {x.check for x in report.failures} == {"bracket_preserved"}
     assert report.to_json() == check_manin_isomorphism(snake_permutation(2, 2).columns(d2.dim), flat, wrong).to_json()
@@ -383,19 +379,21 @@ def test_snake_certificate_names_the_failures_of_a_wrong_target(monkeypatch):
 
 @pytest.mark.parametrize("name", ["hyperbolic", "g+h", "D2", "D3"])
 def test_chains_are_what_a_reader_finds_in_the_built_powers(name):
-    """`_chain(n)`, `_chain(n, _chain(m))` and one step deeper are the slot
-    signs and pieces that `read_chain` finds in the stored data of the built
-    flat powers, n up to 8, nested ones, m and n up to 4, and powers of those
-    at depth 3; each chain's pieces give its power's canonical rows, in
-    order."""
+    """`Chain.BASE.power(n)`, `Chain.BASE.power(m).power(n)` and one step
+    deeper are the slot signs and pieces that `read_chain` finds in the stored
+    data of the built flat powers, n up to 8, nested ones, m and n up to 4,
+    and powers of those at depth 3; each chain's pieces give its power's
+    canonical rows, in order (`Chain.rows`)."""
     t = _snake_base(name)
-    powers = [(nuble(t, n), _chain(n)) for n in range(1, 9)]
-    powers += [(uble_of_uble(t, m, n), _chain(n, _chain(m))) for m, n in itertools.product(range(1, 5), repeat=2)]
+    powers = [(nuble(t, n), Chain.BASE.power(n)) for n in range(1, 9)]
+    powers += [
+        (uble_of_uble(t, m, n), Chain.BASE.power(m).power(n)) for m, n in itertools.product(range(1, 5), repeat=2)
+    ]
     for m, n, p in ((2, 2, 2), (3, 1, 2), (2, 3, 1)):
-        powers.append((nuble(uble_of_uble(t, m, n), p), _chain(p, _chain(n, _chain(m)))))
+        powers.append((nuble(uble_of_uble(t, m, n), p), Chain.BASE.power(m).power(n).power(p)))
     for power, chain in powers:
         assert read_chain(power, t) == chain, power.name
-        assert [list(part.echelon) for part in (power.part1, power.part2)] == [_piece_rows(t, p) for p in chain[1]]
+        assert [list(part.echelon) for part in (power.part1, power.part2)] == [chain.rows(t, 1), chain.rows(t, 2)]
 
 
 # The shapes of acceptance criterion 4 (the worked triples at m, n = 1..3) and SNAKE_SHAPES.
@@ -418,21 +416,21 @@ def test_snake_verdict_equals_the_references_on_built_powers(name, m, n):
 
 
 def test_the_chain_check_accepts_only_the_snake_among_slot_permutations():
-    """For every m, n with mn <= 6, of all (mn)! slot permutations, `_carries`
-    accepts exactly the snake."""
+    """For every m, n with mn <= 6, of all (mn)! slot permutations, exactly
+    the snake moves the flat chain onto the nested one."""
     for m, n in ((m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6):
-        source, target = _chain(m * n), _chain(n, _chain(m))
-        accepted = [p for p in itertools.permutations(range(m * n)) if _carries(p, source, target)]
+        source, target = Chain.BASE.power(m * n), Chain.BASE.power(m).power(n)
+        accepted = [p for p in itertools.permutations(range(m * n)) if source.moved(p) == target]
         assert accepted == [snake_permutation(m, n).images], (m, n)
 
 
 def test_the_chain_check_refuses_a_map_that_carries_the_pieces_but_not_the_signs():
     """The identity carries the four-fold chain's pieces onto a copy with its
-    signs negated, which would flip the form, so `_carries` refuses it."""
-    signs, halves = _chain(4)
+    signs negated, which would flip the form, so the chain check refuses it."""
+    chain = Chain.BASE.power(4)
     identity = tuple(range(4))
-    assert _carries(identity, (signs, halves), (signs, halves))
-    assert not _carries(identity, (signs, halves), (tuple(-x for x in signs), halves))
+    assert chain.moved(identity) == chain
+    assert chain.moved(identity) != Chain(tuple(-x for x in chain.signs), chain.halves)
 
 
 def test_a_passing_snake_certificate_builds_no_power(monkeypatch):
@@ -460,65 +458,110 @@ def test_snake_certificate_of_a_triple_without_a_form_raises_as_the_power_does()
 
 
 # ---------------------------------------------------------------------------
-# Chain diagrams
+# Chains: their invariants and their DOT text
+
+DOT_N3 = (
+    "graph chains {\n"
+    '  u1 [label="u1" shape=circle];\n'
+    '  u2 [label="u2" shape=circle style=filled];\n'
+    '  u3 [label="u3" shape=circle];\n'
+    "  hp1 [label=\"h'\" shape=triangle];\n"
+    '  h3 [label="h" shape=triangle];\n'
+    "  u1 -- u2;\n"
+    "  u2 -- u3;\n"
+    "}\n"
+)
 
 
-def test_graph_vertices_and_edges():
-    g = render_graph(3)
-    assert g.n == 3
-    circles = [v for v in g.vertices if v.shape == "circle"]
-    assert [v.index for v in circles] == [1, 2, 3]
-    assert [v.color for v in circles] == ["open", "filled", "open"]
-    shapes = {v.shape for v in g.vertices} - {"circle"}
-    assert shapes == {"right-triangle", "left-triangle"}
-    assert g.edges == ((1, 2), (2, 3))
+def assert_chain_invariants(chain: Chain) -> None:
+    """Every slot lies in exactly one piece per half, every edge joins two
+    slots of opposite sign, the labels are exactly base halves 1 and 2, one
+    each, and each half's pieces are in slot order."""
+    slots = list(range(1, len(chain.signs) + 1))
+    assert len(chain.halves) == 2 and set(chain.signs) <= {1, -1}
+    for pieces in chain.halves:
+        assert sorted(s for lo, hi, k in pieces for s in ((lo,) if k else (lo, hi))) == slots
+        assert list(pieces) == sorted(pieces)
+        for lo, hi, k in pieces:
+            assert lo == hi if k else lo < hi and chain.signs[lo - 1] == -chain.signs[hi - 1]
+    assert sorted(k for pieces in chain.halves for _, _, k in pieces if k) == [1, 2]
 
 
-def test_graph_edges_are_never_monochromatic():
-    for n in range(1, 11):
-        g = render_graph(n)
-        colors = {v.index: v.color for v in g.vertices if v.shape == "circle"}
-        for a, b in g.edges:
-            assert colors[a] != colors[b], (n, a, b)
+def test_nested_chains_keep_the_chain_invariants():
+    """`Chain.BASE.power(m).power(n)` for every m, n with mn <= 64; with
+    m = 1 these are the flat chains, since the 1-fold power is the base."""
+    assert Chain.BASE.power(1) == Chain.BASE
+    for m in range(1, 65):
+        for n in range(1, 64 // m + 1):
+            assert_chain_invariants(Chain.BASE.power(m).power(n))
 
 
-def test_graph_each_slot_in_at_most_one_edge_per_chain():
-    for n in range(1, 11):
-        g = render_graph(n)
-        part1_edges = [e for e in g.edges if e[0] % 2 == 1]
-        part2_edges = [e for e in g.edges if e[0] % 2 == 0]
-        for chain in (part1_edges, part2_edges):
-            seen = [s for e in chain for s in e]
-            assert len(seen) == len(set(seen))
+def test_depth_3_chains_keep_the_chain_invariants():
+    """Every nesting `Chain.BASE.power(a).power(b).power(c)` with at most 12
+    slots."""
+    for a, b, c in itertools.product(range(1, 13), repeat=3):
+        if a * b * c <= 12:
+            assert_chain_invariants(Chain.BASE.power(a).power(b).power(c))
 
 
-def test_graph_reads_the_edges_and_labels_of_the_built_power():
-    """The graph's edges are the union of both halves' edges, its triangles
+@pytest.mark.parametrize(
+    "broken",
+    [
+        Chain((1, 1), Chain.BASE.power(2).halves),  # a monochromatic edge
+        Chain((1, -1), (((1, 2, 0),), ((1, 1, 2), (2, 2, 2)))),  # base half 2 twice, no base half 1
+        Chain((1, -1), (((1, 2, 0),), ((2, 2, 1), (1, 1, 2)))),  # pieces out of slot order
+        Chain((1, -1), (((1, 2, 0),), ((1, 1, 2), (1, 1, 1)))),  # slot 1 twice in half 2, slot 2 never
+    ],
+    ids=["monochromatic edge", "one base half twice", "out of slot order", "a slot covered twice"],
+)
+def test_the_chain_invariants_refuse_a_broken_chain(broken):
+    with pytest.raises(AssertionError):
+        assert_chain_invariants(broken)
+
+
+def test_chain_power_rejects_a_count_that_is_not_a_positive_int():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            Chain.BASE.power(n)
+    for n, shown in ((True, "True"), (2.0, "2.0")):
+        with pytest.raises(ValueError, match=f"^n must be an int, got {shown}$"):
+            Chain.BASE.power(n)
+
+
+def test_dot_output_golden_three():
+    """Three circles colored open, filled, open, the triangle h' of base half
+    2 in slot 1 and h of base half 1 in slot 3, and the edges (1, 2), (2, 3)."""
+    chain = Chain.BASE.power(3)
+    assert chain.labels == {2: (2, 1), 1: (1, 3)}
+    assert chain.dot() == DOT_N3
+
+
+def test_dot_prints_the_chain_read_from_the_built_power():
+    """The DOT text's edges are the union of both halves' edges, its triangles
     are the two labels (h' for base half 2, h for base half 1), and its
-    circles carry the slots' signs, as `read_chain` finds them in the built
-    power."""
+    vertices are filled on the slots of negative sign, as `read_chain` finds
+    them in the built power."""
     t = hyperbolic_triple()
+    names = {1: "h", 2: "hp"}
     for n in range(1, 11):
-        signs, halves = read_chain(nuble(t, n), t)
-        g = render_graph(n)
-        assert g.edges == tuple(sorted((lo, hi) for pieces in halves for lo, hi, k in pieces if not k))
-        triangles = {(v.index, v.shape) for v in g.vertices if v.shape != "circle"}
-        shapes = {1: "left-triangle", 2: "right-triangle"}
-        assert triangles == {(lo, shapes[k]) for pieces in halves for lo, _, k in pieces if k}
-        assert [v.color for v in g.vertices if v.shape == "circle"] == ["open" if x > 0 else "filled" for x in signs]
-
-
-def test_graph_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        render_graph(0)
+        chain = read_chain(nuble(t, n), t)
+        assert chain == Chain.BASE.power(n)
+        lines = chain.dot().splitlines()
+        assert lines[0] == "graph chains {" and lines[-1] == "}"
+        pieces = sorted(piece for half in chain.halves for piece in half)
+        assert [line for line in lines if "--" in line] == [f"  u{lo} -- u{hi};" for lo, hi, k in pieces if not k]
+        filled = {line.split()[0]: "style=filled" in line for line in lines if "[" in line}
+        expected = {f"u{s}": x < 0 for s, x in enumerate(chain.signs, 1)}
+        expected |= {f"{names[k]}{lo}": chain.signs[lo - 1] < 0 for lo, _, k in pieces if k}
+        assert filled == expected
 
 
 def test_dot_output_golden_two():
-    assert chain_graph_dot(render_graph(2)) == DOT_N2
+    assert Chain.BASE.power(2).dot() == DOT_N2
 
 
 def test_dot_output_marks_bare_halves():
-    text = chain_graph_dot(render_graph(5))
+    text = Chain.BASE.power(5).dot()
     assert 'hp1 [label="h\'" shape=triangle];' in text
     assert 'h5 [label="h" shape=triangle];' in text
     assert text.count("--") == 4

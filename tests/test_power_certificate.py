@@ -17,6 +17,7 @@ from maninforge import cli, fileio, homlie, manin, polyuble
 from maninforge.core import Subspace, _span
 from maninforge.homlie import HomLieAlgebra, direct_sum, negate_form
 from maninforge.manin import (
+    Chain,
     ManinTriple,
     _power_base,
     _six_checks,
@@ -216,10 +217,11 @@ def test_the_double_is_read_as_one_edge_and_refused_at_its_labels():
 
 def test_a_sheared_image_is_refused_at_its_first_row(monkeypatch):
     """A basis change of D3^2 moves part 1's first row off the edge row, so
-    the reader stops before it reads the chain."""
+    the reader stops before it reads the chain: any read of `manin.Chain`
+    would raise."""
     t = basis_image(nuble(D3, 2), shear_product(32, 8, 3))
     assert t.part1.echelon[0] != {0: 1, 16: 1}
-    monkeypatch.setattr(manin, "_chain", None)
+    monkeypatch.setattr(manin, "Chain", None)
     assert _power_base(t) is None
 
 
@@ -284,10 +286,10 @@ def test_the_reader_eliminates_nothing_and_reads_no_dense_view(monkeypatch):
 
 def test_the_reader_compares_edge_entries_by_identity(monkeypatch):
     """Work-count guard: a parsed "1" is the shared `core.ONE` that the edge
-    rows of `manin._piece_rows` hold, so comparing a parsed power's edge rows
+    rows of `Chain.rows` hold, so comparing a parsed power's edge rows
     calls `Fraction.__eq__` for fewer than one entry in each edge piece."""
     power = read_back(nuble(D3, 8))
-    edge_entries = sum(2 * D3.dim for half in manin._chain(8)[1] for _, _, k in half if not k)
+    edge_entries = sum(2 * D3.dim for half in Chain.BASE.power(8).halves for _, _, k in half if not k)
     calls = []
     equal = Fraction.__eq__
     monkeypatch.setattr(Fraction, "__eq__", lambda a, b: calls.append(1) or equal(a, b))
