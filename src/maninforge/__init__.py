@@ -49,12 +49,7 @@ from .rmatrix import (
     hcyb_pairing_check,
     hom_schouten,
 )
-from .stabilizer import (
-    check_bracket_sharp_condition,
-    check_coisotropy,
-    check_phi_stable,
-    check_s_sharp_condition,
-)
+from .stabilizer import stabilizer_report
 from .flagleaf import (
     DoubleLeafIndex,
     GroupElement,

@@ -35,7 +35,7 @@ from .manin import (
 from .polyuble import nuble, snake_permutation, verify_snake_iso
 from .reporting import CheckReport, failure
 from .rmatrix import check_quasi_triangular, cyb, sl2_r, sl2_twisted
-from .stabilizer import _sharp_conditions, _twist_stable, check_coisotropy
+from .stabilizer import stabilizer_report
 
 
 class CliError(Exception):
@@ -142,6 +142,8 @@ def _cmd_snake(args, inputs: _Inputs, started: float) -> int:
         raise CliError("-m and -n must be at least 1")
     if args.dot == "-" and args.json:
         raise CliError("--dot - and --json both write to stdout; give --dot a file")
+    # Certify first: an input or usage error must leave no DOT file behind.
+    report = None if args.verify is None else verify_snake_iso(inputs.take(args.verify, "triple"), args.m, args.n)
     perm = snake_permutation(args.m, args.n)
     perm_text = " ".join(str(i) for i in perm.images) + "\n"
     if args.dot is not None:
@@ -154,9 +156,6 @@ def _cmd_snake(args, inputs: _Inputs, started: float) -> int:
                     handle.write(dot_text)
             except OSError as exc:
                 raise CliError(f"cannot write {args.dot}: {exc.strerror}") from None
-    report = None
-    if args.verify is not None:
-        report = verify_snake_iso(inputs.take(args.verify, "triple"), args.m, args.n)
     return _finish(args, "snake", started, perm_text, report, sys.stdout)
 
 
@@ -200,17 +199,10 @@ def _cmd_stabilizer(args, inputs: _Inputs, started: float) -> int:
     s = inputs.take(args.s, "tensor") if args.s is not None else None
     if s is not None and (s.degree != 2 or s.dim != triple.dim):
         raise CliError("--S must be a degree-2 tensor over the triple's algebra")
-    outcomes: list[tuple[str, bool]] = [
-        ("coisotropic", check_coisotropy(triple, q)),
-        ("twist_stable", _twist_stable(triple.algebra, q)),
-    ]
-    if s is not None:
-        image_in, brackets_in = _sharp_conditions(triple.algebra, s, q)
-        outcomes += [("s_sharp_image", image_in), ("sharp_brackets", brackets_in)]
-    report = CheckReport(
-        "stabilizer", [failure(name) for name, ok in outcomes if not ok]
-    )
-    result = "".join(f"{name}: {str(ok).lower()}\n" for name, ok in outcomes)
+    report = stabilizer_report(triple.algebra, s, q, triple.algebra.form_rows)
+    failed = {f.check for f in report.failures}
+    names = ["coisotropic", "twist_stable"] + ["s_sharp_image", "sharp_brackets"] * (s is not None)
+    result = "".join(f"{name}: {str(name not in failed).lower()}\n" for name in names)
     if not args.json:
         result += f"stabilizer: {_status(report.passed)}\n"
     return _finish(args, "stabilizer", started, result, report)
@@ -359,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hcybe.add_argument("--classical", action="store_true", help="evaluate with the identity twist")
     p_hcybe.set_defaults(func=_cmd_hcybe)
 
-    p_stab = sub.add_parser("stabilizer", parents=[common], help="subalgebra conditions for a subspace")
+    p_stab = sub.add_parser("stabilizer", parents=[common], help="stabilizer conditions")
     p_stab.add_argument("file", help="triple file ('-' for stdin)")
     p_stab.add_argument("--q", required=True, metavar="SUBSPACE", help="candidate subspace")
     p_stab.add_argument("--S", dest="s", metavar="TENSOR", help="symmetric part for the sharp conditions")

@@ -857,17 +857,10 @@ def _orthogonal_complement(space: Subspace, form_rows: Sequence[Mapping[int, Fra
 
 def _annihilator_rows(space: Subspace) -> list[dict[int, Fraction]]:
     """Rows spanning the covectors that vanish on the subspace, read off its
-    canonical rows by `_null_rows`.  A verdict on the annihilator reads them
-    as they are; they are not reduced again."""
+    canonical rows by `_null_rows`: one per free column, in increasing order,
+    so a report can name a row by its index.  A verdict on the annihilator
+    reads them as they are; they are not reduced again."""
     return _null_rows(space.echelon, space.ambient_dim)
-
-
-def annihilator(space: Subspace) -> Subspace:
-    """Covectors vanishing on the subspace: {xi : xi(w) = 0 for all w in space},
-    as a canonical `Subspace`.  The verdicts read `_annihilator_rows` instead;
-    this is kept for ROADMAP item 6, whose reports name an offending row, an
-    index that needs canonical rows."""
-    return _span(space.ambient_dim, _annihilator_rows(space))
 
 
 def map_subspace(m: Matrix, space: Subspace) -> Subspace:

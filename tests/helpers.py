@@ -18,10 +18,8 @@ from maninforge.core import (
     _gauss_jordan,
     _integer_row,
     _numerators,
-    _orthogonal_complement,
     _sparse,
     _unit_columns,
-    annihilator,
     determinant,
     identity_matrix,
     inverse,
@@ -49,8 +47,8 @@ from maninforge.homlie import (
     check_involutive,
 )
 from maninforge.manin import Chain, DualBasisPair, ManinTriple, RootData, _form_rows
-from maninforge.reporting import CheckReport, failure
-from maninforge.rmatrix import RMatrixReport, _s_sharp_columns, check_hom_ad_invariant, sl2_lie, sl2_twisted
+from maninforge.reporting import CheckReport, failure, render_vector
+from maninforge.rmatrix import RMatrixReport, check_hom_ad_invariant, sl2_lie, sl2_twisted
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
 
@@ -1092,6 +1090,58 @@ def dense_brackets_in(h: HomLieAlgebra, rows, q: Subspace) -> bool:
 # and paired dense vectors, kept as oracles for the sparse column paths.
 
 
+def dense_null_rows(rows, n: int) -> list[Vector]:
+    """`dense_nullspace` of the dense rows with n columns, no rows included."""
+    return dense_nullspace(rows) if rows else list(identity_matrix(n))
+
+
+def dense_stabilizer_tests(h: HomLieAlgebra, s: SparseTensor | None, q: Subspace, form_rows=None) -> dict:
+    """{check: iterator of (index, vector)}: every vector that a stabilizer
+    condition requires to lie in q, by the index `stabilizer_report` names it
+    with, in increasing order of index, all dense and each computed when it
+    is reached: phi(row_a) over q's canonical rows; [c_a, c_b] over the
+    pairing-complement rows c, the null rows of the covectors row^T G;
+    S#xi_a and [S#xi_a, S#xi_b] over the annihilator rows xi, the null rows
+    of q's canonical rows."""
+    n = h.dim
+    pairs = lambda vs: (((a, b), h.bracket(vs[a], vs[b])) for a in range(len(vs)) for b in range(a + 1, len(vs)))
+    tests = {"twist_stable": (((a,), dense_mat_vec(h.phi, row)) for a, row in enumerate(q.rows))}
+    if form_rows is not None:
+        gram = dense_of_columns(form_rows, n)
+        tests["coisotropic"] = pairs(dense_null_rows([dense_mat_vec(gram, row) for row in q.rows], n))
+    if s is not None:
+        images = [dense_mat_vec(dense_sharp_matrix(h, s), xi) for xi in dense_null_rows(q.rows, n)]
+        tests["s_sharp_image"] = (((a,), w) for a, w in enumerate(images))
+        tests["sharp_brackets"] = pairs(images)
+    return tests
+
+
+def dense_stabilizer_report(h: HomLieAlgebra, s: SparseTensor | None, q: Subspace, form_rows=None) -> CheckReport:
+    """`stabilizer_report` from `dense_stabilizer_tests`, each vector tested
+    by `dense_contains` in turn: a condition fails at the first one outside q."""
+    failures = []
+    for check, tested in dense_stabilizer_tests(h, s, q, form_rows).items():
+        first = next(((index, w) for index, w in tested if not dense_contains(q, w)), None)
+        if first is not None:
+            failures.append(failure(check, *first))
+    return CheckReport("stabilizer_conditions", failures)
+
+
+def assert_stabilizer_witnesses(report: CheckReport, h: HomLieAlgebra, s, q: Subspace, form_rows=None) -> None:
+    """Each failure of a `stabilizer_report` names a vector of
+    `dense_stabilizer_tests` that lies outside q by `dense_contains`, and
+    carries it as its residual; every vector of a lower index lies in q."""
+    tests = dense_stabilizer_tests(h, s, q, form_rows)
+    for f in report.failures:
+        for index, w in tests[f.check]:
+            if index == f.index:
+                assert not dense_contains(q, w) and f.residual == render_vector(w), f
+                break
+            assert dense_contains(q, w), (f, index)
+        else:
+            raise AssertionError(f"{f} names no tested vector")
+
+
 def dense_sharp_matrix(h: HomLieAlgebra, t: SparseTensor) -> Matrix:
     """Matrix of xi -> sum_ab t_ab <phi* xi, e_a> e_b, i.e. (transpose t)(transpose phi)."""
     rows = [[ZERO] * h.dim for _ in range(h.dim)]
@@ -1315,24 +1365,6 @@ def frozen_part_report(t: ManinTriple, part: Subspace, label: str) -> CheckRepor
     for a, image in [] if h.untwisted else frozen_images_outside(h.phi_columns, part, part):
         failures.append(failure("twist_stable", (a,), _dense(h, image)))
     return CheckReport(label, failures)
-
-
-def frozen_stabilizer_report(h: HomLieAlgebra, s: SparseTensor | None, q: Subspace, form_rows=None) -> CheckReport:
-    failures = []
-    if not h.untwisted and frozen_images_outside(h.phi_columns, q, q):
-        failures.append(failure("twist_stable"))
-    if frozen_brackets_outside(h, q.echelon, q):
-        failures.append(failure("subalgebra"))
-    if form_rows is not None and frozen_brackets_outside(h, _orthogonal_complement(q, form_rows).echelon, q):
-        failures.append(failure("coisotropic"))
-    if s is not None:
-        cols = _s_sharp_columns(h, s)
-        if frozen_images_outside(cols, annihilator(q), q):
-            failures.append(failure("sharp_image"))
-        images = [frozen_apply_columns(cols, xi) for xi in annihilator(q).echelon]
-        if frozen_brackets_outside(h, images, q):
-            failures.append(failure("sharp_brackets"))
-    return CheckReport("stabilizer_conditions", failures)
 
 
 def _frozen_row_text(row: Vector) -> str:

@@ -39,7 +39,7 @@ from maninforge.rmatrix import (
     sl2_r,
     sl2_twisted,
 )
-from maninforge.stabilizer import check_coisotropy
+from maninforge.stabilizer import stabilizer_report
 
 from helpers import rand_phi_fixed_skew
 
@@ -139,13 +139,14 @@ def test_criterion_7_coisotropy_of_stabilizer_candidates():
         borel_plus_center = Subspace.span(
             4, [unit_vector(4, 0), unit_vector(4, 2), unit_vector(4, 3)]
         )
-        assert check_coisotropy(gph, borel_plus_center)
+        report = lambda t, q: stabilizer_report(t.algebra, None, q, form_rows=t.algebra.form_rows)
+        assert report(gph, borel_plus_center).passed
         for t in _worked_triples():
-            assert check_coisotropy(t, t.part1), t.name
-            assert check_coisotropy(t, t.part2), t.name
+            assert report(t, t.part1).passed, t.name
+            assert report(t, t.part2).passed, t.name
         double = triple_double(special_linear_data(2))
         line = Subspace.span(6, [unit_vector(6, 0)])
-        assert not check_coisotropy(double, line)
+        assert [f.check for f in report(double, line).failures] == ["coisotropic"]
 
 
 def test_criterion_8_bialgebra_doubles():

@@ -401,11 +401,7 @@ def test_certifier_and_stabilizer_conditions_make_no_dense_call(no_dense_calls):
     t = nuble(BASES["D3"], 3)
     s = SparseTensor.from_matrix(inverse(t.form))
     assert check_manin_triple(t).passed
-    q = t.part1
-    assert stabilizer.check_coisotropy(t, q)
-    assert stabilizer.check_phi_stable(q, t.algebra.phi_columns)
-    assert stabilizer.check_s_sharp_condition(t.algebra, s, q)
-    assert stabilizer.check_bracket_sharp_condition(t.algebra, s, q)
+    assert stabilizer.stabilizer_report(t.algebra, s, t.part1, t.algebra.form_rows).passed
 
 
 def test_map_checkers_make_fewer_basis_brackets_than_the_pairs(no_dense_calls):

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,9 +14,13 @@ from pathlib import Path
 import pytest
 
 import maninforge
+from helpers import SL2_FORM, rand_subspace, rand_tensor
 from maninforge import fileio
 from maninforge.cli import run
+from maninforge.core import SparseTensor, Subspace, inverse
+from maninforge.homlie import HomLieAlgebra, direct_sum
 from maninforge.manin import (
+    ManinTriple,
     hyperbolic_triple,
     lambda_st,
     special_linear_data,
@@ -23,7 +28,7 @@ from maninforge.manin import (
     triple_g_plus_h,
 )
 from maninforge.rmatrix import sl2_r, sl2_twisted
-from maninforge.stabilizer import check_coisotropy, check_phi_stable
+from maninforge.stabilizer import stabilizer_report
 
 
 def invoke(capsys, argv, monkeypatch=None, stdin_text=None):
@@ -410,6 +415,19 @@ def test_snake_refuses_dot_on_stdout_with_json(capsys):
     assert "--dot -" in err and "--json" in err
 
 
+@pytest.mark.parametrize("verify", ["missing", "malformed"])
+def test_snake_leaves_no_dot_file_when_the_verify_triple_is_refused(capsys, tmp_path, verify):
+    """The --verify triple used to be read after the DOT file was written, so
+    a usage error there exited 2 and left the file behind."""
+    target = tmp_path / "found.dot"
+    source = tmp_path / "t.triple"
+    if verify == "malformed":
+        source.write_text("algebra dim=2\nphi 1 0\n", encoding="utf-8")
+    code, out, err = invoke(capsys, ["snake", "-m", "2", "-n", "2", "--dot", str(target), "--verify", str(source)])
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_snake_rejects_nonpositive_sizes(capsys):
     assert invoke(capsys, ["snake", "-m", "0", "-n", "2"])[0] == 2
 
@@ -419,6 +437,18 @@ def test_snake_rejects_nonpositive_sizes(capsys):
 # ---------------------------------------------------------------------------
 
 
+def stabilizer_cli(capsys, monkeypatch, t, q, s=None) -> tuple[int, dict]:
+    """Exit code and JSON payload of `stabilizer --json` on t, q and S, all
+    read from one stdin stream."""
+    text = fileio.format_triple(t) + fileio.format_subspace(q)
+    argv = ["stabilizer", "-", "--q", "-", "--json"]
+    if s is not None:
+        text += fileio.format_tensor(s)
+        argv += ["--S", "-"]
+    code, out, _ = invoke(capsys, argv, monkeypatch, text)
+    return code, json.loads(out)
+
+
 def test_stabilizer_reports_each_condition(capsys, monkeypatch):
     triple = triple_g_plus_h(special_linear_data(2))
     q_rows = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -426,15 +456,59 @@ def test_stabilizer_reports_each_condition(capsys, monkeypatch):
         " ".join(str(x) for x in row) for row in q_rows
     ) + "\n"
     code, out, _ = invoke(capsys, ["stabilizer", "-", "--q", "-"], monkeypatch, text)
-    from maninforge.core import Subspace
-
     q = Subspace.span(4, [tuple(map(int, row)) for row in q_rows])
-    expect_coiso = check_coisotropy(triple, q)
-    expect_stable = check_phi_stable(q, triple.algebra.phi_columns)
-    assert f"coisotropic: {str(expect_coiso).lower()}" in out
-    assert f"twist_stable: {str(expect_stable).lower()}" in out
-    assert code == (0 if expect_coiso and expect_stable else 1)
-    assert "stabilizer: " in out
+    failed = {f.check for f in stabilizer_report(triple.algebra, None, q, triple.algebra.form_rows).failures}
+    assert out == (
+        f"coisotropic: {str('coisotropic' not in failed).lower()}\n"
+        f"twist_stable: {str('twist_stable' not in failed).lower()}\n"
+        f"stabilizer: {'FAIL' if failed else 'PASS'}\n"
+    )
+    assert code == (1 if failed else 0)
+
+
+def stabilizer_agreement_cases() -> list[tuple]:
+    """(triple, q, S or None): seeded subspaces of D2, each without S, with
+    S the inverse form and with a seeded symmetric S; and seeded subspaces
+    of a twisted sl2 + sl2 with its invariant form, without S."""
+    rng = random.Random(38)
+    d2 = triple_double(special_linear_data(2))
+    raw = rand_tensor(rng, 2, d2.dim, fill=4)
+    tensors = (None, SparseTensor.from_matrix(inverse(d2.form)), raw + raw.swap())
+    cases = [(d2, rand_subspace(rng, d2.dim, k), s) for k in range(d2.dim + 1) for s in tensors]
+    sl2 = sl2_twisted()
+    twisted = direct_sum(*[HomLieAlgebra.unchecked(3, sl2.brackets, sl2.phi, SL2_FORM)] * 2)
+    halves = Subspace.span(6, [[1, 0, 0, 0, 0, 0]]), Subspace.span(6, [[0, 0, 0, 1, 0, 0]])
+    cases += [(ManinTriple(twisted, *halves), rand_subspace(rng, 6, k), None) for k in range(1, 5)]
+    return cases
+
+
+def test_cli_stabilizer_failures_are_the_library_reports(capsys, monkeypatch):
+    """CLI `stabilizer --json` prints `stabilizer_report`'s failures, witness
+    and residual included, and a line per condition whose verdict is the
+    report's; each of the four conditions fails somewhere and passes
+    somewhere."""
+    seen = {name: set() for name in ("coisotropic", "twist_stable", "s_sharp_image", "sharp_brackets")}
+    for t, q, s in stabilizer_agreement_cases():
+        report = stabilizer_report(t.algebra, s, q, t.algebra.form_rows)
+        code, payload = stabilizer_cli(capsys, monkeypatch, t, q, s)
+        assert payload["failures"] == report.to_json()["failures"], (t.name, q.rows)
+        assert (code, payload["verdict"]) == ((0, "pass") if report.passed else (1, "fail"))
+        failed = {f.check for f in report.failures}
+        names = ["coisotropic", "twist_stable"] + ["s_sharp_image", "sharp_brackets"] * (s is not None)
+        assert payload["result"] == "".join(f"{name}: {str(name not in failed).lower()}\n" for name in names)
+        for name in names:
+            seen[name].add(name in failed)
+    assert all(values == {True, False} for values in seen.values()), seen
+
+
+def test_a_failing_stabilizer_condition_names_its_witness(capsys, monkeypatch):
+    """On the hyperbolic triple, q = <(1, 1)> and S = diag(1, 1): S# sends the
+    annihilator row (-1, 1) to itself, outside q."""
+    t = hyperbolic_triple()
+    s = SparseTensor.from_entries(2, 2, {(0, 0): 1, (1, 1): 1})
+    code, payload = stabilizer_cli(capsys, monkeypatch, t, Subspace.span(2, [[1, 1]]), s)
+    assert code == 1
+    assert payload["failures"] == [{"check": "s_sharp_image", "index": [0], "residual": "(-1, 1)"}]
 
 
 def test_stabilizer_with_symmetric_part(capsys, monkeypatch):

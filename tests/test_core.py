@@ -28,13 +28,14 @@ from maninforge.core import (
     ONE,
     ZERO,
     Permutation,
+    _annihilator_rows,
     _apply_columns,
+    _dense_vector,
     _orthogonal_complement,
     _sparse,
     _span,
     SparseTensor,
     Subspace,
-    annihilator,
     determinant,
     identity_matrix,
     inverse,
@@ -87,9 +88,9 @@ def test_rational_accepts_ints_strings_fractions():
 def test_floats_are_refused_with_a_hint(build):
     """A float's binary value is rarely the rational meant: 0.1 used to become
     3602879701896397/36028797018963968 without a word.  A float map used to
-    leave a float entry in the image of `apply_per_slot`, and make
-    `check_phi_stable` answer False; that check now takes sparse columns,
-    which refuse a float as a shape error (test_stabilizer)."""
+    leave a float entry in the image of `apply_per_slot`, and make the
+    twist-stability check answer False; a twist is now taken as sparse
+    columns, which refuse a float as a shape error (test_stabilizer)."""
     with pytest.raises(ValueError, match="is not exact; write it as a string like '1/10' or as a Fraction"):
         build()
 
@@ -445,10 +446,10 @@ def test_double_complement_is_identity_100_random():
 
 
 def test_annihilator_dims_and_example():
-    q = Subspace.span(3, [[1, 0, 0]])
-    ann = annihilator(q)
-    assert subspace_equal(ann, Subspace.span(3, [[0, 1, 0], [0, 0, 1]]))
-    assert annihilator(Subspace.zero(3)).dim == 3
+    """One annihilator row per free column of the canonical rows, in column order."""
+    assert _annihilator_rows(Subspace.span(3, [[1, 0, 0]])) == [{1: ONE}, {2: ONE}]
+    assert _annihilator_rows(Subspace.span(3, [[1, 2, 0]])) == [{1: ONE, 0: -2}, {2: ONE}]
+    assert len(_annihilator_rows(Subspace.zero(3))) == 3
 
 
 def test_map_subspace_under_invertible_map_keeps_dim():
@@ -584,9 +585,10 @@ def test_rref_matches_the_dense_reference(m):
     )
 )
 def test_subspace_operations_match_the_dense_reference(triple):
-    """span (of rows, and of two spaces' canonical rows), annihilator and
-    _orthogonal_complement against dense_span over dense_rref; equal
-    subspaces hash alike."""
+    """span (of rows, and of two spaces' canonical rows) and
+    _orthogonal_complement against dense_span over dense_rref, and the
+    annihilator's rows against dense_nullspace row for row; equal subspaces
+    hash alike."""
     a_rows, b_rows, gram = triple
     n = len(gram)
     a, b = Subspace.span(n, a_rows), Subspace.span(n, b_rows)
@@ -594,7 +596,7 @@ def test_subspace_operations_match_the_dense_reference(triple):
     assert a == reference and hash(a) == hash(reference)
     assert _span(n, a.echelon + b.echelon) == dense_span(n, a_rows + b_rows)
     null = dense_nullspace(reference.rows) if reference.dim else identity_matrix(n)
-    assert annihilator(a) == dense_span(n, null)
+    assert [_dense_vector(row, n) for row in _annihilator_rows(a)] == list(null)
     conditions = [dense_mat_vec(transpose(gram), w) for w in reference.rows]
     complement = dense_nullspace(conditions) if conditions else identity_matrix(n)
     assert _orthogonal_complement(a, [_sparse(row) for row in gram]) == dense_span(n, complement)

@@ -18,22 +18,20 @@ import pytest
 
 from helpers import (
     SL2_FORM,
+    assert_stabilizer_witnesses,
     basis_image,
     conjugate_algebra,
-    dense_brackets_in,
     dense_check_hom_ad_invariant,
     dense_check_hom_jacobi,
     dense_check_manin_isomorphism,
     dense_check_quadratic,
     dense_check_twist_morphism,
-    dense_contains,
     dense_dual_basis,
     dense_hcyb,
     dense_hom_schouten,
-    dense_mat_vec,
     dense_part_report,
     dense_r_from_splitting,
-    dense_sharp_matrix,
+    dense_stabilizer_report,
     fraction_apply_columns,
     fraction_by_slot,
     fraction_contains_sparse,
@@ -51,7 +49,6 @@ from helpers import (
     frozen_format_triple,
     frozen_images_outside,
     frozen_part_report,
-    frozen_stabilizer_report,
     pairwise_hcyb,
     rand_phi_fixed_skew,
     shear_product,
@@ -70,12 +67,9 @@ from maninforge.core import (
     _common_denominator,
     _gauss_jordan,
     _images_outside,
-    _orthogonal_complement,
     _span,
-    _sparse,
     _symmetric_part,
     _unit_columns,
-    annihilator,
     determinant,
     identity_matrix,
     inverse,
@@ -138,15 +132,7 @@ from maninforge.rmatrix import (
     sl2_twisted,
 )
 from maninforge.reporting import CheckReport, render_vector
-from maninforge.stabilizer import (
-    _sharp_conditions,
-    check_bracket_sharp_condition,
-    check_coisotropy_form,
-    check_phi_stable,
-    check_s_sharp_condition,
-    is_subalgebra,
-    stabilizer_report,
-)
+from maninforge.stabilizer import stabilizer_report
 
 # Pairwise coprime, so that a wrong lcm or a lost division changes a value.
 HOSTILE = (7, 11, 13, 17, 19, 23)
@@ -468,9 +454,10 @@ def test_isomorphism_and_dual_basis_match_the_dense_references_under_hostile_den
 
 @pytest.mark.parametrize("name", ["D2 image", "twisted sl2 pair"])
 def test_stabilizer_conditions_match_the_dense_references_under_hostile_denominators(name):
-    """The bracket, twist and image conditions on the halves of the triple and
-    on hostile random subspaces, with S the inverse form and a hostile
-    symmetric S; both verdicts occur for each condition that can fail."""
+    """The stabilizer report on the halves of the triple and on hostile random
+    subspaces, with S the inverse form and a hostile symmetric S, equals the
+    dense reference, witnesses included; both verdicts occur for each
+    condition that can fail."""
     rng = random.Random(name)
     t = HOSTILE_TRIPLES[name]
     h, form = t.algebra, t.form
@@ -481,21 +468,13 @@ def test_stabilizer_conditions_match_the_dense_references_under_hostile_denomina
     spaces += [Subspace.span(h.dim, [sparse_row() for _ in range(k)]) for k in (1, 2, 3, 4, 5)]
     seen: dict[str, set] = {}
     for q in spaces:
-        complement = _orthogonal_complement(q, [_sparse(row) for row in form]).rows
-        twisted = [dense_mat_vec(h.phi, v) for v in q.rows]
-        outcomes = [
-            ("subalgebra", is_subalgebra(h, q), dense_brackets_in(h, q.rows, q)),
-            ("coisotropic", check_coisotropy_form(h, q, h.form_rows), dense_brackets_in(h, complement, q)),
-            ("twist_stable", check_phi_stable(q, h.phi_columns), all(dense_contains(q, w) for w in twisted)),
-        ]
         for s in tensors:
-            images = [dense_mat_vec(dense_sharp_matrix(h, s), xi) for xi in annihilator(q).rows]
-            dense_image = all(dense_contains(q, w) for w in images)
-            outcomes.append(("sharp_image", check_s_sharp_condition(h, s, q), dense_image))
-            outcomes.append(("sharp_brackets", check_bracket_sharp_condition(h, s, q), dense_brackets_in(h, images, q)))
-        for check, fast, dense in outcomes:
-            assert fast == dense, (q.rows, check)
-            seen.setdefault(check, set()).add(fast)
+            report = stabilizer_report(h, s, q, h.form_rows)
+            assert report.to_json() == dense_stabilizer_report(h, s, q, h.form_rows).to_json(), q.rows
+            assert_stabilizer_witnesses(report, h, s, q, h.form_rows)
+            failed = {f.check for f in report.failures}
+            for check in ("twist_stable", "coisotropic", "s_sharp_image", "sharp_brackets"):
+                seen.setdefault(check, set()).add(check not in failed)
     if h.untwisted:
         assert seen.pop("twist_stable") == {True}
     assert all(values == {True, False} for values in seen.values()), seen
@@ -1311,32 +1290,24 @@ STABILIZER_CASES = _stabilizer_cases()
 
 
 @pytest.mark.parametrize("case", range(len(STABILIZER_CASES)))
-def test_stabilizer_reports_match_the_frozen_form(case):
-    """`stabilizer_report` equals the report built on the frozen closure and
-    image tests `to_json()` for `to_json()`; the public conditions each agree
-    with it, and `_sharp_conditions` gives both sharp conditions at once."""
+def test_stabilizer_reports_match_the_dense_reference(case):
+    """`stabilizer_report` equals `dense_stabilizer_report` `to_json()` for
+    `to_json()`, and each failure's residual is the dense image or bracket
+    its index names."""
     _, h, s, q, form_rows = STABILIZER_CASES[case]
     report = stabilizer_report(h, s, q, form_rows)
-    assert report.to_json() == frozen_stabilizer_report(h, s, q, form_rows).to_json()
-    failing = {f.check for f in report.failures}
-    assert is_subalgebra(h, q) == ("subalgebra" not in failing)
-    assert check_phi_stable(q, h.phi_columns) == ("twist_stable" not in failing)
-    if form_rows is not None:
-        assert check_coisotropy_form(h, q, form_rows) == ("coisotropic" not in failing)
-    if s is not None:
-        image_in, brackets_in = _sharp_conditions(h, s, q)
-        assert (image_in, brackets_in) == (check_s_sharp_condition(h, s, q), check_bracket_sharp_condition(h, s, q))
-        assert (image_in, brackets_in) == ("sharp_image" not in failing, "sharp_brackets" not in failing)
+    assert report.to_json() == dense_stabilizer_report(h, s, q, form_rows).to_json()
+    assert_stabilizer_witnesses(report, h, s, q, form_rows)
 
 
 def test_the_stabilizer_cases_fail_each_condition():
     seen: dict[str, set] = {}
     for _, h, s, q, form_rows in STABILIZER_CASES:
         failing = {f.check for f in stabilizer_report(h, s, q, form_rows).failures}
-        checks = ["twist_stable", "subalgebra"] + ["coisotropic"] * (form_rows is not None)
-        for check in checks + ["sharp_image", "sharp_brackets"] * (s is not None):
+        checks = ["twist_stable"] + ["coisotropic"] * (form_rows is not None)
+        for check in checks + ["s_sharp_image", "sharp_brackets"] * (s is not None):
             seen.setdefault(check, set()).add(check in failing)
-    assert len(seen) == 5 and all(values == {True, False} for values in seen.values()), seen
+    assert len(seen) == 4 and all(values == {True, False} for values in seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

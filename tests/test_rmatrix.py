@@ -58,7 +58,7 @@ from maninforge.rmatrix import (
     sl2_r,
     sl2_twisted,
 )
-from maninforge.stabilizer import check_bracket_sharp_condition, check_s_sharp_condition, stabilizer_report
+from maninforge.stabilizer import stabilizer_report
 
 
 def vec_tensor(v):
@@ -192,8 +192,6 @@ ENTRY_POINTS = {
     "hcyb_pairing_check": lambda h, t, lam, s: hcyb_pairing_check(h, t),
     "additivity_check-skew": lambda h, t, lam, s: additivity_check(h, lam, SL2_S),
     "additivity_check-symmetric": lambda h, t, lam, s: additivity_check(h, SL2_LAM, s),
-    "check_s_sharp_condition": lambda h, t, lam, s: check_s_sharp_condition(h, s, SL2_LINE),
-    "check_bracket_sharp_condition": lambda h, t, lam, s: check_bracket_sharp_condition(h, s, SL2_LINE),
     "stabilizer_report": lambda h, t, lam, s: stabilizer_report(h, s, SL2_LINE),
 }
 
