@@ -482,33 +482,83 @@ def stabilizer_agreement_cases() -> list[tuple]:
     return cases
 
 
-def test_cli_stabilizer_failures_are_the_library_reports(capsys, monkeypatch):
+STABILIZER_CONDITIONS = ("coisotropic", "twist_stable", "s_sharp_image", "sharp_brackets")
+
+
+@pytest.mark.parametrize("case", range(len(stabilizer_agreement_cases())))
+def test_cli_stabilizer_failures_are_the_library_reports(capsys, monkeypatch, case):
     """CLI `stabilizer --json` prints `stabilizer_report`'s failures, witness
     and residual included, and a line per condition whose verdict is the
-    report's; each of the four conditions fails somewhere and passes
-    somewhere."""
-    seen = {name: set() for name in ("coisotropic", "twist_stable", "s_sharp_image", "sharp_brackets")}
+    report's."""
+    t, q, s = stabilizer_agreement_cases()[case]
+    report = stabilizer_report(t.algebra, s, q, t.algebra.form_rows)
+    code, payload = stabilizer_cli(capsys, monkeypatch, t, q, s)
+    assert payload["failures"] == report.to_json()["failures"], (t.name, q.rows)
+    assert (code, payload["verdict"]) == ((0, "pass") if report.passed else (1, "fail"))
+    failed = {f.check for f in report.failures}
+    names = STABILIZER_CONDITIONS[:2] + STABILIZER_CONDITIONS[2:] * (s is not None)
+    assert payload["result"] == "".join(f"{name}: {str(name not in failed).lower()}\n" for name in names)
+
+
+def test_stabilizer_agreement_cases_fail_and_pass_each_condition():
+    """Each of the four conditions fails on some agreement case and passes on
+    another, so the CLI comparison above meets both verdicts of each."""
+    seen = {name: set() for name in STABILIZER_CONDITIONS}
     for t, q, s in stabilizer_agreement_cases():
-        report = stabilizer_report(t.algebra, s, q, t.algebra.form_rows)
-        code, payload = stabilizer_cli(capsys, monkeypatch, t, q, s)
-        assert payload["failures"] == report.to_json()["failures"], (t.name, q.rows)
-        assert (code, payload["verdict"]) == ((0, "pass") if report.passed else (1, "fail"))
-        failed = {f.check for f in report.failures}
-        names = ["coisotropic", "twist_stable"] + ["s_sharp_image", "sharp_brackets"] * (s is not None)
-        assert payload["result"] == "".join(f"{name}: {str(name not in failed).lower()}\n" for name in names)
-        for name in names:
+        failed = {f.check for f in stabilizer_report(t.algebra, s, q, t.algebra.form_rows).failures}
+        for name in STABILIZER_CONDITIONS[:2] + STABILIZER_CONDITIONS[2:] * (s is not None):
             seen[name].add(name in failed)
     assert all(values == {True, False} for values in seen.values()), seen
 
 
-def test_a_failing_stabilizer_condition_names_its_witness(capsys, monkeypatch):
-    """On the hyperbolic triple, q = <(1, 1)> and S = diag(1, 1): S# sends the
-    annihilator row (-1, 1) to itself, outside q."""
-    t = hyperbolic_triple()
-    s = SparseTensor.from_entries(2, 2, {(0, 0): 1, (1, 1): 1})
-    code, payload = stabilizer_cli(capsys, monkeypatch, t, Subspace.span(2, [[1, 1]]), s)
+def witness_cases() -> dict[str, tuple]:
+    """(triple, q, S or None, failures): one input per condition on which
+    that condition alone fails, with its witness worked by hand."""
+    sl2 = sl2_twisted()
+    twisted = direct_sum(*[HomLieAlgebra.unchecked(3, sl2.brackets, sl2.phi, SL2_FORM)] * 2)
+    twisted_triple = ManinTriple(twisted, Subspace.span(6, [[1, 0, 0, 0, 0, 0]]), Subspace.span(6, [[0, 0, 0, 1, 0, 0]]))
+    d2 = triple_double(special_linear_data(2))
+    return {
+        # The twist is diag(1, -1, -1) on each copy, so it sends the second
+        # canonical row e3 + e4 to e3 - e4.
+        "twist_stable": (
+            twisted_triple,
+            Subspace.span(6, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0]]),
+            None,
+            [{"check": "twist_stable", "index": [1], "residual": "(0, 0, 0, 1, -1, 0)"}],
+        ),
+        "coisotropic": (
+            d2,
+            Subspace.span(6, [[1, 0, 0, 0, 0, 0]]),
+            None,
+            [{"check": "coisotropic", "index": [2, 3], "residual": "(0, 0, 0, 0, -2, 0)"}],
+        ),
+        # S# sends the annihilator row (-1, 1) to itself, outside q.
+        "s_sharp_image": (
+            hyperbolic_triple(),
+            Subspace.span(2, [[1, 1]]),
+            SparseTensor.from_entries(2, 2, {(0, 0): 1, (1, 1): 1}),
+            [{"check": "s_sharp_image", "index": [0], "residual": "(-1, 1)"}],
+        ),
+        # The annihilator rows are e1*, e2*, e3*; S# sends the first two to
+        # e4 and e5, both in q, whose bracket is e3.
+        "sharp_brackets": (
+            d2,
+            Subspace.span(6, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]),
+            SparseTensor.from_entries(2, 6, {(1, 4): 1, (4, 1): 1, (2, 5): 1, (5, 2): 1}),
+            [{"check": "sharp_brackets", "index": [0, 1], "residual": "(0, 0, 0, 1, 0, 0)"}],
+        ),
+    }
+
+
+@pytest.mark.parametrize("condition", sorted(witness_cases()))
+def test_a_failing_stabilizer_condition_names_its_witness(capsys, monkeypatch, condition):
+    """Each condition, failing alone, prints its first witness: the index
+    of the row or pair of rows, and the image or bracket that leaves q."""
+    t, q, s, failures = witness_cases()[condition]
+    code, payload = stabilizer_cli(capsys, monkeypatch, t, q, s)
     assert code == 1
-    assert payload["failures"] == [{"check": "s_sharp_image", "index": [0], "residual": "(-1, 1)"}]
+    assert payload["failures"] == failures
 
 
 def test_stabilizer_with_symmetric_part(capsys, monkeypatch):

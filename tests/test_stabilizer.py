@@ -256,6 +256,11 @@ def test_twist_and_form_entries_must_be_exact(entry):
             check()
     with pytest.raises(ValueError, match="^phi must be 3x3 as sparse vectors: column 1 has row index 3 outside range"):
         HomLieAlgebra(3, {}, ({0: 1}, {3: 1}, {2: 1}))
+
+
+def test_twist_with_the_wrong_column_count_is_blamed_on_the_twist():
+    """The algebra fixes the dimension, and the twist is checked against it:
+    two columns for a 3-space were once blamed on the subspace."""
     with pytest.raises(ValueError, match=r"^phi must be 3x3 as sparse vectors: got 2 columns$"):
         HomLieAlgebra(3, {}, ({0: 1}, {1: 1}))
 
@@ -263,17 +268,27 @@ def test_twist_and_form_entries_must_be_exact(entry):
 # ---------------------------------------------------------------------------
 # Ambient dimension
 
+def twisted_sl2_sum() -> HomLieAlgebra:
+    sl2 = sl2_twisted()
+    return direct_sum(*[HomLieAlgebra.unchecked(3, sl2.brackets, sl2.phi, SL2_FORM)] * 2)
+
+
 ENTRY_POINTS = {
     "stabilizer_report": lambda t, s, q: stabilizer_report(t.algebra, s, q, t.algebra.form_rows),
     "stabilizer_report, twist only": lambda t, s, q: stabilizer_report(t.algebra, None, q),
+    "stabilizer_report, pairing only": lambda t, s, q: stabilizer_report(t.algebra, None, q, t.algebra.form_rows),
+    "stabilizer_report, S only": lambda t, s, q: stabilizer_report(t.algebra, s, q),
+    "stabilizer_report, twisted algebra": lambda t, s, q: stabilizer_report(twisted_sl2_sum(), None, q),
 }
 
 
 @pytest.mark.parametrize("ambient", [4, 14])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_every_condition_rejects_a_subspace_of_another_dimension(entry, ambient):
-    """A line of a smaller or larger space is an error, not a vacuous pass:
-    with no pairing and no S, the identity twist alone computes nothing."""
+    """A line of a smaller or larger space is an error, not a vacuous pass,
+    whichever conditions are asked for: with no pairing and no S, the
+    identity twist alone computes nothing, and a twisted algebra of the
+    same dimension 6 would compute the twist's images."""
     t = triple_double(special_linear_data(2))
     s = SparseTensor.from_matrix(inverse(t.form))
     q = Subspace.span(ambient, [unit_vector(ambient, 0)])
