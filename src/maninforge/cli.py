@@ -203,9 +203,7 @@ def _cmd_stabilizer(args, inputs: _Inputs, started: float) -> int:
     failed = {f.check for f in report.failures}
     names = ["coisotropic", "twist_stable"] + ["s_sharp_image", "sharp_brackets"] * (s is not None)
     result = "".join(f"{name}: {str(name not in failed).lower()}\n" for name in names)
-    if not args.json:
-        result += f"stabilizer: {_status(report.passed)}\n"
-    return _finish(args, "stabilizer", started, result, report)
+    return _finish(args, "stabilizer", started, result, CheckReport("stabilizer", report.failures), sys.stdout)
 
 
 def _parse_weyl_word(k: int, text: str) -> WeylElement:

@@ -364,68 +364,48 @@ def _gauss_jordan(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Frac
     entry}, not mutated), the package's one Gauss-Jordan elimination:
     its rows by increasing pivot, columns increasing, the pivot's entry 1.
     The rows `_eliminated` keeps, each divided by its pivot, one Fraction per
-    value; a row kept as given is returned as it is."""
-    kept, given = _eliminated(rows)
+    value."""
     return [
-        dict(sorted(row.items())) if p in given else {c: Fraction(row[c], row[p]) for c in sorted(row)}
-        for p, row in sorted(kept.items())
+        {c: Fraction(row[c], row[p]) for c in sorted(row)} for p, row in sorted(_eliminated(rows).items())
     ]
 
 
 def _rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
     """The dimension of the span of sparse rows: the number of rows that
     `_eliminated` keeps, with no row divided."""
-    return len(_eliminated(rows)[0])
+    return len(_eliminated(rows))
 
 
-def _eliminated(rows: Iterable[Mapping[int, Fraction]]) -> tuple[dict[int, dict], set[int]]:
-    """(kept, given): the elimination stage of `_gauss_jordan`, kept mapping
-    each pivot to its row.  Each row is reduced by the rows kept so far; if
-    anything is left, its least column is its pivot, and it is cleared from
-    the kept rows.  So every kept row starts at its pivot and is zero at the
-    others', and the kept rows are a basis of the span.
+def _eliminated(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, int]]:
+    """The elimination stage of `_gauss_jordan`: each pivot mapped to its
+    kept row.  Each row is made a row of ints (`_integer_row`) and reduced
+    by the rows kept so far; if anything is left, its least column is its
+    pivot, and it is cleared from the kept rows.  So every kept row starts
+    at its pivot and is zero at the others', and the kept rows are a basis
+    of the span.
 
     Fraction-free: a kept row is a primitive int multiple of its canonical row
-    (gcd 1, positive pivot), reduced by cross-multiplying (`_eliminate`).  A
-    row that arrives in Fractions with pivot entry 1 and nothing at a kept
-    pivot is kept as given (its pivot in `given`), and made integral only if
-    a later row needs it."""
-    kept: dict[int, dict] = {}  # pivot -> row
-    given: set[int] = set()  # pivots of the rows kept as given
+    (gcd 1, positive pivot), reduced by cross-multiplying (`_eliminate`)."""
+    kept: dict[int, dict[int, int]] = {}  # pivot -> row
     holding: defaultdict[int, set[int]] = defaultdict(set)  # column -> pivots of the kept rows nonzero there
-
-    def integral(p: int) -> dict[int, int]:
-        if p in given:
-            given.remove(p)
-            kept[p] = _integer_row(kept[p])
-        return kept[p]
-
     for row in rows:
-        v = {c: x for c, x in row.items() if x}
-        hits = [p for p in v if p in kept]
-        pivot = min(v, default=None)
-        if hits or pivot is None or v[pivot] != 1 or any(type(x) is not Fraction for x in v.values()):
-            v = _integer_row(v)
-            for p in hits:  # the kept rows vanish at each other's pivots
-                _eliminate(v, integral(p), p)
-            if not v:
-                continue
-            pivot = min(v)
-            v = _primitive(v, pivot)
-        else:
-            given.add(pivot)
-        kept[pivot] = v
+        v = _integer_row({c: x for c, x in row.items() if x})
+        for p in [p for p in v if p in kept]:  # the kept rows vanish at each other's pivots
+            _eliminate(v, kept[p], p)
+        if not v:
+            continue
+        pivot = min(v)
+        v = kept[pivot] = _primitive(v, pivot)
         for c in v:
             holding[c].add(pivot)
         for q in holding[pivot] - {pivot}:
-            v = integral(pivot)
-            w = kept[q] = _primitive(_eliminate(integral(q), v, pivot), q)
+            w = kept[q] = _primitive(_eliminate(kept[q], v, pivot), q)
             for c in v:  # only v's columns can enter or leave w
                 if c in w:
                     holding[c].add(q)
                 else:
                     holding[c].discard(q)
-    return kept, given
+    return kept
 
 
 def _null_rows(reduced: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
@@ -848,11 +828,6 @@ def _orthogonal_rows(space: Subspace, form_rows: Sequence[Mapping[int, Fraction]
     they are; they are not reduced again."""
     covectors = _gauss_jordan(_apply_columns(form_rows, row) for row in space.echelon)
     return _null_rows(covectors, space.ambient_dim)
-
-
-def _orthogonal_complement(space: Subspace, form_rows: Sequence[Mapping[int, Fraction]]) -> Subspace:
-    """The span of `_orthogonal_rows`, as a canonical `Subspace`."""
-    return _span(space.ambient_dim, _orthogonal_rows(space, form_rows))
 
 
 def _annihilator_rows(space: Subspace) -> list[dict[int, Fraction]]:

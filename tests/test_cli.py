@@ -437,15 +437,21 @@ def test_snake_rejects_nonpositive_sizes(capsys):
 # ---------------------------------------------------------------------------
 
 
-def stabilizer_cli(capsys, monkeypatch, t, q, s=None) -> tuple[int, dict]:
-    """Exit code and JSON payload of `stabilizer --json` on t, q and S, all
-    read from one stdin stream."""
+def stabilizer_run(capsys, monkeypatch, t, q, s=None, *flags: str) -> tuple[int, str]:
+    """Exit code and stdout of `stabilizer` on t, q and S, all read from one
+    stdin stream."""
     text = fileio.format_triple(t) + fileio.format_subspace(q)
-    argv = ["stabilizer", "-", "--q", "-", "--json"]
+    argv = ["stabilizer", "-", "--q", "-", *flags]
     if s is not None:
         text += fileio.format_tensor(s)
         argv += ["--S", "-"]
     code, out, _ = invoke(capsys, argv, monkeypatch, text)
+    return code, out
+
+
+def stabilizer_cli(capsys, monkeypatch, t, q, s=None) -> tuple[int, dict]:
+    """Exit code and JSON payload of `stabilizer --json` on t, q and S."""
+    code, out = stabilizer_run(capsys, monkeypatch, t, q, s, "--json")
     return code, json.loads(out)
 
 
@@ -457,12 +463,13 @@ def test_stabilizer_reports_each_condition(capsys, monkeypatch):
     ) + "\n"
     code, out, _ = invoke(capsys, ["stabilizer", "-", "--q", "-"], monkeypatch, text)
     q = Subspace.span(4, [tuple(map(int, row)) for row in q_rows])
-    failed = {f.check for f in stabilizer_report(triple.algebra, None, q, triple.algebra.form_rows).failures}
+    failures = stabilizer_report(triple.algebra, None, q, triple.algebra.form_rows).failures
+    failed = {f.check for f in failures}
     assert out == (
         f"coisotropic: {str('coisotropic' not in failed).lower()}\n"
         f"twist_stable: {str('twist_stable' not in failed).lower()}\n"
         f"stabilizer: {'FAIL' if failed else 'PASS'}\n"
-    )
+    ) + "".join(f"  {f.check} at {f.index}: {f.residual}\n" for f in failures)
     assert code == (1 if failed else 0)
 
 
@@ -559,6 +566,22 @@ def test_a_failing_stabilizer_condition_names_its_witness(capsys, monkeypatch, c
     code, payload = stabilizer_cli(capsys, monkeypatch, t, q, s)
     assert code == 1
     assert payload["failures"] == failures
+
+
+@pytest.mark.parametrize("condition", sorted(witness_cases()))
+def test_plain_stabilizer_prints_each_failed_condition_with_its_witness(capsys, monkeypatch, condition):
+    """Without --json, a failing run prints its verdict lines, then each
+    failure's index and residual, in `verify manin`'s format."""
+    t, q, s, failures = witness_cases()[condition]
+    code, out = stabilizer_run(capsys, monkeypatch, t, q, s)
+    names = STABILIZER_CONDITIONS[:2] + STABILIZER_CONDITIONS[2:] * (s is not None)
+    [witness] = failures
+    assert code == 1
+    assert out == (
+        "".join(f"{name}: {str(name != condition).lower()}\n" for name in names)
+        + "stabilizer: FAIL\n"
+        + f"  {condition} at {tuple(witness['index'])}: {witness['residual']}\n"
+    )
 
 
 def test_stabilizer_with_symmetric_part(capsys, monkeypatch):

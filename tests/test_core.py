@@ -31,7 +31,7 @@ from maninforge.core import (
     _annihilator_rows,
     _apply_columns,
     _dense_vector,
-    _orthogonal_complement,
+    _orthogonal_rows,
     _sparse,
     _span,
     SparseTensor,
@@ -423,8 +423,8 @@ def test_membership_and_containment():
 
 def test_orthogonal_complement_extremes():
     form = [{i: 1} for i in range(4)]
-    assert _orthogonal_complement(Subspace.full(4), form).dim == 0
-    assert subspace_equal(_orthogonal_complement(Subspace.zero(4), form), Subspace.full(4))
+    assert _span(4, _orthogonal_rows(Subspace.full(4), form)).dim == 0
+    assert subspace_equal(_span(4, _orthogonal_rows(Subspace.zero(4), form)), Subspace.full(4))
 
 
 def test_orthogonal_complement_hyperbolic_plane():
@@ -432,7 +432,7 @@ def test_orthogonal_complement_hyperbolic_plane():
     its own complement."""
     form = [{1: 1}, {0: 1}]
     axis = Subspace.span(2, [[1, 0]])
-    assert subspace_equal(_orthogonal_complement(axis, form), axis)
+    assert subspace_equal(_span(2, _orthogonal_rows(axis, form)), axis)
 
 
 def test_double_complement_is_identity_100_random():
@@ -440,9 +440,9 @@ def test_double_complement_is_identity_100_random():
     form = [{2: 1}, {3: 1}, {0: 1}, {1: 1}]
     for _ in range(100):
         q = rand_subspace(rng, 4, rng.randint(0, 4))
-        perp = _orthogonal_complement(q, form)
+        perp = _span(q.ambient_dim, _orthogonal_rows(q, form))
         assert q.dim + perp.dim == 4
-        assert subspace_equal(_orthogonal_complement(perp, form), q)
+        assert subspace_equal(_span(perp.ambient_dim, _orthogonal_rows(perp, form)), q)
 
 
 def test_annihilator_dims_and_example():
@@ -586,7 +586,7 @@ def test_rref_matches_the_dense_reference(m):
 )
 def test_subspace_operations_match_the_dense_reference(triple):
     """span (of rows, and of two spaces' canonical rows) and
-    _orthogonal_complement against dense_span over dense_rref, and the
+    the span of _orthogonal_rows against dense_span over dense_rref, and the
     annihilator's rows against dense_nullspace row for row; equal subspaces
     hash alike."""
     a_rows, b_rows, gram = triple
@@ -599,7 +599,7 @@ def test_subspace_operations_match_the_dense_reference(triple):
     assert [_dense_vector(row, n) for row in _annihilator_rows(a)] == list(null)
     conditions = [dense_mat_vec(transpose(gram), w) for w in reference.rows]
     complement = dense_nullspace(conditions) if conditions else identity_matrix(n)
-    assert _orthogonal_complement(a, [_sparse(row) for row in gram]) == dense_span(n, complement)
+    assert _span(n, _orthogonal_rows(a, [_sparse(row) for row in gram])) == dense_span(n, complement)
 
 
 def test_subspaces_are_equal_and_hash_alike_by_value():

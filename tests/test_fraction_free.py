@@ -65,6 +65,7 @@ from maninforge.core import (
     Subspace,
     _apply_columns,
     _common_denominator,
+    _eliminated,
     _gauss_jordan,
     _images_outside,
     _span,
@@ -522,9 +523,19 @@ ROW_SHAPES = [(n, count, seed) for n, count in ((1, 3), (3, 5), (5, 8), (8, 6), 
 
 @pytest.mark.parametrize("n, count, seed", ROW_SHAPES)
 def test_elimination_matches_the_fraction_reference_row_for_row(n, count, seed):
+    """`_gauss_jordan` against the Fraction reference, and the invariant of
+    its elimination stage: every row `_eliminated` keeps is a primitive int
+    row (ints, gcd 1, positive at its pivot, its least column) that is zero
+    at the other kept pivots, rows that arrive in Fractions with a leading 1
+    included."""
     rng = random.Random(f"rows {n} {count} {seed}")
     rows = hostile_rows(rng, n, count)
     before = [list(row.items()) for row in rows]
+    kept = _eliminated(rows)
+    for p, row in kept.items():
+        assert all(type(x) is int for x in row.values()), row
+        assert gcd(*row.values()) == 1 and row[p] > 0 and min(row) == p, row
+        assert all(row.get(q, 0) == 0 for q in kept if q != p), row
     reduced = _gauss_jordan(rows)
     assert _items(reduced) == _items(fraction_gauss_jordan(rows))
     assert [list(row.items()) for row in rows] == before  # not mutated
@@ -597,8 +608,8 @@ def test_membership_matches_the_fraction_reference(n, count, seed):
 
 
 def test_rows_of_ints_come_back_in_fractions():
-    """A row that leads with the int 1, or with Fraction 1 beside an int, is
-    not returned as given: every value returned is a Fraction."""
+    """Rows that lead with the int 1, or with Fraction 1 beside an int, are
+    reduced in ints like every row: every value returned is a Fraction."""
     for rows in ([{2: 1, 0: 0, 3: Fraction(1, 7)}, {1: 1, 3: 2}], [{0: Fraction(1), 1: 3}], [{0: 1}]):
         assert _items(_gauss_jordan(rows)) == _items(fraction_gauss_jordan(rows))
 

@@ -101,24 +101,33 @@ def referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def top_level_definitions(sources: dict[str, str]) -> tuple[list[tuple[str, ast.AST]], set[str]]:
+    """(definitions, used): (module, node) of each module-level function or
+    class of the modules in sources, and every name that a top-level
+    statement of them refers to, a definition's own name in its body not
+    counted."""
+    definitions, used = [], set()
+    for stem, source in sources.items():
+        for node in ast.parse(source).body:
+            defines = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if defines:
+                definitions.append((stem, node))
+            used |= referenced_names(node) - {defines}
+    return definitions, used
+
+
 def unclaimed_public_names(sources: dict[str, str], outside: list[str]) -> list[str]:
     """The "module.name" of each module-level public function or class of the
     modules in sources that nothing else refers to: no other top-level
     statement of any of those modules, no source in outside, and no
     `ROADMAP item N` claim in its own docstring."""
-    trees = {stem: ast.parse(source) for stem, source in sources.items()}
-    used = set().union(*map(referenced_names, map(ast.parse, outside)))
-    definitions = []
-    for stem, tree in trees.items():
-        for node in tree.body:
-            defines = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
-            if defines and not defines.startswith("_"):
-                definitions.append((stem, node))
-            used |= referenced_names(node) - {defines}
+    definitions, used = top_level_definitions(sources)
+    used |= set().union(*map(referenced_names, map(ast.parse, outside)))
     return sorted(
         f"{stem}.{node.name}"
         for stem, node in definitions
-        if node.name not in used and not CLAIM.search(ast.get_docstring(node) or "")
+        if not node.name.startswith("_") and node.name not in used
+        and not CLAIM.search(ast.get_docstring(node) or "")
     )
 
 
@@ -144,6 +153,39 @@ def test_every_public_name_has_a_user_or_a_roadmap_claim():
     assert modules and len(outside) > 1
     read = lambda path: path.read_text(encoding="utf-8")
     assert unclaimed_public_names({p.stem: read(p) for p in modules}, [read(p) for p in outside]) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The "module.name" of each module-level private function or class of
+    the modules in sources that no other top-level statement of any of those
+    modules refers to.  Tests do not count: a private helper serves the
+    package or goes."""
+    definitions, used = top_level_definitions(sources)
+    return sorted(
+        f"{stem}.{node.name}"
+        for stem, node in definitions
+        if node.name.startswith("_") and not node.name.endswith("__") and node.name not in used
+    )
+
+
+def test_scanner_finds_an_unreferenced_private_name():
+    sources = {
+        "a": (
+            "def _kept():\n    pass\ndef _lonely():\n    return _lonely()\n"
+            "class _Orphan:\n    pass\ndef __getattr__(name):\n    pass\ndef public():\n    pass\n"
+        ),
+        "b": "from .a import _kept\ndef _called():\n    pass\nVALUE = _called()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._Orphan", "a._lonely"]
+
+
+def test_every_private_name_has_a_user_in_the_package():
+    """Each module-level private function or class of the package is used by
+    another top-level statement of the package; one that only its own tests
+    call goes."""
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    assert unreferenced_private_names({p.stem: p.read_text(encoding="utf-8") for p in modules}) == []
 
 
 def undocumented_public_names(sources: dict[str, str]) -> list[str]:
