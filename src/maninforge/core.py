@@ -10,12 +10,16 @@ divided.  `determinant` runs the kernel's row operation, `_eliminate`, on
 integer rows.
 
 The elimination, the sparse map `_apply_columns` and the membership test
-`Subspace._contains_numerators` sum plain ints: elimination on primitive
-integer rows, the other two over one common denominator.  Each builds one
-Fraction per value it returns, and none per term.  The image test
-`_images_outside` tests the integer sums of `_column_sums` as they are, and
-divides only the images it reports.  Every map takes the one summing path, a
-relabelling (unit columns at distinct rows) included.
+`_in_span` sum plain ints: elimination on primitive integer rows, the other
+two over one common denominator.  Each builds one Fraction per value it
+returns, and none per term.  `_in_span` reads a space as numerator rows
+(`_pivot_numerators`) and decides at any scale, so `Subspace.contains_sparse`,
+the image test `_images_outside` and `homlie._brackets_outside` test integer
+sums as they are; a space that is never divided, such as the kept rows of
+`_eliminated`, is tested the same way.  The two tests divide nothing: they
+return the integer sums of what leaves the space, and their callers divide
+only what they report.  Every map takes the one summing path, a relabelling
+(unit columns at distinct rows) included.
 """
 from __future__ import annotations
 
@@ -292,12 +296,17 @@ def _column_sums(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fracti
     return den_x * den_c, out
 
 
+def _quotients(den: int, sums: Mapping[int, int]) -> dict[int, Fraction]:
+    """{a: n / den} over sums.items(), one Fraction per entry, in sums' order:
+    how an integer sum is divided where it is returned or reported."""
+    return {a: Fraction(n, den) for a, n in sums.items()}
+
+
 def _apply_columns(cols: Sequence[Mapping[int, Fraction]], xs: Mapping[int, Fraction]) -> dict[int, Fraction]:
     """The map with sparse columns `cols` applied to the sparse vector xs, the
     entries that cancel left out; summed by `_column_sums`, each total divided
     once."""
-    den, out = _column_sums(cols, xs)
-    return {a: Fraction(n, den) for a, n in out.items()}
+    return _quotients(*_column_sums(cols, xs))
 
 
 def _transpose_sparse(vectors: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
@@ -406,6 +415,56 @@ def _eliminated(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, i
                 else:
                     holding[c].discard(q)
     return kept
+
+
+def _pivot_numerators(kept: Mapping[int, Mapping[int, int]]) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
+    """(den, {pivot: ((column, numerator), ...)}): the canonical rows of the
+    span of int rows that start at their pivots and vanish at each other's
+    (`_eliminated`'s kept rows, {pivot: row}), over one common denominator,
+    each without its pivot.  den is the lcm of the pivot entries, so the
+    canonical row with pivot p, row / row[p], is row * (den // row[p]) / den,
+    and its numerator at p is den.  What `_in_span` reads.
+
+    >>> _pivot_numerators({0: {0: 2, 2: 1}, 1: {1: 3, 2: -1}})
+    (6, {0: ((2, 3),), 1: ((2, -2),)})
+    """
+    den = lcm(*(row[p] for p, row in kept.items()))
+    return den, {p: tuple((c, x * (den // row[p])) for c, x in row.items() if c != p) for p, row in kept.items()}
+
+
+def _in_span(target: tuple[int, Mapping[int, Sequence[tuple[int, int]]]], nums: Mapping[int, int]) -> bool:
+    """Whether the vector with integer numerators nums, {index: int}, lies in
+    the span whose canonical rows are target, (den, {pivot: ((column,
+    numerator), ...)}) as `_pivot_numerators` gives them, whatever its
+    denominator: the one membership test.
+
+    Lemma (membership at any scale).  Let den_q be the common denominator
+    of the canonical rows and Q_p the numerators of the row with pivot p,
+    so that the row is Q_p / den_q.  The rows are in reduced echelon form,
+    so v lies in the span exactly when v = sum_p v_p Q_p / den_q over the
+    pivots p.  Multiply by den_q times any nonzero scale s, with N = s v
+    the integer numerators: v lies in the span exactly when
+    den_q N - sum_p N_p Q_p = 0.  So a sum kept in integer numerators over
+    any denominator is tested as it is, with no division and no common
+    factor taken out.  At a pivot p the difference is
+    den_q N_p - N_p den_q = 0, since Q_p is den_q there and the other rows
+    are zero there; so only the other columns are summed, and target holds
+    each row without its pivot.
+
+    >>> _in_span(_pivot_numerators({0: {0: 2, 2: 1}}), {0: 4, 2: 2}), _in_span((1, {}), {1: 5})
+    (True, False)
+    """
+    den, rows = target
+    residual: dict[int, int] = {}  # den_q N - sum_p N_p Q_p, off the pivots
+    get = residual.get
+    for c, x in nums.items():
+        row = rows.get(c)
+        if row is None:
+            residual[c] = get(c, 0) + x * den
+        else:
+            for b, y in row:
+                residual[b] = get(b, 0) - x * y
+    return not any(residual.values())
 
 
 def _null_rows(reduced: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
@@ -535,7 +594,9 @@ class SparseTensor:
         range(dim^2) and fields in range(dim), nonzero Fractions from
         `_signed_fields`), `rmatrix.hom_schouten` (indices read from its
         arguments' and phi's, one Fraction per nonzero total),
-        `_symmetric_part` (see its lemma), `scale` and `swap` (see theirs) and
+        `_symmetric_part` and the int-valued 2 den s of
+        `rmatrix.check_quasi_triangular` (see its lemma), `scale` and `swap`
+        (see theirs), `manin.r_from_splitting` (see its docstring) and
         `fileio.parse_tensor` (after its own checks)."""
         t = cls.__new__(cls)
         t.degree, t.dim, t.entries = degree, dim, entries
@@ -649,22 +710,34 @@ def tensor_skew_sym_split(t: SparseTensor) -> tuple[SparseTensor, SparseTensor]:
     return t.scale(ONE) - s, s  # scaled by ONE so that t's int entries come back as Fractions
 
 
+def _symmetric_sums(numerators: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """t + t^T in integer numerators, for a degree-2 t given as {index: t_ab
+    * den}: the integer stage of `_symmetric_part`, so 2 den s over the
+    nonzero totals, s = (t + t^T)/2.  Each index is visited once; the entries
+    come in the order of t's indices, then the transposes that t lacks, those
+    that cancel left out.
+
+    >>> _symmetric_sums({(0, 1): 3, (1, 0): -3, (0, 2): 2})
+    {(0, 2): 2, (2, 0): 2}
+    """
+    twice = {(a, b): n + numerators.get((b, a), 0) for (a, b), n in numerators.items()}
+    twice.update({(b, a): n for (a, b), n in numerators.items() if (b, a) not in numerators})
+    return {index: n for index, n in twice.items() if n}
+
+
 def _symmetric_part(t: SparseTensor) -> SparseTensor:
-    """s = (t + t^T)/2 for a degree-2 t, the package's one symmetric part,
-    summed in integer numerators over the one common denominator of t's
-    entries: each index of s is visited once, and one Fraction is built per
-    nonzero entry.  The entries come in the order of t's indices, then the
-    transposes that t lacks, those that cancel left out.
+    """s = (t + t^T)/2 for a degree-2 t, the package's one symmetric part:
+    `_symmetric_sums` over the one common denominator den of t's entries,
+    each nonzero total divided by 2 den once.
 
     Lemma (the symmetric part needs no check).  Its indices are t's and their
     transposes, degree-2 int indices in range(t.dim), and its values are
     Fractions built from the nonzero totals only, so s is made by
-    `SparseTensor._of_checked`."""
+    `SparseTensor._of_checked`; so is 2 den s, the same indices with those
+    totals as int values, which `rmatrix.check_quasi_triangular` keeps."""
     den, numerators = _common_denominator(list(t.entries.values()))
-    tn = dict(zip(t.entries, numerators))
-    twice = {(a, b): n + tn.get((b, a), 0) for (a, b), n in tn.items()}  # 2s = t + t^T, over den
-    twice.update({(b, a): n for (a, b), n in tn.items() if (b, a) not in tn})
-    return SparseTensor._of_checked(2, t.dim, {index: Fraction(n, 2 * den) for index, n in twice.items() if n})
+    twice = _symmetric_sums(dict(zip(t.entries, numerators)))
+    return SparseTensor._of_checked(2, t.dim, {index: Fraction(n, 2 * den) for index, n in twice.items()})
 
 
 def is_antisymmetric(t: SparseTensor) -> bool:
@@ -765,14 +838,15 @@ class Subspace:
 
     @cached_property
     def _numerator_rows(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
-        """(den, {pivot: ((column, numerator), ...)}): the rows over one common
-        denominator, each without its pivot, whose numerator is den."""
-        den, rows = _numerators(self.echelon)
-        return den, {next(iter(row)): tuple(row.items())[1:] for row in rows}
+        """(den, {pivot: ((column, numerator), ...)}): the canonical rows over
+        one common denominator, each without its pivot, whose numerator is
+        den; `_pivot_numerators` of the rows made ints, the target that
+        `_in_span` reads."""
+        return _pivot_numerators({next(iter(row)): _integer_row(row) for row in self.echelon})
 
     def contains_sparse(self, xs: Mapping[int, Fraction]) -> bool:
         """Exact membership of the sparse vector xs, {index: entry}, zero entries
-        ignored, decided by `_contains_numerators` on xs times the lcm of its
+        ignored, decided by `_in_span` on xs times the lcm of its
         denominators.  An index outside range(ambient_dim) or an entry that is
         not an int or a Fraction raises ValueError."""
         for c, x in xs.items():
@@ -780,35 +854,7 @@ class Subspace:
                 raise ValueError(f"index {c!r} outside range({self.ambient_dim})")
             if not _is_exact(x):
                 raise ValueError(f"entry {x!r} at index {c} is not an int or a Fraction")
-        return self._contains_numerators(_integer_row(xs))
-
-    def _contains_numerators(self, nums: Mapping[int, int]) -> bool:
-        """Whether the vector with integer numerators nums, {index: int}, lies
-        in the space, whatever its denominator: the one membership test.
-
-        Lemma (membership at any scale).  Let den_q be the common denominator
-        of the canonical rows and Q_p the numerators of the row with pivot p,
-        so that the row is Q_p / den_q.  The rows are in reduced echelon form,
-        so v lies in the span exactly when v = sum_p v_p Q_p / den_q over the
-        pivots p.  Multiply by den_q times any nonzero scale s, with N = s v
-        the integer numerators: v lies in the span exactly when
-        den_q N - sum_p N_p Q_p = 0.  So a sum kept in integer numerators over
-        any denominator is tested as it is, with no division and no common
-        factor taken out.  At a pivot p the difference is
-        den_q N_p - N_p den_q = 0, since Q_p is den_q there and the other rows
-        are zero there; so only the other columns are summed, and
-        `_numerator_rows` stores each row without its pivot."""
-        den, rows = self._numerator_rows
-        residual: dict[int, int] = {}  # den_q N - sum_p N_p Q_p, off the pivots
-        get = residual.get
-        for c, x in nums.items():
-            row = rows.get(c)
-            if row is None:
-                residual[c] = get(c, 0) + x * den
-            else:
-                for b, y in row:
-                    residual[b] = get(b, 0) - x * y
-        return not any(residual.values())
+        return _in_span(self._numerator_rows, _integer_row(xs))
 
 
 def _span(ambient_dim: int, rows: Iterable[Mapping[int, Fraction]]) -> Subspace:
@@ -846,18 +892,20 @@ def map_subspace(m: Matrix, space: Subspace) -> Subspace:
 
 
 def _images_outside(
-    cols: list[dict[int, Fraction]], rows: Sequence[Mapping[int, Fraction]], target: Subspace
-) -> list[tuple[int, dict[int, Fraction]]]:
-    """(a, image) for each sparse row rows[a] whose image under the map with
-    sparse columns cols does not lie in target: the one image test.  Each
-    image is summed by `_column_sums` and tested in those integer numerators
-    (`Subspace._contains_numerators`); only a reported image is divided, its
-    values and order those of `_apply_columns`."""
+    cols: list[dict[int, Fraction]], rows: Sequence[Mapping[int, Fraction]], target: tuple
+) -> list[tuple[int, int, dict[int, int]]]:
+    """(a, den, sums) for each sparse row rows[a] whose image under the map
+    with sparse columns cols does not lie in the span with numerator rows
+    target (`Subspace._numerator_rows`): the one image test.  Each image is
+    summed by `_column_sums` and tested in those integer numerators
+    (`_in_span`), and none is divided: a caller that reports an image divides
+    it, `_quotients(den, sums)`, and gets the values and order of
+    `_apply_columns`."""
     outside = []
     for a, row in enumerate(rows):
         den, sums = _column_sums(cols, row)
-        if not target._contains_numerators(sums):
-            outside.append((a, {r: Fraction(n, den) for r, n in sums.items()}))
+        if not _in_span(target, sums):
+            outside.append((a, den, sums))
     return outside
 
 

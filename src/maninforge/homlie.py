@@ -21,6 +21,7 @@ from .core import (
     _dimension,
     _gauss_jordan,
     _images_outside,
+    _in_span,
     _l1_bounds,
     _null_rows,
     _numerators,
@@ -306,25 +307,28 @@ def _pair_brackets(h: HomLieAlgebra, vectors: Sequence[Mapping[int, Fraction]]) 
     return {index: {k: Fraction(n, den) for k, n in w.items()} for index, w in out.items() if w}
 
 
-def _brackets_outside(h: HomLieAlgebra, rows: Sequence[Mapping], q: Subspace) -> list[tuple[tuple[int, int], dict]]:
-    """((a, b), [row_a, row_b]) for each bracket of two of the sparse rows,
-    a < b, that does not lie in q: the one bracket-closure test of a subspace.
-    Each bracket is summed by `_bracket_sums` and tested in those integer
-    numerators (`Subspace._contains_numerators`: at any scale, so nothing is
-    divided to test it); only a reported bracket is divided, so each reported
-    bracket is the one `_pair_brackets` returns, in its order."""
+def _brackets_outside(
+    h: HomLieAlgebra, rows: Sequence[Mapping], target: tuple
+) -> list[tuple[tuple[int, int], int, dict[int, int]]]:
+    """((a, b), den, sums) for each bracket [row_a, row_b] of two of the
+    sparse rows, a < b, that does not lie in the span with numerator rows
+    target, (den_q, {pivot: ((column, numerator), ...)}) as
+    `core._pivot_numerators` gives them: the one bracket-closure test, of a
+    `Subspace` (its `_numerator_rows`) or of rows never divided (the kept
+    rows of `rmatrix._lagrangian_legs`).  Each bracket is summed by
+    `_bracket_sums` and tested in those integer numerators (`_in_span`, at any
+    scale), and none is divided: a caller that reports a bracket divides it,
+    `_quotients(den, sums)`, and gets the bracket `_pair_brackets` returns, in
+    its order."""
     den, out = _bracket_sums(h, rows)
-    return [
-        (index, {k: Fraction(n, den) for k, n in w.items()})
-        for index, w in out.items()
-        if w and not q._contains_numerators(w)
-    ]
+    return [(index, den, w) for index, w in out.items() if w and not _in_span(target, w)]
 
 
-def _twist_outside(h: HomLieAlgebra, q: Subspace) -> list[tuple[int, dict]]:
-    """(a, phi(row_a)) for each canonical row a of q that the twist moves out of
-    q.  The identity twist keeps every subspace with nothing to compute: Id(w) = w."""
-    return [] if h.untwisted else _images_outside(h.phi_columns, q.echelon, q)
+def _twist_outside(h: HomLieAlgebra, q: Subspace) -> list[tuple[int, int, dict[int, int]]]:
+    """(a, den, sums) for each canonical row a of q that the twist moves out of
+    q, phi(row_a) = `_quotients(den, sums)`, by `_images_outside`.  The
+    identity twist keeps every subspace with nothing to compute: Id(w) = w."""
+    return [] if h.untwisted else _images_outside(h.phi_columns, q.echelon, q._numerator_rows)
 
 
 def _pairings(

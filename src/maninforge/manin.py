@@ -20,6 +20,8 @@ from .core import (
     _column_image,
     _columns_shape_error,
     _inverse_rows,
+    _numerators,
+    _quotients,
     _rank,
     _span,
     _unit_columns,
@@ -95,16 +97,17 @@ def _form_rows(t: ManinTriple) -> tuple[dict[int, Fraction], ...]:
 def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
     """Isotropy, bracket closure, and twist stability of one half: the pairings
     of its basis rows come from `_pairings`, the brackets and twisted rows that
-    leave the half from `_brackets_outside` and `_twist_outside`."""
+    leave the half from `_brackets_outside` and `_twist_outside`, each of
+    those divided once, since each is reported."""
     failures = []
     h = t.algebra
     for (a, b), value in _pairings(_form_rows(t), part.echelon).items():
         if a <= b:
             failures.append(failure("isotropic", (a, b), value))
-    for index, w in _brackets_outside(h, part.echelon, part):
-        failures.append(failure("subalgebra", index, _dense(h, w)))
-    for a, image in _twist_outside(h, part):
-        failures.append(failure("twist_stable", (a,), _dense(h, image)))
+    for index, den, w in _brackets_outside(h, part.echelon, part._numerator_rows):
+        failures.append(failure("subalgebra", index, _dense(h, _quotients(den, w))))
+    for a, den, image in _twist_outside(h, part):
+        failures.append(failure("twist_stable", (a,), _dense(h, _quotients(den, image))))
     return CheckReport(label, failures)
 
 
@@ -401,13 +404,26 @@ def dual_basis(t: ManinTriple) -> DualBasisPair:
 
 
 def r_from_splitting(t: ManinTriple) -> SparseTensor:
-    """The canonical element sum_i xi_i (x) x_i of the splitting."""
-    out = SparseTensor.zero(2, t.dim)
-    for xi, x in zip(*_dual_rows(t)):
-        for a, xa in xi.items():
-            for b, xb in sorted(x.items()):
-                out.add_into((a, b), xa * xb)
-    return out
+    """The canonical element sum_i xi_i (x) x_i of the splitting.
+
+    The products are summed in integer numerators, the xi rows' over den_xi
+    and the x rows' over den_x (`_numerators`), so the sum is over
+    den_xi * den_x; a total that cancels is dropped as it goes, as
+    `SparseTensor.add_into` drops it, so the entries come in the order that a
+    Fraction sum keeps them, and each is divided once.  The indices are the
+    rows' own, in range(dim), and the values nonzero Fractions, so the result
+    is built by `SparseTensor._of_checked`."""
+    xi_rows, x_rows = _dual_rows(t)
+    den_xi, xis = _numerators(xi_rows)
+    den_x, xs = _numerators(x_rows)
+    sums: dict[tuple[int, int], int] = {}
+    for xi, x in zip(xis, xs):
+        x = sorted(x.items())
+        for a, u in xi.items():
+            for b, v in x:
+                _accumulate(sums, (a, b), u * v)
+    den = den_xi * den_x
+    return SparseTensor._of_checked(2, t.dim, {index: Fraction(n, den) for index, n in sums.items()})
 
 
 def check_manin_isomorphism(f: list[dict[int, Fraction]], t1: ManinTriple, t2: ManinTriple) -> CheckReport:

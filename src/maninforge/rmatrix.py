@@ -11,12 +11,13 @@ from .core import (
     SparseTensor,
     ONE,
     _common_denominator,
+    _eliminated,
     _numerators,
     _pack,
+    _pivot_numerators,
     _rank,
     _signed_fields,
-    _span,
-    _symmetric_part,
+    _symmetric_sums,
     _unit_columns,
     is_antisymmetric,
     is_symmetric,
@@ -335,26 +336,30 @@ class RMatrixReport:
     factorizable: bool
 
 
-def _lagrangian_legs(h: HomLieAlgebra, r: SparseTensor) -> bool:
-    """The leg-space hypotheses of `check_quasi_triangular`'s lemma: g1, the
-    span of the rows of r's matrix A (A[a][b] = r_ab, the second-slot
-    vectors), has dimension dim/2, and g1 and g2, the span of A's columns
-    (the first-slot vectors), are closed under the bracket
-    (`_brackets_outside`, the closure test of `manin._part_report`).  dim g2
-    is the column rank of A, which is its row rank, dim g1; so one dimension
-    is checked.  The rows are r's entries over their one common denominator:
-    a scale does not move a span."""
+def _lagrangian_legs(h: HomLieAlgebra, numerators: Mapping[tuple[int, int], int]) -> bool:
+    """The leg-space hypotheses of `check_quasi_triangular`'s lemma, read from
+    r's integer numerators, {(a, b): r_ab * den_r}: g1, the span of the rows
+    of r's matrix A (A[a][b] = r_ab, the second-slot vectors), has dimension
+    dim/2, and g1 and g2, the span of A's columns (the first-slot vectors),
+    are closed under the bracket.  dim g2 is the column rank of A, which is
+    its row rank, dim g1; so one dimension is checked.
+
+    A scale does not move a span, so each span is the primitive int rows that
+    `core._eliminated` keeps, and nothing is divided: closure is
+    `_brackets_outside` (the closure test of `manin._part_report`) on those
+    rows, against their canonical rows in numerators from
+    `core._pivot_numerators`, tested at any scale by `core._in_span`."""
     d = h.dim
     rows: dict[int, dict[int, int]] = {}
     columns: dict[int, dict[int, int]] = {}
-    for (a, b), n in zip(r.entries, _common_denominator(list(r.entries.values()))[1]):
+    for (a, b), n in numerators.items():
         rows.setdefault(a, {})[b] = n
         columns.setdefault(b, {})[a] = n
-    g1 = _span(d, rows.values())
-    if 2 * g1.dim != d or _brackets_outside(h, g1.echelon, g1):
+    g1 = _eliminated(rows.values())
+    if 2 * len(g1) != d or _brackets_outside(h, list(g1.values()), _pivot_numerators(g1)):
         return False
-    g2 = _span(d, columns.values())
-    return not _brackets_outside(h, g2.echelon, g2)
+    g2 = _eliminated(columns.values())
+    return not _brackets_outside(h, list(g2.values()), _pivot_numerators(g2))
 
 
 def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
@@ -362,17 +367,21 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     is invariant, and phi(x)phi(y)-fixedness holds; skew-only when additionally the
     symmetric part is zero; fails otherwise.
 
-    The symmetric part s = (r + r^T)/2 comes from `core._symmetric_part`, over
-    the one denominator of r; with the integer kernels of `hcyb`, `_ad_basis`
-    and `_rank`, a passing classification on an untwisted algebra does no
-    Fraction arithmetic.  Factorizability is the rank of s#'s integer columns
-    from `_sharp_sums`, which divides nothing: s is symmetric and over h by
-    construction, so the checks of `_s_sharp_columns` are not repeated.
+    r's entries are read once, as integer numerators over their one common
+    denominator den.  The symmetric part s = (r + r^T)/2 is kept as the
+    int-valued tensor 2 den s from `core._symmetric_sums`, and each test of s
+    reads it, since each is scale-free: s is invariant when every action of
+    `_ad_sums` on it is empty, factorizable when its sharp map's integer
+    columns (`_sharp_sums`) have full rank (`_rank`), and zero ("skew-only")
+    when it is empty.  s is symmetric and over h by construction, so the
+    checks of `_s_sharp_columns` are not repeated, and no failure tensor is
+    built for a lack of invariance, which the report states as a flag.
 
     Before `hcyb` runs, the residual is read off r itself where the double
-    lemma below applies (`_lagrangian_legs`): then it is the empty degree-3
-    tensor, and the report is the one `hcyb` would give.  Anywhere else
-    `hcyb` sums it, as for any r.
+    lemma below applies (`_lagrangian_legs`, on r's numerators): then it is
+    the empty degree-3 tensor, and the report is the one `hcyb` would give.
+    Anywhere else `hcyb` sums it, as for any r.  So a passing classification
+    of an untwisted r that the lemma certifies builds no Fraction.
 
     Lemma (the double; Drinfeld 1983, Semenov-Tian-Shansky, "What is a
     classical r-matrix?", 1983).  Let phi = Id, S = r + r_21 = 2s invariant and
@@ -406,18 +415,19 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     twisted triple open), and nothing when a hypothesis fails: then `hcyb`
     decides, whatever the lemma's converse."""
     _require_tensor(h, r)
-    s = _symmetric_part(r)
+    numerators = dict(zip(r.entries, _common_denominator(list(r.entries.values()))[1]))
+    twice = SparseTensor._of_checked(2, h.dim, _symmetric_sums(numerators))  # 2 den s
     phi_fixed = _phi_fixed(h, r)
-    s_invariant = check_hom_ad_invariant(h, s).passed
-    factorizable = (not s.is_zero) and _rank(_sharp_sums(h, s)[1]) == h.dim
-    if h.untwisted and s_invariant and factorizable and _lagrangian_legs(h, r):
+    s_invariant = not any(_ad_sums(h, twice)[1].values())
+    factorizable = (not twice.is_zero) and _rank(_sharp_sums(h, twice)[1]) == h.dim
+    if h.untwisted and s_invariant and factorizable and _lagrangian_legs(h, numerators):
         residual = SparseTensor.zero(3, h.dim)
     else:
         residual = hcyb(h, r)
     ok = phi_fixed and s_invariant and residual.is_zero
     if not ok:
         verdict = "fails"
-    elif s.is_zero:
+    elif twice.is_zero:
         verdict = "skew-only"
     else:
         verdict = "quasi-triangular"

@@ -14,6 +14,7 @@ from .core import (
     _apply_columns,
     _images_outside,
     _orthogonal_rows,
+    _quotients,
     _square_columns,
 )
 from .homlie import HomLieAlgebra, _brackets_outside, _dense, _twist_outside
@@ -35,21 +36,24 @@ def stabilizer_report(
       brackets of those images lie in q; the index is a row, or a pair of
       rows, of `_annihilator_rows(q)`.
     The first witness has the least index; its residual is the image or
-    bracket that leaves q, as a dense vector.  Closure of q under the bracket
-    is not a stabilizer condition; a half's closure is `manin._part_report`'s."""
+    bracket that leaves q, as a dense vector.  The tests return what leaves q
+    in integer numerators, and only the first witness of each condition is
+    divided.  Closure of q under the bracket is not a stabilizer condition; a
+    half's closure is `manin._part_report`'s."""
     if q.ambient_dim != h.dim:
         raise ValueError(f"subspace has ambient dimension {q.ambient_dim}, expected {h.dim}")
+    target = q._numerator_rows
     outside = {"twist_stable": _twist_outside(h, q)}
     if form_rows is not None:
         complement = _orthogonal_rows(q, _square_columns(form_rows, h.dim, "form"))
-        outside["coisotropic"] = _brackets_outside(h, complement, q)
+        outside["coisotropic"] = _brackets_outside(h, complement, target)
     if s is not None:
         cols, ann = _s_sharp_columns(h, s), _annihilator_rows(q)
-        outside["s_sharp_image"] = _images_outside(cols, ann, q)
-        outside["sharp_brackets"] = _brackets_outside(h, [_apply_columns(cols, xi) for xi in ann], q)
+        outside["s_sharp_image"] = _images_outside(cols, ann, target)
+        outside["sharp_brackets"] = _brackets_outside(h, [_apply_columns(cols, xi) for xi in ann], target)
     failures = []
     for check, found in outside.items():
         if found:
-            index, w = min(found, key=lambda item: item[0])
-            failures.append(failure(check, index if type(index) is tuple else (index,), _dense(h, w)))
+            index, den, w = min(found, key=lambda item: item[0])
+            failures.append(failure(check, index if type(index) is tuple else (index,), _dense(h, _quotients(den, w))))
     return CheckReport("stabilizer_conditions", failures)

@@ -46,7 +46,7 @@ from maninforge.homlie import (
     _residual,
     check_involutive,
 )
-from maninforge.manin import Chain, DualBasisPair, ManinTriple, RootData, _form_rows
+from maninforge.manin import Chain, DualBasisPair, ManinTriple, RootData, _dual_rows, _form_rows
 from maninforge.reporting import CheckReport, failure, render_vector
 from maninforge.rmatrix import RMatrixReport, check_hom_ad_invariant, sl2_lie, sl2_twisted
 
@@ -1398,3 +1398,18 @@ def frozen_format_triple(t: ManinTriple) -> str:
 
 def frozen_format_subspace(s: Subspace) -> str:
     return "\n".join([f"subspace dim={s.ambient_dim}", *map(_frozen_row_text, s.rows)]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The canonical element as it was built before it was summed in integer
+# numerators: one Fraction product and one `SparseTensor.add_into` per term,
+# frozen so that the integer form can be compared with it in entry order.
+
+
+def frozen_r_from_splitting(t: ManinTriple) -> SparseTensor:
+    out = SparseTensor.zero(2, t.dim)
+    for xi, x in zip(*_dual_rows(t)):
+        for a, xa in xi.items():
+            for b, xb in sorted(x.items()):
+                out.add_into((a, b), xa * xb)
+    return out

@@ -107,6 +107,28 @@ def test_the_certificate_holds_on_canonical_elements_and_matches_the_reference(n
         assert report.verdict == "quasi-triangular" and report.factorizable
 
 
+SCALES = [Fraction(7, 3), Fraction(-5, 2)]
+SCALED = {
+    "D3^2": lambda: nuble(D3, 2),
+    "D3^2 hostile image": TRIPLES["D3^2 hostile image"],
+}
+
+
+@pytest.mark.parametrize("c", SCALES, ids=str)
+@pytest.mark.parametrize("name", SCALED)
+def test_the_integer_legs_decide_at_any_scale(name, c, hcyb_calls):
+    """c r, for the canonical r of a power and of a hostile image, is
+    certified with no `hcyb` call and classifies as the reference does: the
+    legs' spans and their closure are read from r's integer numerators, and
+    neither moves with the scale."""
+    h, r = canonical(SCALED[name]())
+    scaled = r.scale(c)
+    report = check_quasi_triangular(h, scaled)
+    assert hcyb_calls == []
+    assert report == fraction_quasi_triangular(h, scaled)
+    assert report.verdict == "quasi-triangular" and report.factorizable
+
+
 def _pair_rescaled(t: ManinTriple) -> SparseTensor:
     """The canonical r with its first dual pair xi_0 (x) x_0 weighted 7/5: the
     same leg spaces, a symmetric part that is not invariant."""
@@ -184,8 +206,8 @@ def failed_hypotheses(h: HomLieAlgebra, r: SparseTensor) -> set[str]:
         "s invariant": report.s_invariant,
         "factorizable": report.factorizable,
         "half dimension": 2 * g1.dim == 2 * g2.dim == h.dim,
-        "part 1 closed": not _brackets_outside(h, g1.echelon, g1),
-        "part 2 closed": not _brackets_outside(h, g2.echelon, g2),
+        "part 1 closed": not _brackets_outside(h, g1.echelon, g1._numerator_rows),
+        "part 2 closed": not _brackets_outside(h, g2.echelon, g2._numerator_rows),
     }
     return {name for name, held in holds.items() if not held}
 
@@ -205,6 +227,18 @@ def test_every_hypothesis_is_the_only_one_failed_by_some_control():
     control's `hcyb` count, and where its residual is nonzero, its report."""
     alone = {next(iter(failed)) for _, failed in CONTROLS.values() if len(failed) == 1}
     assert alone == {"untwisted", "s invariant", "factorizable", "half dimension", "part 1 closed", "part 2 closed"}
+
+
+@pytest.mark.parametrize("c", SCALES, ids=str)
+@pytest.mark.parametrize("name", [name for name in CONTROLS if "tilted" in name])
+def test_a_scaled_tilted_control_still_declines(name, c, hcyb_calls):
+    """A scale does not close a leg space that is not a subalgebra."""
+    h, r = CONTROLS[name][0]()
+    scaled = r.scale(c)
+    report = check_quasi_triangular(h, scaled)
+    assert hcyb_calls == [h.dim]
+    assert report == fraction_quasi_triangular(h, scaled)
+    assert failed_hypotheses(h, scaled) == CONTROLS[name][1]
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -49,6 +49,7 @@ from helpers import (
     frozen_format_triple,
     frozen_images_outside,
     frozen_part_report,
+    frozen_r_from_splitting,
     pairwise_hcyb,
     rand_phi_fixed_skew,
     shear_product,
@@ -63,11 +64,13 @@ from maninforge.core import (
     Permutation,
     SparseTensor,
     Subspace,
+    _annihilator_rows,
     _apply_columns,
     _common_denominator,
     _eliminated,
     _gauss_jordan,
     _images_outside,
+    _quotients,
     _span,
     _symmetric_part,
     _unit_columns,
@@ -122,6 +125,7 @@ from maninforge.manin import (
 from maninforge.polyuble import nuble
 from maninforge import homlie, rmatrix
 from maninforge.rmatrix import (
+    _s_sharp_columns,
     _sharp_columns,
     check_hom_ad_invariant,
     check_quasi_triangular,
@@ -1165,6 +1169,36 @@ def test_a_passing_yang_baxter_classification_does_no_fraction_arithmetic(n):
     assert report.verdict == "quasi-triangular" and report.factorizable and calls == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_a_passing_yang_baxter_classification_builds_no_fraction(n):
+    """On the canonical r of D3^n, the symmetric part, its invariance and
+    rank, and the leg spaces of the double lemma are all read from r's integer
+    numerators: no Fraction is built at all (46, 98 and 202 were, when the
+    symmetric part and the legs' spans were divided)."""
+    t = nuble(D3, n)
+    report, built = fractions_built(check_quasi_triangular, t.algebra, r_from_splitting(t))
+    assert report.verdict == "quasi-triangular" and report.factorizable and built == 0
+
+
+R_FROM_SPLITTING_CASES = {
+    **{f"D2^{n}": (lambda n=n: nuble(D2, n)) for n in range(1, 5)},
+    **{f"D3^{n}": (lambda n=n: nuble(D3, n)) for n in range(1, 5)},
+    "D2 hostile image": lambda: D2_IMAGE,
+    "D3 hostile image": lambda: basis_image(D3, hostile_basis(D3.dim, 11, 4)),
+}
+
+
+@pytest.mark.parametrize("name", R_FROM_SPLITTING_CASES)
+def test_the_integer_canonical_element_matches_the_frozen_fraction_sum_in_entry_order(name):
+    """`r_from_splitting` sums in integer numerators, and gives the entries,
+    values and insertion order of the frozen Fraction sum, every value a
+    nonzero Fraction."""
+    t = R_FROM_SPLITTING_CASES[name]()
+    r, reference = r_from_splitting(t), frozen_r_from_splitting(t)
+    assert list(r.entries.items()) == list(reference.entries.items())
+    assert _all_nonzero_fractions(r.entries.values()) and r.entries
+
+
 # ---------------------------------------------------------------------------
 # The half-space tests and the writer against their frozen forms
 
@@ -1220,25 +1254,33 @@ HALF_SPACE_TRIPLES = _half_space_triples()
 
 
 def _listed(found) -> list:
-    """The closure or image test's output with each dict's entry order kept."""
+    """A frozen closure or image test's output with each dict's entry order kept."""
     return [(index, list(w.items())) for index, w in found]
+
+
+def _divided(found) -> list:
+    """`_listed` of the closure or image test's undivided output, each sum
+    divided as a report divides it."""
+    return _listed((index, _quotients(den, w)) for index, den, w in found)
 
 
 @pytest.mark.parametrize("name", sorted(HALF_SPACE_TRIPLES))
 def test_half_reports_and_text_match_the_frozen_forms(name):
-    """`_brackets_outside` and `_images_outside` return what the frozen
-    Fraction paths return, in the same order with the same entry order; each
-    half's report equals the frozen one `to_json()` for `to_json()`; and the
-    writer's text for the triple, its algebra and each half equals the frozen
-    dense-view writer's byte for byte and parses back to itself.  A triple
-    with a zero-dimensional half has no triple text: `format_triple` refuses
-    it (`test_a_triple_with_a_zero_dimensional_half_is_not_written`)."""
+    """`_brackets_outside` and `_images_outside`, each sum divided, return
+    what the frozen Fraction paths return, in the same order with the same
+    entry order; each half's report equals the frozen one `to_json()` for
+    `to_json()`; and the writer's text for the triple, its algebra and each
+    half equals the frozen dense-view writer's byte for byte and parses back
+    to itself.  A triple with a zero-dimensional half has no triple text:
+    `format_triple` refuses it
+    (`test_a_triple_with_a_zero_dimensional_half_is_not_written`)."""
     t = HALF_SPACE_TRIPLES[name]
     h = t.algebra
     for label, part in (("part1", t.part1), ("part2", t.part2)):
-        closure = _brackets_outside(h, part.echelon, part), frozen_brackets_outside(h, part.echelon, part)
-        images = _images_outside(h.phi_columns, part.echelon, part), frozen_images_outside(h.phi_columns, part, part)
-        assert _listed(closure[0]) == _listed(closure[1]) and _listed(images[0]) == _listed(images[1])
+        target = part._numerator_rows
+        closure = _brackets_outside(h, part.echelon, target), frozen_brackets_outside(h, part.echelon, part)
+        images = _images_outside(h.phi_columns, part.echelon, target), frozen_images_outside(h.phi_columns, part, part)
+        assert _divided(closure[0]) == _listed(closure[1]) and _divided(images[0]) == _listed(images[1])
         assert _part_report(t, part, label).to_json() == frozen_part_report(t, part, label).to_json()
         assert format_subspace(part) == frozen_format_subspace(part)
         assert format_subspace(parse_subspace(format_subspace(part))) == format_subspace(part)
@@ -1327,22 +1369,24 @@ def test_the_stabilizer_cases_fail_each_condition():
 HALF_SPACE_TESTS = {_brackets_outside.__code__, _images_outside.__code__}
 
 
-def fractions_in_half_space_tests(fn, *args) -> tuple:
-    """(fn(*args), Fractions built while `_brackets_outside` or
-    `_images_outside` runs, the number of calls to them)."""
-    built = depth = entered = 0
+def fractions_inside(fn, args: tuple, inside: set, outside: frozenset = frozenset()) -> tuple:
+    """(fn(*args), Fractions built while a function whose code is in `inside`
+    runs and none in `outside` does, the number of calls to those in
+    `inside`)."""
+    built = depth = skipped = entered = 0
     new = Fraction.__new__.__code__
 
     def profile(frame, event, arg):
-        nonlocal built, depth, entered
+        nonlocal built, depth, skipped, entered
         code = frame.f_code
-        if code in HALF_SPACE_TESTS:
-            if event == "call":
-                depth += 1
-                entered += 1
-            elif event == "return":
-                depth -= 1
-        elif depth and event == "call" and code is new:
+        if code in inside or code in outside:
+            step = 1 if event == "call" else -1 if event == "return" else 0
+            if code in inside:
+                depth += step
+                entered += step == 1
+            else:
+                skipped += step
+        elif depth and not skipped and event == "call" and code is new:
             built += 1
 
     sys.setprofile(profile)
@@ -1353,15 +1397,19 @@ def fractions_in_half_space_tests(fn, *args) -> tuple:
     return result, built, entered
 
 
-def _cli(capsys, tmp_path, argv: list[str], **documents: str) -> tuple[int, dict, int, int]:
-    """(exit code, JSON payload, Fractions built in the half-space tests, calls
-    to them) of one CLI run, each named document written to tmp_path first."""
+def _cli(
+    capsys, tmp_path, argv: list[str], inside: set = HALF_SPACE_TESTS, outside: frozenset = frozenset(), **documents
+) -> tuple[int, dict, int, int]:
+    """(exit code, JSON payload, Fractions built inside the functions
+    `inside`, by default the half-space tests, and outside those of
+    `outside`, calls to those inside) of one CLI run, each named document
+    written to tmp_path first."""
     paths = {}
     for key, text in documents.items():
         paths[key] = tmp_path / key
         paths[key].write_text(text, encoding="utf-8")
     full = [str(paths.get(a, a)) for a in argv]
-    code, built, entered = fractions_in_half_space_tests(cli_run, full)
+    code, built, entered = fractions_inside(cli_run, (full,), inside, outside)
     return code, json.loads(capsys.readouterr().out), built, entered
 
 
@@ -1384,22 +1432,56 @@ def test_a_passing_verify_and_stabilizer_build_no_fraction_in_the_half_space_tes
 
 def test_a_failing_verify_builds_fractions_only_for_the_reported_residuals(capsys, tmp_path):
     """A half of D3^2 with one entry moved fails closure, and the D2 image with
-    a twist entry moved fails twist stability: inside the half-space tests one
-    Fraction is built per entry of each reported bracket or image, and none
-    for the brackets and images that pass."""
+    a twist entry moved fails twist stability: the half-space tests build no
+    Fraction, and `_part_report`, its isotropy pairings aside, builds one per
+    entry of each reported bracket or image, and none for the brackets and
+    images that pass."""
     d3_square = HALF_SPACE_TRIPLES["D3^2, part1 moved"]
     twisted = HALF_SPACE_TRIPLES["hostile D2 image, phi moved"]
+    argv = ["verify", "manin", "t", "--json"]
     for t, check in ((d3_square, "subalgebra"), (twisted, "twist_stable")):
         h = t.algebra
-        reported = [w for part in (t.part1, t.part2) for _, w in _brackets_outside(h, part.echelon, part)]
-        reported += [w for part in (t.part1, t.part2) for _, w in _twist_outside(h, part)]
-        code, payload, built, entered = _cli(capsys, tmp_path, ["verify", "manin", "t", "--json"], t=format_triple(t))
+        halves = (t.part1, t.part2)
+        reported = [w for part in halves for _, _, w in _brackets_outside(h, part.echelon, part._numerator_rows)]
+        reported += [w for part in halves for _, _, w in _twist_outside(h, part)]
+        code, payload, built, entered = _cli(capsys, tmp_path, argv, t=format_triple(t))
         failures = [f for f in payload["failures"] if f["check"].endswith(check)]
-        assert code == 1 and failures and built == sum(map(len, reported)) > 0
+        assert code == 1 and failures and built == 0
         assert len(reported) == len([f for f in payload["failures"] if f["check"].endswith(("subalgebra", "twist_stable"))])
         assert entered == 2 + 2 * (not h.untwisted)
         all_pairs = sum(len(part.echelon) * (len(part.echelon) - 1) // 2 for part in (t.part1, t.part2))
         assert len(reported) < all_pairs
+        inside, outside = {_part_report.__code__}, frozenset({_pairings.__code__})
+        code, _, built, entered = _cli(capsys, tmp_path, argv, inside, outside, t=format_triple(t))
+        assert code == 1 and entered == 2 and built == sum(map(len, reported)) > 0
+
+
+def _nonzero_entries(residual: str) -> int:
+    """The nonzero coordinates of a rendered dense vector."""
+    return sum(token != "0" for token in residual.strip("()").split(", "))
+
+
+def test_a_failing_stabilizer_report_divides_only_its_witnesses():
+    """On D3^2 with q = 0 and S the inverse form, dozens of brackets and
+    images leave q, and each condition reports one witness: the half-space
+    tests build no Fraction, and the report, its sharp map and sharp images
+    aside, builds one per nonzero entry of the reported witnesses (the whole
+    report built 280 Fractions when every outside bracket was divided)."""
+    t = nuble(D3, 2)
+    h = t.algebra
+    s, q = SparseTensor.from_matrix(inverse(t.form)), Subspace.zero(h.dim)
+    target = q._numerator_rows
+    cols, ann = _s_sharp_columns(h, s), _annihilator_rows(q)
+    outside = _brackets_outside(h, [_apply_columns(cols, xi) for xi in ann], target)
+    outside += _images_outside(cols, ann, target)
+    assert len(outside) > 60
+    args = (h, s, q, h.form_rows)
+    report, built, entered = fractions_inside(stabilizer_report, args, HALF_SPACE_TESTS)
+    assert [f.check for f in report.failures] == ["coisotropic", "s_sharp_image", "sharp_brackets"]
+    assert built == 0 and entered == 3
+    sharp = frozenset({_s_sharp_columns.__code__, _apply_columns.__code__})
+    _, built, _ = fractions_inside(stabilizer_report, args, {stabilizer_report.__code__}, sharp)
+    assert built == sum(_nonzero_entries(f.residual) for f in report.failures) > 0
 
 
 # ---------------------------------------------------------------------------
