@@ -6,8 +6,11 @@ row reduction runs one Gauss-Jordan kernel on sparse rows, `_gauss_jordan`,
 whose integer elimination stage is `_eliminated`: a `Subspace` stores the
 sparse rows it returns, `rref`, `nullspace` and `inverse` are dense wrappers
 over it, and `_rank` (behind `matrix_rank`) counts the stage's rows with none
-divided.  `determinant` runs the kernel's row operation, `_eliminate`, on
-integer rows.
+divided.  `_eliminated` takes rows of nonzero ints as they are; the
+conversion of Fraction rows (`_integer_row`) is done in `_gauss_jordan` and
+`_rank`, so a caller that holds integer numerators, as
+`rmatrix.check_quasi_triangular` does, eliminates them with none.
+`determinant` runs the kernel's row operation, `_eliminate`, on integer rows.
 
 The elimination, the sparse map `_apply_columns` and the membership test
 `_in_span` sum plain ints: elimination on primitive integer rows, the other
@@ -23,6 +26,7 @@ only what they report.  Every map takes the one summing path, a relabelling
 """
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -38,14 +42,27 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The documented spellings of a rational, p or p/q in ASCII digits, p signed.
+# `Fraction` also reads decimals, exponents and underscores, and an exponent
+# as short as 1e99999999 would have it build an int of hundreds of millions
+# of bits; so text is matched against this before `Fraction` sees it.
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
 
 def rational(x: int | str | Fraction) -> Fraction:
     """Coerce an int, string like ``-3/4``, or Fraction to an exact Fraction; a
-    float is refused, since its binary value is rarely the rational meant."""
+    float is refused, since its binary value is rarely the rational meant, and
+    so is a string that is not ``p`` or ``p/q`` (`_RATIONAL_TEXT`).
+
+    >>> rational("-3/4"), rational("+2")
+    (Fraction(-3, 4), Fraction(2, 1))
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise ValueError(f"float {x!r} is not exact; write it as a string like '1/10' or as a Fraction")
+    if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
+        raise ValueError(f"malformed rational {x!r}; write it as p or p/q")
     return Fraction(x)
 
 
@@ -338,9 +355,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _integer_row(v: Mapping[int, int | Fraction]) -> dict[int, int]:
-    """The sparse row v times the lcm of its denominators: a row of ints."""
+    """The sparse row v times the lcm of its denominators, its zeros dropped:
+    a row of nonzero ints."""
     den = lcm(*{x.denominator for x in v.values()})
-    return {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+    return {c: x.numerator * (den // x.denominator) for c, x in v.items() if x}
 
 
 def _primitive(v: dict[int, int], pivot: int) -> dict[int, int]:
@@ -370,35 +388,39 @@ def _eliminate(u: dict[int, int], v: Mapping[int, int], p: int) -> dict[int, int
 
 def _gauss_jordan(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
     """The reduced row echelon form of the span of sparse rows ({column:
-    entry}, not mutated), the package's one Gauss-Jordan elimination:
-    its rows by increasing pivot, columns increasing, the pivot's entry 1.
-    The rows `_eliminated` keeps, each divided by its pivot, one Fraction per
-    value."""
+    entry}, ints or Fractions, zeros allowed, not mutated), the package's one
+    Gauss-Jordan elimination: its rows by increasing pivot, columns
+    increasing, the pivot's entry 1.  The rows are made rows of ints
+    (`_integer_row`), and the rows `_eliminated` keeps are each divided by
+    their pivot, one Fraction per value."""
     return [
-        {c: Fraction(row[c], row[p]) for c in sorted(row)} for p, row in sorted(_eliminated(rows).items())
+        {c: Fraction(row[c], row[p]) for c in sorted(row)}
+        for p, row in sorted(_eliminated(map(_integer_row, rows)).items())
     ]
 
 
 def _rank(rows: Iterable[Mapping[int, Fraction]]) -> int:
-    """The dimension of the span of sparse rows: the number of rows that
-    `_eliminated` keeps, with no row divided."""
-    return len(_eliminated(rows))
+    """The dimension of the span of sparse rows (ints or Fractions, zeros
+    allowed): the number of rows that `_eliminated` keeps of them made rows
+    of ints (`_integer_row`), with no row divided."""
+    return len(_eliminated(map(_integer_row, rows)))
 
 
-def _eliminated(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, int]]:
+def _eliminated(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
     """The elimination stage of `_gauss_jordan`: each pivot mapped to its
-    kept row.  Each row is made a row of ints (`_integer_row`) and reduced
-    by the rows kept so far; if anything is left, its least column is its
-    pivot, and it is cleared from the kept rows.  So every kept row starts
-    at its pivot and is zero at the others', and the kept rows are a basis
-    of the span.
+    kept row, for sparse rows of nonzero ints (not mutated; `_gauss_jordan`
+    and `_rank` make Fraction rows such rows with `_integer_row`).  Each row
+    is copied and reduced by the rows kept so far; if anything is left, its
+    least column is its pivot, and it is cleared from the kept rows.  So
+    every kept row starts at its pivot and is zero at the others', and the
+    kept rows are a basis of the span.
 
     Fraction-free: a kept row is a primitive int multiple of its canonical row
     (gcd 1, positive pivot), reduced by cross-multiplying (`_eliminate`)."""
     kept: dict[int, dict[int, int]] = {}  # pivot -> row
     holding: defaultdict[int, set[int]] = defaultdict(set)  # column -> pivots of the kept rows nonzero there
     for row in rows:
-        v = _integer_row({c: x for c, x in row.items() if x})
+        v = dict(row)
         for p in [p for p in v if p in kept]:  # the kept rows vanish at each other's pivots
             _eliminate(v, kept[p], p)
         if not v:
@@ -596,8 +618,12 @@ class SparseTensor:
         arguments' and phi's, one Fraction per nonzero total),
         `_symmetric_part` and the int-valued 2 den s of
         `rmatrix.check_quasi_triangular` (see its lemma), `scale` and `swap`
-        (see theirs), `manin.r_from_splitting` (see its docstring) and
-        `fileio.parse_tensor` (after its own checks)."""
+        (see theirs), `manin.r_from_splitting` (see its docstring),
+        `fileio.parse_tensor` (after its own checks), and the copy of self
+        that `__add__` adds into: the entries of a valid tensor, with degree
+        and dim checked equal to other's by `_check_compatible`, and
+        `add_into` then adds other's valid entries, dropping a total that
+        cancels."""
         t = cls.__new__(cls)
         t.degree, t.dim, t.entries = degree, dim, entries
         return t
@@ -633,7 +659,7 @@ class SparseTensor:
 
     def __add__(self, other: SparseTensor) -> SparseTensor:
         self._check_compatible(other)
-        out = SparseTensor(self.degree, self.dim, dict(self.entries))
+        out = SparseTensor._of_checked(self.degree, self.dim, dict(self.entries))
         for idx, v in other.entries.items():
             out.add_into(idx, v)
         return out
@@ -892,7 +918,7 @@ def map_subspace(m: Matrix, space: Subspace) -> Subspace:
 
 
 def _images_outside(
-    cols: list[dict[int, Fraction]], rows: Sequence[Mapping[int, Fraction]], target: tuple
+    cols: Sequence[Mapping[int, int | Fraction]], rows: Sequence[Mapping[int, Fraction]], target: tuple
 ) -> list[tuple[int, int, dict[int, int]]]:
     """(a, den, sums) for each sparse row rows[a] whose image under the map
     with sparse columns cols does not lie in the span with numerator rows
@@ -900,7 +926,9 @@ def _images_outside(
     summed by `_column_sums` and tested in those integer numerators
     (`_in_span`), and none is divided: a caller that reports an image divides
     it, `_quotients(den, sums)`, and gets the values and order of
-    `_apply_columns`."""
+    `_apply_columns`.  Integer columns that stand for a map over a
+    denominator den_c, as `rmatrix._s_sharp_sums` gives them, are tested as
+    they are, and the image is divided by den * den_c."""
     outside = []
     for a, row in enumerate(rows):
         den, sums = _column_sums(cols, row)

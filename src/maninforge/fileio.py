@@ -7,7 +7,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import islice
 
-from .core import ONE, ZERO, Matrix, Subspace, SparseTensor, Vector, _span, _transpose_sparse
+from .core import _RATIONAL_TEXT, ONE, ZERO, Matrix, Subspace, SparseTensor, Vector, _span, _transpose_sparse
 from .homlie import HomLieAlgebra
 from .manin import ManinTriple
 
@@ -30,13 +30,17 @@ def render_rational(x: Fraction) -> str:
 def _parse_rational(token: str, lineno: int, parsed: dict[str, Fraction]) -> Fraction:
     """The rational a token spells, parsed once per document: `parsed` maps the
     tokens read so far to their values, and only successful parses enter it,
-    so a malformed token fails with its own line number every time.  A token
-    that spells zero maps to the shared `ZERO`, so a reader drops zeros by
-    identity, with no Fraction truth test.  The hot loops look a token up in
-    `parsed` themselves and call this on a miss."""
+    so a malformed token fails with its own line number every time.  Only
+    `p` and `p/q` are read (`core._RATIONAL_TEXT`, checked on a miss): a
+    decimal, an exponent or an underscore is malformed, as is a zero q.  A
+    token that spells zero maps to the shared `ZERO`, so a reader drops
+    zeros by identity, with no Fraction truth test.  The hot loops look a
+    token up in `parsed` themselves and call this on a miss."""
     value = parsed.get(token)
     if value is None:
         try:
+            if not _RATIONAL_TEXT.fullmatch(token):
+                raise ValueError(token)
             value = Fraction(token)
         except (ValueError, ZeroDivisionError):
             raise ParseError(lineno, f"malformed rational {token!r}") from None

@@ -165,12 +165,13 @@ def _sharp_columns(h: HomLieAlgebra, t: SparseTensor) -> list[dict[int, Fraction
     return [{b: Fraction(n, den) for b, n in col.items()} for col in cols]
 
 
-def _s_sharp_columns(h: HomLieAlgebra, s: SparseTensor) -> list[dict[int, Fraction]]:
-    """Sparse columns of the symmetric part's sharp map, after checking s."""
+def _s_sharp_sums(h: HomLieAlgebra, s: SparseTensor) -> tuple[int, list[dict[int, int]]]:
+    """(den, cols): the symmetric part's sharp map in integer columns, by
+    `_sharp_sums`, after checking s."""
     _require_tensor(h, s)
     if not is_symmetric(s):
         raise ValueError("sharp of the symmetric part needs a symmetric tensor")
-    return _sharp_columns(h, s)
+    return _sharp_sums(h, s)
 
 
 def check_hom_ad_invariant(h: HomLieAlgebra, s: SparseTensor) -> CheckReport:
@@ -336,30 +337,26 @@ class RMatrixReport:
     factorizable: bool
 
 
-def _lagrangian_legs(h: HomLieAlgebra, numerators: Mapping[tuple[int, int], int]) -> bool:
-    """The leg-space hypotheses of `check_quasi_triangular`'s lemma, read from
-    r's integer numerators, {(a, b): r_ab * den_r}: g1, the span of the rows
-    of r's matrix A (A[a][b] = r_ab, the second-slot vectors), has dimension
-    dim/2, and g1 and g2, the span of A's columns (the first-slot vectors),
-    are closed under the bracket.  dim g2 is the column rank of A, which is
-    its row rank, dim g1; so one dimension is checked.
-
-    A scale does not move a span, so each span is the primitive int rows that
-    `core._eliminated` keeps, and nothing is divided: closure is
-    `_brackets_outside` (the closure test of `manin._part_report`) on those
-    rows, against their canonical rows in numerators from
-    `core._pivot_numerators`, tested at any scale by `core._in_span`."""
-    d = h.dim
+def _lagrangian_legs(d: int, numerators: Mapping[tuple[int, int], int]) -> tuple[dict, dict] | None:
+    """(g1, g2), the leg spaces of r read from its integer numerators,
+    {(a, b): r_ab * den_r}, as the primitive int rows that `core._eliminated`
+    keeps, {pivot: row}; None unless dim g1 = d/2.  g1 is the span of the rows
+    of r's matrix A (A[a][b] = r_ab, the second-slot vectors), and g2 that of
+    its columns (the first-slot vectors), eliminated only at g1's pivots (see
+    `check_quasi_triangular`'s pivot-column lemma).  A scale does not move a
+    span, so nothing is divided."""
     rows: dict[int, dict[int, int]] = {}
-    columns: dict[int, dict[int, int]] = {}
     for (a, b), n in numerators.items():
         rows.setdefault(a, {})[b] = n
-        columns.setdefault(b, {})[a] = n
     g1 = _eliminated(rows.values())
-    if 2 * len(g1) != d or _brackets_outside(h, list(g1.values()), _pivot_numerators(g1)):
-        return False
-    g2 = _eliminated(columns.values())
-    return not _brackets_outside(h, list(g2.values()), _pivot_numerators(g2))
+    if 2 * len(g1) != d:
+        return None
+    columns: dict[int, dict[int, int]] = {p: {} for p in g1}
+    for (a, b), n in numerators.items():
+        column = columns.get(b)
+        if column is not None:
+            column[a] = n
+    return g1, _eliminated(columns.values())
 
 
 def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
@@ -371,17 +368,40 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     denominator den.  The symmetric part s = (r + r^T)/2 is kept as the
     int-valued tensor 2 den s from `core._symmetric_sums`, and each test of s
     reads it, since each is scale-free: s is invariant when every action of
-    `_ad_sums` on it is empty, factorizable when its sharp map's integer
-    columns (`_sharp_sums`) have full rank (`_rank`), and zero ("skew-only")
-    when it is empty.  s is symmetric and over h by construction, so the
-    checks of `_s_sharp_columns` are not repeated, and no failure tensor is
-    built for a lack of invariance, which the report states as a flag.
+    `_ad_sums` on it is empty, and zero ("skew-only") when it is empty.  s is
+    symmetric and over h by construction, so the checks of `_s_sharp_sums`
+    are not repeated, and no failure tensor is built for a lack of
+    invariance, which the report states as a flag.
+
+    s is factorizable when its sharp map has full rank.  On an untwisted
+    algebra with s nonzero the legs g1 and g2 of r are eliminated first
+    (`_lagrangian_legs`), in r's numerators; where dim g1 = d/2, the rank is
+    read off them by the rank-d/2 lemma below, one elimination of their d
+    kept rows together.  Anywhere else it is `_rank` of the sharp map's
+    integer columns (`_sharp_sums`).
 
     Before `hcyb` runs, the residual is read off r itself where the double
-    lemma below applies (`_lagrangian_legs`, on r's numerators): then it is
-    the empty degree-3 tensor, and the report is the one `hcyb` would give.
-    Anywhere else `hcyb` sums it, as for any r.  So a passing classification
-    of an untwisted r that the lemma certifies builds no Fraction.
+    lemma below applies, closure being `_brackets_outside` (the closure test
+    of `manin._part_report`) on each leg's kept rows against their canonical
+    rows in numerators (`core._pivot_numerators`), tested at any scale by
+    `core._in_span`: then it is the empty degree-3 tensor, and the report is
+    the one `hcyb` would give.  Anywhere else `hcyb` sums it, as for any r.
+    So a passing classification of an untwisted r that the lemma certifies
+    runs two eliminations of r and one of the legs, and builds no Fraction.
+
+    Lemma (pivot columns).  Each row of A lies in g1, and the kept rows K_p
+    of g1 vanish at each other's pivots p, so row a of A is
+    sum_p (A[a][p] / K_p[p]) K_p: A = C K, with C the columns of A at the
+    pivots, each scaled.  So A's column space, g2, is the span of the
+    dim g1 columns of A at g1's pivots, and only those are eliminated.
+
+    Lemma (factorizability at rank d/2).  Let phi = Id, so that the columns
+    of S# are the rows of S = r + r_21 = A + A^T, and rank A = d/2.  With U
+    and W the d x d/2 matrices whose columns are bases of g2 and g1,
+    A = U M W^T for an invertible M, and taking M into U,
+    S = U W^T + W U^T = [U W] [[0, I], [I, 0]] [U W]^T.  The middle factor is
+    invertible, so S is nondegenerate exactly when [U W] is, that is, when
+    g1 (+) g2 = V: when the d kept rows of g1 and g2 together have rank d.
 
     Lemma (the double; Drinfeld 1983, Semenov-Tian-Shansky, "What is a
     classical r-matrix?", 1983).  Let phi = Id, S = r + r_21 = 2s invariant and
@@ -415,13 +435,25 @@ def check_quasi_triangular(h: HomLieAlgebra, r: SparseTensor) -> RMatrixReport:
     twisted triple open), and nothing when a hypothesis fails: then `hcyb`
     decides, whatever the lemma's converse."""
     _require_tensor(h, r)
+    d = h.dim
     numerators = dict(zip(r.entries, _common_denominator(list(r.entries.values()))[1]))
-    twice = SparseTensor._of_checked(2, h.dim, _symmetric_sums(numerators))  # 2 den s
+    twice = SparseTensor._of_checked(2, d, _symmetric_sums(numerators))  # 2 den s
     phi_fixed = _phi_fixed(h, r)
     s_invariant = not any(_ad_sums(h, twice)[1].values())
-    factorizable = (not twice.is_zero) and _rank(_sharp_sums(h, twice)[1]) == h.dim
-    if h.untwisted and s_invariant and factorizable and _lagrangian_legs(h, numerators):
-        residual = SparseTensor.zero(3, h.dim)
+    legs = _lagrangian_legs(d, numerators) if h.untwisted and not twice.is_zero else None
+    if twice.is_zero:
+        factorizable = False
+    elif legs is None:
+        factorizable = _rank(_sharp_sums(h, twice)[1]) == d
+    else:
+        factorizable = len(_eliminated([*legs[0].values(), *legs[1].values()])) == d
+    if (
+        legs is not None
+        and s_invariant
+        and factorizable
+        and not any(_brackets_outside(h, list(g.values()), _pivot_numerators(g)) for g in legs)
+    ):
+        residual = SparseTensor.zero(3, d)
     else:
         residual = hcyb(h, r)
     ok = phi_fixed and s_invariant and residual.is_zero

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import basis_image, fraction_quasi_triangular
-from maninforge import cli, fileio, rmatrix
+from maninforge import cli, core, fileio, rmatrix
 from maninforge.core import SparseTensor, _span, _symmetric_part
 from maninforge.homlie import HomLieAlgebra, _brackets_outside, direct_sum
 from maninforge.manin import (
@@ -255,6 +255,33 @@ def test_the_canonical_r_of_d3_powers_runs_no_hcyb(n, tmp_path, hcyb_calls, caps
     assert cli.run(["hcybe", str(algebra_path), "--r", str(r_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith(f"tensor degree=3 dim={t.dim}\n") and "verdict: quasi-triangular\n" in out
+    assert hcyb_calls == []
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_the_canonical_r_of_d3_powers_is_classified_in_three_eliminations(n, monkeypatch, hcyb_calls):
+    """On the canonical r of D3^n, `check_quasi_triangular` eliminates r's
+    nonzero rows (g1; there are d - 6 of them), then r's d/2 columns at g1's
+    pivots (g2), then the d kept rows of both legs (the rank-d/2 lemma), and
+    nothing else: no `_sharp_sums`, `_integer_row` or `hcyb` call."""
+    h, r = canonical(nuble(D3, n))
+    fed = []
+    eliminated = rmatrix._eliminated
+
+    def counted(rows):
+        rows = list(rows)
+        fed.append(len(rows))
+        return eliminated(rows)
+
+    def forbidden(*args):
+        raise AssertionError("called on the canonical r")
+
+    monkeypatch.setattr(rmatrix, "_eliminated", counted)
+    monkeypatch.setattr(rmatrix, "_sharp_sums", forbidden)
+    monkeypatch.setattr(core, "_integer_row", forbidden)
+    report = check_quasi_triangular(h, r)
+    assert report.verdict == "quasi-triangular" and report.factorizable
+    assert fed == [len({a for a, _ in r.entries}), h.dim // 2, h.dim] and fed[0] == h.dim - 6
     assert hcyb_calls == []
 
 

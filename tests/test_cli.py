@@ -6,9 +6,11 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,10 +25,12 @@ from maninforge.manin import (
     ManinTriple,
     hyperbolic_triple,
     lambda_st,
+    r_from_splitting,
     special_linear_data,
     triple_double,
     triple_g_plus_h,
 )
+from maninforge.polyuble import nuble
 from maninforge.rmatrix import sl2_r, sl2_twisted
 from maninforge.stabilizer import stabilizer_report
 
@@ -785,3 +789,100 @@ def test_console_script_is_installed_and_runs(tmp_path):
         proc = run_script(exe, "snake", cwd=tmp_path)
         assert proc.returncode == 2
         assert "usage: maninforge" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Seeded input mutations
+# ---------------------------------------------------------------------------
+
+NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# Tokens that no reader may take for a rational or an index: each must give
+# exit code 2 with a parse error at its line, and no arithmetic on its value.
+REFUSED_TOKENS = ["1e99999999", "1/0", "nan", "9" * 5000]
+# Tokens a reader takes as a value, and refuses as an index.
+INDEX_TOKENS = ["-1", "99999"]
+
+
+def mutation_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
+    """(name, argv, documents): each CLI command on the built-in example
+    documents (the text `examples` prints) and on D3^2, its arguments naming
+    the documents by key."""
+    d3 = triple_double(special_linear_data(3))
+    square = nuble(d3, 2)
+    jobs = []
+    triples = {
+        "hyperbolic": hyperbolic_triple(),
+        "g-plus-h": triple_g_plus_h(special_linear_data(2)),
+        "double": triple_double(special_linear_data(2)),
+        "D3^2": square,
+    }
+    for name, t in triples.items():
+        text = fileio.format_triple(t)
+        jobs.append((f"verify {name}", ["verify", "manin", "triple"], {"triple": text}))
+        jobs.append((f"polyuble {name}", ["polyuble", "triple", "-n", "2", "--check"], {"triple": text}))
+    jobs.append(("hcybe sl2", ["hcybe", "stream", "--r", "stream"], {"stream": sl2_with_r_text()}))
+    documents = {"algebra": fileio.format_algebra(square.algebra), "r": fileio.format_tensor(r_from_splitting(square))}
+    jobs.append(("hcybe D3^2", ["hcybe", "algebra", "--r", "r"], documents))
+    for name in ("double", "D3^2"):
+        t = triples[name]
+        documents = {
+            "triple": fileio.format_triple(t),
+            "q": fileio.format_subspace(t.part1),
+            "s": fileio.format_tensor(SparseTensor.from_matrix(inverse(t.form))),
+        }
+        jobs.append((f"stabilizer {name}", ["stabilizer", "triple", "--q", "q", "--S", "s"], documents))
+    return jobs
+
+
+def mutations(rng: random.Random, text: str) -> list[tuple[str, str, int | None]]:
+    """(what, mutated text, line of a refused token or None): each hostile
+    token in place of one number on a seeded line past the header, then a
+    seeded line dropped and one duplicated.  Header fields are left alone,
+    so no mutation declares a huge dimension."""
+    lines = text.splitlines()
+    body = [i for i, line in enumerate(lines) if i and NUMBER.search(line) and not line.split()[0] in HEADERS]
+    out = []
+    for token in REFUSED_TOKENS + INDEX_TOKENS:
+        i = rng.choice(body)
+        spans = [m.span() for m in NUMBER.finditer(lines[i])]
+        start, end = rng.choice(spans)
+        changed = list(lines)
+        changed[i] = lines[i][:start] + token + lines[i][end:]
+        out.append((f"{token[:12]} at line {i + 1}", "\n".join(changed) + "\n", i + 1 if token in REFUSED_TOKENS else None))
+    i = rng.randrange(len(lines))
+    out.append((f"line {i + 1} dropped", "\n".join(lines[:i] + lines[i + 1 :]) + "\n", None))
+    i = rng.randrange(len(lines))
+    out.append((f"line {i + 1} duplicated", "\n".join(lines[: i + 1] + lines[i:]) + "\n", None))
+    return out
+
+
+HEADERS = {"algebra", "tensor", "subspace"}
+MUTATION_JOBS = mutation_jobs()
+
+
+@pytest.mark.parametrize("job", range(len(MUTATION_JOBS)), ids=[name for name, _, _ in MUTATION_JOBS])
+def test_mutated_inputs_exit_cleanly_and_quickly(capsys, tmp_path, job):
+    """Every seeded mutation of every document of the job ends with exit code
+    0, 1 or 2, no exception out of `run`, no traceback, and within 5 s; a
+    refused token (an exponent, a zero denominator, nan, 5,000 digits) is a
+    parse error at its own line.  A 12-byte entry `0 0 1e99999999` used to
+    keep `hcybe` busy for minutes."""
+    name, argv, documents = MUTATION_JOBS[job]
+    rng = random.Random(f"mutations {name}")
+    runs = 0
+    for key, text in documents.items():
+        for what, mutated, refused_line in mutations(rng, text):
+            for other, original in documents.items():
+                (tmp_path / other).write_text(mutated if other == key else original, encoding="utf-8")
+            started = time.perf_counter()
+            code = run([str(tmp_path / a) if a in documents else a for a in argv])
+            elapsed = time.perf_counter() - started
+            out, err = capsys.readouterr()
+            case = f"{name}, {key}: {what}"
+            assert code in (0, 1, 2), case
+            assert "Traceback" not in out + err, case
+            assert elapsed < 5, case
+            if refused_line is not None:
+                assert code == 2 and out == "" and err.startswith(f"error: line {refused_line}: "), (case, err[:200])
+            runs += 1
+    assert runs == 8 * len(documents)

@@ -72,6 +72,16 @@ def test_rational_accepts_ints_strings_fractions():
     assert rational(Fraction(1, 2)) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("text", ["1.5", "1_000", "1e3", "1e99999999", "nan", "inf", "\u0663", " 3", "3/", "/3", "1/-2", ""], ids=repr)
+def test_rational_reads_only_p_and_p_over_q_from_a_string(text):
+    """`Fraction` also reads decimals, underscores, exponents and non-ASCII
+    digits; `Fraction("1e3000000")` alone takes a second.  A string that is
+    not p or p/q in ASCII digits is refused before `Fraction` sees it."""
+    with pytest.raises(ValueError, match="malformed rational"):
+        rational(text)
+    assert rational("+3") == 3 and rational("-0") == 0 and rational("007/014") == Fraction(1, 2)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -264,6 +274,30 @@ def test_tensor_arithmetic_and_swap():
     assert t.scale(Fraction(3)).get((1, 2)) == -1
     assert t.swap().get((1, 0)) == 2
     assert t.swap().swap() == t
+
+
+def test_a_sum_of_tensors_drops_what_cancels_and_refuses_other_shapes(monkeypatch):
+    """`__add__` copies self with no second check (`_of_checked`): sums of
+    int-valued and Fraction-valued tensors, either way round, drop the
+    entries that cancel and leave both operands as they were, and a tensor
+    of another degree or dimension is refused, in a sum and a difference."""
+    ints = SparseTensor(2, 3, {(0, 1): 2, (1, 2): -3, (2, 2): 1})
+    fractions = SparseTensor(2, 3, {(0, 1): Fraction(-2), (1, 2): Fraction(1, 2), (2, 0): Fraction(5, 7)})
+    before = (dict(ints.entries), dict(fractions.entries))
+    checks = []
+    post_init = SparseTensor.__post_init__
+    monkeypatch.setattr(SparseTensor, "__post_init__", lambda t: checks.append(t) or post_init(t))
+    for total in (ints + fractions, fractions + ints):
+        assert total.entries == {(1, 2): Fraction(-5, 2), (2, 2): 1, (2, 0): Fraction(5, 7)}
+    assert checks == []
+    assert (ints - ints).is_zero and (fractions - fractions).is_zero and (ints + -ints).entries == {}
+    assert (ints.entries, fractions.entries) == before
+    for other in (SparseTensor(2, 4), SparseTensor(3, 3), SparseTensor(1, 3, {(0,): 1})):
+        for a, b in ((ints, other), (other, fractions)):
+            with pytest.raises(ValueError, match="tensor shapes differ"):
+                a + b
+            with pytest.raises(ValueError, match="tensor shapes differ"):
+                a - b
 
 
 @pytest.mark.parametrize("c", [0.5, 0.0, True, "1/2", None])

@@ -165,6 +165,36 @@ def test_tensor_errors_carry_line_numbers():
     expect_parse_error(fileio.parse_tensor, "tensor degree=2 dim=2\n0 1 0\n0 1 3\n", 3, "duplicate")
 
 
+REFUSED_RATIONALS = {
+    "decimal": "1.5",
+    "underscore": "1_000",
+    "exponent": "1e3",
+    "huge exponent": "1e99999999",
+    "negative exponent": "2E-1",
+    "nan": "nan",
+    "infinity": "-inf",
+    "Arabic-Indic digit": "\u0663",
+    "zero denominator": "1/0",
+    "5,000 digits": "9" * 5000,
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_RATIONALS)
+def test_only_p_and_p_over_q_are_read_as_rationals(name):
+    """The documented spellings are `p` and `p/q`; `Fraction` reads more,
+    and the 12-byte entry line `0 0 1e99999999` used to keep a parse busy
+    for minutes.  Every other spelling is a malformed rational at its own
+    line, in each reader and after good copies of other tokens; a signed or
+    zero-padded p/q is read."""
+    token = REFUSED_RATIONALS[name]
+    expect_parse_error(fileio.parse_tensor, f"tensor degree=2 dim=2\n0 0 1/2\n1 1 {token}\n", 3, "malformed rational")
+    expect_parse_error(fileio.parse_subspace, f"subspace dim=2\n1 {token}\n", 2, "malformed rational")
+    expect_parse_error(fileio.parse_algebra, f"algebra dim=2\nphi 1 0\nphi 0 {token}\n", 3, "malformed rational")
+    expect_parse_error(fileio.parse_matrix_blocks, f"1 2\n\n3 {token}\n", 3, "malformed rational")
+    text = "tensor degree=1 dim=3\n0 +3\n1 -04/6\n2 -0\n"
+    assert fileio.parse_tensor(text).entries == {(0,): 3, (1,): Fraction(-2, 3)}
+
+
 def test_a_malformed_tensor_index_is_named_with_its_line():
     """The indices of an entry line are read together; a malformed one is
     named, the first of several, with the full message and line number."""

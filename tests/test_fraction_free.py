@@ -70,6 +70,8 @@ from maninforge.core import (
     _eliminated,
     _gauss_jordan,
     _images_outside,
+    _integer_row,
+    _orthogonal_rows,
     _quotients,
     _span,
     _symmetric_part,
@@ -125,7 +127,6 @@ from maninforge.manin import (
 from maninforge.polyuble import nuble
 from maninforge import homlie, rmatrix
 from maninforge.rmatrix import (
-    _s_sharp_columns,
     _sharp_columns,
     check_hom_ad_invariant,
     check_quasi_triangular,
@@ -535,7 +536,7 @@ def test_elimination_matches_the_fraction_reference_row_for_row(n, count, seed):
     rng = random.Random(f"rows {n} {count} {seed}")
     rows = hostile_rows(rng, n, count)
     before = [list(row.items()) for row in rows]
-    kept = _eliminated(rows)
+    kept = _eliminated([_integer_row(row) for row in rows])
     for p, row in kept.items():
         assert all(type(x) is int for x in row.values()), row
         assert gcd(*row.values()) == 1 and row[p] > 0 and min(row) == p, row
@@ -1464,14 +1465,15 @@ def _nonzero_entries(residual: str) -> int:
 def test_a_failing_stabilizer_report_divides_only_its_witnesses():
     """On D3^2 with q = 0 and S the inverse form, dozens of brackets and
     images leave q, and each condition reports one witness: the half-space
-    tests build no Fraction, and the report, its sharp map and sharp images
-    aside, builds one per nonzero entry of the reported witnesses (the whole
-    report built 280 Fractions when every outside bracket was divided)."""
+    tests build no Fraction, and the whole report, its sharp map and sharp
+    images in integer numerators, builds one per nonzero entry of the
+    reported witnesses (it built 280 Fractions when every outside bracket
+    was divided, and 84 while the sharp map was divided)."""
     t = nuble(D3, 2)
     h = t.algebra
     s, q = SparseTensor.from_matrix(inverse(t.form)), Subspace.zero(h.dim)
     target = q._numerator_rows
-    cols, ann = _s_sharp_columns(h, s), _annihilator_rows(q)
+    cols, ann = _sharp_columns(h, s), _annihilator_rows(q)
     outside = _brackets_outside(h, [_apply_columns(cols, xi) for xi in ann], target)
     outside += _images_outside(cols, ann, target)
     assert len(outside) > 60
@@ -1479,9 +1481,26 @@ def test_a_failing_stabilizer_report_divides_only_its_witnesses():
     report, built, entered = fractions_inside(stabilizer_report, args, HALF_SPACE_TESTS)
     assert [f.check for f in report.failures] == ["coisotropic", "s_sharp_image", "sharp_brackets"]
     assert built == 0 and entered == 3
-    sharp = frozenset({_s_sharp_columns.__code__, _apply_columns.__code__})
-    _, built, _ = fractions_inside(stabilizer_report, args, {stabilizer_report.__code__}, sharp)
+    _, built, _ = fractions_inside(stabilizer_report, args, {stabilizer_report.__code__})
     assert built == sum(_nonzero_entries(f.residual) for f in report.failures) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_passing_stabilizer_report_builds_no_fraction_for_its_sharp_tests(n):
+    """On D3^n with q its first half and S the inverse form (the benchmark's
+    `stabilizer` inputs at n = 3), the sharp map, its images and their
+    brackets are summed and tested in integer numerators: the report builds
+    no Fraction outside the annihilator and complement rows of q (at n = 3
+    it built 120 there, of 276 in all, while the sharp map and images were
+    divided), and it equals the dense reference's."""
+    t = nuble(D3, n)
+    h = t.algebra
+    s = SparseTensor.from_matrix(inverse(t.form))
+    args = (h, s, t.part1, h.form_rows)
+    rows = frozenset({_annihilator_rows.__code__, _orthogonal_rows.__code__})
+    report, built, entered = fractions_inside(stabilizer_report, args, {stabilizer_report.__code__}, rows)
+    assert report.passed and entered == 1 and built == 0
+    assert report.to_json() == dense_stabilizer_report(h, s, t.part1, h.form_rows).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     conjugate_algebra,
+    fraction_quasi_triangular,
     dense_check_hom_ad_invariant,
     dense_hcyb,
     dense_hcyb_pairing_check,
@@ -25,6 +26,7 @@ from helpers import (
 )
 from maninforge import rmatrix
 from maninforge.core import (
+    Matrix,
     SparseTensor,
     Subspace,
     _gauss_jordan,
@@ -162,8 +164,8 @@ def test_sharp_maps_validate_symmetry_class():
     h = sl2_twisted()
     lam, s = tensor_skew_sym_split(sl2_r())
     with pytest.raises(ValueError, match="needs a symmetric tensor"):
-        rmatrix._s_sharp_columns(h, lam)
-    assert rmatrix._s_sharp_columns(h, s) == rmatrix._sharp_columns(h, s)
+        rmatrix._s_sharp_sums(h, lam)
+    assert rmatrix._s_sharp_sums(h, s) == rmatrix._sharp_sums(h, s)
 
 
 @pytest.mark.parametrize("name", sorted(YB_ALGEBRAS))
@@ -187,7 +189,7 @@ SL2_LAM, SL2_S = tensor_skew_sym_split(sl2_r())
 SL2_LINE = Subspace.span(3, [[1, 0, 0]])
 ENTRY_POINTS = {
     "check_hom_ad_invariant": lambda h, t, lam, s: check_hom_ad_invariant(h, s),
-    "_s_sharp_columns": lambda h, t, lam, s: rmatrix._s_sharp_columns(h, s),
+    "_s_sharp_sums": lambda h, t, lam, s: rmatrix._s_sharp_sums(h, s),
     "check_quasi_triangular": lambda h, t, lam, s: check_quasi_triangular(h, t),
     "hcyb_pairing_check": lambda h, t, lam, s: hcyb_pairing_check(h, t),
     "additivity_check-skew": lambda h, t, lam, s: additivity_check(h, lam, SL2_S),
@@ -291,6 +293,61 @@ def test_classifier_reads_the_symmetric_part_and_its_rank_like_the_dense_split()
             full_rank = (not s.is_zero) and matrix_rank(dense_sharp_matrix(h, s)) == h.dim
             assert report.factorizable == full_rank
             seen.add(full_rank)
+    assert seen == {True, False}
+
+
+LEGS_ALGEBRAS = {
+    "D2": lambda: triple_double(special_linear_data(2)).algebra,
+    "D3": lambda: triple_double(special_linear_data(3)).algebra,
+    "hyperbolic": lambda: hyperbolic_triple().algebra,
+    "g+h sl2": lambda: triple_g_plus_h(special_linear_data(2)).algebra,
+}
+
+
+def half_rank_tensor(rng: random.Random, d: int, shared: int) -> tuple[SparseTensor, Matrix]:
+    """(r, A): r = sum_i u_i (x) v_i over d/2 seeded legs whose matrix A has
+    rank d/2, each leg vector with about half its entries zero, and u_i = v_i
+    for the first `shared` legs, so that g1 and g2 meet when shared > 0."""
+    while True:
+        leg = lambda: [rand_fraction(rng, -3, 3) if rng.random() < 0.5 else 0 for _ in range(d)]
+        vs = [leg() for _ in range(d // 2)]
+        us = [v if i < shared else leg() for i, v in enumerate(vs)]
+        r = SparseTensor.zero(2, d)
+        for u, v in zip(us, vs):
+            for a, x in enumerate(u):
+                for b, y in enumerate(v):
+                    if x and y:
+                        r.add_into((a, b), x * y)
+        a = tuple(tuple(r.get((i, j)) for j in range(d)) for i in range(d))
+        if matrix_rank(a) == d // 2:
+            return r, a
+
+
+@pytest.mark.parametrize("name", sorted(LEGS_ALGEBRAS))
+def test_factorizability_at_half_rank_is_read_off_the_legs(name, monkeypatch):
+    """r = sum_i u_i (x) v_i over d/2 seeded legs: r's matrix A has rank d/2,
+    so the classifier reads factorizability off the legs and makes no
+    `_sharp_sums` call.  The whole report equals the reference's, and
+    factorizable is the rank test of the dense sharp matrix and is whether
+    g1 (+) g2 = V, the rank of A's rows and columns together; both
+    g1 (+) g2 = V and g1 meeting g2 occur."""
+    h = LEGS_ALGEBRAS[name]()
+    d = h.dim
+    rng = random.Random(f"legs {name}")
+    sharp_calls = []
+    sharp_sums = rmatrix._sharp_sums
+    monkeypatch.setattr(rmatrix, "_sharp_sums", lambda h, t: sharp_calls.append(t) or sharp_sums(h, t))
+    seen = set()
+    for shared in (0, 1, 0, d // 2, 0, 1):
+        r, a = half_rank_tensor(rng, d, shared)
+        report = check_quasi_triangular(h, r)
+        assert sharp_calls == []
+        assert report == fraction_quasi_triangular(h, r)
+        _, s = tensor_skew_sym_split(r)
+        direct = matrix_rank(a + tuple(zip(*a))) == d  # g1 + g2, from A's rows and columns
+        assert report.factorizable == ((not s.is_zero) and matrix_rank(dense_sharp_matrix(h, s)) == d) == direct
+        assert not (direct and shared)
+        seen.add(direct)
     assert seen == {True, False}
 
 
