@@ -42,10 +42,8 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# The documented spellings of a rational, p or p/q in ASCII digits, p signed.
-# `Fraction` also reads decimals, exponents and underscores, and an exponent
-# as short as 1e99999999 would have it build an int of hundreds of millions
-# of bits; so text is matched against this before `Fraction` sees it.
+# The documented spellings of a rational, matched before `Fraction` reads the
+# text: it also reads exponents, and would expand 1e99999999 into a huge int.
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
