@@ -796,6 +796,7 @@ def test_console_script_is_installed_and_runs(tmp_path):
 # ---------------------------------------------------------------------------
 
 NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+HEADERS = {"algebra", "tensor", "subspace"}
 # Tokens that no reader may take for a rational or an index: each must give
 # exit code 2 with a parse error at its line, and no arithmetic on its value.
 REFUSED_TOKENS = ["1e99999999", "1/0", "nan", "9" * 5000]
@@ -807,8 +808,7 @@ def mutation_jobs() -> list[tuple[str, list[str], dict[str, str]]]:
     """(name, argv, documents): each CLI command on the built-in example
     documents (the text `examples` prints) and on D3^2, its arguments naming
     the documents by key."""
-    d3 = triple_double(special_linear_data(3))
-    square = nuble(d3, 2)
+    square = nuble(triple_double(special_linear_data(3)), 2)
     jobs = []
     triples = {
         "hyperbolic": hyperbolic_triple(),
@@ -840,7 +840,7 @@ def mutations(rng: random.Random, text: str) -> list[tuple[str, str, int | None]
     seeded line dropped and one duplicated.  Header fields are left alone,
     so no mutation declares a huge dimension."""
     lines = text.splitlines()
-    body = [i for i, line in enumerate(lines) if i and NUMBER.search(line) and not line.split()[0] in HEADERS]
+    body = [i for i, line in enumerate(lines) if i and NUMBER.search(line) and line.split()[0] not in HEADERS]
     out = []
     for token in REFUSED_TOKENS + INDEX_TOKENS:
         i = rng.choice(body)
@@ -856,7 +856,6 @@ def mutations(rng: random.Random, text: str) -> list[tuple[str, str, int | None]
     return out
 
 
-HEADERS = {"algebra", "tensor", "subspace"}
 MUTATION_JOBS = mutation_jobs()
 
 
