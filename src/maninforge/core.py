@@ -920,13 +920,12 @@ def _images_outside(
 ) -> list[tuple[int, int, dict[int, int]]]:
     """(a, den, sums) for each sparse row rows[a] whose image under the map
     with sparse columns cols does not lie in the span with numerator rows
-    target (`Subspace._numerator_rows`): the one image test.  Each image is
-    summed by `_column_sums` and tested in those integer numerators
-    (`_in_span`), and none is divided: a caller that reports an image divides
-    it, `_quotients(den, sums)`, and gets the values and order of
-    `_apply_columns`.  Integer columns that stand for a map over a
-    denominator den_c, as `rmatrix._s_sharp_sums` gives them, are tested as
-    they are, and the image is divided by den * den_c."""
+    target (`Subspace._numerator_rows`).  Each image is summed by
+    `_column_sums` and tested in those integer numerators (`_in_span`), and
+    none is divided: a caller that reports an image divides it,
+    `_quotients(den, sums)`, and gets the values and order of
+    `_apply_columns`.  `stabilizer_report`, which also brackets every sharp
+    image, sums each once and runs the same test on it."""
     outside = []
     for a, row in enumerate(rows):
         den, sums = _column_sums(cols, row)

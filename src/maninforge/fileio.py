@@ -3,6 +3,7 @@ blocks.  Every serializer emits sorted, canonical output and every parser
 round-trips it bit-exactly; parse errors carry 1-based line numbers."""
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import islice
@@ -10,6 +11,7 @@ from itertools import islice
 from .core import _RATIONAL_TEXT, ONE, ZERO, Matrix, Subspace, SparseTensor, Vector, _span, _transpose_sparse
 from .homlie import HomLieAlgebra
 from .manin import ManinTriple
+from .reporting import _rational_text
 
 
 class ParseError(ValueError):
@@ -23,8 +25,9 @@ class ParseError(ValueError):
 
 
 def render_rational(x: Fraction) -> str:
-    """Canonical text for an exact rational: `p` for integers, else `p/q`."""
-    return str(x)
+    """Canonical text for an exact rational: `p` for integers, else `p/q`,
+    of any size (`reporting._rational_text`)."""
+    return _rational_text(x)
 
 
 def _parse_rational(token: str, lineno: int, parsed: dict[str, Fraction]) -> Fraction:
@@ -32,18 +35,22 @@ def _parse_rational(token: str, lineno: int, parsed: dict[str, Fraction]) -> Fra
     tokens read so far to their values, and only successful parses enter it,
     so a malformed token fails with its own line number every time.  Only
     `p` and `p/q` are read (`core._RATIONAL_TEXT`, checked on a miss): a
-    decimal, an exponent or an underscore is malformed, as is a zero q.  A
+    decimal, an exponent or an underscore is malformed, as is a zero q, and
+    a part of more digits than Python's int/str limit is refused as such.  A
     token that spells zero maps to the shared `ZERO`, so a reader drops
     zeros by identity, with no Fraction truth test.  The hot loops look a
     token up in `parsed` themselves and call this on a miss."""
     value = parsed.get(token)
     if value is None:
+        if not _RATIONAL_TEXT.fullmatch(token):
+            raise ParseError(lineno, f"malformed rational {token!r}")
         try:
-            if not _RATIONAL_TEXT.fullmatch(token):
-                raise ValueError(token)
             value = Fraction(token)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             raise ParseError(lineno, f"malformed rational {token!r}") from None
+        except ValueError:  # spelled right, but `int` refuses a part this long
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(lineno, f"rational {token[:12]}... has more digits than Python's int/str limit ({limit})") from None
         value = parsed[token] = value or ZERO
     return value
 

@@ -622,15 +622,24 @@ def check_homomorphism(f: list[dict[int, Fraction]], h1: HomLieAlgebra, h2: HomL
 
 def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     """The form is symmetric, nondegenerate (else the kernel basis is reported),
-    invariant <[x,y],z> = <x,[y,z]>, and twist-self-adjoint <phi x, y> = <x, phi y>.
+    invariant <[x,y],z> = <x,[y,z]>, and twist-self-adjoint <phi x, y> = <x, phi y>:
+    the failures of `_form_failures` and of `_kernel_failures`.  A triple's
+    certificate (`manin._six_checks`) composes the same two pieces, but reads
+    nondegeneracy off the halves' cross pairing when its lemma's hypotheses
+    hold, and ranks the form's rows only when they do not.  Kept public for
+    ROADMAP item 17's corpus, which compares it with its dense reference."""
+    return CheckReport("quadratic", _form_failures(h) + _kernel_failures(h))
+
+
+def _form_failures(h: HomLieAlgebra) -> list[Failure]:
+    """The form's identities: symmetry, twist-self-adjointness and invariance,
+    every failing instance named.
 
     Symmetry is compared, and the invariance residual summed, in integer
     numerators: the form's over den_g, and the residual over den_g * den_c with
     den_c the bracket table's.  The two twist pairings come from `_pairings`,
     and their difference runs in Fractions; the identity twist is self-adjoint
-    with nothing to compute, <x, y> = <x, y>.  Nondegeneracy is the rank
-    of the form's rows, `_rank`, in ints; only a degenerate form is reduced
-    by `_gauss_jordan`, for the kernel basis it reports.
+    with nothing to compute, <x, y> = <x, y>.
 
     The residual R(a, b, k) = <[b_a, b_b], b_k> - <b_a, [b_b, b_k]> is kept
     by rows: row (a, b) is one int holding R(a, b, k) in field k.  With
@@ -659,9 +668,6 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
     }
     for i, j in sorted(asymmetric):
         failures.append(failure("symmetric", (i, j), g_rows[i].get(j, ZERO) - g_rows[j].get(i, ZERO)))
-    if _rank(g_rows) < h.dim:  # only a degenerate form is reduced, for its kernel
-        for v in _null_rows(_gauss_jordan(g_rows), h.dim):
-            failures.append(failure("nondegenerate", None, _dense(h, v)))
     if not h.untwisted:
         phi_cols, units = h.phi_columns, _unit_columns(h.dim)
         # <phi b_i, b_j> - <b_i, phi b_j>
@@ -697,7 +703,16 @@ def check_quadratic(h: HomLieAlgebra) -> CheckReport:
         if n:
             a, b = divmod(ab, d)
             failures += [failure("invariant", (a, b, k), value) for k, value in _signed_fields(n, width, den)]
-    return CheckReport("quadratic", failures)
+    return failures
+
+
+def _kernel_failures(h: HomLieAlgebra) -> list[Failure]:
+    """Nondegeneracy of the form: the rank of its rows, `_rank`, in ints; only
+    a degenerate form is reduced by `_gauss_jordan`, for the kernel basis it
+    reports, one `nondegenerate` failure per basis vector."""
+    if _rank(h.form_rows) == h.dim:
+        return []
+    return [failure("nondegenerate", None, _dense(h, v)) for v in _null_rows(_gauss_jordan(h.form_rows), h.dim)]
 
 
 def _require_algebra(function: str, position: int, h: object) -> None:

@@ -32,7 +32,6 @@ from .homlie import (
     BracketTable,
     HomLieAlgebra,
     check_hom_jacobi,
-    check_quadratic,
     check_twist_morphism,
     direct_sum,
     negate_form,
@@ -40,7 +39,9 @@ from .homlie import (
     _ad_basis,
     _brackets_outside,
     _dense,
+    _form_failures,
     _intertwining_failures,
+    _kernel_failures,
     _pairings,
     _require_tensor,
     _twist_outside,
@@ -94,16 +95,15 @@ def _form_rows(t: ManinTriple) -> tuple[dict[int, Fraction], ...]:
     return t.algebra.form_rows
 
 
-def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
-    """Isotropy, bracket closure, and twist stability of one half: the pairings
-    of its basis rows come from `_pairings`, the brackets and twisted rows that
-    leave the half from `_brackets_outside` and `_twist_outside`, each of
+def _part_report(
+    h: HomLieAlgebra, part: Subspace, label: str, pairings: Mapping[tuple[int, int], Fraction]
+) -> CheckReport:
+    """Isotropy, bracket closure, and twist stability of one half: `pairings`
+    holds the nonzero pairings of its canonical rows, as `_pairings` gives
+    them, each reported at a <= b; the brackets and twisted rows that leave
+    the half come from `_brackets_outside` and `_twist_outside`, each of
     those divided once, since each is reported."""
-    failures = []
-    h = t.algebra
-    for (a, b), value in _pairings(_form_rows(t), part.echelon).items():
-        if a <= b:
-            failures.append(failure("isotropic", (a, b), value))
+    failures = [failure("isotropic", (a, b), value) for (a, b), value in pairings.items() if a <= b]
     for index, den, w in _brackets_outside(h, part.echelon, part._numerator_rows):
         failures.append(failure("subalgebra", index, _dense(h, _quotients(den, w))))
     for a, den, image in _twist_outside(h, part):
@@ -111,10 +111,10 @@ def _part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport:
     return CheckReport(label, failures)
 
 
-def _splitting_report(t: ManinTriple) -> CheckReport:
-    """Halves of equal dimension whose sum is the whole even-dimensional space:
-    the sum's dimension is the rank of the two halves' rows, read from the
-    elimination stage (`_rank`), with no row divided and no subspace built."""
+def _splitting_report(t: ManinTriple, direct: bool) -> CheckReport:
+    """Halves of equal dimension whose sum is the whole even-dimensional space;
+    `direct` tells whether the two halves' rows span it, as the caller
+    decided."""
     h = t.algebra
     shape_failures = []
     if h.dim % 2 != 0:
@@ -123,7 +123,7 @@ def _splitting_report(t: ManinTriple) -> CheckReport:
         shape_failures.append(failure("part1_dim", (t.part1.dim,)))
     if t.part2.dim != h.dim // 2:
         shape_failures.append(failure("part2_dim", (t.part2.dim,)))
-    if _rank(t.part1.echelon + t.part2.echelon) != h.dim:
+    if not direct:
         shape_failures.append(failure("direct_sum"))
     return CheckReport("splitting", shape_failures)
 
@@ -131,17 +131,56 @@ def _splitting_report(t: ManinTriple) -> CheckReport:
 def _six_checks(t: ManinTriple) -> CheckReport:
     """The whole structure checked on every coordinate: valid quadratic ambient
     algebra, halves of equal dimension in direct sum, each isotropic, closed
-    under the bracket, twist-stable."""
-    h = t.algebra
+    under the bracket, twist-stable.
+
+    One `_pairings` call over both halves' canonical rows u_1..u_k, w_1..w_l
+    gives the pairings within each half, which the half reports name, and
+    the cross pairing P = (<u_a, w_b>).  Nondegeneracy and the direct sum are
+    then read off P when the lemma below applies, with one `_rank` of k rows;
+    otherwise the form's rows are ranked (`homlie._kernel_failures`, which
+    names the kernel) and so are the halves' d rows.
+
+    Lemma (the form pairs the halves).  Let the form be symmetric, the halves
+    isotropic, and k = l = d/2.  Then the form is nondegenerate and
+    g1 + g2 = V is direct exactly when P is invertible.
+    - If P is invertible, let x = sum_a s_a u_a + sum_b t_b w_b = 0.  Pairing
+      x with w_c on the right gives (s^T P)_c, since g2 is isotropic, and
+      pairing u_c with x gives (P t)_c, since g1 is; so s = t = 0.  The d rows
+      are independent, so they are a basis of V, and g1 + g2 = V is direct.
+      In that basis the form's Gram matrix is [[0, P], [P^T, 0]], by isotropy
+      and symmetry, and it is invertible, so the form is nondegenerate.
+    - If the form is nondegenerate and g1 + g2 = V is direct, (u, w) is a
+      basis and the Gram matrix [[0, P], [P^T, 0]] is invertible, so P is.
+    So when every hypothesis holds and P has rank d/2, both checks pass; in
+    every other case the two ranks decide them and name what fails."""
+    h, u, w = t.algebra, t.part1.echelon, t.part2.echelon
+    jacobi, twist = check_hom_jacobi(h), check_twist_morphism(h)
+    form = _form_failures(h)  # raises without a form
+    k = len(u)
+    within: tuple[dict, dict] = ({}, {})  # the pairings within half 1, and within half 2
+    cross: list[dict[int, Fraction]] = [{} for _ in u]  # row a of P
+    for (a, b), value in _pairings(h.form_rows, u + w).items():
+        if a < k:
+            if b < k:
+                within[0][a, b] = value
+            else:
+                cross[a][b - k] = value
+        elif b >= k:
+            within[1][a - k, b - k] = value
+    symmetric = all(f.check != "symmetric" for f in form)
+    if symmetric and 2 * k == h.dim == 2 * len(w) and not any(within) and _rank(cross) == k:
+        kernel, direct = [], True
+    else:
+        kernel, direct = _kernel_failures(h), _rank(u + w) == h.dim
     return combine(
         "manin_triple",
         [
-            check_hom_jacobi(h),
-            check_twist_morphism(h),
-            check_quadratic(h),
-            _part_report(t, t.part1, "part1"),
-            _part_report(t, t.part2, "part2"),
-            _splitting_report(t),
+            jacobi,
+            twist,
+            CheckReport("quadratic", form + kernel),
+            _part_report(h, t.part1, "part1", within[0]),
+            _part_report(h, t.part2, "part2", within[1]),
+            _splitting_report(t, direct),
         ],
     )
 

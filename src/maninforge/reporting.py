@@ -7,10 +7,41 @@ from typing import Iterable, Sequence
 
 from .core import SparseTensor, Vector
 
+_SHORT = 10**600  # an int below it has at most 600 digits, under every int/str limit Python allows (640 and up)
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of an int of any size.  `str` refuses an int of more
+    digits than the interpreter's int/str limit (4,300 by default); an int
+    of more than 600 digits is split at a power of ten, about half its
+    digits, and each part is written in turn, the low one padded with zeros
+    to its width."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n < _SHORT:
+        return str(n)
+    width = n.bit_length() * 3 // 20  # log10(2) > 3/10, so about half the digits
+    high, low = divmod(n, 10**width)
+    return _decimal(high) + _decimal(low).zfill(width)
+
+
+def _rational_text(x: int | Fraction) -> str:
+    """`str(x)` for an int or a Fraction of any size: ``p``, or ``p/q`` in
+    lowest terms, each part by `_decimal` when `str` refuses it.
+
+    >>> _rational_text(Fraction(-3, 4)), len(_rational_text(Fraction(10**5000 + 1, 7)))
+    ('-3/4', 5003)
+    """
+    try:
+        return str(x)
+    except ValueError:  # past the int/str digit limit
+        text = _decimal(x.numerator)
+        return text if x.denominator == 1 else f"{text}/{_decimal(x.denominator)}"
+
 
 def render_vector(v: Vector) -> str:
     """Exact text form of a coordinate vector, e.g. ``(1, -1/2, 0)``."""
-    return "(" + ", ".join(str(x) for x in v) + ")"
+    return "(" + ", ".join(map(_rational_text, v)) + ")"
 
 
 def _render_fields(fields: Iterable[tuple[int, Fraction]], dim: int) -> str:
@@ -18,7 +49,7 @@ def _render_fields(fields: Iterable[tuple[int, Fraction]], dim: int) -> str:
     value) of fields and 0 elsewhere: no coordinate is built for a zero."""
     tokens = ["0"] * dim
     for c, x in fields:
-        tokens[c] = str(x)
+        tokens[c] = _rational_text(x)
     return "(" + ", ".join(tokens) + ")"
 
 
@@ -27,20 +58,22 @@ def render_tensor(t: SparseTensor) -> str:
     if t.is_zero:
         return "0"
     return " + ".join(
-        f"{value}*e{'x'.join(str(i) for i in idx)}" for idx, value in t.items()
+        f"{_rational_text(value)}*e{'x'.join(str(i) for i in idx)}" for idx, value in t.items()
     )
 
 
 def render_residual(residual) -> str | None:
     """A failure's residual as exact text: None stays None, a tensor and a
     vector of Fractions are rendered by `render_tensor` and `render_vector`,
-    and anything else by `str`."""
+    a number by `_rational_text`, and anything else by `str`."""
     if residual is None:
         return None
     if isinstance(residual, SparseTensor):
         return render_tensor(residual)
     if isinstance(residual, tuple) and residual and isinstance(residual[0], Fraction):
         return render_vector(residual)
+    if isinstance(residual, (int, Fraction)):
+        return _rational_text(residual)
     return str(residual)
 
 

@@ -13,7 +13,7 @@ from .core import (
     Subspace,
     _annihilator_rows,
     _column_sums,
-    _images_outside,
+    _in_span,
     _orthogonal_rows,
     _quotients,
     _square_columns,
@@ -53,8 +53,8 @@ def stabilizer_report(
         outside["coisotropic"] = (_brackets_outside(h, complement, target), 1)
     if s is not None:
         (den_s, cols), ann = _s_sharp_sums(h, s), _annihilator_rows(q)
-        outside["s_sharp_image"] = (_images_outside(cols, ann, target), den_s)
-        sums = [_column_sums(cols, xi) for xi in ann]
+        sums = [_column_sums(cols, xi) for xi in ann]  # each image summed once, for both tests
+        outside["s_sharp_image"] = ([(a, den, w) for a, (den, w) in enumerate(sums) if not _in_span(target, w)], den_s)
         den_i = lcm(*(den for den, _ in sums))
         images = [{a: n * (den_i // den) for a, n in w.items()} for den, w in sums]
         outside["sharp_brackets"] = (_brackets_outside(h, images, target), (den_i * den_s) ** 2)

@@ -47,7 +47,7 @@ from maninforge.homlie import (
     check_involutive,
 )
 from maninforge.manin import Chain, DualBasisPair, ManinTriple, RootData, _dual_rows, _form_rows
-from maninforge.reporting import CheckReport, failure, render_vector
+from maninforge.reporting import CheckReport, combine, failure, render_vector
 from maninforge.rmatrix import RMatrixReport, check_hom_ad_invariant, sl2_lie, sl2_twisted
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 4)
@@ -1073,6 +1073,38 @@ def dense_part_report(t: ManinTriple, part: Subspace, label: str) -> CheckReport
         if not dense_contains(part, image):
             failures.append(failure("twist_stable", (a,), image))
     return CheckReport(label, failures)
+
+
+def dense_splitting_report(t: ManinTriple) -> CheckReport:
+    """Even dimension, halves of half the dimension, and a direct sum read
+    off the rank of the two halves' dense rows."""
+    failures = []
+    d = t.dim
+    if d % 2:
+        failures.append(failure("even_dimension", (d,)))
+    for label, part in (("part1_dim", t.part1), ("part2_dim", t.part2)):
+        if len(part.rows) != d // 2:
+            failures.append(failure(label, (len(part.rows),)))
+    if len(dense_rref(t.part1.rows + t.part2.rows)[1]) != d:
+        failures.append(failure("direct_sum"))
+    return CheckReport("splitting", failures)
+
+
+def dense_certificate(t: ManinTriple) -> CheckReport:
+    """The six checks of a triple, each by its dense reference, combined as
+    `check_manin_triple` combines them."""
+    h = t.algebra
+    return combine(
+        "manin_triple",
+        [
+            dense_check_hom_jacobi(h),
+            dense_check_twist_morphism(h),
+            dense_check_quadratic(h),
+            dense_part_report(t, t.part1, "part1"),
+            dense_part_report(t, t.part2, "part2"),
+            dense_splitting_report(t),
+        ],
+    )
 
 
 def dense_brackets_in(h: HomLieAlgebra, rows, q: Subspace) -> bool:

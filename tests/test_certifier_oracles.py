@@ -14,10 +14,9 @@ from helpers import (
     SL2_FORM,
     basis_image,
     conjugate_algebra,
+    dense_certificate,
     dense_check_hom_jacobi,
-    dense_check_quadratic,
     dense_check_twist_morphism,
-    dense_part_report,
     flip_first_constant,
     rand_fraction,
     rand_subspace,
@@ -34,7 +33,6 @@ from maninforge.homlie import (
 )
 from maninforge.manin import (
     ManinTriple,
-    _splitting_report,
     check_manin_triple,
     coboundary_cobracket,
     double_from_bialgebra,
@@ -44,28 +42,12 @@ from maninforge.manin import (
     triple_double,
 )
 from maninforge.polyuble import nuble, verify_snake_iso
-from maninforge.reporting import combine
 from maninforge.rmatrix import check_hom_ad_invariant, hcyb, hom_schouten, sl2_twisted
 
 
 def base_triples() -> dict[str, ManinTriple]:
     d2 = triple_double(special_linear_data(2))
     return {"D2": d2, "D3": triple_double(special_linear_data(3)), "D2x2": nuble(d2, 2)}
-
-
-def dense_certificate(t: ManinTriple):
-    h = t.algebra
-    return combine(
-        "manin_triple",
-        [
-            dense_check_hom_jacobi(h),
-            dense_check_twist_morphism(h),
-            dense_check_quadratic(h),
-            dense_part_report(t, t.part1, "part1"),
-            dense_part_report(t, t.part2, "part2"),
-            _splitting_report(t),
-        ],
-    )
 
 
 def assert_matches_dense(t: ManinTriple):

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from maninforge.manin import (
     triple_g_plus_h,
 )
 from maninforge.polyuble import nuble
-from maninforge.rmatrix import sl2_r, sl2_twisted
+from maninforge.rmatrix import check_quasi_triangular, sl2_r, sl2_twisted
 from maninforge.stabilizer import stabilizer_report
 
 
@@ -306,6 +307,42 @@ def test_hcybe_shape_mismatch_is_usage_error(capsys, monkeypatch):
     code, _, err = invoke(capsys, ["hcybe", "-", "--r", "-"], monkeypatch, text)
     assert code == 2
     assert "degree-2" in err
+
+
+def test_hcybe_prints_rationals_past_the_int_str_digit_limit(capsys, tmp_path):
+    """r = N (e1 (x) e2 + e2 (x) e1) + e0 (x) e0 on the twisted sl2, N a
+    2,500-digit int that the reader takes: the residual's entries have about
+    5,000 digits, past Python's 4,300-digit limit for int-to-text conversion.
+    `hcybe` prints its verdict and exact residual, in plain text and in JSON,
+    where it used to exit 2 with `Exceeds the limit`; the limit is left as
+    it was."""
+    n = Fraction(int("7" * 2500))
+    r = SparseTensor(2, 3, {(1, 2): n, (2, 1): n, (0, 0): Fraction(1)})
+    (tmp_path / "a").write_text(fileio.format_algebra(sl2_twisted()), encoding="utf-8")
+    (tmp_path / "r").write_text(fileio.format_tensor(r), encoding="utf-8")
+    residual = check_quasi_triangular(sl2_twisted(), r).hcyb_residual
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lines = [f"{' '.join(map(str, idx))} {value}" for idx, value in residual.items()]
+        terms = " + ".join(f"{value}*e{'x'.join(map(str, idx))}" for idx, value in residual.items())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(len(line) for line in lines) > limit
+    tensor_text = "\n".join(["tensor degree=3 dim=3", *lines]) + "\n"
+    verdict = "phi_fixed: true\ns_invariant: false\nverdict: fails\nfactorizable: true\n"
+    argv = ["hcybe", str(tmp_path / "a"), "--r", str(tmp_path / "r")]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == (tensor_text + verdict, "")
+    assert run(argv + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == tensor_text + verdict
+    assert payload["failures"] == [
+        {"check": "residual", "index": None, "residual": terms},
+        {"check": "s_invariant", "index": None, "residual": None},
+    ]
+    assert sys.get_int_max_str_digits() == limit
 
 
 # ---------------------------------------------------------------------------

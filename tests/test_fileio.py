@@ -1,5 +1,7 @@
 """Round-trip and error-position tests for the plain-text formats."""
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 import maninforge.core
 from maninforge import fileio
 from maninforge.core import SparseTensor, Subspace, _span
+from maninforge.reporting import failure, render_tensor, render_vector
 from maninforge.homlie import HomLieAlgebra
 from maninforge.manin import ManinTriple, hyperbolic_triple, special_linear_data, triple_double
 from maninforge.rmatrix import sl2_twisted
@@ -129,6 +132,35 @@ def test_render_rational_is_canonical():
     assert fileio.render_rational(Fraction(2, 4)) == "1/2"
 
 
+def str_without_limit(x) -> str:
+    """`str(x)` with Python's int/str digit limit lifted for the one call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", [1, 599, 600, 601, 1201, 4300, 4301, 9001])
+def test_rationals_of_any_size_render_exactly(digits):
+    """`render_rational` and the report renderers write what `str` writes
+    with the digit limit lifted, numerator and denominator each of up to
+    9,001 digits, at either sign; the limit itself is left as it was."""
+    rng = random.Random(digits)
+    limit = sys.get_int_max_str_digits()
+    for _ in range(4):
+        p = rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((1, -1))
+        q = rng.randrange(1, 10 ** rng.randrange(1, digits + 1))
+        for x in (Fraction(p), Fraction(p, q), Fraction(10 ** (digits - 1)), Fraction(-(10**digits) + 1, 7)):
+            text = str_without_limit(x)
+            assert fileio.render_rational(x) == text
+            assert render_vector((Fraction(0), x)) == f"(0, {text})"
+            assert failure("check", None, x).residual == text
+            assert render_tensor(SparseTensor(1, 2, {(1,): x})) == f"{text}*e1"
+    assert sys.get_int_max_str_digits() == limit
+
+
 # ---------------------------------------------------------------------------
 # error positions
 # ---------------------------------------------------------------------------
@@ -184,13 +216,16 @@ def test_only_p_and_p_over_q_are_read_as_rationals(name):
     """The documented spellings are `p` and `p/q`; `Fraction` reads more,
     and the 12-byte entry line `0 0 1e99999999` used to keep a parse busy
     for minutes.  Every other spelling is a malformed rational at its own
-    line, in each reader and after good copies of other tokens; a signed or
-    zero-padded p/q is read."""
+    line, in each reader and after good copies of other tokens; a token
+    spelled right but longer than Python's int/str limit is refused there
+    too, its message naming the limit.  A signed or zero-padded p/q is
+    read."""
     token = REFUSED_RATIONALS[name]
-    expect_parse_error(fileio.parse_tensor, f"tensor degree=2 dim=2\n0 0 1/2\n1 1 {token}\n", 3, "malformed rational")
-    expect_parse_error(fileio.parse_subspace, f"subspace dim=2\n1 {token}\n", 2, "malformed rational")
-    expect_parse_error(fileio.parse_algebra, f"algebra dim=2\nphi 1 0\nphi 0 {token}\n", 3, "malformed rational")
-    expect_parse_error(fileio.parse_matrix_blocks, f"1 2\n\n3 {token}\n", 3, "malformed rational")
+    message = "int/str limit (4300)" if name == "5,000 digits" else "malformed rational"
+    expect_parse_error(fileio.parse_tensor, f"tensor degree=2 dim=2\n0 0 1/2\n1 1 {token}\n", 3, message)
+    expect_parse_error(fileio.parse_subspace, f"subspace dim=2\n1 {token}\n", 2, message)
+    expect_parse_error(fileio.parse_algebra, f"algebra dim=2\nphi 1 0\nphi 0 {token}\n", 3, message)
+    expect_parse_error(fileio.parse_matrix_blocks, f"1 2\n\n3 {token}\n", 3, message)
     text = "tensor degree=1 dim=3\n0 +3\n1 -04/6\n2 -0\n"
     assert fileio.parse_tensor(text).entries == {(0,): 3, (1,): Fraction(-2, 3)}
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import maninforge
-from helpers import basis_image, flip_first_constant, shear_product
+from helpers import basis_image, dense_certificate, flip_first_constant, shear_product
 from maninforge import cli, fileio, homlie, manin, polyuble
 from maninforge.core import Subspace, _span
 from maninforge.homlie import HomLieAlgebra, direct_sum, negate_form
@@ -28,7 +28,6 @@ from maninforge.manin import (
     triple_g_plus_h,
 )
 from maninforge.polyuble import nuble
-from test_certifier_oracles import dense_certificate
 
 
 def with_twist(t: ManinTriple, diagonal: list[int]) -> ManinTriple:

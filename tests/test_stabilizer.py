@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -470,3 +471,35 @@ def test_cli_stabilizer_on_d3_cubed_reduces_one_set_of_rows(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert (exit_code, payload["verdict"], calls) == (0, "pass", 1)
     assert payload["result"] == "coisotropic: true\ntwist_stable: true\ns_sharp_image: true\nsharp_brackets: true\n"
+
+
+@pytest.mark.parametrize("n, q_kind", [(3, "part1"), (2, "zero")])
+def test_a_stabilizer_report_sums_each_sharp_image_once(n, q_kind):
+    """Work count: each annihilator row's sharp image is summed once by
+    `_column_sums`, tested for `s_sharp_image` and reused as a bracket row.
+    On the benchmark's D3^3 inputs (q its first half, S the inverse form)
+    that is 24 sums for the complement rows and 24 for the images, where
+    summing each image twice made 72; on D3^2 with q = 0 no complement row is
+    summed and each of the 32 images once (64 when summed twice).  The report equals the dense
+    reference, and each failing condition names its least witness."""
+    t = nuble(triple_double(special_linear_data(3)), n)
+    h = t.algebra
+    q = t.part1 if q_kind == "part1" else Subspace.zero(h.dim)
+    s = SparseTensor.from_matrix(inverse(t.form))
+    code = maninforge.core._column_sums.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        report = stabilizer_report(h, s, q, h.form_rows)
+    finally:
+        sys.setprofile(None)
+    assert calls == {"part1": 48, "zero": 32}[q_kind]
+    assert report.passed == (q_kind == "part1")
+    assert report.to_json() == dense_stabilizer_report(h, s, q, h.form_rows).to_json()
+    assert_stabilizer_witnesses(report, h, s, q, h.form_rows)
